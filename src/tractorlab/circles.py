@@ -101,19 +101,6 @@ def A_dot_A(geo: GeometrySpec, state: CurveState, pack=None):
             - 6.0 * ua ** 2 / s ** 2 + 2.0 * Puu)
 
 
-def weighted_acceleration(geo, state, pack=None):
-    """(bold u, bold a) = (u/|u|, u^-2 a - u^-4 (u.a) u) in the working
-    scale."""
-    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    g = pk.g
-    u, a = state.u, state.a
-    s = float(u @ g @ u)
-    ua = float(u @ g @ a)
-    bu = u / math.sqrt(s)
-    ba = a / s - ua / s ** 2 * u
-    return bu, ba
-
-
 def unparametrised_residual(geo: GeometrySpec, state: CurveState,
                             cov_da=None, pack=None):
     """Norm of (bold u . nabla bold a)^[b bold u^c] - bold u^d P_d^[b bold u^c]."""

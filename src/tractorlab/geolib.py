@@ -1,8 +1,12 @@
 """Catalog of geometries, embeddings and Killing-Yano forms.
 
 Every entry is written once as a function of jet variables (see jets.py),
-which yields machine-exact analytic derivative callbacks to order three.
-Entries are addressable by name from the CLI.
+which yields machine-exact analytic derivatives up to order three.  A field
+evaluates its jet function at the order it is asked for: ``value()`` runs it
+on order-0 variables (plain float arithmetic), ``jets(x, k)`` on order-k
+variables.  A jet function therefore builds its constants as plain numbers
+(or from a variable), never as order-3 ``Jet3`` constants, so that they take
+on the variables' order.  Entries are addressable by name from the CLI.
 """
 from __future__ import annotations
 
@@ -10,8 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import jets
-from .jets import Jet3, pack_array, variables
+from .jets import pack_array, variables
 from .riemann import GeometrySpec
 from .submanifold import EmbeddingSpec
 from .tensors import ANALYTIC, ArrayField, DiffBackend
@@ -37,25 +40,30 @@ def _analytic_backend():
 
 
 class JetField(ArrayField):
-    """ArrayField whose jets come from one truncated-Taylor evaluation."""
+    """ArrayField whose jets come from one truncated-Taylor evaluation at
+    the requested order (order 0 for ``value``)."""
 
     def __init__(self, fn, shape=None):
         self.jet_fn = fn
         super().__init__(self._value, backend=_analytic_backend(), shape=shape)
 
+    def _eval(self, x, order):
+        x = np.asarray(x, dtype=float)
+        return pack_array(self.jet_fn(variables(x, order)), order, x.size)
+
     def _value(self, x):
-        return pack_array(self.jet_fn(variables(x)))[0]
+        return self._eval(x, 0)[0]
 
     def jets(self, x, order):
-        packed = pack_array(self.jet_fn(variables(np.asarray(x, dtype=float))))
-        return list(packed[:order + 1])
+        return list(self._eval(x, order))
 
 
 def jet_array_field(n_vars, fn, shape=None):
     """ArrayField with analytic callbacks generated from a jet function.
 
-    ``fn`` receives a list of Jet3 coordinates and returns a (nested) array
-    of jets / constants.
+    ``fn`` receives a list of Jet3 coordinates of the requested order and
+    returns a (nested) array of jets / constants.  Constants must be plain
+    numbers or built from a coordinate, never order-3 ``Jet3`` constants.
     """
     return JetField(fn, shape=shape)
 
@@ -114,7 +122,7 @@ def conformally_flat(n, factor_fn, orientation=1):
 
 
 def euclidean(n):
-    return conformally_flat(n, lambda v: Jet3(len(v), 1.0))
+    return conformally_flat(n, lambda v: 1.0)
 
 
 def sphere(n, radius=1.0):
@@ -329,8 +337,7 @@ def fubini_study(N=2):
         s = v[0] * v[0]
         for a in range(1, n):
             s = s + v[a] * v[a]
-        one = Jet3(n, 1.0)
-        denom = (one + s) * (one + s)
+        denom = (1.0 + s) * (1.0 + s)
         h = [[None] * N for _ in range(N)]
         for i in range(N):
             for j in range(N):
@@ -338,7 +345,7 @@ def fubini_study(N=2):
                 re = -num[0]
                 im = -num[1]
                 if i == j:
-                    re = re + (one + s)
+                    re = re + (1.0 + s)
                 h[i][j] = (re / denom, im / denom)
         # real metric: g(pa, pb) = Re(h_{i(a) j(b)} c_a conj(c_b)),
         # c = 1 on x-legs and i on y-legs.
@@ -373,8 +380,7 @@ def random_metric(n, seed=0, amplitude=0.08):
     quad = (quad + quad.transpose(1, 0, 2, 3)) / 2
 
     def fn(v):
-        out = [[Jet3(n, 1.0 if i == j else 0.0) for j in range(n)]
-               for i in range(n)]
+        out = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 acc = out[i][j]
@@ -396,7 +402,7 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
     c2 = (c2 + c2.T) / 2
 
     def fn(v):
-        psi = Jet3(n, c0)
+        psi = float(c0)
         for a in range(n):
             psi = psi + c1[a] * v[a]
             for b in range(n):
@@ -440,7 +446,7 @@ def coordinate_slice(n, axes, values=None, orientation=1):
     vals = np.zeros(n) if values is None else np.asarray(values, dtype=float)
 
     def fn(v):
-        out = [Jet3(m, vals[a]) for a in range(n)]
+        out = [float(vals[a]) for a in range(n)]
         for i, a in enumerate(axes):
             out[a] = v[i] + vals[a]
         return out
@@ -468,7 +474,7 @@ def random_graph_embedding(n, m, seed=0, amplitude=0.15):
 
     def mk(kk):
         def f(v):
-            acc = Jet3(m, 0.0)
+            acc = 0.0
             for i in range(m):
                 acc = acc + lin[kk, i] * v[i]
                 for j in range(m):
@@ -488,10 +494,9 @@ def sphere_in_flat(n, radius=1.0):
         s = v[0] * v[0]
         for a in range(1, m):
             s = s + v[a] * v[a]
-        one = Jet3(m, 1.0)
-        den = one + s
+        den = 1.0 + s
         out = [(2.0 * radius) * v[a] / den for a in range(m)]
-        out.append(radius * (one - s) / den)
+        out.append(radius * (1.0 - s) / den)
         return out
     return jet_embedding(m, n, fn)
 
@@ -501,7 +506,7 @@ def circle_embedding(n, radius=1.0):
     def fn(v):
         t = v[0]
         out = [radius * t.cos(), radius * t.sin()]
-        out.extend(Jet3(1, 0.0) for _ in range(n - 2))
+        out.extend(0.0 for _ in range(n - 2))
         return out
     return jet_embedding(1, n, fn)
 
@@ -522,14 +527,14 @@ def diagonal_s2s2():
 def cp1_slice():
     """The complex line z2 = 0 in the CP^2 affine chart."""
     def fn(v):
-        return [v[0], v[1], Jet3(2, 0.0), Jet3(2, 0.0)]
+        return [v[0], v[1], 0.0, 0.0]
     return jet_embedding(2, 4, fn)
 
 
 def rp2_slice():
     """The totally real slice Im z = 0 in the CP^2 affine chart."""
     def fn(v):
-        return [v[0], Jet3(2, 0.0), v[1], Jet3(2, 0.0)]
+        return [v[0], 0.0, v[1], 0.0]
     return jet_embedding(2, 4, fn)
 
 
@@ -548,15 +553,14 @@ def constant_form(n, comps):
     comps = np.asarray(comps, dtype=float)
 
     def fn(v):
-        flat = [Jet3(n, c) for c in comps.reshape(-1)]
-        return np.array(flat, dtype=object).reshape(comps.shape).tolist()
+        return comps.tolist()
     return _form_field(n, comps.ndim + 1, fn, name="constant")
 
 
 def rotation_form(n, i=0, j=1):
     """k = x_i dx_j - x_j dx_i, a Killing 1-form of flat space (degree 2)."""
     def fn(v):
-        out = [Jet3(n, 0.0) for _ in range(n)]
+        out = [0.0] * n
         out[j] = v[i]
         out[i] = -1.0 * v[j]
         return out
@@ -575,7 +579,7 @@ def round_rotation_form(n, i=0, j=1, radius=1.0):
         for a in range(1, n):
             s = s + v[a] * v[a]
         F = 4.0 * r2 / ((1.0 + s) * (1.0 + s))
-        out = [Jet3(n, 0.0) for _ in range(n)]
+        out = [0.0] * n
         out[j] = F * v[i]
         out[i] = -1.0 * (F * v[j])
         return out
@@ -614,7 +618,7 @@ def almost_einstein_hyperbolic(n):
         s = v[0] * v[0]
         for a in range(1, n):
             s = s + v[a] * v[a]
-        return [(Jet3(n, 1.0) - s) * 0.5]
+        return [(1.0 - s) * 0.5]
 
     spec = KYFormSpec(n=n, degree=1, field=None, name="hyperbolic_scale")
     f = jet_array_field(n, fn)
@@ -637,18 +641,17 @@ def _s2_killing_components(w, gen):
     su(2) generators act as zeta_dot = B + 2 i theta zeta + conj(B) zeta^2.
     """
     u1, u2 = w[0], w[1]
-    one = Jet3(u1.n, 1.0)
     if gen == "rot":
         return [-1.0 * u2, u1]
     if gen == "t1":
         # zeta_dot = (1 + zeta^2)/2
-        re = 0.5 * (one + (u1 * u1 - u2 * u2))
+        re = 0.5 * (1.0 + (u1 * u1 - u2 * u2))
         im = u1 * u2
         return [re, im]
     if gen == "t2":
         # zeta_dot = i(1 - zeta^2)/2
         re = u1 * u2
-        im = 0.5 * (one - (u1 * u1 - u2 * u2))
+        im = 0.5 * (1.0 - (u1 * u1 - u2 * u2))
         return [re, im]
     raise CatalogError(f"unknown S^2 Killing generator {gen!r}")
 
@@ -664,8 +667,7 @@ def s2s2_lifted_killing(gen="rot", factor=1, combo=None):
     def block(w):
         vec = _s2_killing_components(w, gen)
         s = w[0] * w[0] + w[1] * w[1]
-        one = Jet3(w[0].n, 1.0)
-        F = 4.0 / ((one + s) * (one + s))
+        F = 4.0 / ((1.0 + s) * (1.0 + s))
         return [F * vec[0], F * vec[1]]
 
     if combo is None:

@@ -1,10 +1,22 @@
 """Truncated multivariate Taylor arithmetic up to third order.
 
-A ``Jet3`` carries the value, gradient, Hessian and third-derivative tensor of
-a scalar function of ``n`` variables at a point.  Writing a metric, embedding
-or warp factor once as a plain function of jet variables yields machine-exact
-derivative callbacks to order three, which is what the analytic
-differentiation backend consumes.
+A ``Jet3`` of order k (0 to 3) carries the value of a scalar function of
+``n`` variables at a point and, up to order k, its gradient, Hessian and
+third-derivative tensor.  Components above the order are ``None`` and are
+never computed: an order-0 jet is a plain float value, an order-2 jet skips
+every third-derivative term.
+
+Arithmetic between two jets truncates to the lower of their orders.  A plain
+number acts as a constant jet of the other operand's order.  Every component
+is computed by the same formula at every order, so the components an order-k
+jet does carry are bitwise equal to those of the order-3 jet of the same
+expression.
+
+Writing a metric, embedding or warp factor once as a plain function of the
+jet variables ``variables(x, order)`` yields machine-exact derivatives up to
+the order asked for, which is what the analytic differentiation backend
+consumes.  Such a function must build its constants as plain numbers (or
+from a variable), so that they take on the variables' order.
 """
 from __future__ import annotations
 
@@ -12,33 +24,70 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet3", "variables", "constant"]
+__all__ = ["Jet3", "variables", "constant", "pack_array"]
+
+MAX_ORDER = 3
+
+
+def _jet(n, order, f, g=None, h=None, t=None):
+    """Jet from components that are already float arrays (no copies)."""
+    j = object.__new__(Jet3)
+    j.n = n
+    j.order = order
+    j.f = float(f)
+    j.g = g
+    j.h = h
+    j.t = t
+    return j
+
+
+def _check_order(order):
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"jet order {order} outside 0..{MAX_ORDER}")
 
 
 class Jet3:
-    __slots__ = ("n", "f", "g", "h", "t")
+    __slots__ = ("n", "order", "f", "g", "h", "t")
+    # numpy scalars defer to the jet's own operators
+    __array_ufunc__ = None
 
-    def __init__(self, n, f, g=None, h=None, t=None):
+    def __init__(self, n, f, g=None, h=None, t=None, order=MAX_ORDER):
+        _check_order(order)
         self.n = n
+        self.order = order
         self.f = float(f)
-        self.g = np.zeros(n) if g is None else np.asarray(g, dtype=float)
-        self.h = np.zeros((n, n)) if h is None else np.asarray(h, dtype=float)
-        self.t = np.zeros((n, n, n)) if t is None else np.asarray(t, dtype=float)
+        self.g = self.h = self.t = None
+        if order >= 1:
+            self.g = np.zeros(n) if g is None else np.asarray(g, dtype=float)
+        if order >= 2:
+            self.h = (np.zeros((n, n)) if h is None
+                      else np.asarray(h, dtype=float))
+        if order >= 3:
+            self.t = (np.zeros((n, n, n)) if t is None
+                      else np.asarray(t, dtype=float))
 
     # -- basic ring operations -------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Jet3):
             return other
-        return Jet3(self.n, float(other))
+        return constant(self.n, other, self.order)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Jet3(self.n, self.f + o.f, self.g + o.g, self.h + o.h, self.t + o.t)
+        k = min(self.order, o.order)
+        return _jet(self.n, k, self.f + o.f,
+                    self.g + o.g if k >= 1 else None,
+                    self.h + o.h if k >= 2 else None,
+                    self.t + o.t if k >= 3 else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet3(self.n, -self.f, -self.g, -self.h, -self.t)
+        k = self.order
+        return _jet(self.n, k, -self.f,
+                    -self.g if k >= 1 else None,
+                    -self.h if k >= 2 else None,
+                    -self.t if k >= 3 else None)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -48,16 +97,23 @@ class Jet3:
 
     def __mul__(self, other):
         o = self._coerce(other)
+        k = min(self.order, o.order)
         f = self.f * o.f
+        if k == 0:
+            return _jet(self.n, 0, f)
         g = self.g * o.f + self.f * o.g
+        if k == 1:
+            return _jet(self.n, 1, f, g)
         h = (self.h * o.f + self.f * o.h
              + np.outer(self.g, o.g) + np.outer(o.g, self.g))
+        if k == 2:
+            return _jet(self.n, 2, f, g, h)
         ab_c = np.einsum("ab,c->abc", self.h, o.g)
         t = (self.t * o.f + self.f * o.t
              + ab_c + ab_c.transpose(0, 2, 1) + ab_c.transpose(2, 0, 1))
         cd_e = np.einsum("ab,c->abc", o.h, self.g)
         t = t + cd_e + cd_e.transpose(0, 2, 1) + cd_e.transpose(2, 0, 1)
-        return Jet3(self.n, f, g, h, t)
+        return _jet(self.n, 3, f, g, h, t)
 
     __rmul__ = __mul__
 
@@ -71,7 +127,7 @@ class Jet3:
     def __pow__(self, k):
         if isinstance(k, int):
             if k == 0:
-                return Jet3(self.n, 1.0)
+                return constant(self.n, 1.0, self.order)
             if k < 0:
                 return (self._reciprocal()) ** (-k)
             out = self
@@ -79,100 +135,116 @@ class Jet3:
                 out = out * self
             return out
         u = self.f
-        return self._compose(u ** k, k * u ** (k - 1),
-                             k * (k - 1) * u ** (k - 2),
-                             k * (k - 1) * (k - 2) * u ** (k - 3))
+        return self._compose(u ** k, lambda: (
+            k * u ** (k - 1), k * (k - 1) * u ** (k - 2),
+            k * (k - 1) * (k - 2) * u ** (k - 3)))
 
     # -- composition with a univariate function --------------------------
-    def _compose(self, h0, h1, h2, h3):
-        """Chain rule for h(u) given h, h', h'', h''' at u = self.f."""
-        f = h0
+    def _compose(self, h0, derivs):
+        """Chain rule for h(u) at u = self.f.
+
+        ``derivs()`` returns (h', h'', h''') at u; it is called only when
+        the jet carries derivatives.
+        """
+        k = self.order
+        if k == 0:
+            return _jet(self.n, 0, h0)
+        h1, h2, h3 = derivs()
         g = h1 * self.g
+        if k == 1:
+            return _jet(self.n, 1, h0, g)
         h = h2 * np.outer(self.g, self.g) + h1 * self.h
+        if k == 2:
+            return _jet(self.n, 2, h0, g, h)
         ggg = np.einsum("a,b,c->abc", self.g, self.g, self.g)
         hg = np.einsum("ab,c->abc", self.h, self.g)
         t = (h3 * ggg
              + h2 * (hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1))
              + h1 * self.t)
-        return Jet3(self.n, f, g, h, t)
+        return _jet(self.n, 3, h0, g, h, t)
 
     def _reciprocal(self):
         u = self.f
-        return self._compose(1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3, -6.0 / u ** 4)
+        return self._compose(1.0 / u, lambda: (
+            -1.0 / u ** 2, 2.0 / u ** 3, -6.0 / u ** 4))
 
     def exp(self):
         e = math.exp(self.f)
-        return self._compose(e, e, e, e)
+        return self._compose(e, lambda: (e, e, e))
 
     def log(self):
         u = self.f
-        return self._compose(math.log(u), 1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3)
+        return self._compose(math.log(u), lambda: (
+            1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3))
 
     def sqrt(self):
         u = self.f
         s = math.sqrt(u)
-        return self._compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (u ** 2 * s))
+        return self._compose(s, lambda: (
+            0.5 / s, -0.25 / (u * s), 0.375 / (u ** 2 * s)))
 
     def sin(self):
         s, c = math.sin(self.f), math.cos(self.f)
-        return self._compose(s, c, -s, -c)
+        return self._compose(s, lambda: (c, -s, -c))
 
     def cos(self):
         s, c = math.sin(self.f), math.cos(self.f)
-        return self._compose(c, -s, -c, s)
+        return self._compose(c, lambda: (-s, -c, s))
 
     def __repr__(self):
-        return f"Jet3({self.f:+.6g}, n={self.n})"
+        return f"Jet3({self.f:+.6g}, n={self.n}, order={self.order})"
 
 
-def variables(x):
-    """Coordinate jets at the point ``x``."""
+def variables(x, order=MAX_ORDER):
+    """Coordinate jets of the given order at the point ``x``."""
+    _check_order(order)
     x = np.asarray(x, dtype=float)
     n = x.size
+    if order == 0:
+        return [_jet(n, 0, f) for f in x.tolist()]
     out = []
     for a in range(n):
         g = np.zeros(n)
         g[a] = 1.0
-        out.append(Jet3(n, x[a], g))
+        out.append(Jet3(n, x[a], g, order=order))
     return out
 
 
-def constant(n, value):
-    return Jet3(n, value)
+def constant(n, value, order=MAX_ORDER):
+    """Constant jet: ``value`` with zero derivatives up to ``order``."""
+    return _jet(n, order, value,
+                np.zeros(n) if order >= 1 else None,
+                np.zeros((n, n)) if order >= 2 else None,
+                np.zeros((n, n, n)) if order >= 3 else None)
 
 
-def pack_scalar(jet):
-    """(value, grad, hess, third) arrays of a scalar jet."""
-    return jet.f, jet.g.copy(), jet.h.copy(), jet.t.copy()
-
-
-def pack_array(jets):
+def pack_array(jets, order=MAX_ORDER, n=None):
     """Stack a nested list/array of jets into value/derivative arrays.
 
-    Entries may be plain numbers (treated as constants).  Returns arrays of
-    shape ``shape``, ``shape+(n,)``, ``shape+(n,n)``, ``shape+(n,n,n)``.
+    Entries may be plain numbers (treated as constants) or jets of at least
+    ``order``.  Returns ``order + 1`` arrays of shape ``shape``,
+    ``shape+(n,)``, ``shape+(n,n)``, ``shape+(n,n,n)``.  ``n`` is taken from
+    the first jet entry when not given.
     """
+    _check_order(order)
     arr = np.asarray(jets, dtype=object)
-    shape = arr.shape
     flat = arr.reshape(-1)
-    n = None
-    for e in flat:
-        if isinstance(e, Jet3):
-            n = e.n
-            break
+    v = np.array([e.f if isinstance(e, Jet3) else float(e) for e in flat],
+                 dtype=float).reshape(arr.shape)
+    if order == 0:
+        return (v,)
+    jet_at = [(i, e) for i, e in enumerate(flat) if isinstance(e, Jet3)]
+    for _, e in jet_at:
+        if e.order < order:
+            raise ValueError(f"order-{e.order} jet in an order-{order} pack")
     if n is None:
-        raise ValueError("no jets in array")
-    v = np.empty(shape).reshape(-1)
-    g = np.empty(shape + (n,)).reshape(-1, n)
-    h = np.empty(shape + (n, n)).reshape(-1, n, n)
-    t = np.empty(shape + (n, n, n)).reshape(-1, n, n, n)
-    for i, e in enumerate(flat):
-        if isinstance(e, Jet3):
-            v[i], g[i], h[i], t[i] = e.f, e.g, e.h, e.t
-        else:
-            v[i] = float(e)
-            g[i] = 0.0
-            h[i] = 0.0
-            t[i] = 0.0
-    return (v.reshape(shape), g.reshape(shape + (n,)),
-            h.reshape(shape + (n, n)), t.reshape(shape + (n, n, n)))
+        if not jet_at:
+            raise ValueError("no jets in array")
+        n = jet_at[0][1].n
+    out = [v]
+    for k in range(1, order + 1):
+        comp = np.zeros((flat.size,) + (n,) * k)
+        for i, e in jet_at:
+            comp[i] = (e.g, e.h, e.t)[k - 1]
+        out.append(comp.reshape(v.shape + (n,) * k))
+    return tuple(out)

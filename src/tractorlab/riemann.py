@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .tensors import (ArrayField, DiffBackend, FieldHandle, TensorValue,
-                      tangent_down)
+                      _perm_sign, tangent_down)
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
            "levi_civita_derivative", "rescale", "levi_civita_symbol"]
@@ -53,17 +53,6 @@ def levi_civita_symbol(n):
             eps[perm] = _perm_sign(perm)
         _LEVI_CACHE[n] = eps
     return _LEVI_CACHE[n]
-
-
-def _perm_sign(perm):
-    perm = list(perm)
-    sign = 1.0
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 @dataclass

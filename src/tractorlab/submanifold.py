@@ -44,10 +44,12 @@ class PullbackMetricField(ArrayField):
 
     First and second derivatives come from the chain rule (embedding 3-jet,
     ambient metric 2-jet); third derivatives fall back to central differences
-    of the chain-rule second derivative.
+    of the chain-rule second derivative.  That second derivative is exact for
+    analytic fields, so ``step3`` is sized against truncation alone (error
+    ~ step3^2), not against the round-off of nested differences.
     """
 
-    def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec, step3=1e-2):
+    def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec, step3=1e-4):
         self.geo = geo
         self.emb = emb
         self.step3 = step3

@@ -36,9 +36,6 @@ class Index:
     variance: str
     dim: int
 
-    def flipped(self):
-        return Index(self.kind, UP if self.variance == DOWN else DOWN, self.dim)
-
 
 def tangent_up(n):
     return Index(TANGENT, UP, n)

@@ -100,22 +100,6 @@ def raise_mat(pack):
     return M
 
 
-def lower_mat(pack):
-    n = pack.n
-    M = np.zeros((n + 2, n + 2))
-    M[0, 0] = 1.0
-    M[1:n + 1, 1:n + 1] = pack.g
-    M[n + 1, n + 1] = 1.0
-    return M
-
-
-def euclid_mat(pack, variance):
-    """Positive-definite reference metric on tractor slots (for residual
-    norms; the invariant tractor metric is indefinite and can hide nonzero
-    slots)."""
-    return lower_mat(pack) if variance == "up" else raise_mat(pack)
-
-
 def tractor_metric(geo: GeometrySpec, x):
     """(h_AB, h^AB) as TractorObjects at x."""
     pack = curvature_pack(geo, x, order=2)

@@ -1,0 +1,103 @@
+"""Order-aware jets: a field evaluated at order k agrees bit for bit with the
+first k+1 arrays of its order-3 evaluation, across the whole catalog."""
+import math
+
+import numpy as np
+import pytest
+
+from tractorlab import geolib
+from tractorlab.jets import Jet3, constant, pack_array, variables
+
+
+def _catalog_fields():
+    out = []
+    for name, entry in geolib.catalog().items():
+        geo = entry.make_geometry()
+        out.append((f"{name}:metric", geo.n, geo.metric))
+        for ename, make in entry.embeddings.items():
+            emb = make()
+            out.append((f"{name}:embedding:{ename}", emb.m, emb.phi))
+        for kname, make in entry.ky_forms.items():
+            ky = make()
+            out.append((f"{name}:ky:{kname}", ky.n, ky.field))
+    return out
+
+
+FIELDS = _catalog_fields()
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("label,dim,field", FIELDS,
+                         ids=[f[0] for f in FIELDS])
+def test_order_k_jets_are_truncated_order3_jets(label, dim, field):
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = rng.uniform(-0.3, 0.3, dim)
+        full = field.jets(x, 3)
+        assert len(full) == 4
+        for k in range(4):
+            jk = field.jets(x, k)
+            assert len(jk) == k + 1
+            for a, b in zip(jk, full[:k + 1]):
+                assert np.array_equal(a, b)
+                assert _bitwise_equal(a, b)
+        assert _bitwise_equal(field.value(x), full[0])
+
+
+def test_catalog_covers_every_kind_of_field():
+    kinds = {label.split(":")[1] for label, _, _ in FIELDS}
+    assert kinds == {"metric", "embedding", "ky"}
+    assert len(FIELDS) > 30
+
+
+def test_order0_jets_carry_no_derivative_arrays():
+    x = np.array([0.3, -0.2, 0.5])
+    u, v, w = variables(x, 0)
+    results = [u, u * v, u + 1.0, 2.0 - v, u / v, 3.0 / w, -u, u ** 3,
+               u ** -2, w ** 0.5, w.exp(), w.log(), w.sqrt(), u.sin(),
+               u.cos(), constant(3, 2.0, 0)]
+    for j in results:
+        assert j.order == 0
+        assert j.g is None and j.h is None and j.t is None
+    # the value is the same float expression as at order 3
+    u3, v3, w3 = variables(x, 3)
+    assert (u / v).f == (u3 / v3).f == u3.f * (1.0 / v3.f)
+    # a sphere metric evaluated at order 0 packs values only
+    fn = geolib.sphere(3).metric.jet_fn
+    entries = np.asarray(fn(variables(x, 0)), dtype=object).reshape(-1)
+    for e in entries:
+        assert not isinstance(e, Jet3) or e.g is None
+    assert len(pack_array(fn(variables(x, 0)), 0)) == 1
+
+
+def test_mixed_order_binary_ops_truncate_to_lower_order():
+    x = np.array([0.4, -0.7])
+    a3, b3 = variables(x, 3)
+    _, b1 = variables(x, 1)
+    for r in (a3 * b1, b1 * a3, a3 + b1, a3 - b1, a3 / b1, b1 / a3):
+        assert r.order == 1
+        assert r.h is None and r.t is None
+    prod = a3 * b1
+    full = a3 * b3
+    assert prod.f == full.f and np.array_equal(prod.g, full.g)
+    # a hand-built order-3 constant follows the variable's order
+    s = Jet3(2, 1.0) + variables(x, 2)[0]
+    assert s.order == 2 and s.t is None
+    assert Jet3(2, 1.0).order == 3 and Jet3(2, 1.0).t.shape == (2, 2, 2)
+
+
+def test_pack_array_rejects_jets_below_requested_order():
+    x = np.array([0.1, 0.2])
+    u, v = variables(x, 1)
+    with pytest.raises(ValueError):
+        pack_array([u, v], 2)
+    with pytest.raises(ValueError):
+        variables(x, 4)
+    vals, grads = pack_array([u * v, 1.0], 1)
+    assert vals[1] == 1.0 and not grads[1].any()
+    assert math.isclose(vals[0], 0.02)

@@ -353,6 +353,16 @@ def test_tractor_gcr_residuals():
     assert max(res) < 1e-3
 
 
+def test_tractor_gauss_residual_s2xs1_not_step_limited():
+    # the third derivative of the induced metric is a central difference of
+    # exact chain-rule second derivatives; a step sized for nested FD left
+    # a Gauss residual of 1.5e-3 here
+    geo = geolib.s2xs1xr(1)
+    emb = geolib.catalog()["s2xs1xr"].embeddings["s2xs1"]()
+    res = tractor_gcr_residuals(geo, emb, np.array([0.2, -0.3, 0.1]))
+    assert max(res) <= 1e-6
+
+
 def test_intrinsic_metric_preserving(graph_ctx):
     # the bundle map into the orthogonal complement preserves the metrics
     ctx = graph_ctx
