@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .riemann import GeometrySpec, curvature_pack
-from .tensors import alt_array
+from .tensors import NumericalError, alt_array
 from . import tractor as tr
 
 __all__ = ["CurveState", "CircleTrajectory", "conformal_circle_rhs",
@@ -22,7 +22,7 @@ __all__ = ["CurveState", "CircleTrajectory", "conformal_circle_rhs",
            "flat_circle_solution"]
 
 
-class ZeroVelocityError(ValueError):
+class ZeroVelocityError(NumericalError, ValueError):
     pass
 
 

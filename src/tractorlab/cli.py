@@ -1,8 +1,9 @@
 """Command-line surface: classification reports, circle integration,
 invariance tests and zero-locus scans with machine-readable output.
 
-Exit codes: 0 success, 2 numerical failure, 3 unknown catalog name,
-4 config schema error.
+Exit codes: 0 success, 2 numerical failure (a ``NumericalError`` or a
+``numpy.linalg.LinAlgError``), 3 unknown catalog name, 4 config schema error.
+Any other exception is a defect and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from jsonschema import Draft7Validator
 
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
-from .tensors import ANALYTIC, FD, ArrayField, DiffBackend
+from .tensors import ANALYTIC, FD, ArrayField, DiffBackend, NumericalError
 
 SCHEMA = {
     "type": "object",
@@ -529,7 +530,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 4
-    except Exception as e:  # numerical failure
+    except (NumericalError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

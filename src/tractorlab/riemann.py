@@ -13,18 +13,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .tensors import (ArrayField, DiffBackend, FieldHandle, TensorValue,
-                      _perm_sign, tangent_down)
+from .tensors import (ArrayField, DiffBackend, FieldHandle, NumericalError,
+                      TensorValue, _perm_sign, tangent_down)
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
            "levi_civita_derivative", "rescale", "levi_civita_symbol"]
 
 
-class SingularMetricError(RuntimeError):
+class SingularMetricError(NumericalError, RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class GeometrySpec:
     """A chart metric field with derivative access and a chosen scale.
 
@@ -32,6 +32,9 @@ class GeometrySpec:
     objects are stored as their trivialised components plus a weight tag.
     For a 2-dimensional ambient chart a Moebius structure may be supplied as
     an explicit Schouten field; tractor operations refuse to run without it.
+
+    Specs compare and hash by identity, so a spec can key a cache of values
+    computed from it (see ``submanifold.submanifold_pack``).
     """
     n: int
     metric: ArrayField
@@ -78,7 +81,6 @@ class CurvaturePack:
     K: float | None = None     # Gaussian curvature, n = 2 only
     dP: np.ndarray | None = None       # d_e P_ab -> [a, b, e]
     Cotton: np.ndarray | None = None   # C_abc
-    d2Gamma: np.ndarray | None = None  # [c, a, b, e, f]
     has_third: bool = False
 
 
@@ -179,7 +181,6 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
         Cotton = covdP - covdP.transpose(1, 0, 2)
         pack.dP = dP
         pack.Cotton = Cotton
-        pack.d2Gamma = d2Gamma
         pack.has_third = True
     return pack
 

@@ -10,30 +10,36 @@ rather than through the Gauss equation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       rescale)
-from .tensors import ArrayField, DiffBackend, alt_array
+from .tensors import ArrayField, DiffBackend, NumericalError, alt_array
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
            "gauss_codazzi_ricci_residuals", "conformal_transform_check",
            "pullback_metric_field", "SigmaField"]
 
 
-class RankDeficientError(RuntimeError):
+class RankDeficientError(NumericalError, RuntimeError):
     pass
 
 
 @dataclass
 class EmbeddingSpec:
-    """Chart map of an m-dimensional submanifold into the ambient chart."""
+    """Chart map of an m-dimensional submanifold into the ambient chart.
+
+    ``packs`` is the memo of ``submanifold_pack``; it lives and dies with
+    the spec.
+    """
     m: int
     n: int
     phi: ArrayField
     orientation: int = 1
+    packs: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def jets(self, y, order=3):
         return self.phi.jets(np.asarray(y, dtype=float), order)
@@ -47,17 +53,22 @@ class PullbackMetricField(ArrayField):
     of the chain-rule second derivative.  That second derivative is exact for
     analytic fields, so ``step3`` is sized against truncation alone (error
     ~ step3^2), not against the round-off of nested differences.
+
+    The field keeps the embedding's chart map, not the embedding: a pack in
+    the embedding's memo holds this field, and a reference back would make
+    every memo wait for the cyclic garbage collector.
     """
 
     def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec, step3=1e-4):
         self.geo = geo
-        self.emb = emb
+        self.phi = emb.phi
+        self.m = emb.m
         self.step3 = step3
         super().__init__(self._value,
                          backend=DiffBackend(mode="analytic", max_order=3))
 
     def _value(self, y):
-        ph = self.emb.jets(y, 1)
+        ph = self.phi.jets(y, 1)
         g = self.geo.metric.value(ph[0])
         return np.einsum("ai,bj,ab->ij", ph[1], ph[1], g)
 
@@ -66,7 +77,7 @@ class PullbackMetricField(ArrayField):
         if order <= 2:
             return self._chain_jets(y, order)
         out = self._chain_jets(y, 2)
-        m = self.emb.m
+        m = self.m
         h = self.step3
         d3 = np.empty((m, m, m, m, m))
         for c in range(m):
@@ -77,8 +88,8 @@ class PullbackMetricField(ArrayField):
         return out + [d3]
 
     def _chain_jets(self, y, order):
-        emb, geo = self.emb, self.geo
-        ph = emb.jets(y, min(3, order + 1))
+        geo = self.geo
+        ph = self.phi.jets(y, min(3, order + 1))
         x = ph[0]
         dphi = ph[1]
         gj = geo.metric.jets(x, order)
@@ -135,7 +146,7 @@ class SubmanifoldPack:
     normals: np.ndarray         # raised conormals
     Nform: np.ndarray           # Riemannian normal form, d down indices
     seeds: tuple
-    intrinsic: GeometrySpec | None = None
+    intrinsic: GeometrySpec
 
     def tangential(self, v):
         return self.dphi @ (self.Pi_ia @ v)
@@ -159,8 +170,29 @@ def _conormal_seeds(g, gi, dphi, d):
 
 
 def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
-                     seeds=None, with_intrinsic=True) -> SubmanifoldPack:
-    q = np.asarray(q, dtype=float)
+                     seeds=None) -> SubmanifoldPack:
+    """Submanifold data of ``emb`` in ``geo`` at parameter point ``q``.
+
+    ``seeds`` names the ambient coordinate conormals the normal frame is
+    built from; by default the ones least aligned with the tangent space.
+
+    Each distinct pack is computed once per embedding: packs are memoised in
+    ``emb.packs`` under the key (``geo``, the bytes of ``q``, ``tuple(seeds)``
+    or None).  Geometry specs hash by identity, so a geometry that was
+    dropped cannot alias a new one, and the memo lives exactly as long as
+    ``emb`` (the CLI builds one per call).  Packs are shared between callers,
+    so their arrays, and those of the ambient curvature pack, are read-only.
+    Concurrent callers may compute a pack twice; both results are equal.
+    """
+    q = np.array(q, dtype=float)
+    key = (geo, q.tobytes(), None if seeds is None else tuple(seeds))
+    sub = emb.packs.get(key)
+    if sub is None:
+        sub = emb.packs[key] = _build_pack(geo, emb, q, seeds)
+    return sub
+
+
+def _build_pack(geo, emb, q, seeds):
     m, n = emb.m, emb.n
     d = n - m
     ph = emb.jets(q, 2)
@@ -207,18 +239,20 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
 
     Nform = _wedge_rows(conormals)
 
-    intrinsic = None
-    if with_intrinsic:
-        intrinsic = GeometrySpec(n=m, metric=pullback_metric_field(geo, emb),
-                                 backend=DiffBackend(mode="analytic",
-                                                     max_order=3),
-                                 orientation=emb.orientation)
+    metric = pullback_metric_field(geo, emb)
+    intrinsic = GeometrySpec(n=m, metric=metric, backend=metric.backend,
+                             orientation=emb.orientation)
 
-    return SubmanifoldPack(q=q, x=x, m=m, n=n, d=d, dphi=dphi, pack=pack,
-                           g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab, II=II,
-                           IIo=IIo, H=H, conormals=conormals, normals=normals,
-                           Nform=Nform, seeds=tuple(seeds),
-                           intrinsic=intrinsic)
+    sub = SubmanifoldPack(q=q, x=x, m=m, n=n, d=d, dphi=dphi, pack=pack,
+                          g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab, II=II,
+                          IIo=IIo, H=H, conormals=conormals, normals=normals,
+                          Nform=Nform, seeds=tuple(seeds),
+                          intrinsic=intrinsic)
+    for obj in (sub, pack):
+        for arr in vars(obj).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+    return sub
 
 
 def _wedge_rows(rows):
@@ -244,23 +278,21 @@ class SigmaField:
     frozen at the base point, so frame-dependent quantities stay smooth.
     """
 
-    def __init__(self, geo, emb, builder, with_intrinsic=False):
+    def __init__(self, geo, emb, builder):
         self.geo = geo
         self.emb = emb
         self.builder = builder
-        self.with_intrinsic = with_intrinsic
         self._seeds = None
 
     def value(self, q, seeds=None):
         pk = submanifold_pack(self.geo, self.emb, q,
-                              seeds=seeds if seeds is not None else self._seeds,
-                              with_intrinsic=self.with_intrinsic)
+                              seeds=seeds if seeds is not None else self._seeds)
         return np.asarray(self.builder(pk), dtype=float)
 
     def jet1(self, q, h=1e-2, richardson=True):
         q = np.asarray(q, dtype=float)
         m = self.emb.m
-        base = submanifold_pack(self.geo, self.emb, q, with_intrinsic=self.with_intrinsic)
+        base = submanifold_pack(self.geo, self.emb, q)
         self._seeds = base.seeds
         v0 = np.asarray(self.builder(base), dtype=float)
         d1 = np.empty(v0.shape + (m,))
@@ -326,7 +358,7 @@ def _maxabs(arr):
 def _coupled_derivative_II(geo, emb, q, sub):
     """D_i II_jk^d with intrinsic Levi-Civita coupled to the normal
     connection on the ambient index."""
-    sf = SigmaField(geo, emb, lambda pk: pk.II, with_intrinsic=False)
+    sf = SigmaField(geo, emb, lambda pk: pk.II)
     II0, dII, _ = sf.jet1(q)
     ipack = curvature_pack(sub.intrinsic, q, order=2)
     GamS = ipack.Gamma
@@ -342,16 +374,14 @@ def _coupled_derivative_II(geo, emb, q, sub):
 def _omega_at(geo, emb, y, seeds, h_inner=1e-4):
     """Normal-connection coefficients omega_i^{alpha}{}_{beta} at y, using a
     plain central difference of the normal frame with frozen seeds."""
-    pk = submanifold_pack(geo, emb, y, seeds=seeds, with_intrinsic=False)
+    pk = submanifold_pack(geo, emb, y, seeds=seeds)
     m = emb.m
     dV = np.empty(pk.normals.shape + (m,))
     for i in range(m):
         e = np.zeros(m)
         e[i] = h_inner
-        vp = submanifold_pack(geo, emb, y + e, seeds=seeds,
-                              with_intrinsic=False).normals
-        vm = submanifold_pack(geo, emb, y - e, seeds=seeds,
-                              with_intrinsic=False).normals
+        vp = submanifold_pack(geo, emb, y + e, seeds=seeds).normals
+        vm = submanifold_pack(geo, emb, y - e, seeds=seeds).normals
         dV[..., i] = (vp - vm) / (2 * h_inner)
     nab = np.moveaxis(dV, -1, 0) + np.einsum("cae,ai,be->ibc",
                                              pk.pack.Gamma, pk.dphi,

@@ -308,7 +308,7 @@ class SubTractorContext:
 
         def builder(pk):
             return SubTractorContext(geo, emb, pk.q, sub=pk).fialkow()[1]
-        sf = SigmaField(geo, emb, builder, with_intrinsic=True)
+        sf = SigmaField(geo, emb, builder)
         p0, dp, _ = sf.jet1(self.q)
         ip = self.intrinsic_pack()
         covdp = np.moveaxis(dp, -1, 0)
@@ -704,7 +704,7 @@ def _intrinsic_D_of_S(ctx: SubTractorContext):
 
     def builder(pk):
         return SubTractorContext(geo, emb, pk.q, sub=pk).difference_tractor()
-    sf = SigmaField(geo, emb, builder, with_intrinsic=True)
+    sf = SigmaField(geo, emb, builder)
     S0, dS, _ = sf.jet1(ctx.q)
     conn = _intrinsic_conn(ctx)
     Mt = conn.matrix(tangent_down(ctx.m))
@@ -723,7 +723,7 @@ def _coupled_D_of_L(ctx: SubTractorContext):
 
     def builder(pk):
         return SubTractorContext(geo, emb, pk.q, sub=pk).L_explicit()
-    sf = SigmaField(geo, emb, builder, with_intrinsic=True)
+    sf = SigmaField(geo, emb, builder)
     L0, dL, _ = sf.jet1(ctx.q)
     conn = _intrinsic_conn(ctx)
     aconn = tr.ConnData.from_pack(ctx.pack)
@@ -748,7 +748,7 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
     Jamb = _pairJ(n)
 
     def omega_at(y, h_inner=1e-4):
-        pk = submanifold_pack(geo, emb, y, seeds=seeds, with_intrinsic=False)
+        pk = submanifold_pack(geo, emb, y, seeds=seeds)
         c2 = SubTractorContext(geo, emb, y, sub=pk)
         frame = c2.tractor_conormals()            # [alpha, A] down
         Ramb = _raise(pk.pack.gi)
@@ -758,9 +758,9 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
             e = np.zeros(m)
             e[i] = h_inner
             ca = SubTractorContext(geo, emb, y + e, sub=submanifold_pack(
-                geo, emb, y + e, seeds=seeds, with_intrinsic=False))
+                geo, emb, y + e, seeds=seeds))
             cb = SubTractorContext(geo, emb, y - e, sub=submanifold_pack(
-                geo, emb, y - e, seeds=seeds, with_intrinsic=False))
+                geo, emb, y - e, seeds=seeds))
             fa = ca.tractor_conormals() @ _raise(ca.pack.gi)
             fb = cb.tractor_conormals() @ _raise(cb.pack.gi)
             dF[..., i] = (fa - fb) / (2 * h_inner)

@@ -20,13 +20,18 @@ UP = "up"
 DOWN = "down"
 
 __all__ = [
-    "Index", "TensorValue", "DiffBackend", "ArrayField", "FieldHandle",
-    "tangent_up", "tangent_down", "tractor_up", "tractor_down",
+    "NumericalError", "Index", "TensorValue", "DiffBackend", "ArrayField",
+    "FieldHandle", "tangent_up", "tangent_down", "tractor_up", "tractor_down",
     "contract", "trace", "alt", "sym", "outer", "jet",
 ]
 
 
-class TensorError(ValueError):
+class NumericalError(Exception):
+    """Base of the errors a numerical evaluation raises on bad input or a
+    degenerate point; the CLI reports them as a numerical failure."""
+
+
+class TensorError(NumericalError, ValueError):
     pass
 
 
@@ -236,7 +241,7 @@ ANALYTIC = "analytic"
 FD = "central-finite-difference"
 
 
-class JetOrderError(RuntimeError):
+class JetOrderError(NumericalError, RuntimeError):
     pass
 
 

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class MobiusStructureError(RuntimeError):
+class MobiusStructureError(tensors.NumericalError, RuntimeError):
     """Tractor operations on a 2-dimensional ambient chart need an explicit
     Schouten tensor (Moebius structure)."""
 

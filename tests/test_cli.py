@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from tractorlab import cli
+from tractorlab.riemann import SingularMetricError
+
 
 def run_cli(*args):
     r = subprocess.run([sys.executable, "-m", "tractorlab.cli", *args],
@@ -99,6 +102,25 @@ def test_circle_zero_velocity_exit2():
         'circle={"initial":{"x":[0,0,0],"u":[0,0,0],"a":[0,0,0]}}')
     assert rc == 2
     assert "velocity" in err
+
+
+def _raising(exc):
+    def command(cfg, args=None):
+        raise exc
+    return command
+
+
+def test_numerical_failure_exit2_other_errors_propagate(monkeypatch, capsys):
+    monkeypatch.setitem(cli.COMMANDS, "report",
+                        _raising(SingularMetricError("singular at x")))
+    assert cli.main(["report"]) == 2
+    assert "numerical failure: SingularMetricError" in capsys.readouterr().err
+    monkeypatch.setitem(cli.COMMANDS, "report",
+                        _raising(np.linalg.LinAlgError("singular matrix")))
+    assert cli.main(["report"]) == 2
+    monkeypatch.setitem(cli.COMMANDS, "report", _raising(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        cli.main(["report"])
 
 
 def test_invariance_identity_and_random():

@@ -1,11 +1,19 @@
 """Riemannian submanifold calculus tests."""
+import contextlib
+import dataclasses
+import gc
+import io
 import math
+import sys
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tractorlab import geolib
-from tractorlab.riemann import curvature_pack
+from tractorlab import cli, geolib, subtractor
+from tractorlab.riemann import CurvaturePack, curvature_pack
 from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     conformal_transform_check,
                                     gauss_codazzi_ricci_residuals,
@@ -186,3 +194,119 @@ def test_sigma_field_richardson_derivative():
         e[i] = h
         fd = (sf.value(q + e) - sf.value(q - e)) / (2 * h)
         assert np.abs(dH[..., i] - fd).max() < 1e-7
+
+
+# --------------------------------------------------------------------------
+# the per-embedding pack memo
+# --------------------------------------------------------------------------
+
+def _assert_same_fields(a, b):
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb), f.name
+        elif isinstance(va, CurvaturePack):
+            _assert_same_fields(va, vb)
+        elif f.name == "intrinsic":
+            assert (va.n, va.orientation) == (vb.n, vb.orientation)
+            assert np.array_equal(va.metric.value(a.q), vb.metric.value(b.q))
+        else:
+            assert va == vb, f.name
+
+
+# (geometry, its params, embedding, FD backend): m = 1, 2, 3 and one FD case
+MEMO_CASES = [("euclidean", {"n": 3}, "helix", False),
+              ("s2s2", {}, "diagonal", False),
+              ("s2xs1xr", {}, "s2xs1", False),
+              ("s2s2", {}, "factor1", True)]
+
+
+@pytest.mark.parametrize("name,params,ename,fd", MEMO_CASES,
+                         ids=[f"{c[0]}-{c[2]}{'-fd' if c[3] else ''}"
+                              for c in MEMO_CASES])
+def test_memoised_packs_equal_fresh_packs(name, params, ename, fd):
+    entry = geolib.catalog()[name]
+    geo = entry.make_geometry(**params)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    emb = entry.embeddings[ename]()
+    q = np.linspace(0.1, -0.2, emb.m)
+    ctx = subtractor.SubTractorContext(geo, emb, q)
+    ctx.grad_H()   # fills the memo with a seeded Richardson stencil
+    assert submanifold_pack(geo, emb, q.copy()) is ctx.sub
+    assert len(emb.packs) == 4 * emb.m + 1
+    for (key_geo, qbytes, seeds), cached in emb.packs.items():
+        assert key_geo is geo
+        fresh = submanifold_pack(geo, entry.embeddings[ename](),
+                                 np.frombuffer(qbytes), seeds=seeds)
+        _assert_same_fields(cached, fresh)
+
+
+def test_memoised_pack_arrays_are_read_only():
+    geo = geolib.s2s2()
+    emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
+    pk = submanifold_pack(geo, emb, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError):
+        pk.II[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pk.pack.Gamma[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pk.q[0] = 0.0
+
+
+def test_memo_is_freed_with_the_embedding():
+    """No reference cycle runs from a memoised pack back to its embedding,
+    so reference counting alone frees the memo."""
+    geo = geolib.s2s2()
+    emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
+    ref = weakref.ref(emb)
+    gc.disable()
+    try:
+        subtractor.classify(geo, emb, [np.array([0.1, 0.2])])
+        assert emb.packs
+        del emb
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_shared_between_threads():
+    """Threads sharing one embedding (as ``report --threads`` does) get the
+    bits one thread gets, with a short switch interval so that the memo's
+    reads and writes interleave."""
+    geo = geolib.s2s2()
+    make = geolib.catalog()["s2s2"].embeddings["factor1"]
+    pts = [np.array([0.1, 0.2]), np.array([-0.2, 0.1])] * 3
+    serial = [subtractor.tractor_second_fundamental_form(geo, make(), q)[0]
+              for q in pts]
+    emb = make()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(pts)) as ex:
+            futs = [ex.submit(subtractor.tractor_second_fundamental_form,
+                              geo, emb, q) for q in pts]
+            threaded = [f.result(timeout=120)[0] for f in futs]
+    finally:
+        sys.setswitchinterval(old)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+def test_report_evaluation_count(monkeypatch):
+    """Field evaluations of one report on s2s2/factor1 at one point, pinned
+    so that a change in evaluation count shows in review (without the memo
+    the same report makes 127 order-3 evaluations)."""
+    calls = Counter()
+    jets = geolib.JetField.jets
+
+    def counted(field, x, order):
+        calls[order] += 1
+        return jets(field, x, order)
+    monkeypatch.setattr(geolib.JetField, "jets", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["report", "-s", 'geometry={"name":"s2s2"}',
+                       "-s", 'embedding={"name":"factor1"}',
+                       "-s", 'samples={"points":[[0.2,-0.1]]}'])
+    assert rc == 0
+    assert dict(calls) == {2: 51, 3: 51}

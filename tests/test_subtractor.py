@@ -394,7 +394,7 @@ def _restricted_scale_tractor_D_residual(ctx):
         amb = tr.make_tractor(ctx.n, sigma=1.0, rho=-pk.pack.J / ctx.n)
         return pull_up_matrix(pk) @ amb
 
-    sf = SigmaField(geo, emb, I_int, with_intrinsic=True)
+    sf = SigmaField(geo, emb, I_int)
     I0, dI, _ = sf.jet1(ctx.q)
     conn = _intrinsic_conn(ctx)
     Mu = conn.matrix(tractor_up(ctx.m))
