@@ -26,6 +26,10 @@ class ZeroVelocityError(NumericalError, ValueError):
     pass
 
 
+class CircleIntegrationError(NumericalError, RuntimeError):
+    """The ODE solver stopped before the end of the time span."""
+
+
 @dataclass
 class CurveState:
     x: np.ndarray
@@ -149,7 +153,8 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
     sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=ts,
                     rtol=rtol, atol=atol, events=events, dense_output=False)
     if not sol.success and sol.status != 1:
-        raise RuntimeError(f"circle integration failed: {sol.message}")
+        raise CircleIntegrationError(
+            f"circle integration failed: {sol.message}")
     status = "ok" if sol.status == 0 else "chart_exit"
     ts = sol.t
     xs = sol.y[:n].T
@@ -174,11 +179,13 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
 # curve tractors
 # --------------------------------------------------------------------------
 
-def curve_tractors(geo: GeometrySpec, state: CurveState, cov_da=None):
+def curve_tractors(geo: GeometrySpec, state: CurveState, cov_da=None,
+                   pack=None):
     """(U^B, A^B, Phi^{ABC}) at the state; cov_da defaults to the circle
-    equation's right-hand side."""
+    equation's right-hand side, ``pack`` to an order-2 curvature pack at
+    state.x."""
     n = geo.n
-    pk = curvature_pack(geo, state.x, order=2)
+    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
     g = pk.g
     u, a = state.u, state.a
     s = float(u @ g @ u)

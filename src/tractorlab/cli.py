@@ -163,7 +163,7 @@ def as_fd_geometry(geo, step=1e-3, step3=1e-2):
                                 mobius_schouten=geo.mobius_schouten)
 
 
-def build_embedding(cfg, entry):
+def build_embedding(cfg, entry, geo):
     espec = cfg.get("embedding")
     if espec is None:
         raise ConfigError("this command needs an embedding")
@@ -171,7 +171,11 @@ def build_embedding(cfg, entry):
     if name not in entry.embeddings:
         raise UnknownCatalogError(
             f"unknown embedding {name!r} for geometry {entry.name!r}")
-    return entry.embeddings[name](**espec.get("params", {}))
+    emb = entry.embeddings[name](**espec.get("params", {}))
+    if emb.n != geo.n:
+        raise ConfigError(f"embedding {name!r} has ambient dimension "
+                          f"{emb.n}, the geometry has {geo.n}")
+    return emb
 
 
 def build_ky(cfg, entry):
@@ -188,9 +192,14 @@ def build_ky(cfg, entry):
 def sample_points(cfg, m, seed):
     sc = cfg.get("samples", {})
     if "points" in sc:
-        return [np.asarray(p, dtype=float) for p in sc["points"]]
+        pts = [np.asarray(p, dtype=float) for p in sc["points"]]
+        if any(p.shape != (m,) for p in pts):
+            raise ConfigError(f"every sample point needs {m} coordinates")
+        return pts
     count = sc.get("count", 3)
     box = sc.get("box", [[-0.3, 0.3]] * m)
+    if len(box) != m:
+        raise ConfigError(f"the sample box needs {m} intervals")
     rng = np.random.default_rng(seed)
     return [np.array([rng.uniform(lo, hi) for lo, hi in box])
             for _ in range(count)]
@@ -248,7 +257,7 @@ def dump_csv(rows, header, path=None):
 
 def cmd_report(cfg, args=None):
     geo, entry = build_geometry(cfg)
-    emb = build_embedding(cfg, entry)
+    emb = build_embedding(cfg, entry, geo)
     seed = int(cfg.get("seed", 0))
     pts = sample_points(cfg, emb.m, seed)
     tol = cfg.get("tolerances", {}).get("classify")
@@ -322,16 +331,17 @@ def _circle_preset(cfg):
 
 
 def _rotation_monitor(i, j):
-    """First integral <star K, Phi>/3! for a flat rotation Killing form."""
+    """First integral <star K, Phi>/3! for a flat rotation Killing form;
+    the Hodge star and the curve tractors share one curvature pack."""
     def monitor(geo, state):
         kspec = geolib.rotation_form(geo.n, i, j)
         K = firstint._split_components(geo, kspec, state.x)
         from .tensors import TensorValue, tractor_down
         ixs = tuple(tractor_down(geo.n) for _ in range(kspec.degree))
         F = tr.TractorFormObject(TensorValue(K, ixs, 0), geo)
-        starK = tr.hodge_star(F, state.x).data
-        _, _, Phi = circles.curve_tractors(geo, state)
         pack = riemann.curvature_pack(geo, state.x, order=2)
+        starK = tr.hodge_star(F, state.x, pack=pack).data
+        _, _, Phi = circles.curve_tractors(geo, state, pack=pack)
         low = subtractor._lower(pack.g)
         acc = Phi
         for ax in range(3):
@@ -406,7 +416,7 @@ def cmd_circle(cfg, args=None):
 
 def cmd_invariance(cfg, args=None):
     geo, entry = build_geometry(cfg)
-    emb = build_embedding(cfg, entry)
+    emb = build_embedding(cfg, entry, geo)
     seed = int(cfg.get("seed", 0))
     inv = cfg.get("invariance", {})
     count = inv.get("count", 3)
@@ -482,7 +492,7 @@ def cmd_scan(cfg, args=None):
 
 def cmd_residuals(cfg, args=None):
     geo, entry = build_geometry(cfg)
-    emb = build_embedding(cfg, entry)
+    emb = build_embedding(cfg, entry, geo)
     seed = int(cfg.get("seed", 0))
     pts = sample_points(cfg, emb.m, seed)
     rows = []

@@ -1,5 +1,12 @@
 """Conformal Killing-Yano forms, their tractor splitting, conserved
-quantities along distinguished submanifolds, and zero-locus scanning."""
+quantities along distinguished submanifolds, and zero-locus scanning.
+
+The BGG splitting and the zero-locus scan take every derivative of the
+form from the covariant jets of one ``_cov_jets`` call: the divergence of
+the middle part from nabla nabla k, and the chart Jacobian of (k, div k)
+from the same order-2 jets.  The normality check of ``bgg_split`` is their
+one finite difference; ``conserved_quantity`` differentiates along the
+submanifold with the Richardson stencil of ``SigmaField``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
@@ -17,26 +24,14 @@ __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
 
 
 def _cov_jets(geo, kspec, x, order):
-    """Covariant derivative arrays of the (trivialised) form components."""
+    """Pack, partial-derivative jets and covariant derivative arrays of the
+    (trivialised) form components."""
     pack = curvature_pack(geo, x, order=2)
     jets = kspec.field.jets(x, order)
     idxs = tuple(tangent_down(geo.n) for _ in range(kspec.degree - 1))
     conn = tr.ConnData.from_pack(pack)
     covs = tr.covariant_jet(conn, jets, idxs, order=order) if order >= 1 else []
-    return pack, jets[0], covs
-
-
-def _trace_embed_constant(n, p, g, gi):
-    """Proportionality constant of lambda -> trace(g wedge lambda)."""
-    if p == 1:
-        return float(n)
-    rng = np.random.default_rng(12345)
-    lam = alt_array(rng.standard_normal((n,) * (p - 1)))
-    emb = _trace_embed(g, lam)
-    tr_emb = np.einsum("ab,ab...->...", gi, emb)
-    denom = float(np.tensordot(lam, lam, axes=(range(p - 1), range(p - 1))))
-    return float(np.tensordot(tr_emb, lam,
-                              axes=(range(p - 1), range(p - 1)))) / denom
+    return pack, jets, covs
 
 
 def _trace_embed(g, lam):
@@ -46,26 +41,29 @@ def _trace_embed(g, lam):
     return alt_array(core, axes=tuple(range(1, p + 1)))
 
 
+def _ky_parts(T, g, gi):
+    """(skew, middle, trace) projections of T[a1, a2..ad], an array with
+    the symmetries of nabla_{a1} k_{a2..ad}: phi = alt T, lam = tr T / c and
+    M = T - phi - g_{a1[a2} lam_{a3..]}.  The projections are g-linear.
+    With p = d - 1, g^{a1 a2} g_{a1[a2} lam_{a3..]} = (n - p + 1)/p lam,
+    which fixes c."""
+    phi = alt_array(T)
+    p = T.ndim - 1
+    lam = np.einsum("ab,ab...->...", gi, T) * p / (len(g) - p + 1)
+    return phi, T - phi - _trace_embed(g, lam), lam
+
+
 def ky_decompose(geo, kspec, x):
     """(skew, middle, trace) parts of nabla k at x."""
-    n = geo.n
-    d = kspec.degree
-    pack, k0, covs = _cov_jets(geo, kspec, x, 1)
-    T = np.moveaxis(covs[0], -1, 0)  # [a1, a2..ad]
-    if d == 1:
+    if kspec.degree == 1:
         # almost-Einstein operator: TF(nabla nabla sigma + P sigma)
-        pack, k0, covs = _cov_jets(geo, kspec, x, 2)
+        pack, jets, covs = _cov_jets(geo, kspec, x, 2)
         hess = covs[1]  # [b, a] second covariant derivative
-        E = sym_array(hess) + pack.P * float(k0)
-        TF = E - np.einsum("ab,cd,cd->ab", pack.g, pack.gi, E) / n
+        E = sym_array(hess) + pack.P * float(jets[0])
+        TF = E - np.einsum("ab,cd,cd->ab", pack.g, pack.gi, E) / geo.n
         return None, TF, None
-    phi = alt_array(T)
-    trace = np.einsum("ab,ab...->...", pack.gi, T)
-    c = _trace_embed_constant(n, d - 1, pack.g, pack.gi)
-    lam = trace / c
-    TP = _trace_embed(pack.g, lam) if d > 1 else lam * pack.g
-    M = T - phi - TP
-    return phi, M, lam
+    pack, _, covs = _cov_jets(geo, kspec, x, 1)
+    return _ky_parts(np.moveaxis(covs[0], -1, 0), pack.g, pack.gi)
 
 
 def ky_residual(geo, kspec, x):
@@ -89,12 +87,12 @@ def _split_components(geo, kspec, x):
     """Tractor components of the BGG splitting at x."""
     n = geo.n
     d = kspec.degree
+    pack, jets, covs = _cov_jets(geo, kspec, x, 2)
+    k0 = jets[0]
     if d == 1:
-        pack, k0, covs = _cov_jets(geo, kspec, x, 2)
         lap = float(np.einsum("ba,ab->", pack.gi, covs[1]))
         return tr.make_tractor(n, sigma=float(k0), mu=covs[0],
                                rho=-(lap + pack.J * float(k0)) / n)
-    pack, k0, covs = _cov_jets(geo, kspec, x, 2)
     grad = np.moveaxis(covs[0], -1, 0)            # [a1, a2..ad]
     div = np.einsum("ab,ab...->...", pack.gi, grad)   # nabla^c k_{c a3..}
     K = tr.form_Y(k0, n)
@@ -103,7 +101,7 @@ def _split_components(geo, kspec, x):
         K = K + (d - 1) / (n - d + 2) * tr.form_W(div, n)
     # X-slot: (1/(n(d-1))) nabla^b M_{b a2..} - (1/(n-d+2)) nabla_[a2 div_{a3..]}
     #         - P_[a2^b k_{b a3..]}
-    divM = _div_middle_part(geo, kspec, x, pack)
+    divM = _div_middle_part(pack, covs)
     # covs[1] axes: [form a2'..ad', inner c, outer b];
     # nabla_b nabla^c k_{c a3..} contracts the inner index with the first
     # form index
@@ -116,30 +114,14 @@ def _split_components(geo, kspec, x):
     return K
 
 
-def _div_middle_part(geo, kspec, x, pack):
-    """nabla^b of the middle projection of nabla k (vanishes on solutions;
-    kept for generality).  FD of the pointwise decomposition."""
-    n = geo.n
-    d = kspec.degree
-
-    def M_at(y):
-        return ky_decompose(geo, kspec, y)[1]
-
-    h = 1e-4
-    M0 = M_at(x)
-    dM = np.empty(M0.shape + (n,))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        dM[..., a] = (M_at(x + e) - M_at(x - e)) / (2 * h)
-    # covariant derivative then divergence on the first index
-    Gam = pack.Gamma
-    cov = np.moveaxis(dM, -1, 0)  # [c, b, a2..]
-    for ax in range(d):
-        moved = np.moveaxis(M0, ax, -1)
-        corr = -np.einsum("ecf,...e->c...f", Gam, moved)
-        cov = cov + np.moveaxis(corr, -1, ax + 1)
-    return np.einsum("cb,cb...->...", pack.gi, cov)
+def _div_middle_part(pack, covs):
+    """nabla^b M_{b a2..} for the middle part M of nabla k (vanishes on
+    solutions; kept for generality).  The middle projection is g-linear and
+    g is parallel, so nabla_c M is the projection of nabla_c nabla k, read
+    from covs[1] (axes [form a2'..ad', inner b, outer c])."""
+    dM = np.array([_ky_parts(np.moveaxis(covs[1][..., c], -1, 0),
+                             pack.g, pack.gi)[1] for c in range(pack.n)])
+    return np.einsum("cb,cb...->...", pack.gi, dM)
 
 
 def bgg_split(geo, kspec, x, simplicity_tol=None):
@@ -234,7 +216,8 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
 
     # explicit slot evaluation
     sub = ctx.sub
-    pack, k0, covs = _cov_jets(geo, kspec, sub.x, 1)
+    pack, jets, covs = _cov_jets(geo, kspec, sub.x, 1)
+    k0 = jets[0]
     gi = pack.gi
     Nf = sub.Nform
     idx = Nf.ndim
@@ -309,15 +292,29 @@ def _k_norm2_grid(geo, kspec, grid_axes):
     return X, vals.reshape(X.shape[:-1])
 
 
-def _component_map(geo, kspec, x):
-    """Stacked components of (k, div k) at x (Remark: Z(k) = Z(K))."""
-    pack, k0, covs = _cov_jets(geo, kspec, x, 1)
-    comps = [np.atleast_1d(np.asarray(k0)).ravel()]
+def _component_map(geo, kspec, x, jac=False):
+    """Stacked components of (k, div k) at x (Remark: Z(k) = Z(K)); with
+    ``jac`` also their chart Jacobian, rows matching the components.
+
+    d_c div = g^{ab} nabla_c nabla_a k_{b..} minus the Levi-Civita term on
+    the free indices of div, since g is parallel."""
+    n = geo.n
+    pack, jets, covs = _cov_jets(geo, kspec, x, 2 if jac else 1)
+    comps = [np.atleast_1d(np.asarray(jets[0])).ravel()]
+    rows = [np.reshape(jets[1], (-1, n))] if jac else []
     if kspec.degree >= 2:
         grad = np.moveaxis(covs[0], -1, 0)
         div = np.einsum("ab,ab...->...", pack.gi, grad)
         comps.append(np.atleast_1d(np.asarray(div)).ravel())
-    return np.concatenate(comps)
+        if jac:
+            # covs[1] axes: [form b, a3.., inner a, outer c]
+            ddiv = np.einsum("ab,b...ac->...c", pack.gi, covs[1])
+            M = tr.ConnData.from_pack(pack).matrix(tangent_down(n))
+            for ax in range(div.ndim):
+                ddiv = ddiv - tr._apply_axis(M, div, ax)
+            rows.append(np.reshape(ddiv, (-1, n)))
+    F = np.concatenate(comps)
+    return (F, np.concatenate(rows)) if jac else F
 
 
 def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
@@ -345,35 +342,29 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
         return ScanReport(status="empty", causal=split.causal, K2=split.K2,
                           simple=split.simple)
 
-    # refine by damped Gauss-Newton on the stacked components
+    # refine by damped Gauss-Newton on the stacked components; an accepted
+    # trial point brings its Jacobian for the next step
     found = []
     for idx in cand_idx[:: max(1, len(cand_idx) // (4 * max_points))]:
         x = X[tuple(idx)].astype(float)
+        F, Jm = _component_map(geo, kspec, x, jac=True)
         ok = True
         for _ in range(60):
-            F = _component_map(geo, kspec, x)
             if np.linalg.norm(F) < refine_tol:
                 break
-            Jm = np.empty((F.size, n))
-            hs = 1e-6
-            for a in range(n):
-                e = np.zeros(n)
-                e[a] = hs
-                Jm[:, a] = (_component_map(geo, kspec, x + e)
-                            - _component_map(geo, kspec, x - e)) / (2 * hs)
             step, *_ = np.linalg.lstsq(Jm, -F, rcond=None)
             lam = 1.0
             base = np.linalg.norm(F)
             while lam > 1e-6:
                 xn = x + lam * step
-                if np.linalg.norm(_component_map(geo, kspec, xn)) < base:
-                    x = xn
+                Fn, Jn = _component_map(geo, kspec, xn, jac=True)
+                if np.linalg.norm(Fn) < base:
+                    x, F, Jm = xn, Fn, Jn
                     break
                 lam /= 2
             else:
                 ok = False
                 break
-        F = _component_map(geo, kspec, x)
         if ok and np.linalg.norm(F) < 1e-8 and \
                 all(lo - 0.5 <= xi <= hi + 0.5
                     for xi, (lo, hi) in zip(x, region)):
@@ -386,15 +377,7 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
                           simple=split.simple)
 
     # codimension from the rank of the component-map Jacobian
-    x0 = found[0]
-    F0 = _component_map(geo, kspec, x0)
-    Jm = np.empty((F0.size, n))
-    hs = 1e-6
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = hs
-        Jm[:, a] = (_component_map(geo, kspec, x0 + e)
-                    - _component_map(geo, kspec, x0 - e)) / (2 * hs)
+    _, Jm = _component_map(geo, kspec, found[0], jac=True)
     sv = np.linalg.svd(Jm, compute_uv=False)
     rank = 1
     for k in range(1, len(sv)):
@@ -425,14 +408,7 @@ def _graph_parametrisation(geo, kspec, x0, codim):
 
     n = geo.n
     m = n - codim
-    F0 = _component_map(geo, kspec, x0)
-    Jm = np.empty((F0.size, n))
-    hs = 1e-6
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = hs
-        Jm[:, a] = (_component_map(geo, kspec, x0 + e)
-                    - _component_map(geo, kspec, x0 - e)) / (2 * hs)
+    _, Jm = _component_map(geo, kspec, x0, jac=True)
     U, S, Vt = np.linalg.svd(Jm)
     tangent = Vt[codim:].T      # n x m basis of the null space
     normals = Vt[:codim].T
@@ -443,11 +419,8 @@ def _graph_parametrisation(geo, kspec, x0, codim):
             F = _component_map(geo, kspec, x)
             if np.linalg.norm(F) < 1e-12:
                 break
-            Jloc = np.empty((F.size, codim))
-            for a in range(codim):
-                Jloc[:, a] = (_component_map(geo, kspec, x + hs * normals[:, a])
-                              - _component_map(geo, kspec, x - hs * normals[:, a])) / (2 * hs)
-            step, *_ = np.linalg.lstsq(Jloc, -F, rcond=None)
+            _, J = _component_map(geo, kspec, x, jac=True)
+            step, *_ = np.linalg.lstsq(J @ normals, -F, rcond=None)
             x = x + normals @ step
         return x
 

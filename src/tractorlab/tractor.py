@@ -30,6 +30,10 @@ class MobiusStructureError(tensors.NumericalError, RuntimeError):
     Schouten tensor (Moebius structure)."""
 
 
+class TransportDivergedError(tensors.NumericalError, RuntimeError):
+    """Parallel transport produced non-finite components."""
+
+
 @dataclass(frozen=True)
 class TractorObject:
     """Tractor tensor components in the splitting of a recorded scale."""
@@ -389,9 +393,11 @@ def form_W(omega, n):
     return alt_array(core)
 
 
-def tractor_volume_form(geo: GeometrySpec, x):
-    """Parallel top-degree tractor form, normalised to eps.eps = -(n+2)!."""
-    pack = curvature_pack(geo, x, order=2)
+def tractor_volume_form(geo: GeometrySpec, x, pack=None):
+    """Parallel top-degree tractor form, normalised to eps.eps = -(n+2)!.
+
+    ``pack`` is an order-2 curvature pack of ``geo`` at x, built when None."""
+    pack = pack if pack is not None else curvature_pack(geo, x, order=2)
     n = geo.n
     lam = (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
     data = lam * levi_civita_symbol(n + 2)
@@ -422,14 +428,17 @@ def tractor_volume_form_field(geo: GeometrySpec) -> FieldHandle:
     return FieldHandle(fld, tuple(tractor_down(n) for _ in range(n + 2)), 0)
 
 
-def hodge_star(F: TractorFormObject, x):
-    """Tractor Hodge star at chart point x: degree k -> degree n+2-k."""
+def hodge_star(F: TractorFormObject, x, pack=None):
+    """Tractor Hodge star at chart point x: degree k -> degree n+2-k.
+
+    ``pack`` is an order-2 curvature pack of ``F.geo`` at x, built when
+    None."""
     geo = F.geo
     x = np.asarray(x, dtype=float)
-    pack = curvature_pack(geo, x, order=2)
+    pack = pack if pack is not None else curvature_pack(geo, x, order=2)
     n = geo.n
     k = F.degree
-    eps = tractor_volume_form(geo, x).data
+    eps = tractor_volume_form(geo, x, pack=pack).data
     R = raise_mat(pack)
     for ax in range(k):
         eps = np.moveaxis(np.tensordot(R, eps, axes=([1], [ax])), 0, ax)
@@ -489,7 +498,7 @@ def parallel_transport(geo: GeometrySpec, curve, T0: TractorObject,
         comp = comp + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         if not np.all(np.isfinite(comp)):
-            raise RuntimeError("parallel transport diverged")
+            raise TransportDivergedError("parallel transport diverged")
     return TractorObject(TensorValue(comp, idxs, T0.value.weight), geo)
 
 

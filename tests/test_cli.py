@@ -1,12 +1,16 @@
 """Command-line surface tests: determinism, formats, exit codes."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tractorlab import cli
+from tractorlab import circles, cli, riemann
 from tractorlab.riemann import SingularMetricError
 
 
@@ -121,6 +125,71 @@ def test_numerical_failure_exit2_other_errors_propagate(monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, "report", _raising(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         cli.main(["report"])
+
+
+def test_circle_integration_failure_exit2(monkeypatch, capsys):
+    failed = types.SimpleNamespace(success=False, status=-1,
+                                   message="required step size is too small")
+    monkeypatch.setattr(circles, "solve_ivp", lambda *a, **k: failed)
+    assert cli.main(["circle", "-s", 'circle={"preset":"flat-circle"}']) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: CircleIntegrationError" in err
+    assert "step size" in err
+
+
+def test_embedding_dimension_mismatch_exit4(capsys):
+    rc = cli.main(["report",
+                   "-s", 'geometry={"name":"euclidean","params":{"n":5}}',
+                   "-s", 'embedding={"name":"graph"}',
+                   "-s", 'samples={"points":[[0.1,0.2]]}'])
+    assert rc == 4
+    assert "ambient dimension 4, the geometry has 5" in capsys.readouterr().err
+
+
+def test_sample_dimension_mismatch_exit4(capsys):
+    base = ["report", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+            "-s", 'embedding={"name":"helix"}']
+    assert cli.main(base + ["-s", 'samples={"points":[[0.1,0.2]]}']) == 4
+    assert "needs 1 coordinates" in capsys.readouterr().err
+    assert cli.main(base + ["-s",
+                            'samples={"box":[[-0.1,0.1],[-0.1,0.1]]}']) == 4
+    assert "needs 1 intervals" in capsys.readouterr().err
+
+
+def test_flat_circle_pack_count(monkeypatch):
+    """Curvature packs the flat-circle preset builds outside the ODE
+    right-hand side, pinned so that a change shows in review: per output
+    point one for A.A and the residual, and per rotation monitor one for
+    the splitting and one shared by the Hodge star and the curve tractors
+    (37 per point when the splitting differentiated ky_decompose by
+    central differences)."""
+    packs = Counter()
+    pack = riemann.curvature_pack
+    in_rhs = []
+
+    def counted(*args, **kwargs):
+        packs["rhs" if in_rhs else "other"] += 1
+        return pack(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tractorlab") and \
+                getattr(mod, "curvature_pack", None) is pack:
+            monkeypatch.setattr(mod, "curvature_pack", counted)
+    rhs = circles.conformal_circle_rhs
+
+    def rhs_counted(geo, state):
+        in_rhs.append(1)
+        try:
+            return rhs(geo, state)
+        finally:
+            in_rhs.pop()
+    monkeypatch.setattr(circles, "conformal_circle_rhs", rhs_counted)
+    num = 5
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["circle", "-s", 'circle={"preset":"flat-circle",'
+                       '"num":%d,"t_span":[0,1]}' % num])
+    assert rc == 0
+    assert packs["rhs"] > 0
+    assert packs["other"] == 7 * num
 
 
 def test_invariance_identity_and_random():

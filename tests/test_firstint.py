@@ -238,3 +238,118 @@ def test_scan_hyperbolic_scale_codim1():
     for p in rep.points:
         assert abs(np.linalg.norm(p) - 1.0) < 1e-7
     assert max(rep.L_residuals) < 1e-4
+
+
+# --------------------------------------------------------------------------
+# exact derivatives against the finite-difference route
+# --------------------------------------------------------------------------
+
+def _non_solution_1form():
+    """A degree-2 form that is neither Killing nor conformal Killing."""
+    def fn(v):
+        return [v[1] * v[1], v[0] * v[2], v[0] * v[1] * v[2] + v[0]]
+    return geolib.KYFormSpec(n=3, degree=2,
+                             field=geolib.jet_array_field(3, fn, shape=(3,)))
+
+
+def _non_solution_2form():
+    """A degree-3 non-solution: its div k is a 1-form, so the chart
+    Jacobian of div k carries a Levi-Civita term."""
+    def fn(v):
+        zero = v[0] * 0.0
+        a, b, c = v[0] * v[1], v[2] * v[2] + v[1], v[0] * v[2] * v[1]
+        return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
+    return geolib.KYFormSpec(n=3, degree=3,
+                             field=geolib.jet_array_field(3, fn,
+                                                          shape=(3, 3)))
+
+
+def _fd_div_middle_part(geo, kspec, x, pack):
+    """The former route, kept as the oracle: central differences of the
+    pointwise middle part of nabla k, Levi-Civita terms, then the
+    divergence on the first index."""
+    n, d = geo.n, kspec.degree
+    h = 1e-4
+    M0 = fi.ky_decompose(geo, kspec, x)[1]
+    dM = np.empty(M0.shape + (n,))
+    for a in range(n):
+        e = h * np.eye(n)[a]
+        dM[..., a] = (fi.ky_decompose(geo, kspec, x + e)[1]
+                      - fi.ky_decompose(geo, kspec, x - e)[1]) / (2 * h)
+    cov = np.moveaxis(dM, -1, 0)  # [c, b, a2..]
+    for ax in range(d):
+        corr = -np.einsum("ecf,...e->c...f", pack.Gamma,
+                          np.moveaxis(M0, ax, -1))
+        cov = cov + np.moveaxis(corr, -1, ax + 1)
+    return np.einsum("cb,cb...->...", pack.gi, cov)
+
+
+ORACLE_GEOMETRIES = {"euclidean": lambda: geolib.euclidean(3),
+                     "sphere": lambda: geolib.sphere(3),
+                     "random_metric": lambda: geolib.random_metric(3)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
+def test_exact_split_matches_fd_route(name, monkeypatch):
+    geo = ORACLE_GEOMETRIES[name]()
+    x = np.array([0.3, -0.2, 0.1])
+    for spec in (_non_solution_1form(), _non_solution_2form()):
+        pack, _, covs = fi._cov_jets(geo, spec, x, 2)
+        assert np.abs(fi._div_middle_part(pack, covs)).max() > 0.1
+        K = fi._split_components(geo, spec, x)
+        with monkeypatch.context() as mp:
+            mp.setattr(fi, "_div_middle_part",
+                       lambda pk, cv: _fd_div_middle_part(geo, spec, x, pk))
+            K_fd = fi._split_components(geo, spec, x)
+        assert np.abs(K - K_fd).max() <= 1e-8, spec.degree
+
+
+def test_div_middle_part_vanishes_on_solutions():
+    x3 = np.array([0.4, -0.2, 0.7])
+    x4 = np.array([0.1, 0.2, -0.3, 0.05])
+    cases = [(geolib.euclidean(3), geolib.rotation_form(3, 0, 1), x3),
+             (geolib.euclidean(3), geolib.dilation_form(3), x3),
+             (geolib.euclidean(3), geolib.special_conformal_form(3), x3),
+             (geolib.sphere(4), geolib.round_rotation_form(4, 0, 1), x4),
+             (geolib.s2s2(), geolib.s2s2_lifted_killing("t1", 1), x4)]
+    for geo, spec, x in cases:
+        pack, _, covs = fi._cov_jets(geo, spec, x, 2)
+        assert np.abs(fi._div_middle_part(pack, covs)).max() <= 1e-14, \
+            spec.name
+
+
+def test_split_components_makes_no_ky_decompose_call(monkeypatch):
+    calls = []
+    decompose = fi.ky_decompose
+    monkeypatch.setattr(fi, "ky_decompose",
+                        lambda *a: calls.append(a) or decompose(*a))
+    x = np.array([0.3, -0.2, 0.1])
+    for spec in (geolib.rotation_form(3, 0, 1), _non_solution_1form(),
+                 _non_solution_2form()):
+        fi._split_components(geolib.euclidean(3), spec, x)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["rotation", "special_conformal",
+                                  "non_solution", "non_solution_2form",
+                                  "hyperbolic_scale"])
+def test_component_map_jacobian_matches_central_differences(case):
+    geo, spec = {
+        "rotation": (geolib.euclidean(3), geolib.rotation_form(3, 0, 1)),
+        "special_conformal": (geolib.euclidean(3),
+                              geolib.special_conformal_form(3)),
+        "non_solution": (geolib.random_metric(3), _non_solution_1form()),
+        "non_solution_2form": (geolib.sphere(3), _non_solution_2form()),
+        "hyperbolic_scale": (geolib.euclidean(3),
+                             geolib.almost_einstein_hyperbolic(3)),
+    }[case]
+    x = np.array([0.3, -0.2, 0.1])
+    F, J = fi._component_map(geo, spec, x, jac=True)
+    assert np.array_equal(F, fi._component_map(geo, spec, x))
+    h = 1e-6
+    J_fd = np.stack([(fi._component_map(geo, spec, x + h * e)
+                      - fi._component_map(geo, spec, x - h * e)) / (2 * h)
+                     for e in np.eye(3)], axis=1)
+    assert J.shape == J_fd.shape
+    assert np.abs(J).max() > 0.1
+    assert np.abs(J - J_fd).max() <= 1e-8

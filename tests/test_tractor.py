@@ -9,8 +9,8 @@ from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
-                                FieldHandle, TensorValue, alt_array, contract,
-                                tractor_down, tractor_up)
+                                FieldHandle, NumericalError, TensorValue,
+                                alt_array, contract, tractor_down, tractor_up)
 
 
 def _hpair(geo, x):
@@ -333,3 +333,14 @@ def test_mobius_error_without_schouten():
                         backend=DiffBackend())
     with pytest.raises(tr.MobiusStructureError):
         tr.scale_tractor(geo2, np.zeros(2))
+
+
+def test_parallel_transport_divergence_is_numerical_error():
+    geo = geolib.euclidean(3)
+    T0 = tr.TractorObject(TensorValue(np.ones(5), (tractor_up(3),)), geo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(tr.TransportDivergedError) as info:
+            tr.parallel_transport(geo, lambda t: np.array([1e300 * t, 0, 0]),
+                                  T0, steps=4)
+    assert isinstance(info.value, NumericalError)
+    assert isinstance(info.value, RuntimeError)
