@@ -11,16 +11,15 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from jsonschema import Draft7Validator
 
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
-from .tensors import ANALYTIC, FD, ArrayField, DiffBackend, NumericalError
+from .tensors import (ANALYTIC, FD, ArrayField, DiffBackend, NumericalError,
+                      middle_block)
 
 SCHEMA = {
     "type": "object",
@@ -128,15 +127,6 @@ def _set_dotted(d, keys, value):
     for k in keys[:-1]:
         d = d.setdefault(k, {})
     d[keys[-1]] = value
-
-
-def _threads(cfg, args):
-    env = os.environ.get("TRACTORLAB_THREADS")
-    if args is not None and getattr(args, "threads", None):
-        return args.threads
-    if env:
-        return max(1, int(env))
-    return int(cfg.get("threads", 1))
 
 
 def build_geometry(cfg):
@@ -261,7 +251,6 @@ def cmd_report(cfg, args=None):
     seed = int(cfg.get("seed", 0))
     pts = sample_points(cfg, emb.m, seed)
     tol = cfg.get("tolerances", {}).get("classify")
-    threads = _threads(cfg, args)
 
     report = subtractor.classify(geo, emb, pts, tol=tol)
 
@@ -289,11 +278,7 @@ def cmd_report(cfg, args=None):
             out["mobius_cotton_norm"] = float(np.abs(c).max())
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            res = list(ex.map(residuals_at, pts))
-    else:
-        res = [residuals_at(q) for q in pts]
+    res = [residuals_at(q) for q in pts]
     doc = report.to_dict()
     for row, extra in zip(doc["per_sample"], res):
         row.update(extra)
@@ -342,7 +327,7 @@ def _rotation_monitor(i, j):
         pack = riemann.curvature_pack(geo, state.x, order=2)
         starK = tr.hodge_star(F, state.x, pack=pack).data
         _, _, Phi = circles.curve_tractors(geo, state, pack=pack)
-        low = subtractor._lower(pack.g)
+        low = middle_block(pack.g)
         acc = Phi
         for ax in range(3):
             acc = np.moveaxis(np.tensordot(low, acc, axes=([1], [ax])), 0, ax)
@@ -525,7 +510,7 @@ def main(argv=None):
                         metavar="dotted.path=json",
                         help="override a config entry")
     parser.add_argument("--threads", type=int, default=None,
-                        help="parallel point evaluation (default 1)")
+                        help="accepted for compatibility; no effect")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)

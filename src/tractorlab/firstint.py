@@ -15,8 +15,9 @@ import numpy as np
 
 from .riemann import curvature_pack
 from .submanifold import EmbeddingSpec, SigmaField
-from .subtractor import SubTractorContext, _hup, _pairJ
-from .tensors import alt_array, sym_array, tractor_down, tangent_down
+from .subtractor import SubTractorContext
+from .tensors import (alt_array, central_diff, pairing_matrix, sym_array,
+                      tangent_down, tractor_down, tractor_metric_matrix)
 from . import tractor as tr
 
 __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
@@ -124,6 +125,14 @@ def _div_middle_part(pack, covs):
     return np.einsum("cb,cb...->...", pack.gi, dM)
 
 
+def _full_pair(A, B, Hup):
+    """A and B contracted on every index, each pair through ``Hup``."""
+    acc = A
+    for ax in range(A.ndim):
+        acc = np.moveaxis(np.tensordot(Hup, acc, axes=([1], [ax])), 0, ax)
+    return float(np.tensordot(acc, B, axes=(range(A.ndim), range(A.ndim))))
+
+
 def bgg_split(geo, kspec, x, simplicity_tol=None):
     """BGG splitting with normality, causal type and simplicity report."""
     n = geo.n
@@ -132,31 +141,14 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
     K = _split_components(geo, kspec, x)
 
     # normality: tractor derivative of the K field
-    def K_at(y):
-        return _split_components(geo, kspec, y)
-
-    h = 1e-3
-    dK = np.empty(K.shape + (n,))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        dK[..., a] = (K_at(x + e) - K_at(x - e)) / (2 * h)
+    dK = central_diff(lambda y: _split_components(geo, kspec, y), x, 1e-3)
     pack = curvature_pack(geo, x, order=min(3, geo.backend.max_order))
     conn = tr.ConnData.from_pack(pack)
-    Md = conn.matrix(tractor_down(n))
-    nab = np.moveaxis(dK, -1, 0)
-    for ax in range(max(d, 1)):
-        moved = np.moveaxis(K, ax, -1)
-        corr = np.einsum("ine,...e->i...n", Md, moved)
-        nab = nab + np.moveaxis(corr, -1, ax + 1)
+    nab = tr.covariant_jet(conn, [K, dK], (tractor_down(n),) * K.ndim)[0]
     normality = float(np.abs(nab).max())
 
     # causal type
-    Hup = _hup(pack.gi)
-    acc = K
-    for ax in range(max(d, 1)):
-        acc = np.moveaxis(np.tensordot(Hup, acc, axes=([1], [ax])), 0, ax)
-    K2 = float(np.tensordot(acc, K, axes=(range(K.ndim), range(K.ndim))))
+    K2 = _full_pair(K, K, tractor_metric_matrix(pack.gi))
     scale2 = float(np.abs(K).max()) ** 2
     if K2 < -1e-10 * max(scale2, 1e-30):
         causal = "timelike"
@@ -168,7 +160,7 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
     # simplicity (Pluecker): (v . K) wedge K over a tractor basis
     simp = 0.0
     if d >= 2:
-        J = _pairJ(n)
+        J = pairing_matrix(n)
         for I in range(n + 2):
             v = J[I]  # pairing of the basis up-vector with the first index
             contr = np.tensordot(v, K, axes=([0], [0]))
@@ -187,13 +179,6 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
 # conserved quantities
 # --------------------------------------------------------------------------
 
-def _full_pair(A, B, Hup):
-    acc = A
-    for ax in range(A.ndim):
-        acc = np.moveaxis(np.tensordot(Hup, acc, axes=([1], [ax])), 0, ax)
-    return float(np.tensordot(acc, B, axes=(range(A.ndim), range(A.ndim))))
-
-
 def conserved_quantity(geo, emb, kspec, q, obstruction=True):
     """K . N along the submanifold: value, tangential-derivative residual,
     the explicit slot evaluation, and the Weyl obstruction prediction."""
@@ -206,8 +191,8 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
     def value_at(pk):
         c2 = SubTractorContext(geo, emb, pk.q, sub=pk)
         K = _split_components(geo, kspec, pk.x)
-        Hup = _hup(pk.pack.gi)
-        return _full_pair(K, c2.normal_form(), Hup)
+        return _full_pair(K, c2.normal_form(),
+                          tractor_metric_matrix(pk.pack.gi))
 
     sf = SigmaField(geo, emb, lambda pk: np.array([value_at(pk)]))
     v0, dv, _ = sf.jet1(q)

@@ -16,11 +16,12 @@ import numpy as np
 
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       rescale)
-from .tensors import ArrayField, DiffBackend, NumericalError, alt_array
+from .tensors import (ArrayField, DiffBackend, NumericalError, alt_array,
+                      central_diff)
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
            "gauss_codazzi_ricci_residuals", "conformal_transform_check",
-           "pullback_metric_field", "SigmaField"]
+           "pullback_metric_field", "SigmaField", "frame_curvature"]
 
 
 class RankDeficientError(NumericalError, RuntimeError):
@@ -62,7 +63,6 @@ class PullbackMetricField(ArrayField):
     def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec, step3=1e-4):
         self.geo = geo
         self.phi = emb.phi
-        self.m = emb.m
         self.step3 = step3
         super().__init__(self._value,
                          backend=DiffBackend(mode="analytic", max_order=3))
@@ -77,14 +77,7 @@ class PullbackMetricField(ArrayField):
         if order <= 2:
             return self._chain_jets(y, order)
         out = self._chain_jets(y, 2)
-        m = self.m
-        h = self.step3
-        d3 = np.empty((m, m, m, m, m))
-        for c in range(m):
-            e = np.zeros(m)
-            e[c] = h
-            d3[..., c] = (self._chain_jets(y + e, 2)[2]
-                          - self._chain_jets(y - e, 2)[2]) / (2 * h)
+        d3 = central_diff(lambda z: self._chain_jets(z, 2)[2], y, self.step3)
         return out + [d3]
 
     def _chain_jets(self, y, order):
@@ -274,8 +267,9 @@ class SigmaField:
     """A quantity built from the pack, as a field over the parameter chart.
 
     ``builder(pack)`` maps a SubmanifoldPack to an array.  Derivatives use
-    Richardson-extrapolated central differences with the normal-frame seeds
-    frozen at the base point, so frame-dependent quantities stay smooth.
+    Richardson-extrapolated central differences (step 1e-2) with the
+    normal-frame seeds frozen at the base point, so frame-dependent
+    quantities stay smooth.
     """
 
     def __init__(self, geo, emb, builder):
@@ -289,22 +283,12 @@ class SigmaField:
                               seeds=seeds if seeds is not None else self._seeds)
         return np.asarray(self.builder(pk), dtype=float)
 
-    def jet1(self, q, h=1e-2, richardson=True):
+    def jet1(self, q):
         q = np.asarray(q, dtype=float)
-        m = self.emb.m
         base = submanifold_pack(self.geo, self.emb, q)
         self._seeds = base.seeds
         v0 = np.asarray(self.builder(base), dtype=float)
-        d1 = np.empty(v0.shape + (m,))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            big = (self.value(q + e) - self.value(q - e)) / (2 * h)
-            if richardson:
-                small = (self.value(q + e / 2) - self.value(q - e / 2)) / h
-                d1[..., i] = (4 * small - big) / 3
-            else:
-                d1[..., i] = big
+        d1 = central_diff(self.value, q, 1e-2, richardson=True)
         return v0, d1, base
 
 
@@ -371,18 +355,12 @@ def _coupled_derivative_II(geo, emb, q, sub):
     return np.einsum("dc,ijkc->ijkd", sub.Nab, out)
 
 
-def _omega_at(geo, emb, y, seeds, h_inner=1e-4):
+def _omega_at(geo, emb, y, seeds):
     """Normal-connection coefficients omega_i^{alpha}{}_{beta} at y, using a
     plain central difference of the normal frame with frozen seeds."""
     pk = submanifold_pack(geo, emb, y, seeds=seeds)
-    m = emb.m
-    dV = np.empty(pk.normals.shape + (m,))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h_inner
-        vp = submanifold_pack(geo, emb, y + e, seeds=seeds).normals
-        vm = submanifold_pack(geo, emb, y - e, seeds=seeds).normals
-        dV[..., i] = (vp - vm) / (2 * h_inner)
+    dV = central_diff(
+        lambda z: submanifold_pack(geo, emb, z, seeds=seeds).normals, y, 1e-4)
     nab = np.moveaxis(dV, -1, 0) + np.einsum("cae,ai,be->ibc",
                                              pk.pack.Gamma, pk.dphi,
                                              pk.normals)
@@ -392,27 +370,23 @@ def _omega_at(geo, emb, y, seeds, h_inner=1e-4):
 def _normal_curvature(geo, emb, q, sub):
     """Curvature of the normal connection from the orthonormal normal frame,
     returned as Rperp_ij^c_d."""
+    Rfr = frame_curvature(lambda y: _omega_at(geo, emb, y, sub.seeds), q)
+    return np.einsum("ec,ijef,fd->ijcd", sub.normals, Rfr, sub.conormals)
+
+
+def frame_curvature(omega_at, q):
+    """Curvature of connection coefficients ``omega_at(y)[i, a, b]`` given
+    in a frame: partial_i omega_j - partial_j omega_i + [omega_i, omega_j],
+    as [i, j, a, b].  The derivative is a Richardson central difference
+    with step 1e-2."""
     q = np.asarray(q, dtype=float)
-    m = sub.m
-    seeds = sub.seeds
-    om0 = _omega_at(geo, emb, q, seeds)
-    h = 1e-2
-    dw = np.empty((m,) + om0.shape)  # dw[j, i, a, b] = partial_j omega_i
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        big = (_omega_at(geo, emb, q + e, seeds)
-               - _omega_at(geo, emb, q - e, seeds)) / (2 * h)
-        small = (_omega_at(geo, emb, q + e / 2, seeds)
-                 - _omega_at(geo, emb, q - e / 2, seeds)) / h
-        dw[j] = (4 * small - big) / 3
-    # dw[p, q, ., .] = partial_p omega_q;
-    # R^perp frame: partial_i omega_j - partial_j omega_i + [omega_i, omega_j]
-    Rfr = (dw - dw.transpose(1, 0, 2, 3)
-           + np.einsum("iae,jeb->ijab", om0, om0)
-           - np.einsum("jae,ieb->ijab", om0, om0))
-    Rperp = np.einsum("ec,ijef,fd->ijcd", sub.normals, Rfr, sub.conormals)
-    return Rperp
+    om0 = omega_at(q)
+    # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
+    dw = np.ascontiguousarray(np.moveaxis(
+        central_diff(omega_at, q, 1e-2, richardson=True), -1, 0))
+    return (dw - dw.transpose(1, 0, 2, 3)
+            + np.einsum("iae,jeb->ijab", om0, om0)
+            - np.einsum("jae,ieb->ijab", om0, om0))
 
 
 def conformal_transform_check(geo, emb, omega, q):

@@ -7,8 +7,9 @@ normal form, mean-curvature tractor predicates, and classification verdicts.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J
-(sigma/rho swap); contracting two down indices with the inverse tractor
-metric uses the antidiagonal matrix ``_hup``.  (1,1)-tensors are often turned
+(``tensors.pairing_matrix``, the sigma/rho swap); contracting two down
+indices with the inverse tractor metric uses
+``tensors.tractor_metric_matrix(g^-1)``.  (1,1)-tensors are often turned
 into action matrices on up-components via ``arr @ J``.
 """
 from __future__ import annotations
@@ -20,8 +21,10 @@ import numpy as np
 
 from .riemann import GeometrySpec, curvature_pack
 from .submanifold import (EmbeddingSpec, SigmaField, SubmanifoldPack,
-                          submanifold_pack, _wedge_rows)
-from .tensors import tractor_down, tractor_up, tangent_down, TensorValue
+                          frame_curvature, submanifold_pack, _wedge_rows)
+from .tensors import (TensorValue, central_diff, middle_block,
+                      pairing_matrix, tangent_down, tractor_down,
+                      tractor_metric_matrix, tractor_up)
 from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
@@ -30,45 +33,6 @@ __all__ = ["SubTractorContext", "ClassificationReport", "classify",
            "tractor_normal_form", "mean_curvature_tractor", "reconstruct_L",
            "M_operator", "tractor_gcr_residuals", "checked_connection_residual",
            "normal_projector_array"]
-
-
-def _pairJ(dim):
-    """Up/down pairing on tractor slots over a dim-dimensional chart."""
-    J = np.eye(dim + 2)
-    J[0, 0] = J[-1, -1] = 0.0
-    J[0, -1] = J[-1, 0] = 1.0
-    return J
-
-
-def _hup(gi):
-    """h^{AB} in natural slots (contracts two down tractor indices)."""
-    k = gi.shape[0]
-    H = np.zeros((k + 2, k + 2))
-    H[0, -1] = H[-1, 0] = 1.0
-    H[1:k + 1, 1:k + 1] = gi
-    return H
-
-
-def _hdn(g):
-    k = g.shape[0]
-    H = np.zeros((k + 2, k + 2))
-    H[0, -1] = H[-1, 0] = 1.0
-    H[1:k + 1, 1:k + 1] = g
-    return H
-
-
-def _raise(gi):
-    k = gi.shape[0]
-    R = np.eye(k + 2)
-    R[1:k + 1, 1:k + 1] = gi
-    return R
-
-
-def _lower(g):
-    k = g.shape[0]
-    L = np.eye(k + 2)
-    L[1:k + 1, 1:k + 1] = g
-    return L
 
 
 def normal_projector_array(sub: SubmanifoldPack):
@@ -366,7 +330,7 @@ class SubTractorContext:
         """L with an ambient down tractor index: [i, B down, C up]."""
         def build():
             nabN = self.nabla_normal_projector()
-            Nact = self.normal_projector() @ _pairJ(self.n)
+            Nact = self.normal_projector() @ pairing_matrix(self.n)
             return -np.einsum("CA,iAB->iBC", Nact, nabN)
         return self._get("Lbar", build)
 
@@ -421,21 +385,11 @@ class SubTractorContext:
             self.sub.II, self.sub.II))))
         return max(1.0, nP, nII)
 
-    def euclid_int(self):
-        E = np.eye(self.m + 2)
-        E[1:self.m + 1, 1:self.m + 1] = self.sub.gi_s
-        return E
-
-    def euclid_amb(self):
-        E = np.eye(self.n + 2)
-        E[1:self.n + 1, 1:self.n + 1] = self.pack.g
-        return E
-
     def L_norm(self, L=None):
         L = self.L_explicit() if L is None else L
         return math.sqrt(max(0.0, float(np.einsum(
-            "ij,JK,CD,iJC,jKD->", self.sub.gi_s, self.euclid_int(),
-            self.euclid_amb(), L, L))))
+            "ij,JK,CD,iJC,jKD->", self.sub.gi_s, middle_block(self.sub.gi_s),
+            middle_block(self.pack.g), L, L))))
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +465,8 @@ def checked_connection_residual(geo, emb, q, seed=0):
     DV = np.moveaxis(dV, -1, 0) + np.einsum("ine,e->in", Mi, V_at(ctx.q))
 
     S = ctx.difference_tractor()
-    Sact = np.einsum("JK,iKL->iJL", _raise(ctx.sub.gi_s), S) @ _pairJ(m)
+    Sact = np.einsum("JK,iKL->iJL", middle_block(ctx.sub.gi_s),
+                     S) @ pairing_matrix(m)
     SV = np.einsum("iJL,L->iJ", Sact, V_at(ctx.q))
     res = lhs - DV - SV
     return float(np.abs(res).max()), float(np.abs(lhs).max())
@@ -570,7 +525,7 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
         return tr.make_tractor(n, sigma=1.0, rho=-pk.pack.J / n)
 
     def HA_at(pk):
-        return normal_projector_array(pk) @ (_pairJ(n) @ I_at(pk))
+        return normal_projector_array(pk) @ (pairing_matrix(n) @ I_at(pk))
 
     I0 = I_at(ctx.sub)
     if np.abs(I0).max() < 1e-14:
@@ -583,7 +538,8 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
     pts = [ctx.q] if samples is None else samples
     for s in pts:
         pk = submanifold_pack(geo, emb, s, seeds=ctx.sub.seeds)
-        NI2.append(float(HA_at(pk) @ _hdn(pk.pack.g) @ I_at(pk)))
+        NI2.append(float(HA_at(pk) @ tractor_metric_matrix(pk.pack.g)
+                         @ I_at(pk)))
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
 
     sf = SigmaField(geo, emb, HA_at)
@@ -591,7 +547,7 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
     conn = tr.ConnData.from_pack(ctx.pack)
     Mu = np.einsum("ane,ai->ine", conn.matrix(tractor_up(n)), ctx.sub.dphi)
     nabH = np.moveaxis(dH, -1, 0) + np.einsum("ine,e->in", Mu, H0)
-    Nact = ctx.normal_projector() @ _pairJ(n)
+    Nact = ctx.normal_projector() @ pairing_matrix(n)
     NnabH = np.einsum("AB,iB->iA", Nact, nabH)
     parallel = bool(np.abs(NnabH).max() < tol * scale)
     return {"H_tractor": HA, "minimal": minimal, "cmc": cmc,
@@ -639,7 +595,7 @@ def _norms_at(ctx: SubTractorContext):
         "ik,jl,ij,kl->", gis, gis, F0, F0))))
     nL = ctx.L_norm()
     S = ctx.difference_tractor()
-    EA = ctx.euclid_int()
+    EA = middle_block(gis)
     nS = math.sqrt(max(0.0, float(np.einsum(
         "ij,JK,LM,iJL,jKM->", gis, EA, EA, S, S))))
     return {"IIo_norm": nIIo, "H_norm": nH, "mu_norm": nmu,
@@ -732,7 +688,7 @@ def _coupled_D_of_L(ctx: SubTractorContext):
     # normal tractor connection on the ambient index: project the whole
     # (partial + ambient-correction) derivative, since the bundle rotates
     raw = np.moveaxis(dL, -1, 0) + np.einsum("iCE,jLE->ijLC", Ma, L0)
-    Nact = ctx.normal_projector() @ _pairJ(ctx.n)
+    Nact = ctx.normal_projector() @ pairing_matrix(ctx.n)
     out = np.einsum("CA,ijLA->ijLC", Nact, raw)
     out = out + np.einsum("ije,eLC->ijLC", conn.matrix(tangent_down(ctx.m)), L0)
     out = out + np.einsum("iLE,jEC->ijLC", conn.matrix(tractor_down(ctx.m)), L0)
@@ -743,46 +699,28 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
     """Curvature of the normal tractor connection as action matrices:
     [i, j, C, E] with (Om v)[C] = Om[i,j,C,E] v[E] for up components."""
     geo, emb = ctx.geo, ctx.emb
-    m, n = ctx.m, ctx.n
+    n = ctx.n
     seeds = ctx.sub.seeds
-    Jamb = _pairJ(n)
+    Jamb = pairing_matrix(n)
 
-    def omega_at(y, h_inner=1e-4):
+    def frame_at(y):
+        """Tractor conormal frame at y, down [alpha, A] and raised, and the
+        pack."""
         pk = submanifold_pack(geo, emb, y, seeds=seeds)
-        c2 = SubTractorContext(geo, emb, y, sub=pk)
-        frame = c2.tractor_conormals()            # [alpha, A] down
-        Ramb = _raise(pk.pack.gi)
-        frame_up = frame @ Ramb
-        dF = np.empty(frame_up.shape + (m,))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h_inner
-            ca = SubTractorContext(geo, emb, y + e, sub=submanifold_pack(
-                geo, emb, y + e, seeds=seeds))
-            cb = SubTractorContext(geo, emb, y - e, sub=submanifold_pack(
-                geo, emb, y - e, seeds=seeds))
-            fa = ca.tractor_conormals() @ _raise(ca.pack.gi)
-            fb = cb.tractor_conormals() @ _raise(cb.pack.gi)
-            dF[..., i] = (fa - fb) / (2 * h_inner)
+        frame = SubTractorContext(geo, emb, y, sub=pk).tractor_conormals()
+        return frame, frame @ middle_block(pk.pack.gi), pk
+
+    def omega_at(y):
+        frame, frame_up, pk = frame_at(y)
+        dF = central_diff(lambda z: frame_at(z)[1], y, 1e-4)
         conn = tr.ConnData.from_pack(pk.pack)
         Ma = np.einsum("ane,ai->ine", conn.matrix(tractor_up(n)), pk.dphi)
         nab = np.moveaxis(dF, -1, 0) + np.einsum("ine,be->ibn", Ma, frame_up)
         return np.einsum("aA,ibA->iab", frame @ Jamb, nab)
 
-    om0 = omega_at(ctx.q)
-    h = 1e-2
-    dw = np.empty((m,) + om0.shape)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        big = (omega_at(ctx.q + e) - omega_at(ctx.q - e)) / (2 * h)
-        small = (omega_at(ctx.q + e / 2) - omega_at(ctx.q - e / 2)) / h
-        dw[j] = (4 * small - big) / 3
-    Rfr = (dw - dw.transpose(1, 0, 2, 3)
-           + np.einsum("iae,jeb->ijab", om0, om0)
-           - np.einsum("jae,ieb->ijab", om0, om0))
+    Rfr = frame_curvature(omega_at, ctx.q)
     frame = ctx.tractor_conormals()
-    frame_up = frame @ _raise(ctx.pack.gi)
+    frame_up = frame @ middle_block(ctx.pack.gi)
     return np.einsum("eC,ijef,fE->ijCE", frame_up, Rfr, frame @ Jamb)
 
 
@@ -793,10 +731,10 @@ def tractor_gcr_residuals(geo, emb, q):
     if m < 3:
         raise ValueError("tractor Gauss-Codazzi-Ricci checks need m >= 3")
     sub = ctx.sub
-    Jamb, Jint = _pairJ(n), _pairJ(m)
-    Ramb = _raise(ctx.pack.gi)
-    Lamb = _lower(ctx.pack.g)
-    HupS = _hup(sub.gi_s)
+    Jamb, Jint = pairing_matrix(n), pairing_matrix(m)
+    Ramb = middle_block(ctx.pack.gi)
+    Lamb = middle_block(ctx.pack.g)
+    HupS = tractor_metric_matrix(sub.gi_s)
     Q = ctx.pull_down()
 
     Om_amb = tr.tractor_curvature(geo, sub.x).data

@@ -22,7 +22,8 @@ DOWN = "down"
 __all__ = [
     "NumericalError", "Index", "TensorValue", "DiffBackend", "ArrayField",
     "FieldHandle", "tangent_up", "tangent_down", "tractor_up", "tractor_down",
-    "contract", "trace", "alt", "sym", "outer", "jet",
+    "contract", "trace", "alt", "sym", "outer", "jet", "pairing_matrix",
+    "tractor_metric_matrix", "middle_block", "central_diff",
 ]
 
 
@@ -133,6 +134,34 @@ def _tr_flip(data, axis):
     return np.take(data, order, axis=axis)
 
 
+def pairing_matrix(n):
+    """Up/down pairing J on the tractor slots of an n-dimensional chart:
+    the identity with sigma and rho swapped."""
+    J = np.eye(n + 2)
+    J[0, 0] = J[-1, -1] = 0.0
+    J[0, -1] = J[-1, 0] = 1.0
+    return J
+
+
+def tractor_metric_matrix(a):
+    """h_AB in slots for a = g (or h^AB for a = g^-1): pairs sigma with
+    rho, and ``a`` on the middle block."""
+    k = a.shape[0]
+    H = np.zeros((k + 2, k + 2))
+    H[0, -1] = H[-1, 0] = 1.0
+    H[1:k + 1, 1:k + 1] = a
+    return H
+
+
+def middle_block(a):
+    """Identity on sigma and rho, ``a`` on the middle block: raises the
+    middle slot for a = g^-1 and lowers it for a = g."""
+    k = a.shape[0]
+    M = np.eye(k + 2)
+    M[1:k + 1, 1:k + 1] = a
+    return M
+
+
 def contract(a: TensorValue, b: TensorValue, pairs) -> TensorValue:
     """Einstein contraction of ``a`` with ``b`` over the given axis pairs.
 
@@ -178,12 +207,8 @@ def _project(a: TensorValue, axes, antisym: bool) -> TensorValue:
     for ax in axes[1:]:
         if a.indices[ax] != ref:
             raise TensorError("symmetrisation over mixed index types")
-    out = np.zeros_like(a.data)
-    k = len(axes)
-    for perm in itertools.permutations(range(k)):
-        s = _perm_sign(perm) if antisym else 1.0
-        out += s * np.moveaxis(a.data, axes, tuple(axes[p] for p in perm))
-    return TensorValue(out / math.factorial(k), a.indices, a.weight)
+    project = alt_array if antisym else sym_array
+    return TensorValue(project(a.data, axes), a.indices, a.weight)
 
 
 def _perm_sign(perm):
@@ -265,6 +290,31 @@ class DiffBackend:
             raise ValueError("FD steps must be positive")
 
 
+def central_diff(f, x, h, richardson=False):
+    """Central differences of ``f`` at ``x`` along each coordinate, stacked
+    on a trailing axis: out[..., i] ~ d f / d x^i.
+
+    ``richardson=True`` combines the steps h and h/2 as (4 D(h/2) - D(h))/3,
+    which cancels the h^2 error term.  The result is a fresh C-contiguous
+    array whatever the layout of ``f``'s values (the rounding of a later
+    einsum can depend on it).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    out = None
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        d = (f(x + e) - f(x - e)) / (2 * h)
+        if richardson:
+            small = (f(x + e / 2) - f(x - e / 2)) / h
+            d = (4 * small - d) / 3
+        if out is None:
+            out = np.empty(np.shape(d) + (n,))
+        out[..., i] = d
+    return out
+
+
 class ArrayField:
     """Array-valued function of a chart point with derivative access.
 
@@ -306,7 +356,6 @@ class ArrayField:
         return self._fd_jets(x, order)
 
     def _fd_jets(self, x, order):
-        n = x.size
         v = self.value(x)
         out = [v]
         h = self.backend.step
@@ -315,12 +364,7 @@ class ArrayField:
         if order >= 2:
             out.append(self._fd2(x, h))
         if order >= 3:
-            h3 = self.backend.step3
-            d3 = np.empty(v.shape + (n, n, n))
-            for c in range(n):
-                e = np.zeros(n)
-                e[c] = h3
-                d3[..., c] = (self._fd2(x + e, h) - self._fd2(x - e, h)) / (2 * h3)
+            d3 = central_diff(lambda y: self._fd2(y, h), x, self.backend.step3)
             # symmetrise the mixed third derivatives
             d3 = (d3 + d3.transpose(*range(v.ndim), *(v.ndim + np.array([1, 2, 0]))) +
                   d3.transpose(*range(v.ndim), *(v.ndim + np.array([2, 0, 1]))) +

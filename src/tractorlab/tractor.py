@@ -2,8 +2,9 @@
 
 A rank n+2 tractor index uses slots (sigma, mu_1..mu_n, rho) for both
 variances.  Raising/lowering acts blockwise (identity on sigma/rho, metric on
-the middle block); contraction of an up/down pair inserts the invariant
-pairing that swaps sigma and rho (see tensors._tr_flip).
+the middle block: tensors.middle_block); contraction of an up/down pair
+inserts the invariant pairing that swaps sigma and rho (see
+tensors._tr_flip).
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import numpy as np
 from . import tensors
 from .riemann import CurvaturePack, GeometrySpec, curvature_pack, levi_civita_symbol
 from .tensors import (ArrayField, FieldHandle, Index, TensorValue,
-                      alt_array, tractor_down, tractor_up, tangent_down)
+                      alt_array, middle_block, tractor_down,
+                      tractor_metric_matrix, tractor_up, tangent_down)
 
 __all__ = [
     "TractorObject", "TractorFormObject", "tractor_metric",
@@ -95,27 +97,14 @@ def canonical_X(n):
     return make_tractor(n, rho=1.0)
 
 
-def raise_mat(pack):
-    n = pack.n
-    M = np.zeros((n + 2, n + 2))
-    M[0, 0] = 1.0
-    M[1:n + 1, 1:n + 1] = pack.gi
-    M[n + 1, n + 1] = 1.0
-    return M
-
-
 def tractor_metric(geo: GeometrySpec, x):
     """(h_AB, h^AB) as TractorObjects at x."""
     pack = curvature_pack(geo, x, order=2)
     n = geo.n
-    h_dn = np.zeros((n + 2, n + 2))
-    h_dn[0, n + 1] = h_dn[n + 1, 0] = 1.0
-    h_dn[1:n + 1, 1:n + 1] = pack.g
-    h_up = np.zeros((n + 2, n + 2))
-    h_up[0, n + 1] = h_up[n + 1, 0] = 1.0
-    h_up[1:n + 1, 1:n + 1] = pack.gi
-    lo = TractorObject(TensorValue(h_dn, (tractor_down(n), tractor_down(n))), geo)
-    hi = TractorObject(TensorValue(h_up, (tractor_up(n), tractor_up(n))), geo)
+    lo = TractorObject(TensorValue(tractor_metric_matrix(pack.g),
+                                   (tractor_down(n), tractor_down(n))), geo)
+    hi = TractorObject(TensorValue(tractor_metric_matrix(pack.gi),
+                                   (tractor_up(n), tractor_up(n))), geo)
     return lo, hi
 
 
@@ -439,7 +428,7 @@ def hodge_star(F: TractorFormObject, x, pack=None):
     n = geo.n
     k = F.degree
     eps = tractor_volume_form(geo, x, pack=pack).data
-    R = raise_mat(pack)
+    R = middle_block(pack.gi)
     for ax in range(k):
         eps = np.moveaxis(np.tensordot(R, eps, axes=([1], [ax])), 0, ax)
     Fd = F.data

@@ -276,16 +276,19 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_env_threads_override(monkeypatch):
     import os
-    env = dict(os.environ)
-    env["TRACTORLAB_THREADS"] = "2"
-    r = subprocess.run(
-        [sys.executable, "-m", "tractorlab.cli", "report",
-         "-s", 'geometry={"name":"s2s2"}',
-         "-s", 'embedding={"name":"factor1"}',
-         "-s", 'samples={"count":2}', "-s", "seed=7"],
-        capture_output=True, text=True, env=env)
-    assert r.returncode == 0
     _, out1, _ = run_cli("report", "-s", 'geometry={"name":"s2s2"}',
                          "-s", 'embedding={"name":"factor1"}',
                          "-s", 'samples={"count":2}', "-s", "seed=7")
-    assert r.stdout == out1
+    # TRACTORLAB_THREADS is not read: any value, even a malformed one,
+    # leaves the report unchanged
+    for value in ("2", "abc"):
+        env = dict(os.environ)
+        env["TRACTORLAB_THREADS"] = value
+        r = subprocess.run(
+            [sys.executable, "-m", "tractorlab.cli", "report",
+             "-s", 'geometry={"name":"s2s2"}',
+             "-s", 'embedding={"name":"factor1"}',
+             "-s", 'samples={"count":2}', "-s", "seed=7"],
+            capture_output=True, text=True, env=env)
+        assert r.returncode == 0, (value, r.stderr)
+        assert r.stdout == out1

@@ -9,8 +9,9 @@ from tractorlab import circles as ci
 from tractorlab import firstint as fi
 from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack
-from tractorlab.subtractor import SubTractorContext, _hup
-from tractorlab.tensors import TensorValue, tractor_down
+from tractorlab.subtractor import SubTractorContext
+from tractorlab.tensors import (TensorValue, middle_block, pairing_matrix,
+                                tractor_down)
 
 
 def test_ky_residuals_flat_catalog():
@@ -219,14 +220,13 @@ def test_hyperbolic_scale_zero_locus_is_normal_tractor():
         assert abs(float(sig.field.value(ctx.sub.x))) < 1e-12
         Ntr = ctx.tractor_conormals()[0]
         # raise the conormal to compare with the (up-slot) scale tractor
-        from tractorlab.subtractor import _raise
-        Nup = _raise(ctx.pack.gi) @ Ntr
+        Nup = middle_block(ctx.pack.gi) @ Ntr
         sign = np.sign(float(I @ Nup)) or 1.0
         assert np.abs(I - sign * Nup).max() < 1e-9
         # consequently I is fixed by the normal tractor projector
-        from tractorlab.subtractor import normal_projector_array, _pairJ
+        from tractorlab.subtractor import normal_projector_array
         N = normal_projector_array(ctx.sub)
-        assert np.abs(N @ (_pairJ(n) @ I) - I).max() < 1e-9
+        assert np.abs(N @ (pairing_matrix(n) @ I) - I).max() < 1e-9
 
 
 def test_scan_hyperbolic_scale_codim1():

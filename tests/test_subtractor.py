@@ -6,14 +6,15 @@ import pytest
 
 from tractorlab import geolib
 from tractorlab import tractor as tr
-from tractorlab.subtractor import (SubTractorContext, _pairJ, _raise,
+from tractorlab.subtractor import (SubTractorContext,
                                    checked_connection_residual, classify,
                                    mean_curvature_tractor,
                                    normal_projector_array, reconstruct_L,
                                    M_operator, tractor_gcr_residuals,
                                    tractor_second_fundamental_form,
                                    mu_invariant, fialkow)
-from tractorlab.tensors import alt_array
+from tractorlab.tensors import (alt_array, middle_block, pairing_matrix,
+                                tractor_metric_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def graph_ctx():
 def test_normal_projector_identities(graph_ctx):
     ctx = graph_ctx
     N = ctx.normal_projector()
-    J = _pairJ(ctx.n)
+    J = pairing_matrix(ctx.n)
     assert np.abs(N @ J @ N - N).max() < 1e-9
     X = tr.canonical_X(ctx.n)
     assert np.abs(N @ (J @ X)).max() < 1e-12
@@ -52,9 +53,9 @@ def test_normal_projector_flat_hyperplane_block():
 
 def test_normal_projector_from_normal_form(graph_ctx):
     ctx = graph_ctx
-    J = _pairJ(ctx.n)
+    J = pairing_matrix(ctx.n)
     Nf = ctx.normal_form()
-    R = _raise(ctx.pack.gi)
+    R = middle_block(ctx.pack.gi)
     Nup = np.einsum("AC,BD,CD->AB", R, R, Nf)
     NN = np.einsum("AB,AB->", Nup, J @ Nf @ J.T)
     assert NN == pytest.approx(math.factorial(ctx.d), abs=1e-9)
@@ -209,7 +210,7 @@ def test_difference_tractor_pure_trace_gate():
 def test_normal_form_derivative_identity(graph_ctx):
     ctx = graph_ctx
     d = ctx.d
-    J = _pairJ(ctx.n)
+    J = pairing_matrix(ctx.n)
     nabN = ctx.nabla_normal_form()
     Lb = ctx.Lbar()
     LC = np.einsum("iBC,CE->iBE", Lb, J)
@@ -220,8 +221,8 @@ def test_normal_form_derivative_identity(graph_ctx):
 
 def test_normal_form_inversion_identity(graph_ctx):
     ctx = graph_ctx
-    J = _pairJ(ctx.n)
-    R = _raise(ctx.pack.gi)
+    J = pairing_matrix(ctx.n)
+    R = middle_block(ctx.pack.gi)
     Nf = ctx.normal_form()
     Nup = np.einsum("AC,BD,CD->AB", R, R, Nf)
     inv = np.einsum("CA,iBA->iBC", Nup @ J.T, ctx.nabla_normal_form())
@@ -370,9 +371,8 @@ def test_intrinsic_metric_preserving(graph_ctx):
     V = rng.standard_normal(ctx.m + 2)
     W = rng.standard_normal(ctx.m + 2)
     M = ctx.push_up()
-    from tractorlab.subtractor import _hdn
-    h_amb = _hdn(ctx.pack.g)
-    h_int = _hdn(ctx.sub.g_s)
+    h_amb = tractor_metric_matrix(ctx.pack.g)
+    h_int = tractor_metric_matrix(ctx.sub.g_s)
     lhs = float((M @ V) @ h_amb @ (M @ W))
     rhs = float(V @ h_int @ W)
     assert abs(lhs - rhs) < 1e-9
@@ -414,8 +414,7 @@ def test_einstein_minimal_fialkow_gate():
     assert rep["minimal"] and np.abs(F).max() < 1e-9
     res, I0 = _restricted_scale_tractor_D_residual(ctx)
     assert res < 1e-6
-    from tractorlab.subtractor import _hdn
-    hs = _hdn(ctx.sub.g_s)
+    hs = tractor_metric_matrix(ctx.sub.g_s)
     assert float(I0 @ hs @ I0) == pytest.approx(-2.0 / ctx.m * jot, abs=1e-8)
     # the restricted tractor matches the intrinsic scale tractor
     I_intrinsic = tr.make_tractor(ctx.m, sigma=1.0, rho=-jot / ctx.m)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tractorlab.tensors import (ArrayField, DiffBackend, FieldHandle,
-                                JetOrderError, TensorValue, alt, contract,
+                                JetOrderError, TensorValue, alt, central_diff,
+                                contract,
                                 jet, outer, sym, tangent_down, tangent_up,
                                 tractor_down, tractor_up, trace)
 
@@ -158,3 +159,51 @@ def test_symmetry_flags():
     t = TensorValue(anti, (tangent_down(3), tangent_down(3)))
     assert t.is_antisymmetric()
     assert not t.is_symmetric((0, 1))
+
+
+def test_central_diff_exact_on_quadratic():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((2, 3))
+    B = rng.standard_normal((2, 3, 3))
+    C = rng.standard_normal((2, 3, 3, 3))
+
+    def quad(x):
+        return A + B @ x + np.einsum("...ij,i,j->...", C, x, x)
+    x = rng.standard_normal(3)
+    exact = B + np.einsum("...kj,j->...k", C + C.swapaxes(-1, -2), x)
+    d = central_diff(quad, x, 0.1)
+    assert d.shape == (2, 3, 3)
+    assert np.abs(d - exact).max() < 1e-12
+
+
+def test_central_diff_richardson_exact_on_quartic():
+    rng = np.random.default_rng(6)
+    w, v = rng.standard_normal(3), rng.standard_normal(3)
+
+    def quartic(x):
+        return np.array([(w @ x) ** 4, 2 * (v @ x) ** 4 + x[0] ** 3])
+    x = rng.standard_normal(3)
+    exact = np.stack([4 * (w @ x) ** 3 * w, 8 * (v @ x) ** 3 * v
+                      + 3 * x[0] ** 2 * np.eye(3)[0]])
+    plain = central_diff(quartic, x, 0.1)
+    rich = central_diff(quartic, x, 0.1, richardson=True)
+    scale = np.abs(exact).max()
+    # the plain stencil keeps its h^2 term; Richardson cancels it, and a
+    # quartic has no h^4 term
+    assert np.abs(plain - exact).max() > 1e-4 * scale
+    assert np.abs(rich - exact).max() < 1e-12 * scale
+
+
+def test_central_diff_result_is_c_contiguous():
+    rng = np.random.default_rng(7)
+    M, N = rng.standard_normal((2, 3, 4))
+
+    def transposed(x):
+        return (M + x[0] * N + x[1] ** 2 * M).T    # a non-contiguous view
+    assert not transposed(np.zeros(2)).flags.c_contiguous
+    x = np.array([0.3, -0.2])
+    d = central_diff(transposed, x, 1e-2)
+    assert d.shape == (4, 3, 2)
+    assert d.flags.c_contiguous
+    assert np.abs(d[..., 0] - N.T).max() < 1e-12
+    assert np.abs(d[..., 1] - 2 * x[1] * M.T).max() < 1e-12

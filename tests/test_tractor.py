@@ -10,7 +10,8 @@ from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
                                 FieldHandle, NumericalError, TensorValue,
-                                alt_array, contract, tractor_down, tractor_up)
+                                alt_array, contract, middle_block,
+                                tractor_down, tractor_up)
 
 
 def _hpair(geo, x):
@@ -154,7 +155,7 @@ def test_tractor_curvature_commutator_oracle():
     _, nab2 = tr.covariant_jet(conn, jets, Phi.indices, order=2)
     lhs = np.einsum("Cba->abC", nab2) - np.einsum("Cab->abC", nab2)
     Om = tr.tractor_curvature(geo, x).data
-    R = tr.raise_mat(pk)
+    R = middle_block(pk.gi)
     Om_up = np.einsum("CE,abED->abCD", R, Om)
     rhs = np.einsum("abCD,D->abC", Om_up, tr.pair_flip(phif(x), 0))
     assert np.abs(lhs - rhs).max() < 1e-4
@@ -199,7 +200,7 @@ def test_volume_form_normalisation():
     x = np.array([0.2, -0.1, 0.3])
     pk = curvature_pack(geo, x)
     eps = tr.tractor_volume_form(geo, x).data
-    R = tr.raise_mat(pk)
+    R = middle_block(pk.gi)
     up = eps
     for ax in range(5):
         up = np.moveaxis(np.tensordot(R, up, axes=([1], [ax])), 0, ax)
