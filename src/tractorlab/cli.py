@@ -18,8 +18,8 @@ from jsonschema import Draft7Validator
 
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
-from .tensors import (ANALYTIC, FD, ArrayField, DiffBackend, NumericalError,
-                      middle_block)
+from .tensors import (FD, ArrayField, DiffBackend, FieldHandle,
+                      NumericalError, middle_block)
 
 SCHEMA = {
     "type": "object",
@@ -443,17 +443,7 @@ def _transformation_residuals(geo, omega, q, emb):
     ff = submanifold.conformal_transform_check(geo, emb, omega, q)
     # 3-trans on the scale tractor of a fixed density (components sigma = 1)
     I_g = tr.make_tractor(geo.n, sigma=1.0, rho=-pk.J / geo.n)
-    from .tensors import FieldHandle
-
-    class _Om(ArrayField):
-        def __init__(self):
-            super().__init__(lambda y: float(omega.value(y)),
-                             backend=DiffBackend(mode=ANALYTIC, max_order=3))
-
-        def jets(self, y, order):
-            return omega.jets(y, order)
-
-    I_h = tr.thomas_D(geoh, FieldHandle(_Om(), (), 1), 1, x).data / geo.n
+    I_h = tr.thomas_D(geoh, FieldHandle(omega, (), 1), 1, x).data / geo.n
     M = tr.rescale_triple_matrix(pk, ups, variance="down")
     w0 = float(omega.value(x))
     predI = tr.rescale_component_weights(

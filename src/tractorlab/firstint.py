@@ -6,7 +6,8 @@ form from the covariant jets of one ``_cov_jets`` call: the divergence of
 the middle part from nabla nabla k, and the chart Jacobian of (k, div k)
 from the same order-2 jets.  The normality check of ``bgg_split`` is their
 one finite difference; ``conserved_quantity`` differentiates along the
-submanifold with the Richardson stencil of ``SigmaField``."""
+submanifold through ``SubTractorContext.along``, the one derivative along
+Sigma (a Richardson stencil)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .riemann import curvature_pack
-from .submanifold import EmbeddingSpec, SigmaField
+from .submanifold import EmbeddingSpec
 from .subtractor import SubTractorContext
 from .tensors import (alt_array, central_diff, pairing_matrix, sym_array,
                       tangent_down, tractor_down, tractor_metric_matrix)
@@ -186,7 +187,6 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
     d = ctx.d
     if kspec.degree != d:
         raise ValueError(f"form degree {kspec.degree} != codimension {d}")
-    seeds = ctx.sub.seeds
 
     def value_at(pk):
         c2 = SubTractorContext(geo, emb, pk.q, sub=pk)
@@ -194,9 +194,8 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
         return _full_pair(K, c2.normal_form(),
                           tractor_metric_matrix(pk.pack.gi))
 
-    sf = SigmaField(geo, emb, lambda pk: np.array([value_at(pk)]))
-    v0, dv, _ = sf.jet1(q)
-    value = float(v0[0])
+    value = value_at(ctx.sub)
+    dv = ctx.along(value_at, ())
     resid = float(np.abs(dv).max())
 
     # explicit slot evaluation
@@ -234,7 +233,7 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
         pred = -0.5 * np.einsum("abi...,ab...->i", Wk_t, Nup)
     return {"value": value, "derivative_residual": resid,
             "explicit": explicit,
-            "derivative": np.moveaxis(dv, -1, 0)[:, 0],
+            "derivative": dv,
             "obstruction": pred}
 
 

@@ -59,7 +59,7 @@ class JetField(ArrayField):
 
 
 def jet_array_field(n_vars, fn, shape=None):
-    """ArrayField with analytic callbacks generated from a jet function.
+    """Analytic ArrayField whose jets come from a jet function.
 
     ``fn`` receives a list of Jet3 coordinates of the requested order and
     returns a (nested) array of jets / constants.  Constants must be plain
@@ -312,10 +312,6 @@ def s2xs1xr(d_lines=1):
 
 # complex-projective space --------------------------------------------------
 
-def _cplx(re, im):
-    return (re, im)
-
-
 def _cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -407,32 +403,12 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
             psi = psi + c1[a] * v[a]
             for b in range(n):
                 psi = psi + c2[a, b] * v[a] * v[b]
-        return [psi.exp()]
-
-    f = jet_array_field(n, fn)
-
-    class _Scalar(ArrayField):
-        def __init__(self):
-            super().__init__(lambda x: f.value(x)[0], backend=_analytic_backend())
-
-        def jets(self, x, order):
-            js = f.jets(x, order)
-            return [j[0] for j in js]
-    return _Scalar()
+        return psi.exp()
+    return jet_array_field(n, fn)
 
 
 def constant_scalar(n, value=1.0):
-    class _One(ArrayField):
-        def __init__(self):
-            super().__init__(lambda x: np.asarray(value, dtype=float),
-                             backend=_analytic_backend())
-
-        def jets(self, x, order):
-            m = len(np.asarray(x))
-            shapes = [(), (m,), (m, m), (m, m, m)]
-            return [np.full(shapes[k], value if k == 0 else 0.0)
-                    for k in range(order + 1)]
-    return _One()
+    return jet_array_field(n, lambda v: value)
 
 
 # --------------------------------------------------------------------------
@@ -618,21 +594,12 @@ def almost_einstein_hyperbolic(n):
         s = v[0] * v[0]
         for a in range(1, n):
             s = s + v[a] * v[a]
-        return [(1.0 - s) * 0.5]
+        return (1.0 - s) * 0.5
 
-    spec = KYFormSpec(n=n, degree=1, field=None, name="hyperbolic_scale")
-    f = jet_array_field(n, fn)
-
-    class _Scalar(ArrayField):
-        def __init__(self):
-            super().__init__(lambda x: f.value(x)[0], backend=_analytic_backend())
-
-        def jets(self, x, order):
-            return [j[0] for j in f.jets(x, order)]
-
-    spec.field = _Scalar()
-    spec.batch_norm2 = lambda X: ((1.0 - np.sum(X ** 2, axis=-1)) / 2.0) ** 2
-    return spec
+    def batch_norm2(X):
+        return ((1.0 - np.sum(X ** 2, axis=-1)) / 2.0) ** 2
+    return _form_field(n, 1, fn, batch_norm2=batch_norm2,
+                       name="hyperbolic_scale")
 
 
 def _s2_killing_components(w, gen):

@@ -260,7 +260,6 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
             if w <= 0:
                 raise SingularMetricError("nonpositive conformal factor")
             gj = metric.jets(x, order)
-            n = x.size if hasattr(x, "size") else len(x)
             Fa = Fab = Fabc = np.zeros(0)
             F = w * w
             if order >= 1:

@@ -6,6 +6,11 @@ metric, projectors, second fundamental form, mean curvature, the oriented
 normal frame and normal form, and an intrinsic geometry built from the
 pulled-back metric field (so intrinsic curvature is computed independently
 rather than through the Gauss equation).
+
+Every covariant derivative along the submanifold goes through
+``covariant_along``: a Richardson difference of a pack-derived quantity
+(``SigmaField``) plus, on each index, the connection ``SigmaConn`` picks
+(the ambient one pulled back by the embedding, or the intrinsic one).
 """
 from __future__ import annotations
 
@@ -16,12 +21,14 @@ import numpy as np
 
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       rescale)
-from .tensors import (ArrayField, DiffBackend, NumericalError, alt_array,
-                      central_diff)
+from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
+                      alt_array, central_diff, tangent_down, tangent_up)
+from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
            "gauss_codazzi_ricci_residuals", "conformal_transform_check",
-           "pullback_metric_field", "SigmaField", "frame_curvature"]
+           "pullback_metric_field", "SigmaField", "SigmaConn",
+           "covariant_along", "frame_curvature"]
 
 
 class RankDeficientError(NumericalError, RuntimeError):
@@ -292,6 +299,39 @@ class SigmaField:
         return v0, d1, base
 
 
+class SigmaConn:
+    """The coupled connection along Sigma, index by index.
+
+    ``matrix(ix)`` is the connection on index ``ix`` as [i, new, old]: on an
+    index of the ambient dimension (n, or n + 2 for a tractor index) the
+    ambient connection of ``sub.pack`` pulled back by dphi, on one of the
+    intrinsic dimension (m, or m + 2) the connection data ``intrinsic()``
+    returns.  Since m < n, kind and dimension name the bundle.  The
+    intrinsic data is asked for only when an intrinsic index is.
+    """
+
+    def __init__(self, sub, intrinsic=None):
+        self.sub = sub
+        self.intrinsic = intrinsic
+
+    def matrix(self, ix):
+        sub = self.sub
+        if ix.dim == (sub.n + 2 if ix.kind == TRACTOR else sub.n):
+            M = tr.ConnData.from_pack(sub.pack).matrix(ix)
+            return np.einsum("ane,ai->ine", M, sub.dphi)
+        return self.intrinsic().matrix(ix)
+
+
+def covariant_along(geo, emb, q, builder, conn, indices):
+    """Covariant derivative along Sigma of ``builder(pack)``, whose axes
+    carry ``indices``: [i, ...] with the derivative index first.
+
+    The partial derivative is the Richardson difference of ``SigmaField``;
+    ``conn.matrix(ix)`` adds the connection on each index."""
+    v0, dv, _ = SigmaField(geo, emb, builder).jet1(q)
+    return np.moveaxis(tr.covariant_jet(conn, [v0, dv], indices)[0], -1, 0)
+
+
 def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q):
     """Max-norm residuals of the Gauss, Codazzi and Ricci equations.
 
@@ -307,11 +347,8 @@ def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q):
     # ambient curvature restricted to Sigma
     R_tttt = np.einsum("abcd,ai,bj,ck,dl->ijkl", pack.R4, sub.dphi, sub.dphi,
                        sub.dphi, sub.dphi)
-    if m >= 2:
-        ipack = curvature_pack(sub.intrinsic, q, order=2)
-        RS = ipack.R4
-    else:
-        RS = np.zeros((m, m, m, m))
+    ipack = curvature_pack(sub.intrinsic, q, order=2)
+    RS = ipack.R4 if m >= 2 else np.zeros((m, m, m, m))
     # R_ijkl = R^S_ijkl + g_cd (II_li^c II_jk^d - II_lj^c II_ik^d)
     gauss_rhs = RS + (np.einsum("cd,lic,jkd->ijkl", g, sub.II, sub.II)
                       - np.einsum("cd,ljc,ikd->ijkl", g, sub.II, sub.II))
@@ -320,7 +357,7 @@ def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q):
     # Codazzi: Pi Pi Pi R_ab^c_e N^d_c = 2 D_[i II_j]k^d
     lhs_cod = np.einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
                         sub.dphi, sub.dphi, sub.Nab)
-    DII = _coupled_derivative_II(geo, emb, q, sub)  # [i, j, k, d]
+    DII = _coupled_derivative_II(geo, emb, q, sub, ipack)  # [i, j, k, d]
     rhs_cod = DII - DII.transpose(1, 0, 2, 3)
     res_codazzi = _maxabs(lhs_cod - rhs_cod)
 
@@ -339,20 +376,15 @@ def _maxabs(arr):
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _coupled_derivative_II(geo, emb, q, sub):
-    """D_i II_jk^d with intrinsic Levi-Civita coupled to the normal
-    connection on the ambient index."""
-    sf = SigmaField(geo, emb, lambda pk: pk.II)
-    II0, dII, _ = sf.jet1(q)
-    ipack = curvature_pack(sub.intrinsic, q, order=2)
-    GamS = ipack.Gamma
-    out = np.moveaxis(dII, -1, 0)  # [i, j, k, d] = partial_i II_jk^d
-    # pullback ambient connection acting on the normal-valued index
-    out = out + np.einsum("dfe,fi,jke->ijkd", sub.pack.Gamma, sub.dphi, II0)
-    out = out - np.einsum("lij,lkd->ijkd", GamS, II0) \
-              - np.einsum("lik,jld->ijkd", GamS, II0)
+def _coupled_derivative_II(geo, emb, q, sub, ipack):
+    """D_i II_jk^d with intrinsic Levi-Civita (from the intrinsic curvature
+    pack ``ipack``) coupled to the normal connection on the ambient index."""
+    m = sub.m
+    conn = SigmaConn(sub, lambda: tr.ConnData.from_pack(ipack))
+    DII = covariant_along(geo, emb, q, lambda pk: pk.II, conn,
+                          (tangent_down(m), tangent_down(m), tangent_up(sub.n)))
     # project the ambient index back to the normal bundle
-    return np.einsum("dc,ijkc->ijkd", sub.Nab, out)
+    return np.einsum("dc,ijkc->ijkd", sub.Nab, DII)
 
 
 def _omega_at(geo, emb, y, seeds):
@@ -361,9 +393,8 @@ def _omega_at(geo, emb, y, seeds):
     pk = submanifold_pack(geo, emb, y, seeds=seeds)
     dV = central_diff(
         lambda z: submanifold_pack(geo, emb, z, seeds=seeds).normals, y, 1e-4)
-    nab = np.moveaxis(dV, -1, 0) + np.einsum("cae,ai,be->ibc",
-                                             pk.pack.Gamma, pk.dphi,
-                                             pk.normals)
+    Mi = SigmaConn(pk).matrix(tangent_up(pk.n))
+    nab = np.moveaxis(dV, -1, 0) + np.einsum("ice,be->ibc", Mi, pk.normals)
     return np.einsum("ac,ibc->iab", pk.conormals, nab)
 
 

@@ -5,6 +5,13 @@ independent evaluations), the Fialkow tensor with its low-dimensional
 conventions, the mixed Schouten-Weyl invariant, difference tractor, tractor
 normal form, mean-curvature tractor predicates, and classification verdicts.
 
+Derivatives along Sigma go through ``SubTractorContext.along``, the one
+covariant derivative of ``submanifold.covariant_along`` with the ambient
+connection on ambient indices and ``intrinsic_conn`` (intrinsic
+Levi-Civita and tractor connection, Schouten tensor replaced by the
+induced one p) on intrinsic indices; callers add only the normal
+projection the formula needs.  The L-shaped slot fill is ``L_slots``.
+
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J
 (``tensors.pairing_matrix``, the sigma/rho swap); contracting two down
@@ -20,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riemann import GeometrySpec, curvature_pack
-from .submanifold import (EmbeddingSpec, SigmaField, SubmanifoldPack,
-                          frame_curvature, submanifold_pack, _wedge_rows)
+from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
+                          covariant_along, frame_curvature, submanifold_pack,
+                          _wedge_rows)
 from .tensors import (TensorValue, central_diff, middle_block,
-                      pairing_matrix, tangent_down, tractor_down,
+                      pairing_matrix, tangent_down, tangent_up, tractor_down,
                       tractor_metric_matrix, tractor_up)
 from . import tractor as tr
 
@@ -72,15 +80,10 @@ def pull_up_matrix(sub: SubmanifoldPack):
 
 
 def pull_down_matrix(sub: SubmanifoldPack):
-    """Contraction matrix for a down ambient tractor index against Pi^B_J."""
-    m, n = sub.m, sub.n
-    Q = np.zeros((m + 2, n + 2))
-    Q[0, 0] = 1.0
-    Q[1:m + 1, 1:n + 1] = sub.dphi.T
-    Q[m + 1, 1:n + 1] = -sub.H
-    Q[m + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
-    Q[m + 1, n + 1] = 1.0
-    return Q
+    """Contraction matrix for a down ambient tractor index against Pi^B_J:
+    the transpose of Pi^B_J between the two pairings."""
+    return (pairing_matrix(sub.m) @ push_up_matrix(sub).T
+            @ pairing_matrix(sub.n))
 
 
 class SubTractorContext:
@@ -149,13 +152,8 @@ class SubTractorContext:
     # -- first-order ingredients ---------------------------------------------
     def grad_H(self):
         """nabla_i H^a along Sigma (pullback ambient connection): [i, a]."""
-        def build():
-            sf = SigmaField(self.geo, self.emb, lambda pk: pk.H)
-            H0, dH, _ = sf.jet1(self.q)
-            return (np.moveaxis(dH, -1, 0)
-                    + np.einsum("abc,bi,c->ia", self.pack.Gamma,
-                                self.sub.dphi, H0))
-        return self._get("grad_H", build)
+        return self._get("grad_H", lambda: self.along(
+            lambda pk: pk.H, (tangent_up(self.n),)))
 
     def P_mixed(self):
         """P_i^a = Pi^b_i P_b^a."""
@@ -174,19 +172,17 @@ class SubTractorContext:
     def DjIIo(self):
         """D^j IIo_ij^c, intrinsic Levi-Civita coupled to the normal
         connection."""
-        def build():
-            sub = self.sub
-            sf = SigmaField(self.geo, self.emb, lambda pk: pk.IIo)
-            IIo0, dIIo, _ = sf.jet1(self.q)
-            ip = self.intrinsic_pack()
-            out = np.moveaxis(dIIo, -1, 0)  # [k, i, j, c]
-            out = out + np.einsum("cfe,fk,ije->kijc", self.pack.Gamma,
-                                  sub.dphi, IIo0)
-            out = out - np.einsum("lki,ljc->kijc", ip.Gamma, IIo0) \
-                      - np.einsum("lkj,ilc->kijc", ip.Gamma, IIo0)
-            out = np.einsum("cb,kijb->kijc", sub.Nab, out)
-            return np.einsum("jk,kijc->ic", sub.gi_s, out)
-        return self._get("DjIIo", build)
+        return self._get("DjIIo",
+                         lambda: self._normal_divergence(lambda pk: pk.IIo))
+
+    def _normal_divergence(self, builder):
+        """g^{jk} N^c_b D_k A_ij^b for a normal-valued A_ij^c =
+        builder(pack): [i, c]."""
+        m = self.m
+        D = self.along(builder, (tangent_down(m), tangent_down(m),
+                                 tangent_up(self.n)))     # [k, i, j, b]
+        D = np.einsum("cb,kijb->kijc", self.sub.Nab, D)
+        return np.einsum("jk,kijc->ic", self.sub.gi_s, D)
 
     def mu(self):
         """Mixed Schouten-Weyl invariant mu_i^c."""
@@ -216,6 +212,27 @@ class SubTractorContext:
         key = ("ipack", order)
         return self._get(key, lambda: curvature_pack(self.sub.intrinsic,
                                                      self.q, order=order))
+
+    def intrinsic_conn(self):
+        """Intrinsic connection data: Levi-Civita of the induced metric and
+        the tractor connection with the induced Schouten tensor p."""
+        def build():
+            ip = self.intrinsic_pack()
+            _, p, _ = self.fialkow()
+            return tr.ConnData(self.m, self.sub.g_s, self.sub.gi_s, ip.Gamma,
+                               P=p, dg=ip.dg, dGamma=ip.dGamma, dP=None)
+        return self._get("iconn", build)
+
+    def along(self, builder, indices):
+        """Covariant derivative along Sigma of ``builder(pack)`` (axes
+        carrying ``indices``), coupling the ambient connection on ambient
+        indices with ``intrinsic_conn`` on intrinsic ones: [i, ...]."""
+        # built per call: a SigmaConn holds this context (through the bound
+        # method), and the cache must not, or the embedding's pack memo
+        # would wait for the cyclic garbage collector
+        conn = SigmaConn(self.sub, self.intrinsic_conn)
+        return covariant_along(self.geo, self.emb, self.q, builder, conn,
+                               indices)
 
     # -- Fialkow -------------------------------------------------------------
     def fialkow(self):
@@ -272,12 +289,7 @@ class SubTractorContext:
 
         def builder(pk):
             return SubTractorContext(geo, emb, pk.q, sub=pk).fialkow()[1]
-        sf = SigmaField(geo, emb, builder)
-        p0, dp, _ = sf.jet1(self.q)
-        ip = self.intrinsic_pack()
-        covdp = np.moveaxis(dp, -1, 0)
-        covdp = covdp - np.einsum("eij,ek->ijk", ip.Gamma, p0) \
-                      - np.einsum("eik,je->ijk", ip.Gamma, p0)
+        covdp = self.along(builder, (tangent_down(self.m),) * 2)
         return covdp - covdp.transpose(1, 0, 2)
 
     # -- difference tractor ----------------------------------------------
@@ -295,36 +307,26 @@ class SubTractorContext:
     # -- tractor second fundamental form -----------------------------------
     def L_explicit(self):
         """L_iJ^C slots: [i, J intrinsic down, C ambient up]."""
-        def build():
-            sub = self.sub
-            m, n = self.m, self.n
-            L = np.zeros((m, m + 2, n + 2))
-            xz = self.L_xz()
-            H_low = self.pack.g @ sub.H
-            L[:, 1:m + 1, 1:n + 1] += sub.IIo
-            L[:, m + 1, 1:n + 1] += xz
-            L[:, 1:m + 1, n + 1] += np.einsum("c,ijc->ij", H_low, sub.IIo)
-            L[:, m + 1, n + 1] += np.einsum(
-                "c,ic->i", H_low, self.P_mixed() - self.grad_H())
-            return L
-        return self._get("L_explicit", build)
+        return self._get("L_explicit",
+                         lambda: self.L_slots(self.sub.IIo, self.L_xz()))
+
+    def L_slots(self, A, xz):
+        """The L-shaped tractor with tangent-normal part A_ij^c and X-Z part
+        xz_i^c (both normal-valued): [i, J intrinsic down, C ambient up]."""
+        m, n = self.m, self.n
+        H_low = self.pack.g @ self.sub.H
+        L = np.zeros((m, m + 2, n + 2))
+        L[:, 1:m + 1, 1:n + 1] = A
+        L[:, m + 1, 1:n + 1] = xz
+        L[:, 1:m + 1, n + 1] = np.einsum("c,ijc->ij", H_low, A)
+        L[:, m + 1, n + 1] = np.einsum("c,ic->i", H_low, xz)
+        return L
 
     def nabla_normal_projector(self):
         """nabla_i N^A_B along Sigma: [i, A up, B down]."""
-        def build():
-            sf = SigmaField(self.geo, self.emb,
-                            lambda pk: normal_projector_array(pk))
-            N0, dN, _ = sf.jet1(self.q)
-            conn = tr.ConnData.from_pack(self.pack)
-            Mu = np.einsum("ane,ai->ine",
-                           conn.matrix(tractor_up(self.n)), self.sub.dphi)
-            Md = np.einsum("ane,ai->ine",
-                           conn.matrix(tractor_down(self.n)), self.sub.dphi)
-            out = np.moveaxis(dN, -1, 0)
-            out = out + np.einsum("iAE,EB->iAB", Mu, N0)
-            out = out + np.einsum("iBE,AE->iAB", Md, N0)
-            return out
-        return self._get("nabla_NAB", build)
+        return self._get("nabla_NAB", lambda: self.along(
+            normal_projector_array,
+            (tractor_up(self.n), tractor_down(self.n))))
 
     def Lbar(self):
         """L with an ambient down tractor index: [i, B down, C up]."""
@@ -342,36 +344,20 @@ class SubTractorContext:
 
     def nabla_normal_form(self):
         """nabla_i N_{A1..Ad} along Sigma (pullback tractor connection)."""
-        def build():
-            geo, emb = self.geo, self.emb
+        geo, emb = self.geo, self.emb
 
-            def builder(pk):
-                return SubTractorContext(geo, emb, pk.q, sub=pk).normal_form()
-            return self._nabla_of_form(builder, self.d)
-        return self._get("nabla_Nform", build)
+        def builder(pk):
+            return SubTractorContext(geo, emb, pk.q, sub=pk).normal_form()
+        return self._get("nabla_Nform", lambda: self.along(
+            builder, (tractor_down(self.n),) * self.d))
 
     def nabla_star_normal_form(self):
-        def build():
-            geo, emb = self.geo, self.emb
+        geo, emb = self.geo, self.emb
 
-            def builder(pk):
-                return SubTractorContext(geo, emb, pk.q,
-                                         sub=pk).star_normal_form()
-            return self._nabla_of_form(builder, self.m + 2)
-        return self._get("nabla_starN", build)
-
-    def _nabla_of_form(self, builder, degree):
-        sf = SigmaField(self.geo, self.emb, builder)
-        N0, dN, _ = sf.jet1(self.q)
-        conn = tr.ConnData.from_pack(self.pack)
-        Mi = np.einsum("ane,ai->ine", conn.matrix(tractor_down(self.n)),
-                       self.sub.dphi)
-        out = np.moveaxis(dN, -1, 0)
-        for ax in range(degree):
-            moved = np.moveaxis(N0, ax, -1)
-            corr = np.einsum("ine,...e->i...n", Mi, moved)
-            out = out + np.moveaxis(corr, -1, ax + 1)
-        return out
+        def builder(pk):
+            return SubTractorContext(geo, emb, pk.q, sub=pk).star_normal_form()
+        return self._get("nabla_starN", lambda: self.along(
+            builder, (tractor_down(self.n),) * (self.m + 2)))
 
     # -- norms and scales ------------------------------------------------
     def scale(self):
@@ -451,18 +437,10 @@ def checked_connection_residual(geo, emb, q, seed=0):
     def pushed(pk):
         return push_up_matrix(pk) @ V_at(pk.q)
 
-    sf = SigmaField(geo, emb, pushed)
-    W0, dW, _ = sf.jet1(ctx.q)
-    aconn = tr.ConnData.from_pack(ctx.pack)
-    Ma = np.einsum("ane,ai->ine", aconn.matrix(tractor_up(ctx.n)),
-                   ctx.sub.dphi)
-    nabW = np.moveaxis(dW, -1, 0) + np.einsum("ine,e->in", Ma, W0)
+    nabW = ctx.along(pushed, (tractor_up(ctx.n),))
     lhs = np.einsum("JB,iB->iJ", ctx.pull_up(), nabW)
-
-    iconn = _intrinsic_conn(ctx)
-    dV = np.stack([c1[:, i] for i in range(m)], axis=-1)
-    Mi = iconn.matrix(tractor_up(m))
-    DV = np.moveaxis(dV, -1, 0) + np.einsum("ine,e->in", Mi, V_at(ctx.q))
+    DV = tr.covariant_jet(ctx.intrinsic_conn(), [c0, c1],
+                          (tractor_up(m),))[0].T
 
     S = ctx.difference_tractor()
     Sact = np.einsum("JK,iKL->iJL", middle_block(ctx.sub.gi_s),
@@ -476,16 +454,7 @@ def reconstruct_L(ctx: SubTractorContext):
     """L from (IIo, mu); the m = 1 branch falls back to the slot formula."""
     if ctx.m == 1:
         return ctx.L_explicit()
-    sub = ctx.sub
-    m, n = ctx.m, ctx.n
-    xz = ctx.mu() - ctx.DjIIo() / (m - 1)
-    H_low = ctx.pack.g @ sub.H
-    L = np.zeros((m, m + 2, n + 2))
-    L[:, 1:m + 1, 1:n + 1] += sub.IIo
-    L[:, m + 1, 1:n + 1] += xz
-    L[:, 1:m + 1, n + 1] += np.einsum("c,ijc->ij", H_low, sub.IIo)
-    L[:, m + 1, n + 1] += np.einsum("c,ic->i", H_low, xz)
-    return L
+    return ctx.L_slots(ctx.sub.IIo, ctx.mu() - ctx.DjIIo() / (ctx.m - 1))
 
 
 def M_operator(ctx: SubTractorContext, omega_builder):
@@ -493,24 +462,9 @@ def M_operator(ctx: SubTractorContext, omega_builder):
     L-shaped tractor."""
     if ctx.m < 2:
         raise ValueError("the 1/(m-1) factor is undefined for curves")
-    sub = ctx.sub
-    m, n = ctx.m, ctx.n
-    sf = SigmaField(ctx.geo, ctx.emb, omega_builder)
-    om0, dom, _ = sf.jet1(ctx.q)
-    ip = ctx.intrinsic_pack()
-    dcov = np.moveaxis(dom, -1, 0)
-    dcov = dcov + np.einsum("cfe,fk,ije->kijc", ctx.pack.Gamma, sub.dphi, om0)
-    dcov = dcov - np.einsum("lki,ljc->kijc", ip.Gamma, om0) \
-                - np.einsum("lkj,ilc->kijc", ip.Gamma, om0)
-    dcov = np.einsum("cb,kijb->kijc", sub.Nab, dcov)
-    Dj = np.einsum("jk,kijc->ic", sub.gi_s, dcov)
-    H_low = ctx.pack.g @ sub.H
-    L = np.zeros((m, m + 2, n + 2))
-    L[:, 1:m + 1, 1:n + 1] += om0
-    L[:, m + 1, 1:n + 1] += -Dj / (m - 1)
-    L[:, 1:m + 1, n + 1] += np.einsum("c,ijc->ij", H_low, om0)
-    L[:, m + 1, n + 1] += -np.einsum("c,ic->i", H_low, Dj) / (m - 1)
-    return L
+    om0 = np.asarray(omega_builder(ctx.sub), dtype=float)
+    Dj = ctx._normal_divergence(omega_builder)
+    return ctx.L_slots(om0, -Dj / (ctx.m - 1))
 
 
 def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
@@ -542,11 +496,7 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
                          @ I_at(pk)))
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
 
-    sf = SigmaField(geo, emb, HA_at)
-    H0, dH, _ = sf.jet1(ctx.q)
-    conn = tr.ConnData.from_pack(ctx.pack)
-    Mu = np.einsum("ane,ai->ine", conn.matrix(tractor_up(n)), ctx.sub.dphi)
-    nabH = np.moveaxis(dH, -1, 0) + np.einsum("ine,e->in", Mu, H0)
+    nabH = ctx.along(HA_at, (tractor_up(n),))
     Nact = ctx.normal_projector() @ pairing_matrix(n)
     NnabH = np.einsum("AB,iB->iA", Nact, nabH)
     parallel = bool(np.abs(NnabH).max() < tol * scale)
@@ -634,13 +584,6 @@ def classify(geo, emb, sample_points, tol=None) -> ClassificationReport:
 # tractor Gauss-Codazzi-Ricci residuals (m >= 3)
 # --------------------------------------------------------------------------
 
-def _intrinsic_conn(ctx: SubTractorContext):
-    ip = ctx.intrinsic_pack()
-    _, p, _ = ctx.fialkow()
-    return tr.ConnData(ctx.m, ctx.sub.g_s, ctx.sub.gi_s, ip.Gamma, P=p,
-                       dg=ip.dg, dGamma=ip.dGamma, dP=None)
-
-
 def intrinsic_tractor_curvature(ctx: SubTractorContext):
     """Curvature of the intrinsic tractor connection: [i, j, K, L] down."""
     m = ctx.m
@@ -660,16 +603,9 @@ def _intrinsic_D_of_S(ctx: SubTractorContext):
 
     def builder(pk):
         return SubTractorContext(geo, emb, pk.q, sub=pk).difference_tractor()
-    sf = SigmaField(geo, emb, builder)
-    S0, dS, _ = sf.jet1(ctx.q)
-    conn = _intrinsic_conn(ctx)
-    Mt = conn.matrix(tangent_down(ctx.m))
-    Md = conn.matrix(tractor_down(ctx.m))
-    out = np.moveaxis(dS, -1, 0)
-    out = out + np.einsum("ije,eKL->ijKL", Mt, S0)
-    out = out + np.einsum("iKE,jEL->ijKL", Md, S0)
-    out = out + np.einsum("iLE,jKE->ijKL", Md, S0)
-    return out
+    m = ctx.m
+    return ctx.along(builder, (tangent_down(m), tractor_down(m),
+                               tractor_down(m)))
 
 
 def _coupled_D_of_L(ctx: SubTractorContext):
@@ -679,20 +615,14 @@ def _coupled_D_of_L(ctx: SubTractorContext):
 
     def builder(pk):
         return SubTractorContext(geo, emb, pk.q, sub=pk).L_explicit()
-    sf = SigmaField(geo, emb, builder)
-    L0, dL, _ = sf.jet1(ctx.q)
-    conn = _intrinsic_conn(ctx)
-    aconn = tr.ConnData.from_pack(ctx.pack)
-    Ma = np.einsum("ane,ai->ine", aconn.matrix(tractor_up(ctx.n)),
-                   ctx.sub.dphi)
+    m = ctx.m
+    DL = ctx.along(builder, (tangent_down(m), tractor_down(m),
+                             tractor_up(ctx.n)))
     # normal tractor connection on the ambient index: project the whole
-    # (partial + ambient-correction) derivative, since the bundle rotates
-    raw = np.moveaxis(dL, -1, 0) + np.einsum("iCE,jLE->ijLC", Ma, L0)
+    # derivative, since the bundle rotates (the intrinsic terms are
+    # normal-valued already, as L is)
     Nact = ctx.normal_projector() @ pairing_matrix(ctx.n)
-    out = np.einsum("CA,ijLA->ijLC", Nact, raw)
-    out = out + np.einsum("ije,eLC->ijLC", conn.matrix(tangent_down(ctx.m)), L0)
-    out = out + np.einsum("iLE,jEC->ijLC", conn.matrix(tractor_down(ctx.m)), L0)
-    return out
+    return np.einsum("CA,ijLA->ijLC", Nact, DL)
 
 
 def _normal_tractor_curvature(ctx: SubTractorContext):
@@ -713,8 +643,7 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
     def omega_at(y):
         frame, frame_up, pk = frame_at(y)
         dF = central_diff(lambda z: frame_at(z)[1], y, 1e-4)
-        conn = tr.ConnData.from_pack(pk.pack)
-        Ma = np.einsum("ane,ai->ine", conn.matrix(tractor_up(n)), pk.dphi)
+        Ma = SigmaConn(pk).matrix(tractor_up(n))
         nab = np.moveaxis(dF, -1, 0) + np.einsum("ine,be->ibn", Ma, frame_up)
         return np.einsum("aA,ibA->iab", frame @ Jamb, nab)
 
@@ -757,7 +686,7 @@ def tractor_gcr_residuals(geo, emb, q):
     # --- Codazzi ---
     Nact = ctx.normal_projector() @ Jamb
     Om_act = np.einsum("CE,ijEF,FD->ijCD", Ramb, Om_tt, Jamb)
-    lhs_act = np.einsum("CA,ijAD,DK->ijKC", Nact, Om_act, push_up_matrix(sub))
+    lhs_act = np.einsum("CA,ijAD,DK->ijKC", Nact, Om_act, ctx.push_up())
     lhs_cod = np.einsum("ijKC,KL->ijLC", lhs_act, Jint)
     DL = _coupled_D_of_L(ctx)
     LS = np.einsum("iKC,jKL->ijLC", L, np.einsum("KM,jML->jKL", HupS, S))

@@ -318,17 +318,14 @@ def central_diff(f, x, h, richardson=False):
 class ArrayField:
     """Array-valued function of a chart point with derivative access.
 
-    ``fn(x) -> ndarray``; optional analytic callbacks d1/d2/d3 append one,
-    two, three trailing coordinate axes.  In FD mode derivatives are nested
-    central differences.
+    ``fn(x) -> ndarray``; ``jets`` appends one, two, three trailing
+    coordinate axes for the derivatives, here by nested central
+    differences.  A field with exact derivatives overrides ``jets`` and
+    declares an analytic backend.
     """
 
-    def __init__(self, fn, d1=None, d2=None, d3=None, backend=None,
-                 shape=None):
+    def __init__(self, fn, backend=None, shape=None):
         self.fn = fn
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
         self.backend = backend or DiffBackend()
         self.shape = shape
 
@@ -344,15 +341,6 @@ class ArrayField:
             raise JetOrderError(
                 f"order {order} exceeds backend max_order "
                 f"{self.backend.max_order}")
-        if self.backend.mode == ANALYTIC:
-            cbs = [None, self.d1, self.d2, self.d3]
-            out = [self.value(x)]
-            for k in range(1, order + 1):
-                if cbs[k] is None:
-                    raise JetOrderError(
-                        f"analytic backend lacks order-{k} callback")
-                out.append(np.asarray(cbs[k](x), dtype=float))
-            return out
         return self._fd_jets(x, order)
 
     def _fd_jets(self, x, order):

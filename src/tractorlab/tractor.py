@@ -394,27 +394,36 @@ def tractor_volume_form(geo: GeometrySpec, x, pack=None):
     return TractorFormObject(TensorValue(data, ixs, 0), geo)
 
 
+class _VolumeFormField(ArrayField):
+    """The tractor volume form as a field, with the analytic first
+    derivative d_a sqrt(det g) = 1/2 sqrt(det g) g^{bc} d_a g_bc."""
+
+    def __init__(self, geo: GeometrySpec):
+        self.geo = geo
+        self.sym = levi_civita_symbol(geo.n + 2)
+        super().__init__(lambda x: self.jets(x, 0)[0],
+                         backend=tensors.DiffBackend(mode=tensors.ANALYTIC,
+                                                     max_order=1))
+
+    def jets(self, x, order):
+        if order > self.backend.max_order:
+            raise tensors.JetOrderError(
+                "the volume-form field has first derivatives only")
+        n = self.geo.n
+        pack = curvature_pack(self.geo, x, order=2)
+        lam = (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
+        out = [lam * self.sym]
+        if order == 1:
+            dsqrt = 0.5 * np.einsum("bc,bca->a", pack.gi, pack.dg)
+            out.append(np.multiply.outer(self.sym, lam * dsqrt))
+        return out
+
+
 def tractor_volume_form_field(geo: GeometrySpec) -> FieldHandle:
-    """Volume-form field with an analytic first derivative
-    (d_a sqrt(det g) = 1/2 sqrt(det g) g^{bc} d_a g_bc)."""
+    """Volume-form field with an analytic first derivative."""
     n = geo.n
-    sym = levi_civita_symbol(n + 2)
-
-    def lam(x):
-        pack = curvature_pack(geo, x, order=2)
-        return (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
-
-    def value(x):
-        return lam(x) * sym
-
-    def d1(x):
-        pack = curvature_pack(geo, x, order=2)
-        dsqrt = 0.5 * np.einsum("bc,bca->a", pack.gi, pack.dg)
-        return np.multiply.outer(sym, lam(x) * dsqrt)
-
-    fld = ArrayField(value, d1=d1, backend=tensors.DiffBackend(
-        mode=tensors.ANALYTIC, max_order=1))
-    return FieldHandle(fld, tuple(tractor_down(n) for _ in range(n + 2)), 0)
+    return FieldHandle(_VolumeFormField(geo),
+                       tuple(tractor_down(n) for _ in range(n + 2)), 0)
 
 
 def hodge_star(F: TractorFormObject, x, pack=None):

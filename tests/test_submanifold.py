@@ -256,18 +256,25 @@ def test_memoised_pack_arrays_are_read_only():
 
 def test_memo_is_freed_with_the_embedding():
     """No reference cycle runs from a memoised pack back to its embedding,
-    so reference counting alone frees the memo."""
+    so reference counting alone frees the memo: after a classification,
+    after the dual route to L, and after the Weyl cross-check of mu."""
     geo = geolib.s2s2()
-    emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
-    ref = weakref.ref(emb)
-    gc.disable()
-    try:
-        subtractor.classify(geo, emb, [np.array([0.1, 0.2])])
-        assert emb.packs
-        del emb
-        assert ref() is None
-    finally:
-        gc.enable()
+    q = np.array([0.1, 0.2])
+    runs = [lambda emb: subtractor.classify(geo, emb, [q]),
+            lambda emb: subtractor.tractor_second_fundamental_form(
+                geo, emb, q),
+            lambda emb: subtractor.mu_invariant(geo, emb, q, cross_check=True)]
+    for run in runs:
+        emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
+        ref = weakref.ref(emb)
+        gc.disable()
+        try:
+            run(emb)
+            assert emb.packs
+            del emb
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_memo_shared_between_threads():
@@ -309,4 +316,4 @@ def test_report_evaluation_count(monkeypatch):
                        "-s", 'embedding={"name":"factor1"}',
                        "-s", 'samples={"points":[[0.2,-0.1]]}'])
     assert rc == 0
-    assert dict(calls) == {2: 51, 3: 51}
+    assert dict(calls) == {2: 50, 3: 50}

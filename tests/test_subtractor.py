@@ -14,7 +14,8 @@ from tractorlab.subtractor import (SubTractorContext,
                                    tractor_second_fundamental_form,
                                    mu_invariant, fialkow)
 from tractorlab.tensors import (alt_array, middle_block, pairing_matrix,
-                                tractor_metric_matrix)
+                                tangent_down, tractor_down,
+                                tractor_metric_matrix, tractor_up)
 
 
 @pytest.fixture(scope="module")
@@ -386,8 +387,7 @@ def _restricted_scale_tractor_D_residual(ctx):
     does (the ambient scale tractor is parallel for Einstein geometries,
     so the checked derivative reduces to S(I))."""
     from tractorlab.submanifold import SigmaField
-    from tractorlab.subtractor import pull_up_matrix, _intrinsic_conn
-    from tractorlab.tensors import tractor_up
+    from tractorlab.subtractor import pull_up_matrix
     geo, emb = ctx.geo, ctx.emb
 
     def I_int(pk):
@@ -396,7 +396,7 @@ def _restricted_scale_tractor_D_residual(ctx):
 
     sf = SigmaField(geo, emb, I_int)
     I0, dI, _ = sf.jet1(ctx.q)
-    conn = _intrinsic_conn(ctx)
+    conn = ctx.intrinsic_conn()
     Mu = conn.matrix(tractor_up(ctx.m))
     DI = np.moveaxis(dI, -1, 0) + np.einsum("ine,e->in", Mu, I0)
     return float(np.abs(DI).max()), I0
@@ -469,3 +469,112 @@ def test_conformal_invariance_of_verdicts_and_weighted_norms():
                                c.mu(), c.mu()))
     assert mu_norm2(ctx2) == pytest.approx(w ** (-4) * mu_norm2(ctx),
                                            rel=1e-6)
+
+
+# --------------------------------------------------------------------------
+# covariant derivatives along Sigma against hand-written connection terms
+# --------------------------------------------------------------------------
+
+def _catalog_case(gname, gparams, ename, eparams, q):
+    entry = geolib.catalog()[gname]
+    return (entry.make_geometry(**gparams),
+            entry.embeddings[ename](**eparams), q)
+
+
+# The four catalog cases have II = 0 or a flat ambient chart, so the
+# ambient connection term of a normal-valued tensor vanishes on them; the
+# random graph in a random metric has both.
+ALONG_CASES = {
+    "s2s2/diagonal": lambda: _catalog_case("s2s2", {}, "diagonal", {},
+                                           [0.2, -0.1]),
+    "cp2/rp2": lambda: _catalog_case("cp2", {}, "rp2", {}, [0.15, 0.1]),
+    "euclidean/graph": lambda: _catalog_case(
+        "euclidean", {"n": 5}, "graph", {"n": 5, "m": 3, "seed": 7},
+        [0.1, -0.05, 0.08]),
+    "s2xs1xr/s2xs1": lambda: _catalog_case("s2xs1xr", {}, "s2xs1",
+                                           {"t": 0.3}, [0.2, -0.1, 0.1]),
+    "random/graph": lambda: (geolib.random_metric(4, seed=3),
+                             geolib.random_graph_embedding(4, 2, seed=5),
+                             [0.05, -0.08]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ALONG_CASES))
+def along_ctx(request):
+    geo, emb, q = ALONG_CASES[request.param]()
+    return SubTractorContext(geo, emb, np.array(q))
+
+
+def _pulled_back(ctx, ix):
+    """Ambient connection on index ``ix``, pulled back by dphi, written
+    out by hand."""
+    M = tr.ConnData.from_pack(ctx.pack).matrix(ix)
+    return np.einsum("ane,ai->ine", M, ctx.sub.dphi)
+
+
+def _jet1(ctx, builder):
+    from tractorlab.submanifold import SigmaField
+    v0, dv, _ = SigmaField(ctx.geo, ctx.emb, builder).jet1(ctx.q)
+    return v0, np.moveaxis(dv, -1, 0)
+
+
+def test_along_nabla_normal_projector(along_ctx):
+    """nabla_i N^A_B: ambient tractor connection on both indices."""
+    ctx = along_ctx
+    N0, dN = _jet1(ctx, normal_projector_array)
+    Mu = _pulled_back(ctx, tractor_up(ctx.n))
+    Md = _pulled_back(ctx, tractor_down(ctx.n))
+    oracle = (dN + np.einsum("iAE,EB->iAB", Mu, N0)
+              + np.einsum("iBE,AE->iAB", Md, N0))
+    assert np.abs(ctx.nabla_normal_projector() - oracle).max() <= 1e-12
+
+
+def test_along_divergence_of_IIo(along_ctx):
+    """D^j IIo_ij^c: intrinsic Levi-Civita on i, j, pulled-back ambient
+    Levi-Civita on c, then the normal projection and the trace."""
+    ctx = along_ctx
+    sub = ctx.sub
+    IIo0, dIIo = _jet1(ctx, lambda pk: pk.IIo)
+    G = ctx.intrinsic_pack().Gamma
+    D = (dIIo + np.einsum("cfe,fk,ije->kijc", ctx.pack.Gamma, sub.dphi, IIo0)
+         - np.einsum("lki,ljc->kijc", G, IIo0)
+         - np.einsum("lkj,ilc->kijc", G, IIo0))
+    D = np.einsum("cb,kijb->kijc", sub.Nab, D)
+    oracle = np.einsum("jk,kijc->ic", sub.gi_s, D)
+    assert np.abs(ctx.DjIIo() - oracle).max() <= 1e-12
+
+
+def test_along_coupled_derivative_II(along_ctx):
+    """D_i II_jk^d as the Codazzi residual uses it."""
+    from tractorlab.submanifold import _coupled_derivative_II
+    ctx = along_ctx
+    sub = ctx.sub
+    II0, dII = _jet1(ctx, lambda pk: pk.II)
+    G = ctx.intrinsic_pack().Gamma
+    D = (dII + np.einsum("dfe,fi,jke->ijkd", ctx.pack.Gamma, sub.dphi, II0)
+         - np.einsum("lij,lkd->ijkd", G, II0)
+         - np.einsum("lik,jld->ijkd", G, II0))
+    oracle = np.einsum("dc,ijkc->ijkd", sub.Nab, D)
+    got = _coupled_derivative_II(ctx.geo, ctx.emb, ctx.q, sub,
+                                 ctx.intrinsic_pack())
+    assert np.abs(got - oracle).max() <= 1e-12
+
+
+def test_along_coupled_derivative_L(along_ctx):
+    """D_i L_jL^C: normal tractor connection on C (the projected ambient
+    one), intrinsic Levi-Civita on j and intrinsic tractor connection on
+    L."""
+    from tractorlab.subtractor import _coupled_D_of_L
+    ctx = along_ctx
+    m, n = ctx.m, ctx.n
+    geo, emb = ctx.geo, ctx.emb
+    L0, dL = _jet1(ctx, lambda pk: SubTractorContext(
+        geo, emb, pk.q, sub=pk).L_explicit())
+    raw = dL + np.einsum("iCE,jLE->ijLC", _pulled_back(ctx, tractor_up(n)),
+                         L0)
+    Nact = ctx.normal_projector() @ pairing_matrix(n)
+    conn = ctx.intrinsic_conn()
+    oracle = (np.einsum("CA,ijLA->ijLC", Nact, raw)
+              + np.einsum("ije,eLC->ijLC", conn.matrix(tangent_down(m)), L0)
+              + np.einsum("iLE,jEC->ijLC", conn.matrix(tractor_down(m)), L0))
+    assert np.abs(_coupled_D_of_L(ctx) - oracle).max() <= 1e-12
