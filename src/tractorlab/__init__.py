@@ -12,10 +12,7 @@ from .submanifold import (EmbeddingSpec, SubmanifoldPack,
                           conformal_transform_check,
                           gauss_codazzi_ricci_residuals, submanifold_pack)
 from .subtractor import (ClassificationReport, SubTractorContext, classify,
-                         difference_tractor, fialkow, mean_curvature_tractor,
-                         mu_invariant, normal_tractor_projector,
-                         tractor_normal_form,
-                         tractor_second_fundamental_form)
+                         mean_curvature_tractor)
 from .circles import (CircleTrajectory, CurveState, conformal_circle_rhs,
                       curve_tractors, integrate_circle)
 from .firstint import (SplitTractor, bgg_split, conserved_quantity,

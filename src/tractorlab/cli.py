@@ -42,8 +42,10 @@ SCHEMA = {
         "backend": {
             "type": "object", "additionalProperties": False,
             "properties": {"mode": {"enum": ["analytic", "fd"]},
-                           "step": {"type": "number"},
-                           "step3": {"type": "number"}}},
+                           "step": {"type": "number",
+                                    "exclusiveMinimum": 0},
+                           "step3": {"type": "number",
+                                     "exclusiveMinimum": 0}}},
         "samples": {
             "type": "object", "additionalProperties": False,
             "properties": {
@@ -148,7 +150,6 @@ def as_fd_geometry(geo, step=1e-3, step3=1e-2):
                            backend=DiffBackend(mode=FD, step=step,
                                                step3=step3))
     return riemann.GeometrySpec(n=geo.n, metric=fd_metric,
-                                backend=fd_metric.backend,
                                 orientation=geo.orientation,
                                 mobius_schouten=geo.mobius_schouten)
 
@@ -168,7 +169,7 @@ def build_embedding(cfg, entry, geo):
     return emb
 
 
-def build_ky(cfg, entry):
+def build_ky(cfg, entry, geo):
     kspec = cfg.get("scan", {}).get("ky")
     if kspec is None:
         raise ConfigError("scan needs a ky form")
@@ -176,7 +177,11 @@ def build_ky(cfg, entry):
     if name not in entry.ky_forms:
         raise UnknownCatalogError(
             f"unknown ky form {name!r} for geometry {entry.name!r}")
-    return entry.ky_forms[name](**kspec.get("params", {}))
+    form = entry.ky_forms[name](**kspec.get("params", {}))
+    if form.n != geo.n:
+        raise ConfigError(f"ky form {name!r} has dimension {form.n}, "
+                          f"the geometry has {geo.n}")
+    return form
 
 
 def sample_points(cfg, m, seed):
@@ -245,43 +250,46 @@ def dump_csv(rows, header, path=None):
 # commands
 # --------------------------------------------------------------------------
 
+def _contexts(cfg, geo, emb, seed):
+    """One SubTractorContext per sample point."""
+    return [subtractor.SubTractorContext(geo, emb, q)
+            for q in sample_points(cfg, emb.m, seed)]
+
+
+def _gcr_row(ctx):
+    """Riemannian and (m >= 3) tractor Gauss-Codazzi-Ricci residuals."""
+    row = {"gcr": list(map(float, submanifold.gauss_codazzi_ricci_residuals(
+        ctx.geo, ctx.emb, ctx.q)))}
+    if ctx.m >= 3:
+        row["tractor_gcr"] = list(map(
+            float, subtractor.tractor_gcr_residuals(ctx)))
+    return row
+
+
+def _max_diff(a, b):
+    return float(np.abs(a - b).max())
+
+
 def cmd_report(cfg, args=None):
     geo, entry = build_geometry(cfg)
     emb = build_embedding(cfg, entry, geo)
     seed = int(cfg.get("seed", 0))
-    pts = sample_points(cfg, emb.m, seed)
+    ctxs = _contexts(cfg, geo, emb, seed)
     tol = cfg.get("tolerances", {}).get("classify")
-
-    report = subtractor.classify(geo, emb, pts, tol=tol)
-
-    def residuals_at(q):
-        out = {}
-        out["gcr"] = list(map(float,
-                              submanifold.gauss_codazzi_ricci_residuals(
-                                  geo, emb, q)))
-        if emb.m >= 3:
-            out["tractor_gcr"] = list(map(float,
-                                          subtractor.tractor_gcr_residuals(
-                                              geo, emb, q)))
-        L, dual = subtractor.tractor_second_fundamental_form(geo, emb, q)
-        out["L_dual_route_residual"] = dual
-        if emb.m >= 2:
-            _, w = subtractor.mu_invariant(geo, emb, q, cross_check=True)
-            out["mu_weyl_residual"] = w
-        if emb.m >= 3:
-            _, _, _, w = subtractor.fialkow(geo, emb, q, cross_check=True)
-            out["fialkow_weyl_residual"] = w
-        if emb.m == 2:
+    doc = subtractor.classify(ctxs, tol=tol).to_dict()
+    for row, ctx in zip(doc["per_sample"], ctxs):
+        row.update(_gcr_row(ctx))
+        row["L_dual_route_residual"] = _max_diff(ctx.L_explicit(),
+                                                 ctx.L_dual())
+        if ctx.m >= 2:
+            row["mu_weyl_residual"] = _max_diff(ctx.mu(), ctx.mu_weyl())
+        if ctx.m >= 3:
+            row["fialkow_weyl_residual"] = _max_diff(ctx.fialkow()[0],
+                                                     ctx.fialkow_weyl())
+        if ctx.m == 2:
             # Moebius-flatness diagnostic; not used in verdicts
-            ctx = subtractor.SubTractorContext(geo, emb, q)
-            c = ctx.mobius_cotton()
-            out["mobius_cotton_norm"] = float(np.abs(c).max())
-        return out
-
-    res = [residuals_at(q) for q in pts]
-    doc = report.to_dict()
-    for row, extra in zip(doc["per_sample"], res):
-        row.update(extra)
+            row["mobius_cotton_norm"] = float(
+                np.abs(ctx.mobius_cotton()).max())
     doc["geometry"] = cfg.get("geometry")
     doc["embedding"] = cfg.get("embedding")
     doc["seed"] = seed
@@ -361,8 +369,11 @@ def cmd_circle(cfg, args=None):
         init = circ.get("initial")
         if init is None:
             raise ConfigError("circle needs an initial state or a preset")
-        st = circles.CurveState(init["x"], init["u"], init.get(
-            "a", np.zeros(len(init["x"]))))
+        init = {"a": [0.0] * geo.n, **init}
+        if any(len(init[k]) != geo.n for k in ("x", "u", "a")):
+            raise ConfigError(f"the initial x, u and a need {geo.n} "
+                              "coordinates each")
+        st = circles.CurveState(init["x"], init["u"], init["a"])
         span = tuple(circ.get("t_span", (0.0, 1.0)))
         monitors = {}
         summarise = lambda traj: {}
@@ -406,17 +417,18 @@ def cmd_invariance(cfg, args=None):
     inv = cfg.get("invariance", {})
     count = inv.get("count", 3)
     amp = inv.get("amplitude", 0.2)
-    pts = sample_points(cfg, emb.m, seed)
-    base = subtractor.classify(geo, emb, pts)
+    ctxs = _contexts(cfg, geo, emb, seed)
+    base = subtractor.classify(ctxs)
     rows = []
     verdicts_stable = True
     for k in range(count):
         om = geolib.random_conformal_factor(geo.n, seed=seed + 17 * k + 1,
                                             amplitude=amp)
         row = {"rescaling": k}
-        row.update(_transformation_residuals(geo, om, pts[0], emb))
+        row.update(_transformation_residuals(geo, om, ctxs[0].q, emb))
         geo2, _ = riemann.rescale(geo, om)
-        rep2 = subtractor.classify(geo2, emb, pts)
+        rep2 = subtractor.classify(
+            [subtractor.SubTractorContext(geo2, emb, c.q) for c in ctxs])
         row["verdicts_match"] = rep2.verdicts == base.verdicts
         verdicts_stable = verdicts_stable and row["verdicts_match"]
         rows.append(row)
@@ -456,9 +468,11 @@ def _transformation_residuals(geo, omega, q, emb):
 
 def cmd_scan(cfg, args=None):
     geo, entry = build_geometry(cfg)
-    kspec = build_ky(cfg, entry)
+    kspec = build_ky(cfg, entry, geo)
     sc = cfg.get("scan", {})
     region = sc.get("region", [[-1.0, 1.0]] * geo.n)
+    if len(region) != geo.n:
+        raise ConfigError(f"the scan region needs {geo.n} intervals")
     rep = firstint.zero_locus_scan(geo, kspec, region,
                                    grid=sc.get("grid", 21))
     dump_json(rep.to_dict(), cfg.get("output", {}).get("path"))
@@ -469,18 +483,8 @@ def cmd_residuals(cfg, args=None):
     geo, entry = build_geometry(cfg)
     emb = build_embedding(cfg, entry, geo)
     seed = int(cfg.get("seed", 0))
-    pts = sample_points(cfg, emb.m, seed)
-    rows = []
-    for q in pts:
-        row = {"point": [float(v) for v in q]}
-        row["gcr"] = list(map(float,
-                              submanifold.gauss_codazzi_ricci_residuals(
-                                  geo, emb, q)))
-        if emb.m >= 3:
-            row["tractor_gcr"] = list(map(float,
-                                          subtractor.tractor_gcr_residuals(
-                                              geo, emb, q)))
-        rows.append(row)
+    rows = [{"point": [float(v) for v in ctx.q], **_gcr_row(ctx)}
+            for ctx in _contexts(cfg, geo, emb, seed)]
     dump_json({"residuals": rows}, cfg.get("output", {}).get("path"))
     return 0
 

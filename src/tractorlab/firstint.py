@@ -188,13 +188,12 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
     if kspec.degree != d:
         raise ValueError(f"form degree {kspec.degree} != codimension {d}")
 
-    def value_at(pk):
-        c2 = SubTractorContext(geo, emb, pk.q, sub=pk)
-        K = _split_components(geo, kspec, pk.x)
-        return _full_pair(K, c2.normal_form(),
-                          tractor_metric_matrix(pk.pack.gi))
+    def value_at(c):
+        K = _split_components(geo, kspec, c.sub.x)
+        return _full_pair(K, c.normal_form(),
+                          tractor_metric_matrix(c.pack.gi))
 
-    value = value_at(ctx.sub)
+    value = value_at(ctx)
     dv = ctx.along(value_at, ())
     resid = float(np.abs(dv).max())
 

@@ -43,9 +43,9 @@ class JetField(ArrayField):
     """ArrayField whose jets come from one truncated-Taylor evaluation at
     the requested order (order 0 for ``value``)."""
 
-    def __init__(self, fn, shape=None):
+    def __init__(self, fn):
         self.jet_fn = fn
-        super().__init__(self._value, backend=_analytic_backend(), shape=shape)
+        super().__init__(self._value, backend=_analytic_backend())
 
     def _eval(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -58,19 +58,19 @@ class JetField(ArrayField):
         return list(self._eval(x, order))
 
 
-def jet_array_field(n_vars, fn, shape=None):
+def jet_array_field(n_vars, fn):
     """Analytic ArrayField whose jets come from a jet function.
 
     ``fn`` receives a list of Jet3 coordinates of the requested order and
     returns a (nested) array of jets / constants.  Constants must be plain
     numbers or built from a coordinate, never order-3 ``Jet3`` constants.
     """
-    return JetField(fn, shape=shape)
+    return JetField(fn)
 
 
 def jet_metric(n, fn, orientation=1):
     return GeometrySpec(n=n, metric=jet_array_field(n, fn),
-                        backend=_analytic_backend(), orientation=orientation)
+                        orientation=orientation)
 
 
 def jet_embedding(m, n, fn, orientation=1):
@@ -102,7 +102,7 @@ def attach_mobius(geo):
     if geo.n != 2:
         return geo
     from .riemann import curvature_pack
-    bare = GeometrySpec(n=geo.n, metric=geo.metric, backend=geo.backend,
+    bare = GeometrySpec(n=geo.n, metric=geo.metric,
                         orientation=geo.orientation)
 
     def p_field(x):
@@ -519,9 +519,7 @@ def rp2_slice():
 # --------------------------------------------------------------------------
 
 def _form_field(n, degree, fn, batch_norm2=None, name=""):
-    shape = (n,) * (degree - 1) if degree > 1 else ()
-    return KYFormSpec(n=n, degree=degree,
-                      field=jet_array_field(n, fn, shape=shape),
+    return KYFormSpec(n=n, degree=degree, field=jet_array_field(n, fn),
                       batch_norm2=batch_norm2, name=name)
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import (ArrayField, DiffBackend, FieldHandle, NumericalError,
-                      TensorValue, _perm_sign, tangent_down)
+from .tensors import (ArrayField, FieldHandle, NumericalError, TensorValue,
+                      _perm_sign, tangent_down)
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
            "levi_civita_derivative", "rescale", "levi_civita_symbol"]
@@ -38,9 +38,13 @@ class GeometrySpec:
     """
     n: int
     metric: ArrayField
-    backend: DiffBackend = dc_field(default_factory=DiffBackend)
     orientation: int = 1
     mobius_schouten: ArrayField | None = None
+
+    @property
+    def backend(self):
+        """The metric field's differentiation backend."""
+        return self.metric.backend
 
     def metric_jets(self, x, order):
         return self.metric.jets(x, order)
@@ -277,7 +281,7 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
         oj = omega.jets(x, 1)
         return oj[1] / float(oj[0])
 
-    new_geo = GeometrySpec(n=geo.n, metric=_Scaled(), backend=geo.backend,
+    new_geo = GeometrySpec(n=geo.n, metric=_Scaled(),
                            orientation=geo.orientation,
                            mobius_schouten=geo.mobius_schouten)
     return new_geo, upsilon

@@ -240,8 +240,7 @@ def _build_pack(geo, emb, q, seeds):
     Nform = _wedge_rows(conormals)
 
     metric = pullback_metric_field(geo, emb)
-    intrinsic = GeometrySpec(n=m, metric=metric, backend=metric.backend,
-                             orientation=emb.orientation)
+    intrinsic = GeometrySpec(n=m, metric=metric, orientation=emb.orientation)
 
     sub = SubmanifoldPack(q=q, x=x, m=m, n=n, d=d, dphi=dphi, pack=pack,
                           g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab, II=II,

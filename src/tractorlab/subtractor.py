@@ -5,12 +5,16 @@ independent evaluations), the Fialkow tensor with its low-dimensional
 conventions, the mixed Schouten-Weyl invariant, difference tractor, tractor
 normal form, mean-curvature tractor predicates, and classification verdicts.
 
-Derivatives along Sigma go through ``SubTractorContext.along``, the one
-covariant derivative of ``submanifold.covariant_along`` with the ambient
-connection on ambient indices and ``intrinsic_conn`` (intrinsic
-Levi-Civita and tractor connection, Schouten tensor replaced by the
-induced one p) on intrinsic indices; callers add only the normal
-projection the formula needs.  The L-shaped slot fill is ``L_slots``.
+A ``SubTractorContext`` is the unit of per-point work: each quantity is
+computed once per context (``_cached``), and callers read everything at a
+point from one context.  Derivatives along Sigma go through
+``SubTractorContext.along``, the one covariant derivative of
+``submanifold.covariant_along`` with the ambient connection on ambient
+indices and ``intrinsic_conn`` (intrinsic Levi-Civita and tractor
+connection, Schouten tensor replaced by the induced one p) on intrinsic
+indices; its builder receives the context of each stencil point, and
+callers add only the normal projection the formula needs.  The L-shaped
+slot fill is ``L_slots``.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J
@@ -21,6 +25,8 @@ into action matrices on up-components via ``arr @ J``.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -36,9 +42,7 @@ from .tensors import (TensorValue, central_diff, middle_block,
 from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
-           "normal_tractor_projector", "tractor_second_fundamental_form",
-           "mu_invariant", "fialkow", "difference_tractor",
-           "tractor_normal_form", "mean_curvature_tractor", "reconstruct_L",
+           "mean_curvature_tractor", "reconstruct_L",
            "M_operator", "tractor_gcr_residuals", "checked_connection_residual",
            "normal_projector_array"]
 
@@ -86,6 +90,32 @@ def pull_down_matrix(sub: SubmanifoldPack):
             @ pairing_matrix(sub.n))
 
 
+def _cached(method):
+    """Compute a context method once per context and argument values.
+
+    The value is kept in the context's ``_cache`` under the method name and
+    its arguments, defaults filled in.  No cached value may hold the
+    context: the embedding's pack memo would then wait for the cyclic
+    garbage collector.
+    """
+    sig = inspect.signature(method)
+    name = method.__name__
+    plain = (name,) + tuple(p.default
+                            for p in list(sig.parameters.values())[1:])
+
+    @functools.wraps(method)
+    def cached(self, *args, **kwargs):
+        key = plain
+        if args or kwargs:
+            bound = sig.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            key = (name,) + tuple(bound.arguments.values())[1:]
+        if key not in self._cache:
+            self._cache[key] = method(self, *args, **kwargs)
+        return self._cache[key]
+    return cached
+
+
 class SubTractorContext:
     """All submanifold-tractor data of (geo, emb) at one parameter point."""
 
@@ -100,98 +130,92 @@ class SubTractorContext:
         self.d = self.sub.d
         self._cache = {}
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
     @property
     def pack(self):
         return self.sub.pack
 
     # -- maps ---------------------------------------------------------------
+    @_cached
     def push_up(self):
-        return self._get("push_up", lambda: push_up_matrix(self.sub))
+        return push_up_matrix(self.sub)
 
+    @_cached
     def pull_up(self):
-        return self._get("pull_up", lambda: pull_up_matrix(self.sub))
+        return pull_up_matrix(self.sub)
 
+    @_cached
     def pull_down(self):
-        return self._get("pull_down", lambda: pull_down_matrix(self.sub))
+        return pull_down_matrix(self.sub)
 
+    @_cached
     def normal_projector(self):
-        return self._get("NAB", lambda: normal_projector_array(self.sub))
+        return normal_projector_array(self.sub)
 
     # -- normal tractor frame and forms --------------------------------------
+    @_cached
     def tractor_conormals(self):
         """Orthonormal tractor conormal frame; rows are down slot vectors
         (0, n_a, n.H)."""
-        def build():
-            sub = self.sub
-            n = self.n
-            out = np.zeros((self.d, n + 2))
-            for a in range(self.d):
-                w = sub.conormals[a]
-                out[a, 1:n + 1] = w
-                out[a, n + 1] = float(w @ sub.H)
-            return out
-        return self._get("tr_conormals", build)
+        sub = self.sub
+        n = self.n
+        out = np.zeros((self.d, n + 2))
+        for a in range(self.d):
+            w = sub.conormals[a]
+            out[a, 1:n + 1] = w
+            out[a, n + 1] = float(w @ sub.H)
+        return out
 
+    @_cached
     def normal_form(self):
-        return self._get("Nform_tr",
-                         lambda: _wedge_rows(self.tractor_conormals()))
+        return _wedge_rows(self.tractor_conormals())
 
+    @_cached
     def star_normal_form(self):
-        def build():
-            ixs = tuple(tractor_down(self.n) for _ in range(self.d))
-            F = tr.TractorFormObject(TensorValue(self.normal_form(), ixs, 0),
-                                     self.geo)
-            return tr.hodge_star(F, self.sub.x).data
-        return self._get("starN", build)
+        ixs = tuple(tractor_down(self.n) for _ in range(self.d))
+        F = tr.TractorFormObject(TensorValue(self.normal_form(), ixs, 0),
+                                 self.geo)
+        return tr.hodge_star(F, self.sub.x).data
 
     # -- first-order ingredients ---------------------------------------------
+    @_cached
     def grad_H(self):
         """nabla_i H^a along Sigma (pullback ambient connection): [i, a]."""
-        return self._get("grad_H", lambda: self.along(
-            lambda pk: pk.H, (tangent_up(self.n),)))
+        return self.along(lambda c: c.sub.H, (tangent_up(self.n),))
 
+    @_cached
     def P_mixed(self):
         """P_i^a = Pi^b_i P_b^a."""
-        def build():
-            return np.einsum("bi,bc,ca->ia", self.sub.dphi, self.pack.P,
-                             self.pack.gi)
-        return self._get("P_mixed", build)
+        return np.einsum("bi,bc,ca->ia", self.sub.dphi, self.pack.P,
+                         self.pack.gi)
 
+    @_cached
     def L_xz(self):
         """N^c_a (P_i^a - nabla_i H^a)."""
-        def build():
-            return np.einsum("cb,ib->ic", self.sub.Nab,
-                             self.P_mixed() - self.grad_H())
-        return self._get("L_xz", build)
+        return np.einsum("cb,ib->ic", self.sub.Nab,
+                         self.P_mixed() - self.grad_H())
 
+    @_cached
     def DjIIo(self):
         """D^j IIo_ij^c, intrinsic Levi-Civita coupled to the normal
         connection."""
-        return self._get("DjIIo",
-                         lambda: self._normal_divergence(lambda pk: pk.IIo))
+        return self._normal_divergence(lambda c: c.sub.IIo)
 
     def _normal_divergence(self, builder):
         """g^{jk} N^c_b D_k A_ij^b for a normal-valued A_ij^c =
-        builder(pack): [i, c]."""
+        builder(context): [i, c]."""
         m = self.m
         D = self.along(builder, (tangent_down(m), tangent_down(m),
                                  tangent_up(self.n)))     # [k, i, j, b]
         D = np.einsum("cb,kijb->kijc", self.sub.Nab, D)
         return np.einsum("jk,kijc->ic", self.sub.gi_s, D)
 
+    @_cached
     def mu(self):
         """Mixed Schouten-Weyl invariant mu_i^c."""
-        def build():
-            base = self.P_mixed() - self.grad_H()
-            if self.m >= 2:
-                base = base + self.DjIIo() / (self.m - 1)
-            return np.einsum("cb,ib->ic", self.sub.Nab, base)
-        return self._get("mu", build)
+        base = self.P_mixed() - self.grad_H()
+        if self.m >= 2:
+            base = base + self.DjIIo() / (self.m - 1)
+        return np.einsum("cb,ib->ic", self.sub.Nab, base)
 
     def mu_weyl(self):
         """Alternative evaluation from the Weyl tensor (m >= 2).
@@ -208,62 +232,63 @@ class SubTractorContext:
                       sub.dphi, sub.gi_s)
         return -np.einsum("cd,id->ic", sub.Nab, A) / (self.m - 1)
 
+    @_cached
     def intrinsic_pack(self, order=2):
-        key = ("ipack", order)
-        return self._get(key, lambda: curvature_pack(self.sub.intrinsic,
-                                                     self.q, order=order))
+        return curvature_pack(self.sub.intrinsic, self.q, order=order)
 
+    @_cached
     def intrinsic_conn(self):
         """Intrinsic connection data: Levi-Civita of the induced metric and
         the tractor connection with the induced Schouten tensor p."""
-        def build():
-            ip = self.intrinsic_pack()
-            _, p, _ = self.fialkow()
-            return tr.ConnData(self.m, self.sub.g_s, self.sub.gi_s, ip.Gamma,
-                               P=p, dg=ip.dg, dGamma=ip.dGamma, dP=None)
-        return self._get("iconn", build)
+        ip = self.intrinsic_pack()
+        _, p, _ = self.fialkow()
+        return tr.ConnData(self.m, self.sub.g_s, self.sub.gi_s, ip.Gamma,
+                           P=p, dg=ip.dg, dGamma=ip.dGamma, dP=None)
 
     def along(self, builder, indices):
-        """Covariant derivative along Sigma of ``builder(pack)`` (axes
-        carrying ``indices``), coupling the ambient connection on ambient
-        indices with ``intrinsic_conn`` on intrinsic ones: [i, ...]."""
+        """Covariant derivative along Sigma of ``builder(ctx)``, with ``ctx``
+        the context at each stencil point (axes carrying ``indices``),
+        coupling the ambient connection on ambient indices with
+        ``intrinsic_conn`` on intrinsic ones: [i, ...]."""
+        geo, emb = self.geo, self.emb
         # built per call: a SigmaConn holds this context (through the bound
         # method), and the cache must not, or the embedding's pack memo
         # would wait for the cyclic garbage collector
         conn = SigmaConn(self.sub, self.intrinsic_conn)
-        return covariant_along(self.geo, self.emb, self.q, builder, conn,
-                               indices)
+        return covariant_along(
+            geo, emb, self.q,
+            lambda pk: builder(SubTractorContext(geo, emb, pk.q, sub=pk)),
+            conn, indices)
 
     # -- Fialkow -------------------------------------------------------------
+    @_cached
     def fialkow(self):
         """(F_ij, p_ij, jot) with the m-dependent conventions."""
-        def build():
-            sub = self.sub
-            m = self.m
-            P_tt = np.einsum("ai,bj,ab->ij", sub.dphi, sub.dphi, self.pack.P)
-            H_low = self.pack.g @ sub.H
-            HII = np.einsum("c,ijc->ij", H_low, sub.IIo)
-            H2 = float(sub.H @ H_low)
-            cand = P_tt + HII + 0.5 * H2 * sub.g_s
-            if m >= 3:
-                p = self.intrinsic_pack().P
-                F = cand - p
-            elif m == 2:
-                IIo2 = float(np.einsum("ik,jl,cd,ijc,kld->", sub.gi_s,
-                                       sub.gi_s, self.pack.g, sub.IIo,
-                                       sub.IIo))
-                W_tt = np.einsum("abcd,ai,bj,ck,dl->ijkl", self.pack.W4,
-                                 sub.dphi, sub.dphi, sub.dphi, sub.dphi)
-                tr2W = float(np.einsum("ik,jl,ijkl->", sub.gi_s, sub.gi_s,
-                                       W_tt))
-                F = 0.25 * (IIo2 - tr2W) * sub.g_s
-                p = cand - F
-            else:
-                F = np.zeros((1, 1))
-                p = cand
-            jot = float(np.einsum("ij,ij->", sub.gi_s, p))
-            return F, p, jot
-        return self._get("fialkow", build)
+        sub = self.sub
+        m = self.m
+        P_tt = np.einsum("ai,bj,ab->ij", sub.dphi, sub.dphi, self.pack.P)
+        H_low = self.pack.g @ sub.H
+        HII = np.einsum("c,ijc->ij", H_low, sub.IIo)
+        H2 = float(sub.H @ H_low)
+        cand = P_tt + HII + 0.5 * H2 * sub.g_s
+        if m >= 3:
+            p = self.intrinsic_pack().P
+            F = cand - p
+        elif m == 2:
+            IIo2 = float(np.einsum("ik,jl,cd,ijc,kld->", sub.gi_s,
+                                   sub.gi_s, self.pack.g, sub.IIo,
+                                   sub.IIo))
+            W_tt = np.einsum("abcd,ai,bj,ck,dl->ijkl", self.pack.W4,
+                             sub.dphi, sub.dphi, sub.dphi, sub.dphi)
+            tr2W = float(np.einsum("ik,jl,ijkl->", sub.gi_s, sub.gi_s,
+                                   W_tt))
+            F = 0.25 * (IIo2 - tr2W) * sub.g_s
+            p = cand - F
+        else:
+            F = np.zeros((1, 1))
+            p = cand
+        jot = float(np.einsum("ij,ij->", sub.gi_s, p))
+        return F, p, jot
 
     def fialkow_weyl(self):
         """Manifestly invariant evaluation (m >= 3)."""
@@ -285,30 +310,26 @@ class SubTractorContext:
         """c_ijk = 2 D_[i p_j]k for m = 2 (Moebius flatness diagnostic)."""
         if self.m != 2:
             raise ValueError("the Moebius Cotton diagnostic is for m = 2")
-        geo, emb = self.geo, self.emb
-
-        def builder(pk):
-            return SubTractorContext(geo, emb, pk.q, sub=pk).fialkow()[1]
-        covdp = self.along(builder, (tangent_down(self.m),) * 2)
+        covdp = self.along(lambda c: c.fialkow()[1],
+                           (tangent_down(self.m),) * 2)
         return covdp - covdp.transpose(1, 0, 2)
 
     # -- difference tractor ----------------------------------------------
+    @_cached
     def difference_tractor(self):
         """S_iJK = 2 F_ij Z^j_[J X_K] (intrinsic tractor indices, down)."""
-        def build():
-            F, _, _ = self.fialkow()
-            m = self.m
-            S = np.zeros((m, m + 2, m + 2))
-            S[:, 1:m + 1, m + 1] += F
-            S[:, m + 1, 1:m + 1] -= F
-            return S
-        return self._get("S_diff", build)
+        F, _, _ = self.fialkow()
+        m = self.m
+        S = np.zeros((m, m + 2, m + 2))
+        S[:, 1:m + 1, m + 1] += F
+        S[:, m + 1, 1:m + 1] -= F
+        return S
 
     # -- tractor second fundamental form -----------------------------------
+    @_cached
     def L_explicit(self):
         """L_iJ^C slots: [i, J intrinsic down, C ambient up]."""
-        return self._get("L_explicit",
-                         lambda: self.L_slots(self.sub.IIo, self.L_xz()))
+        return self.L_slots(self.sub.IIo, self.L_xz())
 
     def L_slots(self, A, xz):
         """The L-shaped tractor with tangent-normal part A_ij^c and X-Z part
@@ -322,42 +343,34 @@ class SubTractorContext:
         L[:, m + 1, n + 1] = np.einsum("c,ic->i", H_low, xz)
         return L
 
+    @_cached
     def nabla_normal_projector(self):
         """nabla_i N^A_B along Sigma: [i, A up, B down]."""
-        return self._get("nabla_NAB", lambda: self.along(
-            normal_projector_array,
-            (tractor_up(self.n), tractor_down(self.n))))
+        return self.along(lambda c: c.normal_projector(),
+                          (tractor_up(self.n), tractor_down(self.n)))
 
+    @_cached
     def Lbar(self):
         """L with an ambient down tractor index: [i, B down, C up]."""
-        def build():
-            nabN = self.nabla_normal_projector()
-            Nact = self.normal_projector() @ pairing_matrix(self.n)
-            return -np.einsum("CA,iAB->iBC", Nact, nabN)
-        return self._get("Lbar", build)
+        nabN = self.nabla_normal_projector()
+        Nact = self.normal_projector() @ pairing_matrix(self.n)
+        return -np.einsum("CA,iAB->iBC", Nact, nabN)
 
+    @_cached
     def L_dual(self):
         """L via -Pi^B_J N^C_A nabla_i N^A_B: [i, J, C up]."""
-        def build():
-            return np.einsum("JB,iBC->iJC", self.pull_down(), self.Lbar())
-        return self._get("L_dual", build)
+        return np.einsum("JB,iBC->iJC", self.pull_down(), self.Lbar())
 
+    @_cached
     def nabla_normal_form(self):
         """nabla_i N_{A1..Ad} along Sigma (pullback tractor connection)."""
-        geo, emb = self.geo, self.emb
+        return self.along(lambda c: c.normal_form(),
+                          (tractor_down(self.n),) * self.d)
 
-        def builder(pk):
-            return SubTractorContext(geo, emb, pk.q, sub=pk).normal_form()
-        return self._get("nabla_Nform", lambda: self.along(
-            builder, (tractor_down(self.n),) * self.d))
-
+    @_cached
     def nabla_star_normal_form(self):
-        geo, emb = self.geo, self.emb
-
-        def builder(pk):
-            return SubTractorContext(geo, emb, pk.q, sub=pk).star_normal_form()
-        return self._get("nabla_starN", lambda: self.along(
-            builder, (tractor_down(self.n),) * (self.m + 2)))
+        return self.along(lambda c: c.star_normal_form(),
+                          (tractor_down(self.n),) * (self.m + 2))
 
     # -- norms and scales ------------------------------------------------
     def scale(self):
@@ -379,45 +392,8 @@ class SubTractorContext:
 
 
 # --------------------------------------------------------------------------
-# spec-level operations
+# derived operators and oracles
 # --------------------------------------------------------------------------
-
-def normal_tractor_projector(geo, emb, q):
-    return SubTractorContext(geo, emb, q).normal_projector()
-
-
-def tractor_second_fundamental_form(geo, emb, q, cross_check=True):
-    ctx = SubTractorContext(geo, emb, q)
-    L = ctx.L_explicit()
-    if not cross_check:
-        return L, None
-    return L, float(np.abs(L - ctx.L_dual()).max())
-
-
-def mu_invariant(geo, emb, q, cross_check=False):
-    ctx = SubTractorContext(geo, emb, q)
-    mu = ctx.mu()
-    if cross_check and ctx.m >= 2:
-        return mu, float(np.abs(mu - ctx.mu_weyl()).max())
-    return mu, None
-
-
-def fialkow(geo, emb, q, cross_check=False):
-    ctx = SubTractorContext(geo, emb, q)
-    F, p, jot = ctx.fialkow()
-    if cross_check and ctx.m >= 3:
-        return F, p, jot, float(np.abs(F - ctx.fialkow_weyl()).max())
-    return F, p, jot, None
-
-
-def difference_tractor(geo, emb, q):
-    return SubTractorContext(geo, emb, q).difference_tractor()
-
-
-def tractor_normal_form(geo, emb, q):
-    ctx = SubTractorContext(geo, emb, q)
-    return ctx.normal_form(), ctx.star_normal_form()
-
 
 def checked_connection_residual(geo, emb, q, seed=0):
     """Oracle for the difference tractor on a random intrinsic field.
@@ -434,10 +410,8 @@ def checked_connection_residual(geo, emb, q, seed=0):
     def V_at(y):
         return c0 + c1 @ (np.asarray(y) - ctx.q)
 
-    def pushed(pk):
-        return push_up_matrix(pk) @ V_at(pk.q)
-
-    nabW = ctx.along(pushed, (tractor_up(ctx.n),))
+    nabW = ctx.along(lambda c: c.push_up() @ V_at(c.q),
+                     (tractor_up(ctx.n),))
     lhs = np.einsum("JB,iB->iJ", ctx.pull_up(), nabW)
     DV = tr.covariant_jet(ctx.intrinsic_conn(), [c0, c1],
                           (tractor_up(m),))[0].T
@@ -463,7 +437,7 @@ def M_operator(ctx: SubTractorContext, omega_builder):
     if ctx.m < 2:
         raise ValueError("the 1/(m-1) factor is undefined for curves")
     om0 = np.asarray(omega_builder(ctx.sub), dtype=float)
-    Dj = ctx._normal_divergence(omega_builder)
+    Dj = ctx._normal_divergence(lambda c: omega_builder(c.sub))
     return ctx.L_slots(om0, -Dj / (ctx.m - 1))
 
 
@@ -496,7 +470,7 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
                          @ I_at(pk)))
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
 
-    nabH = ctx.along(HA_at, (tractor_up(n),))
+    nabH = ctx.along(lambda c: HA_at(c.sub), (tractor_up(n),))
     Nact = ctx.normal_projector() @ pairing_matrix(n)
     NnabH = np.einsum("AB,iB->iA", Nact, nabH)
     parallel = bool(np.abs(NnabH).max() < tol * scale)
@@ -554,16 +528,15 @@ def _norms_at(ctx: SubTractorContext):
             "jot": jot}
 
 
-def classify(geo, emb, sample_points, tol=None) -> ClassificationReport:
-    """Umbilic / distinguished / (strongly) conformally circular verdicts."""
+def classify(contexts, tol=None) -> ClassificationReport:
+    """Umbilic / distinguished / (strongly) conformally circular verdicts
+    over the sample points of ``contexts``; the default tolerance is 1e-3
+    if a context's metric is differenced, else 1e-6."""
     if tol is None:
-        tol = 1e-6 if geo.metric.backend.mode == "analytic" else 1e-3
-    rows = []
-    scale = 1.0
-    for s in sample_points:
-        ctx = SubTractorContext(geo, emb, s)
-        rows.append(_norms_at(ctx))
-        scale = max(scale, ctx.scale())
+        fd = any(c.geo.backend.mode != "analytic" for c in contexts)
+        tol = 1e-3 if fd else 1e-6
+    rows = [_norms_at(c) for c in contexts]
+    scale = max([1.0] + [c.scale() for c in contexts])
 
     def small(key):
         return bool(all(r[key] < tol * scale for r in rows))
@@ -574,8 +547,7 @@ def classify(geo, emb, sample_points, tol=None) -> ClassificationReport:
         "conformally_circular": small("L_norm") and small("fialkow_tracefree_norm"),
         "strongly_conformally_circular": small("L_norm") and small("fialkow_norm"),
     }
-    return ClassificationReport(samples=[np.asarray(s, dtype=float)
-                                         for s in sample_points],
+    return ClassificationReport(samples=[c.q for c in contexts],
                                 per_sample=rows, verdicts=verdicts, tol=tol,
                                 scale=scale)
 
@@ -599,25 +571,17 @@ def intrinsic_tractor_curvature(ctx: SubTractorContext):
 
 def _intrinsic_D_of_S(ctx: SubTractorContext):
     """D_i S_jKL: [i, j, K, L]."""
-    geo, emb = ctx.geo, ctx.emb
-
-    def builder(pk):
-        return SubTractorContext(geo, emb, pk.q, sub=pk).difference_tractor()
     m = ctx.m
-    return ctx.along(builder, (tangent_down(m), tractor_down(m),
-                               tractor_down(m)))
+    return ctx.along(lambda c: c.difference_tractor(),
+                     (tangent_down(m), tractor_down(m), tractor_down(m)))
 
 
 def _coupled_D_of_L(ctx: SubTractorContext):
     """D_i L_jL^C with the normal tractor connection on the ambient index:
     [i, j, L, C]."""
-    geo, emb = ctx.geo, ctx.emb
-
-    def builder(pk):
-        return SubTractorContext(geo, emb, pk.q, sub=pk).L_explicit()
     m = ctx.m
-    DL = ctx.along(builder, (tangent_down(m), tractor_down(m),
-                             tractor_up(ctx.n)))
+    DL = ctx.along(lambda c: c.L_explicit(),
+                   (tangent_down(m), tractor_down(m), tractor_up(ctx.n)))
     # normal tractor connection on the ambient index: project the whole
     # derivative, since the bundle rotates (the intrinsic terms are
     # normal-valued already, as L is)
@@ -653,9 +617,8 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
     return np.einsum("eC,ijef,fE->ijCE", frame_up, Rfr, frame @ Jamb)
 
 
-def tractor_gcr_residuals(geo, emb, q):
+def tractor_gcr_residuals(ctx: SubTractorContext):
     """Max-norm residuals of the tractor Gauss, Codazzi, Ricci equations."""
-    ctx = SubTractorContext(geo, emb, q)
     m, n = ctx.m, ctx.n
     if m < 3:
         raise ValueError("tractor Gauss-Codazzi-Ricci checks need m >= 3")
@@ -666,7 +629,7 @@ def tractor_gcr_residuals(geo, emb, q):
     HupS = tractor_metric_matrix(sub.gi_s)
     Q = ctx.pull_down()
 
-    Om_amb = tr.tractor_curvature(geo, sub.x).data
+    Om_amb = tr.tractor_curvature(ctx.geo, sub.x).data
     Om_tt = np.einsum("abCD,ai,bj->ijCD", Om_amb, sub.dphi, sub.dphi)
 
     # --- Gauss ---

@@ -324,10 +324,9 @@ class ArrayField:
     declares an analytic backend.
     """
 
-    def __init__(self, fn, backend=None, shape=None):
+    def __init__(self, fn, backend=None):
         self.fn = fn
         self.backend = backend or DiffBackend()
-        self.shape = shape
 
     def value(self, x):
         v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)

@@ -69,7 +69,7 @@ def test_criterion_3_doubly_warped():
         mu = ctx.mu()
         mu_norms.append(math.sqrt(float(np.einsum(
             "ij,cd,ic,jd->", ctx.sub.gi_s, ctx.pack.g, mu, mu))))
-    rep = classify(geo, emb, pts)
+    rep = classify([SubTractorContext(geo, emb, q) for q in pts])
     ok = (ric_ok and max(mu_norms) < 1e-8
           and rep.verdicts["distinguished"])
     assert _verdict(3, ok,
@@ -83,7 +83,8 @@ def test_criterion_4_twisted():
     pk = curvature_pack(geo, np.array([0.3, 0.1, -0.2, 0.4]))
     ric_ok = abs(pk.Ric[0, 2] + 1.0) < 1e-8
     emb = geolib.coordinate_slice(4, (0, 1))
-    rep = classify(geo, emb, [np.array([0.3, -0.2]), np.array([0.1, 0.5])])
+    rep = classify([SubTractorContext(geo, emb, q) for q in
+                    [np.array([0.3, -0.2]), np.array([0.1, 0.5])]])
     ok = (ric_ok and rep.verdicts["umbilic"]
           and not rep.verdicts["distinguished"])
     assert _verdict(4, ok,
@@ -313,12 +314,12 @@ def test_criterion_10_conformal_invariance():
     ok = True
     worst_analytic = 0.0
     for name, geo, emb, q in cases:
-        base = classify(geo, emb, [q])
+        base = classify([SubTractorContext(geo, emb, q)])
         for s in range(5):
             om = geolib.random_conformal_factor(geo.n, seed=900 + 13 * s,
                                                 amplitude=0.15)
             geo2, _ = rescale(geo, om)
-            rep = classify(geo2, emb, [q])
+            rep = classify([SubTractorContext(geo2, emb, q)])
             ok = ok and rep.verdicts == base.verdicts
     # transformation-law residuals (analytic) on one case
     geo, emb, q = cases[1][1], cases[1][2], cases[1][3]

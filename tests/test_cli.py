@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tractorlab import circles, cli, riemann
+from tractorlab import circles, cli, riemann, subtractor
 from tractorlab.riemann import SingularMetricError
 
 
@@ -154,6 +154,68 @@ def test_sample_dimension_mismatch_exit4(capsys):
     assert cli.main(base + ["-s",
                             'samples={"box":[[-0.1,0.1],[-0.1,0.1]]}']) == 4
     assert "needs 1 intervals" in capsys.readouterr().err
+
+
+def test_fd_step_must_be_positive(capsys):
+    base = ["report", "-s", 'geometry={"name":"s2s2"}',
+            "-s", 'embedding={"name":"factor1"}']
+    for backend in ('{"mode":"fd","step":0}', '{"mode":"fd","step3":-0.01}'):
+        assert cli.main(base + ["-s", f"backend={backend}"]) == 4
+        assert "config error" in capsys.readouterr().err
+
+
+def test_scan_ky_dimension_mismatch_exit4(capsys):
+    # the euclidean rotation form defaults to n = 4
+    rc = cli.main(["scan",
+                   "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+                   "-s", 'scan={"ky":{"name":"rotation"}}'])
+    assert rc == 4
+    assert "has dimension 4, the geometry has 3" in capsys.readouterr().err
+
+
+def test_scan_region_dimension_mismatch_exit4(capsys):
+    rc = cli.main(["scan",
+                   "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+                   "-s", 'scan={"ky":{"name":"rotation","params":{"n":3}},'
+                         '"region":[[-1,1]]}'])
+    assert rc == 4
+    assert "needs 3 intervals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry,initial", [
+    ('{"name":"s2s2"}', '{"x":[0.1,0.2],"u":[1,0,0,0]}'),
+    ('{"name":"euclidean","params":{"n":3}}', '{"x":[0,0,0],"u":[1,0]}'),
+    ('{"name":"euclidean","params":{"n":3}}',
+     '{"x":[0,0,0],"u":[1,0,0],"a":[0,1]}')])
+def test_circle_initial_dimension_mismatch_exit4(capsys, geometry, initial):
+    rc = cli.main(["circle", "-s", f"geometry={geometry}",
+                   "-s", f'circle={{"initial":{initial}}}'])
+    assert rc == 4
+    assert "coordinates each" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry,embedding,points", [
+    ("cp2", "cp1", [[0.2, -0.3], [0.1, 0.15]]),
+    ("s2xs1xr", "s2xs1", [[0.2, -0.1, 0.1]])])
+def test_report_one_context_per_sample_point(monkeypatch, geometry,
+                                             embedding, points):
+    """Every quantity of a report row comes from the one context of its
+    sample point; contexts at stencil points (``sub=``) are not counted."""
+    made = []
+    init = subtractor.SubTractorContext.__init__
+
+    def counted(self, geo, emb, q, sub=None):
+        if sub is None:
+            made.append(tuple(q))
+        init(self, geo, emb, q, sub)
+    monkeypatch.setattr(subtractor.SubTractorContext, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["report",
+                       "-s", f'geometry={{"name":"{geometry}"}}',
+                       "-s", f'embedding={{"name":"{embedding}"}}',
+                       "-s", f"samples={json.dumps({'points': points})}"])
+    assert rc == 0
+    assert made == [tuple(p) for p in points]
 
 
 def test_flat_circle_pack_count(monkeypatch):

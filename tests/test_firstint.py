@@ -32,7 +32,7 @@ def test_ky_residual_detects_non_solutions():
         return [zero, v[0] * v[0], zero]
 
     spec = geolib.KYFormSpec(n=3, degree=2,
-                             field=geolib.jet_array_field(3, bad, shape=(3,)))
+                             field=geolib.jet_array_field(3, bad))
     assert fi.ky_residual(geo, spec, np.array([1.0, 0.2, -0.1])) > 0.1
 
 
@@ -249,7 +249,7 @@ def _non_solution_1form():
     def fn(v):
         return [v[1] * v[1], v[0] * v[2], v[0] * v[1] * v[2] + v[0]]
     return geolib.KYFormSpec(n=3, degree=2,
-                             field=geolib.jet_array_field(3, fn, shape=(3,)))
+                             field=geolib.jet_array_field(3, fn))
 
 
 def _non_solution_2form():
@@ -260,8 +260,7 @@ def _non_solution_2form():
         a, b, c = v[0] * v[1], v[2] * v[2] + v[1], v[0] * v[2] * v[1]
         return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
     return geolib.KYFormSpec(n=3, degree=3,
-                             field=geolib.jet_array_field(3, fn,
-                                                          shape=(3, 3)))
+                             field=geolib.jet_array_field(3, fn))
 
 
 def _fd_div_middle_part(geo, kspec, x, pack):

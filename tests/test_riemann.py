@@ -232,7 +232,7 @@ def test_cotton_requires_third_jet():
     from tractorlab import tractor as tr
     geo = geolib.random_metric(3, seed=1)
     fd2 = ArrayField(geo.metric.value, backend=DiffBackend(max_order=2))
-    geo2 = GeometrySpec(n=3, metric=fd2, backend=fd2.backend)
+    geo2 = GeometrySpec(n=3, metric=fd2)
     pk = curvature_pack(geo2, np.array([0.1, 0.0, -0.1]))
     assert pk.Cotton is None
     with pytest.raises(JetOrderError):

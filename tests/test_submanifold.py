@@ -257,13 +257,21 @@ def test_memoised_pack_arrays_are_read_only():
 def test_memo_is_freed_with_the_embedding():
     """No reference cycle runs from a memoised pack back to its embedding,
     so reference counting alone frees the memo: after a classification,
-    after the dual route to L, and after the Weyl cross-check of mu."""
+    after the dual route to L, after the Weyl cross-check of mu, and after
+    the Moebius Cotton tensor, whose builder runs on the context of each
+    stencil point."""
     geo = geolib.s2s2()
     q = np.array([0.1, 0.2])
-    runs = [lambda emb: subtractor.classify(geo, emb, [q]),
-            lambda emb: subtractor.tractor_second_fundamental_form(
-                geo, emb, q),
-            lambda emb: subtractor.mu_invariant(geo, emb, q, cross_check=True)]
+    STC = subtractor.SubTractorContext
+
+    def mu_cross_check(emb):
+        ctx = STC(geo, emb, q)
+        return ctx.mu() - ctx.mu_weyl()
+
+    runs = [lambda emb: subtractor.classify([STC(geo, emb, q)]),
+            lambda emb: STC(geo, emb, q).L_dual(),
+            mu_cross_check,
+            lambda emb: STC(geo, emb, q).mobius_cotton()]
     for run in runs:
         emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
         ref = weakref.ref(emb)
@@ -284,26 +292,33 @@ def test_memo_shared_between_threads():
     geo = geolib.s2s2()
     make = geolib.catalog()["s2s2"].embeddings["factor1"]
     pts = [np.array([0.1, 0.2]), np.array([-0.2, 0.1])] * 3
-    serial = [subtractor.tractor_second_fundamental_form(geo, make(), q)[0]
-              for q in pts]
+
+    def both_routes(emb, q):
+        ctx = subtractor.SubTractorContext(geo, emb, q)
+        return ctx.L_explicit(), ctx.L_dual()
+    serial = [both_routes(make(), q) for q in pts]
     emb = make()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=len(pts)) as ex:
-            futs = [ex.submit(subtractor.tractor_second_fundamental_form,
-                              geo, emb, q) for q in pts]
-            threaded = [f.result(timeout=120)[0] for f in futs]
+            futs = [ex.submit(both_routes, emb, q) for q in pts]
+            threaded = [f.result(timeout=120) for f in futs]
     finally:
         sys.setswitchinterval(old)
     for a, b in zip(serial, threaded):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 def test_report_evaluation_count(monkeypatch):
     """Field evaluations of one report on s2s2/factor1 at one point, pinned
     so that a change in evaluation count shows in review (without the memo
-    the same report makes 127 order-3 evaluations)."""
+    the same report makes 127 order-3 evaluations).  The report reads every
+    quantity from one context, so the intrinsic curvature pack at the point
+    (one order-3 embedding and one order-2 metric evaluation) is built once;
+    separate contexts for the classify row, the Weyl route of mu and the
+    Moebius Cotton tensor built it three times (50 and 50)."""
     calls = Counter()
     jets = geolib.JetField.jets
 
@@ -316,4 +331,4 @@ def test_report_evaluation_count(monkeypatch):
                        "-s", 'embedding={"name":"factor1"}',
                        "-s", 'samples={"points":[[0.2,-0.1]]}'])
     assert rc == 0
-    assert dict(calls) == {2: 50, 3: 50}
+    assert dict(calls) == {2: 48, 3: 48}

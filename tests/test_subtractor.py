@@ -10,9 +10,7 @@ from tractorlab.subtractor import (SubTractorContext,
                                    checked_connection_residual, classify,
                                    mean_curvature_tractor,
                                    normal_projector_array, reconstruct_L,
-                                   M_operator, tractor_gcr_residuals,
-                                   tractor_second_fundamental_form,
-                                   mu_invariant, fialkow)
+                                   M_operator, tractor_gcr_residuals)
 from tractorlab.tensors import (alt_array, middle_block, pairing_matrix,
                                 tangent_down, tractor_down,
                                 tractor_metric_matrix, tractor_up)
@@ -79,8 +77,8 @@ def test_sphere_in_flat_projector_slots():
 
 
 def test_L_two_routes_agree(graph_ctx):
-    L, resid = tractor_second_fundamental_form(
-        graph_ctx.geo, graph_ctx.emb, graph_ctx.q)
+    L = graph_ctx.L_explicit()
+    resid = float(np.abs(L - graph_ctx.L_dual()).max())
     assert resid < 1e-8
     assert np.abs(L).max() > 0.05
 
@@ -122,13 +120,13 @@ def test_mu_doubly_warped_vanishes():
 def test_mu_zero_for_hypersurfaces():
     geo = geolib.random_metric(4, seed=21)
     emb = geolib.random_graph_embedding(4, 3, seed=22)
-    mu, _ = mu_invariant(geo, emb, np.array([0.03, -0.02, 0.05]))
+    mu = SubTractorContext(geo, emb, np.array([0.03, -0.02, 0.05])).mu()
     assert np.abs(mu).max() < 1e-7
 
 
 def test_mu_weyl_cross_check(graph_ctx):
-    mu, resid = mu_invariant(graph_ctx.geo, graph_ctx.emb, graph_ctx.q,
-                             cross_check=True)
+    mu = graph_ctx.mu()
+    resid = float(np.abs(mu - graph_ctx.mu_weyl()).max())
     assert resid < 1e-5
     assert np.abs(mu).max() > 1e-3
 
@@ -162,8 +160,8 @@ def test_fialkow_s2s2_factor():
 def test_fialkow_weyl_route_m3():
     geo = geolib.random_metric(5, seed=30, amplitude=0.05)
     emb = geolib.random_graph_embedding(5, 3, seed=31)
-    F, p, jot, resid = fialkow(geo, emb, np.array([0.02, -0.04, 0.06]),
-                               cross_check=True)
+    ctx = SubTractorContext(geo, emb, np.array([0.02, -0.04, 0.06]))
+    resid = float(np.abs(ctx.fialkow()[0] - ctx.fialkow_weyl()).max())
     assert resid < 1e-4
 
 
@@ -328,22 +326,24 @@ def test_zero_scale_tractor_rejected():
 
 def test_classification_verdicts():
     geoS = geolib.sphere(4)
-    rep = classify(geoS, geolib.coordinate_slice(4, (0, 1)),
-                   [np.array([0.2, -0.1]), np.array([0.0, 0.3])])
+    embS = geolib.coordinate_slice(4, (0, 1))
+    rep = classify([SubTractorContext(geoS, embS, q) for q in
+                    [np.array([0.2, -0.1]), np.array([0.0, 0.3])]])
     assert rep.verdicts["strongly_conformally_circular"]
     geoC = geolib.fubini_study(2)
-    rep = classify(geoC, geolib.cp1_slice(),
-                   [np.array([0.2, -0.3]), np.array([0.1, 0.15])])
+    embC = geolib.cp1_slice()
+    rep = classify([SubTractorContext(geoC, embC, q) for q in
+                    [np.array([0.2, -0.3]), np.array([0.1, 0.15])]])
     assert rep.verdicts["conformally_circular"]
     assert not rep.verdicts["strongly_conformally_circular"]
     geoP = geolib.s2xs1xr(1)
-    rep = classify(geoP, geolib.coordinate_slice(4, (0, 1, 2)),
-                   [np.array([0.1, -0.2, 0.3])])
+    rep = classify([SubTractorContext(
+        geoP, geolib.coordinate_slice(4, (0, 1, 2)), [0.1, -0.2, 0.3])])
     assert rep.verdicts["distinguished"]
     assert not rep.verdicts["conformally_circular"]
     geoT = geolib.twisted_example()
-    rep = classify(geoT, geolib.coordinate_slice(4, (0, 1)),
-                   [np.array([0.3, -0.2])])
+    rep = classify([SubTractorContext(
+        geoT, geolib.coordinate_slice(4, (0, 1)), [0.3, -0.2])])
     assert rep.verdicts["umbilic"]
     assert not rep.verdicts["distinguished"]
 
@@ -351,7 +351,8 @@ def test_classification_verdicts():
 def test_tractor_gcr_residuals():
     geo = geolib.random_metric(5, seed=9, amplitude=0.05)
     emb = geolib.random_graph_embedding(5, 3, seed=10)
-    res = tractor_gcr_residuals(geo, emb, np.array([0.03, -0.06, 0.02]))
+    res = tractor_gcr_residuals(
+        SubTractorContext(geo, emb, np.array([0.03, -0.06, 0.02])))
     assert max(res) < 1e-3
 
 
@@ -361,7 +362,8 @@ def test_tractor_gauss_residual_s2xs1_not_step_limited():
     # a Gauss residual of 1.5e-3 here
     geo = geolib.s2xs1xr(1)
     emb = geolib.catalog()["s2xs1xr"].embeddings["s2xs1"]()
-    res = tractor_gcr_residuals(geo, emb, np.array([0.2, -0.3, 0.1]))
+    res = tractor_gcr_residuals(
+        SubTractorContext(geo, emb, np.array([0.2, -0.3, 0.1])))
     assert max(res) <= 1e-6
 
 
@@ -442,13 +444,13 @@ def test_conformal_invariance_of_verdicts_and_weighted_norms():
     geo = geolib.s2s2()
     emb = geolib.coordinate_slice(4, (0, 1), values=(0, 0, 0.2, -0.4))
     pts = [np.array([0.1, 0.3]), np.array([-0.2, 0.05])]
-    base = classify(geo, emb, pts)
+    base = classify([SubTractorContext(geo, emb, q) for q in pts])
     rng_seeds = [61, 62, 63, 64, 65]
     for s in rng_seeds:
         om = geolib.random_conformal_factor(4, seed=s, amplitude=0.15)
         from tractorlab.riemann import rescale
         geo2, _ = rescale(geo, om)
-        rep = classify(geo2, emb, pts)
+        rep = classify([SubTractorContext(geo2, emb, q) for q in pts])
         assert rep.verdicts == base.verdicts
     # weighted-norm scaling: |IIo|^2 picks up Omega^{-2} on a generic case
     geoT = geolib.twisted_example()

@@ -330,8 +330,7 @@ def test_canonical_tractor_invariant():
 
 def test_mobius_error_without_schouten():
     from tractorlab.riemann import GeometrySpec
-    geo2 = GeometrySpec(n=2, metric=geolib.euclidean(2).metric,
-                        backend=DiffBackend())
+    geo2 = GeometrySpec(n=2, metric=geolib.euclidean(2).metric)
     with pytest.raises(tr.MobiusStructureError):
         tr.scale_tractor(geo2, np.zeros(2))
 
