@@ -49,7 +49,7 @@ SCHEMA = {
         "samples": {
             "type": "object", "additionalProperties": False,
             "properties": {
-                "points": {"type": "array",
+                "points": {"type": "array", "minItems": 1,
                            "items": {"type": "array",
                                      "items": {"type": "number"}}},
                 "count": {"type": "integer", "minimum": 1},

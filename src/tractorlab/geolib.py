@@ -40,8 +40,14 @@ def _analytic_backend():
 
 
 class JetField(ArrayField):
-    """ArrayField whose jets come from one truncated-Taylor evaluation at
-    the requested order (order 0 for ``value``)."""
+    """Analytic ArrayField whose jets come from one truncated-Taylor
+    evaluation of a jet function at the requested order (order 0 for
+    ``value``).
+
+    ``fn`` receives a list of Jet3 coordinates of the requested order and
+    returns a (nested) array of jets / constants.  Constants must be plain
+    numbers or built from a coordinate, never order-3 ``Jet3`` constants.
+    """
 
     def __init__(self, fn):
         self.jet_fn = fn
@@ -58,23 +64,13 @@ class JetField(ArrayField):
         return list(self._eval(x, order))
 
 
-def jet_array_field(n_vars, fn):
-    """Analytic ArrayField whose jets come from a jet function.
-
-    ``fn`` receives a list of Jet3 coordinates of the requested order and
-    returns a (nested) array of jets / constants.  Constants must be plain
-    numbers or built from a coordinate, never order-3 ``Jet3`` constants.
-    """
-    return JetField(fn)
-
-
 def jet_metric(n, fn, orientation=1):
-    return GeometrySpec(n=n, metric=jet_array_field(n, fn),
+    return GeometrySpec(n=n, metric=JetField(fn),
                         orientation=orientation)
 
 
 def jet_embedding(m, n, fn, orientation=1):
-    return EmbeddingSpec(m=m, n=n, phi=jet_array_field(m, fn),
+    return EmbeddingSpec(m=m, n=n, phi=JetField(fn),
                          orientation=orientation)
 
 
@@ -404,11 +400,11 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
             for b in range(n):
                 psi = psi + c2[a, b] * v[a] * v[b]
         return psi.exp()
-    return jet_array_field(n, fn)
+    return JetField(fn)
 
 
 def constant_scalar(n, value=1.0):
-    return jet_array_field(n, lambda v: value)
+    return JetField(lambda v: value)
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +515,7 @@ def rp2_slice():
 # --------------------------------------------------------------------------
 
 def _form_field(n, degree, fn, batch_norm2=None, name=""):
-    return KYFormSpec(n=n, degree=degree, field=jet_array_field(n, fn),
+    return KYFormSpec(n=n, degree=degree, field=JetField(fn),
                       batch_norm2=batch_norm2, name=name)
 
 

@@ -17,7 +17,8 @@ from .tensors import (ArrayField, FieldHandle, NumericalError, TensorValue,
                       _perm_sign, tangent_down)
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
-           "levi_civita_derivative", "rescale", "levi_civita_symbol"]
+           "metric_connection", "levi_civita_derivative", "rescale",
+           "levi_civita_symbol"]
 
 
 class SingularMetricError(NumericalError, RuntimeError):
@@ -45,9 +46,6 @@ class GeometrySpec:
     def backend(self):
         """The metric field's differentiation backend."""
         return self.metric.backend
-
-    def metric_jets(self, x, order):
-        return self.metric.jets(x, order)
 
 
 _LEVI_CACHE = {}
@@ -88,6 +86,30 @@ class CurvaturePack:
     has_third: bool = False
 
 
+def _invert(g, x):
+    """(g^-1, det g) of a positive definite metric."""
+    sign, logdet = np.linalg.slogdet(g)
+    if sign <= 0:
+        raise SingularMetricError(f"metric not positive definite at {x}")
+    return np.linalg.inv(g), float(np.exp(logdet))
+
+
+def _christoffel(gi, dg):
+    """Gamma^c_ab [c, a, b] and half[d, a, b] = g_de Gamma^e_ab, from
+    dg[d, b, a] = d_a g_db."""
+    half = 0.5 * (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1))
+    return np.einsum("cd,dab->cab", gi, half), half
+
+
+def metric_connection(geo: GeometrySpec, x, order=1):
+    """(g, g^-1, Gamma) at ``x`` from the metric's 0- or 1-jet (Gamma None
+    at order 0), equal to a ``curvature_pack``'s to the bit."""
+    jets = geo.metric.jets(x, order)
+    gi = _invert(jets[0], x)[0]
+    Gamma = _christoffel(gi, jets[1])[0] if order >= 1 else None
+    return jets[0], gi, Gamma
+
+
 def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     """Evaluate the full curvature package of ``geo`` at chart point ``x``.
 
@@ -99,22 +121,14 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     if order is None:
         order = min(3, geo.backend.max_order)
     order = max(order, 2)
-    jets = geo.metric_jets(x, order)
+    jets = geo.metric.jets(x, order)
     g = jets[0]
     dg = jets[1]
     d2g = jets[2]
     d3g = jets[3] if order >= 3 else None
 
-    sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0:
-        raise SingularMetricError(f"metric not positive definite at {x}")
-    detg = float(np.exp(logdet))
-    gi = np.linalg.inv(g)
-
-    # Gamma^c_ab; dg[d,b,a] = d_a g_db
-    half = 0.5 * (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1))
-    # half[d, a, b] = 1/2 (d_a g_db + d_b g_da - d_d g_ab)
-    Gamma = np.einsum("cd,dab->cab", gi, half)
+    gi, detg = _invert(g, x)
+    Gamma, half = _christoffel(gi, dg)
 
     # derivative of Gamma: need d(g^-1) = -gi dg gi
     dgi = -np.einsum("ce,efa,fd->cda", gi, dg, gi)

@@ -11,24 +11,29 @@ Every covariant derivative along the submanifold goes through
 ``covariant_along``: a Richardson difference of a pack-derived quantity
 (``SigmaField``) plus, on each index, the connection ``SigmaConn`` picks
 (the ambient one pulled back by the embedding, or the intrinsic one).
+
+The normal frame is ``normal_frame``, called by the pack and, with only the
+jets it needs, at each stencil point of ``normal_curvature``: the curvature
+of a normal bundle from its frame, for both Ricci residuals.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
-                      rescale)
+                      metric_connection, rescale)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
-                      alt_array, central_diff, tangent_down, tangent_up)
+                      central_diff, tangent_down, tangent_up)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
            "gauss_codazzi_ricci_residuals", "conformal_transform_check",
-           "pullback_metric_field", "SigmaField", "SigmaConn",
-           "covariant_along", "frame_curvature"]
+           "PullbackMetricField", "normal_frame", "SigmaField",
+           "SigmaConn", "covariant_along", "normal_curvature"]
 
 
 class RankDeficientError(NumericalError, RuntimeError):
@@ -121,10 +126,6 @@ class PullbackMetricField(ArrayField):
         return out
 
 
-def pullback_metric_field(geo, emb):
-    return PullbackMetricField(geo, emb)
-
-
 @dataclass
 class SubmanifoldPack:
     """Riemannian submanifold data at one parameter point."""
@@ -147,26 +148,6 @@ class SubmanifoldPack:
     Nform: np.ndarray           # Riemannian normal form, d down indices
     seeds: tuple
     intrinsic: GeometrySpec
-
-    def tangential(self, v):
-        return self.dphi @ (self.Pi_ia @ v)
-
-
-def _conormal_seeds(g, gi, dphi, d):
-    """Coordinate conormals least aligned with the tangent space."""
-    n = g.shape[0]
-    gs = dphi.T @ g @ dphi
-    gsi = np.linalg.inv(gs)
-    # tangential projector acting on covectors: (omega Pi)_b
-    Pi_ia = gsi @ dphi.T @ g
-    Nmat = np.eye(n) - dphi @ Pi_ia
-    # residual of dx^a after tangential projection, measured with g^-1
-    scores = []
-    for a in range(n):
-        w = Nmat[a, :]  # row a of N^a_b = components of dx^a . N
-        scores.append((-float(w @ gi @ w), a))
-    scores.sort()
-    return tuple(a for _, a in scores[:d])
 
 
 def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
@@ -193,33 +174,58 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
 
 
 def _build_pack(geo, emb, q, seeds):
-    m, n = emb.m, emb.n
-    d = n - m
     ph = emb.jets(q, 2)
-    x, dphi, d2phi = ph[0], ph[1], ph[2]
-    pack = curvature_pack(geo, x, order=min(3, geo.backend.max_order))
-    g, gi = pack.g, pack.gi
-
-    g_s = dphi.T @ g @ dphi
-    if np.linalg.matrix_rank(dphi, tol=1e-10) < m:
+    pack = curvature_pack(geo, ph[0], order=min(3, geo.backend.max_order))
+    if np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m:
         raise RankDeficientError(f"embedding differential rank-deficient at {q}")
+    frame = normal_frame(pack.g, pack.gi, ph[1],
+                         geo.orientation * emb.orientation, seeds,
+                         pack.Gamma, ph[2])
+    intrinsic = GeometrySpec(n=emb.m, metric=PullbackMetricField(geo, emb),
+                             orientation=emb.orientation)
+    sub = SubmanifoldPack(q=q, x=ph[0], m=emb.m, n=emb.n, d=emb.n - emb.m,
+                          dphi=ph[1], pack=pack,
+                          Nform=functools.reduce(tr.wedge, frame["conormals"]),
+                          intrinsic=intrinsic, **frame)
+    for obj in (sub, pack):
+        for arr in vars(obj).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+    return sub
+
+
+def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
+                 d2phi=None):
+    """The ``SubmanifoldPack`` fields g_s, gi_s, Pi_ia, Nab, conormals,
+    normals and seeds as a dict, from g, g^-1 and dphi at one point; with
+    Gamma and d2phi also II, IIo and H.  ``seeds`` default to the coordinate
+    conormals least aligned with the tangent space; ``orientation`` is the
+    ambient one times the submanifold's."""
+    n, m = dphi.shape
+    g_s = dphi.T @ g @ dphi
     gi_s = np.linalg.inv(g_s)
     Pi_ia = gi_s @ dphi.T @ g
     Nab = np.eye(n) - dphi @ Pi_ia
+    out = dict(g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab)
 
-    # second fundamental form: normal part of the ambient Hessian of phi
-    hess = d2phi + np.einsum("cde,di,ej->cij", pack.Gamma, dphi, dphi)
-    II = np.einsum("cb,bij->ijc", Nab, hess)
-    H = np.einsum("ij,ijc->c", gi_s, II) / m
-    IIo = II - np.einsum("ij,c->ijc", g_s, H)
-    if m == 1:
-        IIo = np.zeros_like(II)
+    if Gamma is not None:
+        # second fundamental form: normal part of the ambient Hessian of phi
+        hess = d2phi + np.einsum("cde,di,ej->cij", Gamma, dphi, dphi)
+        II = np.einsum("cb,bij->ijc", Nab, hess)
+        H = np.einsum("ij,ijc->c", gi_s, II) / m
+        IIo = II - np.einsum("ij,c->ijc", g_s, H)
+        if m == 1:
+            IIo = np.zeros_like(II)
+        out.update(II=II, IIo=IIo, H=H)
 
     if seeds is None:
-        seeds = _conormal_seeds(g, gi, dphi, d)
-    raw = [Nab[a, :] for a in seeds]
+        # residual of dx^a (row a of N^a_b) after tangential projection,
+        # measured with g^-1
+        scores = sorted((-float(w @ gi @ w), a) for a, w in enumerate(Nab))
+        seeds = tuple(a for _, a in scores[:n - m])
     conormals = []
-    for w in raw:
+    for a in seeds:
+        w = Nab[a, :]
         for prev in conormals:
             w = w - (prev @ gi @ w) * prev
         nw = math.sqrt(max(w @ gi @ w, 0.0))
@@ -229,39 +235,13 @@ def _build_pack(geo, emb, q, seeds):
     conormals = np.array(conormals)
     normals = conormals @ gi
 
-    # orientation: oriented tangent frame followed by normals must be
-    # positively oriented in the ambient chart
+    # orientation: the ambient chart's orientation of an oriented tangent
+    # frame followed by the normals must be ``orientation``
     B = np.hstack([dphi, normals.T])
-    s = np.sign(np.linalg.det(B)) * geo.orientation * emb.orientation
-    if s < 0:
+    if np.sign(np.linalg.det(B)) * orientation < 0:
         conormals[-1] = -conormals[-1]
         normals[-1] = -normals[-1]
-
-    Nform = _wedge_rows(conormals)
-
-    metric = pullback_metric_field(geo, emb)
-    intrinsic = GeometrySpec(n=m, metric=metric, orientation=emb.orientation)
-
-    sub = SubmanifoldPack(q=q, x=x, m=m, n=n, d=d, dphi=dphi, pack=pack,
-                          g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab, II=II,
-                          IIo=IIo, H=H, conormals=conormals, normals=normals,
-                          Nform=Nform, seeds=tuple(seeds),
-                          intrinsic=intrinsic)
-    for obj in (sub, pack):
-        for arr in vars(obj).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-    return sub
-
-
-def _wedge_rows(rows):
-    """d! Alt(w_1 x ... x w_d) for an array of row covectors."""
-    d = rows.shape[0]
-    out = rows[0]
-    for k in range(1, d):
-        p = out.ndim
-        coef = math.factorial(p + 1) / math.factorial(p)
-        out = coef * alt_array(np.multiply.outer(out, rows[k]))
+    out.update(conormals=conormals, normals=normals, seeds=tuple(seeds))
     return out
 
 
@@ -284,9 +264,8 @@ class SigmaField:
         self.builder = builder
         self._seeds = None
 
-    def value(self, q, seeds=None):
-        pk = submanifold_pack(self.geo, self.emb, q,
-                              seeds=seeds if seeds is not None else self._seeds)
+    def value(self, q):
+        pk = submanifold_pack(self.geo, self.emb, q, seeds=self._seeds)
         return np.asarray(self.builder(pk), dtype=float)
 
     def jet1(self, q):
@@ -303,21 +282,23 @@ class SigmaConn:
 
     ``matrix(ix)`` is the connection on index ``ix`` as [i, new, old]: on an
     index of the ambient dimension (n, or n + 2 for a tractor index) the
-    ambient connection of ``sub.pack`` pulled back by dphi, on one of the
-    intrinsic dimension (m, or m + 2) the connection data ``intrinsic()``
-    returns.  Since m < n, kind and dimension name the bundle.  The
-    intrinsic data is asked for only when an intrinsic index is.
+    ambient connection data ``ambient`` pulled back by ``dphi``, on one of
+    the intrinsic dimension (m, or m + 2) the connection data
+    ``intrinsic()`` returns.  Since m < n, kind and dimension name the
+    bundle.  The intrinsic data is asked for only when an intrinsic index
+    is.
     """
 
-    def __init__(self, sub, intrinsic=None):
-        self.sub = sub
+    def __init__(self, ambient, dphi, intrinsic=None):
+        self.ambient = ambient
+        self.dphi = dphi
         self.intrinsic = intrinsic
 
     def matrix(self, ix):
-        sub = self.sub
-        if ix.dim == (sub.n + 2 if ix.kind == TRACTOR else sub.n):
-            M = tr.ConnData.from_pack(sub.pack).matrix(ix)
-            return np.einsum("ane,ai->ine", M, sub.dphi)
+        n = self.ambient.n
+        if ix.dim == (n + 2 if ix.kind == TRACTOR else n):
+            M = self.ambient.matrix(ix)
+            return np.einsum("ane,ai->ine", M, self.dphi)
         return self.intrinsic().matrix(ix)
 
 
@@ -363,7 +344,7 @@ def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q):
     # Ricci: Pi Pi R_ab^e_f N^c_e N^f_d = Rperp_ij^c_d - 2 g^kl II_k[i^c II_j]ld
     lhs_ric = np.einsum("abef,ai,bj,ce,fd->ijcd", pack.Rud, sub.dphi,
                         sub.dphi, sub.Nab, sub.Nab)
-    Rperp = _normal_curvature(geo, emb, q, sub)
+    Rperp = _normal_curvature(geo, emb, q, sub.seeds)
     IIdn = np.einsum("ijc,cd->ijd", sub.II, g)
     cross = np.einsum("kl,kic,jld->ijcd", sub.gi_s, sub.II, IIdn)
     rhs_ric = Rperp - (cross - cross.transpose(1, 0, 2, 3))
@@ -379,44 +360,54 @@ def _coupled_derivative_II(geo, emb, q, sub, ipack):
     """D_i II_jk^d with intrinsic Levi-Civita (from the intrinsic curvature
     pack ``ipack``) coupled to the normal connection on the ambient index."""
     m = sub.m
-    conn = SigmaConn(sub, lambda: tr.ConnData.from_pack(ipack))
+    conn = SigmaConn(tr.ConnData.from_pack(sub.pack), sub.dphi,
+                     lambda: tr.ConnData.from_pack(ipack))
     DII = covariant_along(geo, emb, q, lambda pk: pk.II, conn,
                           (tangent_down(m), tangent_down(m), tangent_up(sub.n)))
     # project the ambient index back to the normal bundle
     return np.einsum("dc,ijkc->ijkd", sub.Nab, DII)
 
 
-def _omega_at(geo, emb, y, seeds):
-    """Normal-connection coefficients omega_i^{alpha}{}_{beta} at y, using a
-    plain central difference of the normal frame with frozen seeds."""
-    pk = submanifold_pack(geo, emb, y, seeds=seeds)
-    dV = central_diff(
-        lambda z: submanifold_pack(geo, emb, z, seeds=seeds).normals, y, 1e-4)
-    Mi = SigmaConn(pk).matrix(tangent_up(pk.n))
-    nab = np.moveaxis(dV, -1, 0) + np.einsum("ice,be->ibc", Mi, pk.normals)
-    return np.einsum("ac,ibc->iab", pk.conormals, nab)
+def normal_curvature(frame_at, q, index):
+    """Curvature of a normal bundle, [i, j, C, E] acting on up components.
 
-
-def _normal_curvature(geo, emb, q, sub):
-    """Curvature of the normal connection from the orthonormal normal frame,
-    returned as Rperp_ij^c_d."""
-    Rfr = frame_curvature(lambda y: _omega_at(geo, emb, y, sub.seeds), q)
-    return np.einsum("ec,ijef,fd->ijcd", sub.normals, Rfr, sub.conormals)
-
-
-def frame_curvature(omega_at, q):
-    """Curvature of connection coefficients ``omega_at(y)[i, a, b]`` given
-    in a frame: partial_i omega_j - partial_j omega_i + [omega_i, omega_j],
-    as [i, j, a, b].  The derivative is a Richardson central difference
-    with step 1e-2."""
+    ``frame_at(y, conn)`` gives the frame rows [alpha, C] (C is ``index``),
+    the dual coframe rows [alpha, E] and, if ``conn``, the ``SigmaConn`` at
+    y.  omega_i = coframe (d_i + conn_i) frame takes d_i from a plain
+    central difference (step 1e-4), its curvature from a Richardson one
+    (step 1e-2)."""
     q = np.asarray(q, dtype=float)
-    om0 = omega_at(q)
+
+    def omega_at(y, frame, coframe, conn):
+        dV = central_diff(lambda z: frame_at(z, False)[0], y, 1e-4)
+        nab = np.moveaxis(dV, -1, 0) + np.einsum(
+            "ice,be->ibc", conn.matrix(index), frame)
+        return np.einsum("ac,ibc->iab", coframe, nab)
+
+    base = frame_at(q, True)
+    om0 = omega_at(q, *base)
     # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
-    dw = np.ascontiguousarray(np.moveaxis(
-        central_diff(omega_at, q, 1e-2, richardson=True), -1, 0))
-    return (dw - dw.transpose(1, 0, 2, 3)
-            + np.einsum("iae,jeb->ijab", om0, om0)
-            - np.einsum("jae,ieb->ijab", om0, om0))
+    dw = np.ascontiguousarray(np.moveaxis(central_diff(
+        lambda y: omega_at(y, *frame_at(y, True)), q, 1e-2, richardson=True),
+        -1, 0))
+    Rfr = (dw - dw.transpose(1, 0, 2, 3)
+           + np.einsum("iae,jeb->ijab", om0, om0)
+           - np.einsum("jae,ieb->ijab", om0, om0))
+    return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
+
+
+def _normal_curvature(geo, emb, q, seeds):
+    """Rperp_ij^c_d from the normal frame with ``seeds`` frozen."""
+    orientation = geo.orientation * emb.orientation
+
+    def frame_at(y, conn):
+        ph = emb.jets(y, 1)
+        g, gi, Gamma = metric_connection(geo, ph[0], 1 if conn else 0)
+        fr = normal_frame(g, gi, ph[1], orientation, seeds)
+        return fr["normals"], fr["conormals"], (
+            SigmaConn(tr.ConnData(emb.n, g, gi, Gamma), ph[1]) if conn else None)
+
+    return normal_curvature(frame_at, q, tangent_up(emb.n))
 
 
 def conformal_transform_check(geo, emb, omega, q):

@@ -14,7 +14,8 @@ indices and ``intrinsic_conn`` (intrinsic Levi-Civita and tractor
 connection, Schouten tensor replaced by the induced one p) on intrinsic
 indices; its builder receives the context of each stencil point, and
 callers add only the normal projection the formula needs.  The L-shaped
-slot fill is ``L_slots``.
+slot fill is ``L_slots``.  The normal tractor curvature is
+``submanifold.normal_curvature`` of the tractor conormal frame.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemann import GeometrySpec, curvature_pack
+from .riemann import GeometrySpec, curvature_pack, metric_connection
 from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
-                          covariant_along, frame_curvature, submanifold_pack,
-                          _wedge_rows)
-from .tensors import (TensorValue, central_diff, middle_block,
+                          covariant_along, normal_curvature, normal_frame,
+                          submanifold_pack)
+from .tensors import (TensorValue, middle_block,
                       pairing_matrix, tangent_down, tangent_up, tractor_down,
                       tractor_metric_matrix, tractor_up)
 from . import tractor as tr
@@ -57,6 +58,16 @@ def normal_projector_array(sub: SubmanifoldPack):
     N[n + 1, 1:n + 1] = H_low
     N[n + 1, n + 1] = float(sub.H @ H_low)
     return N
+
+
+def tractor_conormal_rows(conormals, H):
+    """Tractor conormals (0, n_a, n.H) as down slot rows, from the
+    Riemannian conormal rows and the mean curvature."""
+    d, n = conormals.shape
+    out = np.zeros((d, n + 2))
+    out[:, 1:n + 1] = conormals
+    out[:, n + 1] = [float(w @ H) for w in conormals]
+    return out
 
 
 def push_up_matrix(sub: SubmanifoldPack):
@@ -156,18 +167,11 @@ class SubTractorContext:
     def tractor_conormals(self):
         """Orthonormal tractor conormal frame; rows are down slot vectors
         (0, n_a, n.H)."""
-        sub = self.sub
-        n = self.n
-        out = np.zeros((self.d, n + 2))
-        for a in range(self.d):
-            w = sub.conormals[a]
-            out[a, 1:n + 1] = w
-            out[a, n + 1] = float(w @ sub.H)
-        return out
+        return tractor_conormal_rows(self.sub.conormals, self.sub.H)
 
     @_cached
     def normal_form(self):
-        return _wedge_rows(self.tractor_conormals())
+        return functools.reduce(tr.wedge, self.tractor_conormals())
 
     @_cached
     def star_normal_form(self):
@@ -254,7 +258,8 @@ class SubTractorContext:
         # built per call: a SigmaConn holds this context (through the bound
         # method), and the cache must not, or the embedding's pack memo
         # would wait for the cyclic garbage collector
-        conn = SigmaConn(self.sub, self.intrinsic_conn)
+        conn = SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
+                         self.intrinsic_conn)
         return covariant_along(
             geo, emb, self.q,
             lambda pk: builder(SubTractorContext(geo, emb, pk.q, sub=pk)),
@@ -591,30 +596,24 @@ def _coupled_D_of_L(ctx: SubTractorContext):
 
 def _normal_tractor_curvature(ctx: SubTractorContext):
     """Curvature of the normal tractor connection as action matrices:
-    [i, j, C, E] with (Om v)[C] = Om[i,j,C,E] v[E] for up components."""
-    geo, emb = ctx.geo, ctx.emb
-    n = ctx.n
-    seeds = ctx.sub.seeds
+    [i, j, C, E] with (Om v)[C] = Om[i,j,C,E] v[E] for up components, from
+    the tractor conormal frame; only the connection needs a pack (for P)."""
+    geo, emb, n = ctx.geo, ctx.emb, ctx.n
+    orientation = geo.orientation * emb.orientation
     Jamb = pairing_matrix(n)
 
-    def frame_at(y):
-        """Tractor conormal frame at y, down [alpha, A] and raised, and the
-        pack."""
-        pk = submanifold_pack(geo, emb, y, seeds=seeds)
-        frame = SubTractorContext(geo, emb, y, sub=pk).tractor_conormals()
-        return frame, frame @ middle_block(pk.pack.gi), pk
+    def frame_at(y, conn):
+        ph = emb.jets(y, 2)
+        pk = curvature_pack(geo, ph[0], order=2) if conn else None
+        g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
+                        else metric_connection(geo, ph[0]))
+        fr = normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds, Gamma,
+                          ph[2])
+        frame = tractor_conormal_rows(fr["conormals"], fr["H"])
+        return frame @ middle_block(gi), frame @ Jamb, (
+            SigmaConn(tr.ConnData.from_pack(pk), ph[1]) if conn else None)
 
-    def omega_at(y):
-        frame, frame_up, pk = frame_at(y)
-        dF = central_diff(lambda z: frame_at(z)[1], y, 1e-4)
-        Ma = SigmaConn(pk).matrix(tractor_up(n))
-        nab = np.moveaxis(dF, -1, 0) + np.einsum("ine,be->ibn", Ma, frame_up)
-        return np.einsum("aA,ibA->iab", frame @ Jamb, nab)
-
-    Rfr = frame_curvature(omega_at, ctx.q)
-    frame = ctx.tractor_conormals()
-    frame_up = frame @ middle_block(ctx.pack.gi)
-    return np.einsum("eC,ijef,fE->ijCE", frame_up, Rfr, frame @ Jamb)
+    return normal_curvature(frame_at, ctx.q, tractor_up(n))
 
 
 def tractor_gcr_residuals(ctx: SubTractorContext):

@@ -73,11 +73,6 @@ class TractorFormObject:
 # slot helpers
 # --------------------------------------------------------------------------
 
-def slots(n):
-    """(sigma, middle slice, rho) positions for ambient dimension n."""
-    return 0, slice(1, n + 1), n + 1
-
-
 def pair_flip(arr, axis):
     """Invariant up/down tractor pairing along ``axis`` (sigma/rho swap)."""
     return tensors._tr_flip(arr, axis)

@@ -276,7 +276,7 @@ def test_criterion_9_zero_locus():
             s = s + v[a] * v[a]
         return [(Jet3(4, 1.0) + s) * 0.5]
 
-    f = geolib.jet_array_field(4, fn)
+    f = geolib.JetField(fn)
 
     class Sc(geolib.ArrayField):
         def __init__(self):

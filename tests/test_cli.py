@@ -164,6 +164,17 @@ def test_fd_step_must_be_positive(capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "invariance"])
+def test_empty_sample_points_exit4(capsys, command):
+    rc = cli.main([command, "-s", 'geometry={"name":"s2s2"}',
+                   "-s", 'embedding={"name":"factor1"}',
+                   "-s", 'samples={"points":[]}'])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
 def test_scan_ky_dimension_mismatch_exit4(capsys):
     # the euclidean rotation form defaults to n = 4
     rc = cli.main(["scan",

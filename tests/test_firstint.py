@@ -32,7 +32,7 @@ def test_ky_residual_detects_non_solutions():
         return [zero, v[0] * v[0], zero]
 
     spec = geolib.KYFormSpec(n=3, degree=2,
-                             field=geolib.jet_array_field(3, bad))
+                             field=geolib.JetField(bad))
     assert fi.ky_residual(geo, spec, np.array([1.0, 0.2, -0.1])) > 0.1
 
 
@@ -187,7 +187,7 @@ def test_scan_timelike_certificate():
             s = s + v[a] * v[a]
         return [(Jet3(4, 1.0) + s) * 0.5]
 
-    f = geolib.jet_array_field(4, fn)
+    f = geolib.JetField(fn)
 
     class Sc(geolib.ArrayField):
         def __init__(self):
@@ -249,7 +249,7 @@ def _non_solution_1form():
     def fn(v):
         return [v[1] * v[1], v[0] * v[2], v[0] * v[1] * v[2] + v[0]]
     return geolib.KYFormSpec(n=3, degree=2,
-                             field=geolib.jet_array_field(3, fn))
+                             field=geolib.JetField(fn))
 
 
 def _non_solution_2form():
@@ -260,7 +260,7 @@ def _non_solution_2form():
         a, b, c = v[0] * v[1], v[2] * v[2] + v[1], v[0] * v[2] * v[1]
         return [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
     return geolib.KYFormSpec(n=3, degree=3,
-                             field=geolib.jet_array_field(3, fn))
+                             field=geolib.JetField(fn))
 
 
 def _fd_div_middle_part(geo, kspec, x, pack):

@@ -12,13 +12,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tractorlab import cli, geolib, subtractor
+from tractorlab import cli, geolib, submanifold, subtractor
 from tractorlab.riemann import CurvaturePack, curvature_pack
 from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     conformal_transform_check,
                                     gauss_codazzi_ricci_residuals,
                                     submanifold_pack)
-from tractorlab.tractor import wedge
+from tractorlab.tensors import (central_diff, middle_block, pairing_matrix,
+                                tangent_up, tractor_up)
+from tractorlab.tractor import ConnData, wedge
 
 
 def test_hyperplane_totally_geodesic():
@@ -155,7 +157,7 @@ def test_minimal_scale_existence():
             psi = psi + H_low[a] * (v[a] - float(x0[a]))
         return [psi.exp()]
 
-    f = geolib.jet_array_field(3, fn)
+    f = geolib.JetField(fn)
 
     class Om(geolib.ArrayField):
         def __init__(self):
@@ -312,13 +314,19 @@ def test_memo_shared_between_threads():
 
 
 def test_report_evaluation_count(monkeypatch):
-    """Field evaluations of one report on s2s2/factor1 at one point, pinned
-    so that a change in evaluation count shows in review (without the memo
-    the same report makes 127 order-3 evaluations).  The report reads every
-    quantity from one context, so the intrinsic curvature pack at the point
-    (one order-3 embedding and one order-2 metric evaluation) is built once;
-    separate contexts for the classify row, the Weyl route of mu and the
-    Moebius Cotton tensor built it three times (50 and 50)."""
+    """Field evaluations of one report on s2s2/factor1 at one point, by jet
+    order, pinned so that a change in evaluation count shows in review
+    (without the memo the same report makes 127 order-3 evaluations).
+
+    The report reads every quantity from one context.  The normal frame of
+    the Ricci residual needs no pack: at its 9 outer stencil points it
+    reads the metric 1-jet and the embedding 1-jet (18 order-1
+    evaluations), at its 36 inner points the metric value and the
+    embedding 1-jet (36 order-0, 36 order-1).  When each of those 45
+    points built a whole submanifold pack (an order-2 embedding and an
+    order-3 metric evaluation), 37 of them were not already in the memo,
+    and the report made 48 evaluations of order 2 and 48 of order 3; 11 of
+    each are left."""
     calls = Counter()
     jets = geolib.JetField.jets
 
@@ -331,4 +339,128 @@ def test_report_evaluation_count(monkeypatch):
                        "-s", 'embedding={"name":"factor1"}',
                        "-s", 'samples={"points":[[0.2,-0.1]]}'])
     assert rc == 0
-    assert dict(calls) == {2: 48, 3: 48}
+    assert dict(calls) == {0: 36, 1: 54, 2: 11, 3: 11}
+
+
+# --------------------------------------------------------------------------
+# the normal frame of the Ricci residuals
+# --------------------------------------------------------------------------
+
+def _pack_frame_curvature(geo, emb, q, frame_of, index):
+    """Reference: the normal curvature as computed before the frame had a
+    function of its own.  Every point of the nested stencil builds a whole
+    submanifold pack (seeds frozen at q) and reads the frame from it;
+    ``frame_of(pk)`` gives the rows of frame and coframe, ``index`` is the
+    frame's index."""
+    seeds = submanifold_pack(geo, emb, q).seeds
+
+    def frame_at(y):
+        pk = submanifold_pack(geo, emb, y, seeds=seeds)
+        return frame_of(pk) + (pk,)
+
+    def omega_at(y):
+        frame, coframe, pk = frame_at(y)
+        dV = central_diff(lambda z: frame_at(z)[0], y, 1e-4)
+        M = np.einsum("ane,ai->ine",
+                      ConnData.from_pack(pk.pack).matrix(index), pk.dphi)
+        nab = np.moveaxis(dV, -1, 0) + np.einsum("ice,be->ibc", M, frame)
+        return np.einsum("ac,ibc->iab", coframe, nab)
+
+    om0 = omega_at(q)
+    dw = np.ascontiguousarray(np.moveaxis(
+        central_diff(omega_at, q, 1e-2, richardson=True), -1, 0))
+    Rfr = (dw - dw.transpose(1, 0, 2, 3)
+           + np.einsum("iae,jeb->ijab", om0, om0)
+           - np.einsum("jae,ieb->ijab", om0, om0))
+    frame, coframe, _ = frame_at(q)
+    return np.einsum("ec,ijef,fd->ijcd", frame, Rfr, coframe)
+
+
+def _riemannian_frame(pk):
+    return pk.normals, pk.conormals
+
+
+def _tractor_frame(pk):
+    """Tractor conormal rows (0, n_a, n.H), raised, and paired by J."""
+    n = pk.n
+    frame = np.zeros((pk.d, n + 2))
+    for a, w in enumerate(pk.conormals):
+        frame[a, 1:n + 1] = w
+        frame[a, n + 1] = float(w @ pk.H)
+    return frame @ middle_block(pk.pack.gi), frame @ pairing_matrix(n)
+
+
+def _frame_case(name, params, ename, eparams=None, fd=False):
+    entry = geolib.catalog()[name]
+    geo = entry.make_geometry(**params)
+    return (cli.as_fd_geometry(geo) if fd else geo,
+            entry.embeddings[ename](**(eparams or {})))
+
+
+def _graph_case(name, params, n, m):
+    return (geolib.catalog()[name].make_geometry(**params),
+            geolib.random_graph_embedding(n, m, seed=3))
+
+
+# m = 1, 2, 3, one FD geometry, and II != 0 with normal curvature != 0 in
+# curved charts (the random graphs in the charts of CP2 and the round
+# 5-sphere); the tractor frame needs m = 3
+FRAME_CASES = {
+    "helix": lambda: _frame_case("euclidean", {"n": 3}, "helix"),
+    "cp2-graph": lambda: _graph_case("cp2", {}, 4, 2),
+    "cp2-cp1": lambda: _frame_case("cp2", {}, "cp1"),
+    "sphere4-great-fd": lambda: _frame_case("sphere", {"n": 4}, "great",
+                                            {"n": 4}, fd=True),
+    "s2xs1xr-s2xs1": lambda: _frame_case("s2xs1xr", {}, "s2xs1"),
+    "sphere5-graph": lambda: _graph_case("sphere", {"n": 5}, 5, 3),
+}
+FRAME_RUNS = ([(case, "riemannian") for case in FRAME_CASES]
+              + [("s2xs1xr-s2xs1", "tractor"), ("sphere5-graph", "tractor")])
+
+
+@pytest.mark.parametrize("case,frame", FRAME_RUNS,
+                         ids=[f"{c}-{f}" for c, f in FRAME_RUNS])
+def test_normal_curvature_equals_pack_reference(case, frame):
+    """The normal curvature of either Ricci residual, from the frame
+    function at each stencil point, equals to the bit the pack-based
+    formula."""
+    geo, emb = FRAME_CASES[case]()
+    q = np.linspace(0.15, -0.1, emb.m)
+    if frame == "riemannian":
+        seeds = submanifold_pack(geo, emb, q).seeds
+        new = submanifold._normal_curvature(geo, emb, q, seeds)
+        ref = _pack_frame_curvature(geo, emb, q, _riemannian_frame,
+                                    tangent_up(emb.n))
+    else:
+        new = subtractor._normal_tractor_curvature(
+            subtractor.SubTractorContext(geo, emb, q))
+        ref = _pack_frame_curvature(geo, emb, q, _tractor_frame,
+                                    tractor_up(emb.n))
+    assert np.array_equal(new, ref)
+
+
+def test_normal_curvature_builds_no_pack(monkeypatch):
+    """No stencil point of the Ricci or tractor Ricci residual builds a
+    submanifold pack or an order-3 curvature pack; only the tractor
+    connection takes an order-2 pack at each of the 1 + 4m outer points."""
+    geo, emb = _frame_case("s2xs1xr", {}, "s2xs1")
+    q = np.array([0.2, -0.1, 0.1])
+    ctx = subtractor.SubTractorContext(geo, emb, q)
+    seeds = ctx.sub.seeds
+    packs, subpacks = Counter(), Counter()
+
+    def counted_pack(geo, x, order=None):
+        packs[order] += 1
+        return curvature_pack(geo, x, order)
+
+    def counted_subpack(*args, **kwargs):
+        subpacks["all"] += 1
+        return submanifold_pack(*args, **kwargs)
+    for mod in (submanifold, subtractor):
+        monkeypatch.setattr(mod, "curvature_pack", counted_pack)
+        monkeypatch.setattr(mod, "submanifold_pack", counted_subpack)
+    monkeypatch.setattr(subtractor, "SubTractorContext", None)
+    submanifold._normal_curvature(geo, emb, q, seeds)
+    assert not packs and not subpacks
+    subtractor._normal_tractor_curvature(ctx)
+    assert dict(packs) == {2: 1 + 4 * 3} and not subpacks
