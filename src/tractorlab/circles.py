@@ -132,7 +132,10 @@ def unparametrised_residual(geo: GeometrySpec, state: CurveState,
 def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
                      rtol=1e-10, atol=1e-12, num=200, monitors=None,
                      chart_bound=None) -> CircleTrajectory:
-    """Integrate the projectively parametrised circle equation (DOP853)."""
+    """Integrate the projectively parametrised circle equation (DOP853).
+
+    ``monitors`` maps names to ``fn(geo, state, pack)``, evaluated at each
+    output point with the order-2 curvature pack built there."""
     n = geo.n
     monitors = monitors or {}
 
@@ -169,7 +172,7 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
         ada[k] = A_dot_A(geo, st, pack=pk)
         res[k] = unparametrised_residual(geo, st, pack=pk)
         for name, fn in monitors.items():
-            mon[name][k] = fn(geo, st)
+            mon[name][k] = fn(geo, st, pk)
     return CircleTrajectory(ts=ts, xs=xs, us=us, accs=accs, AdotA=ada,
                             unparam_residual=res, monitored=mon,
                             status=status)

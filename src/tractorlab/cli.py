@@ -259,7 +259,7 @@ def _contexts(cfg, geo, emb, seed):
 def _gcr_row(ctx):
     """Riemannian and (m >= 3) tractor Gauss-Codazzi-Ricci residuals."""
     row = {"gcr": list(map(float, submanifold.gauss_codazzi_ricci_residuals(
-        ctx.geo, ctx.emb, ctx.q)))}
+        ctx.geo, ctx.emb, ctx.q, ctx.intrinsic_pack())))}
     if ctx.m >= 3:
         row["tractor_gcr"] = list(map(
             float, subtractor.tractor_gcr_residuals(ctx)))
@@ -325,14 +325,14 @@ def _circle_preset(cfg):
 
 def _rotation_monitor(i, j):
     """First integral <star K, Phi>/3! for a flat rotation Killing form;
-    the Hodge star and the curve tractors share one curvature pack."""
-    def monitor(geo, state):
+    the splitting, the Hodge star and the curve tractors read the curvature
+    pack the integrator built at the output point."""
+    def monitor(geo, state, pack):
         kspec = geolib.rotation_form(geo.n, i, j)
-        K = firstint._split_components(geo, kspec, state.x)
+        K = firstint._split_components(geo, kspec, state.x, pack)
         from .tensors import TensorValue, tractor_down
         ixs = tuple(tractor_down(geo.n) for _ in range(kspec.degree))
         F = tr.TractorFormObject(TensorValue(K, ixs, 0), geo)
-        pack = riemann.curvature_pack(geo, state.x, order=2)
         starK = tr.hodge_star(F, state.x, pack=pack).data
         _, _, Phi = circles.curve_tractors(geo, state, pack=pack)
         low = middle_block(pack.g)

@@ -1,39 +1,56 @@
 """Conformal Killing-Yano forms, their tractor splitting, conserved
 quantities along distinguished submanifolds, and zero-locus scanning.
 
-The BGG splitting and the zero-locus scan take every derivative of the
-form from the covariant jets of one ``_cov_jets`` call: the divergence of
-the middle part from nabla nabla k, and the chart Jacobian of (k, div k)
-from the same order-2 jets.  The normality check of ``bgg_split`` is their
-one finite difference; ``conserved_quantity`` differentiates along the
-submanifold through ``SubTractorContext.along``, the one derivative along
-Sigma (a Richardson stencil)."""
+The BGG splitting takes every derivative of the form from the covariant
+jets of one ``_cov_jets`` call, the divergence of the middle part from
+nabla nabla k.  The scan's Gauss-Newton reads the chart Jacobian of
+(k, div k) from the order-2 jets under the metric's Levi-Civita
+connection alone, with no curvature pack.  L on the found locus is
+measured on the locus's cubic Taylor polynomial, whose coefficients the
+implicit function theorem gives from the exact 3-jet of k.  The normality
+check of ``bgg_split`` is the one finite difference; ``conserved_quantity``
+differentiates along the submanifold through ``SubTractorContext.along``,
+the one derivative along Sigma (a Richardson stencil)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .riemann import curvature_pack
+from .riemann import curvature_pack, metric_connection
 from .submanifold import EmbeddingSpec
 from .subtractor import SubTractorContext
-from .tensors import (alt_array, central_diff, pairing_matrix, sym_array,
-                      tangent_down, tractor_down, tractor_metric_matrix)
+from .tensors import (ANALYTIC, ArrayField, DiffBackend, alt_array,
+                      central_diff, pairing_matrix, sym_array, tangent_down,
+                      tractor_down, tractor_metric_matrix)
 from . import tractor as tr
 
 __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
            "zero_locus_scan", "ScanReport"]
 
 
-def _cov_jets(geo, kspec, x, order):
-    """Pack, partial-derivative jets and covariant derivative arrays of the
-    (trivialised) form components."""
-    pack = curvature_pack(geo, x, order=2)
+def _cov_jets(geo, kspec, x, order, pack=None):
+    """Order-2 curvature pack (``pack`` if given), partial-derivative jets
+    and covariant derivative arrays of the (trivialised) form components."""
+    pack = pack if pack is not None else curvature_pack(geo, x, order=2)
+    return (pack,) + _form_jets(kspec, tr.ConnData.from_pack(pack), x, order)
+
+
+def _lc_jets(geo, kspec, x, order):
+    """Levi-Civita ``ConnData`` from the metric's ``order``-jet, with no
+    curvature pack, and the form's jets and covariant derivatives under it."""
+    g, gi, Gamma, dGamma = metric_connection(geo, x, order)
+    conn = tr.ConnData(geo.n, g, gi, Gamma, dGamma=dGamma)
+    return (conn,) + _form_jets(kspec, conn, x, order)
+
+
+def _form_jets(kspec, conn, x, order):
+    """Partial-derivative jets and covariant derivative arrays of the form
+    components under the connection ``conn``."""
     jets = kspec.field.jets(x, order)
-    idxs = tuple(tangent_down(geo.n) for _ in range(kspec.degree - 1))
-    conn = tr.ConnData.from_pack(pack)
+    idxs = tuple(tangent_down(conn.n) for _ in range(kspec.degree - 1))
     covs = tr.covariant_jet(conn, jets, idxs, order=order) if order >= 1 else []
-    return pack, jets, covs
+    return jets, covs
 
 
 def _trace_embed(g, lam):
@@ -64,8 +81,8 @@ def ky_decompose(geo, kspec, x):
         E = sym_array(hess) + pack.P * float(jets[0])
         TF = E - np.einsum("ab,cd,cd->ab", pack.g, pack.gi, E) / geo.n
         return None, TF, None
-    pack, _, covs = _cov_jets(geo, kspec, x, 1)
-    return _ky_parts(np.moveaxis(covs[0], -1, 0), pack.g, pack.gi)
+    conn, _, covs = _lc_jets(geo, kspec, x, 1)
+    return _ky_parts(np.moveaxis(covs[0], -1, 0), conn.g, conn.gi)
 
 
 def ky_residual(geo, kspec, x):
@@ -85,11 +102,12 @@ class SplitTractor:
     simple: bool
 
 
-def _split_components(geo, kspec, x):
-    """Tractor components of the BGG splitting at x."""
+def _split_components(geo, kspec, x, pack=None):
+    """Tractor components of the BGG splitting at x; ``pack`` is an order-2
+    curvature pack at x if the caller holds one."""
     n = geo.n
     d = kspec.degree
-    pack, jets, covs = _cov_jets(geo, kspec, x, 2)
+    pack, jets, covs = _cov_jets(geo, kspec, x, 2, pack)
     k0 = jets[0]
     if d == 1:
         lap = float(np.einsum("ba,ab->", pack.gi, covs[1]))
@@ -280,19 +298,21 @@ def _component_map(geo, kspec, x, jac=False):
     ``jac`` also their chart Jacobian, rows matching the components.
 
     d_c div = g^{ab} nabla_c nabla_a k_{b..} minus the Levi-Civita term on
-    the free indices of div, since g is parallel."""
+    the free indices of div, since g is parallel.  Only the Levi-Civita
+    connection is read, so no curvature pack is built."""
     n = geo.n
-    pack, jets, covs = _cov_jets(geo, kspec, x, 2 if jac else 1)
+    conn, jets, covs = _lc_jets(geo, kspec, x, 2 if jac else 1)
+    gi = conn.gi
     comps = [np.atleast_1d(np.asarray(jets[0])).ravel()]
     rows = [np.reshape(jets[1], (-1, n))] if jac else []
     if kspec.degree >= 2:
         grad = np.moveaxis(covs[0], -1, 0)
-        div = np.einsum("ab,ab...->...", pack.gi, grad)
+        div = np.einsum("ab,ab...->...", gi, grad)
         comps.append(np.atleast_1d(np.asarray(div)).ravel())
         if jac:
             # covs[1] axes: [form b, a3.., inner a, outer c]
-            ddiv = np.einsum("ab,b...ac->...c", pack.gi, covs[1])
-            M = tr.ConnData.from_pack(pack).matrix(tangent_down(n))
+            ddiv = np.einsum("ab,b...ac->...c", gi, covs[1])
+            M = conn.matrix(tangent_down(n))
             for ax in range(div.ndim):
                 ddiv = ddiv - tr._apply_axis(M, div, ax)
             rows.append(np.reshape(ddiv, (-1, n)))
@@ -369,43 +389,102 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
         rank += 1
     codim = int(rank)
 
-    # L on the locus via a local graph parametrisation
-    L_res = []
+    L_res, notes = [], ""
     if 1 <= codim <= n - 1:
-        for x0 in found[:8]:
-            emb = _graph_parametrisation(geo, kspec, x0, codim)
-            if emb is None:
-                continue
-            ctx = SubTractorContext(geo, emb, np.zeros(n - codim))
-            L_res.append(ctx.L_norm())
+        L_res, notes = _locus_L_residuals(geo, kspec, found[:8], codim,
+                                          rank_gap)
     status = "locus" if codim < n else "isolated"
     return ScanReport(status=status, points=found, codim=codim,
                       L_residuals=L_res, causal=split.causal, K2=split.K2,
-                      simple=split.simple)
+                      simple=split.simple, notes=notes)
 
 
-def _graph_parametrisation(geo, kspec, x0, codim):
-    """EmbeddingSpec of the locus near x0: tangent directions from the
-    Jacobian null space, the complement solved by Newton."""
-    from .tensors import ArrayField, DiffBackend
+def _locus_L_residuals(geo, kspec, points, codim, rank_gap):
+    """|L| of the locus at each of ``points`` through its Taylor polynomial,
+    and a note naming the points where the polynomial does not exist."""
+    L_res = []
+    for x0 in points:
+        emb = _locus_embedding(geo, kspec, x0, codim, rank_gap)
+        if emb is not None:
+            ctx = SubTractorContext(geo, emb, np.zeros(geo.n - codim))
+            L_res.append(ctx.L_norm())
+    if len(L_res) == len(points):
+        return L_res, ""
+    return L_res, (f"no L residual at {len(points) - len(L_res)} of "
+                   f"{len(points)} locus points: the Jacobian of k has rank "
+                   f"below the codimension {codim} there")
 
+
+class _LocusPolynomial(ArrayField):
+    """The chart map y -> x0 + X1 y + X2 yy/2 + X3 yyy/6, with exact jets to
+    order 3; ``coeffs`` is [x0, X1, X2, X3] with the parameter axes last."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+        super().__init__(lambda y: self.jets(y, 0)[0],
+                         backend=DiffBackend(mode=ANALYTIC, max_order=3))
+
+    def jets(self, y, order):
+        y = np.asarray(y, dtype=float)
+        x0, X1, X2, X3 = self.coeffs
+        X3y = X3 @ y
+        X2y = X2 @ y
+        out = [x0 + X1 @ y + (X2y + X3y @ y / 3.0) @ y / 2.0,
+               X1 + X2y + X3y @ y / 2.0,
+               X2 + X3y,
+               X3]
+        return out[:order + 1]
+
+
+def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
+    """EmbeddingSpec of the zero locus near x0 as its cubic Taylor
+    polynomial, or None where the form's components alone do not cut the
+    locus out (rank of their Jacobian below ``codim``, by the scan's rank
+    test against the largest singular value of the (k, div k) Jacobian).
+
+    x0 is first polished onto the locus by Newton along the normal
+    directions N, the complement of the null space T of the (k, div k)
+    Jacobian.  ``codim`` combinations G of the components of k, taken
+    through the left singular vectors of their Jacobian, carry the rank;
+    their exact 3-jet gives the locus x0 + X(y), G(x0 + X(y)) = 0, by the
+    implicit function theorem: with A = G1 N, X1 = T + N z1, X2 = N z2 and
+    X3 = N z3, where
+      A z1 = -G1 T,
+      A z2_ij = -G2(X1_i, X1_j),
+      A z3_ijk = -G3(X1_i, X1_j, X1_k) - G2(X2_ij, X1_k) - G2(X2_ik, X1_j)
+                 - G2(X2_jk, X1_i)
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13)."""
     n = geo.n
-    m = n - codim
-    _, Jm = _component_map(geo, kspec, x0, jac=True)
-    U, S, Vt = np.linalg.svd(Jm)
-    tangent = Vt[codim:].T      # n x m basis of the null space
-    normals = Vt[:codim].T
+    x = np.asarray(x0, dtype=float)
+    F, Jm = _component_map(geo, kspec, x, jac=True)
+    Vt = np.linalg.svd(Jm)[2]
+    T, N = Vt[codim:].T, Vt[:codim].T
+    for _ in range(50):
+        if np.linalg.norm(F) < 1e-12:
+            break
+        step, *_ = np.linalg.lstsq(Jm @ N, -F, rcond=None)
+        x = x + N @ step
+        F, Jm = _component_map(geo, kspec, x, jac=True)
 
-    def phi(y):
-        x = x0 + tangent @ np.asarray(y, dtype=float)
-        for _ in range(50):
-            F = _component_map(geo, kspec, x)
-            if np.linalg.norm(F) < 1e-12:
-                break
-            _, J = _component_map(geo, kspec, x, jac=True)
-            step, *_ = np.linalg.lstsq(J @ normals, -F, rcond=None)
-            x = x + normals @ step
-        return x
+    jets = kspec.field.jets(x, 3)
+    k1, k2, k3 = (np.reshape(jets[i], (-1,) + (n,) * i) for i in (1, 2, 3))
+    U, S, _ = np.linalg.svd(k1)
+    if len(S) < codim or not S[codim - 1] > np.linalg.norm(Jm, 2) / rank_gap:
+        return None
+    Uc = U[:, :codim].T
+    G1, G2, G3 = Uc @ k1, np.tensordot(Uc, k2, 1), np.tensordot(Uc, k3, 1)
+    A = G1 @ N
 
-    fld = ArrayField(phi, backend=DiffBackend(step=1e-4, step3=1e-3))
-    return EmbeddingSpec(m=m, n=n, phi=fld, orientation=1)
+    def normal(rhs):
+        """N z with A z = rhs, z carrying the parameter axes of rhs."""
+        z = np.linalg.solve(A, rhs.reshape(codim, -1))
+        return np.tensordot(N, z.reshape(rhs.shape), 1)
+
+    X1 = T + normal(-G1 @ T)
+    X2 = normal(-np.einsum("cab,ai,bj->cij", G2, X1, X1))
+    X3 = normal(-np.einsum("cabd,ai,bj,dk->cijk", G3, X1, X1, X1)
+                - np.einsum("cab,aij,bk->cijk", G2, X2, X1)
+                - np.einsum("cab,aik,bj->cijk", G2, X2, X1)
+                - np.einsum("cab,ajk,bi->cijk", G2, X2, X1))
+    return EmbeddingSpec(m=n - codim, n=n,
+                         phi=_LocusPolynomial([x, X1, X2, X3]), orientation=1)

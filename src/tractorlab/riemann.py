@@ -94,20 +94,36 @@ def _invert(g, x):
     return np.linalg.inv(g), float(np.exp(logdet))
 
 
-def _christoffel(gi, dg):
-    """Gamma^c_ab [c, a, b] and half[d, a, b] = g_de Gamma^e_ab, from
-    dg[d, b, a] = d_a g_db."""
+def _christoffel(gi, dg, d2g=None):
+    """Gamma^c_ab [c, a, b] from dg[d, b, a] = d_a g_db and, given the
+    second derivatives d2g, dGamma [c, a, b, e] = d_e Gamma^c_ab, as
+    (Gamma, dGamma, half, dgi, dhalf): half[d, a, b] = g_de Gamma^e_ab,
+    dgi = d g^-1 and dhalf = d half are the terms the third order reuses
+    (None without d2g)."""
     half = 0.5 * (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1))
-    return np.einsum("cd,dab->cab", gi, half), half
+    Gamma = np.einsum("cd,dab->cab", gi, half)
+    if d2g is None:
+        return Gamma, None, half, None, None
+    # derivative of Gamma: need d(g^-1) = -gi dg gi
+    dgi = -np.einsum("ce,efa,fd->cda", gi, dg, gi)
+    dhalf = 0.5 * (d2g.transpose(0, 2, 1, 3) + d2g - d2g.transpose(2, 0, 1, 3))
+    # dhalf[d, a, b, e] = d_e half[d, a, b]
+    dGamma = (np.einsum("cde,dab->cabe", dgi, half)
+              + np.einsum("cd,dabe->cabe", gi, dhalf))
+    return Gamma, dGamma, half, dgi, dhalf
 
 
 def metric_connection(geo: GeometrySpec, x, order=1):
-    """(g, g^-1, Gamma) at ``x`` from the metric's 0- or 1-jet (Gamma None
-    at order 0), equal to a ``curvature_pack``'s to the bit."""
+    """(g, g^-1, Gamma, dGamma) at ``x`` from the metric's ``order``-jet
+    (order 0, 1 or 2; Gamma and dGamma None where the jet is too short),
+    equal to a ``curvature_pack``'s to the bit."""
     jets = geo.metric.jets(x, order)
     gi = _invert(jets[0], x)[0]
-    Gamma = _christoffel(gi, jets[1])[0] if order >= 1 else None
-    return jets[0], gi, Gamma
+    if order == 0:
+        return jets[0], gi, None, None
+    Gamma, dGamma = _christoffel(gi, jets[1],
+                                 jets[2] if order >= 2 else None)[:2]
+    return jets[0], gi, Gamma, dGamma
 
 
 def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
@@ -128,14 +144,7 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     d3g = jets[3] if order >= 3 else None
 
     gi, detg = _invert(g, x)
-    Gamma, half = _christoffel(gi, dg)
-
-    # derivative of Gamma: need d(g^-1) = -gi dg gi
-    dgi = -np.einsum("ce,efa,fd->cda", gi, dg, gi)
-    dhalf = 0.5 * (d2g.transpose(0, 2, 1, 3) + d2g - d2g.transpose(2, 0, 1, 3))
-    # dhalf[d, a, b, e] = d_e half[d, a, b]
-    dGamma = (np.einsum("cde,dab->cabe", dgi, half)
-              + np.einsum("cd,dabe->cabe", gi, dhalf))
+    Gamma, dGamma, half, dgi, dhalf = _christoffel(gi, dg, d2g)
 
     # R_ab^c_d = d_a Gamma^c_bd - d_b Gamma^c_ad
     #            + Gamma^c_ae Gamma^e_bd - Gamma^c_be Gamma^e_ad

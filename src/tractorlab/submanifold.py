@@ -312,11 +312,13 @@ def covariant_along(geo, emb, q, builder, conn, indices):
     return np.moveaxis(tr.covariant_jet(conn, [v0, dv], indices)[0], -1, 0)
 
 
-def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q):
+def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q,
+                                  ipack=None):
     """Max-norm residuals of the Gauss, Codazzi and Ricci equations.
 
     All curvatures are computed independently: the intrinsic one from the
-    pulled-back metric field, the normal one from derivatives of the
+    pulled-back metric field (``ipack``, its order-2 curvature pack at q, if
+    the caller holds one), the normal one from derivatives of the
     orthonormal normal frame.
     """
     sub = submanifold_pack(geo, emb, q)
@@ -327,7 +329,8 @@ def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q):
     # ambient curvature restricted to Sigma
     R_tttt = np.einsum("abcd,ai,bj,ck,dl->ijkl", pack.R4, sub.dphi, sub.dphi,
                        sub.dphi, sub.dphi)
-    ipack = curvature_pack(sub.intrinsic, q, order=2)
+    if ipack is None:
+        ipack = curvature_pack(sub.intrinsic, q, order=2)
     RS = ipack.R4 if m >= 2 else np.zeros((m, m, m, m))
     # R_ijkl = R^S_ijkl + g_cd (II_li^c II_jk^d - II_lj^c II_ik^d)
     gauss_rhs = RS + (np.einsum("cd,lic,jkd->ijkl", g, sub.II, sub.II)
@@ -402,7 +405,7 @@ def _normal_curvature(geo, emb, q, seeds):
 
     def frame_at(y, conn):
         ph = emb.jets(y, 1)
-        g, gi, Gamma = metric_connection(geo, ph[0], 1 if conn else 0)
+        g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
         fr = normal_frame(g, gi, ph[1], orientation, seeds)
         return fr["normals"], fr["conormals"], (
             SigmaConn(tr.ConnData(emb.n, g, gi, Gamma), ph[1]) if conn else None)

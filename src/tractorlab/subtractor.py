@@ -606,7 +606,7 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
         ph = emb.jets(y, 2)
         pk = curvature_pack(geo, ph[0], order=2) if conn else None
         g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
-                        else metric_connection(geo, ph[0]))
+                        else metric_connection(geo, ph[0])[:3])
         fr = normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds, Gamma,
                           ph[2])
         frame = tractor_conormal_rows(fr["conormals"], fr["H"])

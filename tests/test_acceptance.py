@@ -207,7 +207,7 @@ def test_criterion_7_flat_circle():
     from tractorlab.tensors import TensorValue, tractor_down
 
     def monitor(i, j):
-        def f(geo_, state):
+        def f(geo_, state, _pack):
             K = fi._split_components(geo_, geolib.rotation_form(3, i, j),
                                      state.x)
             ixs = tuple(tractor_down(3) for _ in range(2))

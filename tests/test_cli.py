@@ -231,11 +231,13 @@ def test_report_one_context_per_sample_point(monkeypatch, geometry,
 
 def test_flat_circle_pack_count(monkeypatch):
     """Curvature packs the flat-circle preset builds outside the ODE
-    right-hand side, pinned so that a change shows in review: per output
-    point one for A.A and the residual, and per rotation monitor one for
-    the splitting and one shared by the Hodge star and the curve tractors
-    (37 per point when the splitting differentiated ky_decompose by
-    central differences)."""
+    right-hand side, pinned so that a change shows in review: one per
+    output point, for A.A and the residual, which the integrator hands to
+    the three rotation monitors; their splittings, Hodge stars and curve
+    tractors all read it, since it is the order-2 pack at the same point
+    (7 per point when each monitor built one for the splitting and one for
+    the rest, 37 when the splitting differentiated ky_decompose by central
+    differences)."""
     packs = Counter()
     pack = riemann.curvature_pack
     in_rhs = []
@@ -262,7 +264,7 @@ def test_flat_circle_pack_count(monkeypatch):
                        '"num":%d,"t_span":[0,1]}' % num])
     assert rc == 0
     assert packs["rhs"] > 0
-    assert packs["other"] == 7 * num
+    assert packs["other"] == num
 
 
 def test_invariance_identity_and_random():

@@ -9,8 +9,10 @@ from tractorlab import circles as ci
 from tractorlab import firstint as fi
 from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack
+from tractorlab.submanifold import EmbeddingSpec
 from tractorlab.subtractor import SubTractorContext
-from tractorlab.tensors import (TensorValue, middle_block, pairing_matrix,
+from tractorlab.tensors import (ArrayField, DiffBackend, TensorValue,
+                                middle_block, pairing_matrix, tangent_down,
                                 tractor_down)
 
 
@@ -133,7 +135,7 @@ def test_conservation_along_flat_circles():
     st = ci.CurveState([0, 0, 0], [1, 0, 0], [0, 1, 0])
 
     def monitor(i, j):
-        def f(geo_, state):
+        def f(geo_, state, _pack):
             spec = geolib.rotation_form(3, i, j)
             split = fi.bgg_split(geo_, spec, state.x)
             ixs = tuple(tractor_down(3) for _ in range(2))
@@ -229,7 +231,10 @@ def test_hyperbolic_scale_zero_locus_is_normal_tractor():
         assert np.abs(N @ (pairing_matrix(n) @ I) - I).max() < 1e-9
 
 
-def test_scan_hyperbolic_scale_codim1():
+def test_scan_hyperbolic_scale_codim1(monkeypatch):
+    def fail(*args):
+        raise AssertionError("finite-difference jets in the scan")
+    monkeypatch.setattr(ArrayField, "_fd_jets", fail)
     geo = geolib.euclidean(3)
     sig = geolib.almost_einstein_hyperbolic(3)
     rep = fi.zero_locus_scan(geo, sig, [(-1.5, 1.5)] * 3, grid=13)
@@ -237,7 +242,7 @@ def test_scan_hyperbolic_scale_codim1():
     assert rep.codim == 1
     for p in rep.points:
         assert abs(np.linalg.norm(p) - 1.0) < 1e-7
-    assert max(rep.L_residuals) < 1e-4
+    assert max(rep.L_residuals) < 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -352,3 +357,141 @@ def test_component_map_jacobian_matches_central_differences(case):
     assert J.shape == J_fd.shape
     assert np.abs(J).max() > 0.1
     assert np.abs(J - J_fd).max() <= 1e-8
+
+
+def _pack_component_map(geo, kspec, x, jac=False):
+    """The former route of ``_component_map``, kept as the oracle: the
+    connection read from an order-2 curvature pack."""
+    n = geo.n
+    pack, jets, covs = fi._cov_jets(geo, kspec, x, 2 if jac else 1)
+    comps = [np.atleast_1d(np.asarray(jets[0])).ravel()]
+    rows = [np.reshape(jets[1], (-1, n))] if jac else []
+    if kspec.degree >= 2:
+        grad = np.moveaxis(covs[0], -1, 0)
+        div = np.einsum("ab,ab...->...", pack.gi, grad)
+        comps.append(np.atleast_1d(np.asarray(div)).ravel())
+        if jac:
+            ddiv = np.einsum("ab,b...ac->...c", pack.gi, covs[1])
+            M = tr.ConnData.from_pack(pack).matrix(tangent_down(n))
+            for ax in range(div.ndim):
+                ddiv = ddiv - tr._apply_axis(M, div, ax)
+            rows.append(np.reshape(ddiv, (-1, n)))
+    F = np.concatenate(comps)
+    return (F, np.concatenate(rows)) if jac else F
+
+
+@pytest.mark.parametrize("case", ["rotation", "special_conformal",
+                                  "non_solution", "non_solution_2form",
+                                  "hyperbolic_scale"])
+def test_component_map_connection_matches_pack_route(case, monkeypatch):
+    geo, spec = {
+        "rotation": (geolib.euclidean(3), geolib.rotation_form(3, 0, 1)),
+        "special_conformal": (geolib.euclidean(3),
+                              geolib.special_conformal_form(3)),
+        "non_solution": (geolib.random_metric(3), _non_solution_1form()),
+        "non_solution_2form": (geolib.sphere(3), _non_solution_2form()),
+        "hyperbolic_scale": (geolib.euclidean(3),
+                             geolib.almost_einstein_hyperbolic(3)),
+    }[case]
+    x = np.array([0.3, -0.2, 0.1])
+    F_ref, J_ref = _pack_component_map(geo, spec, x, jac=True)
+    F1_ref = _pack_component_map(geo, spec, x)
+    monkeypatch.setattr(fi, "curvature_pack", None)  # no pack on this route
+    F, J = fi._component_map(geo, spec, x, jac=True)
+    assert np.array_equal(F, F_ref) and np.array_equal(J, J_ref)
+    assert np.array_equal(fi._component_map(geo, spec, x), F1_ref)
+
+
+# --------------------------------------------------------------------------
+# the locus polynomial against the Newton parametrisation
+# --------------------------------------------------------------------------
+
+def _newton_graph_parametrisation(geo, kspec, x0, codim):
+    """The former route, kept as the oracle: tangent directions from the
+    Jacobian null space, the normal complement solved by Newton at every
+    value, differentiated by central differences."""
+    n = geo.n
+    _, Jm = fi._component_map(geo, kspec, x0, jac=True)
+    Vt = np.linalg.svd(Jm)[2]
+    tangent, normals = Vt[codim:].T, Vt[:codim].T
+
+    def phi(y):
+        x = x0 + tangent @ np.asarray(y, dtype=float)
+        for _ in range(50):
+            F = fi._component_map(geo, kspec, x)
+            if np.linalg.norm(F) < 1e-12:
+                break
+            _, J = fi._component_map(geo, kspec, x, jac=True)
+            step, *_ = np.linalg.lstsq(J @ normals, -F, rcond=None)
+            x = x + normals @ step
+        return x
+
+    fld = ArrayField(phi, backend=DiffBackend(step=1e-4, step3=1e-3))
+    return EmbeddingSpec(m=n - codim, n=n, phi=fld, orientation=1)
+
+
+# (geometry, form, base point off the locus, codimension)
+LOCUS_CASES = {
+    "hyperbolic_scale_3": (lambda: geolib.euclidean(3),
+                           lambda: geolib.almost_einstein_hyperbolic(3),
+                           [0.48, -0.36, 0.8], 1),
+    "sphere_rotation_3": (lambda: geolib.sphere(3),
+                          lambda: geolib.round_rotation_form(3, 0, 1),
+                          [1e-3, -2e-3, 0.4], 2),
+    "sphere_rotation_4": (lambda: geolib.sphere(4),
+                          lambda: geolib.round_rotation_form(4, 0, 1),
+                          [1e-3, -2e-3, 0.3, -0.2], 2),
+    "flat_rotation_3": (lambda: geolib.euclidean(3),
+                        lambda: geolib.rotation_form(3, 0, 1),
+                        [1e-3, -2e-3, 0.4], 2),
+    "flat_rotation_4": (lambda: geolib.euclidean(4),
+                        lambda: geolib.rotation_form(4, 0, 1),
+                        [1e-3, -2e-3, 0.3, -0.2], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCUS_CASES))
+def test_locus_jets_match_newton_route(case):
+    make_geo, make_form, x0, codim = LOCUS_CASES[case]
+    geo, spec = make_geo(), make_form()
+    x0 = np.array(x0)
+    emb = fi._locus_embedding(geo, spec, x0, codim)
+    ref = _newton_graph_parametrisation(geo, spec, x0, codim)
+    y0 = np.zeros(geo.n - codim)
+    exact, fd = emb.jets(y0, 2), ref.jets(y0, 2)
+    assert np.linalg.norm(fi._component_map(geo, spec, exact[0])) < 1e-12
+    assert np.array_equal(exact[0], fd[0])
+    # measured: at most 3.8e-13 and 1.1e-8, the central differences' error
+    assert np.abs(exact[1] - fd[1]).max() <= 1e-11
+    assert np.abs(exact[2] - fd[2]).max() <= 1e-7
+    # the polynomial stays on the locus to third order
+    for t in (1e-2, 5e-3):
+        y = np.full(geo.n - codim, t)
+        F = fi._component_map(geo, spec, emb.jets(y, 0)[0])
+        assert np.linalg.norm(F) <= 10 * t ** 4 + 1e-13
+
+
+def test_flat_rotation_locus_L_is_zero():
+    for n in (3, 4):
+        geo = geolib.euclidean(n)
+        spec = geolib.rotation_form(n, 0, 1)
+        pts = [np.array([0.0, 0.0] + [0.3, -0.2][:n - 2]),
+               np.array([1e-3, -2e-3] + [-0.5, 0.1][:n - 2])]
+        L_res, notes = fi._locus_L_residuals(geo, spec, pts, 2, 1e3)
+        assert L_res == [0.0, 0.0] and notes == ""
+
+
+def test_degenerate_zero_records_no_L():
+    """At the origin k = 2(b.x)x - |x|^2 b vanishes to second order, so the
+    rows of k cannot cut out the codimension-1 set the (k, div k) Jacobian
+    claims: no polynomial, no L, and a note.  The scan refines to a point
+    about 1e-20 off the origin, where the Jacobian of k is tiny but not
+    zero."""
+    geo = geolib.euclidean(3)
+    spec = geolib.special_conformal_form(3)
+    points = [np.zeros(3), np.array([-1.2e-20, 0.0, 0.0])]
+    for x in points:
+        assert fi._locus_embedding(geo, spec, x, 1) is None
+    L_res, notes = fi._locus_L_residuals(geo, spec, points, 1, 1e3)
+    assert L_res == []
+    assert notes.startswith("no L residual at 2 of 2 locus points")
