@@ -149,6 +149,8 @@ def as_fd_geometry(geo, step=1e-3, step3=1e-2):
     fd_metric = ArrayField(geo.metric.value,
                            backend=DiffBackend(mode=FD, step=step,
                                                step3=step3))
+    # the whole stencil in one evaluation of the metric
+    fd_metric.values = geo.metric.values
     return riemann.GeometrySpec(n=geo.n, metric=fd_metric,
                                 orientation=geo.orientation,
                                 mobius_schouten=geo.mobius_schouten)

@@ -285,12 +285,14 @@ def _k_norm2_grid(geo, kspec, grid_axes):
     X = np.stack(mesh, axis=-1)
     if kspec.batch_norm2 is not None:
         return X, kspec.batch_norm2(X)
-    flat = X.reshape(-1, X.shape[-1])
-    vals = np.empty(len(flat))
-    for i, x in enumerate(flat):
-        v = kspec.field.value(x)
-        vals[i] = float(np.sum(np.asarray(v) ** 2))
-    return X, vals.reshape(X.shape[:-1])
+    # one batched evaluation per slab of the first grid axis bounds the
+    # memory the point axis takes
+    vals = np.empty(X.shape[:-1])
+    for i, slab in enumerate(X):
+        v = kspec.field.values(slab.reshape(-1, X.shape[-1]))
+        vals[i] = np.sum(v.reshape(len(v), -1) ** 2, axis=1).reshape(
+            slab.shape[:-1])
+    return X, vals
 
 
 def _component_map(geo, kspec, x, jac=False):

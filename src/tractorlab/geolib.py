@@ -3,10 +3,11 @@
 Every entry is written once as a function of jet variables (see jets.py),
 which yields machine-exact analytic derivatives up to order three.  A field
 evaluates its jet function at the order it is asked for: ``value()`` runs it
-on order-0 variables (plain float arithmetic), ``jets(x, k)`` on order-k
-variables.  A jet function therefore builds its constants as plain numbers
-(or from a variable), never as order-3 ``Jet3`` constants, so that they take
-on the variables' order.  Entries are addressable by name from the CLI.
+on order-0 variables (plain float arithmetic), ``values(X)`` on order-0
+variables with a point axis (all rows of X at once), ``jets(x, k)`` on
+order-k variables.  A jet function therefore builds its constants as plain
+numbers (or from a variable), never as order-3 ``Jet3`` constants, so that
+they take on the variables' order.  Entries are addressable by name from the CLI.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .jets import pack_array, variables
+from .jets import pack_array, pack_values, variables
 from .riemann import GeometrySpec
 from .submanifold import EmbeddingSpec
-from .tensors import ANALYTIC, ArrayField, DiffBackend
+from .tensors import ANALYTIC, ArrayField, DiffBackend, JetOrderError
 
 __all__ = ["CatalogEntry", "catalog", "euclidean", "sphere", "hyperbolic",
            "fubini_study", "product_metric", "warped_product",
@@ -42,7 +43,8 @@ def _analytic_backend():
 class JetField(ArrayField):
     """Analytic ArrayField whose jets come from one truncated-Taylor
     evaluation of a jet function at the requested order (order 0 for
-    ``value``).
+    ``value``).  ``values`` runs the jet function once on order-0
+    variables that carry a point axis, for all the points at once.
 
     ``fn`` receives a list of Jet3 coordinates of the requested order and
     returns a (nested) array of jets / constants.  Constants must be plain
@@ -59,6 +61,15 @@ class JetField(ArrayField):
 
     def _value(self, x):
         return self._eval(x, 0)[0]
+
+    def values(self, X):
+        X = np.asarray(X, dtype=float)
+        # a pole is a non-finite value here, not a ZeroDivisionError
+        with np.errstate(all="ignore"):
+            v = pack_values(self.jet_fn(variables(X, 0)), len(X))
+        if not np.all(np.isfinite(v)):
+            raise JetOrderError("non-finite field evaluation")
+        return v
 
     def jets(self, x, order):
         return list(self._eval(x, order))

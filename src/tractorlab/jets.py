@@ -6,6 +6,15 @@ third-derivative tensor.  Components above the order are ``None`` and are
 never computed: an order-0 jet is a plain float value, an order-2 jet skips
 every third-derivative term.
 
+The value of an order-0 jet may instead be an array with a leading point
+axis: ``variables(X, 0)`` for ``X`` of shape (p, n) gives coordinates whose
+values are the columns of ``X``, and one run of a jet function on them
+evaluates it at all p points (``pack_values`` stacks the result).  Each
+point's value is bitwise the one a scalar run at that point gives: the ring
+operations are correctly rounded in numpy as in Python, and ``exp``,
+``log``, ``sqrt``, ``sin``, ``cos`` and non-integer powers apply the scalar
+``math`` function point by point (numpy's may differ in the last bit).
+
 Arithmetic between two jets truncates to the lower of their orders.  A plain
 number acts as a constant jet of the other operand's order.  Every component
 is computed by the same formula at every order, so the components an order-k
@@ -24,7 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet3", "variables", "constant", "pack_array"]
+__all__ = ["Jet3", "variables", "constant", "pack_array", "pack_values"]
 
 MAX_ORDER = 3
 
@@ -34,11 +43,21 @@ def _jet(n, order, f, g=None, h=None, t=None):
     j = object.__new__(Jet3)
     j.n = n
     j.order = order
-    j.f = float(f)
+    # an order-0 value may carry a leading point axis
+    j.f = f if isinstance(f, np.ndarray) else float(f)
     j.g = g
     j.h = h
     j.t = t
     return j
+
+
+def _pointwise(fn, u):
+    """``fn(u)``, point by point when ``u`` carries a point axis.  A
+    non-finite point gives nan, so that a pole upstream stays non-finite."""
+    if not isinstance(u, np.ndarray):
+        return fn(u)
+    return np.array([fn(a) if math.isfinite(a) else math.nan
+                     for a in u.tolist()])
 
 
 def _check_order(order):
@@ -135,7 +154,7 @@ class Jet3:
                 out = out * self
             return out
         u = self.f
-        return self._compose(u ** k, lambda: (
+        return self._compose(_pointwise(lambda a: a ** k, u), lambda: (
             k * u ** (k - 1), k * (k - 1) * u ** (k - 2),
             k * (k - 1) * (k - 2) * u ** (k - 3)))
 
@@ -169,36 +188,44 @@ class Jet3:
             -1.0 / u ** 2, 2.0 / u ** 3, -6.0 / u ** 4))
 
     def exp(self):
-        e = math.exp(self.f)
+        e = _pointwise(math.exp, self.f)
         return self._compose(e, lambda: (e, e, e))
 
     def log(self):
         u = self.f
-        return self._compose(math.log(u), lambda: (
+        return self._compose(_pointwise(math.log, u), lambda: (
             1.0 / u, -1.0 / u ** 2, 2.0 / u ** 3))
 
     def sqrt(self):
         u = self.f
-        s = math.sqrt(u)
+        s = _pointwise(math.sqrt, u)
         return self._compose(s, lambda: (
             0.5 / s, -0.25 / (u * s), 0.375 / (u ** 2 * s)))
 
     def sin(self):
-        s, c = math.sin(self.f), math.cos(self.f)
+        s, c = _pointwise(math.sin, self.f), _pointwise(math.cos, self.f)
         return self._compose(s, lambda: (c, -s, -c))
 
     def cos(self):
-        s, c = math.sin(self.f), math.cos(self.f)
+        s, c = _pointwise(math.sin, self.f), _pointwise(math.cos, self.f)
         return self._compose(c, lambda: (-s, -c, s))
 
     def __repr__(self):
-        return f"Jet3({self.f:+.6g}, n={self.n}, order={self.order})"
+        f = (f"{self.f.size} points" if isinstance(self.f, np.ndarray)
+             else f"{self.f:+.6g}")
+        return f"Jet3({f}, n={self.n}, order={self.order})"
 
 
 def variables(x, order=MAX_ORDER):
-    """Coordinate jets of the given order at the point ``x``."""
+    """Coordinate jets of the given order at the point ``x``; at order 0
+    ``x`` may also be a stack of points of shape (p, n), whose columns
+    become the values."""
     _check_order(order)
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        if order != 0:
+            raise ValueError("only order-0 jets carry a point axis")
+        return [_jet(x.shape[1], 0, col) for col in np.ascontiguousarray(x.T)]
     n = x.size
     if order == 0:
         return [_jet(n, 0, f) for f in x.tolist()]
@@ -248,3 +275,15 @@ def pack_array(jets, order=MAX_ORDER, n=None):
             comp[i] = (e.g, e.h, e.t)[k - 1]
         out.append(comp.reshape(v.shape + (n,) * k))
     return tuple(out)
+
+
+def pack_values(jets, points):
+    """Stack the order-0 values of a nested list/array of jets whose values
+    carry a point axis of length ``points`` (plain numbers and point-free
+    constants are broadcast along it).  Returns an array of shape
+    ``(points,) + shape``."""
+    arr = np.asarray(jets, dtype=object)
+    out = np.empty((points, arr.size))
+    for i, e in enumerate(arr.flat):
+        out[:, i] = e.f if isinstance(e, Jet3) else float(e)
+    return out.reshape((points,) + arr.shape)

@@ -5,6 +5,12 @@ variance, dimension) and an integer conformal weight.  Tractor indices use the
 slot order (sigma, mu_1..mu_n, rho) for both variances; contracting an up
 tractor index with a down one therefore goes through the constant pairing
 matrix that swaps the sigma and rho slots (implemented as an axis flip).
+
+``ArrayField`` differentiates by nested central differences.  Its stencil
+is built as one array of points and evaluated with one ``values`` call, so
+a field that evaluates many points at once (``geolib.JetField``, whose
+order-0 jets carry a point axis) runs once per stencil rather than once per
+point; a plain field's ``values`` calls ``value`` point by point.
 """
 from __future__ import annotations
 
@@ -320,8 +326,12 @@ class ArrayField:
 
     ``fn(x) -> ndarray``; ``jets`` appends one, two, three trailing
     coordinate axes for the derivatives, here by nested central
-    differences.  A field with exact derivatives overrides ``jets`` and
-    declares an analytic backend.
+    differences.  ``values(X)`` evaluates the field at each row of ``X``
+    (shape (p, n)) and stacks the results on a leading axis; here it calls
+    ``value`` row by row, and a field that can evaluate many points at once
+    overrides it.  The central differences take their whole stencil from
+    one ``values`` call.  A field with exact derivatives overrides ``jets``
+    and declares an analytic backend.
     """
 
     def __init__(self, fn, backend=None):
@@ -334,6 +344,9 @@ class ArrayField:
             raise JetOrderError("non-finite field evaluation")
         return v
 
+    def values(self, X):
+        return np.stack([self.value(x) for x in X])
+
     def jets(self, x, order):
         x = np.asarray(x, dtype=float)
         if order > self.backend.max_order:
@@ -343,15 +356,42 @@ class ArrayField:
         return self._fd_jets(x, order)
 
     def _fd_jets(self, x, order):
-        v = self.value(x)
-        out = [v]
+        """Value and central differences up to ``order`` at ``x``.
+
+        The stencil is the nested one, duplicates included: x, the first
+        derivative's 1 + 2n points, the second derivative's 1 + 2n^2, and at
+        order 3 a second-derivative stencil at each of x +- step3 e_i, whose
+        central difference is the third derivative.  All its points go
+        through one ``values`` call.
+        """
+        n = x.size
         h = self.backend.step
+        pts = [x]
         if order >= 1:
-            out.append(self._fd1(x, h))
-        if order >= 2:
-            out.append(self._fd2(x, h))
+            pts += _fd1_points(x, h)
+        centres = [x]
         if order >= 3:
-            d3 = central_diff(lambda y: self._fd2(y, h), x, self.backend.step3)
+            for e in self.backend.step3 * np.eye(n):
+                centres += [x + e, x - e]
+        if order >= 2:
+            for c in centres:
+                pts += _fd2_points(c, h)
+        vals = self.values(np.array(pts))
+        v = vals[0]
+        out = [v]
+        if order >= 1:
+            out.append(_fd1(vals[1:2 + 2 * n], n, h))
+        if order >= 2:
+            size = 1 + 2 * n * n
+            start = 2 + 2 * n
+            d2 = [_fd2(vals[k:k + size], n, h)
+                  for k in range(start, len(vals), size)]
+            out.append(d2[0])
+        if order >= 3:
+            d3 = np.empty(v.shape + (n, n, n))
+            for i in range(n):
+                d3[..., i] = (d2[1 + 2 * i] - d2[2 + 2 * i]) / (
+                    2 * self.backend.step3)
             # symmetrise the mixed third derivatives
             d3 = (d3 + d3.transpose(*range(v.ndim), *(v.ndim + np.array([1, 2, 0]))) +
                   d3.transpose(*range(v.ndim), *(v.ndim + np.array([2, 0, 1]))) +
@@ -361,32 +401,50 @@ class ArrayField:
             out.append(d3)
         return out
 
-    def _fd1(self, x, h):
-        n = x.size
-        v = self.value(x)
-        d1 = np.empty(v.shape + (n,))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            d1[..., a] = (self.value(x + e) - self.value(x - e)) / (2 * h)
-        return d1
 
-    def _fd2(self, x, h):
-        n = x.size
-        v = self.value(x)
-        d2 = np.empty(v.shape + (n, n))
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = h
-            d2[..., a, a] = (self.value(x + ea) - 2 * v + self.value(x - ea)) / h ** 2
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = h
-                mixed = (self.value(x + ea + eb) - self.value(x + ea - eb)
-                         - self.value(x - ea + eb) + self.value(x - ea - eb)) / (4 * h ** 2)
-                d2[..., a, b] = mixed
-                d2[..., b, a] = mixed
-        return d2
+def _fd1_points(x, h):
+    """x, then x + h e_a and x - h e_a for each a."""
+    pts = [x]
+    for e in h * np.eye(x.size):
+        pts += [x + e, x - e]
+    return pts
+
+
+def _fd1(vals, n, h):
+    """First derivatives from the values at ``_fd1_points``."""
+    d1 = np.empty(vals[0].shape + (n,))
+    for a in range(n):
+        d1[..., a] = (vals[1 + 2 * a] - vals[2 + 2 * a]) / (2 * h)
+    return d1
+
+
+def _fd2_points(x, h):
+    """x; then for each a, x +- h e_a followed by the four points
+    x +- h e_a +- h e_b of each b > a."""
+    steps = h * np.eye(x.size)
+    pts = [x]
+    for a, ea in enumerate(steps):
+        pts += [x + ea, x - ea]
+        for eb in steps[a + 1:]:
+            pts += [x + ea + eb, x + ea - eb, x - ea + eb, x - ea - eb]
+    return pts
+
+
+def _fd2(vals, n, h):
+    """Second derivatives from the values at ``_fd2_points``."""
+    v = vals[0]
+    d2 = np.empty(v.shape + (n, n))
+    k = 1
+    for a in range(n):
+        d2[..., a, a] = (vals[k] - 2 * v + vals[k + 1]) / h ** 2
+        k += 2
+        for b in range(a + 1, n):
+            mixed = (vals[k] - vals[k + 1]
+                     - vals[k + 2] + vals[k + 3]) / (4 * h ** 2)
+            d2[..., a, b] = mixed
+            d2[..., b, a] = mixed
+            k += 4
+    return d2
 
 
 @dataclass

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tractorlab import geolib
-from tractorlab.jets import Jet3, constant, pack_array, variables
+from tractorlab.jets import (Jet3, constant, pack_array, pack_values,
+                             variables)
 
 
 def _catalog_fields():
@@ -101,3 +102,48 @@ def test_pack_array_rejects_jets_below_requested_order():
     vals, grads = pack_array([u * v, 1.0], 1)
     assert vals[1] == 1.0 and not grads[1].any()
     assert math.isclose(vals[0], 0.02)
+
+
+# --------------------------------------------------------------------------
+# order-0 jets with a point axis
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,dim,field", FIELDS,
+                         ids=[f[0] for f in FIELDS])
+def test_values_are_the_stacked_per_point_values(label, dim, field):
+    X = np.random.default_rng(11).uniform(-0.3, 0.3, (5, dim))
+    stacked = np.stack([field.value(x) for x in X])
+    assert _bitwise_equal(field.values(X), stacked)
+
+
+def test_catalog_point_axis_covers_exp_sin_and_cos():
+    labels = {label for label, _, _ in FIELDS}
+    assert {"doubly_warped_r4:metric", "twisted_r4:metric",
+            "euclidean:embedding:circle",
+            "euclidean:embedding:helix"} <= labels
+
+
+def test_point_axis_elementary_functions_are_pointwise_math():
+    X = np.random.default_rng(3).uniform(0.1, 0.9, (7, 2))
+
+    def fn(v):
+        u, w = v
+        return [u.exp(), w.log(), (u + w).sqrt(), u.sin(), w.cos(),
+                u ** 0.7, w ** -2, 3.0 / (u - 2.0), u ** 0, 1.5]
+    batched = pack_values(fn(variables(X, 0)), len(X))
+    assert batched.shape == (7, 10)
+    for x, row in zip(X, batched):
+        single = pack_array(fn(variables(x, 0)), 0)[0]
+        assert _bitwise_equal(row, single)
+    u = variables(X, 0)[0]
+    assert u.order == 0 and u.f.shape == (7,) and "7 points" in repr(u)
+
+
+def test_point_axis_pole_is_non_finite_not_an_exception():
+    X = np.array([[0.5], [1.0], [0.25]])
+    (u,) = variables(X, 0)
+    with np.errstate(all="ignore"):
+        r = (1.0 / (1.0 - u)).exp()
+    assert np.isfinite(r.f[[0, 2]]).all() and np.isnan(r.f[1])
+    with pytest.raises(ValueError):
+        variables(X, 1)
