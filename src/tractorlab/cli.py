@@ -444,8 +444,8 @@ def _transformation_residuals(geo, omega, q, emb):
     sub = submanifold.submanifold_pack(geo, emb, q)
     x = sub.x
     geoh, upsilon = riemann.rescale(geo, omega)
-    pk = riemann.curvature_pack(geo, x, order=3)
-    pkh = riemann.curvature_pack(geoh, x, order=3)
+    pk = riemann.curvature_pack(geo, x, order=2)
+    pkh = riemann.curvature_pack(geoh, x, order=2)
     ups = upsilon(x)
     oj = omega.jets(x, 2)
     dU = oj[2] / oj[0] - np.multiply.outer(oj[1], oj[1]) / oj[0] ** 2

@@ -161,7 +161,7 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
 
     # normality: tractor derivative of the K field
     dK = central_diff(lambda y: _split_components(geo, kspec, y), x, 1e-3)
-    pack = curvature_pack(geo, x, order=min(3, geo.backend.max_order))
+    pack = curvature_pack(geo, x, order=2)
     conn = tr.ConnData.from_pack(pack)
     nab = tr.covariant_jet(conn, [K, dK], (tractor_down(n),) * K.ndim)[0]
     normality = float(np.abs(nab).max())
@@ -444,8 +444,8 @@ def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
     locus out (rank of their Jacobian below ``codim``, by the scan's rank
     test against the largest singular value of the (k, div k) Jacobian).
 
-    x0 is first polished onto the locus by Newton along the normal
-    directions N, the complement of the null space T of the (k, div k)
+    x0 is first polished onto the locus, to round-off, by Newton along the
+    normal directions N, the complement of the null space T of the (k, div k)
     Jacobian.  ``codim`` combinations G of the components of k, taken
     through the left singular vectors of their Jacobian, carry the rank;
     their exact 3-jet gives the locus x0 + X(y), G(x0 + X(y)) = 0, by the
@@ -461,12 +461,17 @@ def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
     F, Jm = _component_map(geo, kspec, x, jac=True)
     Vt = np.linalg.svd(Jm)[2]
     T, N = Vt[codim:].T, Vt[:codim].T
+    # to round-off: the expansion is about a point of the zero set, not of
+    # a level set next to it, so Newton stops when a step no longer shrinks F
     for _ in range(50):
-        if np.linalg.norm(F) < 1e-12:
+        if not F.any():
             break
         step, *_ = np.linalg.lstsq(Jm @ N, -F, rcond=None)
-        x = x + N @ step
-        F, Jm = _component_map(geo, kspec, x, jac=True)
+        xn = x + N @ step
+        Fn, Jn = _component_map(geo, kspec, xn, jac=True)
+        if not np.linalg.norm(Fn) < np.linalg.norm(F):
+            break
+        x, F, Jm = xn, Fn, Jn
 
     jets = kspec.field.jets(x, 3)
     k1, k2, k3 = (np.reshape(jets[i], (-1,) + (n,) * i) for i in (1, 2, 3))

@@ -57,7 +57,12 @@ class JetField(ArrayField):
 
     def _eval(self, x, order):
         x = np.asarray(x, dtype=float)
-        return pack_array(self.jet_fn(variables(x, order)), order, x.size)
+        try:
+            out = self.jet_fn(variables(x, order))
+        except ArithmeticError as exc:
+            # a pole: the same failure ``values`` reports
+            raise JetOrderError(f"non-finite field evaluation at {x}") from exc
+        return pack_array(out, order, x.size)
 
     def _value(self, x):
         return self._eval(x, 0)[0]

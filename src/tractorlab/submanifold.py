@@ -135,7 +135,7 @@ class SubmanifoldPack:
     n: int
     d: int
     dphi: np.ndarray            # Pi^a_i
-    pack: CurvaturePack         # ambient curvature at x
+    pack: CurvaturePack         # ambient curvature at x (metric 2-jet)
     g_s: np.ndarray             # induced metric
     gi_s: np.ndarray
     Pi_ia: np.ndarray           # Pi^i_a (orthogonal projection onto T Sigma)
@@ -175,7 +175,7 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
 
 def _build_pack(geo, emb, q, seeds):
     ph = emb.jets(q, 2)
-    pack = curvature_pack(geo, ph[0], order=min(3, geo.backend.max_order))
+    pack = curvature_pack(geo, ph[0], order=2)
     if np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m:
         raise RankDeficientError(f"embedding differential rank-deficient at {q}")
     frame = normal_frame(pack.g, pack.gi, ph[1],

@@ -137,6 +137,17 @@ def test_circle_integration_failure_exit2(monkeypatch, capsys):
     assert "step size" in err
 
 
+def test_analytic_sample_point_on_a_pole_exits_2():
+    # (1, 0, 0) is on the boundary of the Poincare ball, where 1 - |x|^2 = 0
+    rc, out, err = run_cli(
+        "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":3}}',
+        "-s", 'embedding={"name":"slice","params":{"n":3,"m":1}}',
+        "-s", 'samples={"points":[[1.0]]}')
+    assert rc == 2
+    assert "numerical failure: JetOrderError" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_embedding_dimension_mismatch_exit4(capsys):
     rc = cli.main(["report",
                    "-s", 'geometry={"name":"euclidean","params":{"n":5}}',

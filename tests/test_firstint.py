@@ -409,7 +409,8 @@ def test_component_map_connection_matches_pack_route(case, monkeypatch):
 def _newton_graph_parametrisation(geo, kspec, x0, codim):
     """The former route, kept as the oracle: tangent directions from the
     Jacobian null space, the normal complement solved by Newton at every
-    value, differentiated by central differences."""
+    value (to round-off: until a step no longer shrinks the components),
+    differentiated by central differences."""
     n = geo.n
     _, Jm = fi._component_map(geo, kspec, x0, jac=True)
     Vt = np.linalg.svd(Jm)[2]
@@ -417,13 +418,16 @@ def _newton_graph_parametrisation(geo, kspec, x0, codim):
 
     def phi(y):
         x = x0 + tangent @ np.asarray(y, dtype=float)
+        F, J = fi._component_map(geo, kspec, x, jac=True)
         for _ in range(50):
-            F = fi._component_map(geo, kspec, x)
-            if np.linalg.norm(F) < 1e-12:
+            if not F.any():
                 break
-            _, J = fi._component_map(geo, kspec, x, jac=True)
             step, *_ = np.linalg.lstsq(J @ normals, -F, rcond=None)
-            x = x + normals @ step
+            xn = x + normals @ step
+            Fn, Jn = fi._component_map(geo, kspec, xn, jac=True)
+            if not np.linalg.norm(Fn) < np.linalg.norm(F):
+                break
+            x, F, J = xn, Fn, Jn
         return x
 
     fld = ArrayField(phi, backend=DiffBackend(step=1e-4, step3=1e-3))
@@ -479,6 +483,16 @@ def test_flat_rotation_locus_L_is_zero():
                np.array([1e-3, -2e-3] + [-0.5, 0.1][:n - 2])]
         L_res, notes = fi._locus_L_residuals(geo, spec, pts, 2, 1e3)
         assert L_res == [0.0, 0.0] and notes == ""
+
+
+def test_curved_locus_L_is_round_off():
+    """The polynomial is expanded about a point of the zero set, not of a
+    level set 1e-12 next to it (which gave max L 2.8e-11 here)."""
+    rep = fi.zero_locus_scan(geolib.sphere(4),
+                             geolib.round_rotation_form(4, 0, 1),
+                             [[-1.0, 1.0]] * 4, grid=9)
+    assert (rep.status, rep.codim, len(rep.points)) == ("locus", 2, 38)
+    assert len(rep.L_residuals) == 8 and max(rep.L_residuals) <= 1e-14
 
 
 def test_degenerate_zero_records_no_L():

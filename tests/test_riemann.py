@@ -1,11 +1,14 @@
 """Curvature pipeline tests: golden values, oracles, rescaling laws."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tractorlab import geolib
-from tractorlab.riemann import GeometrySpec, curvature_pack, rescale
+from test_jets import _bitwise_equal
+from tractorlab import cli, geolib
+from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
+                                rescale)
 from tractorlab.riemann import levi_civita_derivative
 from tractorlab.tensors import (ArrayField, DiffBackend, FieldHandle,
                                 tangent_up)
@@ -16,6 +19,35 @@ def test_flat_space_all_zero():
     pk = curvature_pack(geo, np.array([0.3, -0.2, 0.5, 0.1]), order=3)
     for arr in (pk.R4, pk.Ric, pk.W4, pk.Cotton):
         assert np.abs(arr).max() == 0.0
+
+
+CATALOG = sorted(geolib.catalog().items())
+THIRD_ORDER_FIELDS = {"dP", "Cotton", "has_third"}
+
+
+@pytest.mark.parametrize("backend", ["analytic", "fd"])
+@pytest.mark.parametrize("name,entry", CATALOG, ids=[c[0] for c in CATALOG])
+def test_order2_pack_is_the_order3_pack_without_its_third_jet(name, entry,
+                                                              backend):
+    """The packs built at order 2 (submanifold, stencil-point, BGG-split and
+    rescaling packs) hold every field of the order-3 pack bit for bit,
+    except dP and the Cotton tensor."""
+    geo = entry.make_geometry()
+    if backend == "fd":
+        geo = cli.as_fd_geometry(geo)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        x = rng.uniform(-0.3, 0.3, geo.n)
+        p2, p3 = curvature_pack(geo, x, 2), curvature_pack(geo, x, 3)
+        for f in dataclasses.fields(CurvaturePack):
+            a, b = getattr(p2, f.name), getattr(p3, f.name)
+            if f.name in THIRD_ORDER_FIELDS:
+                assert a is None or a is False
+            elif b is None:
+                assert a is None
+            else:
+                assert _bitwise_equal(a, b), f.name
+        assert p3.has_third == (geo.n >= 3)
 
 
 def test_doubly_warped_ric13():

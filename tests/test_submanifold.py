@@ -313,10 +313,26 @@ def test_memo_shared_between_threads():
         assert np.array_equal(a[1], b[1])
 
 
+EVALUATION_CASES = [
+    (["report", "-s", 'geometry={"name":"s2s2"}',
+      "-s", 'embedding={"name":"factor1"}',
+      "-s", 'samples={"points":[[0.2,-0.1]]}'],
+     {0: 36, 1: 54, 2: 19, 3: 1}),
+    (["invariance", "-s", 'geometry={"name":"s2s2"}',
+      "-s", 'embedding={"name":"factor1"}'],
+     {1: 6, 2: 348, 3: 12}),
+    (["report", "-s", 'geometry={"name":"s2xs1xr"}',
+      "-s", 'embedding={"name":"s2xs1"}',
+      "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
+     {0: 78, 1: 182, 2: 313, 3: 22}),
+]
+
+
 def test_report_evaluation_count(monkeypatch):
     """Field evaluations of one report on s2s2/factor1 at one point, by jet
     order, pinned so that a change in evaluation count shows in review
-    (without the memo the same report makes 127 order-3 evaluations).
+    (without the memo the same report makes 127 order-3 evaluations); and
+    of an ``invariance`` run and a report on s2xs1xr/s2xs1.
 
     The report reads every quantity from one context.  The normal frame of
     the Ricci residual needs no pack: at its 9 outer stencil points it
@@ -328,7 +344,14 @@ def test_report_evaluation_count(monkeypatch):
     and the report made 48 evaluations of order 2 and 48 of order 3; 11 of
     each were left.  The Gauss residual reads the intrinsic pack the
     context holds (an order-3 embedding and an order-2 metric evaluation
-    each time it was built again), so 10 of each are left."""
+    each time it was built again), so 10 of each were left.  A submanifold
+    pack's ambient curvature pack now reads the metric 2-jet, not the
+    3-jet: its readers use g, Gamma and P, never dP or the Cotton tensor.
+    So 9 of those 10 order-3 evaluations became order 2; the one left is
+    the embedding 3-jet under the intrinsic pack's pulled-back metric.  The
+    ``invariance`` run (submanifold packs at stencil points, rescaling
+    packs) and the s2xs1xr report moved the same way, order 3 from 216 to
+    12 and from 116 to 22."""
     calls = Counter()
     jets = geolib.JetField.jets
 
@@ -336,12 +359,12 @@ def test_report_evaluation_count(monkeypatch):
         calls[order] += 1
         return jets(field, x, order)
     monkeypatch.setattr(geolib.JetField, "jets", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(["report", "-s", 'geometry={"name":"s2s2"}',
-                       "-s", 'embedding={"name":"factor1"}',
-                       "-s", 'samples={"points":[[0.2,-0.1]]}'])
-    assert rc == 0
-    assert dict(calls) == {0: 36, 1: 54, 2: 10, 3: 10}
+    for argv, pinned in EVALUATION_CASES:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        assert rc == 0
+        assert dict(calls) == pinned, argv[0]
 
 
 # --------------------------------------------------------------------------
