@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .riemann import GeometrySpec, curvature_pack
-from .tensors import NumericalError, alt_array
+from .tensors import NumericalError, alt_array, stage
 from . import tractor as tr
 
 __all__ = ["CurveState", "CircleTrajectory", "conformal_circle_rhs",
@@ -140,8 +140,9 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
     monitors = monitors or {}
 
     def rhs(t, y):
-        st = CurveState(y[:n], y[n:2 * n], y[2 * n:], t=t)
-        dx, du, da = conformal_circle_rhs(geo, st)
+        with stage("circle integration", t=t):
+            st = CurveState(y[:n], y[n:2 * n], y[2 * n:], t=t)
+            dx, du, da = conformal_circle_rhs(geo, st)
         return np.concatenate([dx, du, da])
 
     events = None
@@ -153,11 +154,13 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
 
     y0 = np.concatenate([initial.x, initial.u, initial.a])
     ts = np.linspace(t_span[0], t_span[1], num)
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=ts,
-                    rtol=rtol, atol=atol, events=events, dense_output=False)
-    if not sol.success and sol.status != 1:
-        raise CircleIntegrationError(
-            f"circle integration failed: {sol.message}")
+    with stage("circle integration", t=list(t_span)):
+        sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=ts,
+                        rtol=rtol, atol=atol, events=events,
+                        dense_output=False)
+        if not sol.success and sol.status != 1:
+            raise CircleIntegrationError(
+                f"circle integration failed: {sol.message}")
     status = "ok" if sol.status == 0 else "chart_exit"
     ts = sol.t
     xs = sol.y[:n].T
@@ -167,12 +170,13 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
     res = np.empty(len(ts))
     mon = {k: np.empty(len(ts)) for k in monitors}
     for k in range(len(ts)):
-        st = CurveState(xs[k], us[k], accs[k], t=float(ts[k]))
-        pk = curvature_pack(geo, st.x, order=2)
-        ada[k] = A_dot_A(geo, st, pack=pk)
-        res[k] = unparametrised_residual(geo, st, pack=pk)
-        for name, fn in monitors.items():
-            mon[name][k] = fn(geo, st, pk)
+        with stage("circle output point", t=ts[k]):
+            st = CurveState(xs[k], us[k], accs[k], t=float(ts[k]))
+            pk = curvature_pack(geo, st.x, order=2)
+            ada[k] = A_dot_A(geo, st, pack=pk)
+            res[k] = unparametrised_residual(geo, st, pack=pk)
+            for name, fn in monitors.items():
+                mon[name][k] = fn(geo, st, pk)
     return CircleTrajectory(ts=ts, xs=xs, us=us, accs=accs, AdotA=ada,
                             unparam_residual=res, monitored=mon,
                             status=status)

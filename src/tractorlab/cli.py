@@ -3,6 +3,11 @@ invariance tests and zero-locus scans with machine-readable output.
 
 Exit codes: 0 success, 2 numerical failure (a ``NumericalError`` or a
 ``numpy.linalg.LinAlgError``), 3 unknown catalog name, 4 config schema error.
+A numerical failure prints ``numerical failure: <type>: <message>`` on
+stderr and, where the command knows them, a second line ``stage: ...``
+naming the stage and point: the sample index and q of ``report``,
+``invariance`` and ``residuals``, the integration time or output point t of
+``circle``, and the grid, seed refinement or locus point of ``scan``.
 Any other exception is a defect and propagates with its traceback.
 """
 from __future__ import annotations
@@ -19,7 +24,7 @@ from jsonschema import Draft7Validator
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
 from .tensors import (FD, ArrayField, DiffBackend, FieldHandle,
-                      NumericalError, middle_block)
+                      NumericalError, middle_block, stage)
 
 SCHEMA = {
     "type": "object",
@@ -254,8 +259,11 @@ def dump_csv(rows, header, path=None):
 
 def _contexts(cfg, geo, emb, seed):
     """One SubTractorContext per sample point."""
-    return [subtractor.SubTractorContext(geo, emb, q)
-            for q in sample_points(cfg, emb.m, seed)]
+    out = []
+    for i, q in enumerate(sample_points(cfg, emb.m, seed)):
+        with stage(f"sample {i}", q=q):
+            out.append(subtractor.SubTractorContext(geo, emb, q))
+    return out
 
 
 def _gcr_row(ctx):
@@ -279,19 +287,9 @@ def cmd_report(cfg, args=None):
     ctxs = _contexts(cfg, geo, emb, seed)
     tol = cfg.get("tolerances", {}).get("classify")
     doc = subtractor.classify(ctxs, tol=tol).to_dict()
-    for row, ctx in zip(doc["per_sample"], ctxs):
-        row.update(_gcr_row(ctx))
-        row["L_dual_route_residual"] = _max_diff(ctx.L_explicit(),
-                                                 ctx.L_dual())
-        if ctx.m >= 2:
-            row["mu_weyl_residual"] = _max_diff(ctx.mu(), ctx.mu_weyl())
-        if ctx.m >= 3:
-            row["fialkow_weyl_residual"] = _max_diff(ctx.fialkow()[0],
-                                                     ctx.fialkow_weyl())
-        if ctx.m == 2:
-            # Moebius-flatness diagnostic; not used in verdicts
-            row["mobius_cotton_norm"] = float(
-                np.abs(ctx.mobius_cotton()).max())
+    for i, (row, ctx) in enumerate(zip(doc["per_sample"], ctxs)):
+        with stage(f"sample {i}", q=ctx.q):
+            _report_row(row, ctx)
     doc["geometry"] = cfg.get("geometry")
     doc["embedding"] = cfg.get("embedding")
     doc["seed"] = seed
@@ -300,6 +298,20 @@ def cmd_report(cfg, args=None):
         [r["fialkow_coefficient"] for r in doc["per_sample"]]))
     dump_json(doc, cfg.get("output", {}).get("path"))
     return 0
+
+
+def _report_row(row, ctx):
+    """The residuals of a report row beyond the classification."""
+    row.update(_gcr_row(ctx))
+    row["L_dual_route_residual"] = _max_diff(ctx.L_explicit(), ctx.L_dual())
+    if ctx.m >= 2:
+        row["mu_weyl_residual"] = _max_diff(ctx.mu(), ctx.mu_weyl())
+    if ctx.m >= 3:
+        row["fialkow_weyl_residual"] = _max_diff(ctx.fialkow()[0],
+                                                 ctx.fialkow_weyl())
+    if ctx.m == 2:
+        # Moebius-flatness diagnostic; not used in verdicts
+        row["mobius_cotton_norm"] = float(np.abs(ctx.mobius_cotton()).max())
 
 
 def _circle_preset(cfg):
@@ -375,7 +387,8 @@ def cmd_circle(cfg, args=None):
         if any(len(init[k]) != geo.n for k in ("x", "u", "a")):
             raise ConfigError(f"the initial x, u and a need {geo.n} "
                               "coordinates each")
-        st = circles.CurveState(init["x"], init["u"], init["a"])
+        with stage("circle initial state", x=init["x"]):
+            st = circles.CurveState(init["x"], init["u"], init["a"])
         span = tuple(circ.get("t_span", (0.0, 1.0)))
         monitors = {}
         summarise = lambda traj: {}
@@ -427,10 +440,14 @@ def cmd_invariance(cfg, args=None):
         om = geolib.random_conformal_factor(geo.n, seed=seed + 17 * k + 1,
                                             amplitude=amp)
         row = {"rescaling": k}
-        row.update(_transformation_residuals(geo, om, ctxs[0].q, emb))
+        with stage(f"rescaling {k}, sample 0", q=ctxs[0].q):
+            row.update(_transformation_residuals(geo, om, ctxs[0].q, emb))
         geo2, _ = riemann.rescale(geo, om)
-        rep2 = subtractor.classify(
-            [subtractor.SubTractorContext(geo2, emb, c.q) for c in ctxs])
+        ctxs2 = []
+        for i, c in enumerate(ctxs):
+            with stage(f"rescaling {k}, sample {i}", q=c.q):
+                ctxs2.append(subtractor.SubTractorContext(geo2, emb, c.q))
+        rep2 = subtractor.classify(ctxs2)
         row["verdicts_match"] = rep2.verdicts == base.verdicts
         verdicts_stable = verdicts_stable and row["verdicts_match"]
         rows.append(row)
@@ -444,7 +461,7 @@ def _transformation_residuals(geo, omega, q, emb):
     sub = submanifold.submanifold_pack(geo, emb, q)
     x = sub.x
     geoh, upsilon = riemann.rescale(geo, omega)
-    pk = riemann.curvature_pack(geo, x, order=2)
+    pk = sub.pack
     pkh = riemann.curvature_pack(geoh, x, order=2)
     ups = upsilon(x)
     oj = omega.jets(x, 2)
@@ -457,7 +474,8 @@ def _transformation_residuals(geo, omega, q, emb):
     ff = submanifold.conformal_transform_check(geo, emb, omega, q)
     # 3-trans on the scale tractor of a fixed density (components sigma = 1)
     I_g = tr.make_tractor(geo.n, sigma=1.0, rho=-pk.J / geo.n)
-    I_h = tr.thomas_D(geoh, FieldHandle(omega, (), 1), 1, x).data / geo.n
+    I_h = tr.thomas_D(geoh, FieldHandle(omega, (), 1), 1, x,
+                      pack=pkh).data / geo.n
     M = tr.rescale_triple_matrix(pk, ups, variance="down")
     w0 = float(omega.value(x))
     predI = tr.rescale_component_weights(
@@ -485,8 +503,11 @@ def cmd_residuals(cfg, args=None):
     geo, entry = build_geometry(cfg)
     emb = build_embedding(cfg, entry, geo)
     seed = int(cfg.get("seed", 0))
-    rows = [{"point": [float(v) for v in ctx.q], **_gcr_row(ctx)}
-            for ctx in _contexts(cfg, geo, emb, seed)]
+    rows = []
+    for i, ctx in enumerate(_contexts(cfg, geo, emb, seed)):
+        with stage(f"sample {i}", q=ctx.q):
+            rows.append({"point": [float(v) for v in ctx.q],
+                         **_gcr_row(ctx)})
     dump_json({"residuals": rows}, cfg.get("output", {}).get("path"))
     return 0
 
@@ -523,6 +544,8 @@ def main(argv=None):
         return 4
     except (NumericalError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        if getattr(e, "stage", None):
+            print(f"stage: {e.stage}", file=sys.stderr)
         return 2
 
 

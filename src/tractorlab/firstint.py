@@ -5,7 +5,8 @@ The BGG splitting takes every derivative of the form from the covariant
 jets of one ``_cov_jets`` call, the divergence of the middle part from
 nabla nabla k.  The scan's Gauss-Newton reads the chart Jacobian of
 (k, div k) from the order-2 jets under the metric's Levi-Civita
-connection alone, with no curvature pack.  L on the found locus is
+connection alone, with no curvature pack, and refines its seeds in
+lockstep, one batched evaluation of all their trial points per round.  L on the found locus is
 measured on the locus's cubic Taylor polynomial, whose coefficients the
 implicit function theorem gives from the exact 3-jet of k.  The normality
 check of ``bgg_split`` is the one finite difference; ``conserved_quantity``
@@ -20,8 +21,9 @@ import numpy as np
 from .riemann import curvature_pack, metric_connection
 from .submanifold import EmbeddingSpec
 from .subtractor import SubTractorContext
-from .tensors import (ANALYTIC, ArrayField, DiffBackend, alt_array,
-                      central_diff, pairing_matrix, sym_array, tangent_down,
+from .tensors import (ANALYTIC, ArrayField, DiffBackend, NumericalError,
+                      alt_array, central_diff, pairing_matrix, set_stage,
+                      stacked_jets, stage, sym_array, tangent_down,
                       tractor_down, tractor_metric_matrix)
 from . import tractor as tr
 
@@ -47,7 +49,7 @@ def _lc_jets(geo, kspec, x, order):
 def _form_jets(kspec, conn, x, order):
     """Partial-derivative jets and covariant derivative arrays of the form
     components under the connection ``conn``."""
-    jets = kspec.field.jets(x, order)
+    jets = stacked_jets(kspec.field, x, order)
     idxs = tuple(tangent_down(conn.n) for _ in range(kspec.degree - 1))
     covs = tr.covariant_jet(conn, jets, idxs, order=order) if order >= 1 else []
     return jets, covs
@@ -297,29 +299,133 @@ def _k_norm2_grid(geo, kspec, grid_axes):
 
 def _component_map(geo, kspec, x, jac=False):
     """Stacked components of (k, div k) at x (Remark: Z(k) = Z(K)); with
-    ``jac`` also their chart Jacobian, rows matching the components.
+    ``jac`` also their chart Jacobian, rows matching the components.  For
+    a stack of points x of shape (p, n) both carry a leading point axis,
+    and row i is bitwise the map at x[i].
 
     d_c div = g^{ab} nabla_c nabla_a k_{b..} minus the Levi-Civita term on
     the free indices of div, since g is parallel.  Only the Levi-Civita
     connection is read, so no curvature pack is built."""
     n = geo.n
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    z = "z" * len(lead)
     conn, jets, covs = _lc_jets(geo, kspec, x, 2 if jac else 1)
     gi = conn.gi
-    comps = [np.atleast_1d(np.asarray(jets[0])).ravel()]
-    rows = [np.reshape(jets[1], (-1, n))] if jac else []
+    comps = [np.reshape(jets[0], lead + (-1,))]
+    rows = [np.reshape(jets[1], lead + (-1, n))] if jac else []
     if kspec.degree >= 2:
-        grad = np.moveaxis(covs[0], -1, 0)
-        div = np.einsum("ab,ab...->...", gi, grad)
-        comps.append(np.atleast_1d(np.asarray(div)).ravel())
+        grad = np.moveaxis(covs[0], -1, len(z))
+        div = np.einsum(f"{z}ab,{z}ab...->{z}...", gi, grad)
+        comps.append(np.reshape(div, lead + (-1,)))
         if jac:
             # covs[1] axes: [form b, a3.., inner a, outer c]
-            ddiv = np.einsum("ab,b...ac->...c", gi, covs[1])
+            ddiv = np.einsum(f"{z}ab,{z}b...ac->{z}...c", gi, covs[1])
             M = conn.matrix(tangent_down(n))
-            for ax in range(div.ndim):
+            for ax in range(div.ndim - len(z)):
                 ddiv = ddiv - tr._apply_axis(M, div, ax)
-            rows.append(np.reshape(ddiv, (-1, n)))
-    F = np.concatenate(comps)
-    return (F, np.concatenate(rows)) if jac else F
+            rows.append(np.reshape(ddiv, lead + (-1, n)))
+    F = np.concatenate(comps, axis=-1)
+    return (F, np.concatenate(rows, axis=-2)) if jac else F
+
+
+def _component_maps(geo, kspec, X):
+    """[(F, J, error)] of ``_component_map`` at each row of X, from one
+    batched call.  Where that call fails or gives a non-finite row, every
+    row is evaluated alone, and a row that raises a numerical error keeps
+    the exception (named with its point) in place of F and J."""
+    try:
+        F, J = _component_map(geo, kspec, X, jac=True)
+        if np.isfinite(F).all() and np.isfinite(J).all():
+            return [(F[i].copy(), J[i].copy(), None) for i in range(len(X))]
+    except (NumericalError, np.linalg.LinAlgError):
+        pass
+    out = []
+    for x in X:
+        try:
+            out.append(_component_map(geo, kspec, x, jac=True) + (None,))
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            out.append((None, None, exc))
+    return out
+
+
+def _gauss_newton(geo, kspec, seeds, refine_tol, first=0, iters=60):
+    """Damped Gauss-Newton on the stacked components from each row of
+    ``seeds``, all seeds in lockstep: a round evaluates the trial point of
+    every unfinished seed in one batched ``_component_maps`` call.  Each
+    seed keeps its own iteration count, step and damping; per seed this is
+    the sequential iteration to the bit (a step halves until the residual
+    norm drops, and fails below 1e-6).  Returns per seed (x, F, ok, error),
+    ``error`` the numerical exception raised at one of its points, with the
+    stage that names it."""
+    x = [np.array(s, dtype=float) for s in seeds]
+    F, Jm, err = map(list, zip(*_component_maps(geo, kspec, np.array(x))))
+    for i, e in enumerate(err):
+        if e is not None:
+            set_stage(e, f"scan seed refinement {first + i}", x=x[i])
+    it = [0] * len(x)
+    ok = [True] * len(x)
+    lam = [None] * len(x)     # None: at the start of an iteration
+    step = [None] * len(x)
+    base = [0.0] * len(x)
+    live = [i for i in range(len(x)) if err[i] is None]
+    while live:
+        trial = []
+        for i in live:
+            if lam[i] is None:
+                if it[i] == iters or np.linalg.norm(F[i]) < refine_tol:
+                    continue
+                step[i] = np.linalg.lstsq(Jm[i], -F[i], rcond=None)[0]
+                lam[i] = 1.0
+                base[i] = np.linalg.norm(F[i])
+            trial.append(i)
+        if not trial:
+            break
+        pts = [x[i] + lam[i] * step[i] for i in trial]
+        live = []
+        for i, xn, (Fn, Jn, e) in zip(
+                trial, pts, _component_maps(geo, kspec, np.array(pts))):
+            if e is not None:
+                err[i] = set_stage(e, f"scan seed refinement {first + i}",
+                                   x=xn)
+            elif np.linalg.norm(Fn) < base[i]:
+                x[i], F[i], Jm[i] = xn, Fn, Jn
+                it[i] += 1
+                lam[i] = None
+                live.append(i)
+            else:
+                lam[i] /= 2
+                if lam[i] > 1e-6:
+                    live.append(i)
+                else:
+                    ok[i] = False
+    return list(zip(x, F, ok, err))
+
+
+def _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
+                  max_points):
+    """Locus points from the seeds: refined in lockstep, ``4 * max_points``
+    at a time, then walked in order.  A converged seed inside the region
+    (widened by 0.5) adds its point unless one already found is within 0.3
+    grid spacings; the walk stops at ``max_points``, and raises the error
+    of a seed whose refinement failed numerically when it reaches it."""
+    chunk = 4 * max_points
+    found = []
+    for c0 in range(0, len(seeds), chunk):
+        refined = _gauss_newton(geo, kspec, seeds[c0:c0 + chunk],
+                                refine_tol, first=c0)
+        for x, F, ok, error in refined:
+            if error is not None:
+                raise error
+            if ok and np.linalg.norm(F) < 1e-8 and \
+                    all(lo - 0.5 <= xi <= hi + 0.5
+                        for xi, (lo, hi) in zip(x, region)):
+                if not any(np.linalg.norm(x - p) < 0.3 * spacing
+                           for p in found):
+                    found.append(x)
+            if len(found) >= max_points:
+                return found
+    return found
 
 
 def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
@@ -328,10 +434,13 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
 
     ``region`` is a list of (lo, hi) per coordinate.  Timelike split
     tractors short-circuit to an empty locus with certificate K.K < 0.
+    The sampled seeds are refined in lockstep and walked in order
+    (``_refine_seeds``).
     """
     n = geo.n
     center = np.array([(lo + hi) / 2 for lo, hi in region])
-    split = bgg_split(geo, kspec, center)
+    with stage("scan splitting tractor", x=center):
+        split = bgg_split(geo, kspec, center)
     if split.causal == "timelike":
         return ScanReport(status="empty", causal=split.causal, K2=split.K2,
                           simple=split.simple,
@@ -339,7 +448,8 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
                                 "empty zero locus")
 
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
-    X, norm2 = _k_norm2_grid(geo, kspec, axes)
+    with stage("scan grid"):
+        X, norm2 = _k_norm2_grid(geo, kspec, axes)
     spacing = max((hi - lo) / (grid - 1) for lo, hi in region)
     thresh = (2.0 * spacing) ** 2
     cand_idx = np.argwhere(norm2 < thresh * max(1.0, np.median(norm2)))
@@ -347,42 +457,17 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
         return ScanReport(status="empty", causal=split.causal, K2=split.K2,
                           simple=split.simple)
 
-    # refine by damped Gauss-Newton on the stacked components; an accepted
-    # trial point brings its Jacobian for the next step
-    found = []
-    for idx in cand_idx[:: max(1, len(cand_idx) // (4 * max_points))]:
-        x = X[tuple(idx)].astype(float)
-        F, Jm = _component_map(geo, kspec, x, jac=True)
-        ok = True
-        for _ in range(60):
-            if np.linalg.norm(F) < refine_tol:
-                break
-            step, *_ = np.linalg.lstsq(Jm, -F, rcond=None)
-            lam = 1.0
-            base = np.linalg.norm(F)
-            while lam > 1e-6:
-                xn = x + lam * step
-                Fn, Jn = _component_map(geo, kspec, xn, jac=True)
-                if np.linalg.norm(Fn) < base:
-                    x, F, Jm = xn, Fn, Jn
-                    break
-                lam /= 2
-            else:
-                ok = False
-                break
-        if ok and np.linalg.norm(F) < 1e-8 and \
-                all(lo - 0.5 <= xi <= hi + 0.5
-                    for xi, (lo, hi) in zip(x, region)):
-            if not any(np.linalg.norm(x - p) < 0.3 * spacing for p in found):
-                found.append(x)
-        if len(found) >= max_points:
-            break
+    seeds = [X[tuple(idx)].astype(float) for idx in
+             cand_idx[:: max(1, len(cand_idx) // (4 * max_points))]]
+    found = _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
+                          max_points)
     if not found:
         return ScanReport(status="empty", causal=split.causal, K2=split.K2,
                           simple=split.simple)
 
     # codimension from the rank of the component-map Jacobian
-    _, Jm = _component_map(geo, kspec, found[0], jac=True)
+    with stage("scan locus point 0", x=found[0]):
+        _, Jm = _component_map(geo, kspec, found[0], jac=True)
     sv = np.linalg.svd(Jm, compute_uv=False)
     rank = 1
     for k in range(1, len(sv)):
@@ -405,11 +490,12 @@ def _locus_L_residuals(geo, kspec, points, codim, rank_gap):
     """|L| of the locus at each of ``points`` through its Taylor polynomial,
     and a note naming the points where the polynomial does not exist."""
     L_res = []
-    for x0 in points:
-        emb = _locus_embedding(geo, kspec, x0, codim, rank_gap)
-        if emb is not None:
-            ctx = SubTractorContext(geo, emb, np.zeros(geo.n - codim))
-            L_res.append(ctx.L_norm())
+    for k, x0 in enumerate(points):
+        with stage(f"scan locus point {k}", x=x0):
+            emb = _locus_embedding(geo, kspec, x0, codim, rank_gap)
+            if emb is not None:
+                ctx = SubTractorContext(geo, emb, np.zeros(geo.n - codim))
+                L_res.append(ctx.L_norm())
     if len(L_res) == len(points):
         return L_res, ""
     return L_res, (f"no L residual at {len(points) - len(L_res)} of "

@@ -3,11 +3,12 @@
 Every entry is written once as a function of jet variables (see jets.py),
 which yields machine-exact analytic derivatives up to order three.  A field
 evaluates its jet function at the order it is asked for: ``value()`` runs it
-on order-0 variables (plain float arithmetic), ``values(X)`` on order-0
-variables with a point axis (all rows of X at once), ``jets(x, k)`` on
-order-k variables.  A jet function therefore builds its constants as plain
-numbers (or from a variable), never as order-3 ``Jet3`` constants, so that
-they take on the variables' order.  Entries are addressable by name from the CLI.
+on order-0 variables (plain float arithmetic), ``jets(x, k)`` on order-k
+variables, and ``values(X)`` and ``jets(X, k)`` on variables with a point
+axis (all rows of X at once).  A jet function therefore builds its
+constants as plain numbers (or from a variable), never as order-3 ``Jet3``
+constants, so that they take on the variables' order.  Entries are
+addressable by name from the CLI.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .jets import pack_array, pack_values, variables
+from .jets import pack_array, variables
 from .riemann import GeometrySpec
 from .submanifold import EmbeddingSpec
 from .tensors import ANALYTIC, ArrayField, DiffBackend, JetOrderError
@@ -43,13 +44,16 @@ def _analytic_backend():
 class JetField(ArrayField):
     """Analytic ArrayField whose jets come from one truncated-Taylor
     evaluation of a jet function at the requested order (order 0 for
-    ``value``).  ``values`` runs the jet function once on order-0
-    variables that carry a point axis, for all the points at once.
+    ``value``).  For a stack of points X of shape (p, n), ``jets(X, k)``
+    and ``values(X)`` run the jet function once on variables that carry a
+    point axis and return arrays with a leading point axis.
 
     ``fn`` receives a list of Jet3 coordinates of the requested order and
     returns a (nested) array of jets / constants.  Constants must be plain
     numbers or built from a coordinate, never order-3 ``Jet3`` constants.
+    A pole is a ``JetOrderError``, at a single point or anywhere in a stack.
     """
+    point_axis = True
 
     def __init__(self, fn):
         self.jet_fn = fn
@@ -57,10 +61,22 @@ class JetField(ArrayField):
 
     def _eval(self, x, order):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            # a pole is a non-finite value here, not a ZeroDivisionError
+            with np.errstate(all="ignore"):
+                out = pack_array(self.jet_fn(variables(x, order)), order,
+                                 x.shape[1], points=len(x))
+            if not all(np.isfinite(c).all() for c in out):
+                ok = np.ones(len(x), dtype=bool)
+                for c in out:
+                    ok &= np.isfinite(c.reshape(len(x), -1)).all(axis=1)
+                raise JetOrderError(
+                    f"non-finite field evaluation at {x[np.argmin(ok)]}")
+            return out
         try:
             out = self.jet_fn(variables(x, order))
         except ArithmeticError as exc:
-            # a pole: the same failure ``values`` reports
+            # a pole: the same failure a stack of points reports
             raise JetOrderError(f"non-finite field evaluation at {x}") from exc
         return pack_array(out, order, x.size)
 
@@ -68,13 +84,7 @@ class JetField(ArrayField):
         return self._eval(x, 0)[0]
 
     def values(self, X):
-        X = np.asarray(X, dtype=float)
-        # a pole is a non-finite value here, not a ZeroDivisionError
-        with np.errstate(all="ignore"):
-            v = pack_values(self.jet_fn(variables(X, 0)), len(X))
-        if not np.all(np.isfinite(v)):
-            raise JetOrderError("non-finite field evaluation")
-        return v
+        return self._eval(X, 0)[0]
 
     def jets(self, x, order):
         return list(self._eval(x, order))

@@ -7,6 +7,7 @@ only drives the rescaling tests.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import (ArrayField, FieldHandle, NumericalError, TensorValue,
-                      _perm_sign, tangent_down)
+                      _perm_sign, stacked_jets, tangent_down)
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
            "metric_connection", "levi_civita_derivative", "rescale",
@@ -85,13 +86,31 @@ class CurvaturePack:
     Cotton: np.ndarray | None = None   # C_abc
     has_third: bool = False
 
+    def at(self, i):
+        """The pack at row ``i`` of a pack built on a stack of points."""
+        return dataclasses.replace(self, **{
+            f.name: _scalar(v[i]) for f in dataclasses.fields(self)
+            if isinstance(v := getattr(self, f.name), np.ndarray)})
+
+
+def _scalar(v):
+    """A float for one point, the array itself along a point axis."""
+    return v if getattr(v, "ndim", 0) else float(v)
+
 
 def _invert(g, x):
-    """(g^-1, det g) of a positive definite metric."""
+    """(g^-1, det g) of a positive definite metric, or of a stack of them
+    (``g`` of shape (p, n, n) at the rows of ``x``)."""
     sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0:
-        raise SingularMetricError(f"metric not positive definite at {x}")
-    return np.linalg.inv(g), float(np.exp(logdet))
+    if g.ndim == 2:
+        if sign <= 0:
+            raise SingularMetricError(f"metric not positive definite at {x}")
+        return np.linalg.inv(g), float(np.exp(logdet))
+    bad = sign <= 0
+    if bad.any():
+        raise SingularMetricError(
+            f"metric not positive definite at {x[np.argmax(bad)]}")
+    return np.linalg.inv(g), np.exp(logdet)
 
 
 def _christoffel(gi, dg, d2g=None):
@@ -99,25 +118,32 @@ def _christoffel(gi, dg, d2g=None):
     second derivatives d2g, dGamma [c, a, b, e] = d_e Gamma^c_ab, as
     (Gamma, dGamma, half, dgi, dhalf): half[d, a, b] = g_de Gamma^e_ab,
     dgi = d g^-1 and dhalf = d half are the terms the third order reuses
-    (None without d2g)."""
-    half = 0.5 * (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1))
-    Gamma = np.einsum("cd,dab->cab", gi, half)
+    (None without d2g).  Every array may carry a leading point axis (z)."""
+    z = "z" * (gi.ndim - 2)
+    # swapaxes on trailing axes: transposes (0 2 1) and (2 0 1) that keep
+    # a leading point axis in front
+    half = 0.5 * (dg.swapaxes(-1, -2) + dg
+                  - dg.swapaxes(-1, -2).swapaxes(-3, -2))
+    Gamma = np.einsum(f"{z}cd,{z}dab->{z}cab", gi, half)
     if d2g is None:
         return Gamma, None, half, None, None
     # derivative of Gamma: need d(g^-1) = -gi dg gi
-    dgi = -np.einsum("ce,efa,fd->cda", gi, dg, gi)
-    dhalf = 0.5 * (d2g.transpose(0, 2, 1, 3) + d2g - d2g.transpose(2, 0, 1, 3))
+    dgi = -np.einsum(f"{z}ce,{z}efa,{z}fd->{z}cda", gi, dg, gi)
+    dhalf = 0.5 * (d2g.swapaxes(-3, -2) + d2g
+                   - d2g.swapaxes(-3, -2).swapaxes(-4, -3))
     # dhalf[d, a, b, e] = d_e half[d, a, b]
-    dGamma = (np.einsum("cde,dab->cabe", dgi, half)
-              + np.einsum("cd,dabe->cabe", gi, dhalf))
+    dGamma = (np.einsum(f"{z}cde,{z}dab->{z}cabe", dgi, half)
+              + np.einsum(f"{z}cd,{z}dabe->{z}cabe", gi, dhalf))
     return Gamma, dGamma, half, dgi, dhalf
 
 
 def metric_connection(geo: GeometrySpec, x, order=1):
     """(g, g^-1, Gamma, dGamma) at ``x`` from the metric's ``order``-jet
     (order 0, 1 or 2; Gamma and dGamma None where the jet is too short),
-    equal to a ``curvature_pack``'s to the bit."""
-    jets = geo.metric.jets(x, order)
+    equal to a ``curvature_pack``'s to the bit.  For a stack of points
+    ``x`` of shape (p, n) every array carries a leading point axis."""
+    x = np.asarray(x, dtype=float)
+    jets = stacked_jets(geo.metric, x, order)
     gi = _invert(jets[0], x)[0]
     if order == 0:
         return jets[0], gi, None, None
@@ -130,14 +156,21 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     """Evaluate the full curvature package of ``geo`` at chart point ``x``.
 
     ``order`` requests the metric jet order (default: the backend maximum,
-    capped at 3).  The Cotton tensor and dP require order 3.
+    capped at 3).  The Cotton tensor and dP require order 3.  At order 2,
+    ``x`` may be a stack of points of shape (p, n): one evaluation of the
+    metric jets then builds the packs of all p points, each array and
+    scalar carrying a leading point axis, and ``pack.at(i)`` is the pack
+    at row i, bitwise the pack a call at that point builds.
     """
     x = np.asarray(x, dtype=float)
     n = geo.n
     if order is None:
         order = min(3, geo.backend.max_order)
     order = max(order, 2)
-    jets = geo.metric.jets(x, order)
+    if x.ndim == 2 and order > 2:
+        raise ValueError("a stack of points takes an order-2 pack")
+    jets = stacked_jets(geo.metric, x, order)
+    z = "z" * (x.ndim - 1)  # the point axis, if any
     g = jets[0]
     dg = jets[1]
     d2g = jets[2]
@@ -148,14 +181,19 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
 
     # R_ab^c_d = d_a Gamma^c_bd - d_b Gamma^c_ad
     #            + Gamma^c_ae Gamma^e_bd - Gamma^c_be Gamma^e_ad
-    Rud = (np.einsum("cbda->abcd", dGamma) - np.einsum("cadb->abcd", dGamma)
-           + np.einsum("cae,ebd->abcd", Gamma, Gamma)
-           - np.einsum("cbe,ead->abcd", Gamma, Gamma))
-    R4 = np.einsum("ce,abed->abcd", g, Rud)
-    Ric = np.einsum("cbcd->bd", Rud)
-    Scal = float(np.einsum("bd,bd->", gi, Ric))
+    Rud = (np.einsum(f"{z}cbda->{z}abcd", dGamma)
+           - np.einsum(f"{z}cadb->{z}abcd", dGamma)
+           + np.einsum(f"{z}cae,{z}ebd->{z}abcd", Gamma, Gamma)
+           - np.einsum(f"{z}cbe,{z}ead->{z}abcd", Gamma, Gamma))
+    R4 = np.einsum(f"{z}ce,{z}abed->{z}abcd", g, Rud)
+    Ric = np.einsum(f"{z}cbcd->{z}bd", Rud)
+    Scal = _scalar(np.einsum(f"{z}bd,{z}bd->{z}", gi, Ric))
 
-    eps = math.sqrt(detg) * geo.orientation * levi_civita_symbol(n)
+    if z:
+        lam = (np.sqrt(detg) * geo.orientation)[(...,) + (None,) * n]
+    else:
+        lam = math.sqrt(detg) * geo.orientation
+    eps = lam * levi_civita_symbol(n)
 
     pack = CurvaturePack(n=n, point=x, g=g, gi=gi, dg=dg, Gamma=Gamma,
                          dGamma=dGamma, Rud=Rud, R4=R4, Ric=Ric, Scal=Scal,
@@ -167,14 +205,17 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     if n == 2:
         pack.K = Scal / 2.0
         if geo.mobius_schouten is not None:
-            pack.P = geo.mobius_schouten.value(x)
-            pack.J = float(np.einsum("ab,ab->", gi, pack.P))
+            pack.P = (geo.mobius_schouten.value(x) if x.ndim == 1
+                      else geo.mobius_schouten.values(x))
+            pack.J = _scalar(np.einsum(f"{z}ab,{z}ab->{z}", gi, pack.P))
         return pack
 
     J = Scal / (2.0 * (n - 1))
-    P = (Ric - J * g) / (n - 2)
-    W4 = R4 - (np.einsum("ca,bd->abcd", g, P) - np.einsum("cb,ad->abcd", g, P)
-               - np.einsum("da,bc->abcd", g, P) + np.einsum("db,ac->abcd", g, P))
+    P = (Ric - (J[:, None, None] if z else J) * g) / (n - 2)
+    W4 = R4 - (np.einsum(f"{z}ca,{z}bd->{z}abcd", g, P)
+               - np.einsum(f"{z}cb,{z}ad->{z}abcd", g, P)
+               - np.einsum(f"{z}da,{z}bc->{z}abcd", g, P)
+               + np.einsum(f"{z}db,{z}ac->{z}abcd", g, P))
     pack.J = J
     pack.P = P
     pack.W4 = W4

@@ -38,8 +38,8 @@ from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
                           covariant_along, normal_curvature, normal_frame,
                           submanifold_pack)
 from .tensors import (TensorValue, middle_block,
-                      pairing_matrix, tangent_down, tangent_up, tractor_down,
-                      tractor_metric_matrix, tractor_up)
+                      pairing_matrix, stage, tangent_down, tangent_up,
+                      tractor_down, tractor_metric_matrix, tractor_up)
 from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
@@ -540,7 +540,10 @@ def classify(contexts, tol=None) -> ClassificationReport:
     if tol is None:
         fd = any(c.geo.backend.mode != "analytic" for c in contexts)
         tol = 1e-3 if fd else 1e-6
-    rows = [_norms_at(c) for c in contexts]
+    rows = []
+    for i, c in enumerate(contexts):
+        with stage(f"sample {i}", q=c.q):
+            rows.append(_norms_at(c))
     scale = max([1.0] + [c.scale() for c in contexts])
 
     def small(key):

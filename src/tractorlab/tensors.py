@@ -26,10 +26,11 @@ UP = "up"
 DOWN = "down"
 
 __all__ = [
-    "NumericalError", "Index", "TensorValue", "DiffBackend", "ArrayField",
-    "FieldHandle", "tangent_up", "tangent_down", "tractor_up", "tractor_down",
-    "contract", "trace", "alt", "sym", "outer", "jet", "pairing_matrix",
-    "tractor_metric_matrix", "middle_block", "central_diff",
+    "NumericalError", "set_stage", "stage", "Index", "TensorValue",
+    "DiffBackend", "ArrayField", "FieldHandle", "tangent_up", "tangent_down",
+    "tractor_up", "tractor_down", "contract", "trace", "alt", "sym", "outer",
+    "jet", "pairing_matrix", "tractor_metric_matrix", "middle_block",
+    "central_diff", "stacked_jets",
 ]
 
 
@@ -40,6 +41,35 @@ class NumericalError(Exception):
 
 class TensorError(NumericalError, ValueError):
     pass
+
+
+def set_stage(exc, what, **point):
+    """Name the stage and point of a numerical failure on ``exc`` (as its
+    ``stage`` attribute, which the CLI prints on stderr) unless an inner
+    stage named it already; returns ``exc``."""
+    if getattr(exc, "stage", None) is None:
+        exc.stage = ", ".join([what] + [
+            f"{k} = {np.asarray(v).tolist()}" for k, v in point.items()])
+    return exc
+
+
+class stage:
+    """Context manager naming the stage and point of a ``NumericalError``
+    or ``numpy.linalg.LinAlgError`` raised inside it (``set_stage``); the
+    innermost stage wins.  The point is formatted only on failure."""
+    __slots__ = ("what", "point")
+
+    def __init__(self, what, **point):
+        self.what = what
+        self.point = point
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, typ, exc, tb):
+        if isinstance(exc, (NumericalError, np.linalg.LinAlgError)):
+            set_stage(exc, self.what, **self.point)
+        return False
 
 
 @dataclass(frozen=True)
@@ -331,8 +361,11 @@ class ArrayField:
     ``value`` row by row, and a field that can evaluate many points at once
     overrides it.  The central differences take their whole stencil from
     one ``values`` call.  A field with exact derivatives overrides ``jets``
-    and declares an analytic backend.
+    and declares an analytic backend; one whose ``jets`` also takes a stack
+    of points sets ``point_axis`` (see ``stacked_jets``).
     """
+
+    point_axis = False
 
     def __init__(self, fn, backend=None):
         self.fn = fn
@@ -400,6 +433,15 @@ class ArrayField:
                   d3.transpose(*range(v.ndim), *(v.ndim + np.array([2, 1, 0])))) / 6.0
             out.append(d3)
         return out
+
+
+def stacked_jets(field, x, order):
+    """``field.jets(x, order)``; for a stack of points x of shape (p, n) the
+    jets at every row, stacked on a leading axis: one call when the field's
+    ``jets`` takes a point axis, one call per row otherwise."""
+    if field.point_axis or np.ndim(x) == 1:
+        return field.jets(x, order)
+    return [np.stack(c) for c in zip(*(field.jets(r, order) for r in x))]
 
 
 def _fd1_points(x, h):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
-from .riemann import CurvaturePack, GeometrySpec, curvature_pack, levi_civita_symbol
+from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
+                      levi_civita_symbol)
 from .tensors import (ArrayField, FieldHandle, Index, TensorValue,
                       alt_array, middle_block, tractor_down,
                       tractor_metric_matrix, tractor_up, tangent_down)
@@ -107,11 +108,24 @@ def tractor_metric(geo: GeometrySpec, x):
 # connection coefficients
 # --------------------------------------------------------------------------
 
+def _up(G, tail=0):
+    """Gamma[c, a, b] as [a, c, b] (the matrix on an up index); ``tail``
+    trailing derivative axes and a leading point axis stay in place."""
+    return G.swapaxes(-3 - tail, -2 - tail)
+
+
+def _down(G, tail=0):
+    """Gamma[c, a, b] as [a, b, c] (minus the matrix on a down index)."""
+    return G.swapaxes(-3 - tail, -2 - tail).swapaxes(-2 - tail, -1 - tail)
+
+
 class ConnData:
     """Connection data at a point, for tangent and tractor indices.
 
     ``P`` is the Schouten tensor entering the tractor connection; ``dP``/
-    ``dGamma`` enable second covariant derivatives.
+    ``dGamma`` enable second covariant derivatives.  The arrays may carry a
+    leading point axis (``g`` of shape (p, n, n)); the matrices then carry
+    it too, and ``covariant_jet`` reads the jets of p points at once.
     """
 
     def __init__(self, n, g, gi, Gamma, P=None, dg=None, dGamma=None, dP=None):
@@ -123,6 +137,7 @@ class ConnData:
         self.dg = dg
         self.dGamma = dGamma
         self.dP = dP
+        self.lead = np.shape(g)[:-2]
 
     @classmethod
     def from_pack(cls, pack: CurvaturePack):
@@ -144,26 +159,26 @@ class ConnData:
         n = self.n
         if index.kind == tensors.TANGENT:
             if index.variance == tensors.UP:
-                return self.Gamma.transpose(1, 0, 2)
-            return -self.Gamma.transpose(1, 2, 0)
+                return _up(self.Gamma)
+            return -_down(self.Gamma)
         self._require_P()
         N = n + 2
-        M = np.zeros((n, N, N))
+        M = np.zeros(self.lead + (n, N, N))
         P, g, gi = self.P, self.g, self.gi
         Pmix = P @ gi  # P_a{}^b
         if index.variance == tensors.DOWN:
-            M[:, 0, 1:n + 1] = -np.eye(n)
-            M[:, 1:n + 1, 0] = P
-            M[:, 1:n + 1, n + 1] = g
-            M[:, n + 1, 1:n + 1] = -Pmix
+            M[..., 0, 1:n + 1] = -np.eye(n)
+            M[..., 1:n + 1, 0] = P
+            M[..., 1:n + 1, n + 1] = g
+            M[..., n + 1, 1:n + 1] = -Pmix
             # Levi-Civita action on the middle (covector) slot
-            M[:, 1:n + 1, 1:n + 1] += -self.Gamma.transpose(1, 2, 0)
+            M[..., 1:n + 1, 1:n + 1] += -_down(self.Gamma)
         else:
-            M[:, 0, 1:n + 1] = -g
-            M[:, 1:n + 1, 0] = Pmix
-            M[:, 1:n + 1, n + 1] = np.eye(n)
-            M[:, n + 1, 1:n + 1] = -P
-            M[:, 1:n + 1, 1:n + 1] += self.Gamma.transpose(1, 0, 2)
+            M[..., 0, 1:n + 1] = -g
+            M[..., 1:n + 1, 0] = Pmix
+            M[..., 1:n + 1, n + 1] = np.eye(n)
+            M[..., n + 1, 1:n + 1] = -P
+            M[..., 1:n + 1, 1:n + 1] += _up(self.Gamma)
         return M
 
     def dmatrix(self, index: Index):
@@ -173,35 +188,40 @@ class ConnData:
             if self.dGamma is None:
                 raise tensors.JetOrderError("second derivatives need dGamma")
             if index.variance == tensors.UP:
-                return self.dGamma.transpose(1, 0, 2, 3)
-            return -self.dGamma.transpose(1, 2, 0, 3)
+                return _up(self.dGamma, 1)
+            return -_down(self.dGamma, 1)
         self._require_P()
         if self.dP is None or self.dg is None or self.dGamma is None:
             raise tensors.JetOrderError(
                 "second tractor derivatives need the metric 3-jet (dP)")
         N = n + 2
-        dM = np.zeros((n, N, N, n))
-        dgi = -np.einsum("ce,efa,fd->cda", self.gi, self.dg, self.gi)
-        dPmix = (np.einsum("ace,cb->abe", self.dP, self.gi)
-                 + np.einsum("ac,cbe->abe", self.P, dgi))
+        dM = np.zeros(self.lead + (n, N, N, n))
+        dgi = -np.einsum("...ce,...efa,...fd->...cda", self.gi, self.dg,
+                         self.gi)
+        dPmix = (np.einsum("...ace,...cb->...abe", self.dP, self.gi)
+                 + np.einsum("...ac,...cbe->...abe", self.P, dgi))
         if index.variance == tensors.DOWN:
-            dM[:, 1:n + 1, 0, :] = self.dP
-            dM[:, 1:n + 1, n + 1, :] = self.dg
-            dM[:, n + 1, 1:n + 1, :] = -dPmix
-            dM[:, 1:n + 1, 1:n + 1, :] += -self.dGamma.transpose(1, 2, 0, 3)
+            dM[..., 1:n + 1, 0, :] = self.dP
+            dM[..., 1:n + 1, n + 1, :] = self.dg
+            dM[..., n + 1, 1:n + 1, :] = -dPmix
+            dM[..., 1:n + 1, 1:n + 1, :] += -_down(self.dGamma, 1)
         else:
-            dM[:, 0, 1:n + 1, :] = -self.dg
-            dM[:, 1:n + 1, 0, :] = dPmix
-            dM[:, n + 1, 1:n + 1, :] = -self.dP
-            dM[:, 1:n + 1, 1:n + 1, :] += self.dGamma.transpose(1, 0, 2, 3)
+            dM[..., 0, 1:n + 1, :] = -self.dg
+            dM[..., 1:n + 1, 0, :] = dPmix
+            dM[..., n + 1, 1:n + 1, :] = -self.dP
+            dM[..., 1:n + 1, 1:n + 1, :] += _up(self.dGamma, 1)
         return dM
 
 
 def _apply_axis(M_a, arr, axis):
-    """Contract M[a,new,old] against ``axis`` of arr; result gains a
-    trailing a-axis and keeps the new index at ``axis``."""
+    """Contract M[a,new,old] against value axis ``axis`` of arr; result
+    gains a trailing a-axis and keeps the new index at ``axis``.  A leading
+    point axis of M (shape (p, n, N, N)) is one of arr too, and ``axis``
+    counts the value axes after it."""
+    z = "z" * (M_a.ndim - 3)
+    axis += len(z)
     moved = np.moveaxis(arr, axis, -1)
-    out = np.einsum("ane,...e->...na", M_a, moved)
+    out = np.einsum(f"{z}ane,{z}...e->{z}...na", M_a, moved)
     return np.moveaxis(out, -2, axis)
 
 
@@ -210,8 +230,11 @@ def covariant_jet(conn: ConnData, jets, indices, order=1):
 
     Returns [nabla T] or [nabla T, nabla nabla T]; each covariant derivative
     appends one trailing down-tangent axis (innermost derivative first).
+    With a point axis on ``conn``, the jets carry it first and so does the
+    result.
     """
     T, dT = jets[0], jets[1]
+    z = "z" * (np.ndim(T) - len(indices))
     mats = [conn.matrix(ix) for ix in indices]
     nab = np.array(dT)
     for k, M in enumerate(mats):
@@ -223,18 +246,21 @@ def covariant_jet(conn: ConnData, jets, indices, order=1):
         # d_a (nabla_b T): partial derivative of the first covariant deriv
         dnab = np.array(d2T)  # axes [..., b, a]
         for k, (M, dM) in enumerate(zip(mats, dmats)):
-            t1 = np.einsum("bnea,...e->...nba", dM, np.moveaxis(T, k, -1))
-            dnab += np.moveaxis(t1, -3, k)
+            ax = len(z) + k
+            t1 = np.einsum(f"{z}bnea,{z}...e->{z}...nba", dM,
+                           np.moveaxis(T, ax, -1))
+            dnab += np.moveaxis(t1, -3, ax)
             # moveaxis puts the original value axis after the derivative axis
-            t2 = np.einsum("bne,...ae->...nba", M, np.moveaxis(dT, k, -1))
-            dnab += np.moveaxis(t2, -3, k)
+            t2 = np.einsum(f"{z}bne,{z}...ae->{z}...nba", M,
+                           np.moveaxis(dT, ax, -1))
+            dnab += np.moveaxis(t2, -3, ax)
         # correction terms on nabla T (original indices + the b axis)
         nab2 = dnab
         for k, M in enumerate(mats):
             nab2 = nab2 + _apply_axis(M, nab, k)
         # the derivative index b is tangent-down
         Mb = conn.matrix(tensors.Index(tensors.TANGENT, tensors.DOWN, conn.n))
-        nab2 = nab2 + _apply_axis(Mb, nab, nab.ndim - 1)
+        nab2 = nab2 + _apply_axis(Mb, nab, nab.ndim - 1 - len(z))
         out.append(nab2)
     return out
 
@@ -265,15 +291,18 @@ def tractor_connection_apply(geo: GeometrySpec, handle: FieldHandle, x,
     return TractorObject(TensorValue(nab, ixs, handle.weight), geo)
 
 
-def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x):
+def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x, pack=None):
     """Thomas operator on a weight-w (tractor) field, in the working scale.
 
     Slots: ((n+2w-2) w V, (n+2w-2) nabla_a V, -(Laplacian V + w J V)) with the
-    new down tractor index leading.
+    new down tractor index leading.  ``pack`` is the curvature pack of
+    ``geo`` at x if the caller holds one (order 2, or order 3 for a tractor
+    field), built when None.
     """
     x = np.asarray(x, dtype=float)
     n = geo.n
-    pack = _field_pack(geo, x, handle.indices, 2)
+    pack = (pack if pack is not None
+            else _field_pack(geo, x, handle.indices, 2))
     if pack.J is None:
         raise MobiusStructureError("Thomas operator needs a Schouten tensor")
     conn = ConnData.from_pack(pack)

@@ -106,6 +106,7 @@ def test_circle_zero_velocity_exit2():
         'circle={"initial":{"x":[0,0,0],"u":[0,0,0],"a":[0,0,0]}}')
     assert rc == 2
     assert "velocity" in err
+    assert "stage: circle initial state, x = [0, 0, 0]" in err
 
 
 def _raising(exc):
@@ -135,6 +136,7 @@ def test_circle_integration_failure_exit2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: CircleIntegrationError" in err
     assert "step size" in err
+    assert "stage: circle integration, t = [0.0, 10.0]" in err
 
 
 def test_analytic_sample_point_on_a_pole_exits_2():
@@ -145,6 +147,7 @@ def test_analytic_sample_point_on_a_pole_exits_2():
         "-s", 'samples={"points":[[1.0]]}')
     assert rc == 2
     assert "numerical failure: JetOrderError" in err
+    assert err.splitlines()[1] == "stage: sample 0, q = [1.0]"
     assert "Traceback" not in err and out == ""
 
 
@@ -276,6 +279,29 @@ def test_flat_circle_pack_count(monkeypatch):
     assert rc == 0
     assert packs["rhs"] > 0
     assert packs["other"] == num
+
+
+def test_invariance_pack_count(monkeypatch):
+    """Curvature packs of ``invariance`` on s2s2/factor1, pinned so that a
+    change shows in review.  Each of the 3 rescalings reads the ambient
+    pack of the submanifold pack it built and hands the Thomas operator
+    the rescaled pack it built, one pair per rescaling (132 packs when both
+    were built again)."""
+    packs = []
+    pack = riemann.curvature_pack
+
+    def counted(*args, **kwargs):
+        packs.append(1)
+        return pack(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tractorlab") and \
+                getattr(mod, "curvature_pack", None) is pack:
+            monkeypatch.setattr(mod, "curvature_pack", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["invariance", "-s", 'geometry={"name":"s2s2"}',
+                       "-s", 'embedding={"name":"factor1"}'])
+    assert rc == 0
+    assert len(packs) == 126
 
 
 def test_invariance_identity_and_random():

@@ -11,9 +11,10 @@ from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack
 from tractorlab.submanifold import EmbeddingSpec
 from tractorlab.subtractor import SubTractorContext
-from tractorlab.tensors import (ArrayField, DiffBackend, TensorValue,
-                                middle_block, pairing_matrix, tangent_down,
-                                tractor_down)
+from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
+                                TensorValue, middle_block, pairing_matrix,
+                                tangent_down, tractor_down)
+from test_jets import _bitwise_equal
 
 
 def test_ky_residuals_flat_catalog():
@@ -509,3 +510,137 @@ def test_degenerate_zero_records_no_L():
     L_res, notes = fi._locus_L_residuals(geo, spec, points, 1, 1e3)
     assert L_res == []
     assert notes.startswith("no L residual at 2 of 2 locus points")
+
+
+# --------------------------------------------------------------------------
+# component maps with a point axis; the lockstep Gauss-Newton
+# --------------------------------------------------------------------------
+
+COMPONENT_CASES = {
+    "rotation": lambda: (geolib.euclidean(3), geolib.rotation_form(3, 0, 1)),
+    "special_conformal": lambda: (geolib.euclidean(3),
+                                  geolib.special_conformal_form(3)),
+    "non_solution": lambda: (geolib.random_metric(3), _non_solution_1form()),
+    "non_solution_2form": lambda: (geolib.sphere(3), _non_solution_2form()),
+    "hyperbolic_scale": lambda: (geolib.euclidean(3),
+                                 geolib.almost_einstein_hyperbolic(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
+def test_point_axis_component_map_is_the_stacked_per_point_maps(case):
+    geo, spec = COMPONENT_CASES[case]()
+    X = np.random.default_rng(23).uniform(-0.4, 0.4, (6, 3))
+    F, J = fi._component_map(geo, spec, X, jac=True)
+    F1 = fi._component_map(geo, spec, X)
+    for i, x in enumerate(X):
+        Fi, Ji = fi._component_map(geo, spec, x, jac=True)
+        assert _bitwise_equal(F[i].copy(), Fi)
+        assert _bitwise_equal(J[i].copy(), Ji)
+        assert _bitwise_equal(F1[i].copy(), fi._component_map(geo, spec, x))
+
+
+def _sequential_refinement(geo, kspec, seeds, region, spacing,
+                           refine_tol=1e-10, max_points=40):
+    """The former refinement of ``zero_locus_scan``, kept as the oracle:
+    damped Gauss-Newton from one seed after the other, one
+    ``_component_map`` call per point, until ``max_points`` are found."""
+    found = []
+    for x in seeds:
+        x = np.array(x, dtype=float)
+        F, Jm = fi._component_map(geo, kspec, x, jac=True)
+        ok = True
+        for _ in range(60):
+            if np.linalg.norm(F) < refine_tol:
+                break
+            step, *_ = np.linalg.lstsq(Jm, -F, rcond=None)
+            lam = 1.0
+            base = np.linalg.norm(F)
+            while lam > 1e-6:
+                xn = x + lam * step
+                Fn, Jn = fi._component_map(geo, kspec, xn, jac=True)
+                if np.linalg.norm(Fn) < base:
+                    x, F, Jm = xn, Fn, Jn
+                    break
+                lam /= 2
+            else:
+                ok = False
+                break
+        if ok and np.linalg.norm(F) < 1e-8 and \
+                all(lo - 0.5 <= xi <= hi + 0.5
+                    for xi, (lo, hi) in zip(x, region)):
+            if not any(np.linalg.norm(x - p) < 0.3 * spacing for p in found):
+                found.append(x)
+        if len(found) >= max_points:
+            break
+    return found
+
+
+def _scan_seeds(geo, kspec, region, grid, max_points=40):
+    """The grid seeds ``zero_locus_scan`` refines, and the grid spacing."""
+    axes = [np.linspace(lo, hi, grid) for lo, hi in region]
+    X, norm2 = fi._k_norm2_grid(geo, kspec, axes)
+    spacing = max((hi - lo) / (grid - 1) for lo, hi in region)
+    cand = np.argwhere(norm2 < (2.0 * spacing) ** 2
+                       * max(1.0, np.median(norm2)))
+    return ([X[tuple(i)].astype(float)
+             for i in cand[::max(1, len(cand) // (4 * max_points))]],
+            spacing)
+
+
+LOCKSTEP_SCANS = {
+    "special_conformal_3": (geolib.euclidean, 3,
+                            lambda: geolib.special_conformal_form(3), 9),
+    "hyperbolic_scale_3": (geolib.euclidean, 3,
+                           lambda: geolib.almost_einstein_hyperbolic(3), 13),
+    "sphere_rotation_4": (geolib.sphere, 4,
+                          lambda: geolib.round_rotation_form(4), 9),
+    "rotation_4_grid41": (geolib.euclidean, 4,
+                          lambda: geolib.rotation_form(4), 41),
+    "dilation_3": (geolib.euclidean, 3, lambda: geolib.dilation_form(3), 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_SCANS))
+def test_lockstep_refinement_equals_sequential(case):
+    """The seeds refined in lockstep give the points, in order and to the
+    bit, that refining one seed after the other gives; the scan reports
+    them (the timelike dilation scan refines nothing)."""
+    make_geo, n, make_form, grid = LOCKSTEP_SCANS[case]
+    geo, kspec = make_geo(n), make_form()
+    region = [(-1.0, 1.0)] * n
+    seeds, spacing = _scan_seeds(geo, kspec, region, grid)
+    want = _sequential_refinement(geo, kspec, seeds, region, spacing)
+    got = fi._refine_seeds(geo, kspec, seeds, region, spacing, 1e-10, 40)
+    # (k, div k) = (x, n) never vanishes for the dilation
+    assert len(got) == len(want) and (want or case == "dilation_3")
+    for a, b in zip(got, want):
+        assert _bitwise_equal(a, b)
+    rep = fi.zero_locus_scan(geo, kspec, region, grid=grid)
+    if rep.causal != "timelike":
+        assert len(rep.points) == len(want)
+        assert all(_bitwise_equal(a, b) for a, b in zip(rep.points, want))
+
+
+def test_lockstep_pole_seed_raises_only_before_the_break():
+    """(1, 0, 0) is a pole of the Poincare-ball metric.  As the third seed
+    it is reached, and raises as the sequential refinement does, when the
+    walk wants three points; when two are enough the walk stops before it."""
+    geo, kspec = geolib.hyperbolic(3), geolib.rotation_form(3, 1, 2)
+    region, spacing = [(-1.0, 1.0)] * 3, 0.25
+    seeds = [np.array([-0.5, 0.1, 0.05]), np.array([0.0, 0.1, -0.1]),
+             np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.1, 0.0])]
+    for max_points in (1, 2):
+        want = _sequential_refinement(geo, kspec, seeds, region, spacing,
+                                      max_points=max_points)
+        got = fi._refine_seeds(geo, kspec, seeds, region, spacing, 1e-10,
+                               max_points)
+        assert len(got) == len(want) == max_points
+        assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(JetOrderError) as seq:
+        _sequential_refinement(geo, kspec, seeds, region, spacing,
+                               max_points=3)
+    with pytest.raises(JetOrderError) as lock:
+        fi._refine_seeds(geo, kspec, seeds, region, spacing, 1e-10, 3)
+    assert str(lock.value) == str(seq.value)
+    assert lock.value.stage == "scan seed refinement 2, x = [1.0, 0.0, 0.0]"

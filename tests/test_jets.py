@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tractorlab import geolib
-from tractorlab.jets import (Jet3, constant, pack_array, pack_values,
-                             variables)
+from tractorlab.jets import Jet3, constant, pack_array, variables
 
 
 def _catalog_fields():
@@ -130,7 +129,7 @@ def test_point_axis_elementary_functions_are_pointwise_math():
         u, w = v
         return [u.exp(), w.log(), (u + w).sqrt(), u.sin(), w.cos(),
                 u ** 0.7, w ** -2, 3.0 / (u - 2.0), u ** 0, 1.5]
-    batched = pack_values(fn(variables(X, 0)), len(X))
+    batched = pack_array(fn(variables(X, 0)), 0, points=len(X))[0]
     assert batched.shape == (7, 10)
     for x, row in zip(X, batched):
         single = pack_array(fn(variables(x, 0)), 0)[0]
@@ -145,5 +144,65 @@ def test_point_axis_pole_is_non_finite_not_an_exception():
     with np.errstate(all="ignore"):
         r = (1.0 / (1.0 - u)).exp()
     assert np.isfinite(r.f[[0, 2]]).all() and np.isnan(r.f[1])
-    with pytest.raises(ValueError):
-        variables(X, 1)
+    # order 1 on the same stack: the finite rows are bitwise the per-point
+    # jets, the pole's row is nan
+    with np.errstate(all="ignore"):
+        rows = pack_array([(1.0 / (1.0 - u)).exp()
+                           for u in variables(X, 1)], 1, points=len(X))
+    for i in (0, 2):
+        single = pack_array([(1.0 / (1.0 - u)).exp()
+                             for u in variables(X[i], 1)], 1)
+        for a, b in zip(rows, single):
+            assert _bitwise_equal(a[i], b)
+    assert all(np.isnan(c[1]).all() for c in rows)
+
+
+# --------------------------------------------------------------------------
+# jets of every order with a point axis
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,dim,field", FIELDS,
+                         ids=[f[0] for f in FIELDS])
+def test_point_axis_jets_are_the_stacked_per_point_jets(label, dim, field):
+    X = np.random.default_rng(13).uniform(-0.3, 0.3, (5, dim))
+    for k in (1, 2, 3):
+        stacked = field.jets(X, k)
+        assert len(stacked) == k + 1
+        for i, x in enumerate(X):
+            for a, b in zip(stacked, field.jets(x, k)):
+                assert _bitwise_equal(np.asarray(a[i]), b)
+        for a in stacked:
+            assert a.flags.c_contiguous
+
+
+def test_point_axis_elementary_function_jets_are_pointwise():
+    X = np.random.default_rng(3).uniform(0.1, 0.9, (7, 2))
+
+    def fn(v):
+        u, w = v
+        return [u.exp(), w.log(), (u + w).sqrt(), u.sin(), w.cos(),
+                u ** 0.7, w ** -2, 3.0 / (u - 2.0), u ** 0, 1.5,
+                (u * w - 0.5 * u).exp() * w ** 1.5]
+    for k in (1, 2, 3):
+        stacked = pack_array(fn(variables(X, k)), k, points=len(X))
+        for i, x in enumerate(X):
+            single = pack_array(fn(variables(x, k)), k)
+            for a, b in zip(stacked, single):
+                assert _bitwise_equal(a[i], b)
+
+
+def test_point_axis_mixes_with_point_free_jets():
+    """A plain number, a constant and a hand-built jet without a point axis
+    broadcast along the point axis of the other operand."""
+    X = np.random.default_rng(5).uniform(-0.5, 0.5, (4, 2))
+
+    def fn(v):
+        u, w = v
+        return [Jet3(2, 1.0) + u * w, 2.0 - u, constant(2, 0.5) * w,
+                Jet3(2, 0.3, [1.0, 2.0]) / (1.0 + u * u)]
+    for k in (1, 2, 3):
+        stacked = pack_array(fn(variables(X, k)), k, points=len(X))
+        for i, x in enumerate(X):
+            single = pack_array(fn(variables(x, k)), k)
+            for a, b in zip(stacked, single):
+                assert _bitwise_equal(a[i], b)

@@ -11,7 +11,7 @@ from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                                 rescale)
 from tractorlab.riemann import levi_civita_derivative
 from tractorlab.tensors import (ArrayField, DiffBackend, FieldHandle,
-                                tangent_up)
+                                JetOrderError, tangent_up)
 
 
 def test_flat_space_all_zero():
@@ -48,6 +48,58 @@ def test_order2_pack_is_the_order3_pack_without_its_third_jet(name, entry,
             else:
                 assert _bitwise_equal(a, b), f.name
         assert p3.has_third == (geo.n >= 3)
+
+
+def _same_field(a, b):
+    if isinstance(b, np.ndarray):
+        return _bitwise_equal(np.ascontiguousarray(a), b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("backend", ["analytic", "fd"])
+@pytest.mark.parametrize("name,entry", CATALOG + [
+    ("sphere2", geolib.CatalogEntry("sphere2", lambda: geolib.sphere(2)))],
+    ids=[c[0] for c in CATALOG] + ["sphere2"])
+def test_point_axis_pack_is_the_stacked_per_point_packs(name, entry,
+                                                         backend):
+    """One order-2 pack on a stack of points holds, at each row, every
+    field of the pack built at that point alone, bit for bit: arrays, the
+    scalars Scal, detg, J and K as floats, and the Moebius Schouten tensor
+    of a 2-dimensional chart."""
+    geo = entry.make_geometry()
+    if backend == "fd":
+        geo = cli.as_fd_geometry(geo)
+    X = np.random.default_rng(17).uniform(-0.3, 0.3, (6, geo.n))
+    stacked = curvature_pack(geo, X, 2)
+    assert stacked.g.shape == (6, geo.n, geo.n)
+    for i, x in enumerate(X):
+        at, single = stacked.at(i), curvature_pack(geo, x, 2)
+        for f in dataclasses.fields(CurvaturePack):
+            a, b = getattr(at, f.name), getattr(single, f.name)
+            assert (a is None and b is None) or _same_field(a, b), f.name
+    with pytest.raises(ValueError):
+        curvature_pack(geo, X, 3)
+
+
+def test_point_axis_pack_of_a_field_whose_jets_take_one_point():
+    """A rescaled metric's jets take one point at a time; the stacked pack
+    evaluates them row by row and still equals the per-point packs."""
+    geo, _ = rescale(geolib.sphere(3), geolib.random_conformal_factor(3))
+    assert not geo.metric.point_axis
+    X = np.random.default_rng(19).uniform(-0.3, 0.3, (4, 3))
+    stacked = curvature_pack(geo, X, 2)
+    for i, x in enumerate(X):
+        single = curvature_pack(geo, x, 2)
+        for f in dataclasses.fields(CurvaturePack):
+            a, b = getattr(stacked.at(i), f.name), getattr(single, f.name)
+            assert (a is None and b is None) or _same_field(a, b), f.name
+
+
+def test_point_axis_pack_pole_is_a_jet_order_error():
+    geo = geolib.hyperbolic(3)
+    X = np.array([[0.1, 0.2, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(JetOrderError, match=r"at \[1\. 0\. 0\.\]"):
+        curvature_pack(geo, X, 2)
 
 
 def test_doubly_warped_ric13():

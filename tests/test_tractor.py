@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from test_jets import _bitwise_equal
 from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
                                 FieldHandle, NumericalError, TensorValue,
                                 alt_array, contract, middle_block,
-                                tractor_down, tractor_up)
+                                tangent_down, tangent_up, tractor_down,
+                                tractor_up)
 
 
 def _hpair(geo, x):
@@ -344,3 +346,33 @@ def test_parallel_transport_divergence_is_numerical_error():
                                   T0, steps=4)
     assert isinstance(info.value, NumericalError)
     assert isinstance(info.value, RuntimeError)
+
+
+@pytest.mark.parametrize("indices", [
+    (tractor_down(3),), (tractor_up(3), tangent_down(3)),
+    (tangent_up(3), tractor_down(3))])
+def test_point_axis_covariant_jet_is_the_stacked_per_point_jets(indices):
+    """Connection data and jets with a leading point axis give, at each
+    row, the covariant derivatives of that point alone, bit for bit, for
+    tractor and tangent indices at first and second order."""
+    from test_jets import _bitwise_equal
+    geo = geolib.random_metric(3, seed=4)
+    rng = np.random.default_rng(29)
+    X = rng.uniform(-0.3, 0.3, (4, 3))
+    packs = [curvature_pack(geo, x, 3) for x in X]
+    names = ("g", "gi", "Gamma", "P", "dg", "dGamma", "dP")
+    conns = [tr.ConnData.from_pack(p) for p in packs]
+    stacked = tr.ConnData(3, *(np.stack([getattr(c, f) for c in conns])
+                               for f in names[:3]),
+                          **{f: np.stack([getattr(c, f) for c in conns])
+                             for f in names[3:]})
+    shape = tuple(ix.dim for ix in indices)
+    jets = [rng.standard_normal((4,) + shape + (3,) * k) for k in range(3)]
+    for order in (1, 2):
+        out = tr.covariant_jet(stacked, jets, indices, order=order)
+        for i, c in enumerate(conns):
+            single = tr.covariant_jet(c, [j[i] for j in jets], indices,
+                                      order=order)
+            for a, b in zip(out, single):
+                assert _bitwise_equal(np.ascontiguousarray(a[i]),
+                                      np.ascontiguousarray(b))
