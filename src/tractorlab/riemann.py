@@ -280,26 +280,33 @@ def levi_civita_derivative(geo: GeometrySpec, handle: FieldHandle, x) -> TensorV
 
 
 def _leibniz_scale(omj, gjets, order):
-    """Jets of F * g from scalar jets omj=(F,Fa,Fab,Fabc) and metric jets."""
+    """Jets of F * g from scalar jets omj=(F,Fa,Fab,Fabc) and metric jets,
+    every array with an optional leading point axis (z)."""
     F, Fa, Fab, Fabc = omj
-    g, dg, d2g = gjets[0], gjets[1], gjets[2]
-    out = [F * g]
+    g = gjets[0]
+    z = "z" * (g.ndim - 2)
+
+    def times_F(a):
+        return F * a if not z else F.reshape((-1,) + (1,) * (a.ndim - 1)) * a
+    out = [times_F(g)]
     if order >= 1:
-        out.append(F * dg + np.einsum("a,ij->ija", Fa, g))
+        dg = gjets[1]
+        out.append(times_F(dg) + np.einsum(f"{z}a,{z}ij->{z}ija", Fa, g))
     if order >= 2:
-        out.append(F * d2g + np.einsum("a,ijb->ijab", Fa, dg)
-                   + np.einsum("b,ija->ijab", Fa, dg)
-                   + np.einsum("ab,ij->ijab", Fab, g))
+        d2g = gjets[2]
+        out.append(times_F(d2g) + np.einsum(f"{z}a,{z}ijb->{z}ijab", Fa, dg)
+                   + np.einsum(f"{z}b,{z}ija->{z}ijab", Fa, dg)
+                   + np.einsum(f"{z}ab,{z}ij->{z}ijab", Fab, g))
     if order >= 3:
         d3g = gjets[3]
-        t = (F * d3g
-             + np.einsum("a,ijbc->ijabc", Fa, d2g)
-             + np.einsum("b,ijac->ijabc", Fa, d2g)
-             + np.einsum("c,ijab->ijabc", Fa, d2g)
-             + np.einsum("ab,ijc->ijabc", Fab, dg)
-             + np.einsum("ac,ijb->ijabc", Fab, dg)
-             + np.einsum("bc,ija->ijabc", Fab, dg)
-             + np.einsum("abc,ij->ijabc", Fabc, g))
+        t = (times_F(d3g)
+             + np.einsum(f"{z}a,{z}ijbc->{z}ijabc", Fa, d2g)
+             + np.einsum(f"{z}b,{z}ijac->{z}ijabc", Fa, d2g)
+             + np.einsum(f"{z}c,{z}ijab->{z}ijabc", Fa, d2g)
+             + np.einsum(f"{z}ab,{z}ijc->{z}ijabc", Fab, dg)
+             + np.einsum(f"{z}ac,{z}ijb->{z}ijabc", Fab, dg)
+             + np.einsum(f"{z}bc,{z}ija->{z}ijabc", Fab, dg)
+             + np.einsum(f"{z}abc,{z}ij->{z}ijabc", Fabc, g))
         out.append(t)
     return out
 
@@ -308,11 +315,15 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
     """Conformally rescaled geometry with metric Omega^2 g.
 
     Returns ``(new_geo, upsilon)`` where ``upsilon(x)`` evaluates
-    Upsilon_a = Omega^-1 d_a Omega.
+    Upsilon_a = Omega^-1 d_a Omega.  The rescaled metric's ``jets`` also
+    take a stack of points (one ``stacked_jets`` evaluation of Omega and of
+    the metric, each row bitwise the jets at that point).
     """
     metric = geo.metric
 
     class _Scaled(ArrayField):
+        point_axis = True
+
         def __init__(self):
             super().__init__(self._val, backend=metric.backend)
 
@@ -323,22 +334,31 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
             return w ** 2 * metric.value(x)
 
         def jets(self, x, order):
-            oj = omega.jets(x, order)
-            w = float(oj[0])
-            if w <= 0:
+            x = np.asarray(x, dtype=float)
+            oj = stacked_jets(omega, x, order)
+            w = oj[0] if x.ndim == 2 else float(oj[0])
+            if np.any(w <= 0):
                 raise SingularMetricError("nonpositive conformal factor")
-            gj = metric.jets(x, order)
+            gj = stacked_jets(metric, x, order)
+
+            def w_by(k):
+                """w lined up with k derivative axes of a point's jets."""
+                return w if x.ndim == 1 else w.reshape((-1,) + (1,) * k)
             Fa = Fab = Fabc = np.zeros(0)
             F = w * w
             if order >= 1:
-                Fa = 2 * w * oj[1]
+                Fa = 2 * w_by(1) * oj[1]
             if order >= 2:
-                Fab = 2 * np.multiply.outer(oj[1], oj[1]) + 2 * w * oj[2]
+                og = oj[1]
+                Fab = (2 * (og[..., :, None] * og[..., None, :])
+                       + 2 * w_by(2) * oj[2])
             if order >= 3:
                 og, oh, ot = oj[1], oj[2], oj[3]
-                Fabc = 2 * (np.einsum("ab,c->abc", oh, og)
-                            + np.einsum("ac,b->abc", oh, og)
-                            + np.einsum("bc,a->abc", oh, og)) + 2 * w * ot
+                z = "z" * (x.ndim - 1)
+                Fabc = 2 * (np.einsum(f"{z}ab,{z}c->{z}abc", oh, og)
+                            + np.einsum(f"{z}ac,{z}b->{z}abc", oh, og)
+                            + np.einsum(f"{z}bc,{z}a->{z}abc", oh, og)) \
+                    + 2 * w_by(3) * ot
             return _leibniz_scale((F, Fa, Fab, Fabc), gj, order)
 
     def upsilon(x):

@@ -15,6 +15,14 @@ Every covariant derivative along the submanifold goes through
 The normal frame is ``normal_frame``, called by the pack and, with only the
 jets it needs, at each stencil point of ``normal_curvature``: the curvature
 of a normal bundle from its frame, for both Ricci residuals.
+
+Every stencil along Sigma is evaluated as a whole: ``central_diff`` hands
+its stencil to one call, ``submanifold_pack`` on a stack of points builds
+the missing packs from one embedding 2-jet and one order-2 curvature pack,
+and the normal frames take a stack, so a nested stencil costs one
+evaluation per level.  Only the row-wise steps (rank check, normal frame,
+the contractions) run point by point, and each row is bitwise what an
+evaluation at that point alone gives.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ import numpy as np
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       metric_connection, rescale)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
-                      central_diff, tangent_down, tangent_up)
+                      central_diff, stacked_jets, tangent_down, tangent_up)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
@@ -89,41 +97,52 @@ class PullbackMetricField(ArrayField):
         if order <= 2:
             return self._chain_jets(y, order)
         out = self._chain_jets(y, 2)
-        d3 = central_diff(lambda z: self._chain_jets(z, 2)[2], y, self.step3)
+        d3 = central_diff(lambda Z: self._chain_jets(Z, 2)[2], y, self.step3)
         return out + [d3]
 
     def _chain_jets(self, y, order):
-        geo = self.geo
-        ph = self.phi.jets(y, min(3, order + 1))
-        x = ph[0]
-        dphi = ph[1]
-        gj = geo.metric.jets(x, order)
-        g = gj[0]
-        G = np.einsum("ai,bj,ab->ij", dphi, dphi, g)
-        out = [G]
-        if order >= 1:
-            d2phi = ph[2]
-            dg = gj[1]
-            dG = (np.einsum("aik,bj,ab->ijk", d2phi, dphi, g)
-                  + np.einsum("ai,bjk,ab->ijk", dphi, d2phi, g)
-                  + np.einsum("ai,bj,abc,ck->ijk", dphi, dphi, dg, dphi))
-            out.append(dG)
-        if order >= 2:
-            d3phi = ph[3]
-            d2g = gj[2]
-            t = (np.einsum("aikl,bj,ab->ijkl", d3phi, dphi, g)
-                 + np.einsum("aik,bjl,ab->ijkl", d2phi, d2phi, g)
-                 + np.einsum("ail,bjk,ab->ijkl", d2phi, d2phi, g)
-                 + np.einsum("ai,bjkl,ab->ijkl", dphi, d3phi, g)
-                 + np.einsum("aik,bj,abc,cl->ijkl", d2phi, dphi, dg, dphi)
-                 + np.einsum("ai,bjk,abc,cl->ijkl", dphi, d2phi, dg, dphi)
-                 + np.einsum("ail,bj,abc,ck->ijkl", d2phi, dphi, dg, dphi)
-                 + np.einsum("ai,bjl,abc,ck->ijkl", dphi, d2phi, dg, dphi)
-                 + np.einsum("ai,bj,abcd,ck,dl->ijkl", dphi, dphi, d2g,
-                             dphi, dphi)
-                 + np.einsum("ai,bj,abc,ckl->ijkl", dphi, dphi, dg, d2phi))
-            out.append(t)
-        return out
+        """The chain-rule jets at ``y``, or at each row of a stack ``y``
+        (stacked on a leading axis): one evaluation of the embedding and
+        metric jets, then the contractions row by row."""
+        ph = stacked_jets(self.phi, y, min(3, order + 1))
+        gj = stacked_jets(self.geo.metric, ph[0], order)
+        if y.ndim == 1:
+            return _chain_rule(ph, gj, order)
+        rows = (_chain_rule([c[i] for c in ph], [c[i] for c in gj], order)
+                for i in range(len(y)))
+        return [np.stack(c) for c in zip(*rows)]
+
+
+def _chain_rule(ph, gj, order):
+    """Jets of the pulled-back metric at one point from the embedding
+    (order + 1)-jet ``ph`` and the metric ``order``-jet ``gj``."""
+    dphi = ph[1]
+    g = gj[0]
+    G = np.einsum("ai,bj,ab->ij", dphi, dphi, g)
+    out = [G]
+    if order >= 1:
+        d2phi = ph[2]
+        dg = gj[1]
+        dG = (np.einsum("aik,bj,ab->ijk", d2phi, dphi, g)
+              + np.einsum("ai,bjk,ab->ijk", dphi, d2phi, g)
+              + np.einsum("ai,bj,abc,ck->ijk", dphi, dphi, dg, dphi))
+        out.append(dG)
+    if order >= 2:
+        d3phi = ph[3]
+        d2g = gj[2]
+        t = (np.einsum("aikl,bj,ab->ijkl", d3phi, dphi, g)
+             + np.einsum("aik,bjl,ab->ijkl", d2phi, d2phi, g)
+             + np.einsum("ail,bjk,ab->ijkl", d2phi, d2phi, g)
+             + np.einsum("ai,bjkl,ab->ijkl", dphi, d3phi, g)
+             + np.einsum("aik,bj,abc,cl->ijkl", d2phi, dphi, dg, dphi)
+             + np.einsum("ai,bjk,abc,cl->ijkl", dphi, d2phi, dg, dphi)
+             + np.einsum("ail,bj,abc,ck->ijkl", d2phi, dphi, dg, dphi)
+             + np.einsum("ai,bjl,abc,ck->ijkl", dphi, d2phi, dg, dphi)
+             + np.einsum("ai,bj,abcd,ck,dl->ijkl", dphi, dphi, d2g,
+                         dphi, dphi)
+             + np.einsum("ai,bj,abc,ckl->ijkl", dphi, dphi, dg, d2phi))
+        out.append(t)
+    return out
 
 
 @dataclass
@@ -151,8 +170,10 @@ class SubmanifoldPack:
 
 
 def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
-                     seeds=None) -> SubmanifoldPack:
-    """Submanifold data of ``emb`` in ``geo`` at parameter point ``q``.
+                     seeds=None):
+    """Submanifold data of ``emb`` in ``geo`` at parameter point ``q``; for
+    a stack of points ``q`` of shape (p, m) the list of the packs at its
+    rows.
 
     ``seeds`` names the ambient coordinate conormals the normal frame is
     built from; by default the ones least aligned with the tangent space.
@@ -164,18 +185,40 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
     ``emb`` (the CLI builds one per call).  Packs are shared between callers,
     so their arrays, and those of the ambient curvature pack, are read-only.
     Concurrent callers may compute a pack twice; both results are equal.
+
+    The rows of a stack that are not in the memo yet share one evaluation of
+    the embedding 2-jet and one order-2 curvature pack; the rank check and
+    the normal frame then run row by row, and each pack is bitwise the one
+    a call at its row builds.
     """
     q = np.array(q, dtype=float)
-    key = (geo, q.tobytes(), None if seeds is None else tuple(seeds))
-    sub = emb.packs.get(key)
-    if sub is None:
-        sub = emb.packs[key] = _build_pack(geo, emb, q, seeds)
-    return sub
+    seeds = None if seeds is None else tuple(seeds)
+    if q.ndim == 1:
+        key = (geo, q.tobytes(), seeds)
+        sub = emb.packs.get(key)
+        if sub is None:
+            ph = emb.jets(q, 2)
+            sub = emb.packs[key] = _build_pack(
+                geo, emb, q, ph, curvature_pack(geo, ph[0], order=2), seeds)
+        return sub
+    keys = [(geo, r.tobytes(), seeds) for r in q]
+    todo = {}
+    for key, r in zip(keys, q):
+        if key not in emb.packs:
+            todo.setdefault(key, r)
+    if todo:
+        Q = np.array(list(todo.values()))
+        ph = stacked_jets(emb.phi, Q, 2)
+        packs = curvature_pack(geo, ph[0], order=2)
+        for i, key in enumerate(todo):
+            emb.packs[key] = _build_pack(geo, emb, Q[i], [c[i] for c in ph],
+                                         packs.at(i), seeds)
+    return [emb.packs[key] for key in keys]
 
 
-def _build_pack(geo, emb, q, seeds):
-    ph = emb.jets(q, 2)
-    pack = curvature_pack(geo, ph[0], order=2)
+def _build_pack(geo, emb, q, ph, pack, seeds):
+    """The pack at ``q`` from the embedding 2-jet ``ph`` and the ambient
+    curvature pack at ``ph[0]``."""
     if np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m:
         raise RankDeficientError(f"embedding differential rank-deficient at {q}")
     frame = normal_frame(pack.g, pack.gi, ph[1],
@@ -268,12 +311,18 @@ class SigmaField:
         pk = submanifold_pack(self.geo, self.emb, q, seeds=self._seeds)
         return np.asarray(self.builder(pk), dtype=float)
 
+    def values(self, Q):
+        """``builder`` of the pack at each row of ``Q``, stacked."""
+        return np.stack([np.asarray(self.builder(pk), dtype=float) for pk in
+                         submanifold_pack(self.geo, self.emb, Q,
+                                          seeds=self._seeds)])
+
     def jet1(self, q):
         q = np.asarray(q, dtype=float)
         base = submanifold_pack(self.geo, self.emb, q)
         self._seeds = base.seeds
         v0 = np.asarray(self.builder(base), dtype=float)
-        d1 = central_diff(self.value, q, 1e-2, richardson=True)
+        d1 = central_diff(self.values, q, 1e-2, richardson=True)
         return v0, d1, base
 
 
@@ -374,41 +423,49 @@ def _coupled_derivative_II(geo, emb, q, sub, ipack):
 def normal_curvature(frame_at, q, index):
     """Curvature of a normal bundle, [i, j, C, E] acting on up components.
 
-    ``frame_at(y, conn)`` gives the frame rows [alpha, C] (C is ``index``),
-    the dual coframe rows [alpha, E] and, if ``conn``, the ``SigmaConn`` at
-    y.  omega_i = coframe (d_i + conn_i) frame takes d_i from a plain
-    central difference (step 1e-4), its curvature from a Richardson one
-    (step 1e-2)."""
+    ``frame_at(Y, conn)`` gives, at each row of a stack of points Y, the
+    frame rows [alpha, C] (C is ``index``) and the dual coframe rows
+    [alpha, E], stacked on a leading axis, and, if ``conn``, the list of
+    the ``SigmaConn``s.  omega_i = coframe (d_i + conn_i) frame takes d_i
+    from a plain central difference (step 1e-4), its curvature from a
+    Richardson one (step 1e-2); each level of the nested stencil is one
+    ``frame_at`` call."""
     q = np.asarray(q, dtype=float)
 
-    def omega_at(y, frame, coframe, conn):
-        dV = central_diff(lambda z: frame_at(z, False)[0], y, 1e-4)
-        nab = np.moveaxis(dV, -1, 0) + np.einsum(
-            "ice,be->ibc", conn.matrix(index), frame)
-        return np.einsum("ac,ibc->iab", coframe, nab)
+    def omega(Y):
+        """omega at each row of Y, stacked, and the frames there."""
+        frame, coframe, conns = frame_at(Y, True)
+        dV = central_diff(lambda Z: frame_at(Z, False)[0], Y, 1e-4)
+        om = [np.einsum("ac,ibc->iab", coframe[r], np.moveaxis(dV[r], -1, 0)
+                        + np.einsum("ice,be->ibc", conns[r].matrix(index),
+                                    frame[r]))
+              for r in range(len(Y))]
+        return np.stack(om), frame[0], coframe[0]
 
-    base = frame_at(q, True)
-    om0 = omega_at(q, *base)
+    om0, frame, coframe = omega(q[None])
+    om0 = om0[0]
     # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
     dw = np.ascontiguousarray(np.moveaxis(central_diff(
-        lambda y: omega_at(y, *frame_at(y, True)), q, 1e-2, richardson=True),
-        -1, 0))
+        lambda Y: omega(Y)[0], q, 1e-2, richardson=True), -1, 0))
     Rfr = (dw - dw.transpose(1, 0, 2, 3)
            + np.einsum("iae,jeb->ijab", om0, om0)
            - np.einsum("jae,ieb->ijab", om0, om0))
-    return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
+    return np.einsum("ec,ijef,fd->ijcd", frame, Rfr, coframe)
 
 
 def _normal_curvature(geo, emb, q, seeds):
     """Rperp_ij^c_d from the normal frame with ``seeds`` frozen."""
     orientation = geo.orientation * emb.orientation
 
-    def frame_at(y, conn):
-        ph = emb.jets(y, 1)
+    def frame_at(Y, conn):
+        ph = stacked_jets(emb.phi, Y, 1)
         g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
-        fr = normal_frame(g, gi, ph[1], orientation, seeds)
-        return fr["normals"], fr["conormals"], (
-            SigmaConn(tr.ConnData(emb.n, g, gi, Gamma), ph[1]) if conn else None)
+        rows = [normal_frame(g[r], gi[r], ph[1][r], orientation, seeds)
+                for r in range(len(Y))]
+        return (np.stack([fr["normals"] for fr in rows]),
+                np.stack([fr["conormals"] for fr in rows]),
+                [SigmaConn(tr.ConnData(emb.n, g[r], gi[r], Gamma[r]),
+                           ph[1][r]) for r in range(len(Y))] if conn else None)
 
     return normal_curvature(frame_at, q, tangent_up(emb.n))
 

@@ -38,8 +38,9 @@ from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
                           covariant_along, normal_curvature, normal_frame,
                           submanifold_pack)
 from .tensors import (TensorValue, middle_block,
-                      pairing_matrix, stage, tangent_down, tangent_up,
-                      tractor_down, tractor_metric_matrix, tractor_up)
+                      pairing_matrix, stacked_jets, stage, tangent_down,
+                      tangent_up, tractor_down, tractor_metric_matrix,
+                      tractor_up)
 from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
@@ -605,16 +606,23 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
     orientation = geo.orientation * emb.orientation
     Jamb = pairing_matrix(n)
 
-    def frame_at(y, conn):
-        ph = emb.jets(y, 2)
-        pk = curvature_pack(geo, ph[0], order=2) if conn else None
-        g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
-                        else metric_connection(geo, ph[0])[:3])
-        fr = normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds, Gamma,
-                          ph[2])
-        frame = tractor_conormal_rows(fr["conormals"], fr["H"])
-        return frame @ middle_block(gi), frame @ Jamb, (
-            SigmaConn(tr.ConnData.from_pack(pk), ph[1]) if conn else None)
+    def frame_at(Y, conn):
+        ph = stacked_jets(emb.phi, Y, 2)
+        if conn:
+            pk = curvature_pack(geo, ph[0], order=2)
+            g, gi, Gamma = pk.g, pk.gi, pk.Gamma
+        else:
+            g, gi, Gamma = metric_connection(geo, ph[0])[:3]
+        frames, coframes = [], []
+        for r in range(len(Y)):
+            fr = normal_frame(g[r], gi[r], ph[1][r], orientation,
+                              ctx.sub.seeds, Gamma[r], ph[2][r])
+            frame = tractor_conormal_rows(fr["conormals"], fr["H"])
+            frames.append(frame @ middle_block(gi[r]))
+            coframes.append(frame @ Jamb)
+        return np.stack(frames), np.stack(coframes), (
+            [SigmaConn(tr.ConnData.from_pack(pk.at(r)), ph[1][r])
+             for r in range(len(Y))] if conn else None)
 
     return normal_curvature(frame_at, ctx.q, tractor_up(n))
 

@@ -330,25 +330,47 @@ def central_diff(f, x, h, richardson=False):
     """Central differences of ``f`` at ``x`` along each coordinate, stacked
     on a trailing axis: out[..., i] ~ d f / d x^i.
 
-    ``richardson=True`` combines the steps h and h/2 as (4 D(h/2) - D(h))/3,
-    which cancels the h^2 error term.  The result is a fresh C-contiguous
-    array whatever the layout of ``f``'s values (the rounding of a later
-    einsum can depend on it).
+    ``f`` takes a stack of points of shape (k, n) and returns their values
+    stacked on axis 0; the whole stencil is one call.  ``x`` may be a stack
+    of centres of shape (p, n), and then the result carries a leading point
+    axis, so a nested stencil costs one call per level.  The stencil of
+    each centre, in order, is x + h e_i and x - h e_i for each i, and with
+    ``richardson=True`` x + h e_i / 2 and x - h e_i / 2 after each pair;
+    the steps h and h/2 combine as (4 D(h/2) - D(h))/3, which cancels the
+    h^2 error term.  If the call fails numerically, ``f`` runs on the rows
+    one at a time, so the error is the one a point-by-point evaluation
+    meets first.  The result is a fresh C-contiguous array whatever the
+    layout of ``f``'s values (the rounding of a later einsum can depend on
+    it).
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    out = None
+    n = x.shape[-1]
+    pts = []
+    for c in x.reshape(-1, n):
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            pts += [c + e, c - e]
+            if richardson:
+                pts += [c + e / 2, c - e / 2]
+    pts = np.array(pts)
+    try:
+        vals = np.asarray(f(pts))
+    except (NumericalError, np.linalg.LinAlgError):
+        for p in pts:
+            f(p[None])
+        raise
+    k = 4 if richardson else 2
+    vals = vals.reshape((-1, n, k) + vals.shape[1:])
+    out = np.empty(vals.shape[:1] + vals.shape[3:] + (n,))
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        d = (f(x + e) - f(x - e)) / (2 * h)
+        v = vals[:, i]
+        d = (v[:, 0] - v[:, 1]) / (2 * h)
         if richardson:
-            small = (f(x + e / 2) - f(x - e / 2)) / h
+            small = (v[:, 2] - v[:, 3]) / h
             d = (4 * small - d) / 3
-        if out is None:
-            out = np.empty(np.shape(d) + (n,))
         out[..., i] = d
-    return out
+    return out if x.ndim == 2 else out[0]
 
 
 class ArrayField:

@@ -151,6 +151,23 @@ def test_analytic_sample_point_on_a_pole_exits_2():
     assert "Traceback" not in err and out == ""
 
 
+def test_pole_on_a_stencil_row_exits_2():
+    """q = 0.99 is a regular point, but its Richardson point 0.99 + 0.01
+    lands on the pole (1, 0, 0): the batched stencil evaluates every row's
+    embedding before any metric, and still reports the pole the
+    point-by-point evaluation meets first."""
+    rc, out, err = run_cli(
+        "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":3}}',
+        "-s", 'embedding={"name":"slice","params":{"n":3,"m":1}}',
+        "-s", 'samples={"points":[[0.99]]}')
+    assert rc == 2
+    lines = err.splitlines()
+    assert lines[0] == ("numerical failure: JetOrderError: non-finite field "
+                        "evaluation at [1. 0. 0.]")
+    assert lines[1] == "stage: sample 0, q = [0.99]"
+    assert "Traceback" not in err and out == ""
+
+
 def test_embedding_dimension_mismatch_exit4(capsys):
     rc = cli.main(["report",
                    "-s", 'geometry={"name":"euclidean","params":{"n":5}}',
@@ -286,13 +303,16 @@ def test_invariance_pack_count(monkeypatch):
     change shows in review.  Each of the 3 rescalings reads the ambient
     pack of the submanifold pack it built and hands the Thomas operator
     the rescaled pack it built, one pair per rescaling (132 packs when both
-    were built again)."""
+    were built again).  The 126 packs are rows (the points, a stack of p
+    points counting p); a batched call on a stack counts once, and the
+    stencil-point packs of each derivative along Sigma share one call, so
+    the calls are 42."""
     packs = []
     pack = riemann.curvature_pack
 
-    def counted(*args, **kwargs):
-        packs.append(1)
-        return pack(*args, **kwargs)
+    def counted(geo, x, order=None):
+        packs.append(len(x) if np.ndim(x) == 2 else 1)
+        return pack(geo, x, order)
     for name, mod in list(sys.modules.items()):
         if name.startswith("tractorlab") and \
                 getattr(mod, "curvature_pack", None) is pack:
@@ -301,7 +321,8 @@ def test_invariance_pack_count(monkeypatch):
         rc = cli.main(["invariance", "-s", 'geometry={"name":"s2s2"}',
                        "-s", 'embedding={"name":"factor1"}'])
     assert rc == 0
-    assert len(packs) == 126
+    assert sum(packs) == 126
+    assert len(packs) == 42
 
 
 def test_invariance_identity_and_random():

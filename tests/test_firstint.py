@@ -644,3 +644,27 @@ def test_lockstep_pole_seed_raises_only_before_the_break():
         fi._refine_seeds(geo, kspec, seeds, region, spacing, 1e-10, 3)
     assert str(lock.value) == str(seq.value)
     assert lock.value.stage == "scan seed refinement 2, x = [1.0, 0.0, 0.0]"
+
+
+def test_flat_n4_refinement_rows(monkeypatch):
+    """Component-map rows the lockstep refinement of the flat n = 4
+    rotation scan (grid 21) evaluates, pinned so that a change shows in
+    review.  The sequential refinement makes 80 single calls (40 seeds,
+    every one adding a point); the lockstep takes 4 * max_points = 160
+    seeds in its first chunk, 160 initial rows and 146 trial rows.  A
+    first chunk of the 40 seeds the walk needs evaluates 80 rows, but it
+    splits the n = 3 scans, whose seeds add fewer points, into more
+    lockstep rounds, and they ran slower; so the chunk stays."""
+    geo, kspec = geolib.euclidean(4), geolib.rotation_form(4)
+    region = [(-1.0, 1.0)] * 4
+    seeds, spacing = _scan_seeds(geo, kspec, region, 21)
+    rows = []
+    maps = fi._component_maps
+
+    def counted(geo, kspec, X):
+        rows.append(len(X))
+        return maps(geo, kspec, X)
+    monkeypatch.setattr(fi, "_component_maps", counted)
+    got = fi._refine_seeds(geo, kspec, seeds, region, spacing, 1e-10, 40)
+    assert len(seeds) == 162 and len(got) == 40
+    assert rows == [160, 146]

@@ -7,8 +7,9 @@ import pytest
 
 from test_jets import _bitwise_equal
 from tractorlab import cli, geolib
-from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
-                                rescale)
+from tractorlab.riemann import (CurvaturePack, GeometrySpec,
+                                SingularMetricError, curvature_pack, rescale)
+from tractorlab.submanifold import PullbackMetricField
 from tractorlab.riemann import levi_civita_derivative
 from tractorlab.tensors import (ArrayField, DiffBackend, FieldHandle,
                                 JetOrderError, tangent_up)
@@ -82,9 +83,13 @@ def test_point_axis_pack_is_the_stacked_per_point_packs(name, entry,
 
 
 def test_point_axis_pack_of_a_field_whose_jets_take_one_point():
-    """A rescaled metric's jets take one point at a time; the stacked pack
-    evaluates them row by row and still equals the per-point packs."""
-    geo, _ = rescale(geolib.sphere(3), geolib.random_conformal_factor(3))
+    """A pulled-back metric's jets take one point at a time; the stacked
+    pack evaluates them row by row and still equals the per-point packs.
+    (The rescaled metric's jets take a stack of points, see
+    ``test_rescaled_metric_jets_are_its_rows``.)"""
+    entry = geolib.catalog()["s2xs1xr"]
+    geo = GeometrySpec(n=3, metric=PullbackMetricField(
+        entry.make_geometry(), entry.embeddings["s2xs1"]()))
     assert not geo.metric.point_axis
     X = np.random.default_rng(19).uniform(-0.3, 0.3, (4, 3))
     stacked = curvature_pack(geo, X, 2)
@@ -93,6 +98,47 @@ def test_point_axis_pack_of_a_field_whose_jets_take_one_point():
         for f in dataclasses.fields(CurvaturePack):
             a, b = getattr(stacked.at(i), f.name), getattr(single, f.name)
             assert (a is None and b is None) or _same_field(a, b), f.name
+
+
+@pytest.mark.parametrize("name,entry", CATALOG, ids=[c[0] for c in CATALOG])
+def test_rescaled_metric_jets_are_its_rows(name, entry):
+    """The rescaled metric's ``jets`` on a stack of points hold, at each
+    row and order 0-3, the jets at that point bit for bit, for three
+    conformal factors; its order-2 pack on the stack is the per-point
+    packs."""
+    base = entry.make_geometry()
+    X = np.random.default_rng(23).uniform(-0.3, 0.3, (5, base.n))
+    for seed in range(3):
+        geo, _ = rescale(base, geolib.random_conformal_factor(base.n, seed))
+        assert geo.metric.point_axis
+        for k in range(4):
+            stacked = geo.metric.jets(X, k)
+            assert len(stacked) == k + 1
+            for i, x in enumerate(X):
+                for a, b in zip(stacked, geo.metric.jets(x, k)):
+                    assert _bitwise_equal(a[i].copy(), b), (seed, k)
+        pack = curvature_pack(geo, X, 2)
+        for i, x in enumerate(X):
+            single = curvature_pack(geo, x, 2)
+            for f in dataclasses.fields(CurvaturePack):
+                a, b = getattr(pack.at(i), f.name), getattr(single, f.name)
+                assert (a is None and b is None) or _same_field(a, b), f.name
+
+
+def test_rescaled_metric_nonpositive_factor_on_any_row():
+    """A non-positive conformal factor on one row of a stack raises, as it
+    does at that point alone."""
+    class Factor(ArrayField):
+        def __init__(self):
+            super().__init__(lambda x: np.float64(0.5 - x[0]),
+                             backend=DiffBackend(max_order=2))
+    geo, _ = rescale(geolib.sphere(3), Factor())
+    X = np.array([[0.1, 0.0, 0.0], [0.2, 0.1, 0.0], [0.6, 0.0, 0.0]])
+    geo.metric.jets(X[:2], 2)
+    for x in (X[2], X):
+        with pytest.raises(SingularMetricError,
+                           match="nonpositive conformal factor"):
+            geo.metric.jets(x, 2)
 
 
 def test_point_axis_pack_pole_is_a_jet_order_error():

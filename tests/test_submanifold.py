@@ -18,8 +18,10 @@ from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     conformal_transform_check,
                                     gauss_codazzi_ricci_residuals,
                                     submanifold_pack)
-from tractorlab.tensors import (central_diff, middle_block, pairing_matrix,
-                                tangent_up, tractor_up)
+from test_tensors import _loop_central_diff
+from tractorlab.riemann import metric_connection
+from tractorlab.tensors import (middle_block, pairing_matrix, tangent_up,
+                                tractor_up)
 from tractorlab.tractor import ConnData, wedge
 
 
@@ -317,14 +319,14 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}',
       "-s", 'samples={"points":[[0.2,-0.1]]}'],
-     {0: 36, 1: 54, 2: 19, 3: 1}),
+     {0: 36, 1: 54, 2: 19, 3: 1}, {0: 2, 1: 6, 2: 5, 3: 1}),
     (["invariance", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}'],
-     {1: 6, 2: 339, 3: 12}),
+     {1: 6, 2: 339, 3: 12}, {1: 6, 2: 108, 3: 12}),
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {0: 78, 1: 182, 2: 313, 3: 22}),
+     {0: 78, 1: 182, 2: 313, 3: 22}, {0: 2, 1: 8, 2: 74, 3: 17}),
 ]
 
 
@@ -332,7 +334,9 @@ def test_report_evaluation_count(monkeypatch):
     """Field evaluations of one report on s2s2/factor1 at one point, by jet
     order, pinned so that a change in evaluation count shows in review
     (without the memo the same report makes 127 order-3 evaluations); and
-    of an ``invariance`` run and a report on s2xs1xr/s2xs1.
+    of an ``invariance`` run and a report on s2xs1xr/s2xs1.  Each case pins
+    the rows evaluated (the points, a stack of p points counting p) and the
+    calls (a batched call on a stack counting once).
 
     The report reads every quantity from one context.  The normal frame of
     the Ricci residual needs no pack: at its 9 outer stencil points it
@@ -355,20 +359,29 @@ def test_report_evaluation_count(monkeypatch):
     from 348 to 339 when each of its 3 rescalings stopped rebuilding two
     packs that exist at its point: the ambient pack of the submanifold pack
     (one metric 2-jet) and the rescaled pack of the Thomas operator (the
-    conformal factor's and the metric's 2-jets)."""
-    calls = Counter()
+    conformal factor's and the metric's 2-jets).
+
+    The rows are those counts.  The calls fell when every stencil along
+    Sigma became one batched call per level: the stencil-point submanifold
+    packs, both normal frames, the pulled-back metric's third derivative
+    and the rescaled metric each evaluate a stencil's points together (110
+    calls to 14, 357 to 126 and 595 to 101)."""
+    calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
     def counted(field, x, order):
         calls[order] += 1
+        rows[order] += len(x) if np.ndim(x) == 2 else 1
         return jets(field, x, order)
     monkeypatch.setattr(geolib.JetField, "jets", counted)
-    for argv, pinned in EVALUATION_CASES:
+    for argv, pinned_rows, pinned_calls in EVALUATION_CASES:
         calls.clear()
+        rows.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(argv)
         assert rc == 0
-        assert dict(calls) == pinned, argv[0]
+        assert dict(rows) == pinned_rows, argv[0]
+        assert dict(calls) == pinned_calls, argv[0]
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +402,7 @@ def _pack_frame_curvature(geo, emb, q, frame_of, index):
 
     def omega_at(y):
         frame, coframe, pk = frame_at(y)
-        dV = central_diff(lambda z: frame_at(z)[0], y, 1e-4)
+        dV = _loop_central_diff(lambda z: frame_at(z)[0], y, 1e-4)
         M = np.einsum("ane,ai->ine",
                       ConnData.from_pack(pk.pack).matrix(index), pk.dphi)
         nab = np.moveaxis(dV, -1, 0) + np.einsum("ice,be->ibc", M, frame)
@@ -397,7 +410,7 @@ def _pack_frame_curvature(geo, emb, q, frame_of, index):
 
     om0 = omega_at(q)
     dw = np.ascontiguousarray(np.moveaxis(
-        central_diff(omega_at, q, 1e-2, richardson=True), -1, 0))
+        _loop_central_diff(omega_at, q, 1e-2, richardson=True), -1, 0))
     Rfr = (dw - dw.transpose(1, 0, 2, 3)
            + np.einsum("iae,jeb->ijab", om0, om0)
            - np.einsum("jae,ieb->ijab", om0, om0))
@@ -429,6 +442,9 @@ def _frame_case(name, params, ename, eparams=None, fd=False):
 def _graph_case(name, params, n, m):
     return (geolib.catalog()[name].make_geometry(**params),
             geolib.random_graph_embedding(n, m, seed=3))
+
+
+CATALOG = sorted(geolib.catalog().items())
 
 
 # m = 1, 2, 3, one FD geometry, and II != 0 with normal curvature != 0 in
@@ -468,18 +484,129 @@ def test_normal_curvature_equals_pack_reference(case, frame):
     assert np.array_equal(new, ref)
 
 
+def _loop_normal_curvature(frame_at, q, index):
+    """The normal curvature from a frame function of one point, each
+    stencil point its own call (the nested point-by-point loop), kept as
+    the oracle of the batched ``submanifold.normal_curvature``."""
+    def omega_at(y, frame, coframe, conn):
+        dV = _loop_central_diff(lambda z: frame_at(z, False)[0], y, 1e-4)
+        nab = np.moveaxis(dV, -1, 0) + np.einsum(
+            "ice,be->ibc", conn.matrix(index), frame)
+        return np.einsum("ac,ibc->iab", coframe, nab)
+
+    base = frame_at(q, True)
+    om0 = omega_at(q, *base)
+    dw = np.ascontiguousarray(np.moveaxis(_loop_central_diff(
+        lambda y: omega_at(y, *frame_at(y, True)), q, 1e-2, richardson=True),
+        -1, 0))
+    Rfr = (dw - dw.transpose(1, 0, 2, 3)
+           + np.einsum("iae,jeb->ijab", om0, om0)
+           - np.einsum("jae,ieb->ijab", om0, om0))
+    return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
+
+
+def _point_riemannian_frame(geo, emb, seeds):
+    orientation = geo.orientation * emb.orientation
+
+    def frame_at(y, conn):
+        ph = emb.jets(y, 1)
+        g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
+        fr = submanifold.normal_frame(g, gi, ph[1], orientation, seeds)
+        return fr["normals"], fr["conormals"], (
+            submanifold.SigmaConn(ConnData(emb.n, g, gi, Gamma), ph[1])
+            if conn else None)
+    return frame_at
+
+
+def _point_tractor_frame(ctx):
+    geo, emb, n = ctx.geo, ctx.emb, ctx.n
+    orientation = geo.orientation * emb.orientation
+
+    def frame_at(y, conn):
+        ph = emb.jets(y, 2)
+        pk = curvature_pack(geo, ph[0], order=2) if conn else None
+        g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
+                        else metric_connection(geo, ph[0])[:3])
+        fr = submanifold.normal_frame(g, gi, ph[1], orientation,
+                                      ctx.sub.seeds, Gamma, ph[2])
+        frame = subtractor.tractor_conormal_rows(fr["conormals"], fr["H"])
+        return frame @ middle_block(gi), frame @ pairing_matrix(n), (
+            submanifold.SigmaConn(ConnData.from_pack(pk), ph[1])
+            if conn else None)
+    return frame_at
+
+
+@pytest.mark.parametrize("case,frame", FRAME_RUNS,
+                         ids=[f"{c}-{f}" for c, f in FRAME_RUNS])
+def test_normal_curvature_is_the_nested_loop(case, frame):
+    """Both normal curvatures, whose nested stencils evaluate the frame once
+    per level, equal to the bit the nested loop that evaluates it at each
+    stencil point alone."""
+    geo, emb = FRAME_CASES[case]()
+    q = np.linspace(0.15, -0.1, emb.m)
+    if frame == "riemannian":
+        seeds = submanifold_pack(geo, emb, q).seeds
+        new = submanifold._normal_curvature(geo, emb, q, seeds)
+        ref = _loop_normal_curvature(_point_riemannian_frame(geo, emb, seeds),
+                                     q, tangent_up(emb.n))
+    else:
+        ctx = subtractor.SubTractorContext(geo, emb, q)
+        new = subtractor._normal_tractor_curvature(ctx)
+        ref = _loop_normal_curvature(_point_tractor_frame(ctx), q,
+                                     tractor_up(emb.n))
+    assert np.array_equal(new, ref)
+
+
+EMBEDDING_CASES = [(name, ename) for name, entry in CATALOG
+                   for ename in sorted(entry.embeddings)]
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name,ename", EMBEDDING_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in EMBEDDING_CASES])
+def test_stacked_packs_are_the_per_point_packs(name, ename, fd):
+    """``submanifold_pack`` on a stack of points builds, at each row, every
+    field of the pack a call at that point alone builds, bit for bit, with
+    default and with frozen seeds; a row already in the memo is returned
+    from it, and a repeated row is built once."""
+    entry = geolib.catalog()[name]
+    make = entry.embeddings[ename]
+    n, m = make().n, make().m
+    geo = entry.make_geometry()
+    if geo.n != n:
+        geo = entry.make_geometry(n=n)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    Q = np.random.default_rng(29).uniform(-0.2, 0.2, (4, m))
+    base = submanifold_pack(geo, make(), Q[0])
+    for seeds in (None, base.seeds):
+        emb = make()
+        first = submanifold_pack(geo, emb, Q[1], seeds=seeds)
+        stacked = submanifold_pack(geo, emb, np.vstack([Q, Q[2]]),
+                                   seeds=seeds)
+        assert len(stacked) == 5 and len(emb.packs) == 4
+        assert stacked[1] is first and stacked[4] is stacked[2]
+        for q, sub in zip(Q, stacked):
+            assert submanifold_pack(geo, emb, q.copy(), seeds=seeds) is sub
+            _assert_same_fields(sub, submanifold_pack(geo, make(), q,
+                                                      seeds=seeds))
+
+
 def test_normal_curvature_builds_no_pack(monkeypatch):
     """No stencil point of the Ricci or tractor Ricci residual builds a
     submanifold pack or an order-3 curvature pack; only the tractor
-    connection takes an order-2 pack at each of the 1 + 4m outer points."""
+    connection takes an order-2 pack at each of the 1 + 4m outer points.
+    Rows count the points; a batched call on a stack counts once, so the
+    4m stencil points share one call and the base point has its own."""
     geo, emb = _frame_case("s2xs1xr", {}, "s2xs1")
     q = np.array([0.2, -0.1, 0.1])
     ctx = subtractor.SubTractorContext(geo, emb, q)
     seeds = ctx.sub.seeds
-    packs, subpacks = Counter(), Counter()
+    packs, rows, subpacks = Counter(), Counter(), Counter()
 
     def counted_pack(geo, x, order=None):
         packs[order] += 1
+        rows[order] += len(x) if np.ndim(x) == 2 else 1
         return curvature_pack(geo, x, order)
 
     def counted_subpack(*args, **kwargs):
@@ -492,4 +619,5 @@ def test_normal_curvature_builds_no_pack(monkeypatch):
     submanifold._normal_curvature(geo, emb, q, seeds)
     assert not packs and not subpacks
     subtractor._normal_tractor_curvature(ctx)
-    assert dict(packs) == {2: 1 + 4 * 3} and not subpacks
+    assert dict(rows) == {2: 1 + 4 * 3} and not subpacks
+    assert dict(packs) == {2: 2}

@@ -161,6 +161,11 @@ def test_symmetry_flags():
     assert not t.is_symmetric((0, 1))
 
 
+def _batched(f):
+    """``f`` on each row of a stack of points, stacked on axis 0."""
+    return lambda X: np.stack([f(x) for x in X])
+
+
 def test_central_diff_exact_on_quadratic():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((2, 3))
@@ -171,7 +176,7 @@ def test_central_diff_exact_on_quadratic():
         return A + B @ x + np.einsum("...ij,i,j->...", C, x, x)
     x = rng.standard_normal(3)
     exact = B + np.einsum("...kj,j->...k", C + C.swapaxes(-1, -2), x)
-    d = central_diff(quad, x, 0.1)
+    d = central_diff(_batched(quad), x, 0.1)
     assert d.shape == (2, 3, 3)
     assert np.abs(d - exact).max() < 1e-12
 
@@ -185,8 +190,8 @@ def test_central_diff_richardson_exact_on_quartic():
     x = rng.standard_normal(3)
     exact = np.stack([4 * (w @ x) ** 3 * w, 8 * (v @ x) ** 3 * v
                       + 3 * x[0] ** 2 * np.eye(3)[0]])
-    plain = central_diff(quartic, x, 0.1)
-    rich = central_diff(quartic, x, 0.1, richardson=True)
+    plain = central_diff(_batched(quartic), x, 0.1)
+    rich = central_diff(_batched(quartic), x, 0.1, richardson=True)
     scale = np.abs(exact).max()
     # the plain stencil keeps its h^2 term; Richardson cancels it, and a
     # quartic has no h^4 term
@@ -194,13 +199,79 @@ def test_central_diff_richardson_exact_on_quartic():
     assert np.abs(rich - exact).max() < 1e-12 * scale
 
 
+def _loop_central_diff(f, x, h, richardson=False):
+    """The point-by-point central difference, kept as the oracle: ``f``
+    takes one point, and each stencil point is its own call."""
+    n = x.size
+    out = None
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        d = (f(x + e) - f(x - e)) / (2 * h)
+        if richardson:
+            small = (f(x + e / 2) - f(x - e / 2)) / h
+            d = (4 * small - d) / 3
+        if out is None:
+            out = np.empty(np.shape(d) + (n,))
+        out[..., i] = d
+    return out
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_central_diff_is_the_point_by_point_loop(n, richardson):
+    """One batched call on the whole stencil gives bit for bit what the
+    point-by-point loop gives, at one centre and at each of a stack of
+    centres."""
+    rng = np.random.default_rng(11 + n)
+    A = rng.standard_normal((3, 2, n))
+
+    def f(x):
+        return np.sin(A @ x) * np.exp(0.3 * x.sum()) + x[0] ** 3
+    X = rng.uniform(-0.5, 0.5, (5, n))
+    for h in (1e-2, 1e-4, 0.3):
+        d = central_diff(_batched(f), X[0], h, richardson)
+        assert _bitwise(d, _loop_central_diff(f, X[0], h, richardson))
+        D = central_diff(_batched(f), X, h, richardson)
+        assert D.shape == (5, 3, 2, n) and D.flags.c_contiguous
+        for x, row in zip(X, D):
+            assert _bitwise(row.copy(),
+                            _loop_central_diff(f, x, h, richardson))
+
+
+def _bitwise(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_central_diff_failure_is_the_point_by_point_first():
+    """A batched call that fails runs again row by row, so the error is the
+    one the point-by-point order meets first, not the batch's own."""
+    def f(X):
+        # the batch checks one condition on every row before the other:
+        # the second stencil row fails the first check, the first row the
+        # second check
+        for x in X:
+            if x[0] < 0:
+                raise JetOrderError(f"first check at {x}")
+        for x in X:
+            if x[0] > 0.15:
+                raise JetOrderError(f"second check at {x}")
+        return X
+    with pytest.raises(JetOrderError, match="first check"):
+        f(np.array([[0.2], [-0.1]]))
+    with pytest.raises(JetOrderError, match=r"second check at \[0\.2\]"):
+        central_diff(f, np.array([0.05]), 0.15)
+
+
 def test_central_diff_result_is_c_contiguous():
     rng = np.random.default_rng(7)
     M, N = rng.standard_normal((2, 3, 4))
 
-    def transposed(x):
-        return (M + x[0] * N + x[1] ** 2 * M).T    # a non-contiguous view
-    assert not transposed(np.zeros(2)).flags.c_contiguous
+    def transposed(X):
+        # the values at the rows of X, as a non-contiguous view
+        return np.stack([M + x[0] * N + x[1] ** 2 * M for x in X],
+                        axis=-1).transpose(2, 1, 0)
+    assert not transposed(np.zeros((1, 2))).flags.c_contiguous
     x = np.array([0.3, -0.2])
     d = central_diff(transposed, x, 1e-2)
     assert d.shape == (4, 3, 2)
