@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .riemann import GeometrySpec, curvature_pack
 from .tensors import NumericalError, alt_array, stage
@@ -20,6 +19,11 @@ __all__ = ["CurveState", "CircleTrajectory", "conformal_circle_rhs",
            "covariant_acceleration_rate", "integrate_circle",
            "curve_tractors", "unparametrised_residual", "phi_derivative",
            "flat_circle_solution"]
+
+
+# scipy.integrate costs most of a cold start and only integrate_circle
+# reads it: it is imported there, on first use
+solve_ivp = None
 
 
 class ZeroVelocityError(NumericalError, ValueError):
@@ -136,6 +140,9 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
 
     ``monitors`` maps names to ``fn(geo, state, pack)``, evaluated at each
     output point with the order-2 curvature pack built there."""
+    global solve_ivp
+    if solve_ivp is None:
+        from scipy.integrate import solve_ivp
     n = geo.n
     monitors = monitors or {}
 

@@ -9,6 +9,13 @@ naming the stage and point: the sample index and q of ``report``,
 ``invariance`` and ``residuals``, the integration time or output point t of
 ``circle``, and the grid, seed refinement or locus point of ``scan``.
 Any other exception is a defect and propagates with its traceback.
+
+A config is JSON without NaN or ±Infinity, checked against ``SCHEMA`` by a
+small validator that gives jsonschema's Draft 7 messages, except that an
+integer is a JSON number without a fraction or exponent: ``2.0`` is not
+one.  An override ``-s a.b=value`` whose ``a`` is not an object is a config
+error.  Only ``circle`` loads scipy, when it integrates; the argument parser
+is built once per process.
 """
 from __future__ import annotations
 
@@ -19,7 +26,6 @@ import math
 import sys
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
@@ -117,23 +123,116 @@ def load_config(path=None, overrides=()):
     cfg = {"version": 1}
     if path:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_constant=_reject_constant)
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not dotted.path=value")
         key, val = ov.split("=", 1)
-        _set_dotted(cfg, key.split("."), json.loads(val))
-    errs = sorted(Draft7Validator(SCHEMA).iter_errors(cfg),
-                  key=lambda e: e.path)
+        _set_dotted(cfg, key.split("."),
+                    json.loads(val, parse_constant=_reject_constant))
+    errs = _schema_messages(cfg)
     if errs:
-        raise ConfigError("; ".join(e.message for e in errs))
+        raise ConfigError("; ".join(errs))
     return cfg
 
 
+def _reject_constant(name):
+    raise ConfigError(f"{name} is not a JSON number")
+
+
 def _set_dotted(d, keys, value):
-    for k in keys[:-1]:
-        d = d.setdefault(k, {})
+    for depth, k in enumerate(keys):
+        if not isinstance(d, dict):
+            where = repr(".".join(keys[:depth])) if depth else "the config"
+            raise ConfigError(f"override {'.'.join(keys)!r} sets a key in "
+                              f"{where}, which is not an object")
+        if depth < len(keys) - 1:
+            d = d.setdefault(k, {})
     d[keys[-1]] = value
+
+
+# JSON Schema types.  An integer is a Python int: Draft 7 also counts an
+# integral float such as 2.0, which range() and the like then reject.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+
+def _json_equal(a, b):
+    """JSON equality of scalars: true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_messages(cfg):
+    """The messages of the config's schema errors, sorted by path."""
+    return [message for _, message in sorted(_schema_errors(cfg, SCHEMA),
+                                             key=lambda e: e[0])]
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield (path, message) for each violation of ``schema`` by ``value``,
+    in the order of the schema's keywords, with the messages of jsonschema's
+    Draft 7 validator.  Only the keywords ``SCHEMA`` uses are known."""
+    for key, arg in schema.items():
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_JSON_TYPES[t](value) for t in types):
+                yield path, (f"{value!r} is not of type "
+                             f"{', '.join(map(repr, types))}")
+        elif key == "const":
+            if not _json_equal(value, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if not any(_json_equal(value, e) for e in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key in ("required", "additionalProperties", "properties"):
+            if not isinstance(value, dict):
+                continue
+            if key == "required":
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub,
+                                                  path + (name,))
+            elif arg is False:
+                extra = sorted(set(value) - set(schema.get("properties", {})))
+                if extra:
+                    yield path, ("Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extra))} "
+                                 f"{'was' if len(extra) == 1 else 'were'} "
+                                 "unexpected)")
+            else:
+                raise ValueError("additionalProperties must be false")
+        elif key in ("items", "minItems", "maxItems"):
+            if not isinstance(value, list):
+                continue
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, arg, path + (i,))
+            elif key == "minItems" and len(value) < arg:
+                yield path, (f"{value!r} should be non-empty" if arg == 1
+                             else f"{value!r} is too short")
+            elif key == "maxItems" and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        elif key in ("minimum", "exclusiveMinimum"):
+            if not _JSON_TYPES["number"](value):
+                continue
+            if key == "minimum" and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+            elif key == "exclusiveMinimum" and value <= arg:
+                yield path, (f"{value!r} is less than or equal to the "
+                             f"minimum of {arg!r}")
+        else:
+            raise ValueError(f"schema keyword {key!r} is not supported")
 
 
 def build_geometry(cfg):
@@ -517,18 +616,20 @@ COMMANDS = {"report": cmd_report, "circle": cmd_circle,
             "residuals": cmd_residuals}
 
 
+PARSER = argparse.ArgumentParser(
+    prog="tractorlab",
+    description="conformal submanifold tractor calculus at desk scale")
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("-c", "--config", help="JSON config file")
+PARSER.add_argument("-s", "--set", action="append", default=[],
+                    metavar="dotted.path=json",
+                    help="override a config entry")
+PARSER.add_argument("--threads", type=int, default=None,
+                    help="accepted for compatibility; no effect")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="tractorlab",
-        description="conformal submanifold tractor calculus at desk scale")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("-c", "--config", help="JSON config file")
-    parser.add_argument("-s", "--set", action="append", default=[],
-                        metavar="dotted.path=json",
-                        help="override a config entry")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; no effect")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
     except (ConfigError, json.JSONDecodeError) as e:

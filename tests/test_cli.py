@@ -381,6 +381,188 @@ def test_schema_error_exit4():
     assert rc == 4
 
 
+def _draft7_messages(cfg):
+    from jsonschema import Draft7Validator
+    return [e.message for e in sorted(
+        Draft7Validator(cli.SCHEMA).iter_errors(cfg), key=lambda e: e.path)]
+
+
+def _cfg(**entries):
+    return {"version": 1, **entries}
+
+
+# One valid and one invalid case per keyword and per object of the schema,
+# and configs with several errors in different paths.
+VALIDATOR_TABLE = [
+    # the top-level object: type, required, const, additionalProperties
+    _cfg(), {}, [1], "x", None, {"version": 2}, {"version": True},
+    {"version": 1.0}, {"version": "1"}, _cfg(bogus=1),
+    {"zeta": 1, "alpha": 2},
+    # integer and minimum
+    _cfg(seed=7), _cfg(seed=-3), _cfg(seed="7"), _cfg(seed=True),
+    _cfg(seed=1.5), _cfg(threads=1), _cfg(threads=0), _cfg(threads=-2.5),
+    _cfg(threads=None),
+    # geometry and embedding: required, string, nested object params
+    _cfg(geometry={"name": "cp2"}),
+    _cfg(geometry={"name": "euclidean", "params": {"n": 3}}),
+    _cfg(geometry={}), _cfg(geometry={"name": 3, "params": []}),
+    _cfg(geometry={"name": "cp2", "extra": 1, "other": 2}),
+    _cfg(geometry="cp2"),
+    _cfg(embedding={"name": "cp1", "params": {"radius": 1}}),
+    _cfg(embedding={"params": 1}), _cfg(embedding=[]),
+    # backend: enum, number, exclusiveMinimum
+    _cfg(backend={"mode": "fd", "step": 1e-3, "step3": 0.01}),
+    _cfg(backend={"mode": "analytic"}), _cfg(backend={"mode": "exact"}),
+    _cfg(backend={"mode": None}), _cfg(backend={"mode": 1}),
+    _cfg(backend={"step": 0}), _cfg(backend={"step3": -0.01}),
+    _cfg(backend={"step": "x", "step3": False}), _cfg(backend={"s": 1}),
+    # samples: minItems, items, maxItems, nested arrays
+    _cfg(samples={"points": [[0.1, 0.2]], "count": 3,
+                  "box": [[-1, 1], [0, 0.5]]}),
+    _cfg(samples={"points": []}), _cfg(samples={"points": [1, [2, "x"]]}),
+    _cfg(samples={"points": "x"}), _cfg(samples={"count": 0}),
+    _cfg(samples={"count": -1.5}),
+    _cfg(samples={"box": [[1], [1, 2, 3], [], "x", [1, None]]}),
+    _cfg(samples={"box": {}}),
+    # tolerances: a list of types
+    _cfg(tolerances={"classify": None, "rtol": 1e-8, "atol": 0}),
+    _cfg(tolerances={"classify": 1e-6}),
+    _cfg(tolerances={"classify": "x", "rtol": None, "atol": [1]}),
+    # circle: enum with null, the nested object initial, arrays
+    _cfg(circle={"preset": "flat-circle", "t_span": [0, 10], "num": 5,
+                 "monitors": ["a"]}),
+    _cfg(circle={"preset": None,
+                 "initial": {"x": [0], "u": [1], "a": [0]}}),
+    _cfg(circle={"preset": "round"}),
+    _cfg(circle={"initial": {"x": 0, "v": [1]}}),
+    _cfg(circle={"initial": []}),
+    _cfg(circle={"t_span": [0]}), _cfg(circle={"t_span": [0, 1, 2]}),
+    _cfg(circle={"t_span": [0, "1"], "num": 1, "monitors": [1, "b"]}),
+    # invariance
+    _cfg(invariance={"count": 2, "amplitude": 0.1}),
+    _cfg(invariance={"count": 0, "amplitude": "big"}),
+    # scan: the nested object ky, region, grid
+    _cfg(scan={"ky": {"name": "rotation", "params": {"n": 3}},
+               "region": [[-1, 1]], "grid": 9}),
+    _cfg(scan={"ky": {}}), _cfg(scan={"ky": {"name": "r", "p": 1}}),
+    _cfg(scan={"region": [[0, 1, 2]], "grid": 2}),
+    _cfg(scan={"grid": 2.5}),
+    # output: a list of types with null
+    _cfg(output={"path": None, "csv_path": "a.csv"}),
+    _cfg(output={"path": 1, "csv_path": []}),
+    # several errors at once, in different paths
+    {"version": 3, "seed": "s", "geometry": {}, "backend": {"step": -1},
+     "samples": {"points": [], "box": [[1]]}, "scan": {"grid": 1},
+     "circle": {"preset": "x", "t_span": [1]}, "bogus": 1},
+    _cfg(samples={"count": 0, "points": [["a", 1], []]},
+         circle={"num": 0, "initial": {"x": "x", "y": 1}},
+         tolerances={"rtol": "r"}, output={"path": 3}),
+]
+
+# The one intended difference from Draft 7: an integral float is not an
+# integer, so ``range`` and the like never see one.
+INTEGRAL_FLOATS = [
+    (_cfg(samples={"count": 2.0}), ["2.0 is not of type 'integer'"]),
+    (_cfg(invariance={"count": 1.0}), ["1.0 is not of type 'integer'"]),
+    (_cfg(circle={"num": 5.0}), ["5.0 is not of type 'integer'"]),
+    (_cfg(scan={"grid": 9.0}), ["9.0 is not of type 'integer'"]),
+    (_cfg(seed=7.0), ["7.0 is not of type 'integer'"]),
+    (_cfg(threads=0.0), ["0.0 is not of type 'integer'",
+                         "0.0 is less than the minimum of 1"]),
+]
+
+
+def test_validator_matches_draft7():
+    """The config validator gives jsonschema's Draft 7 messages in the
+    same order (sorted by path), except that an integral float is not an
+    integer."""
+    for cfg in VALIDATOR_TABLE:
+        assert cli._schema_messages(cfg) == _draft7_messages(cfg), cfg
+    for cfg, want in INTEGRAL_FLOATS:
+        assert cli._schema_messages(cfg) == want, cfg
+        assert _draft7_messages(cfg) == [m for m in want
+                                         if "not of type" not in m], cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "-s", 'geometry={"name":"s2s2"}',
+     "-s", 'embedding={"name":"factor1"}', "-s", "samples.count=2.0"],
+    ["invariance", "-s", 'geometry={"name":"s2s2"}',
+     "-s", 'embedding={"name":"factor1"}', "-s", "invariance.count=1.0"],
+    ["circle", "-s", 'circle={"preset":"flat-circle","num":5.0}'],
+    ["scan", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+     "-s", 'scan={"ky":{"name":"rotation","params":{"n":3}},"grid":9.0}']])
+def test_integral_float_for_an_integer_key_exit4(capsys, argv):
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not of type 'integer'" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    'circle={"preset":"flat-circle","t_span":[0,NaN]}',
+    'backend={"mode":"fd","step":Infinity}', "seed=-Infinity"])
+def test_non_finite_constants_are_config_errors(tmp_path, text):
+    with pytest.raises(cli.ConfigError, match="is not a JSON number"):
+        cli.load_config(overrides=[text])
+    key, value = text.split("=", 1)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"version": 1, "%s": %s}' % (key, value))
+    with pytest.raises(cli.ConfigError, match="is not a JSON number"):
+        cli.load_config(str(path))
+
+
+def test_override_through_a_non_object_exit4(capsys, tmp_path):
+    assert cli.main(["report", "-s", "geometry=1",
+                     "-s", 'geometry.name="x"']) == 4
+    assert ("'geometry', which is not an object"
+            in capsys.readouterr().err)
+    with pytest.raises(cli.ConfigError, match="'samples.points'"):
+        cli.load_config(overrides=['samples={"points":[[0.1]]}',
+                                   "samples.points.x=1"])
+    path = tmp_path / "cfg.json"
+    path.write_text("[1]")
+    with pytest.raises(cli.ConfigError, match="the config, which is not"):
+        cli.load_config(str(path), ["seed=1"])
+
+
+def test_parser_is_reentrant(monkeypatch):
+    """The parser is built once per process; its ``--set`` list starts
+    empty on every call."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "report",
+                        lambda cfg, args=None: seen.append(cfg) or 0)
+    assert cli.main(["report", "-s", "seed=1"]) == 0
+    assert cli.main(["report", "-s", "threads=2", "-s", "seed=3"]) == 0
+    assert cli.main(["report"]) == 0
+    assert seen == [{"version": 1, "seed": 1},
+                    {"version": 1, "threads": 2, "seed": 3},
+                    {"version": 1}]
+    assert cli.PARSER.get_default("set") == []
+
+
+def test_cold_start_loads_neither_scipy_nor_jsonschema():
+    """A report loads neither scipy nor jsonschema; a circle integration
+    loads scipy."""
+    code = """if True:
+        import contextlib, io, sys
+        from tractorlab import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["report", "-s", 'geometry={"name":"cp2"}',
+                           "-s", 'embedding={"name":"cp1"}',
+                           "-s", 'samples={"points":[[0.2,-0.3],[0.1,0.15]]}'])
+        print(rc, "scipy" in sys.modules, "jsonschema" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["circle", "-s", 'circle={"preset":"flat-circle",'
+                                            '"num":5,"t_span":[0,1]}'])
+        print(rc, "scipy" in sys.modules)
+    """
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n") == ["0 False False", "0 True", ""]
+
+
 def test_fd_backend_mode():
     rc, out, err = run_cli(
         "report", "-s", 'geometry={"name":"s2s2"}',
