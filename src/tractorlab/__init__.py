@@ -1,8 +1,7 @@
 """Numerical conformal geometry: tractor calculus for embedded submanifolds,
 conformal circles and first integrals, at desk scale."""
 
-from .tensors import (ArrayField, DiffBackend, FieldHandle, Index,
-                      TensorValue, alt, contract, jet, outer, sym, trace)
+from .tensors import ArrayField, DiffBackend, FieldHandle, Index, TensorValue
 from .riemann import CurvaturePack, GeometrySpec, curvature_pack, rescale
 from .tractor import (TractorFormObject, TractorObject, hodge_star,
                       parallel_transport, scale_tractor, thomas_D,

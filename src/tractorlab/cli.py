@@ -2,7 +2,8 @@
 invariance tests and zero-locus scans with machine-readable output.
 
 Exit codes: 0 success, 2 numerical failure (a ``NumericalError`` or a
-``numpy.linalg.LinAlgError``), 3 unknown catalog name, 4 config schema error.
+``numpy.linalg.LinAlgError``), 3 unknown catalog name, 4 config error (a
+usage error, an unreadable config file or a schema error).
 A numerical failure prints ``numerical failure: <type>: <message>`` on
 stderr and, where the command knows them, a second line ``stage: ...``
 naming the stage and point: the sample index and q of ``report``,
@@ -39,7 +40,6 @@ SCHEMA = {
     "properties": {
         "version": {"const": 1},
         "seed": {"type": "integer"},
-        "threads": {"type": "integer", "minimum": 1},
         "geometry": {
             "type": "object", "additionalProperties": False,
             "required": ["name"],
@@ -122,8 +122,11 @@ class UnknownCatalogError(KeyError):
 def load_config(path=None, overrides=()):
     cfg = {"version": 1}
     if path:
-        with open(path) as f:
-            cfg = json.load(f, parse_constant=_reject_constant)
+        try:
+            with open(path) as f:
+                cfg = json.load(f, parse_constant=_reject_constant)
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read {path}: {e}") from e
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not dotted.path=value")
@@ -616,7 +619,16 @@ COMMANDS = {"report": cmd_report, "circle": cmd_circle,
             "residuals": cmd_residuals}
 
 
-PARSER = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 4): argparse's own exit code 2
+    is the one of a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
+PARSER = _Parser(
     prog="tractorlab",
     description="conformal submanifold tractor calculus at desk scale")
 PARSER.add_argument("command", choices=sorted(COMMANDS))
@@ -624,8 +636,6 @@ PARSER.add_argument("-c", "--config", help="JSON config file")
 PARSER.add_argument("-s", "--set", action="append", default=[],
                     metavar="dotted.path=json",
                     help="override a config entry")
-PARSER.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility; no effect")
 
 
 def main(argv=None):

@@ -22,8 +22,7 @@ from .submanifold import EmbeddingSpec
 from .tensors import ANALYTIC, ArrayField, DiffBackend, JetOrderError
 
 __all__ = ["CatalogEntry", "catalog", "euclidean", "sphere", "hyperbolic",
-           "fubini_study", "product_metric", "warped_product",
-           "twisted_product", "doubly_warped_product",
+           "fubini_study", "product_metric", "doubly_twisted_product",
            "doubly_warped_example", "twisted_example",
            "special_einstein_s2h2", "s2s2", "s2xs1xr",
            "random_metric", "random_conformal_factor",
@@ -135,12 +134,40 @@ def attach_mobius(geo):
     return geo
 
 
-def conformally_flat(n, factor_fn, orientation=1):
-    """g = F(x) delta with F a positive jet scalar."""
+def _norm2(v, n):
+    """v[0]^2 + ... + v[n-1]^2, summed in index order."""
+    s = v[0] * v[0]
+    for a in range(1, n):
+        s = s + v[a] * v[a]
+    return s
+
+
+def _stereo_factor(n, radius=1.0, ball=False):
+    """Jet scalar of n variables: the conformal factor 4 r^2 / (1 + |x|^2)^2
+    of the round sphere's stereographic chart, or with ``ball`` the factor
+    4 r^2 / (1 - |x|^2)^2 of the Poincare ball."""
+    r2 = float(radius) ** 2
+
+    def F(v):
+        s = _norm2(v, n)
+        if ball:
+            return 4.0 * r2 / ((1.0 - s) * (1.0 - s))
+        return 4.0 * r2 / ((1.0 + s) * (1.0 + s))
+    return F
+
+
+def _conformal_block(n, factor_fn):
+    """Jet function of the metric F(x) delta with F a jet scalar."""
     def fn(v):
         F = factor_fn(v)
         return [[F if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return attach_mobius(jet_metric(n, fn, orientation))
+    return fn
+
+
+def conformally_flat(n, factor_fn, orientation=1):
+    """g = F(x) delta with F a positive jet scalar."""
+    return attach_mobius(jet_metric(n, _conformal_block(n, factor_fn),
+                                    orientation))
 
 
 def euclidean(n):
@@ -151,28 +178,14 @@ def sphere(n, radius=1.0):
     """Round sphere in the stereographic chart; sectional curvature 1/r^2."""
     if radius <= 0:
         raise ValueError("sphere radius must be positive")
-    r2 = float(radius) ** 2
-
-    def F(v):
-        s = v[0] * v[0]
-        for a in range(1, n):
-            s = s + v[a] * v[a]
-        return 4.0 * r2 / ((1.0 + s) * (1.0 + s))
-    return conformally_flat(n, F)
+    return conformally_flat(n, _stereo_factor(n, radius))
 
 
 def hyperbolic(n, radius=1.0):
     """Poincare ball chart; sectional curvature -1/r^2 on |x| < 1."""
     if radius <= 0:
         raise ValueError("hyperbolic radius must be positive")
-    r2 = float(radius) ** 2
-
-    def F(v):
-        s = v[0] * v[0]
-        for a in range(1, n):
-            s = s + v[a] * v[a]
-        return 4.0 * r2 / ((1.0 - s) * (1.0 - s))
-    return conformally_flat(n, F)
+    return conformally_flat(n, _stereo_factor(n, radius, ball=True))
 
 
 def _block_fn(fns_dims):
@@ -203,96 +216,38 @@ def product_metric(*factors):
 
 
 def _sphere_block(n, radius=1.0):
-    r2 = float(radius) ** 2
-
-    def fn(w):
-        s = w[0] * w[0]
-        for a in range(1, n):
-            s = s + w[a] * w[a]
-        F = 4.0 * r2 / ((1.0 + s) * (1.0 + s))
-        return [[F if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return fn
+    return _conformal_block(n, _stereo_factor(n, radius))
 
 
 def _hyperbolic_block(n, radius=1.0):
-    r2 = float(radius) ** 2
-
-    def fn(w):
-        s = w[0] * w[0]
-        for a in range(1, n):
-            s = s + w[a] * w[a]
-        F = 4.0 * r2 / ((1.0 - s) * (1.0 - s))
-        return [[F if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return fn
+    return _conformal_block(n, _stereo_factor(n, radius, ball=True))
 
 
 def _flat_block(n):
-    def fn(w):
-        return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return fn
+    return _conformal_block(n, lambda w: 1.0)
 
 
-def warped_product(n1, fn1, n2, fn2, warp_fn):
-    """g = g1 + f(x1) g2 with f a jet scalar of the first-factor coords."""
-    def fn(v):
-        n = n1 + n2
-        out = [[0.0] * n for _ in range(n)]
-        b1 = fn1(v[:n1])
-        b2 = fn2(v[n1:])
-        f = warp_fn(v[:n1])
-        for i in range(n1):
-            for j in range(n1):
-                out[i][j] = b1[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                out[n1 + i][n1 + j] = f * b2[i][j]
-        return out
-    return jet_metric(n1 + n2, fn)
-
-
-def twisted_product(n1, fn1, n2, fn2, twist_fn):
-    """g = g1 + f(x) g2 with f a jet scalar of all coordinates."""
-    def fn(v):
-        n = n1 + n2
-        out = [[0.0] * n for _ in range(n)]
-        b1 = fn1(v[:n1])
-        b2 = fn2(v[n1:])
-        f = twist_fn(v)
-        for i in range(n1):
-            for j in range(n1):
-                out[i][j] = b1[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                out[n1 + i][n1 + j] = f * b2[i][j]
-        return out
-    return jet_metric(n1 + n2, fn)
-
-
-def doubly_warped_product(n1, fn1, n2, fn2, f2_of_x2, f1_of_x1):
-    """g = f2(x2) g1 + f1(x1) g2."""
-    def fn(v):
-        n = n1 + n2
-        out = [[0.0] * n for _ in range(n)]
-        b1 = fn1(v[:n1])
-        b2 = fn2(v[n1:])
-        F2 = f2_of_x2(v[n1:])
-        F1 = f1_of_x1(v[:n1])
-        for i in range(n1):
-            for j in range(n1):
-                out[i][j] = F2 * b1[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                out[n1 + i][n1 + j] = F1 * b2[i][j]
-        return out
-    return jet_metric(n1 + n2, fn)
+def doubly_twisted_product(n1, fn1, n2, fn2, f1=None, f2=None):
+    """g = f1(x) g1 + f2(x) g2 with f1, f2 jet scalars of all coordinates;
+    a factor left None is 1, and its block is not multiplied."""
+    pieces = []
+    for off, d, block_fn, scale in ((0, n1, fn1, f1), (n1, n2, fn2, f2)):
+        def piece(v, off=off, d=d, block_fn=block_fn, scale=scale):
+            blk = block_fn(v[off:off + d])
+            if scale is None:
+                return blk
+            F = scale(v)
+            return [[F * blk[i][j] for j in range(d)] for i in range(d)]
+        pieces.append((piece, d, off))
+    return jet_metric(n1 + n2, _block_fn(pieces))
 
 
 def doubly_warped_example():
     """g = e^{2 x3}(dx1^2 + dx2^2) + e^{2 x1}(dx3^2 + dx4^2) on R^4."""
-    return doubly_warped_product(
+    return doubly_twisted_product(
         2, _flat_block(2), 2, _flat_block(2),
-        lambda w: (2.0 * w[0]).exp(),
-        lambda w: (2.0 * w[0]).exp())
+        lambda v: (2.0 * v[2]).exp(),
+        lambda v: (2.0 * v[0]).exp())
 
 
 def twisted_example(split=False):
@@ -307,12 +262,13 @@ def twisted_example(split=False):
     else:
         def tw(v):
             return (2.0 * (v[0] * v[2])).exp()
-    return twisted_product(2, _flat_block(2), 2, _flat_block(2), tw)
+    return doubly_twisted_product(2, _flat_block(2), 2, _flat_block(2),
+                                  f2=tw)
 
 
 def s2s2(radius=1.0):
-    return jet_metric(4, _block_fn([(lambda v: _sphere_block(2, radius)(v[:2]), 2, 0),
-                                    (lambda v: _sphere_block(2, radius)(v[2:]), 2, 2)]))
+    return product_metric((2, _sphere_block(2, radius)),
+                          (2, _sphere_block(2, radius)))
 
 
 def special_einstein_s2h2(kappa=1.0):
@@ -320,16 +276,14 @@ def special_einstein_s2h2(kappa=1.0):
     if kappa <= 0:
         raise ValueError("curvature parameter must be positive")
     r = 1.0 / np.sqrt(kappa)
-    return jet_metric(4, _block_fn([
-        (lambda v: _sphere_block(2, r)(v[:2]), 2, 0),
-        (lambda v: _hyperbolic_block(2, r)(v[2:]), 2, 2)]))
+    return product_metric((2, _sphere_block(2, r)),
+                          (2, _hyperbolic_block(2, r)))
 
 
 def s2xs1xr(d_lines=1):
     """S^2 x S^1 x R^d with unit round S^2 and a flat angle chart."""
-    return jet_metric(3 + d_lines, _block_fn([
-        (lambda v: _sphere_block(2)(v[:2]), 2, 0),
-        (lambda v: _flat_block(1 + d_lines)(v[2:]), 1 + d_lines, 2)]))
+    return product_metric((2, _sphere_block(2)),
+                          (1 + d_lines, _flat_block(1 + d_lines)))
 
 
 # complex-projective space --------------------------------------------------
@@ -352,9 +306,7 @@ def fubini_study(N=2):
 
     def fn(v):
         zs = [(v[2 * j], v[2 * j + 1]) for j in range(N)]
-        s = v[0] * v[0]
-        for a in range(1, n):
-            s = s + v[a] * v[a]
+        s = _norm2(v, n)
         denom = (1.0 + s) * (1.0 + s)
         h = [[None] * N for _ in range(N)]
         for i in range(N):
@@ -489,9 +441,7 @@ def sphere_in_flat(n, radius=1.0):
     m = n - 1
 
     def fn(v):
-        s = v[0] * v[0]
-        for a in range(1, m):
-            s = s + v[a] * v[a]
+        s = _norm2(v, m)
         den = 1.0 + s
         out = [(2.0 * radius) * v[a] / den for a in range(m)]
         out.append(radius * (1.0 - s) / den)
@@ -568,13 +518,10 @@ def rotation_form(n, i=0, j=1):
 
 def round_rotation_form(n, i=0, j=1, radius=1.0):
     """Rotation Killing 1-form lowered with the round stereographic metric."""
-    r2 = float(radius) ** 2
+    factor = _stereo_factor(n, radius)
 
     def fn(v):
-        s = v[0] * v[0]
-        for a in range(1, n):
-            s = s + v[a] * v[a]
-        F = 4.0 * r2 / ((1.0 + s) * (1.0 + s))
+        F = factor(v)
         out = [0.0] * n
         out[j] = F * v[i]
         out[i] = -1.0 * (F * v[j])
@@ -598,9 +545,7 @@ def special_conformal_form(n, direction=None):
         c = np.asarray(direction, dtype=float)
 
     def fn(v):
-        s = v[0] * v[0]
-        for a in range(1, n):
-            s = s + v[a] * v[a]
+        s = _norm2(v, n)
         cx = c[0] * v[0]
         for a in range(1, n):
             cx = cx + c[a] * v[a]
@@ -611,9 +556,7 @@ def special_conformal_form(n, direction=None):
 def almost_einstein_hyperbolic(n):
     """sigma = (1 - |x|^2)/2 in the flat chart; sigma^{-2} g is hyperbolic."""
     def fn(v):
-        s = v[0] * v[0]
-        for a in range(1, n):
-            s = s + v[a] * v[a]
+        s = _norm2(v, n)
         return (1.0 - s) * 0.5
 
     def batch_norm2(X):
@@ -650,11 +593,11 @@ def s2s2_lifted_killing(gen="rot", factor=1, combo=None):
     two (the diagonal-orthogonal choice is (1, -1)).
     """
     n = 4
+    round_factor = _stereo_factor(2)
 
     def block(w):
         vec = _s2_killing_components(w, gen)
-        s = w[0] * w[0] + w[1] * w[1]
-        F = 4.0 / ((1.0 + s) * (1.0 + s))
+        F = round_factor(w)
         return [F * vec[0], F * vec[1]]
 
     if combo is None:

@@ -66,24 +66,27 @@ class EmbeddingSpec:
         return self.phi.jets(np.asarray(y, dtype=float), order)
 
 
+PULLBACK_STEP3 = 1e-4
+
+
 class PullbackMetricField(ArrayField):
     """Induced metric on the parameter chart of an embedding.
 
     First and second derivatives come from the chain rule (embedding 3-jet,
     ambient metric 2-jet); third derivatives fall back to central differences
     of the chain-rule second derivative.  That second derivative is exact for
-    analytic fields, so ``step3`` is sized against truncation alone (error
-    ~ step3^2), not against the round-off of nested differences.
+    analytic fields, so their step ``PULLBACK_STEP3`` is sized against
+    truncation alone (error ~ step^2), not against the round-off of nested
+    differences.
 
     The field keeps the embedding's chart map, not the embedding: a pack in
     the embedding's memo holds this field, and a reference back would make
     every memo wait for the cyclic garbage collector.
     """
 
-    def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec, step3=1e-4):
+    def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec):
         self.geo = geo
         self.phi = emb.phi
-        self.step3 = step3
         super().__init__(self._value,
                          backend=DiffBackend(mode="analytic", max_order=3))
 
@@ -97,7 +100,8 @@ class PullbackMetricField(ArrayField):
         if order <= 2:
             return self._chain_jets(y, order)
         out = self._chain_jets(y, 2)
-        d3 = central_diff(lambda Z: self._chain_jets(Z, 2)[2], y, self.step3)
+        d3 = central_diff(lambda Z: self._chain_jets(Z, 2)[2], y,
+                          PULLBACK_STEP3)
         return out + [d3]
 
     def _chain_jets(self, y, order):

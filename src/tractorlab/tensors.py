@@ -1,10 +1,13 @@
-"""Chart-based tensor values, index algebra and differentiation backends.
+"""Chart-based tensor values, slot matrices, (anti)symmetrisers and
+differentiation backends.
 
 Tensors are dense numpy arrays tagged with per-axis index metadata (kind,
-variance, dimension) and an integer conformal weight.  Tractor indices use the
-slot order (sigma, mu_1..mu_n, rho) for both variances; contracting an up
-tractor index with a down one therefore goes through the constant pairing
-matrix that swaps the sigma and rho slots (implemented as an axis flip).
+variance, dimension) and an integer conformal weight; index work is done
+with ``np.einsum`` on the arrays.  Tractor indices use the slot order
+(sigma, mu_1..mu_n, rho) for both variances; contracting an up tractor
+index with a down one therefore goes through the constant pairing matrix
+that swaps the sigma and rho slots (implemented as an axis flip,
+``tractor.pair_flip``).
 
 ``ArrayField`` differentiates by nested central differences.  Its stencil
 is built as one array of points and evaluated with one ``values`` call, so
@@ -28,9 +31,8 @@ DOWN = "down"
 __all__ = [
     "NumericalError", "set_stage", "stage", "Index", "TensorValue",
     "DiffBackend", "ArrayField", "FieldHandle", "tangent_up", "tangent_down",
-    "tractor_up", "tractor_down", "contract", "trace", "alt", "sym", "outer",
-    "jet", "pairing_matrix", "tractor_metric_matrix", "middle_block",
-    "central_diff", "stacked_jets",
+    "tractor_up", "tractor_down", "pairing_matrix", "tractor_metric_matrix",
+    "middle_block", "central_diff", "stacked_jets",
 ]
 
 
@@ -198,55 +200,6 @@ def middle_block(a):
     return M
 
 
-def contract(a: TensorValue, b: TensorValue, pairs) -> TensorValue:
-    """Einstein contraction of ``a`` with ``b`` over the given axis pairs.
-
-    Each pair (i, j) contracts axis ``i`` of ``a`` against axis ``j`` of
-    ``b``; the paired indices must have equal kind and dimension and opposite
-    variance.  Tractor pairs insert the invariant pairing between the slot
-    representations.  Resulting weight is the sum of weights.
-    """
-    pairs = [tuple(p) for p in pairs]
-    for i, j in pairs:
-        ia, ib = a.indices[i], b.indices[j]
-        if ia.kind != ib.kind or ia.dim != ib.dim or ia.variance == ib.variance:
-            raise TensorError(f"cannot contract {ia} with {ib}")
-    bdata = b.data
-    for i, j in pairs:
-        if a.indices[i].kind == TRACTOR:
-            bdata = _tr_flip(bdata, j)
-    a_axes = [p[0] for p in pairs]
-    b_axes = [p[1] for p in pairs]
-    data = np.tensordot(a.data, bdata, axes=(a_axes, b_axes))
-    keep_a = [ix for k, ix in enumerate(a.indices) if k not in a_axes]
-    keep_b = [ix for k, ix in enumerate(b.indices) if k not in b_axes]
-    return TensorValue(data, tuple(keep_a) + tuple(keep_b),
-                       a.weight + b.weight)
-
-
-def trace(a: TensorValue, i, j) -> TensorValue:
-    """Contract two indices of a single tensor."""
-    ia, ib = a.indices[i], a.indices[j]
-    if ia.kind != ib.kind or ia.dim != ib.dim or ia.variance == ib.variance:
-        raise TensorError(f"cannot trace {ia} with {ib}")
-    data = a.data
-    if ia.kind == TRACTOR:
-        data = _tr_flip(data, j)
-    data = np.trace(data, axis1=i, axis2=j)
-    keep = tuple(ix for k, ix in enumerate(a.indices) if k not in (i, j))
-    return TensorValue(data, keep, a.weight)
-
-
-def _project(a: TensorValue, axes, antisym: bool) -> TensorValue:
-    axes = tuple(axes)
-    ref = a.indices[axes[0]]
-    for ax in axes[1:]:
-        if a.indices[ax] != ref:
-            raise TensorError("symmetrisation over mixed index types")
-    project = alt_array if antisym else sym_array
-    return TensorValue(project(a.data, axes), a.indices, a.weight)
-
-
 def _perm_sign(perm):
     sign = 1.0
     perm = list(perm)
@@ -256,18 +209,6 @@ def _perm_sign(perm):
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
     return sign
-
-
-def alt(a: TensorValue, axes=None) -> TensorValue:
-    """Antisymmetrise over ``axes`` with the 1/k! bracket normalisation."""
-    axes = tuple(range(a.rank)) if axes is None else tuple(axes)
-    return _project(a, axes, antisym=True)
-
-
-def sym(a: TensorValue, axes=None) -> TensorValue:
-    """Symmetrise over ``axes`` with the 1/k! bracket normalisation."""
-    axes = tuple(range(a.rank)) if axes is None else tuple(axes)
-    return _project(a, axes, antisym=False)
 
 
 def alt_array(data, axes=None):
@@ -287,11 +228,6 @@ def sym_array(data, axes=None):
     for perm in itertools.permutations(range(k)):
         out += np.moveaxis(data, axes, tuple(axes[p] for p in perm))
     return out / math.factorial(k)
-
-
-def outer(a: TensorValue, b: TensorValue) -> TensorValue:
-    data = np.multiply.outer(a.data, b.data)
-    return TensorValue(data, a.indices + b.indices, a.weight + b.weight)
 
 
 # --------------------------------------------------------------------------
@@ -520,19 +456,3 @@ class FieldHandle:
 
     def __call__(self, x) -> TensorValue:
         return TensorValue(self.field.value(x), self.indices, self.weight)
-
-
-def jet(handle: FieldHandle, x, order):
-    """Value and partial derivatives of a field as TensorValues.
-
-    The k-th entry carries k extra trailing down tangent indices and is
-    symmetric in them.
-    """
-    x = np.asarray(x, dtype=float)
-    arrays = handle.field.jets(x, order)
-    n = x.size
-    out = []
-    for k, arr in enumerate(arrays):
-        ixs = handle.indices + tuple(tangent_down(n) for _ in range(k))
-        out.append(TensorValue(arr, ixs, handle.weight))
-    return out

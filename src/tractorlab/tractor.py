@@ -330,16 +330,6 @@ def scale_tractor(geo: GeometrySpec, x):
     return TractorObject(TensorValue(comp, (tractor_up(n),), 0), geo)
 
 
-def scale_tractor_field(geo: GeometrySpec) -> FieldHandle:
-    n = geo.n
-
-    def fn(x):
-        return scale_tractor(geo, x).data
-
-    return FieldHandle(ArrayField(fn, backend=tensors.DiffBackend()),
-                       (tractor_up(n),), 0)
-
-
 def tractor_curvature(geo: GeometrySpec, x):
     """Curvature of the tractor connection, slots W_abcd Z Z - 2 C_abc X|Z|.
 

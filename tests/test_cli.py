@@ -66,15 +66,6 @@ def test_report_byte_identical():
     assert out1 == out2
 
 
-def test_report_threads_deterministic():
-    args = ("report", "-s", 'geometry={"name":"s2s2"}',
-            "-s", 'embedding={"name":"factor1"}',
-            "-s", 'samples={"count":2}', "-s", "seed=7")
-    _, out1, _ = run_cli(*args)
-    _, out2, _ = run_cli(*args, "--threads", "2")
-    assert out1 == out2
-
-
 def test_circle_preset_flat(tmp_path):
     csv_path = tmp_path / "traj.csv"
     rc, out, err = run_cli(
@@ -381,6 +372,40 @@ def test_schema_error_exit4():
     assert rc == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--threads", "2"], "unrecognized arguments: --threads 2"),
+    (["classify"], "argument command: invalid choice: 'classify'")])
+def test_usage_error_exit4(capsys, argv, message):
+    """A usage error exits 4, the config-error code, with argparse's
+    message on stderr; exit 2 is a numerical failure's."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tractorlab: error: {message}" in captured.err
+
+
+def test_help_exit0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: tractorlab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{\"version\": 1}"])
+def test_unreadable_config_file_exit4(capsys, tmp_path, content):
+    """A config file that is missing or not UTF-8 is a config error, not a
+    traceback."""
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["report", "-c", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read {path}: ")
+
+
 def _draft7_messages(cfg):
     from jsonschema import Draft7Validator
     return [e.message for e in sorted(
@@ -400,8 +425,8 @@ VALIDATOR_TABLE = [
     {"zeta": 1, "alpha": 2},
     # integer and minimum
     _cfg(seed=7), _cfg(seed=-3), _cfg(seed="7"), _cfg(seed=True),
-    _cfg(seed=1.5), _cfg(threads=1), _cfg(threads=0), _cfg(threads=-2.5),
-    _cfg(threads=None),
+    _cfg(seed=1.5), _cfg(samples={"count": 1}),
+    _cfg(samples={"count": -2.5}), _cfg(samples={"count": None}),
     # geometry and embedding: required, string, nested object params
     _cfg(geometry={"name": "cp2"}),
     _cfg(geometry={"name": "euclidean", "params": {"n": 3}}),
@@ -467,8 +492,8 @@ INTEGRAL_FLOATS = [
     (_cfg(circle={"num": 5.0}), ["5.0 is not of type 'integer'"]),
     (_cfg(scan={"grid": 9.0}), ["9.0 is not of type 'integer'"]),
     (_cfg(seed=7.0), ["7.0 is not of type 'integer'"]),
-    (_cfg(threads=0.0), ["0.0 is not of type 'integer'",
-                         "0.0 is less than the minimum of 1"]),
+    (_cfg(samples={"count": 0.0}), ["0.0 is not of type 'integer'",
+                                    "0.0 is less than the minimum of 1"]),
 ]
 
 
@@ -533,10 +558,10 @@ def test_parser_is_reentrant(monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "report",
                         lambda cfg, args=None: seen.append(cfg) or 0)
     assert cli.main(["report", "-s", "seed=1"]) == 0
-    assert cli.main(["report", "-s", "threads=2", "-s", "seed=3"]) == 0
+    assert cli.main(["report", "-s", "samples.count=2", "-s", "seed=3"]) == 0
     assert cli.main(["report"]) == 0
     assert seen == [{"version": 1, "seed": 1},
-                    {"version": 1, "threads": 2, "seed": 3},
+                    {"version": 1, "samples": {"count": 2}, "seed": 3},
                     {"version": 1}]
     assert cli.PARSER.get_default("set") == []
 
@@ -587,23 +612,3 @@ def test_config_file_roundtrip(tmp_path):
     assert rc == 0, err
     doc = json.loads(out)
     assert doc["verdicts"]["umbilic"]
-
-
-def test_env_threads_override(monkeypatch):
-    import os
-    _, out1, _ = run_cli("report", "-s", 'geometry={"name":"s2s2"}',
-                         "-s", 'embedding={"name":"factor1"}',
-                         "-s", 'samples={"count":2}', "-s", "seed=7")
-    # TRACTORLAB_THREADS is not read: any value, even a malformed one,
-    # leaves the report unchanged
-    for value in ("2", "abc"):
-        env = dict(os.environ)
-        env["TRACTORLAB_THREADS"] = value
-        r = subprocess.run(
-            [sys.executable, "-m", "tractorlab.cli", "report",
-             "-s", 'geometry={"name":"s2s2"}',
-             "-s", 'embedding={"name":"factor1"}',
-             "-s", 'samples={"count":2}', "-s", "seed=7"],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, (value, r.stderr)
-        assert r.stdout == out1

@@ -122,6 +122,16 @@ def test_product_metric_blocks():
     assert np.abs(g[2:, 2:] - np.eye(2)).max() < 1e-12
 
 
+@pytest.mark.parametrize("factor", [1, 2])
+def test_s2s2_factor_killing_lives_on_its_factor(factor):
+    make = geolib.catalog()["s2s2"].ky_forms["factor_killing"]
+    k = make(gen="t1", factor=factor).field.value(
+        np.array([0.1, -0.2, 0.3, 0.05]))
+    own, other = (k[:2], k[2:]) if factor == 1 else (k[2:], k[:2])
+    assert np.all(own != 0.0)
+    assert np.all(other == 0.0)
+
+
 def test_radius_validation():
     with pytest.raises(ValueError):
         geolib.sphere(3, radius=-1.0)

@@ -290,9 +290,9 @@ def test_memo_is_freed_with_the_embedding():
 
 
 def test_memo_shared_between_threads():
-    """Threads sharing one embedding (as ``report --threads`` does) get the
-    bits one thread gets, with a short switch interval so that the memo's
-    reads and writes interleave."""
+    """Threads of a library caller sharing one embedding get the bits one
+    thread gets, with a short switch interval so that the memo's reads and
+    writes interleave."""
     geo = geolib.s2s2()
     make = geolib.catalog()["s2s2"].embeddings["factor1"]
     pts = [np.array([0.1, 0.2]), np.array([-0.2, 0.1])] * 3

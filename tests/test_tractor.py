@@ -11,17 +11,16 @@ from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
                                 FieldHandle, NumericalError, TensorValue,
-                                alt_array, contract, middle_block,
-                                tangent_down, tangent_up, tractor_down,
-                                tractor_up)
+                                alt_array, middle_block, tangent_down,
+                                tangent_up, tractor_down, tractor_up)
 
 
 def _hpair(geo, x):
     lo, hi = tr.tractor_metric(geo, x)
     def dot(u, v):
-        return float(contract(contract(
-            lo.value, TensorValue(u, (tractor_up(geo.n),)), [(0, 0)]),
-            TensorValue(v, (tractor_up(geo.n),)), [(0, 0)]).data)
+        # each up index pairs with a down one through the sigma/rho swap
+        return float(np.einsum("AB,A,B->", lo.data, tr.pair_flip(u, 0),
+                               tr.pair_flip(v, 0)))
     return dot, lo, hi
 
 
@@ -35,9 +34,9 @@ def test_tractor_metric_blocks():
     assert (ev > 0).sum() == 4 and (ev < 0).sum() == 1
     # h h^-1 acts as the identity
     v = np.array([0.3, -0.2, 0.7, 1.1, 0.05])
-    lowered = contract(lo.value, TensorValue(v, (tractor_up(3),)), [(0, 0)])
-    raised = contract(hi.value, lowered, [(0, 0)])
-    assert np.abs(raised.data - v).max() < 1e-12
+    lowered = np.einsum("AB,A->B", lo.data, tr.pair_flip(v, 0))
+    raised = np.einsum("AB,A->B", hi.data, tr.pair_flip(lowered, 0))
+    assert np.abs(raised - v).max() < 1e-12
 
 
 def test_connection_flat_slot_identities():
@@ -92,7 +91,8 @@ def test_connection_metric_preservation():
 
 def test_scale_tractor_parallel_on_sphere():
     geo = geolib.sphere(4)
-    If = tr.scale_tractor_field(geo)
+    If = FieldHandle(ArrayField(lambda y: tr.scale_tractor(geo, y).data,
+                                backend=DiffBackend()), (tractor_up(4),), 0)
     for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
         nab = tr.tractor_connection_apply(geo, If, x)
         assert np.abs(nab.data).max() < 1e-6
