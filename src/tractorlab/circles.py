@@ -65,10 +65,9 @@ class CircleTrajectory:
                           t=float(self.ts[k]))
 
 
-def covariant_acceleration_rate(geo: GeometrySpec, state: CurveState,
-                                pack=None):
-    """u^c nabla_c a^b from the projectively parametrised circle equation."""
-    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
+def _inner_products(pk, state):
+    """(u.u, u.a, a.a) in the metric of ``pk``; the circle equation needs
+    a Schouten tensor and a nonzero velocity."""
     if pk.P is None:
         raise tr.MobiusStructureError(
             "the circle equation needs a Schouten tensor")
@@ -77,8 +76,31 @@ def covariant_acceleration_rate(geo: GeometrySpec, state: CurveState,
     s = float(u @ g @ u)
     if s <= 0:
         raise ZeroVelocityError("curve state has zero velocity")
-    ua = float(u @ g @ a)
-    aa = float(a @ g @ a)
+    return s, float(u @ g @ a), float(a @ g @ a)
+
+
+def _bold_rate(geo, state, cov_da, pk):
+    """(bold u . nabla bold a - bold u^d P_d^b, bold u, |u|), the vector
+    of the unparametrised circle equation; cov_da defaults to the circle
+    equation's right-hand side."""
+    s, ua, aa = _inner_products(pk, state)
+    u, a = state.u, state.a
+    if cov_da is None:
+        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
+    u_covda = float(u @ pk.g @ cov_da)
+    nab_ba = (cov_da / s - 3.0 * ua / s ** 2 * a
+              - (-4.0 * ua ** 2 / s ** 3 + (aa + u_covda) / s ** 2) * u)
+    un = math.sqrt(s)
+    bu = u / un
+    return nab_ba / un - pk.gi @ (pk.P @ bu), bu, un
+
+
+def covariant_acceleration_rate(geo: GeometrySpec, state: CurveState,
+                                pack=None):
+    """u^c nabla_c a^b from the projectively parametrised circle equation."""
+    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
+    s, ua, aa = _inner_products(pk, state)
+    u, a = state.u, state.a
     Pu_up = pk.gi @ (pk.P @ u)
     Puu = float(u @ pk.P @ u)
     return (s * Pu_up + 3.0 * ua / s * a - 1.5 * aa / s * u - 2.0 * Puu * u)
@@ -98,14 +120,11 @@ def conformal_circle_rhs(geo: GeometrySpec, state: CurveState):
 
 def A_dot_A(geo: GeometrySpec, state: CurveState, pack=None):
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    g = pk.g
-    u, a = state.u, state.a
-    s = float(u @ g @ u)
-    ua = float(u @ g @ a)
-    aa = float(a @ g @ a)
+    s, ua, aa = _inner_products(pk, state)
+    u = state.u
     cov = covariant_acceleration_rate(geo, state, pack=pk)
     Puu = float(u @ pk.P @ u)
-    return (3.0 * aa / s + 2.0 * float(u @ g @ cov) / s
+    return (3.0 * aa / s + 2.0 * float(u @ pk.g @ cov) / s
             - 6.0 * ua ** 2 / s ** 2 + 2.0 * Puu)
 
 
@@ -113,24 +132,11 @@ def unparametrised_residual(geo: GeometrySpec, state: CurveState,
                             cov_da=None, pack=None):
     """Norm of (bold u . nabla bold a)^[b bold u^c] - bold u^d P_d^[b bold u^c]."""
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    g = pk.g
-    u, a = state.u, state.a
-    s = float(u @ g @ u)
-    un = math.sqrt(s)
-    ua = float(u @ g @ a)
-    aa = float(a @ g @ a)
-    if cov_da is None:
-        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
-    u_covda = float(u @ g @ cov_da)
-    nab_ba = (cov_da / s - 3.0 * ua / s ** 2 * a
-              - (-4.0 * ua ** 2 / s ** 3 + (aa + u_covda) / s ** 2) * u)
-    bu = u / un
-    lhs = nab_ba / un
-    Pu = pk.gi @ (pk.P @ bu)
-    diff = np.multiply.outer(lhs - Pu, bu)
+    core, bu, _ = _bold_rate(geo, state, cov_da, pk)
+    diff = np.multiply.outer(core, bu)
     anti = 0.5 * (diff - diff.T)
     return math.sqrt(max(0.0, float(np.einsum(
-        "bc,de,bd,ce->", g, g, anti, anti))))
+        "bc,de,bd,ce->", pk.g, pk.g, anti, anti))))
 
 
 def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
@@ -200,15 +206,12 @@ def curve_tractors(geo: GeometrySpec, state: CurveState, cov_da=None,
     state.x."""
     n = geo.n
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    g = pk.g
+    s, ua, aa = _inner_products(pk, state)
     u, a = state.u, state.a
-    s = float(u @ g @ u)
     un = math.sqrt(s)
-    ua = float(u @ g @ a)
-    aa = float(a @ g @ a)
     if cov_da is None:
         cov_da = covariant_acceleration_rate(geo, state, pack=pk)
-    u_covda = float(u @ g @ cov_da)
+    u_covda = float(u @ pk.g @ cov_da)
     Puu = float(u @ pk.P @ u)
     U = tr.make_tractor(n, sigma=0.0, mu=u / un, rho=-ua / un ** 3)
     A = tr.make_tractor(
@@ -227,19 +230,7 @@ def phi_derivative(geo: GeometrySpec, state: CurveState, cov_da=None):
     6 u (bu^d nabla_d bold-a^c - bu^d P_d^c) bu^b X^[A Z_b^B Z_c^C]."""
     n = geo.n
     pk = curvature_pack(geo, state.x, order=2)
-    g = pk.g
-    u, a = state.u, state.a
-    s = float(u @ g @ u)
-    un = math.sqrt(s)
-    ua = float(u @ g @ a)
-    aa = float(a @ g @ a)
-    if cov_da is None:
-        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
-    u_covda = float(u @ g @ cov_da)
-    nab_ba = (cov_da / s - 3.0 * ua / s ** 2 * a
-              - (-4.0 * ua ** 2 / s ** 3 + (aa + u_covda) / s ** 2) * u)
-    bu = u / un
-    core = nab_ba / un - pk.gi @ (pk.P @ bu)
+    core, bu, un = _bold_rate(geo, state, cov_da, pk)
     X = tr.canonical_X(n)
     embu = tr.make_tractor(n, mu=bu)
     embc = tr.make_tractor(n, mu=core)

@@ -31,7 +31,7 @@ import numpy as np
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
 from .tensors import (FD, ArrayField, DiffBackend, FieldHandle,
-                      NumericalError, middle_block, stage)
+                      NumericalError, middle_block, on_axes, stage)
 
 SCHEMA = {
     "type": "object",
@@ -85,8 +85,7 @@ SCHEMA = {
                                    "a": {"type": "array"}}},
                 "t_span": {"type": "array", "items": {"type": "number"},
                            "minItems": 2, "maxItems": 2},
-                "num": {"type": "integer", "minimum": 2},
-                "monitors": {"type": "array", "items": {"type": "string"}}}},
+                "num": {"type": "integer", "minimum": 2}}},
         "invariance": {
             "type": "object", "additionalProperties": False,
             "properties": {"count": {"type": "integer", "minimum": 1},
@@ -451,10 +450,7 @@ def _rotation_monitor(i, j):
         F = tr.TractorFormObject(TensorValue(K, ixs, 0), geo)
         starK = tr.hodge_star(F, state.x, pack=pack).data
         _, _, Phi = circles.curve_tractors(geo, state, pack=pack)
-        low = middle_block(pack.g)
-        acc = Phi
-        for ax in range(3):
-            acc = np.moveaxis(np.tensordot(low, acc, axes=([1], [ax])), 0, ax)
+        acc = on_axes(middle_block(pack.g), Phi, range(3))
         for ax in range(3):
             acc = tr.pair_flip(acc, ax)
         return float(np.tensordot(starK, acc, axes=(range(3), range(3)))) / 6.0

@@ -22,9 +22,9 @@ from .riemann import curvature_pack, metric_connection
 from .submanifold import EmbeddingSpec
 from .subtractor import SubTractorContext
 from .tensors import (ANALYTIC, ArrayField, DiffBackend, NumericalError,
-                      alt_array, central_diff, pairing_matrix, set_stage,
-                      stacked_jets, stage, sym_array, tangent_down,
-                      tractor_down, tractor_metric_matrix)
+                      alt_array, central_diff, on_axes, pairing_matrix,
+                      set_stage, stacked_jets, stage, sym_array,
+                      tangent_down, tractor_down, tractor_metric_matrix)
 from . import tractor as tr
 
 __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
@@ -118,7 +118,7 @@ def _split_components(geo, kspec, x, pack=None):
     grad = np.moveaxis(covs[0], -1, 0)            # [a1, a2..ad]
     div = np.einsum("ab,ab...->...", pack.gi, grad)   # nabla^c k_{c a3..}
     K = tr.form_Y(k0, n)
-    K = K + tr.form_Z(alt_array(grad), n) / d
+    K = K + tr.embed_middle(alt_array(grad), n) / d
     if d >= 2:
         K = K + (d - 1) / (n - d + 2) * tr.form_W(div, n)
     # X-slot: (1/(n(d-1))) nabla^b M_{b a2..} - (1/(n-d+2)) nabla_[a2 div_{a3..]}
@@ -148,9 +148,7 @@ def _div_middle_part(pack, covs):
 
 def _full_pair(A, B, Hup):
     """A and B contracted on every index, each pair through ``Hup``."""
-    acc = A
-    for ax in range(A.ndim):
-        acc = np.moveaxis(np.tensordot(Hup, acc, axes=([1], [ax])), 0, ax)
+    acc = on_axes(Hup, A, range(A.ndim))
     return float(np.tensordot(acc, B, axes=(range(A.ndim), range(A.ndim))))
 
 
@@ -223,11 +221,7 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
     pack, jets, covs = _cov_jets(geo, kspec, sub.x, 1)
     k0 = jets[0]
     gi = pack.gi
-    Nf = sub.Nform
-    idx = Nf.ndim
-    Nup = Nf
-    for ax in range(idx):
-        Nup = np.moveaxis(np.tensordot(gi, Nup, axes=([1], [ax])), 0, ax)
+    Nup = on_axes(gi, sub.Nform, range(sub.Nform.ndim))
     H_low = pack.g @ sub.H
     if d == 1:
         explicit = float(k0) * float(Nup @ H_low) \

@@ -18,11 +18,15 @@ slot fill is ``L_slots``.  The normal tractor curvature is
 ``submanifold.normal_curvature`` of the tractor conormal frame.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
-variances.  Contracting an up/down pair goes through the constant pairing J
-(``tensors.pairing_matrix``, the sigma/rho swap); contracting two down
-indices with the inverse tractor metric uses
-``tensors.tractor_metric_matrix(g^-1)``.  (1,1)-tensors are often turned
-into action matrices on up-components via ``arr @ J``.
+variances.  Contracting an up/down pair goes through the constant pairing J,
+the sigma/rho swap (``tractor.pair_flip`` along an axis,
+``tensors.pairing_matrix`` as a matrix); contracting two down indices with
+the inverse tractor metric uses ``tensors.tractor_metric_matrix(g^-1)``.
+(1,1)-tensors are often turned into action matrices on up-components via
+``arr @ J``.  The bundle maps between intrinsic and ambient slots are the
+context's ``push_up`` (Pi^A_I), ``pull_up`` and ``pull_down``, and the
+intrinsic tractor curvature is ``tractor.tractor_curvature`` of the
+intrinsic geometry on the context's order-3 intrinsic pack.
 """
 from __future__ import annotations
 
@@ -69,37 +73,6 @@ def tractor_conormal_rows(conormals, H):
     out[:, 1:n + 1] = conormals
     out[:, n + 1] = [float(w @ H) for w in conormals]
     return out
-
-
-def push_up_matrix(sub: SubmanifoldPack):
-    """Intrinsic up slots -> ambient up slots (the bundle map Pi^A_I)."""
-    m, n = sub.m, sub.n
-    M = np.zeros((n + 2, m + 2))
-    M[0, 0] = 1.0
-    M[1:n + 1, 0] = -sub.H
-    M[1:n + 1, 1:m + 1] = sub.dphi
-    M[n + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
-    M[n + 1, m + 1] = 1.0
-    return M
-
-
-def pull_up_matrix(sub: SubmanifoldPack):
-    """Ambient up slots -> intrinsic up slots (projection then iso)."""
-    m, n = sub.m, sub.n
-    Q = np.zeros((m + 2, n + 2))
-    Q[0, 0] = 1.0
-    Q[1:m + 1, 1:n + 1] = sub.Pi_ia
-    Q[m + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
-    Q[m + 1, 1:n + 1] = -(sub.pack.g @ sub.H)
-    Q[m + 1, n + 1] = 1.0
-    return Q
-
-
-def pull_down_matrix(sub: SubmanifoldPack):
-    """Contraction matrix for a down ambient tractor index against Pi^B_J:
-    the transpose of Pi^B_J between the two pairings."""
-    return (pairing_matrix(sub.m) @ push_up_matrix(sub).T
-            @ pairing_matrix(sub.n))
 
 
 def _cached(method):
@@ -149,15 +122,34 @@ class SubTractorContext:
     # -- maps ---------------------------------------------------------------
     @_cached
     def push_up(self):
-        return push_up_matrix(self.sub)
+        """Intrinsic up slots -> ambient up slots (the bundle map Pi^A_I)."""
+        sub, m, n = self.sub, self.m, self.n
+        M = np.zeros((n + 2, m + 2))
+        M[0, 0] = 1.0
+        M[1:n + 1, 0] = -sub.H
+        M[1:n + 1, 1:m + 1] = sub.dphi
+        M[n + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
+        M[n + 1, m + 1] = 1.0
+        return M
 
     @_cached
     def pull_up(self):
-        return pull_up_matrix(self.sub)
+        """Ambient up slots -> intrinsic up slots (projection then iso)."""
+        sub, m, n = self.sub, self.m, self.n
+        Q = np.zeros((m + 2, n + 2))
+        Q[0, 0] = 1.0
+        Q[1:m + 1, 1:n + 1] = sub.Pi_ia
+        Q[m + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
+        Q[m + 1, 1:n + 1] = -(sub.pack.g @ sub.H)
+        Q[m + 1, n + 1] = 1.0
+        return Q
 
     @_cached
     def pull_down(self):
-        return pull_down_matrix(self.sub)
+        """Contraction matrix for a down ambient tractor index against
+        Pi^B_J: the transpose of Pi^B_J between the two pairings."""
+        return (pairing_matrix(self.m) @ self.push_up().T
+                @ pairing_matrix(self.n))
 
     @_cached
     def normal_projector(self):
@@ -570,12 +562,8 @@ def intrinsic_tractor_curvature(ctx: SubTractorContext):
     m = ctx.m
     if m < 3:
         raise ValueError("intrinsic tractor curvature needs m >= 3")
-    ip = ctx.intrinsic_pack(order=3)
-    Om = np.zeros((m, m, m + 2, m + 2))
-    Om[:, :, 1:m + 1, 1:m + 1] = ip.W4
-    Om[:, :, m + 1, 1:m + 1] -= ip.Cotton
-    Om[:, :, 1:m + 1, m + 1] += ip.Cotton
-    return Om
+    return tr.tractor_curvature(ctx.sub.intrinsic, ctx.q,
+                                pack=ctx.intrinsic_pack(order=3)).data
 
 
 def _intrinsic_D_of_S(ctx: SubTractorContext):

@@ -32,7 +32,7 @@ __all__ = [
     "NumericalError", "set_stage", "stage", "Index", "TensorValue",
     "DiffBackend", "ArrayField", "FieldHandle", "tangent_up", "tangent_down",
     "tractor_up", "tractor_down", "pairing_matrix", "tractor_metric_matrix",
-    "middle_block", "central_diff", "stacked_jets",
+    "middle_block", "on_axes", "central_diff", "stacked_jets",
 ]
 
 
@@ -164,14 +164,6 @@ def _signed_transpositions(axes):
     return out
 
 
-def _tr_flip(data, axis):
-    """Apply the tractor pairing matrix along ``axis`` (swap sigma/rho)."""
-    dim = data.shape[axis]
-    order = np.arange(dim)
-    order[0], order[-1] = dim - 1, 0
-    return np.take(data, order, axis=axis)
-
-
 def pairing_matrix(n):
     """Up/down pairing J on the tractor slots of an n-dimensional chart:
     the identity with sigma and rho swapped."""
@@ -198,6 +190,13 @@ def middle_block(a):
     M = np.eye(k + 2)
     M[1:k + 1, 1:k + 1] = a
     return M
+
+
+def on_axes(M, T, axes):
+    """The matrix M[new, old] applied to each of the given axes of T."""
+    for ax in axes:
+        T = np.moveaxis(np.tensordot(M, T, axes=([1], [ax])), 0, ax)
+    return T
 
 
 def _perm_sign(perm):

@@ -3,8 +3,8 @@
 A rank n+2 tractor index uses slots (sigma, mu_1..mu_n, rho) for both
 variances.  Raising/lowering acts blockwise (identity on sigma/rho, metric on
 the middle block: tensors.middle_block); contraction of an up/down pair
-inserts the invariant pairing that swaps sigma and rho (see
-tensors._tr_flip).
+inserts the invariant pairing J that swaps sigma and rho (``pair_flip``;
+``tensors.pairing_matrix`` is its matrix).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import tensors
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       levi_civita_symbol)
 from .tensors import (ArrayField, FieldHandle, Index, TensorValue,
-                      alt_array, middle_block, tractor_down,
+                      alt_array, middle_block, on_axes, tractor_down,
                       tractor_metric_matrix, tractor_up, tangent_down)
 
 __all__ = [
@@ -76,7 +76,10 @@ class TractorFormObject:
 
 def pair_flip(arr, axis):
     """Invariant up/down tractor pairing along ``axis`` (sigma/rho swap)."""
-    return tensors._tr_flip(arr, axis)
+    dim = arr.shape[axis]
+    order = np.arange(dim)
+    order[0], order[-1] = dim - 1, 0
+    return np.take(arr, order, axis=axis)
 
 
 def make_tractor(n, sigma=0.0, mu=None, rho=0.0):
@@ -119,6 +122,12 @@ def _down(G, tail=0):
     return G.swapaxes(-3 - tail, -2 - tail).swapaxes(-2 - tail, -1 - tail)
 
 
+def _lc_block(variance, G, tail=0):
+    """The Levi-Civita matrix [a, new, old] on a tangent index of
+    ``variance``, from Gamma or (``tail`` = 1) its derivative."""
+    return _up(G, tail) if variance == tensors.UP else -_down(G, tail)
+
+
 class ConnData:
     """Connection data at a point, for tangent and tractor indices.
 
@@ -156,61 +165,47 @@ class ConnData:
 
     def matrix(self, index: Index):
         """M[a, new, old] with (nabla_a T)[new] += M[a,new,old] T[old]."""
-        n = self.n
         if index.kind == tensors.TANGENT:
-            if index.variance == tensors.UP:
-                return _up(self.Gamma)
-            return -_down(self.Gamma)
+            return _lc_block(index.variance, self.Gamma)
         self._require_P()
-        N = n + 2
-        M = np.zeros(self.lead + (n, N, N))
-        P, g, gi = self.P, self.g, self.gi
-        Pmix = P @ gi  # P_a{}^b
-        if index.variance == tensors.DOWN:
-            M[..., 0, 1:n + 1] = -np.eye(n)
-            M[..., 1:n + 1, 0] = P
-            M[..., 1:n + 1, n + 1] = g
-            M[..., n + 1, 1:n + 1] = -Pmix
-            # Levi-Civita action on the middle (covector) slot
-            M[..., 1:n + 1, 1:n + 1] += -_down(self.Gamma)
-        else:
-            M[..., 0, 1:n + 1] = -g
-            M[..., 1:n + 1, 0] = Pmix
-            M[..., 1:n + 1, n + 1] = np.eye(n)
-            M[..., n + 1, 1:n + 1] = -P
-            M[..., 1:n + 1, 1:n + 1] += _up(self.Gamma)
-        return M
+        return self._tractor_fill(index.variance, self.P, self.g,
+                                  self.P @ self.gi, self.Gamma)
 
     def dmatrix(self, index: Index):
         """d_e M[a,new,old] -> [a, new, old, e]."""
-        n = self.n
         if index.kind == tensors.TANGENT:
             if self.dGamma is None:
                 raise tensors.JetOrderError("second derivatives need dGamma")
-            if index.variance == tensors.UP:
-                return _up(self.dGamma, 1)
-            return -_down(self.dGamma, 1)
+            return _lc_block(index.variance, self.dGamma, 1)
         self._require_P()
         if self.dP is None or self.dg is None or self.dGamma is None:
             raise tensors.JetOrderError(
                 "second tractor derivatives need the metric 3-jet (dP)")
-        N = n + 2
-        dM = np.zeros(self.lead + (n, N, N, n))
         dgi = -np.einsum("...ce,...efa,...fd->...cda", self.gi, self.dg,
                          self.gi)
         dPmix = (np.einsum("...ace,...cb->...abe", self.dP, self.gi)
                  + np.einsum("...ac,...cbe->...abe", self.P, dgi))
-        if index.variance == tensors.DOWN:
-            dM[..., 1:n + 1, 0, :] = self.dP
-            dM[..., 1:n + 1, n + 1, :] = self.dg
-            dM[..., n + 1, 1:n + 1, :] = -dPmix
-            dM[..., 1:n + 1, 1:n + 1, :] += -_down(self.dGamma, 1)
+        return self._tractor_fill(index.variance, self.dP, self.dg, dPmix,
+                                  self.dGamma, 1)
+
+    def _tractor_fill(self, variance, P, g, Pmix, Gamma, tail=0):
+        """The tractor matrix from its four connection blocks (P_ab, g_ab,
+        P_a^b and the identity) and the Levi-Civita action on the middle
+        slot; with ``tail`` = 1 every input carries a trailing derivative
+        axis, and the constant identity block drops out."""
+        n = self.n
+        mid, t = slice(1, n + 1), (slice(None),) * tail
+        if variance == tensors.DOWN:
+            one = (0, mid, -np.eye(n))
+            blocks = [(mid, 0, P), (mid, n + 1, g), (n + 1, mid, -Pmix)]
         else:
-            dM[..., 0, 1:n + 1, :] = -self.dg
-            dM[..., 1:n + 1, 0, :] = dPmix
-            dM[..., n + 1, 1:n + 1, :] = -self.dP
-            dM[..., 1:n + 1, 1:n + 1, :] += _up(self.dGamma, 1)
-        return dM
+            one = (mid, n + 1, np.eye(n))
+            blocks = [(0, mid, -g), (mid, 0, Pmix), (n + 1, mid, -P)]
+        M = np.zeros(self.lead + (n, n + 2, n + 2) + (n,) * tail)
+        for row, col, block in blocks + ([] if tail else [one]):
+            M[(..., row, col) + t] = block
+        M[(..., mid, mid) + t] += _lc_block(variance, Gamma, tail)
+        return M
 
 
 def _apply_axis(M_a, arr, axis):
@@ -330,16 +325,17 @@ def scale_tractor(geo: GeometrySpec, x):
     return TractorObject(TensorValue(comp, (tractor_up(n),), 0), geo)
 
 
-def tractor_curvature(geo: GeometrySpec, x):
+def tractor_curvature(geo: GeometrySpec, x, pack=None):
     """Curvature of the tractor connection, slots W_abcd Z Z - 2 C_abc X|Z|.
 
     Returned with index order [a, b, C, D], both tractor indices down.
+    ``pack`` is an order-3 curvature pack of ``geo`` at x, built when None.
     """
     x = np.asarray(x, dtype=float)
     n = geo.n
     if n < 3:
         raise MobiusStructureError("tractor curvature needs ambient dim >= 3")
-    pack = curvature_pack(geo, x, order=3)
+    pack = pack if pack is not None else curvature_pack(geo, x, order=3)
     if not pack.has_third:
         raise tensors.JetOrderError(
             "tractor curvature needs the metric 3-jet (Cotton term)")
@@ -369,31 +365,17 @@ def embed_middle(omega, n):
 
 def form_Y(omega, n):
     """omega_{a2..ak} Y_[A1 Z..Z_]: degree = deg(omega) + 1."""
-    N = n + 2
-    e0 = np.zeros(N)
-    e0[0] = 1.0
-    return alt_array(np.multiply.outer(e0, embed_middle(omega, n)))
+    return alt_array(np.multiply.outer(make_tractor(n, sigma=1.0),
+                                       embed_middle(omega, n)))
 
 
 def form_X(omega, n):
-    N = n + 2
-    eR = np.zeros(N)
-    eR[N - 1] = 1.0
-    return alt_array(np.multiply.outer(eR, embed_middle(omega, n)))
-
-
-def form_Z(omega, n):
-    return embed_middle(omega, n)
+    return alt_array(np.multiply.outer(canonical_X(n), embed_middle(omega, n)))
 
 
 def form_W(omega, n):
-    N = n + 2
-    e0 = np.zeros(N)
-    e0[0] = 1.0
-    eR = np.zeros(N)
-    eR[N - 1] = 1.0
-    core = np.multiply.outer(eR, np.multiply.outer(e0, embed_middle(omega, n)))
-    return alt_array(core)
+    return alt_array(np.multiply.outer(canonical_X(n), np.multiply.outer(
+        make_tractor(n, sigma=1.0), embed_middle(omega, n))))
 
 
 def tractor_volume_form(geo: GeometrySpec, x, pack=None):
@@ -451,12 +433,10 @@ def hodge_star(F: TractorFormObject, x, pack=None):
     n = geo.n
     k = F.degree
     eps = tractor_volume_form(geo, x, pack=pack).data
-    R = middle_block(pack.gi)
-    for ax in range(k):
-        eps = np.moveaxis(np.tensordot(R, eps, axes=([1], [ax])), 0, ax)
+    eps = on_axes(middle_block(pack.gi), eps, range(k))
     Fd = F.data
     for ax in range(k):
-        Fd = tensors._tr_flip(Fd, ax)
+        Fd = pair_flip(Fd, ax)
     out = np.tensordot(Fd, eps, axes=(list(range(k)), list(range(k))))
     out /= math.factorial(k)
     ixs = tuple(tractor_down(n) for _ in range(n + 2 - k))

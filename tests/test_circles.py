@@ -9,7 +9,7 @@ from tractorlab import tractor as tr
 from tractorlab import circles as ci
 from tractorlab.riemann import curvature_pack
 from tractorlab.subtractor import SubTractorContext
-from tractorlab.tensors import TensorValue, tractor_down, tractor_up
+from tractorlab.tensors import tractor_up
 
 
 def _hdot(geo, x, u, v):

@@ -372,6 +372,23 @@ def test_schema_error_exit4():
     assert rc == 4
 
 
+def _leaves(schema):
+    return sum(_leaves(s) if "properties" in s else 1
+               for s in schema.get("properties", {}).values())
+
+
+def test_circle_monitors_key_is_gone(capsys):
+    """``circle.monitors`` was never read (the flat-circle preset sets its
+    own monitors), so it is an unknown key like any other; the config has
+    29 settable leaves."""
+    assert cli.main(["circle", "-s",
+                     'circle={"preset":"flat-circle","monitors":["x"]}']) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Additional properties are not allowed" in captured.err
+    assert _leaves(cli.SCHEMA) == 29
+
+
 @pytest.mark.parametrize("argv, message", [
     (["report", "--threads", "2"], "unrecognized arguments: --threads 2"),
     (["classify"], "argument command: invalid choice: 'classify'")])
@@ -454,8 +471,7 @@ VALIDATOR_TABLE = [
     _cfg(tolerances={"classify": 1e-6}),
     _cfg(tolerances={"classify": "x", "rtol": None, "atol": [1]}),
     # circle: enum with null, the nested object initial, arrays
-    _cfg(circle={"preset": "flat-circle", "t_span": [0, 10], "num": 5,
-                 "monitors": ["a"]}),
+    _cfg(circle={"preset": "flat-circle", "t_span": [0, 10], "num": 5}),
     _cfg(circle={"preset": None,
                  "initial": {"x": [0], "u": [1], "a": [0]}}),
     _cfg(circle={"preset": "round"}),

@@ -1,6 +1,4 @@
 """Killing-Yano forms, splitting, conserved quantities and zero loci."""
-import math
-
 import numpy as np
 import pytest
 

@@ -1,6 +1,5 @@
 """Curvature pipeline tests: golden values, oracles, rescaling laws."""
 import dataclasses
-import math
 
 import numpy as np
 import pytest

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from test_jets import _bitwise_equal
 from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.subtractor import (SubTractorContext,
                                    checked_connection_residual, classify,
+                                   intrinsic_tractor_curvature,
                                    mean_curvature_tractor,
                                    normal_projector_array, reconstruct_L,
                                    M_operator, tractor_gcr_residuals)
@@ -367,6 +369,22 @@ def test_tractor_gauss_residual_s2xs1_not_step_limited():
     assert max(res) <= 1e-6
 
 
+def test_intrinsic_tractor_curvature_is_the_slot_fill():
+    """The intrinsic tractor curvature, read through
+    ``tractor.tractor_curvature`` on the context's order-3 intrinsic pack,
+    is the W/Cotton slot fill of that pack byte for byte."""
+    geo = geolib.s2xs1xr(1)
+    emb = geolib.catalog()["s2xs1xr"].embeddings["s2xs1"]()
+    for q in ([0.2, -0.1, 0.1], [-0.15, 0.25, 0.05]):
+        ctx = SubTractorContext(geo, emb, np.array(q))
+        ip, m = ctx.intrinsic_pack(order=3), ctx.m
+        Om = np.zeros((m, m, m + 2, m + 2))
+        Om[:, :, 1:m + 1, 1:m + 1] = ip.W4
+        Om[:, :, m + 1, 1:m + 1] -= ip.Cotton
+        Om[:, :, 1:m + 1, m + 1] += ip.Cotton
+        assert _bitwise_equal(intrinsic_tractor_curvature(ctx), Om)
+
+
 def test_intrinsic_metric_preserving(graph_ctx):
     # the bundle map into the orthogonal complement preserves the metrics
     ctx = graph_ctx
@@ -389,12 +407,11 @@ def _restricted_scale_tractor_D_residual(ctx):
     does (the ambient scale tractor is parallel for Einstein geometries,
     so the checked derivative reduces to S(I))."""
     from tractorlab.submanifold import SigmaField
-    from tractorlab.subtractor import pull_up_matrix
     geo, emb = ctx.geo, ctx.emb
 
     def I_int(pk):
         amb = tr.make_tractor(ctx.n, sigma=1.0, rho=-pk.pack.J / ctx.n)
-        return pull_up_matrix(pk) @ amb
+        return SubTractorContext(geo, emb, pk.q, sub=pk).pull_up() @ amb
 
     sf = SigmaField(geo, emb, I_int)
     I0, dI, _ = sf.jet1(ctx.q)

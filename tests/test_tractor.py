@@ -376,3 +376,92 @@ def test_point_axis_covariant_jet_is_the_stacked_per_point_jets(indices):
             for a, b in zip(out, single):
                 assert _bitwise_equal(np.ascontiguousarray(a[i]),
                                       np.ascontiguousarray(b))
+
+
+# The connection blocks written out one by one, each matrix and variance on
+# its own: the reference for ConnData's shared slot fill.
+def _reference_matrix(conn, index):
+    n = conn.n
+    if index.kind == "tangent":
+        if index.variance == "up":
+            return tr._up(conn.Gamma)
+        return -tr._down(conn.Gamma)
+    N = n + 2
+    M = np.zeros(conn.lead + (n, N, N))
+    P, g, gi = conn.P, conn.g, conn.gi
+    Pmix = P @ gi
+    if index.variance == "down":
+        M[..., 0, 1:n + 1] = -np.eye(n)
+        M[..., 1:n + 1, 0] = P
+        M[..., 1:n + 1, n + 1] = g
+        M[..., n + 1, 1:n + 1] = -Pmix
+        M[..., 1:n + 1, 1:n + 1] += -tr._down(conn.Gamma)
+    else:
+        M[..., 0, 1:n + 1] = -g
+        M[..., 1:n + 1, 0] = Pmix
+        M[..., 1:n + 1, n + 1] = np.eye(n)
+        M[..., n + 1, 1:n + 1] = -P
+        M[..., 1:n + 1, 1:n + 1] += tr._up(conn.Gamma)
+    return M
+
+
+def _reference_dmatrix(conn, index):
+    n = conn.n
+    if index.kind == "tangent":
+        if index.variance == "up":
+            return tr._up(conn.dGamma, 1)
+        return -tr._down(conn.dGamma, 1)
+    N = n + 2
+    dM = np.zeros(conn.lead + (n, N, N, n))
+    dgi = -np.einsum("...ce,...efa,...fd->...cda", conn.gi, conn.dg, conn.gi)
+    dPmix = (np.einsum("...ace,...cb->...abe", conn.dP, conn.gi)
+             + np.einsum("...ac,...cbe->...abe", conn.P, dgi))
+    if index.variance == "down":
+        dM[..., 1:n + 1, 0, :] = conn.dP
+        dM[..., 1:n + 1, n + 1, :] = conn.dg
+        dM[..., n + 1, 1:n + 1, :] = -dPmix
+        dM[..., 1:n + 1, 1:n + 1, :] += -tr._down(conn.dGamma, 1)
+    else:
+        dM[..., 0, 1:n + 1, :] = -conn.dg
+        dM[..., 1:n + 1, 0, :] = dPmix
+        dM[..., n + 1, 1:n + 1, :] = -conn.dP
+        dM[..., 1:n + 1, 1:n + 1, :] += tr._up(conn.dGamma, 1)
+    return dM
+
+
+CATALOG_N3 = [(name, entry) for name, entry in sorted(geolib.catalog().items())
+              if entry.make_geometry().n >= 3]
+
+
+def _all_indices(n):
+    return [tangent_up(n), tangent_down(n), tractor_up(n), tractor_down(n)]
+
+
+@pytest.mark.parametrize("name,entry", CATALOG_N3,
+                         ids=[c[0] for c in CATALOG_N3])
+def test_connection_matrices_are_the_block_fills(name, entry):
+    """``matrix`` at a point and on a stacked order-2 pack, and ``dmatrix``
+    on an order-3 pack, are the blocks written out one by one, byte for
+    byte (so also in the sign of each zero), for both variances of both
+    index kinds."""
+    geo = entry.make_geometry()
+    X = np.random.default_rng(41).uniform(-0.3, 0.3, (3, geo.n))
+    stacked = tr.ConnData.from_pack(curvature_pack(geo, X, order=2))
+    for ix in _all_indices(geo.n):
+        assert _bitwise_equal(stacked.matrix(ix),
+                              _reference_matrix(stacked, ix))
+    for x in X:
+        conn = tr.ConnData.from_pack(curvature_pack(geo, x, order=3))
+        for ix in _all_indices(geo.n):
+            assert _bitwise_equal(conn.matrix(ix), _reference_matrix(conn, ix))
+            assert _bitwise_equal(conn.dmatrix(ix),
+                                  _reference_dmatrix(conn, ix))
+
+
+@pytest.mark.parametrize("name,entry", CATALOG_N3,
+                         ids=[c[0] for c in CATALOG_N3])
+def test_tractor_curvature_reads_a_given_pack(name, entry):
+    geo = entry.make_geometry()
+    x = np.random.default_rng(43).uniform(-0.3, 0.3, geo.n)
+    given = tr.tractor_curvature(geo, x, pack=curvature_pack(geo, x, 3))
+    assert _bitwise_equal(given.data, tr.tractor_curvature(geo, x).data)
