@@ -12,22 +12,23 @@ Every covariant derivative along the submanifold goes through
 (``SigmaField``) plus, on each index, the connection ``SigmaConn`` picks
 (the ambient one pulled back by the embedding, or the intrinsic one).
 
-The normal frame is ``normal_frame``, called by the pack and, with only the
-jets it needs, at each stencil point of ``normal_curvature``: the curvature
-of a normal bundle from its frame, for both Ricci residuals.
+The normal frame is ``normal_frame``, on a stack of points: called by the
+pack and, with only the jets it needs, on the stencils of
+``normal_curvature``: the curvature of a normal bundle from its frame, for
+both Ricci residuals.
 
 Every stencil along Sigma is evaluated as a whole: ``central_diff`` hands
-its stencil to one call, ``submanifold_pack`` on a stack of points builds
-the missing packs from one embedding 2-jet and one order-2 curvature pack,
-and the normal frames take a stack, so a nested stencil costs one
-evaluation per level.  Only the row-wise steps (rank check, normal frame,
-the contractions) run point by point, and each row is bitwise what an
-evaluation at that point alone gives.
+its stencil to one call, and ``submanifold_pack`` on a stack of points
+builds the missing packs from one embedding 2-jet, one order-2 curvature
+pack, one rank check and one normal frame, so a nested stencil costs one
+evaluation per level.  Only assembling each row's pack and the readers of
+a pack (the pulled-back metric's chain rule, ``SigmaField`` builders) run
+point by point, and each row is bitwise what an evaluation at that point
+alone gives.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,44 +191,41 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
     so their arrays, and those of the ambient curvature pack, are read-only.
     Concurrent callers may compute a pack twice; both results are equal.
 
-    The rows of a stack that are not in the memo yet share one evaluation of
-    the embedding 2-jet and one order-2 curvature pack; the rank check and
-    the normal frame then run row by row, and each pack is bitwise the one
+    A single point is a stack of one.  The rows not in the memo yet share
+    one evaluation of the embedding 2-jet, one order-2 curvature pack, one
+    rank check and one ``normal_frame`` call; each pack is bitwise the one
     a call at its row builds.
     """
     q = np.array(q, dtype=float)
     seeds = None if seeds is None else tuple(seeds)
-    if q.ndim == 1:
-        key = (geo, q.tobytes(), seeds)
-        sub = emb.packs.get(key)
-        if sub is None:
-            ph = emb.jets(q, 2)
-            sub = emb.packs[key] = _build_pack(
-                geo, emb, q, ph, curvature_pack(geo, ph[0], order=2), seeds)
-        return sub
-    keys = [(geo, r.tobytes(), seeds) for r in q]
+    rows = q.reshape(-1, q.shape[-1])
+    keys = [(geo, r.tobytes(), seeds) for r in rows]
     todo = {}
-    for key, r in zip(keys, q):
+    for key, r in zip(keys, rows):
         if key not in emb.packs:
             todo.setdefault(key, r)
     if todo:
         Q = np.array(list(todo.values()))
         ph = stacked_jets(emb.phi, Q, 2)
         packs = curvature_pack(geo, ph[0], order=2)
+        deficient = np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m
+        if deficient.any():
+            raise RankDeficientError("embedding differential rank-deficient "
+                                     f"at {Q[np.argmax(deficient)]}")
+        frame = normal_frame(packs.g, packs.gi, ph[1],
+                             geo.orientation * emb.orientation, seeds,
+                             packs.Gamma, ph[2])
         for i, key in enumerate(todo):
-            emb.packs[key] = _build_pack(geo, emb, Q[i], [c[i] for c in ph],
-                                         packs.at(i), seeds)
-    return [emb.packs[key] for key in keys]
+            emb.packs[key] = _build_pack(
+                geo, emb, Q[i], [c[i] for c in ph], packs.at(i),
+                {k: v[i] for k, v in frame.items()})
+    out = [emb.packs[key] for key in keys]
+    return out if q.ndim == 2 else out[0]
 
 
-def _build_pack(geo, emb, q, ph, pack, seeds):
-    """The pack at ``q`` from the embedding 2-jet ``ph`` and the ambient
-    curvature pack at ``ph[0]``."""
-    if np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m:
-        raise RankDeficientError(f"embedding differential rank-deficient at {q}")
-    frame = normal_frame(pack.g, pack.gi, ph[1],
-                         geo.orientation * emb.orientation, seeds,
-                         pack.Gamma, ph[2])
+def _build_pack(geo, emb, q, ph, pack, frame):
+    """The read-only pack at ``q`` from its rows of the embedding 2-jet
+    ``ph``, the ambient curvature pack and the normal frame."""
     intrinsic = GeometrySpec(n=emb.m, metric=PullbackMetricField(geo, emb),
                              orientation=emb.orientation)
     sub = SubmanifoldPack(q=q, x=ph[0], m=emb.m, n=emb.n, d=emb.n - emb.m,
@@ -244,51 +242,60 @@ def _build_pack(geo, emb, q, ph, pack, seeds):
 def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
                  d2phi=None):
     """The ``SubmanifoldPack`` fields g_s, gi_s, Pi_ia, Nab, conormals,
-    normals and seeds as a dict, from g, g^-1 and dphi at one point; with
-    Gamma and d2phi also II, IIo and H.  ``seeds`` default to the coordinate
-    conormals least aligned with the tangent space; ``orientation`` is the
-    ambient one times the submanifold's."""
-    n, m = dphi.shape
-    g_s = dphi.T @ g @ dphi
+    normals and seeds as a dict, from g, g^-1 and dphi on a stack of points
+    (a leading point axis on each array and field, ``seeds`` a list of
+    tuples); with Gamma and d2phi also II, IIo and H.  ``seeds`` default,
+    row by row, to the coordinate conormals least aligned with the tangent
+    space (ties to the lower index); ``orientation`` is the ambient one
+    times the submanifold's.  Degenerate seeds on any row raise."""
+    p, n, m = dphi.shape
+    dphiT = np.swapaxes(dphi, 1, 2)
+    g_s = dphiT @ g @ dphi
     gi_s = np.linalg.inv(g_s)
-    Pi_ia = gi_s @ dphi.T @ g
+    Pi_ia = gi_s @ dphiT @ g
     Nab = np.eye(n) - dphi @ Pi_ia
     out = dict(g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab)
 
     if Gamma is not None:
         # second fundamental form: normal part of the ambient Hessian of phi
-        hess = d2phi + np.einsum("cde,di,ej->cij", Gamma, dphi, dphi)
-        II = np.einsum("cb,bij->ijc", Nab, hess)
-        H = np.einsum("ij,ijc->c", gi_s, II) / m
-        IIo = II - np.einsum("ij,c->ijc", g_s, H)
+        hess = d2phi + np.einsum("pcde,pdi,pej->pcij", Gamma, dphi, dphi)
+        II = np.einsum("pcb,pbij->pijc", Nab, hess)
+        H = np.einsum("pij,pijc->pc", gi_s, II) / m
+        IIo = II - np.einsum("pij,pc->pijc", g_s, H)
         if m == 1:
             IIo = np.zeros_like(II)
         out.update(II=II, IIo=IIo, H=H)
 
+    def gi_pair(u, v):
+        """u . g^-1 . v at each row, as (1 x n)(n x n)(n x 1) products,
+        which round as a point's ``u @ gi @ v`` does."""
+        return (u[..., None, :] @ gi[:, None] @ v[..., None])[..., 0, 0]
+
     if seeds is None:
         # residual of dx^a (row a of N^a_b) after tangential projection,
-        # measured with g^-1
-        scores = sorted((-float(w @ gi @ w), a) for a, w in enumerate(Nab))
-        seeds = tuple(a for _, a in scores[:n - m])
-    conormals = []
-    for a in seeds:
-        w = Nab[a, :]
-        for prev in conormals:
-            w = w - (prev @ gi @ w) * prev
-        nw = math.sqrt(max(w @ gi @ w, 0.0))
-        if nw < 1e-12:
+        # measured with g^-1; a stable sort of -score keeps ties in order
+        S = np.argsort(-gi_pair(Nab, Nab), axis=1, kind="stable")[:, :n - m]
+    else:
+        S = np.tile(np.array(seeds, dtype=int), (p, 1))
+    conormals = np.empty(S.shape + (n,))
+    for k in range(S.shape[1]):
+        w = Nab[np.arange(p), S[:, k]]
+        for prev in np.swapaxes(conormals[:, :k], 0, 1):
+            w = w - gi_pair(prev[:, None], w[:, None]) * prev
+        nw = np.sqrt(np.maximum(gi_pair(w[:, None], w[:, None])[:, 0], 0.0))
+        if (nw < 1e-12).any():
             raise RankDeficientError("degenerate conormal seeds")
-        conormals.append(w / nw)
-    conormals = np.array(conormals)
+        conormals[:, k] = w / nw[:, None]
     normals = conormals @ gi
 
     # orientation: the ambient chart's orientation of an oriented tangent
     # frame followed by the normals must be ``orientation``
-    B = np.hstack([dphi, normals.T])
-    if np.sign(np.linalg.det(B)) * orientation < 0:
-        conormals[-1] = -conormals[-1]
-        normals[-1] = -normals[-1]
-    out.update(conormals=conormals, normals=normals, seeds=tuple(seeds))
+    B = np.concatenate([dphi, np.swapaxes(normals, 1, 2)], axis=2)
+    flip = np.sign(np.linalg.det(B)) * orientation < 0
+    conormals[flip, -1] = -conormals[flip, -1]
+    normals[flip, -1] = -normals[flip, -1]
+    out.update(conormals=conormals, normals=normals,
+               seeds=[tuple(int(a) for a in s) for s in S])
     return out
 
 
@@ -351,7 +358,7 @@ class SigmaConn:
         n = self.ambient.n
         if ix.dim == (n + 2 if ix.kind == TRACTOR else n):
             M = self.ambient.matrix(ix)
-            return np.einsum("ane,ai->ine", M, self.dphi)
+            return np.einsum("...ane,...ai->...ine", M, self.dphi)
         return self.intrinsic().matrix(ix)
 
 
@@ -400,7 +407,7 @@ def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q,
     # Ricci: Pi Pi R_ab^e_f N^c_e N^f_d = Rperp_ij^c_d - 2 g^kl II_k[i^c II_j]ld
     lhs_ric = np.einsum("abef,ai,bj,ce,fd->ijcd", pack.Rud, sub.dphi,
                         sub.dphi, sub.Nab, sub.Nab)
-    Rperp = _normal_curvature(geo, emb, q, sub.seeds)
+    Rperp = _normal_curvature(geo, emb, sub)
     IIdn = np.einsum("ijc,cd->ijd", sub.II, g)
     cross = np.einsum("kl,kic,jld->ijcd", sub.gi_s, sub.II, IIdn)
     rhs_ric = Rperp - (cross - cross.transpose(1, 0, 2, 3))
@@ -424,54 +431,53 @@ def _coupled_derivative_II(geo, emb, q, sub, ipack):
     return np.einsum("dc,ijkc->ijkd", sub.Nab, DII)
 
 
-def normal_curvature(frame_at, q, index):
+def normal_curvature(frame_at, q, index, base):
     """Curvature of a normal bundle, [i, j, C, E] acting on up components.
 
     ``frame_at(Y, conn)`` gives, at each row of a stack of points Y, the
     frame rows [alpha, C] (C is ``index``) and the dual coframe rows
-    [alpha, E], stacked on a leading axis, and, if ``conn``, the list of
-    the ``SigmaConn``s.  omega_i = coframe (d_i + conn_i) frame takes d_i
-    from a plain central difference (step 1e-4), its curvature from a
-    Richardson one (step 1e-2); each level of the nested stencil is one
-    ``frame_at`` call."""
+    [alpha, E], stacked on a leading axis, and, if ``conn``, the
+    ``SigmaConn`` on the stack; ``base`` is that triple at q itself, without
+    the point axis (the caller's pack holds it).  omega_i = coframe (d_i +
+    conn_i) frame takes d_i from a plain central difference (step 1e-4),
+    its curvature from a Richardson one (step 1e-2); each level of the
+    nested stencil is one ``frame_at`` call."""
     q = np.asarray(q, dtype=float)
 
-    def omega(Y):
-        """omega at each row of Y, stacked, and the frames there."""
-        frame, coframe, conns = frame_at(Y, True)
+    def omega(Y, frame, coframe, conn):
+        """omega at a point Y, or at each row of a stack Y."""
         dV = central_diff(lambda Z: frame_at(Z, False)[0], Y, 1e-4)
-        om = [np.einsum("ac,ibc->iab", coframe[r], np.moveaxis(dV[r], -1, 0)
-                        + np.einsum("ice,be->ibc", conns[r].matrix(index),
-                                    frame[r]))
-              for r in range(len(Y))]
-        return np.stack(om), frame[0], coframe[0]
+        nab = np.moveaxis(dV, -1, -3) + np.einsum(
+            "...ice,...be->...ibc", conn.matrix(index), frame)
+        return np.einsum("...ac,...ibc->...iab", coframe, nab)
 
-    om0, frame, coframe = omega(q[None])
-    om0 = om0[0]
+    om0 = omega(q, *base)
     # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
     dw = np.ascontiguousarray(np.moveaxis(central_diff(
-        lambda Y: omega(Y)[0], q, 1e-2, richardson=True), -1, 0))
+        lambda Y: omega(Y, *frame_at(Y, True)), q, 1e-2, richardson=True),
+        -1, 0))
     Rfr = (dw - dw.transpose(1, 0, 2, 3)
            + np.einsum("iae,jeb->ijab", om0, om0)
            - np.einsum("jae,ieb->ijab", om0, om0))
-    return np.einsum("ec,ijef,fd->ijcd", frame, Rfr, coframe)
+    return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
 
 
-def _normal_curvature(geo, emb, q, seeds):
-    """Rperp_ij^c_d from the normal frame with ``seeds`` frozen."""
+def _normal_curvature(geo, emb, sub):
+    """Rperp_ij^c_d from the normal frame with the seeds of ``sub``, the
+    pack at q, frozen; at q the frame and connection are the pack's."""
     orientation = geo.orientation * emb.orientation
 
     def frame_at(Y, conn):
         ph = stacked_jets(emb.phi, Y, 1)
         g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
-        rows = [normal_frame(g[r], gi[r], ph[1][r], orientation, seeds)
-                for r in range(len(Y))]
-        return (np.stack([fr["normals"] for fr in rows]),
-                np.stack([fr["conormals"] for fr in rows]),
-                [SigmaConn(tr.ConnData(emb.n, g[r], gi[r], Gamma[r]),
-                           ph[1][r]) for r in range(len(Y))] if conn else None)
+        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds)
+        return fr["normals"], fr["conormals"], (
+            SigmaConn(tr.ConnData(emb.n, g, gi, Gamma), ph[1]) if conn
+            else None)
 
-    return normal_curvature(frame_at, q, tangent_up(emb.n))
+    base = (sub.normals, sub.conormals,
+            SigmaConn(tr.ConnData.from_pack(sub.pack), sub.dphi))
+    return normal_curvature(frame_at, sub.q, tangent_up(emb.n), base)
 
 
 def conformal_transform_check(geo, emb, omega, q):

@@ -67,11 +67,14 @@ def normal_projector_array(sub: SubmanifoldPack):
 
 def tractor_conormal_rows(conormals, H):
     """Tractor conormals (0, n_a, n.H) as down slot rows, from the
-    Riemannian conormal rows and the mean curvature."""
-    d, n = conormals.shape
-    out = np.zeros((d, n + 2))
-    out[:, 1:n + 1] = conormals
-    out[:, n + 1] = [float(w @ H) for w in conormals]
+    Riemannian conormal rows and the mean curvature; at each row of a stack
+    if both carry a leading point axis."""
+    n = conormals.shape[-1]
+    out = np.zeros(conormals.shape[:-1] + (n + 2,))
+    out[..., 1:n + 1] = conormals
+    # n.H as a (1 x n)(n x 1) product per conormal
+    out[..., n + 1] = (conormals[..., None, :]
+                       @ H[..., None, :, None])[..., 0, 0]
     return out
 
 
@@ -589,30 +592,33 @@ def _coupled_D_of_L(ctx: SubTractorContext):
 def _normal_tractor_curvature(ctx: SubTractorContext):
     """Curvature of the normal tractor connection as action matrices:
     [i, j, C, E] with (Om v)[C] = Om[i,j,C,E] v[E] for up components, from
-    the tractor conormal frame; only the connection needs a pack (for P)."""
+    the tractor conormal frame; only the connection needs a pack (for P).
+    At q the frame and the pack are the context's."""
     geo, emb, n = ctx.geo, ctx.emb, ctx.n
     orientation = geo.orientation * emb.orientation
     Jamb = pairing_matrix(n)
+
+    def frames(T, gi, conn):
+        """The raised tractor conormal rows T, their J-duals and ``conn``."""
+        return T @ middle_block(gi), T @ Jamb, conn
 
     def frame_at(Y, conn):
         ph = stacked_jets(emb.phi, Y, 2)
         if conn:
             pk = curvature_pack(geo, ph[0], order=2)
             g, gi, Gamma = pk.g, pk.gi, pk.Gamma
+            conn = SigmaConn(tr.ConnData.from_pack(pk), ph[1])
         else:
             g, gi, Gamma = metric_connection(geo, ph[0])[:3]
-        frames, coframes = [], []
-        for r in range(len(Y)):
-            fr = normal_frame(g[r], gi[r], ph[1][r], orientation,
-                              ctx.sub.seeds, Gamma[r], ph[2][r])
-            frame = tractor_conormal_rows(fr["conormals"], fr["H"])
-            frames.append(frame @ middle_block(gi[r]))
-            coframes.append(frame @ Jamb)
-        return np.stack(frames), np.stack(coframes), (
-            [SigmaConn(tr.ConnData.from_pack(pk.at(r)), ph[1][r])
-             for r in range(len(Y))] if conn else None)
+            conn = None
+        fr = normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds, Gamma,
+                          ph[2])
+        return frames(tractor_conormal_rows(fr["conormals"], fr["H"]), gi,
+                      conn)
 
-    return normal_curvature(frame_at, ctx.q, tractor_up(n))
+    base = frames(ctx.tractor_conormals(), ctx.pack.gi,
+                  SigmaConn(tr.ConnData.from_pack(ctx.pack), ctx.sub.dphi))
+    return normal_curvature(frame_at, ctx.q, tractor_up(n), base)
 
 
 def tractor_gcr_residuals(ctx: SubTractorContext):

@@ -185,10 +185,11 @@ def tractor_metric_matrix(a):
 
 def middle_block(a):
     """Identity on sigma and rho, ``a`` on the middle block: raises the
-    middle slot for a = g^-1 and lowers it for a = g."""
-    k = a.shape[0]
-    M = np.eye(k + 2)
-    M[1:k + 1, 1:k + 1] = a
+    middle slot for a = g^-1 and lowers it for a = g; at each row of a
+    stack ``a`` of shape (p, k, k)."""
+    k = a.shape[-1]
+    M = np.broadcast_to(np.eye(k + 2), a.shape[:-2] + (k + 2, k + 2)).copy()
+    M[..., 1:k + 1, 1:k + 1] = a
     return M
 
 

@@ -20,8 +20,8 @@ from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     submanifold_pack)
 from test_tensors import _loop_central_diff
 from tractorlab.riemann import metric_connection
-from tractorlab.tensors import (middle_block, pairing_matrix, tangent_up,
-                                tractor_up)
+from tractorlab.tensors import (middle_block, pairing_matrix, stacked_jets,
+                                tangent_up, tractor_up)
 from tractorlab.tractor import ConnData, wedge
 
 
@@ -319,14 +319,14 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}',
       "-s", 'samples={"points":[[0.2,-0.1]]}'],
-     {0: 36, 1: 54, 2: 19, 3: 1}, {0: 2, 1: 6, 2: 5, 3: 1}),
+     {0: 36, 1: 52, 2: 19, 3: 1}, {0: 2, 1: 4, 2: 5, 3: 1}),
     (["invariance", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}'],
      {1: 6, 2: 339, 3: 12}, {1: 6, 2: 108, 3: 12}),
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {0: 78, 1: 182, 2: 313, 3: 22}, {0: 2, 1: 8, 2: 74, 3: 17}),
+     {0: 78, 1: 180, 2: 311, 3: 22}, {0: 2, 1: 6, 2: 72, 3: 17}),
 ]
 
 
@@ -365,7 +365,16 @@ def test_report_evaluation_count(monkeypatch):
     Sigma became one batched call per level: the stencil-point submanifold
     packs, both normal frames, the pulled-back metric's third derivative
     and the rescaled metric each evaluate a stencil's points together (110
-    calls to 14, 357 to 126 and 595 to 101)."""
+    calls to 14, 357 to 126 and 595 to 101).
+
+    Both normal curvatures then stopped evaluating anything at the sample
+    point itself: there they read the frame, conormals, H and ambient pack
+    of the context's submanifold pack.  The Riemannian one no longer
+    evaluates the metric and embedding 1-jets there (order-1 rows 54 to 52
+    and calls 6 to 4 on s2s2, 182 to 180 and 8 to 6 on s2xs1xr), the
+    tractor one the embedding and metric 2-jets of a second order-2 pack
+    at the sample point (order-2 rows 313 to 311 and calls 74 to 72 on
+    s2xs1xr)."""
     calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
@@ -422,14 +431,20 @@ def _riemannian_frame(pk):
     return pk.normals, pk.conormals
 
 
+def _point_tractor_rows(conormals, H):
+    """Tractor conormal rows (0, n_a, n.H), one conormal at a time."""
+    d, n = conormals.shape
+    frame = np.zeros((d, n + 2))
+    for a, w in enumerate(conormals):
+        frame[a, 1:n + 1] = w
+        frame[a, n + 1] = float(w @ H)
+    return frame
+
+
 def _tractor_frame(pk):
     """Tractor conormal rows (0, n_a, n.H), raised, and paired by J."""
-    n = pk.n
-    frame = np.zeros((pk.d, n + 2))
-    for a, w in enumerate(pk.conormals):
-        frame[a, 1:n + 1] = w
-        frame[a, n + 1] = float(w @ pk.H)
-    return frame @ middle_block(pk.pack.gi), frame @ pairing_matrix(n)
+    frame = _point_tractor_rows(pk.conormals, pk.H)
+    return frame @ middle_block(pk.pack.gi), frame @ pairing_matrix(pk.n)
 
 
 def _frame_case(name, params, ename, eparams=None, fd=False):
@@ -472,8 +487,8 @@ def test_normal_curvature_equals_pack_reference(case, frame):
     geo, emb = FRAME_CASES[case]()
     q = np.linspace(0.15, -0.1, emb.m)
     if frame == "riemannian":
-        seeds = submanifold_pack(geo, emb, q).seeds
-        new = submanifold._normal_curvature(geo, emb, q, seeds)
+        new = submanifold._normal_curvature(geo, emb,
+                                            submanifold_pack(geo, emb, q))
         ref = _pack_frame_curvature(geo, emb, q, _riemannian_frame,
                                     tangent_up(emb.n))
     else:
@@ -505,13 +520,56 @@ def _loop_normal_curvature(frame_at, q, index):
     return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
 
 
+def _point_normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
+                        d2phi=None):
+    """The normal frame at one point, computed row by row as before
+    ``normal_frame`` took a stack: the oracle of its rows."""
+    n, m = dphi.shape
+    g_s = dphi.T @ g @ dphi
+    gi_s = np.linalg.inv(g_s)
+    Pi_ia = gi_s @ dphi.T @ g
+    Nab = np.eye(n) - dphi @ Pi_ia
+    out = dict(g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab)
+
+    if Gamma is not None:
+        hess = d2phi + np.einsum("cde,di,ej->cij", Gamma, dphi, dphi)
+        II = np.einsum("cb,bij->ijc", Nab, hess)
+        H = np.einsum("ij,ijc->c", gi_s, II) / m
+        IIo = II - np.einsum("ij,c->ijc", g_s, H)
+        if m == 1:
+            IIo = np.zeros_like(II)
+        out.update(II=II, IIo=IIo, H=H)
+
+    if seeds is None:
+        scores = sorted((-float(w @ gi @ w), a) for a, w in enumerate(Nab))
+        seeds = tuple(a for _, a in scores[:n - m])
+    conormals = []
+    for a in seeds:
+        w = Nab[a, :]
+        for prev in conormals:
+            w = w - (prev @ gi @ w) * prev
+        nw = math.sqrt(max(w @ gi @ w, 0.0))
+        if nw < 1e-12:
+            raise RankDeficientError("degenerate conormal seeds")
+        conormals.append(w / nw)
+    conormals = np.array(conormals)
+    normals = conormals @ gi
+
+    B = np.hstack([dphi, normals.T])
+    if np.sign(np.linalg.det(B)) * orientation < 0:
+        conormals[-1] = -conormals[-1]
+        normals[-1] = -normals[-1]
+    out.update(conormals=conormals, normals=normals, seeds=tuple(seeds))
+    return out
+
+
 def _point_riemannian_frame(geo, emb, seeds):
     orientation = geo.orientation * emb.orientation
 
     def frame_at(y, conn):
         ph = emb.jets(y, 1)
         g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
-        fr = submanifold.normal_frame(g, gi, ph[1], orientation, seeds)
+        fr = _point_normal_frame(g, gi, ph[1], orientation, seeds)
         return fr["normals"], fr["conormals"], (
             submanifold.SigmaConn(ConnData(emb.n, g, gi, Gamma), ph[1])
             if conn else None)
@@ -527,9 +585,9 @@ def _point_tractor_frame(ctx):
         pk = curvature_pack(geo, ph[0], order=2) if conn else None
         g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
                         else metric_connection(geo, ph[0])[:3])
-        fr = submanifold.normal_frame(g, gi, ph[1], orientation,
-                                      ctx.sub.seeds, Gamma, ph[2])
-        frame = subtractor.tractor_conormal_rows(fr["conormals"], fr["H"])
+        fr = _point_normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds,
+                                 Gamma, ph[2])
+        frame = _point_tractor_rows(fr["conormals"], fr["H"])
         return frame @ middle_block(gi), frame @ pairing_matrix(n), (
             submanifold.SigmaConn(ConnData.from_pack(pk), ph[1])
             if conn else None)
@@ -545,9 +603,10 @@ def test_normal_curvature_is_the_nested_loop(case, frame):
     geo, emb = FRAME_CASES[case]()
     q = np.linspace(0.15, -0.1, emb.m)
     if frame == "riemannian":
-        seeds = submanifold_pack(geo, emb, q).seeds
-        new = submanifold._normal_curvature(geo, emb, q, seeds)
-        ref = _loop_normal_curvature(_point_riemannian_frame(geo, emb, seeds),
+        sub = submanifold_pack(geo, emb, q)
+        new = submanifold._normal_curvature(geo, emb, sub)
+        ref = _loop_normal_curvature(_point_riemannian_frame(geo, emb,
+                                                             sub.seeds),
                                      q, tangent_up(emb.n))
     else:
         ctx = subtractor.SubTractorContext(geo, emb, q)
@@ -592,16 +651,123 @@ def test_stacked_packs_are_the_per_point_packs(name, ename, fd):
                                                       seeds=seeds))
 
 
+def _assert_rows_are_point_frames(stacked, rows):
+    """Each row of a stacked ``normal_frame`` is the per-point frame, every
+    array bit for bit and the seeds the same tuple of Python ints."""
+    assert set(stacked) == set(rows[0])
+    assert len(stacked["seeds"]) == len(rows)
+    for r, ref in enumerate(rows):
+        seeds = stacked["seeds"][r]
+        assert type(seeds) is tuple and seeds == ref["seeds"]
+        assert all(type(a) is int for a in seeds)
+        for key, v in ref.items():
+            if key != "seeds":
+                assert np.array_equal(stacked[key][r], v), (r, key)
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name,ename", EMBEDDING_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in EMBEDDING_CASES])
+def test_stacked_normal_frame_is_the_point_frame(name, ename, fd):
+    """``normal_frame`` on a stack of points (with a repeated row, and a
+    stack of one) gives at each row what the per-point frame gives, with
+    seeds chosen and given, with and without Gamma."""
+    entry = geolib.catalog()[name]
+    emb = entry.embeddings[ename]()
+    geo = entry.make_geometry()
+    if geo.n != emb.n:
+        geo = entry.make_geometry(n=emb.n)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    Q = np.random.default_rng(31).uniform(-0.2, 0.2, (3, emb.m))
+    Q = np.vstack([Q, Q[1]])
+    ph = stacked_jets(emb.phi, Q, 2)
+    pk = curvature_pack(geo, ph[0], order=2)
+    orientation = geo.orientation * emb.orientation
+    given = _point_normal_frame(pk.g[0], pk.gi[0], ph[1][0],
+                                orientation)["seeds"]
+    for seeds in (None, given):
+        for extra in ((), (pk.Gamma, ph[2])):
+            args = (pk.g, pk.gi, ph[1])
+            rows = [_point_normal_frame(*(a[r] for a in args), orientation,
+                                        seeds, *(e[r] for e in extra))
+                    for r in range(len(Q))]
+            _assert_rows_are_point_frames(
+                submanifold.normal_frame(*args, orientation, seeds, *extra),
+                rows)
+            _assert_rows_are_point_frames(
+                submanifold.normal_frame(*(a[2:3] for a in args),
+                                         orientation, seeds,
+                                         *(e[2:3] for e in extra)),
+                rows[2:3])
+
+
+def _tied_dphi():
+    """The tangent plane of e_0 and (e_1 + e_2)/sqrt 2 in R^3: rows 1 and 2
+    of N^a_b are equally far from it."""
+    s = 1 / math.sqrt(2)
+    return np.array([[1.0, 0.0], [0.0, s], [0.0, s]])
+
+
+def test_normal_frame_seed_tie_goes_to_the_lower_index():
+    """Two coordinate conormals that score equally: the seed is the lower
+    index, alone and as one row of a stack."""
+    g = np.eye(3)
+    tied = _tied_dphi()
+    other = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    one = submanifold.normal_frame(g[None], g[None], tied[None], 1)
+    Nab = one["Nab"][0]
+    assert Nab[1] @ g @ Nab[1] == Nab[2] @ g @ Nab[2] > Nab[0] @ g @ Nab[0]
+    assert one["seeds"] == [(1,)]
+    stack = submanifold.normal_frame(np.stack([g] * 3), np.stack([g] * 3),
+                                     np.stack([other, tied, tied]), 1)
+    assert stack["seeds"] == [(0,), (1,), (1,)]
+    assert _point_normal_frame(g, g, tied, 1)["seeds"] == (1,)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_normal_frame_degenerate_seeds_on_any_row(k):
+    """Given seeds that are degenerate on row k of a stack raise, whichever
+    row k is."""
+    g = np.eye(3)
+    dphi = np.stack([np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])] * 3)
+    submanifold.normal_frame(np.stack([g] * 3), np.stack([g] * 3), dphi, 1,
+                             seeds=(0,))
+    dphi[k] = _tied_dphi()   # e_0 is tangent there: its conormal is 0
+    with pytest.raises(RankDeficientError, match="degenerate conormal"):
+        submanifold.normal_frame(np.stack([g] * 3), np.stack([g] * 3), dphi,
+                                 1, seeds=(0,))
+
+
+def test_stacked_pack_names_the_rank_deficient_row():
+    """``submanifold_pack`` on a stack raises at a rank-deficient row with
+    the message a call at that row alone gives, and stores no pack."""
+    geo = geolib.euclidean(3)
+
+    def fn(v):
+        y2 = v[0] * v[0]
+        return [y2, y2, y2]
+    emb = geolib.jet_embedding(1, 3, fn)
+    with pytest.raises(RankDeficientError) as alone:
+        submanifold_pack(geo, emb, np.array([0.0]))
+    with pytest.raises(RankDeficientError) as stacked:
+        submanifold_pack(geo, emb, np.array([[0.3], [0.0], [-0.2]]))
+    assert str(stacked.value) == str(alone.value)
+    assert "rank-deficient at [0.]" in str(alone.value)
+    assert not emb.packs
+
+
 def test_normal_curvature_builds_no_pack(monkeypatch):
     """No stencil point of the Ricci or tractor Ricci residual builds a
     submanifold pack or an order-3 curvature pack; only the tractor
-    connection takes an order-2 pack at each of the 1 + 4m outer points.
-    Rows count the points; a batched call on a stack counts once, so the
-    4m stencil points share one call and the base point has its own."""
+    connection takes an order-2 pack at each of the 4m outer stencil
+    points.  Rows count the points; a batched call on a stack counts once,
+    so the 4m points share one call.  The base point reads the frame and
+    the pack the context holds: its own order-2 pack (one more call and
+    row) went when both normal curvatures started reading it there."""
     geo, emb = _frame_case("s2xs1xr", {}, "s2xs1")
     q = np.array([0.2, -0.1, 0.1])
     ctx = subtractor.SubTractorContext(geo, emb, q)
-    seeds = ctx.sub.seeds
     packs, rows, subpacks = Counter(), Counter(), Counter()
 
     def counted_pack(geo, x, order=None):
@@ -616,8 +782,8 @@ def test_normal_curvature_builds_no_pack(monkeypatch):
         monkeypatch.setattr(mod, "curvature_pack", counted_pack)
         monkeypatch.setattr(mod, "submanifold_pack", counted_subpack)
     monkeypatch.setattr(subtractor, "SubTractorContext", None)
-    submanifold._normal_curvature(geo, emb, q, seeds)
+    submanifold._normal_curvature(geo, emb, ctx.sub)
     assert not packs and not subpacks
     subtractor._normal_tractor_curvature(ctx)
-    assert dict(rows) == {2: 1 + 4 * 3} and not subpacks
-    assert dict(packs) == {2: 2}
+    assert dict(rows) == {2: 4 * 3} and not subpacks
+    assert dict(packs) == {2: 1}
