@@ -23,7 +23,7 @@ from .submanifold import EmbeddingSpec
 from .subtractor import SubTractorContext
 from .tensors import (ANALYTIC, ArrayField, DiffBackend, NumericalError,
                       alt_array, central_diff, on_axes, pairing_matrix,
-                      set_stage, stacked_jets, stage, sym_array,
+                      set_stage, stage, sym_array,
                       tangent_down, tractor_down, tractor_metric_matrix)
 from . import tractor as tr
 
@@ -49,7 +49,7 @@ def _lc_jets(geo, kspec, x, order):
 def _form_jets(kspec, conn, x, order):
     """Partial-derivative jets and covariant derivative arrays of the form
     components under the connection ``conn``."""
-    jets = stacked_jets(kspec.field, x, order)
+    jets = kspec.field.jets(x, order)
     idxs = tuple(tangent_down(conn.n) for _ in range(kspec.degree - 1))
     covs = tr.covariant_jet(conn, jets, idxs, order=order) if order >= 1 else []
     return jets, covs
@@ -510,12 +510,17 @@ class _LocusPolynomial(ArrayField):
     def jets(self, y, order):
         y = np.asarray(y, dtype=float)
         x0, X1, X2, X3 = self.coeffs
-        X3y = X3 @ y
-        X2y = X2 @ y
-        out = [x0 + X1 @ y + (X2y + X3y @ y / 3.0) @ y / 2.0,
-               X1 + X2y + X3y @ y / 2.0,
+        lead = y.shape[:-1]
+        # y as a column behind the matrix axes of X1, X2 and X3
+        c1, c2, c3 = (y.reshape(lead + (1,) * k + (-1, 1)) for k in range(3))
+        X3y = (X3 @ c3)[..., 0]
+        X2y = (X2 @ c2)[..., 0]
+        X3yy = (X3y @ c2)[..., 0]
+        out = [x0 + (X1 @ c1)[..., 0]
+               + ((X2y + X3yy / 3.0) @ c1)[..., 0] / 2.0,
+               X1 + X2y + X3yy / 2.0,
                X2 + X3y,
-               X3]
+               np.broadcast_to(X3, lead + X3.shape).copy()]
         return out[:order + 1]
 
 

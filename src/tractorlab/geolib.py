@@ -52,8 +52,6 @@ class JetField(ArrayField):
     numbers or built from a coordinate, never order-3 ``Jet3`` constants.
     A pole is a ``JetOrderError``, at a single point or anywhere in a stack.
     """
-    point_axis = True
-
     def __init__(self, fn):
         self.jet_fn = fn
         super().__init__(self._value, backend=_analytic_backend())

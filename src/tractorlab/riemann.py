@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import (ArrayField, FieldHandle, NumericalError, TensorValue,
-                      _perm_sign, stacked_jets, tangent_down)
+                      _perm_sign, tangent_down)
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
            "metric_connection", "levi_civita_derivative", "rescale",
@@ -143,7 +143,7 @@ def metric_connection(geo: GeometrySpec, x, order=1):
     equal to a ``curvature_pack``'s to the bit.  For a stack of points
     ``x`` of shape (p, n) every array carries a leading point axis."""
     x = np.asarray(x, dtype=float)
-    jets = stacked_jets(geo.metric, x, order)
+    jets = geo.metric.jets(x, order)
     gi = _invert(jets[0], x)[0]
     if order == 0:
         return jets[0], gi, None, None
@@ -156,20 +156,18 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     """Evaluate the full curvature package of ``geo`` at chart point ``x``.
 
     ``order`` requests the metric jet order (default: the backend maximum,
-    capped at 3).  The Cotton tensor and dP require order 3.  At order 2,
-    ``x`` may be a stack of points of shape (p, n): one evaluation of the
-    metric jets then builds the packs of all p points, each array and
-    scalar carrying a leading point axis, and ``pack.at(i)`` is the pack
-    at row i, bitwise the pack a call at that point builds.
+    capped at 3).  The Cotton tensor and dP require order 3.  ``x`` may be
+    a stack of points of shape (p, n): one evaluation of the metric jets
+    then builds the packs of all p points, each array and scalar carrying
+    a leading point axis, and ``pack.at(i)`` is the pack at row i, bitwise
+    the pack a call at that point builds.
     """
     x = np.asarray(x, dtype=float)
     n = geo.n
     if order is None:
         order = min(3, geo.backend.max_order)
     order = max(order, 2)
-    if x.ndim == 2 and order > 2:
-        raise ValueError("a stack of points takes an order-2 pack")
-    jets = stacked_jets(geo.metric, x, order)
+    jets = geo.metric.jets(x, order)
     z = "z" * (x.ndim - 1)  # the point axis, if any
     g = jets[0]
     dg = jets[1]
@@ -220,33 +218,35 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     pack.P = P
     pack.W4 = W4
 
-    if order >= 3 and d3g is not None:
-        d2gi = (-np.einsum("cea,efb,fd->cdab", dgi, dg, gi)
-                - np.einsum("ce,efab,fd->cdab", gi, d2g, gi)
-                - np.einsum("ce,efb,fda->cdab", gi, dg, dgi))
-        # d2gi[c,d,a,b] = d_a d_b g^cd ... built as d_a(dgi[...,b])
-        d2half = 0.5 * (d3g.transpose(0, 2, 1, 3, 4) + d3g
-                        - d3g.transpose(2, 0, 1, 3, 4))
-        d2Gamma = (np.einsum("cdef,dab->cabef", d2gi, half)
-                   + np.einsum("cde,dabf->cabef", dgi, dhalf)
-                   + np.einsum("cdf,dabe->cabef", dgi, dhalf)
-                   + np.einsum("cd,dabef->cabef", gi, d2half))
-        dRud = (np.einsum("cbdae->abcde", d2Gamma) - np.einsum("cadbe->abcde", d2Gamma)
-                + np.einsum("cafe,fbd->abcde", dGamma, Gamma)
-                + np.einsum("caf,fbde->abcde", Gamma, dGamma)
-                - np.einsum("cbfe,fad->abcde", dGamma, Gamma)
-                - np.einsum("cbf,fade->abcde", Gamma, dGamma))
-        dRic = np.einsum("cbcde->bde", dRud)
-        dScal = (np.einsum("bde,bd->e", dgi, Ric)
-                 + np.einsum("bd,bde->e", gi, dRic))
+    if order >= 3:
+        d2gi = (-np.einsum(f"{z}cea,{z}efb,{z}fd->{z}cdab", dgi, dg, gi)
+                - np.einsum(f"{z}ce,{z}efab,{z}fd->{z}cdab", gi, d2g, gi)
+                - np.einsum(f"{z}ce,{z}efb,{z}fda->{z}cdab", gi, dg, dgi))
+        # d2gi[c,d,a,b] = d_a d_b g^cd ... built as d_a(dgi[...,b]); the
+        # swapaxes transpose (0 2 1 3 4) and (2 0 1 3 4) behind a point axis
+        d2half = 0.5 * (d3g.swapaxes(-4, -3) + d3g
+                        - d3g.swapaxes(-4, -3).swapaxes(-5, -4))
+        d2Gamma = (np.einsum(f"{z}cdef,{z}dab->{z}cabef", d2gi, half)
+                   + np.einsum(f"{z}cde,{z}dabf->{z}cabef", dgi, dhalf)
+                   + np.einsum(f"{z}cdf,{z}dabe->{z}cabef", dgi, dhalf)
+                   + np.einsum(f"{z}cd,{z}dabef->{z}cabef", gi, d2half))
+        dRud = (np.einsum(f"{z}cbdae->{z}abcde", d2Gamma)
+                - np.einsum(f"{z}cadbe->{z}abcde", d2Gamma)
+                + np.einsum(f"{z}cafe,{z}fbd->{z}abcde", dGamma, Gamma)
+                + np.einsum(f"{z}caf,{z}fbde->{z}abcde", Gamma, dGamma)
+                - np.einsum(f"{z}cbfe,{z}fad->{z}abcde", dGamma, Gamma)
+                - np.einsum(f"{z}cbf,{z}fade->{z}abcde", Gamma, dGamma))
+        dRic = np.einsum(f"{z}cbcde->{z}bde", dRud)
+        dScal = (np.einsum(f"{z}bde,{z}bd->{z}e", dgi, Ric)
+                 + np.einsum(f"{z}bd,{z}bde->{z}e", gi, dRic))
         dJ = dScal / (2.0 * (n - 1))
-        dP = (dRic - np.einsum("e,bd->bde", dJ, g)
-              - J * dg) / (n - 2)
+        dP = (dRic - np.einsum(f"{z}e,{z}bd->{z}bde", dJ, g)
+              - (J[:, None, None, None] if z else J) * dg) / (n - 2)
         # Cotton: C_abc = del_a P_bc - del_b P_ac (covariant)
-        covdP = dP.transpose(2, 0, 1) \
-            - np.einsum("eab,ec->abc", Gamma, P) \
-            - np.einsum("eac,be->abc", Gamma, P)
-        Cotton = covdP - covdP.transpose(1, 0, 2)
+        covdP = np.moveaxis(dP, -1, -3) \
+            - np.einsum(f"{z}eab,{z}ec->{z}abc", Gamma, P) \
+            - np.einsum(f"{z}eac,{z}be->{z}abc", Gamma, P)
+        Cotton = covdP - covdP.swapaxes(-3, -2)
         pack.dP = dP
         pack.Cotton = Cotton
         pack.has_third = True
@@ -315,15 +315,13 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
     """Conformally rescaled geometry with metric Omega^2 g.
 
     Returns ``(new_geo, upsilon)`` where ``upsilon(x)`` evaluates
-    Upsilon_a = Omega^-1 d_a Omega.  The rescaled metric's ``jets`` also
-    take a stack of points (one ``stacked_jets`` evaluation of Omega and of
-    the metric, each row bitwise the jets at that point).
+    Upsilon_a = Omega^-1 d_a Omega.  On a stack of points the rescaled
+    metric's ``jets`` make one ``jets`` call of Omega and one of the
+    metric, each row bitwise the jets at that point.
     """
     metric = geo.metric
 
     class _Scaled(ArrayField):
-        point_axis = True
-
         def __init__(self):
             super().__init__(self._val, backend=metric.backend)
 
@@ -335,11 +333,11 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
 
         def jets(self, x, order):
             x = np.asarray(x, dtype=float)
-            oj = stacked_jets(omega, x, order)
+            oj = omega.jets(x, order)
             w = oj[0] if x.ndim == 2 else float(oj[0])
             if np.any(w <= 0):
                 raise SingularMetricError("nonpositive conformal factor")
-            gj = stacked_jets(metric, x, order)
+            gj = metric.jets(x, order)
 
             def w_by(k):
                 """w lined up with k derivative axes of a point's jets."""

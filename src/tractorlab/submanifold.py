@@ -22,9 +22,8 @@ its stencil to one call, and ``submanifold_pack`` on a stack of points
 builds the missing packs from one embedding 2-jet, one order-2 curvature
 pack, one rank check and one normal frame, so a nested stencil costs one
 evaluation per level.  Only assembling each row's pack and the readers of
-a pack (the pulled-back metric's chain rule, ``SigmaField`` builders) run
-point by point, and each row is bitwise what an evaluation at that point
-alone gives.
+a pack (``SigmaField`` builders) run point by point, and each row is
+bitwise what an evaluation at that point alone gives.
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ import numpy as np
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       metric_connection, rescale)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
-                      central_diff, stacked_jets, tangent_down, tangent_up)
+                      central_diff, tangent_down, tangent_up)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
@@ -62,9 +61,6 @@ class EmbeddingSpec:
     orientation: int = 1
     packs: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-
-    def jets(self, y, order=3):
-        return self.phi.jets(np.asarray(y, dtype=float), order)
 
 
 PULLBACK_STEP3 = 1e-4
@@ -108,44 +104,46 @@ class PullbackMetricField(ArrayField):
     def _chain_jets(self, y, order):
         """The chain-rule jets at ``y``, or at each row of a stack ``y``
         (stacked on a leading axis): one evaluation of the embedding and
-        metric jets, then the contractions row by row."""
-        ph = stacked_jets(self.phi, y, min(3, order + 1))
-        gj = stacked_jets(self.geo.metric, ph[0], order)
-        if y.ndim == 1:
-            return _chain_rule(ph, gj, order)
-        rows = (_chain_rule([c[i] for c in ph], [c[i] for c in gj], order)
-                for i in range(len(y)))
-        return [np.stack(c) for c in zip(*rows)]
+        metric jets and one of the contractions."""
+        ph = self.phi.jets(y, min(3, order + 1))
+        return _chain_rule(ph, self.geo.metric.jets(ph[0], order), order)
 
 
 def _chain_rule(ph, gj, order):
-    """Jets of the pulled-back metric at one point from the embedding
-    (order + 1)-jet ``ph`` and the metric ``order``-jet ``gj``."""
+    """Jets of the pulled-back metric from the embedding (order + 1)-jet
+    ``ph`` and the metric ``order``-jet ``gj``, every array with an
+    optional leading point axis."""
     dphi = ph[1]
     g = gj[0]
-    G = np.einsum("ai,bj,ab->ij", dphi, dphi, g)
+    G = np.einsum("...ai,...bj,...ab->...ij", dphi, dphi, g)
     out = [G]
     if order >= 1:
         d2phi = ph[2]
         dg = gj[1]
-        dG = (np.einsum("aik,bj,ab->ijk", d2phi, dphi, g)
-              + np.einsum("ai,bjk,ab->ijk", dphi, d2phi, g)
-              + np.einsum("ai,bj,abc,ck->ijk", dphi, dphi, dg, dphi))
+        dG = (np.einsum("...aik,...bj,...ab->...ijk", d2phi, dphi, g)
+              + np.einsum("...ai,...bjk,...ab->...ijk", dphi, d2phi, g)
+              + np.einsum("...ai,...bj,...abc,...ck->...ijk",
+                          dphi, dphi, dg, dphi))
         out.append(dG)
     if order >= 2:
         d3phi = ph[3]
         d2g = gj[2]
-        t = (np.einsum("aikl,bj,ab->ijkl", d3phi, dphi, g)
-             + np.einsum("aik,bjl,ab->ijkl", d2phi, d2phi, g)
-             + np.einsum("ail,bjk,ab->ijkl", d2phi, d2phi, g)
-             + np.einsum("ai,bjkl,ab->ijkl", dphi, d3phi, g)
-             + np.einsum("aik,bj,abc,cl->ijkl", d2phi, dphi, dg, dphi)
-             + np.einsum("ai,bjk,abc,cl->ijkl", dphi, d2phi, dg, dphi)
-             + np.einsum("ail,bj,abc,ck->ijkl", d2phi, dphi, dg, dphi)
-             + np.einsum("ai,bjl,abc,ck->ijkl", dphi, d2phi, dg, dphi)
-             + np.einsum("ai,bj,abcd,ck,dl->ijkl", dphi, dphi, d2g,
-                         dphi, dphi)
-             + np.einsum("ai,bj,abc,ckl->ijkl", dphi, dphi, dg, d2phi))
+        t = (np.einsum("...aikl,...bj,...ab->...ijkl", d3phi, dphi, g)
+             + np.einsum("...aik,...bjl,...ab->...ijkl", d2phi, d2phi, g)
+             + np.einsum("...ail,...bjk,...ab->...ijkl", d2phi, d2phi, g)
+             + np.einsum("...ai,...bjkl,...ab->...ijkl", dphi, d3phi, g)
+             + np.einsum("...aik,...bj,...abc,...cl->...ijkl",
+                         d2phi, dphi, dg, dphi)
+             + np.einsum("...ai,...bjk,...abc,...cl->...ijkl",
+                         dphi, d2phi, dg, dphi)
+             + np.einsum("...ail,...bj,...abc,...ck->...ijkl",
+                         d2phi, dphi, dg, dphi)
+             + np.einsum("...ai,...bjl,...abc,...ck->...ijkl",
+                         dphi, d2phi, dg, dphi)
+             + np.einsum("...ai,...bj,...abcd,...ck,...dl->...ijkl",
+                         dphi, dphi, d2g, dphi, dphi)
+             + np.einsum("...ai,...bj,...abc,...ckl->...ijkl",
+                         dphi, dphi, dg, d2phi))
         out.append(t)
     return out
 
@@ -206,7 +204,7 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
             todo.setdefault(key, r)
     if todo:
         Q = np.array(list(todo.values()))
-        ph = stacked_jets(emb.phi, Q, 2)
+        ph = emb.phi.jets(Q, 2)
         packs = curvature_pack(geo, ph[0], order=2)
         deficient = np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m
         if deficient.any():
@@ -468,7 +466,7 @@ def _normal_curvature(geo, emb, sub):
     orientation = geo.orientation * emb.orientation
 
     def frame_at(Y, conn):
-        ph = stacked_jets(emb.phi, Y, 1)
+        ph = emb.phi.jets(Y, 1)
         g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
         fr = normal_frame(g, gi, ph[1], orientation, sub.seeds)
         return fr["normals"], fr["conormals"], (

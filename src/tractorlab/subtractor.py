@@ -42,7 +42,7 @@ from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
                           covariant_along, normal_curvature, normal_frame,
                           submanifold_pack)
 from .tensors import (TensorValue, middle_block,
-                      pairing_matrix, stacked_jets, stage, tangent_down,
+                      pairing_matrix, stage, tangent_down,
                       tangent_up, tractor_down, tractor_metric_matrix,
                       tractor_up)
 from . import tractor as tr
@@ -603,7 +603,7 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
         return T @ middle_block(gi), T @ Jamb, conn
 
     def frame_at(Y, conn):
-        ph = stacked_jets(emb.phi, Y, 2)
+        ph = emb.phi.jets(Y, 2)
         if conn:
             pk = curvature_pack(geo, ph[0], order=2)
             g, gi, Gamma = pk.g, pk.gi, pk.Gamma

@@ -9,11 +9,11 @@ index with a down one therefore goes through the constant pairing matrix
 that swaps the sigma and rho slots (implemented as an axis flip,
 ``tractor.pair_flip``).
 
-``ArrayField`` differentiates by nested central differences.  Its stencil
-is built as one array of points and evaluated with one ``values`` call, so
-a field that evaluates many points at once (``geolib.JetField``, whose
-order-0 jets carry a point axis) runs once per stencil rather than once per
-point; a plain field's ``values`` calls ``value`` point by point.
+Every field's ``jets(x, order)`` takes a point or a stack of points of
+shape (p, n), whose jets carry a leading point axis.  ``ArrayField``
+differentiates by nested central differences, the stencils of all rows in
+one ``values`` call (one evaluation for ``geolib.JetField``; a plain
+field's ``values`` calls ``value`` point by point).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ __all__ = [
     "NumericalError", "set_stage", "stage", "Index", "TensorValue",
     "DiffBackend", "ArrayField", "FieldHandle", "tangent_up", "tangent_down",
     "tractor_up", "tractor_down", "pairing_matrix", "tractor_metric_matrix",
-    "middle_block", "on_axes", "central_diff", "stacked_jets",
+    "middle_block", "on_axes", "central_diff",
 ]
 
 
@@ -316,14 +316,12 @@ class ArrayField:
     coordinate axes for the derivatives, here by nested central
     differences.  ``values(X)`` evaluates the field at each row of ``X``
     (shape (p, n)) and stacks the results on a leading axis; here it calls
-    ``value`` row by row, and a field that can evaluate many points at once
-    overrides it.  The central differences take their whole stencil from
-    one ``values`` call.  A field with exact derivatives overrides ``jets``
-    and declares an analytic backend; one whose ``jets`` also takes a stack
-    of points sets ``point_axis`` (see ``stacked_jets``).
+    ``value`` point by point, and a field that can evaluate many points at
+    once overrides it.  ``jets`` takes a point or a stack of points, whose
+    whole stencil comes from one ``values`` call.  A field with exact
+    derivatives overrides ``jets``, for a point and a stack alike, and
+    declares an analytic backend.
     """
-
-    point_axis = False
 
     def __init__(self, fn, backend=None):
         self.fn = fn
@@ -347,28 +345,34 @@ class ArrayField:
         return self._fd_jets(x, order)
 
     def _fd_jets(self, x, order):
-        """Value and central differences up to ``order`` at ``x``.
+        """Value and central differences up to ``order`` at ``x``, or at
+        each row of a stack ``x``.
 
-        The stencil is the nested one, duplicates included: x, the first
-        derivative's 1 + 2n points, the second derivative's 1 + 2n^2, and at
-        order 3 a second-derivative stencil at each of x +- step3 e_i, whose
-        central difference is the third derivative.  All its points go
-        through one ``values`` call.
+        Each row's stencil is the nested one, duplicates included: the row,
+        the first derivative's 1 + 2n points, the second derivative's
+        1 + 2n^2, and at order 3 a second-derivative stencil at each of
+        row +- step3 e_i, whose central difference is the third derivative.
+        All rows' stencils go through one ``values`` call in row order, so
+        a failure names the point a row-by-row evaluation meets first.
         """
-        n = x.size
+        X = x.reshape(-1, x.shape[-1])
+        n = X.shape[1]
         h = self.backend.step
-        pts = [x]
+        pts = [X]
         if order >= 1:
-            pts += _fd1_points(x, h)
-        centres = [x]
+            pts += _fd1_points(X, h)
+        centres = [X]
         if order >= 3:
             for e in self.backend.step3 * np.eye(n):
-                centres += [x + e, x - e]
+                centres += [X + e, X - e]
         if order >= 2:
             for c in centres:
                 pts += _fd2_points(c, h)
-        vals = self.values(np.array(pts))
-        v = vals[0]
+        vals = self.values(np.stack(pts, axis=1).reshape(-1, n))
+        # stencil position first, then the point axis; the value made
+        # C-contiguous, as a later einsum's rounding can depend on layout
+        vals = vals.reshape((len(X), len(pts)) + vals.shape[1:]).swapaxes(0, 1)
+        v = np.ascontiguousarray(vals[0])
         out = [v]
         if order >= 1:
             out.append(_fd1(vals[1:2 + 2 * n], n, h))
@@ -390,23 +394,14 @@ class ArrayField:
                   d3.transpose(*range(v.ndim), *(v.ndim + np.array([1, 0, 2]))) +
                   d3.transpose(*range(v.ndim), *(v.ndim + np.array([2, 1, 0])))) / 6.0
             out.append(d3)
-        return out
+        return out if x.ndim == 2 else [a[0] for a in out]
 
 
-def stacked_jets(field, x, order):
-    """``field.jets(x, order)``; for a stack of points x of shape (p, n) the
-    jets at every row, stacked on a leading axis: one call when the field's
-    ``jets`` takes a point axis, one call per row otherwise."""
-    if field.point_axis or np.ndim(x) == 1:
-        return field.jets(x, order)
-    return [np.stack(c) for c in zip(*(field.jets(r, order) for r in x))]
-
-
-def _fd1_points(x, h):
-    """x, then x + h e_a and x - h e_a for each a."""
-    pts = [x]
-    for e in h * np.eye(x.size):
-        pts += [x + e, x - e]
+def _fd1_points(X, h):
+    """X, then X + h e_a and X - h e_a for each a, X a stack of points."""
+    pts = [X]
+    for e in h * np.eye(X.shape[-1]):
+        pts += [X + e, X - e]
     return pts
 
 
@@ -418,15 +413,15 @@ def _fd1(vals, n, h):
     return d1
 
 
-def _fd2_points(x, h):
-    """x; then for each a, x +- h e_a followed by the four points
-    x +- h e_a +- h e_b of each b > a."""
-    steps = h * np.eye(x.size)
-    pts = [x]
+def _fd2_points(X, h):
+    """X; then for each a, X +- h e_a followed by the four points
+    X +- h e_a +- h e_b of each b > a (X a stack of points)."""
+    steps = h * np.eye(X.shape[-1])
+    pts = [X]
     for a, ea in enumerate(steps):
-        pts += [x + ea, x - ea]
+        pts += [X + ea, X - ea]
         for eb in steps[a + 1:]:
-            pts += [x + ea + eb, x + ea - eb, x - ea + eb, x - ea - eb]
+            pts += [X + ea + eb, X + ea - eb, X - ea + eb, X - ea - eb]
     return pts
 
 

@@ -89,15 +89,23 @@ METRICS = [(name, entry.make_geometry())
 
 @pytest.mark.parametrize("name,geo", METRICS, ids=[m[0] for m in METRICS])
 def test_fd_metric_jets_equal_the_per_point_route(name, geo):
+    """At a point, and at each row of a stack (a repeated row included)."""
     fd = cli.as_fd_geometry(geo).metric
     rng = np.random.default_rng(5)
-    for order in (1, 2, 3):
+    for order in (0, 1, 2, 3):
         x = rng.uniform(-0.3, 0.3, geo.n)
         got = fd.jets(x, order)
         ref = _ref_fd_jets(fd, x, order)
         assert len(got) == order + 1
         for a, b in zip(got, ref):
             assert _same_bits(a, b)
+        X = rng.uniform(-0.3, 0.3, (3, geo.n))
+        X = np.vstack([X, X[1]])
+        got = fd.jets(X, order)
+        assert len(got) == order + 1
+        for i, x in enumerate(X):
+            for a, b in zip(got, _ref_fd_jets(fd, x, order)):
+                assert _same_bits(a[i], b)
 
 
 def test_plain_field_calls_value_once_per_stencil_point():
@@ -108,6 +116,7 @@ def test_plain_field_calls_value_once_per_stencil_point():
         return np.array([[x @ x, np.sin(x[0])], [x[1] * x[2], 1.0]])
     field = ArrayField(fn, backend=DiffBackend(step3=2e-2))
     x = np.array([0.1, -0.2, 0.3])
+    X = np.array([x, [0.2, 0.0, -0.1], x])
     n = x.size
     for order, npts in ((0, 1), (1, 2 + 2 * n),
                         (2, 3 + 2 * n + 2 * n * n),
@@ -120,6 +129,16 @@ def test_plain_field_calls_value_once_per_stencil_point():
         assert len(calls) == npts
         for a, b in zip(got, ref):
             assert _same_bits(a, b)
+        # a stack: every row's stencil, in row order
+        calls.clear()
+        got = field.jets(X, order)
+        assert len(calls) == len(X) * npts
+        stencil = calls[:]
+        for i, y in enumerate(X):
+            calls.clear()
+            for a, b in zip(got, _ref_fd_jets(field, y, order)):
+                assert _same_bits(a[i], b)
+            assert _same_bits(stencil[i * npts:(i + 1) * npts], calls)
 
 
 # -- a pole inside the stencil ----------------------------------------------
@@ -132,6 +151,15 @@ def test_stencil_point_on_a_pole_is_a_jet_order_error():
         fd.jets(np.array([0.999, 0.0, 0.0]), 1)
     with pytest.raises(JetOrderError):
         geolib.hyperbolic(3).metric.values(np.array([[1.0, 0.0, 0.0]]))
+    # on a stack, the first pole in row order: row 1's stencil point
+    # (0, 1, 0), as the rows one at a time name it, not row 2's (1, 0, 0),
+    # which comes earlier in its own stencil
+    X = np.array([[0.2, 0.1, 0.0], [0.0, 0.999, 0.0], [0.999, 0.0, 0.0]])
+    with pytest.raises(JetOrderError, match=r"at \[0\. 1\. 0\.\]") as row:
+        fd.jets(X[1], 1)
+    with pytest.raises(JetOrderError) as stack:
+        fd.jets(X, 1)
+    assert str(stack.value) == str(row.value)
 
 
 def test_report_with_a_stencil_point_on_a_pole_exits_2(capsys):

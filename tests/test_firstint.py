@@ -461,7 +461,7 @@ def test_locus_jets_match_newton_route(case):
     emb = fi._locus_embedding(geo, spec, x0, codim)
     ref = _newton_graph_parametrisation(geo, spec, x0, codim)
     y0 = np.zeros(geo.n - codim)
-    exact, fd = emb.jets(y0, 2), ref.jets(y0, 2)
+    exact, fd = emb.phi.jets(y0, 2), ref.phi.jets(y0, 2)
     assert np.linalg.norm(fi._component_map(geo, spec, exact[0])) < 1e-12
     assert np.array_equal(exact[0], fd[0])
     # measured: at most 3.8e-13 and 1.1e-8, the central differences' error
@@ -470,8 +470,17 @@ def test_locus_jets_match_newton_route(case):
     # the polynomial stays on the locus to third order
     for t in (1e-2, 5e-3):
         y = np.full(geo.n - codim, t)
-        F = fi._component_map(geo, spec, emb.jets(y, 0)[0])
+        F = fi._component_map(geo, spec, emb.phi.jets(y, 0)[0])
         assert np.linalg.norm(F) <= 10 * t ** 4 + 1e-13
+    # its jets on a stack of points hold each row's jets bit for bit
+    Y = np.random.default_rng(29).uniform(-0.1, 0.1, (4, geo.n - codim))
+    Y = np.vstack([Y, y0])
+    for order in range(4):
+        stacked = emb.phi.jets(Y, order)
+        assert len(stacked) == order + 1
+        for i, y in enumerate(Y):
+            for a, b in zip(stacked, emb.phi.jets(y, order)):
+                assert _bitwise_equal(a[i].copy(), b), (order, i)
 
 
 def test_flat_rotation_locus_L_is_zero():

@@ -62,35 +62,42 @@ def _same_field(a, b):
     ids=[c[0] for c in CATALOG] + ["sphere2"])
 def test_point_axis_pack_is_the_stacked_per_point_packs(name, entry,
                                                          backend):
-    """One order-2 pack on a stack of points holds, at each row, every
-    field of the pack built at that point alone, bit for bit: arrays, the
-    scalars Scal, detg, J and K as floats, and the Moebius Schouten tensor
-    of a 2-dimensional chart."""
+    """One order-2 or order-3 pack on a stack of points holds, at each row,
+    every field of the pack built at that point alone, bit for bit: arrays,
+    the scalars Scal, detg, J and K as floats, the Moebius Schouten tensor
+    of a 2-dimensional chart, and dP and the Cotton tensor at order 3."""
     geo = entry.make_geometry()
     if backend == "fd":
         geo = cli.as_fd_geometry(geo)
     X = np.random.default_rng(17).uniform(-0.3, 0.3, (6, geo.n))
-    stacked = curvature_pack(geo, X, 2)
-    assert stacked.g.shape == (6, geo.n, geo.n)
-    for i, x in enumerate(X):
-        at, single = stacked.at(i), curvature_pack(geo, x, 2)
-        for f in dataclasses.fields(CurvaturePack):
-            a, b = getattr(at, f.name), getattr(single, f.name)
-            assert (a is None and b is None) or _same_field(a, b), f.name
-    with pytest.raises(ValueError):
-        curvature_pack(geo, X, 3)
+    for order in (2, 3):
+        stacked = curvature_pack(geo, X, order)
+        assert stacked.g.shape == (6, geo.n, geo.n)
+        for i, x in enumerate(X):
+            at, single = stacked.at(i), curvature_pack(geo, x, order)
+            assert at.has_third == single.has_third == (order == 3
+                                                        and geo.n >= 3)
+            for f in dataclasses.fields(CurvaturePack):
+                a, b = getattr(at, f.name), getattr(single, f.name)
+                assert (a is None and b is None) or _same_field(a, b), (
+                    order, f.name)
 
 
 def test_point_axis_pack_of_a_field_whose_jets_take_one_point():
-    """A pulled-back metric's jets take one point at a time; the stacked
-    pack evaluates them row by row and still equals the per-point packs.
-    (The rescaled metric's jets take a stack of points, see
-    ``test_rescaled_metric_jets_are_its_rows``.)"""
+    """A pulled-back metric's jets on a stack of points (one chain rule)
+    hold, at each row and order 0-3, the jets at that point bit for bit,
+    and its stacked pack equals the per-point packs.  (The rescaled
+    metric's, see ``test_rescaled_metric_jets_are_its_rows``.)"""
     entry = geolib.catalog()["s2xs1xr"]
     geo = GeometrySpec(n=3, metric=PullbackMetricField(
         entry.make_geometry(), entry.embeddings["s2xs1"]()))
-    assert not geo.metric.point_axis
     X = np.random.default_rng(19).uniform(-0.3, 0.3, (4, 3))
+    for k in range(4):
+        stacked = geo.metric.jets(X, k)
+        assert len(stacked) == k + 1
+        for i, x in enumerate(X):
+            for a, b in zip(stacked, geo.metric.jets(x, k)):
+                assert _bitwise_equal(a[i].copy(), b), k
     stacked = curvature_pack(geo, X, 2)
     for i, x in enumerate(X):
         single = curvature_pack(geo, x, 2)
@@ -109,7 +116,6 @@ def test_rescaled_metric_jets_are_its_rows(name, entry):
     X = np.random.default_rng(23).uniform(-0.3, 0.3, (5, base.n))
     for seed in range(3):
         geo, _ = rescale(base, geolib.random_conformal_factor(base.n, seed))
-        assert geo.metric.point_axis
         for k in range(4):
             stacked = geo.metric.jets(X, k)
             assert len(stacked) == k + 1

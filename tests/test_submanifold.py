@@ -20,8 +20,8 @@ from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     submanifold_pack)
 from test_tensors import _loop_central_diff
 from tractorlab.riemann import metric_connection
-from tractorlab.tensors import (middle_block, pairing_matrix, stacked_jets,
-                                tangent_up, tractor_up)
+from tractorlab.tensors import (middle_block, pairing_matrix, tangent_up,
+                                tractor_up)
 from tractorlab.tractor import ConnData, wedge
 
 
@@ -167,7 +167,9 @@ def test_minimal_scale_existence():
                              backend=geolib._analytic_backend())
 
         def jets(self, x, order):
-            return [j[0] for j in f.jets(x, order)]
+            # the component axis follows the point axis of a stack
+            return [np.take(j, 0, axis=np.ndim(x) - 1)
+                    for j in f.jets(x, order)]
 
     from tractorlab.riemann import rescale
     geo2, _ = rescale(geo, Om())
@@ -567,7 +569,7 @@ def _point_riemannian_frame(geo, emb, seeds):
     orientation = geo.orientation * emb.orientation
 
     def frame_at(y, conn):
-        ph = emb.jets(y, 1)
+        ph = emb.phi.jets(y, 1)
         g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
         fr = _point_normal_frame(g, gi, ph[1], orientation, seeds)
         return fr["normals"], fr["conormals"], (
@@ -581,7 +583,7 @@ def _point_tractor_frame(ctx):
     orientation = geo.orientation * emb.orientation
 
     def frame_at(y, conn):
-        ph = emb.jets(y, 2)
+        ph = emb.phi.jets(y, 2)
         pk = curvature_pack(geo, ph[0], order=2) if conn else None
         g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
                         else metric_connection(geo, ph[0])[:3])
@@ -681,7 +683,7 @@ def test_stacked_normal_frame_is_the_point_frame(name, ename, fd):
         geo = cli.as_fd_geometry(geo)
     Q = np.random.default_rng(31).uniform(-0.2, 0.2, (3, emb.m))
     Q = np.vstack([Q, Q[1]])
-    ph = stacked_jets(emb.phi, Q, 2)
+    ph = emb.phi.jets(Q, 2)
     pk = curvature_pack(geo, ph[0], order=2)
     orientation = geo.orientation * emb.orientation
     given = _point_normal_frame(pk.g[0], pk.gi[0], ph[1][0],
