@@ -31,7 +31,7 @@ import numpy as np
 from . import circles, firstint, geolib, riemann, submanifold, subtractor
 from . import tractor as tr
 from .tensors import (FD, ArrayField, DiffBackend, FieldHandle,
-                      NumericalError, middle_block, on_axes, stage)
+                      NumericalError, TensorValue, stage, tractor_down)
 
 SCHEMA = {
     "type": "object",
@@ -425,7 +425,8 @@ def _circle_preset(cfg):
         span = tuple(circ.get("t_span", (0.0, 10.0)))
         monitors = {}
         for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-            monitors[f"rotation{i}{j}"] = _rotation_monitor(i, j)
+            monitors[f"rotation{i}{j}"] = _rotation_monitor(
+                geolib.rotation_form(3, i, j))
         return geo, st, span, monitors, _flat_circle_summary, None
     if preset == "sphere-great-circle":
         geo = geolib.sphere(4)
@@ -438,19 +439,18 @@ def _circle_preset(cfg):
     return None
 
 
-def _rotation_monitor(i, j):
-    """First integral <star K, Phi>/3! for a flat rotation Killing form;
-    the splitting, the Hodge star and the curve tractors read the curvature
-    pack the integrator built at the output point."""
+def _rotation_monitor(kspec):
+    """First integral <star K, Phi>/3! of a Killing 2-form ``kspec``; the
+    splitting, the Hodge star and the curve tractors read the curvature
+    pack the integrator built at the output point.  Star K carries down
+    tractor indices and Phi up ones, so they pair through J, the
+    sigma/rho flip, on each of Phi's three axes, whatever the metric."""
     def monitor(geo, state, pack):
-        kspec = geolib.rotation_form(geo.n, i, j)
         K = firstint._split_components(geo, kspec, state.x, pack)
-        from .tensors import TensorValue, tractor_down
         ixs = tuple(tractor_down(geo.n) for _ in range(kspec.degree))
         F = tr.TractorFormObject(TensorValue(K, ixs, 0), geo)
         starK = tr.hodge_star(F, state.x, pack=pack).data
-        _, _, Phi = circles.curve_tractors(geo, state, pack=pack)
-        acc = on_axes(middle_block(pack.g), Phi, range(3))
+        _, _, acc = circles.curve_tractors(geo, state, pack=pack)
         for ax in range(3):
             acc = tr.pair_flip(acc, ax)
         return float(np.tensordot(starK, acc, axes=(range(3), range(3)))) / 6.0

@@ -7,8 +7,9 @@ nabla nabla k.  The scan's Gauss-Newton reads the chart Jacobian of
 (k, div k) from the order-2 jets under the metric's Levi-Civita
 connection alone, with no curvature pack, and refines its seeds in
 lockstep, one batched evaluation of all their trial points per round.  L on the found locus is
-measured on the locus's cubic Taylor polynomial, whose coefficients the
-implicit function theorem gives from the exact 3-jet of k.  The normality
+measured on the locus's cubic Taylor polynomial (a
+``geolib.PolynomialField``), whose coefficients the implicit function
+theorem gives from the exact 3-jet of k.  The normality
 check of ``bgg_split`` is the one finite difference; ``conserved_quantity``
 differentiates along the submanifold through ``SubTractorContext.along``,
 the one derivative along Sigma (a Richardson stencil)."""
@@ -18,12 +19,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .geolib import PolynomialField
 from .riemann import curvature_pack, metric_connection
 from .submanifold import EmbeddingSpec
 from .subtractor import SubTractorContext
-from .tensors import (ANALYTIC, ArrayField, DiffBackend, NumericalError,
-                      alt_array, central_diff, on_axes, pairing_matrix,
-                      set_stage, stage, sym_array,
+from .tensors import (NumericalError, alt_array, central_diff, on_axes,
+                      pairing_matrix, set_stage, stage, sym_array,
                       tangent_down, tractor_down, tractor_metric_matrix)
 from . import tractor as tr
 
@@ -498,32 +499,6 @@ def _locus_L_residuals(geo, kspec, points, codim, rank_gap):
                    f"below the codimension {codim} there")
 
 
-class _LocusPolynomial(ArrayField):
-    """The chart map y -> x0 + X1 y + X2 yy/2 + X3 yyy/6, with exact jets to
-    order 3; ``coeffs`` is [x0, X1, X2, X3] with the parameter axes last."""
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-        super().__init__(lambda y: self.jets(y, 0)[0],
-                         backend=DiffBackend(mode=ANALYTIC, max_order=3))
-
-    def jets(self, y, order):
-        y = np.asarray(y, dtype=float)
-        x0, X1, X2, X3 = self.coeffs
-        lead = y.shape[:-1]
-        # y as a column behind the matrix axes of X1, X2 and X3
-        c1, c2, c3 = (y.reshape(lead + (1,) * k + (-1, 1)) for k in range(3))
-        X3y = (X3 @ c3)[..., 0]
-        X2y = (X2 @ c2)[..., 0]
-        X3yy = (X3y @ c2)[..., 0]
-        out = [x0 + (X1 @ c1)[..., 0]
-               + ((X2y + X3yy / 3.0) @ c1)[..., 0] / 2.0,
-               X1 + X2y + X3yy / 2.0,
-               X2 + X3y,
-               np.broadcast_to(X3, lead + X3.shape).copy()]
-        return out[:order + 1]
-
-
 def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
     """EmbeddingSpec of the zero locus near x0 as its cubic Taylor
     polynomial, or None where the form's components alone do not cut the
@@ -579,5 +554,5 @@ def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
                 - np.einsum("cab,aij,bk->cijk", G2, X2, X1)
                 - np.einsum("cab,aik,bj->cijk", G2, X2, X1)
                 - np.einsum("cab,ajk,bi->cijk", G2, X2, X1))
-    return EmbeddingSpec(m=n - codim, n=n,
-                         phi=_LocusPolynomial([x, X1, X2, X3]), orientation=1)
+    return EmbeddingSpec(m=n - codim, n=n, orientation=1,
+                         phi=PolynomialField([x, X1, X2 / 2.0, X3 / 6.0]))

@@ -1,32 +1,40 @@
 """Catalog of geometries, embeddings and Killing-Yano forms.
 
-Every entry is written once as a function of jet variables (see jets.py),
-which yields machine-exact analytic derivatives up to order three.  A field
-evaluates its jet function at the order it is asked for: ``value()`` runs it
-on order-0 variables (plain float arithmetic), ``jets(x, k)`` on order-k
-variables, and ``values(X)`` and ``jets(X, k)`` on variables with a point
-axis (all rows of X at once).  A jet function therefore builds its
-constants as plain numbers (or from a variable), never as order-3 ``Jet3``
-constants, so that they take on the variables' order.  Entries are
-addressable by name from the CLI.
+Most entries are written once as a function of jet variables (see jets.py),
+which yields machine-exact analytic derivatives up to order three.  A
+``JetField`` evaluates its jet function at the order it is asked for:
+``value()`` runs it on order-0 variables (plain float arithmetic),
+``jets(x, k)`` on order-k variables, and ``values(X)`` and ``jets(X, k)``
+on variables with a point axis (all rows of X at once).  A jet function
+therefore builds its constants as plain numbers (or from a variable), never
+as order-3 ``Jet3`` constants, so that they take on the variables' order.
+
+The polynomial entries (the random metrics, graphs and conformal factors,
+the Fubini-Study numerator and denominator) are ``PolynomialField``
+instances instead: arrays of symmetric coefficients whose exact jets, of
+any order, are a few matrix products on a point or a stack of points.  A
+scalar one may be composed with a univariate function through ``Jet3``'s
+chain rule.  Entries are addressable by name from the CLI.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .jets import pack_array, variables
-from .riemann import GeometrySpec
+from .jets import Jet3, from_arrays, pack_array, variables
+from .riemann import GeometrySpec, _leibniz_scale
 from .submanifold import EmbeddingSpec
-from .tensors import ANALYTIC, ArrayField, DiffBackend, JetOrderError
+from .tensors import (ANALYTIC, ArrayField, DiffBackend, JetOrderError,
+                      sym_array)
 
 __all__ = ["CatalogEntry", "catalog", "euclidean", "sphere", "hyperbolic",
            "fubini_study", "product_metric", "doubly_twisted_product",
            "doubly_warped_example", "twisted_example",
            "special_einstein_s2h2", "s2s2", "s2xs1xr",
-           "random_metric", "random_conformal_factor",
-           "coordinate_slice", "graph_embedding", "sphere_in_flat",
+           "random_metric", "random_conformal_factor", "PolynomialField",
+           "coordinate_slice", "sphere_in_flat",
            "circle_embedding", "helix_embedding", "diagonal_s2s2",
            "rotation_form", "constant_form", "dilation_form",
            "special_conformal_form", "KYFormSpec"]
@@ -51,8 +59,9 @@ class JetField(ArrayField):
     returns a (nested) array of jets / constants.  Constants must be plain
     numbers or built from a coordinate, never order-3 ``Jet3`` constants.
     A pole is a ``JetOrderError``, at a single point or anywhere in a stack.
+    A subclass computes its jets otherwise by overriding ``_eval`` alone.
     """
-    def __init__(self, fn):
+    def __init__(self, fn=None):
         self.jet_fn = fn
         super().__init__(self._value, backend=_analytic_backend())
 
@@ -63,13 +72,7 @@ class JetField(ArrayField):
             with np.errstate(all="ignore"):
                 out = pack_array(self.jet_fn(variables(x, order)), order,
                                  x.shape[1], points=len(x))
-            if not all(np.isfinite(c).all() for c in out):
-                ok = np.ones(len(x), dtype=bool)
-                for c in out:
-                    ok &= np.isfinite(c.reshape(len(x), -1)).all(axis=1)
-                raise JetOrderError(
-                    f"non-finite field evaluation at {x[np.argmin(ok)]}")
-            return out
+            return _finite_rows(x, out)
         try:
             out = self.jet_fn(variables(x, order))
         except ArithmeticError as exc:
@@ -85,6 +88,83 @@ class JetField(ArrayField):
 
     def jets(self, x, order):
         return list(self._eval(x, order))
+
+
+def _finite_rows(X, out):
+    """``out``, the jets on the stack X; a ``JetOrderError`` naming the
+    first row of X with a non-finite component if there is one."""
+    if not all(np.isfinite(c).all() for c in out):
+        ok = np.ones(len(X), dtype=bool)
+        for c in out:
+            ok &= np.isfinite(c.reshape(len(X), -1)).all(axis=1)
+        raise JetOrderError(
+            f"non-finite field evaluation at {X[np.argmin(ok)]}")
+    return out
+
+
+class PolynomialField(JetField):
+    """P(x) = sum_k C_k x^k with exact jets of any order (Griewank &
+    Walther, Evaluating Derivatives, ch. 13).  ``coeffs`` is [C_0, C_1, ...],
+    C_k the output shape followed by k parameter axes, symmetrised over
+    them (which leaves P unchanged).  D^j P = sum_{k>=j} k!/(k-j)! C_k
+    x^(k-j) is one matrix times the column of monomials [1, x, x x, ...],
+    a batched product on a stack, each row bitwise the product at that
+    point alone.  ``outer`` (a function of a scalar ``Jet3``, such as
+    ``Jet3.exp``) composes a scalar polynomial with it by the jet's chain
+    rule, orders 0-3.  A non-finite component is a ``JetOrderError``
+    naming its point.
+    """
+    def __init__(self, coeffs, outer=None):
+        coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+        self.n = coeffs[1].shape[-1]
+        self.shape = coeffs[0].shape
+        self.outer = outer
+        size = coeffs[0].size
+        # order j: blocks k!/(k-j)! C_k, columns the monomials of degree k-j
+        syms = [sym_array(c, range(c.ndim - k, c.ndim))
+                for k, c in enumerate(coeffs)]
+        self.matrices = [
+            np.hstack([math.perm(k, j) * c.reshape(size * self.n ** j, -1)
+                       for k, c in enumerate(syms) if k >= j])
+            for j in range(len(coeffs))]
+        super().__init__()
+
+    def _eval(self, x, order):
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(-1, self.n)
+        mono = [np.ones((len(X), 1))]
+        for _ in range(1, len(self.matrices)):
+            mono.append((mono[-1][:, :, None] * X[:, None, :]).reshape(
+                len(X), -1))
+        mono = np.hstack(mono)[:, :, None]
+        out = []
+        for j in range(order + 1):
+            shape = (len(X),) + self.shape + (self.n,) * j
+            if j < len(self.matrices):
+                M = self.matrices[j]
+                out.append((M @ mono[:, :M.shape[1]])[..., 0].reshape(shape))
+            else:
+                out.append(np.zeros(shape))
+        if self.outer is not None:
+            with np.errstate(all="ignore"):
+                out = pack_array(self.outer(from_arrays(out, self.n)), order,
+                                 self.n, points=len(X))
+        out = _finite_rows(X, out)
+        if x.ndim == 1:
+            out = [a.reshape(a.shape[1:]) for a in out]
+        return out
+
+
+class _ScaledField(JetField):
+    """The metric-shaped field ``base`` times the scalar field ``scale``,
+    both JetFields; the product's jets by the Leibniz rule."""
+    def __init__(self, scale, base):
+        self.scale, self.base = scale, base
+        super().__init__()
+
+    def _eval(self, x, order):
+        return _leibniz_scale(self.scale._eval(x, order),
+                              self.base._eval(x, order), order)
 
 
 def jet_metric(n, fn, orientation=1):
@@ -286,55 +366,23 @@ def s2xs1xr(d_lines=1):
 
 # complex-projective space --------------------------------------------------
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cconj(a):
-    return (a[0], -a[1])
-
-
 def fubini_study(N=2):
     """CP^N in the affine chart, normalised so that Ric = (2N+2) g.
 
-    Real coordinates (x1, y1, ..., xN, yN) with z_j = x_j + i y_j; the
-    Hermitian components are ((1+|z|^2) delta_ij - conj(z_i) z_j)/(1+|z|^2)^2.
-    """
+    Real coordinates v = (x1, y1, ..., xN, yN) with z_j = x_j + i y_j; the
+    Hermitian components ((1+|z|^2) delta_ij - conj(z_i) z_j)/(1+|z|^2)^2
+    are g = ((1+|v|^2) delta - v v^T - Jv (Jv)^T)/(1+|v|^2)^2, with J the
+    complex structure (Jv)_{2j} = -y_j, (Jv)_{2j+1} = x_j."""
     n = 2 * N
-
-    def fn(v):
-        zs = [(v[2 * j], v[2 * j + 1]) for j in range(N)]
-        s = _norm2(v, n)
-        denom = (1.0 + s) * (1.0 + s)
-        h = [[None] * N for _ in range(N)]
-        for i in range(N):
-            for j in range(N):
-                num = _cmul(_cconj(zs[i]), zs[j])
-                re = -num[0]
-                im = -num[1]
-                if i == j:
-                    re = re + (1.0 + s)
-                h[i][j] = (re / denom, im / denom)
-        # real metric: g(pa, pb) = Re(h_{i(a) j(b)} c_a conj(c_b)),
-        # c = 1 on x-legs and i on y-legs.
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            ia, ra = divmod(a, 2)
-            for b in range(n):
-                ib, rb = divmod(b, 2)
-                hre, him = h[ia][ib]
-                if ra == 0 and rb == 0:
-                    out[a][b] = hre
-                elif ra == 0 and rb == 1:
-                    # c_a = 1, conj(c_b) = -i -> Re(-i h) = Im h
-                    out[a][b] = him
-                elif ra == 1 and rb == 0:
-                    # c_a = i -> Re(i h) = -Im h
-                    out[a][b] = -1.0 * him
-                else:
-                    out[a][b] = hre
-        return out
-    return jet_metric(n, fn)
+    eye = np.eye(n)
+    J = np.kron(np.eye(N), [[0.0, -1.0], [1.0, 0.0]])
+    quad = (np.einsum("ab,cd->abcd", eye, eye)
+            - np.einsum("ac,bd->abcd", eye, eye)
+            - np.einsum("ac,bd->abcd", J, J))
+    numerator = PolynomialField([eye, np.zeros((n, n, n)), quad])
+    denominator = PolynomialField([1.0, np.zeros(n), eye],
+                                  outer=lambda u: u ** -2)
+    return GeometrySpec(n=n, metric=_ScaledField(denominator, numerator))
 
 
 # random analytic data for oracle/property tests ----------------------------
@@ -346,19 +394,7 @@ def random_metric(n, seed=0, amplitude=0.08):
     quad = amplitude * rng.standard_normal((n, n, n, n))
     lin = (lin + lin.transpose(1, 0, 2)) / 2
     quad = (quad + quad.transpose(1, 0, 2, 3)) / 2
-
-    def fn(v):
-        out = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = out[i][j]
-                for k in range(n):
-                    acc = acc + lin[i, j, k] * v[k]
-                    for l in range(n):
-                        acc = acc + quad[i, j, k, l] * v[k] * v[l]
-                out[i][j] = acc
-        return out
-    return jet_metric(n, fn)
+    return GeometrySpec(n=n, metric=PolynomialField([np.eye(n), lin, quad]))
 
 
 def random_conformal_factor(n, seed=0, amplitude=0.2):
@@ -368,15 +404,7 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
     c1 = amplitude * rng.standard_normal(n)
     c2 = amplitude * rng.standard_normal((n, n))
     c2 = (c2 + c2.T) / 2
-
-    def fn(v):
-        psi = float(c0)
-        for a in range(n):
-            psi = psi + c1[a] * v[a]
-            for b in range(n):
-                psi = psi + c2[a, b] * v[a] * v[b]
-        return psi.exp()
-    return JetField(fn)
+    return PolynomialField([c0, c1, c2], outer=Jet3.exp)
 
 
 def constant_scalar(n, value=1.0):
@@ -401,37 +429,18 @@ def coordinate_slice(n, axes, values=None, orientation=1):
     return jet_embedding(m, n, fn, orientation)
 
 
-def graph_embedding(n, height_fns, orientation=1):
-    """phi(y) = (y, f_1(y), ..., f_{n-m}(y))."""
-    m = n - len(height_fns)
-
-    def fn(v):
-        out = list(v)
-        for f in height_fns:
-            out.append(f(v))
-        return out
-    return jet_embedding(m, n, fn, orientation)
-
-
 def random_graph_embedding(n, m, seed=0, amplitude=0.15):
+    """phi(y) = (y, f(y)) with f a small random cubic without constant
+    term, f: R^m -> R^(n-m)."""
     rng = np.random.default_rng(seed)
     d = n - m
     lin = amplitude * rng.standard_normal((d, m))
     quad = amplitude * rng.standard_normal((d, m, m))
     cub = amplitude * rng.standard_normal((d, m, m, m))
-
-    def mk(kk):
-        def f(v):
-            acc = 0.0
-            for i in range(m):
-                acc = acc + lin[kk, i] * v[i]
-                for j in range(m):
-                    acc = acc + quad[kk, i, j] * v[i] * v[j]
-                    for l in range(m):
-                        acc = acc + cub[kk, i, j, l] * v[i] * v[j] * v[l]
-            return acc
-        return f
-    return graph_embedding(n, [mk(k) for k in range(d)])
+    coeffs = [np.zeros(n), np.vstack([np.eye(m), lin])]
+    coeffs += [np.concatenate([np.zeros((m,) + c.shape[1:]), c])
+               for c in (quad, cub)]
+    return EmbeddingSpec(m=m, n=n, phi=PolynomialField(coeffs))
 
 
 def sphere_in_flat(n, radius=1.0):

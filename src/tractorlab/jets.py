@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet3", "variables", "constant", "pack_array"]
+__all__ = ["Jet3", "variables", "constant", "from_arrays", "pack_array"]
 
 MAX_ORDER = 3
 
@@ -325,6 +325,15 @@ def constant(n, value, order=MAX_ORDER):
                 np.zeros(n) if order >= 1 else None,
                 np.zeros((n, n)) if order >= 2 else None,
                 np.zeros((n, n, n)) if order >= 3 else None)
+
+
+def from_arrays(arrays, n):
+    """Scalar jet of n variables on a stack of points from its value and
+    derivative arrays, the point axis leading as ``pack_array`` gives it."""
+    order = len(arrays) - 1
+    _check_order(order)
+    return _jet(n, order, np.asarray(arrays[0], dtype=float),
+                *(a.transpose(*range(1, a.ndim), 0) for a in arrays[1:]))
 
 
 def pack_array(jets, order=MAX_ORDER, n=None, points=None):

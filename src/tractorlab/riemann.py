@@ -280,9 +280,10 @@ def levi_civita_derivative(geo: GeometrySpec, handle: FieldHandle, x) -> TensorV
 
 
 def _leibniz_scale(omj, gjets, order):
-    """Jets of F * g from scalar jets omj=(F,Fa,Fab,Fabc) and metric jets,
-    every array with an optional leading point axis (z)."""
-    F, Fa, Fab, Fabc = omj
+    """Jets of F * g from the scalar jets omj = (F, Fa, Fab, Fabc) up to
+    ``order`` and metric jets, every array with an optional leading point
+    axis (z)."""
+    F = omj[0]
     g = gjets[0]
     z = "z" * (g.ndim - 2)
 
@@ -290,15 +291,15 @@ def _leibniz_scale(omj, gjets, order):
         return F * a if not z else F.reshape((-1,) + (1,) * (a.ndim - 1)) * a
     out = [times_F(g)]
     if order >= 1:
-        dg = gjets[1]
+        Fa, dg = omj[1], gjets[1]
         out.append(times_F(dg) + np.einsum(f"{z}a,{z}ij->{z}ija", Fa, g))
     if order >= 2:
-        d2g = gjets[2]
+        Fab, d2g = omj[2], gjets[2]
         out.append(times_F(d2g) + np.einsum(f"{z}a,{z}ijb->{z}ijab", Fa, dg)
                    + np.einsum(f"{z}b,{z}ija->{z}ijab", Fa, dg)
                    + np.einsum(f"{z}ab,{z}ij->{z}ijab", Fab, g))
     if order >= 3:
-        d3g = gjets[3]
+        Fabc, d3g = omj[3], gjets[3]
         t = (times_F(d3g)
              + np.einsum(f"{z}a,{z}ijbc->{z}ijabc", Fa, d2g)
              + np.einsum(f"{z}b,{z}ijac->{z}ijabc", Fa, d2g)
@@ -342,22 +343,21 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
             def w_by(k):
                 """w lined up with k derivative axes of a point's jets."""
                 return w if x.ndim == 1 else w.reshape((-1,) + (1,) * k)
-            Fa = Fab = Fabc = np.zeros(0)
-            F = w * w
+            F = [w * w]
             if order >= 1:
-                Fa = 2 * w_by(1) * oj[1]
+                F.append(2 * w_by(1) * oj[1])
             if order >= 2:
                 og = oj[1]
-                Fab = (2 * (og[..., :, None] * og[..., None, :])
-                       + 2 * w_by(2) * oj[2])
+                F.append(2 * (og[..., :, None] * og[..., None, :])
+                         + 2 * w_by(2) * oj[2])
             if order >= 3:
                 og, oh, ot = oj[1], oj[2], oj[3]
                 z = "z" * (x.ndim - 1)
-                Fabc = 2 * (np.einsum(f"{z}ab,{z}c->{z}abc", oh, og)
-                            + np.einsum(f"{z}ac,{z}b->{z}abc", oh, og)
-                            + np.einsum(f"{z}bc,{z}a->{z}abc", oh, og)) \
-                    + 2 * w_by(3) * ot
-            return _leibniz_scale((F, Fa, Fab, Fabc), gj, order)
+                F.append(2 * (np.einsum(f"{z}ab,{z}c->{z}abc", oh, og)
+                              + np.einsum(f"{z}ac,{z}b->{z}abc", oh, og)
+                              + np.einsum(f"{z}bc,{z}a->{z}abc", oh, og))
+                         + 2 * w_by(3) * ot)
+            return _leibniz_scale(F, gj, order)
 
     def upsilon(x):
         oj = omega.jets(x, 1)

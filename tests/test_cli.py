@@ -289,6 +289,25 @@ def test_flat_circle_pack_count(monkeypatch):
     assert packs["other"] == num
 
 
+def test_rotation_monitor_is_conserved_on_a_round_sphere():
+    """The rotation monitor pairs star K with Phi through J alone, so it is
+    a first integral where g is not delta: on sphere(3) with the round
+    rotation form, along two random conformal circles.  (Lowering Phi's
+    middle slots by g as well drifted by 0.44 and 0.53.)"""
+    from tractorlab import geolib
+    geo = geolib.sphere(3)
+    monitor = cli._rotation_monitor(geolib.round_rotation_form(3, 0, 1))
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        x, u, a = rng.uniform(-0.3, 0.3, (3, 3))
+        traj = circles.integrate_circle(
+            geo, circles.CurveState(x, u / np.linalg.norm(u), a), (0.0, 0.5),
+            rtol=1e-12, atol=1e-12, num=11, monitors={"k": monitor})
+        vals = traj.monitored["k"]
+        assert np.abs(vals).max() > 1e-2
+        assert vals.max() - vals.min() <= 1e-10
+
+
 def test_invariance_pack_count(monkeypatch):
     """Curvature packs of ``invariance`` on s2s2/factor1, pinned so that a
     change shows in review.  Each of the 3 rescalings reads the ambient

@@ -196,7 +196,9 @@ def test_scan_timelike_certificate():
                              backend=geolib._analytic_backend())
 
         def jets(self, x, order):
-            return [j[0] for j in f.jets(x, order)]
+            # component 0, after the point axis of a stack
+            return [np.take(j, 0, axis=np.ndim(x) - 1)
+                    for j in f.jets(x, order)]
 
     spec = geolib.KYFormSpec(n=4, degree=1, field=Sc(), name="sphere_scale")
     rep = fi.zero_locus_scan(geo, spec, [(-1.0, 1.0)] * 4, grid=9)

@@ -309,6 +309,8 @@ def test_rescale_triple_relation():
                              backend=DiffBackend(mode=ANALYTIC, max_order=3))
 
         def jets(self, y, order):
+            if np.ndim(y) != 1:
+                raise ValueError("Prod takes one point, not a stack")
             Q = to_jet(sig.jets(y, order), order) * to_jet(
                 omega.jets(y, order), order)
             return [np.asarray(Q.f), Q.g, Q.h, Q.t][:order + 1]
