@@ -1,20 +1,21 @@
 """Catalog of geometries, embeddings and Killing-Yano forms.
 
 Most entries are written once as a function of jet variables (see jets.py),
-which yields machine-exact analytic derivatives up to order three.  A
+which yields machine-exact analytic derivatives of any order.  A
 ``JetField`` evaluates its jet function at the order it is asked for:
 ``value()`` runs it on order-0 variables (plain float arithmetic),
 ``jets(x, k)`` on order-k variables, and ``values(X)`` and ``jets(X, k)``
 on variables with a point axis (all rows of X at once).  A jet function
 therefore builds its constants as plain numbers (or from a variable), never
-as order-3 ``Jet3`` constants, so that they take on the variables' order.
+as ``jets.constant`` jets of a fixed order, so that they take on the
+variables' order.
 
 The polynomial entries (the random metrics, graphs and conformal factors,
 the Fubini-Study numerator and denominator) are ``PolynomialField``
 instances instead: arrays of symmetric coefficients whose exact jets, of
 any order, are a few matrix products on a point or a stack of points.  A
-scalar one may be composed with a univariate function through ``Jet3``'s
-chain rule.  Entries are addressable by name from the CLI.
+scalar one may be composed with a univariate function of a ``Jet``.
+Entries are addressable by name from the CLI.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .jets import Jet3, from_arrays, pack_array, variables
-from .riemann import GeometrySpec, _leibniz_scale
+from .jets import Jet, pack_array, variables
+from .riemann import GeometrySpec, _scaled_jets
 from .submanifold import EmbeddingSpec
 from .tensors import (ANALYTIC, ArrayField, DiffBackend, JetOrderError,
                       sym_array)
@@ -55,9 +56,9 @@ class JetField(ArrayField):
     and ``values(X)`` run the jet function once on variables that carry a
     point axis and return arrays with a leading point axis.
 
-    ``fn`` receives a list of Jet3 coordinates of the requested order and
+    ``fn`` receives a list of ``Jet`` coordinates of the requested order and
     returns a (nested) array of jets / constants.  Constants must be plain
-    numbers or built from a coordinate, never order-3 ``Jet3`` constants.
+    numbers or built from a coordinate, never jets of a fixed order.
     A pole is a ``JetOrderError``, at a single point or anywhere in a stack.
     A subclass computes its jets otherwise by overriding ``_eval`` alone.
     """
@@ -109,10 +110,10 @@ class PolynomialField(JetField):
     them (which leaves P unchanged).  D^j P = sum_{k>=j} k!/(k-j)! C_k
     x^(k-j) is one matrix times the column of monomials [1, x, x x, ...],
     a batched product on a stack, each row bitwise the product at that
-    point alone.  ``outer`` (a function of a scalar ``Jet3``, such as
-    ``Jet3.exp``) composes a scalar polynomial with it by the jet's chain
-    rule, orders 0-3.  A non-finite component is a ``JetOrderError``
-    naming its point.
+    point alone.  ``outer`` (a function of a scalar ``Jet``, such as
+    ``Jet.exp``) composes a scalar polynomial with it, run on the
+    polynomial's arrays as they are.  A non-finite component is a
+    ``JetOrderError`` naming its point.
     """
     def __init__(self, coeffs, outer=None):
         coeffs = [np.asarray(c, dtype=float) for c in coeffs]
@@ -147,8 +148,7 @@ class PolynomialField(JetField):
                 out.append(np.zeros(shape))
         if self.outer is not None:
             with np.errstate(all="ignore"):
-                out = pack_array(self.outer(from_arrays(out, self.n)), order,
-                                 self.n, points=len(X))
+                out = self.outer(Jet(self.n, out)).d
         out = _finite_rows(X, out)
         if x.ndim == 1:
             out = [a.reshape(a.shape[1:]) for a in out]
@@ -157,14 +157,14 @@ class PolynomialField(JetField):
 
 class _ScaledField(JetField):
     """The metric-shaped field ``base`` times the scalar field ``scale``,
-    both JetFields; the product's jets by the Leibniz rule."""
+    both JetFields; the product's jets by ``jets.product``."""
     def __init__(self, scale, base):
         self.scale, self.base = scale, base
         super().__init__()
 
     def _eval(self, x, order):
-        return _leibniz_scale(self.scale._eval(x, order),
-                              self.base._eval(x, order), order)
+        return _scaled_jets(self.scale._eval(x, order),
+                            self.base._eval(x, order), order)
 
 
 def jet_metric(n, fn, orientation=1):
@@ -404,7 +404,7 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
     c1 = amplitude * rng.standard_normal(n)
     c2 = amplitude * rng.standard_normal((n, n))
     c2 = (c2 + c2.T) / 2
-    return PolynomialField([c0, c1, c2], outer=Jet3.exp)
+    return PolynomialField([c0, c1, c2], outer=Jet.exp)
 
 
 def constant_scalar(n, value=1.0):

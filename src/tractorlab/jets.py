@@ -1,61 +1,200 @@
-"""Truncated multivariate Taylor arithmetic up to third order.
+"""Truncated multivariate Taylor arithmetic of any order.
 
-A ``Jet3`` of order k (0 to 3) carries the value of a scalar function of
-``n`` variables at a point and, up to order k, its gradient, Hessian and
-third-derivative tensor.  Components above the order are ``None`` and are
-never computed: an order-0 jet is a plain float value, an order-2 jet skips
-every third-derivative term.
+A ``Jet`` of order k carries the value of a scalar function of ``n``
+variables at a point and its derivative tensors up to order k: ``d[0]`` is
+the value, ``d[1]`` the gradient, ``d[2]`` the Hessian, and so on.  Nothing
+above the order is computed: an order-0 jet is a plain float value.
 
 A jet may instead carry a stack of points.  ``variables(X, k)`` for ``X`` of
-shape (p, n) gives coordinate jets whose value ``f`` has shape (p,) and
-whose ``g``, ``h`` and ``t`` carry the point axis last: (n, p), (n, n, p)
-and (n, n, n, p), or a point axis of length 1 where a component is the
-same at every point (a coordinate's gradient, a constant's zeros).  With
-the point axis trailing, the product and chain-rule formulas broadcast
-unchanged, so one run of a jet function evaluates it at all p points, and
-``pack_array(..., points=p)`` stacks the result with the point axis
-leading.  Each point's components are bitwise those a run at that point
-alone gives: the ring operations are correctly rounded in numpy as in
-Python, and ``exp``, ``log``, ``sqrt``, ``sin``, ``cos``, non-integer
-powers and the derivatives h', h'', h''' of every composition are evaluated
-point by point with Python floats (numpy's may differ in the last bit).
-A pole is a nan (or inf) at its point, not an exception; at a single point
-it raises ``ArithmeticError`` as Python float arithmetic does.
+shape (p, n) gives coordinate jets whose value has shape (p,) and whose
+derivative arrays carry the point axis first: (p, n), (p, n, n), ..., or a
+point axis of length 1 where a component is the same at every point (a
+coordinate's gradient), or none at all (a jet built at one point).  The
+arithmetic broadcasts over the point axis, so one run of a jet function
+evaluates it at all p points, and ``pack_array(..., points=p)`` stacks the
+result with the point axis leading.  Each point's components are bitwise
+those a run at that point alone gives: the ring operations are correctly
+rounded in numpy as in Python, and ``exp``, ``log``, ``sqrt``, ``sin``,
+``cos``, non-integer powers and the derivatives h', h'', ... of every
+composition are evaluated point by point with Python floats (numpy's may
+differ in the last bit).  A pole is a nan (or inf) at its point, not an
+exception; at a single point it raises ``ArithmeticError`` as Python float
+arithmetic does.
+
+Two routines do all the calculus, at any order and on lists of derivative
+arrays whose derivative axes come last (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13): ``product``, the Leibniz rule over the subsets of
+the derivative axes, and ``compose``, Faa di Bruno's formula over their set
+partitions, for a univariate outer function (the jet's exp, log, ...) or a
+map (a metric composed with an embedding).  ``Jet`` is the scalar case.
 
 Arithmetic between two jets truncates to the lower of their orders.  A plain
-number acts as a constant jet of the other operand's order (and point
-axis).  Every component is computed by the same formula at every order, so
-the components an order-k jet does carry are bitwise equal to those of the
-order-3 jet of the same expression.
+number acts on the coefficients directly: it scales every one, or shifts the
+value.  Both routines add their terms in a fixed order, so at orders 0-3
+every component is the float expression of the order-by-order product and
+chain-rule formulas that ``tests/test_jets.py`` keeps as its reference.
 
 Writing a metric, embedding or warp factor once as a plain function of the
 jet variables ``variables(x, order)`` yields machine-exact derivatives up to
 the order asked for, which is what the analytic differentiation backend
-consumes.  Such a function must build its constants as plain numbers (or
-from a variable), so that they take on the variables' order.
+consumes.  Such a function builds its constants as plain numbers (or from a
+variable), so that they take on the variables' order.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
-__all__ = ["Jet3", "variables", "constant", "from_arrays", "pack_array"]
+__all__ = ["Jet", "product", "compose", "variables", "constant",
+           "pack_array"]
 
-MAX_ORDER = 3
 
-
-def _jet(n, order, f, g=None, h=None, t=None):
-    """Jet from components that are already float arrays (no copies)."""
-    j = object.__new__(Jet3)
+def _jet(n, d):
+    """Jet from derivative arrays that are already floats (no copies)."""
+    j = object.__new__(Jet)
     j.n = n
-    j.order = order
-    # a value with a point axis stays an array
-    j.f = f if isinstance(f, np.ndarray) else float(f)
-    j.g = g
-    j.h = h
-    j.t = t
+    j.d = d
     return j
+
+
+def _outer(x, kx, y, ky):
+    """x (x) y over the trailing ``kx`` axes of x and ``ky`` of y, their
+    leading axes broadcast; x or y may be a plain number."""
+    if ky and isinstance(x, np.ndarray):
+        x = x[(...,) + (None,) * ky]
+    if kx and isinstance(y, np.ndarray):
+        y = y[(...,) + (None,) * kx + (slice(None),) * ky]
+    return x * y
+
+
+def _placement(blocks, slots=0):
+    """Axis order that moves the axes of an outer product, one block after
+    another (each block's ``slots`` value axes, then the derivative axes at
+    its positions), to all value axes first, then positions 0, 1, ...; None
+    when that is the order they are in."""
+    labels = []
+    for b, block in enumerate(blocks):
+        labels += [(0, b)] * slots + [(1, i) for i in block]
+    perm = tuple(sorted(range(len(labels)), key=labels.__getitem__))
+    return None if perm == tuple(range(len(perm))) else perm
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(k):
+    """The terms of D^k(ab): (j, placements) per outer product D^j a (x)
+    D^(k-j) b, in the order they are summed (j = k, 0, k-1, ..., 1); a
+    placement puts a's axes at a subset S of the k positions.  Where a has
+    fewer axes its subsets run in reverse lexicographic order, otherwise
+    b's do: the order of the order-by-order formulas to order 3."""
+    out = [(k, [None]), (0, [None])]
+    for j in range(k - 1, 0, -1):
+        places = []
+        for c in reversed(list(itertools.combinations(range(k),
+                                                      min(j, k - j)))):
+            rest = tuple(i for i in range(k) if i not in c)
+            places.append(_placement((c, rest) if j < k - j else (rest, c)))
+        out.append((j, places))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(k, m, slots):
+    """The set partitions of range(k) into m blocks, in lexicographic order
+    of their restricted growth strings, grouped by block sizes: a list of
+    (sizes, placements), sizes in descending order, one placement per
+    partition of the outer product of blocks of those sizes."""
+    groups = {}
+
+    def grow(rgs, top):
+        if len(rgs) == k:
+            if top == m:
+                blocks = [tuple(i for i in range(k) if rgs[i] == b)
+                          for b in range(m)]
+                blocks.sort(key=len, reverse=True)
+                sizes = tuple(map(len, blocks))
+                groups.setdefault(sizes, []).append(
+                    _placement(blocks, slots))
+            return
+        for b in range(min(top + 1, m)):
+            grow(rgs + [b], max(top, b + 1))
+    grow([], 0)
+    return list(groups.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _axes(perm, lead):
+    """``perm`` behind ``lead`` leading axes, for ``ndarray.transpose``."""
+    return tuple(range(lead)) + tuple(lead + p for p in perm)
+
+
+def _placed(total, P, places, k):
+    """``total`` (None for nothing) plus each placement of the outer product
+    P in turn, P's last ``k`` axes moved by the placement."""
+    lead = P.ndim - k
+    for perm in places:
+        term = P if perm is None else P.transpose(_axes(perm, lead))
+        total = term if total is None else total + term
+    return total
+
+
+def product(a, b, order):
+    """Jets of a b up to ``order`` from the jets a and b (lists of arrays,
+    ``a[k]`` with k trailing derivative axes, the leading axes of a and b
+    broadcast against each other): D^k(ab) is the sum over the subsets S of
+    the k derivative positions of D^|S| a (x) D^(k-|S|) b with a's axes at
+    S, one outer product per |S| and its placements as transposed views."""
+    out = [a[0] * b[0]]
+    for k in range(1, order + 1):
+        total = None
+        for j, places in _splits(k):
+            total = _placed(total, _outer(a[j], j, b[k - j], k - j), places,
+                            k)
+        out.append(total)
+    return out
+
+
+def compose(outer, inner, order, slots=0):
+    """Jets of h(u) up to ``order`` by Faa di Bruno's formula: D^k h(u) is
+    the sum over the set partitions of the k derivative positions of
+    h^(m) applied to the outer product of D^|B| u over the m blocks B,
+    grouped by m in descending order.
+
+    ``outer[m]`` is the m-th derivative of h at the value of u, and
+    ``inner`` the jets of u.  With ``slots`` 0, u is a scalar and
+    ``outer[m]`` a number per point, multiplied into the sum of the block
+    products.  With ``slots`` 1, u is a map whose arrays carry one value
+    axis before their derivative axes, and the trailing m axes of
+    ``outer[m]`` (the derivative tensor of h) are contracted with the value
+    axes of the m blocks.
+    """
+    out = [outer[0]]
+    for k in range(1, order + 1):
+        total = None
+        for m in range(k, 0, -1):
+            S = None
+            for sizes, places in _partitions(k, m, slots):
+                P, width = inner[sizes[0]], sizes[0] + slots
+                for s in sizes[1:]:
+                    P = _outer(P, width, inner[s], s + slots)
+                    width += s + slots
+                S = _placed(S, P, places, width)
+            term = _outer(S, k, outer[m], 0) if not slots else _contract(
+                outer[m], S, m, k)
+            total = term if total is None else total + term
+        out.append(total)
+    return out
+
+
+def _contract(h, S, m, k):
+    """h[..., a1..am] S[..., a1..am, i1..ik], summed over the a's."""
+    lead = S.ndim - m - k
+    width = math.prod(S.shape[lead:lead + m])
+    out = (h.reshape(h.shape[:lead] + (-1, width))
+           @ S.reshape(S.shape[:lead] + (width, -1)))
+    return out.reshape(h.shape[:h.ndim - m] + S.shape[S.ndim - k:])
 
 
 def _finite_or_nan(fn, *args):
@@ -76,309 +215,221 @@ def _pointwise(fn, u):
     return np.array([_finite_or_nan(fn, a) for a in u.tolist()])
 
 
-def _lift(j):
-    """``j`` with a point axis of length 1 on its value and derivatives."""
-    return _jet(j.n, j.order, np.full(1, j.f),
-                *(None if c is None else c[..., None]
-                  for c in (j.g, j.h, j.t)))
+def _pointwise_derivs(derivs, u, v, k):
+    """h', ..., h^(k) as k arrays along the point axis of u, each point's
+    from ``derivs`` on Python floats; nan at a pole."""
+    out = []
+    for a, b in zip(u.tolist(), v.tolist()):
+        hs = _finite_or_nan(derivs, a, b, k)
+        out.append(hs if isinstance(hs, list) else [math.nan] * k)
+    return list(np.array(out).T)
 
 
-def _operands(a, b):
-    """``a`` and ``b`` as two jets of one kind: a plain number becomes a
-    constant jet, and a jet without a point axis gets one of length 1 when
-    the other carries one (so a constant next to a stack of points has
-    zero derivatives of shape (n, 1), (n, n, 1), ...)."""
-    if type(b) is not Jet3:
-        if a.order and type(a.f) is np.ndarray:
-            return a, _lift(constant(a.n, b, a.order))
-        return a, constant(a.n, b, a.order)
-    # a value alone broadcasts whether or not it carries a point axis
-    if type(a.f) is type(b.f) or not (a.order and b.order):
-        return a, b
-    return (a, _lift(b)) if type(a.f) is np.ndarray else (_lift(a), b)
+def _scalar(c):
+    """A plain-number operand as a float, or None for a jet."""
+    return None if type(c) is Jet else float(c)
 
 
-def _outer(a, b):
-    """a_i b_j, point axes broadcast (``np.outer`` for plain vectors)."""
-    return a[:, None] * b[None, :]
-
-
-def _cab(t):
-    """t[a, b, c] rearranged as [c, a, b], point axes kept."""
-    return t.swapaxes(1, 2).swapaxes(0, 1)
-
-
-def _check_order(order):
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"jet order {order} outside 0..{MAX_ORDER}")
-
-
-def _sin_derivs(a, s):
-    c = math.cos(a)
-    return c, -s, -c
-
-
-def _cos_derivs(a, c):
-    s = math.sin(a)
-    return -s, -c, s
-
-
-class Jet3:
-    __slots__ = ("n", "order", "f", "g", "h", "t")
+class Jet:
+    __slots__ = ("n", "d")
     # numpy scalars defer to the jet's own operators
     __array_ufunc__ = None
 
-    def __init__(self, n, f, g=None, h=None, t=None, order=MAX_ORDER):
-        _check_order(order)
+    def __init__(self, n, coeffs):
+        """The jet of value ``coeffs[0]`` and derivative tensors
+        ``coeffs[1:]`` (of shapes (n,), (n, n), ...) at one point, or at
+        a stack of points with the point axis first on every array."""
+        f = np.asarray(coeffs[0], dtype=float)
         self.n = n
-        self.order = order
-        self.f = float(f)
-        self.g = self.h = self.t = None
-        if order >= 1:
-            self.g = np.zeros(n) if g is None else np.asarray(g, dtype=float)
-        if order >= 2:
-            self.h = (np.zeros((n, n)) if h is None
-                      else np.asarray(h, dtype=float))
-        if order >= 3:
-            self.t = (np.zeros((n, n, n)) if t is None
-                      else np.asarray(t, dtype=float))
+        self.d = [f if f.ndim else float(f)] + [
+            np.asarray(c, dtype=float) for c in coeffs[1:]]
+
+    @property
+    def order(self):
+        return len(self.d) - 1
 
     # -- basic ring operations -------------------------------------------
     def __add__(self, other):
-        a, o = _operands(self, other)
-        k = min(a.order, o.order)
-        return _jet(a.n, k, a.f + o.f,
-                    a.g + o.g if k >= 1 else None,
-                    a.h + o.h if k >= 2 else None,
-                    a.t + o.t if k >= 3 else None)
+        c = _scalar(other)
+        if c is not None:
+            return _jet(self.n, [self.d[0] + c] + self.d[1:])
+        # zip stops at the lower order
+        return _jet(self.n, [x + y for x, y in zip(self.d, other.d)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.order
-        return _jet(self.n, k, -self.f,
-                    -self.g if k >= 1 else None,
-                    -self.h if k >= 2 else None,
-                    -self.t if k >= 3 else None)
+        return _jet(self.n, [-x for x in self.d])
 
     def __sub__(self, other):
-        a, o = _operands(self, other)
-        return a + (-o)
+        c = _scalar(other)
+        return self + (-c if c is not None else -other)
 
     def __rsub__(self, other):
-        a, o = _operands(self, other)
-        return o - a
+        return -self + other
 
     def __mul__(self, other):
-        a, o = _operands(self, other)
-        k = min(a.order, o.order)
-        f = a.f * o.f
-        if k == 0:
-            return _jet(a.n, 0, f)
-        g = a.g * o.f + a.f * o.g
-        if k == 1:
-            return _jet(a.n, 1, f, g)
-        h = a.h * o.f + a.f * o.h + _outer(a.g, o.g) + _outer(o.g, a.g)
-        if k == 2:
-            return _jet(a.n, 2, f, g, h)
-        # ab_c[a, b, c] = h_ab g_c; its (a c b) and (c a b) arrangements
-        ab_c = a.h[:, :, None] * o.g[None, None]
-        t = (a.t * o.f + a.f * o.t
-             + ab_c + ab_c.swapaxes(1, 2) + _cab(ab_c))
-        cd_e = o.h[:, :, None] * a.g[None, None]
-        t = t + cd_e + cd_e.swapaxes(1, 2) + _cab(cd_e)
-        return _jet(a.n, 3, f, g, h, t)
+        c = _scalar(other)
+        if c is not None:
+            return _jet(self.n, [x * c for x in self.d])
+        k = min(self.order, other.order)
+        return _jet(self.n, product(self.d, other.d, k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, o = _operands(self, other)
-        return a * o._reciprocal()
+        c = _scalar(other)
+        return self * (1.0 / c if c is not None else other._reciprocal())
 
     def __rtruediv__(self, other):
-        a, o = _operands(self, other)
-        return o * a._reciprocal()
+        return self._reciprocal() * other
 
     def __pow__(self, k):
         if isinstance(k, int):
             if k == 0:
-                return _operands(self, 1.0)[1]
+                return _jet(self.n, [1.0] + [np.zeros_like(x)
+                                             for x in self.d[1:]])
             if k < 0:
                 return (self._reciprocal()) ** (-k)
             out = self
             for _ in range(k - 1):
                 out = out * self
             return out
-        return self._compose(
-            _pointwise(lambda a: a ** k, self.f), lambda a, _: (
-                k * a ** (k - 1), k * (k - 1) * a ** (k - 2),
-                k * (k - 1) * (k - 2) * a ** (k - 3)))
+
+        def derivs(a, _, order):
+            out, c = [], k
+            for j in range(1, order + 1):
+                out.append(c * a ** (k - j))
+                c = c * (k - j)
+            return out
+        return self._compose(_pointwise(lambda a: a ** k, self.d[0]), derivs)
 
     # -- composition with a univariate function --------------------------
     def _compose(self, h0, derivs):
-        """Chain rule for h(u) at u = self.f, with h0 = h(u).
+        """The jet of h(u) at u = self, with h0 = h(u).
 
-        ``derivs(a, v)`` returns (h', h'', h''') from the Python floats
+        ``derivs(a, v, k)`` returns [h', ..., h^(k)] from the Python floats
         a = u and v = h(u) at one point; it is called only when the jet
         carries derivatives, point by point along a point axis (nan where
         the point is a pole).
         """
         k = self.order
         if k == 0:
-            return _jet(self.n, 0, h0)
-        u = self.f
+            return _jet(self.n, [h0])
+        u = self.d[0]
         if isinstance(u, np.ndarray):
-            h1, h2, h3 = _pointwise_derivs(derivs, u, h0)
+            hs = _pointwise_derivs(derivs, u, h0, k)
         else:
-            h1, h2, h3 = derivs(u, h0)
-        g = h1 * self.g
-        if k == 1:
-            return _jet(self.n, 1, h0, g)
-        h = h2 * _outer(self.g, self.g) + h1 * self.h
-        if k == 2:
-            return _jet(self.n, 2, h0, g, h)
-        ggg = (self.g[:, None, None] * self.g[None, :, None]
-               * self.g[None, None, :])
-        hg = self.h[:, :, None] * self.g[None, None]
-        t = (h3 * ggg
-             + h2 * (hg + hg.swapaxes(1, 2) + _cab(hg))
-             + h1 * self.t)
-        return _jet(self.n, 3, h0, g, h, t)
+            hs = derivs(u, h0, k)
+        return _jet(self.n, compose([h0] + hs, self.d, k))
 
     def _reciprocal(self):
-        u = self.f
-        return self._compose(1.0 / u, lambda a, _: (
-            -1.0 / a ** 2, 2.0 / a ** 3, -6.0 / a ** 4))
+        return self._compose(1.0 / self.d[0], lambda a, _, k: [
+            float((-1) ** j * math.factorial(j)) / a ** (j + 1)
+            for j in range(1, k + 1)])
 
     def exp(self):
-        return self._compose(_pointwise(math.exp, self.f),
-                             lambda a, e: (e, e, e))
+        return self._compose(_pointwise(math.exp, self.d[0]),
+                             lambda a, e, k: [e] * k)
 
     def log(self):
-        return self._compose(_pointwise(math.log, self.f), lambda a, _: (
-            1.0 / a, -1.0 / a ** 2, 2.0 / a ** 3))
+        return self._compose(_pointwise(math.log, self.d[0]),
+                             lambda a, _, k: [
+            float((-1) ** (j - 1) * math.factorial(j - 1)) / a ** j
+            for j in range(1, k + 1)])
 
     def sqrt(self):
-        return self._compose(_pointwise(math.sqrt, self.f), lambda a, s: (
-            0.5 / s, -0.25 / (a * s), 0.375 / (a ** 2 * s)))
+        def derivs(a, s, k):
+            out, c = [], 0.5
+            for j in range(1, k + 1):
+                out.append(c / (a ** (j - 1) * s))
+                c = c * (0.5 - j)
+            return out
+        return self._compose(_pointwise(math.sqrt, self.d[0]), derivs)
 
+    # sin and cos: their derivatives repeat with period 4
     def sin(self):
-        return self._compose(_pointwise(math.sin, self.f), _sin_derivs)
+        def derivs(a, s, k):
+            c = math.cos(a)
+            return [(c, -s, -c, s)[j % 4] for j in range(k)]
+        return self._compose(_pointwise(math.sin, self.d[0]), derivs)
 
     def cos(self):
-        return self._compose(_pointwise(math.cos, self.f), _cos_derivs)
+        def derivs(a, c, k):
+            s = math.sin(a)
+            return [(-s, -c, s, c)[j % 4] for j in range(k)]
+        return self._compose(_pointwise(math.cos, self.d[0]), derivs)
 
     def __repr__(self):
-        f = (f"{self.f.size} points" if isinstance(self.f, np.ndarray)
-             else f"{self.f:+.6g}")
-        return f"Jet3({f}, n={self.n}, order={self.order})"
+        f = self.d[0]
+        f = (f"{f.size} points" if isinstance(f, np.ndarray)
+             else f"{f:+.6g}")
+        return f"Jet({f}, n={self.n}, order={self.order})"
 
 
-def _pointwise_derivs(derivs, u, v):
-    """(h', h'', h''') as three arrays along the point axis of u, each
-    point's from ``derivs`` on Python floats; nan at a pole."""
-    out = []
-    for a, b in zip(u.tolist(), v.tolist()):
-        d = _finite_or_nan(derivs, a, b)
-        out.append(d if isinstance(d, tuple) else (math.nan,) * 3)
-    return np.array(out).T
+def _check_order(order):
+    if order < 0:
+        raise ValueError(f"negative jet order {order}")
 
 
-def variables(x, order=MAX_ORDER):
+def variables(x, order):
     """Coordinate jets of the given order at the point ``x``, or at each
     row of a stack of points ``x`` of shape (p, n): then the values are the
-    columns of ``x`` and the derivative arrays carry a trailing point axis
-    (of length 1, as a coordinate's gradient is the same at every point)."""
+    columns of ``x`` and the derivative arrays carry a point axis of length
+    1 in front, as a coordinate's derivatives are the same at every
+    point."""
     _check_order(order)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        n = x.shape[1]
-        cols = np.ascontiguousarray(x.T)
-        if order == 0:
-            return [_jet(n, 0, col) for col in cols]
-        out = []
-        for a in range(n):
-            g = h = t = None
-            if order >= 1:
-                g = np.zeros((n, 1))
-                g[a] = 1.0
-            if order >= 2:
-                h = np.zeros((n, n, 1))
-            if order >= 3:
-                t = np.zeros((n, n, n, 1))
-            out.append(_jet(n, order, cols[a], g, h, t))
-        return out
-    n = x.size
-    if order == 0:
-        return [_jet(n, 0, f) for f in x.tolist()]
+    n = x.shape[-1]
+    lead = (1,) if x.ndim == 2 else ()
+    values = np.ascontiguousarray(x.T) if x.ndim == 2 else x.tolist()
+    zeros = [np.zeros(lead + (n,) * k) for k in range(2, order + 1)]
     out = []
     for a in range(n):
-        g = np.zeros(n)
-        g[a] = 1.0
-        out.append(Jet3(n, x[a], g, order=order))
+        d = [values[a]]
+        if order >= 1:
+            e = np.zeros(lead + (n,))
+            e[..., a] = 1.0
+            d += [e] + zeros
+        out.append(_jet(n, d))
     return out
 
 
-def constant(n, value, order=MAX_ORDER):
+def constant(n, value, order):
     """Constant jet: ``value`` with zero derivatives up to ``order``."""
-    return _jet(n, order, value,
-                np.zeros(n) if order >= 1 else None,
-                np.zeros((n, n)) if order >= 2 else None,
-                np.zeros((n, n, n)) if order >= 3 else None)
-
-
-def from_arrays(arrays, n):
-    """Scalar jet of n variables on a stack of points from its value and
-    derivative arrays, the point axis leading as ``pack_array`` gives it."""
-    order = len(arrays) - 1
     _check_order(order)
-    return _jet(n, order, np.asarray(arrays[0], dtype=float),
-                *(a.transpose(*range(1, a.ndim), 0) for a in arrays[1:]))
+    return _jet(n, [float(value)] + [np.zeros((n,) * k)
+                                     for k in range(1, order + 1)])
 
 
-def pack_array(jets, order=MAX_ORDER, n=None, points=None):
+def pack_array(jets, order, n=None, points=None):
     """Stack a nested list/array of jets into value/derivative arrays.
 
     Entries may be plain numbers (treated as constants) or jets of at least
     ``order``.  Returns ``order + 1`` arrays of shape ``shape``,
-    ``shape+(n,)``, ``shape+(n,n)``, ``shape+(n,n,n)``.  ``n`` is taken from
-    the first jet entry when not given.  For jets that carry a point axis of
-    length ``points`` each array gains a leading point axis (entries without
-    one are broadcast along it), and is C-contiguous.
+    ``shape+(n,)``, ``shape+(n,n)``, ...  ``n`` is taken from the first jet
+    entry when not given.  For jets that carry a point axis of length
+    ``points`` each array gains a leading point axis (entries without one
+    are broadcast along it), and is C-contiguous.
     """
     _check_order(order)
     arr = np.asarray(jets, dtype=object)
     flat = arr.reshape(-1)
-    if points is None:
-        lead = ()
-        v = np.array([e.f if isinstance(e, Jet3) else float(e)
-                      for e in flat], dtype=float)
-    else:
-        lead = (points,)
-        v = np.empty((points, flat.size))
-        for i, e in enumerate(flat):
-            v[:, i] = e.f if isinstance(e, Jet3) else float(e)
-    out = [v.reshape(lead + arr.shape)]
-    if order == 0:
-        return tuple(out)
-    jet_at = [(i, e) for i, e in enumerate(flat) if isinstance(e, Jet3)]
-    for _, e in jet_at:
+    lead = () if points is None else (points,)
+    jets = [e for e in flat if type(e) is Jet]
+    for e in jets:
         if e.order < order:
             raise ValueError(f"order-{e.order} jet in an order-{order} pack")
-    if n is None:
-        if not jet_at:
+    if order and n is None:
+        if not jets:
             raise ValueError("no jets in array")
-        n = jet_at[0][1].n
-    if lead:
-        jet_at = [(i, e if isinstance(e.f, np.ndarray) else _lift(e))
-                  for i, e in jet_at]
-    for k in range(1, order + 1):
-        comp = np.zeros((flat.size,) + (n,) * k + lead)
-        for i, e in jet_at:
-            comp[i] = (e.g, e.h, e.t)[k - 1]
-        if lead:
-            # the point axis from last to first
-            comp = np.ascontiguousarray(
-                comp.transpose(-1, *range(comp.ndim - 1)))
+        n = jets[0].n
+    out = []
+    for k in range(order + 1):
+        comp = np.zeros(lead + (flat.size,) + (n,) * k)
+        for i, e in enumerate(flat):
+            if type(e) is Jet or k == 0:
+                comp[(slice(None),) * len(lead) + (i,)] = (
+                    e.d[k] if type(e) is Jet else float(e))
         out.append(comp.reshape(lead + arr.shape + (n,) * k))
     return tuple(out)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import product
 from .tensors import (ArrayField, FieldHandle, NumericalError, TensorValue,
                       _perm_sign, tangent_down)
 
@@ -279,37 +280,13 @@ def levi_civita_derivative(geo: GeometrySpec, handle: FieldHandle, x) -> TensorV
     return TensorValue(out, handle.indices + (tangent_down(n),), handle.weight)
 
 
-def _leibniz_scale(omj, gjets, order):
-    """Jets of F * g from the scalar jets omj = (F, Fa, Fab, Fabc) up to
-    ``order`` and metric jets, every array with an optional leading point
-    axis (z)."""
-    F = omj[0]
-    g = gjets[0]
-    z = "z" * (g.ndim - 2)
-
-    def times_F(a):
-        return F * a if not z else F.reshape((-1,) + (1,) * (a.ndim - 1)) * a
-    out = [times_F(g)]
-    if order >= 1:
-        Fa, dg = omj[1], gjets[1]
-        out.append(times_F(dg) + np.einsum(f"{z}a,{z}ij->{z}ija", Fa, g))
-    if order >= 2:
-        Fab, d2g = omj[2], gjets[2]
-        out.append(times_F(d2g) + np.einsum(f"{z}a,{z}ijb->{z}ijab", Fa, dg)
-                   + np.einsum(f"{z}b,{z}ija->{z}ijab", Fa, dg)
-                   + np.einsum(f"{z}ab,{z}ij->{z}ijab", Fab, g))
-    if order >= 3:
-        Fabc, d3g = omj[3], gjets[3]
-        t = (times_F(d3g)
-             + np.einsum(f"{z}a,{z}ijbc->{z}ijabc", Fa, d2g)
-             + np.einsum(f"{z}b,{z}ijac->{z}ijabc", Fa, d2g)
-             + np.einsum(f"{z}c,{z}ijab->{z}ijabc", Fa, d2g)
-             + np.einsum(f"{z}ab,{z}ijc->{z}ijabc", Fab, dg)
-             + np.einsum(f"{z}ac,{z}ijb->{z}ijabc", Fab, dg)
-             + np.einsum(f"{z}bc,{z}ija->{z}ijabc", Fab, dg)
-             + np.einsum(f"{z}abc,{z}ij->{z}ijabc", Fabc, g))
-        out.append(t)
-    return out
+def _scaled_jets(F, gj, order):
+    """Jets of F g from the jets F of a scalar field and gj of a field with
+    two value axes (a metric), every array with an optional leading point
+    axis: ``jets.product`` with two value axes put into F's arrays."""
+    F = [np.expand_dims(f, (f.ndim - k, f.ndim - k + 1))
+         for k, f in enumerate(F)]
+    return product(F, gj, order)
 
 
 def rescale(geo: GeometrySpec, omega: ArrayField):
@@ -333,31 +310,11 @@ def rescale(geo: GeometrySpec, omega: ArrayField):
             return w ** 2 * metric.value(x)
 
         def jets(self, x, order):
-            x = np.asarray(x, dtype=float)
             oj = omega.jets(x, order)
-            w = oj[0] if x.ndim == 2 else float(oj[0])
-            if np.any(w <= 0):
+            if np.any(oj[0] <= 0):
                 raise SingularMetricError("nonpositive conformal factor")
-            gj = metric.jets(x, order)
-
-            def w_by(k):
-                """w lined up with k derivative axes of a point's jets."""
-                return w if x.ndim == 1 else w.reshape((-1,) + (1,) * k)
-            F = [w * w]
-            if order >= 1:
-                F.append(2 * w_by(1) * oj[1])
-            if order >= 2:
-                og = oj[1]
-                F.append(2 * (og[..., :, None] * og[..., None, :])
-                         + 2 * w_by(2) * oj[2])
-            if order >= 3:
-                og, oh, ot = oj[1], oj[2], oj[3]
-                z = "z" * (x.ndim - 1)
-                F.append(2 * (np.einsum(f"{z}ab,{z}c->{z}abc", oh, og)
-                              + np.einsum(f"{z}ac,{z}b->{z}abc", oh, og)
-                              + np.einsum(f"{z}bc,{z}a->{z}abc", oh, og))
-                         + 2 * w_by(3) * ot)
-            return _leibniz_scale(F, gj, order)
+            return _scaled_jets(product(oj, oj, order),
+                                metric.jets(x, order), order)
 
     def upsilon(x):
         oj = omega.jets(x, 1)

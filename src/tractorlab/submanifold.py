@@ -1,11 +1,12 @@
 """Riemannian and conformal submanifold calculus.
 
 An embedding is a chart map from an m-dimensional parameter chart into the
-ambient chart, with derivative access to order 3.  The pack collects induced
-metric, projectors, second fundamental form, mean curvature, the oriented
-normal frame and normal form, and an intrinsic geometry built from the
-pulled-back metric field (so intrinsic curvature is computed independently
-rather than through the Gauss equation).
+ambient chart, with derivative access to any order its field has.  The pack
+collects induced metric, projectors, second fundamental form, mean
+curvature, the oriented normal frame and normal form, and an intrinsic
+geometry built from the pulled-back metric field, whose jets of every order
+are exact (so intrinsic curvature is computed independently rather than
+through the Gauss equation).
 
 Every covariant derivative along the submanifold goes through
 ``covariant_along``: a Richardson difference of a pack-derived quantity
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jets import compose, product
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       metric_connection, rescale)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
@@ -63,18 +65,14 @@ class EmbeddingSpec:
                         compare=False)
 
 
-PULLBACK_STEP3 = 1e-4
-
-
 class PullbackMetricField(ArrayField):
     """Induced metric on the parameter chart of an embedding.
 
-    First and second derivatives come from the chain rule (embedding 3-jet,
-    ambient metric 2-jet); third derivatives fall back to central differences
-    of the chain-rule second derivative.  That second derivative is exact for
-    analytic fields, so their step ``PULLBACK_STEP3`` is sized against
-    truncation alone (error ~ step^2), not against the round-off of nested
-    differences.
+    Its jets of every order are those of dphi^T (g o phi) dphi: the ambient
+    metric composed with the embedding by Faa di Bruno's formula
+    (``jets.compose``), then two matrix products by the Leibniz rule
+    (``jets.product``), from the embedding's (k+1)-jet and the metric's
+    k-jet at one point or a stack of points.
 
     The field keeps the embedding's chart map, not the embedding: a pack in
     the embedding's memo holds this field, and a reference back would make
@@ -88,64 +86,25 @@ class PullbackMetricField(ArrayField):
                          backend=DiffBackend(mode="analytic", max_order=3))
 
     def _value(self, y):
-        ph = self.phi.jets(y, 1)
-        g = self.geo.metric.value(ph[0])
-        return np.einsum("ai,bj,ab->ij", ph[1], ph[1], g)
+        return self.jets(y, 0)[0]
 
     def jets(self, y, order):
-        y = np.asarray(y, dtype=float)
-        if order <= 2:
-            return self._chain_jets(y, order)
-        out = self._chain_jets(y, 2)
-        d3 = central_diff(lambda Z: self._chain_jets(Z, 2)[2], y,
-                          PULLBACK_STEP3)
-        return out + [d3]
-
-    def _chain_jets(self, y, order):
-        """The chain-rule jets at ``y``, or at each row of a stack ``y``
-        (stacked on a leading axis): one evaluation of the embedding and
-        metric jets and one of the contractions."""
-        ph = self.phi.jets(y, min(3, order + 1))
-        return _chain_rule(ph, self.geo.metric.jets(ph[0], order), order)
+        ph = self.phi.jets(np.asarray(y, dtype=float), order + 1)
+        g = compose(self.geo.metric.jets(ph[0], order), ph, order, slots=1)
+        dphi = ph[1:]
+        dphi_t = [np.swapaxes(a, a.ndim - k - 2, a.ndim - k - 1)
+                  for k, a in enumerate(dphi)]
+        return _matmul_jets(dphi_t, _matmul_jets(g, dphi, order), order)
 
 
-def _chain_rule(ph, gj, order):
-    """Jets of the pulled-back metric from the embedding (order + 1)-jet
-    ``ph`` and the metric ``order``-jet ``gj``, every array with an
-    optional leading point axis."""
-    dphi = ph[1]
-    g = gj[0]
-    G = np.einsum("...ai,...bj,...ab->...ij", dphi, dphi, g)
-    out = [G]
-    if order >= 1:
-        d2phi = ph[2]
-        dg = gj[1]
-        dG = (np.einsum("...aik,...bj,...ab->...ijk", d2phi, dphi, g)
-              + np.einsum("...ai,...bjk,...ab->...ijk", dphi, d2phi, g)
-              + np.einsum("...ai,...bj,...abc,...ck->...ijk",
-                          dphi, dphi, dg, dphi))
-        out.append(dG)
-    if order >= 2:
-        d3phi = ph[3]
-        d2g = gj[2]
-        t = (np.einsum("...aikl,...bj,...ab->...ijkl", d3phi, dphi, g)
-             + np.einsum("...aik,...bjl,...ab->...ijkl", d2phi, d2phi, g)
-             + np.einsum("...ail,...bjk,...ab->...ijkl", d2phi, d2phi, g)
-             + np.einsum("...ai,...bjkl,...ab->...ijkl", dphi, d3phi, g)
-             + np.einsum("...aik,...bj,...abc,...cl->...ijkl",
-                         d2phi, dphi, dg, dphi)
-             + np.einsum("...ai,...bjk,...abc,...cl->...ijkl",
-                         dphi, d2phi, dg, dphi)
-             + np.einsum("...ail,...bj,...abc,...ck->...ijkl",
-                         d2phi, dphi, dg, dphi)
-             + np.einsum("...ai,...bjl,...abc,...ck->...ijkl",
-                         dphi, d2phi, dg, dphi)
-             + np.einsum("...ai,...bj,...abcd,...ck,...dl->...ijkl",
-                         dphi, dphi, d2g, dphi, dphi)
-             + np.einsum("...ai,...bj,...abc,...ckl->...ijkl",
-                         dphi, dphi, dg, d2phi))
-        out.append(t)
-    return out
+def _matmul_jets(a, b, order):
+    """Jets of the matrix product a b from the jets of a and b (the two
+    value axes before the derivative axes): the Leibniz product of a and b
+    spread over (row, inner, column) axes, summed over the inner one."""
+    a = [np.expand_dims(x, x.ndim - k) for k, x in enumerate(a)]
+    b = [np.expand_dims(x, x.ndim - k - 2) for k, x in enumerate(b)]
+    return [x.sum(axis=x.ndim - k - 2)
+            for k, x in enumerate(product(a, b, order))]
 
 
 @dataclass

@@ -213,14 +213,10 @@ def test_criterion_7_flat_circle():
             starK = tr.hodge_star(
                 tr.TractorFormObject(TensorValue(K, ixs, 0), geo_),
                 state.x).data
-            _, _, Phi = ci.curve_tractors(geo_, state)
-            pk = curvature_pack(geo_, state.x)
-            low = np.eye(5)
-            low[1:4, 1:4] = pk.g
-            acc = Phi
+            # star K carries down tractor indices and Phi up ones: they
+            # pair through J, the sigma/rho flip, on each of Phi's axes
+            _, _, acc = ci.curve_tractors(geo_, state)
             for ax in range(3):
-                acc = np.moveaxis(np.tensordot(low, acc, axes=([1], [ax])),
-                                  0, ax)
                 acc = tr.pair_flip(acc, ax)
             return float(np.tensordot(starK, acc,
                                       axes=(range(3), range(3)))) / 6.0
@@ -269,11 +265,11 @@ def test_criterion_9_zero_locus():
                 and rep.L_residuals and max(rep.L_residuals) < 1e-5)
 
     def fn(v):
-        from tractorlab.jets import Jet3
+        from tractorlab.jets import constant
         s = v[0] * v[0]
         for a in range(1, 4):
             s = s + v[a] * v[a]
-        return [(Jet3(4, 1.0) + s) * 0.5]
+        return [(constant(4, 1.0, 3) + s) * 0.5]
 
     f = geolib.JetField(fn)
 

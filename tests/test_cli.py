@@ -45,6 +45,22 @@ def test_report_flat_hyperplane_residuals():
     assert row["L_norm"] < 1e-10
 
 
+def test_report_tractor_gauss_residual_at_round_off():
+    """s2xs1xr/s2xs1 at m = 3: the tractor Gauss residual reads the Cotton
+    tensor of the induced metric, whose third derivative is exact; as a
+    central difference with step 1e-4 it left 1.85e-7 at the first
+    point."""
+    rc, out, err = run_cli(
+        "report", "-s", 'geometry={"name":"s2xs1xr"}',
+        "-s", 'embedding={"name":"s2xs1"}',
+        "-s", 'samples={"points":[[0.2,-0.1,0.1],[0.1,0.25,-0.2]]}')
+    assert rc == 0, err
+    rows = json.loads(out)["per_sample"]
+    assert len(rows) == 2
+    for row in rows:
+        assert max(row["tractor_gcr"]) <= 3e-8
+
+
 def test_report_twisted_slice_verdicts():
     rc, out, err = run_cli(
         "report", "-s", 'geometry={"name":"twisted_r4"}',

@@ -6,7 +6,6 @@ from tractorlab import geolib
 from tractorlab import circles as ci
 from tractorlab import firstint as fi
 from tractorlab import tractor as tr
-from tractorlab.riemann import curvature_pack
 from tractorlab.submanifold import EmbeddingSpec
 from tractorlab.subtractor import SubTractorContext
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
@@ -140,14 +139,9 @@ def test_conservation_along_flat_circles():
             ixs = tuple(tractor_down(3) for _ in range(2))
             F = tr.TractorFormObject(TensorValue(split.K, ixs, 0), geo_)
             starK = tr.hodge_star(F, state.x).data
-            _, _, Phi = ci.curve_tractors(geo_, state)
-            pk = curvature_pack(geo_, state.x)
-            low = np.eye(5)
-            low[1:4, 1:4] = pk.g
-            acc = Phi
-            for ax in range(3):
-                acc = np.moveaxis(np.tensordot(low, acc, axes=([1], [ax])),
-                                  0, ax)
+            # star K carries down tractor indices and Phi up ones: they
+            # pair through J, the sigma/rho flip, on each of Phi's axes
+            _, _, acc = ci.curve_tractors(geo_, state)
             for ax in range(3):
                 acc = tr.pair_flip(acc, ax)
             return float(np.tensordot(starK, acc,
@@ -182,11 +176,11 @@ def test_scan_timelike_certificate():
     geo = geolib.euclidean(4)
 
     def fn(v):
-        from tractorlab.jets import Jet3
+        from tractorlab.jets import constant
         s = v[0] * v[0]
         for a in range(1, 4):
             s = s + v[a] * v[a]
-        return [(Jet3(4, 1.0) + s) * 0.5]
+        return [(constant(4, 1.0, 3) + s) * 0.5]
 
     f = geolib.JetField(fn)
 

@@ -354,7 +354,7 @@ def test_singular_metric_rejected():
 
     def fn(v):
         import tractorlab.jets as J
-        z = J.Jet3(2, 0.0)
+        z = J.constant(2, 0.0, 3)
         return [[v[0] * 0.0 + 1.0, z], [z, v[0] * 0.0]]
 
     geo = geolib.jet_metric(2, fn)

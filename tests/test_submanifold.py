@@ -19,6 +19,7 @@ from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     gauss_codazzi_ricci_residuals,
                                     submanifold_pack)
 from test_tensors import _loop_central_diff
+from tractorlab.tensors import central_diff
 from tractorlab.riemann import metric_connection
 from tractorlab.tensors import (middle_block, pairing_matrix, tangent_up,
                                 tractor_up)
@@ -153,8 +154,8 @@ def test_minimal_scale_existence():
     x0 = pk.x
 
     def fn(v):
-        from tractorlab.jets import Jet3
-        psi = Jet3(3, 0.0)
+        from tractorlab.jets import constant
+        psi = constant(3, 0.0, 3)
         for a in range(3):
             psi = psi + H_low[a] * (v[a] - float(x0[a]))
         return [psi.exp()]
@@ -328,7 +329,8 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {0: 78, 1: 180, 2: 311, 3: 22}, {0: 2, 1: 6, 2: 72, 3: 17}),
+     {0: 78, 1: 180, 2: 304, 3: 16, 4: 1},
+     {0: 2, 1: 6, 2: 70, 3: 16, 4: 1}),
 ]
 
 
@@ -376,7 +378,15 @@ def test_report_evaluation_count(monkeypatch):
     and calls 6 to 4 on s2s2, 182 to 180 and 8 to 6 on s2xs1xr), the
     tractor one the embedding and metric 2-jets of a second order-2 pack
     at the sample point (order-2 rows 313 to 311 and calls 74 to 72 on
-    s2xs1xr)."""
+    s2xs1xr).
+
+    The pulled-back metric's third derivative is exact: the s2xs1xr
+    report's order-3 intrinsic pack reads the embedding 4-jet and the
+    metric 3-jet at its point (one row and one call each), where it read
+    the embedding 3-jet and the metric 2-jet at that point and at the 6
+    points of a central difference (7 rows in 2 calls each): order-2 rows
+    311 to 304 and calls 72 to 70, order-3 rows 22 to 16 and calls 17 to
+    16, and one order-4 row and call."""
     calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
@@ -789,3 +799,107 @@ def test_normal_curvature_builds_no_pack(monkeypatch):
     subtractor._normal_tractor_curvature(ctx)
     assert dict(rows) == {2: 4 * 3} and not subpacks
     assert dict(packs) == {2: 1}
+
+
+# --------------------------------------------------------------------------
+# the pulled-back metric against the former chain rule
+# --------------------------------------------------------------------------
+
+def _ref_chain_rule(ph, gj, order):
+    """Reference: the jets of the pulled-back metric, orders 0-2, written
+    out by hand from the embedding (order + 1)-jet ``ph`` and the metric
+    ``order``-jet ``gj`` (the former ``submanifold._chain_rule``)."""
+    dphi = ph[1]
+    g = gj[0]
+    G = np.einsum("...ai,...bj,...ab->...ij", dphi, dphi, g)
+    out = [G]
+    if order >= 1:
+        d2phi = ph[2]
+        dg = gj[1]
+        dG = (np.einsum("...aik,...bj,...ab->...ijk", d2phi, dphi, g)
+              + np.einsum("...ai,...bjk,...ab->...ijk", dphi, d2phi, g)
+              + np.einsum("...ai,...bj,...abc,...ck->...ijk",
+                          dphi, dphi, dg, dphi))
+        out.append(dG)
+    if order >= 2:
+        d3phi = ph[3]
+        d2g = gj[2]
+        t = (np.einsum("...aikl,...bj,...ab->...ijkl", d3phi, dphi, g)
+             + np.einsum("...aik,...bjl,...ab->...ijkl", d2phi, d2phi, g)
+             + np.einsum("...ail,...bjk,...ab->...ijkl", d2phi, d2phi, g)
+             + np.einsum("...ai,...bjkl,...ab->...ijkl", dphi, d3phi, g)
+             + np.einsum("...aik,...bj,...abc,...cl->...ijkl",
+                         d2phi, dphi, dg, dphi)
+             + np.einsum("...ai,...bjk,...abc,...cl->...ijkl",
+                         dphi, d2phi, dg, dphi)
+             + np.einsum("...ail,...bj,...abc,...ck->...ijkl",
+                         d2phi, dphi, dg, dphi)
+             + np.einsum("...ai,...bjl,...abc,...ck->...ijkl",
+                         dphi, d2phi, dg, dphi)
+             + np.einsum("...ai,...bj,...abcd,...ck,...dl->...ijkl",
+                         dphi, dphi, d2g, dphi, dphi)
+             + np.einsum("...ai,...bj,...abc,...ckl->...ijkl",
+                         dphi, dphi, dg, d2phi))
+        out.append(t)
+    return out
+
+
+def _ref_pullback(geo, emb, Y, order):
+    """The former pulled-back metric jets up to order 2 on the stack Y."""
+    ph = emb.phi.jets(Y, order + 1)
+    return _ref_chain_rule(ph, geo.metric.jets(ph[0], order), order)
+
+
+PULLBACK_CASES = [("s2xs1xr", {}, "s2xs1", {}),
+                  ("euclidean", {"n": 3}, "sphere", {}),
+                  ("euclidean", {}, "graph", {}),
+                  ("euclidean", {"n": 5}, "graph", {"n": 5, "m": 3,
+                                                    "seed": 2}),
+                  ("sphere", {"n": 3}, "great", {"n": 3, "m": 2}),
+                  ("cp2", {}, "rp2", {}), ("s2s2", {}, "diagonal", {}),
+                  ("twisted_r4", {}, "second_factor", {"x1": 0.2}),
+                  ("hyperbolic", {"n": 3}, "slice", {"n": 3})]
+
+
+def _pullback_case(gname, gparams, ename, eparams):
+    entry = geolib.catalog()[gname]
+    geo, emb = entry.make_geometry(**gparams), entry.embeddings[ename](
+        **eparams)
+    Y = np.random.default_rng(23).uniform(-0.3, 0.3, (5, emb.m))
+    return geo, emb, Y, submanifold.PullbackMetricField(geo, emb)
+
+
+@pytest.mark.parametrize("case", PULLBACK_CASES, ids=lambda c: c[0] + "/" + c[2])
+def test_pullback_metric_is_the_chain_rule(case):
+    """Orders 0-2 of dphi^T (g o phi) dphi, on a stack of 5 and at a
+    point, within 1e-14 scaled of the hand-written chain rule."""
+    geo, emb, Y, field = _pullback_case(*case)
+    for y in (Y, Y[2]):
+        got, want = field.jets(y, 2), _ref_pullback(geo, emb, y, 2)
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+    assert np.array_equal(field.value(Y[2]), field.jets(Y[2], 0)[0])
+
+
+@pytest.mark.parametrize("case", PULLBACK_CASES, ids=lambda c: c[0] + "/" + c[2])
+def test_pullback_metric_order3_is_the_fd_route_limit(case):
+    """The exact third derivative against the former route, the central
+    difference of the chain-rule second derivative: at the former step
+    1e-4 the two agree within that difference's step^2 truncation, which
+    halving the step measures (the error of a central difference falls
+    fourfold, so it is 4/3 of the change), plus its round-off."""
+    geo, emb, Y, field = _pullback_case(*case)
+    d3 = field.jets(Y, 3)[3]
+
+    def fd(h):
+        return central_diff(lambda Z: _ref_pullback(geo, emb, Z, 2)[2], Y, h)
+    scale = max(1.0, np.abs(d3).max())
+    err = np.abs(d3 - fd(1e-4)).max()
+    truncation = 4.0 / 3.0 * np.abs(fd(1e-4) - fd(5e-5)).max()
+    assert err <= 2.0 * truncation + 1e-11 * scale
+    # away from round-off the error is the truncation itself
+    err = np.abs(d3 - fd(1e-2)).max()
+    truncation = 4.0 / 3.0 * np.abs(fd(1e-2) - fd(5e-3)).max()
+    assert abs(err - truncation) <= 0.05 * truncation + 1e-11 * scale

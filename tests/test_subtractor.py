@@ -359,9 +359,9 @@ def test_tractor_gcr_residuals():
 
 
 def test_tractor_gauss_residual_s2xs1_not_step_limited():
-    # the third derivative of the induced metric is a central difference of
-    # exact chain-rule second derivatives; a step sized for nested FD left
-    # a Gauss residual of 1.5e-3 here
+    # the third derivative of the induced metric is exact (it was a central
+    # difference of exact second derivatives, and before that a step sized
+    # for nested FD left a Gauss residual of 1.5e-3 here)
     geo = geolib.s2xs1xr(1)
     emb = geolib.catalog()["s2xs1xr"].embeddings["s2xs1"]()
     res = tractor_gcr_residuals(

@@ -297,11 +297,7 @@ def test_rescale_triple_relation():
     x = np.array([0.1, -0.2, 0.15, 0.05])
     geoh, upsilon = rescale(geo, omega)
     pk = curvature_pack(geo, x, order=3)
-    from tractorlab.jets import Jet3
-
-    def to_jet(f, order):
-        pads = [np.zeros((4,) * k) for k in range(order + 1, 4)]
-        return Jet3(4, f[0], *(list(f[1:]) + pads))
+    from tractorlab.jets import Jet
 
     class Prod(ArrayField):
         def __init__(self):
@@ -311,9 +307,8 @@ def test_rescale_triple_relation():
         def jets(self, y, order):
             if np.ndim(y) != 1:
                 raise ValueError("Prod takes one point, not a stack")
-            Q = to_jet(sig.jets(y, order), order) * to_jet(
-                omega.jets(y, order), order)
-            return [np.asarray(Q.f), Q.g, Q.h, Q.t][:order + 1]
+            Q = Jet(4, sig.jets(y, order)) * Jet(4, omega.jets(y, order))
+            return [np.asarray(c) for c in Q.d]
 
     I_g = tr.thomas_D(geo, FieldHandle(sig, (), 1), 1, x).data / 4
     I_h = tr.thomas_D(geoh, FieldHandle(Prod(), (), 1), 1, x).data / 4
