@@ -370,7 +370,7 @@ def _contexts(cfg, geo, emb, seed):
 def _gcr_row(ctx):
     """Riemannian and (m >= 3) tractor Gauss-Codazzi-Ricci residuals."""
     row = {"gcr": list(map(float, submanifold.gauss_codazzi_ricci_residuals(
-        ctx.geo, ctx.emb, ctx.q, ctx.intrinsic_pack())))}
+        ctx.geo, ctx.emb, ctx.q, ctx.intrinsic_pack(), ctx.partials())))}
     if ctx.m >= 3:
         row["tractor_gcr"] = list(map(
             float, subtractor.tractor_gcr_residuals(ctx)))

@@ -9,10 +9,11 @@ connection alone, with no curvature pack, and refines its seeds in
 lockstep, one batched evaluation of all their trial points per round.  L on the found locus is
 measured on the locus's cubic Taylor polynomial (a
 ``geolib.PolynomialField``), whose coefficients the implicit function
-theorem gives from the exact 3-jet of k.  The normality
-check of ``bgg_split`` is the one finite difference; ``conserved_quantity``
-differentiates along the submanifold through ``SubTractorContext.along``,
-the one derivative along Sigma (a Richardson stencil)."""
+theorem gives from the exact 3-jet of k, with no stencil: L reads the
+exact partial of H along the locus (``SubTractorContext.grad_H``).  The
+normality check of ``bgg_split`` is the one finite difference;
+``conserved_quantity`` differentiates along the submanifold through
+``SubTractorContext.along``, a Richardson stencil of whole packs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field

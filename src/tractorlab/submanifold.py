@@ -8,10 +8,16 @@ geometry built from the pulled-back metric field, whose jets of every order
 are exact (so intrinsic curvature is computed independently rather than
 through the Gauss equation).
 
-Every covariant derivative along the submanifold goes through
-``covariant_along``: a Richardson difference of a pack-derived quantity
-(``SigmaField``) plus, on each index, the connection ``SigmaConn`` picks
-(the ambient one pulled back by the embedding, or the intrinsic one).
+A covariant derivative along the submanifold is a partial derivative
+along Sigma plus, on each index, the connection ``SigmaConn`` picks (the
+ambient one pulled back by the embedding, or the intrinsic one):
+``covariant_partial``.  The partial derivatives of the frame-independent
+pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo, H) are exact:
+``partials_along`` takes them by the chain rule from the embedding 3-jet
+and the metric 2-jet the pack holds, and D II in the Codazzi residual
+reads them.  Any other pack-derived quantity is differenced:
+``covariant_along`` takes the Richardson difference of whole packs
+(``SigmaField``), which is also the exact route's test oracle.
 
 The normal frame is ``normal_frame``, on a stack of points: called by the
 pack and, with only the jets it needs, on the stencils of
@@ -34,16 +40,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import compose, product
-from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
-                      metric_connection, rescale)
+from .riemann import (CurvaturePack, GeometrySpec, _christoffel,
+                      curvature_pack, metric_connection, rescale)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
                       central_diff, tangent_down, tangent_up)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
            "gauss_codazzi_ricci_residuals", "conformal_transform_check",
-           "PullbackMetricField", "normal_frame", "SigmaField",
-           "SigmaConn", "covariant_along", "normal_curvature"]
+           "PullbackMetricField", "normal_frame", "partials_along",
+           "SigmaField", "SigmaConn", "covariant_along", "covariant_partial",
+           "normal_curvature"]
 
 
 class RankDeficientError(NumericalError, RuntimeError):
@@ -91,20 +98,35 @@ class PullbackMetricField(ArrayField):
     def jets(self, y, order):
         ph = self.phi.jets(np.asarray(y, dtype=float), order + 1)
         g = compose(self.geo.metric.jets(ph[0], order), ph, order, slots=1)
-        dphi = ph[1:]
-        dphi_t = [np.swapaxes(a, a.ndim - k - 2, a.ndim - k - 1)
-                  for k, a in enumerate(dphi)]
-        return _matmul_jets(dphi_t, _matmul_jets(g, dphi, order), order)
+        return _pullback_jets(g, ph[1:], order)
+
+
+def _transpose_jets(a):
+    """Jets of the transpose of a matrix from its jets."""
+    return [np.swapaxes(x, x.ndim - k - 2, x.ndim - k - 1)
+            for k, x in enumerate(a)]
+
+
+def _pullback_jets(g, dphi, order):
+    """Jets of dphi^T g dphi from the jets of g (at phi) and of dphi."""
+    return _matmul_jets(_transpose_jets(dphi), _matmul_jets(g, dphi, order),
+                        order)
 
 
 def _matmul_jets(a, b, order):
     """Jets of the matrix product a b from the jets of a and b (the two
     value axes before the derivative axes): the Leibniz product of a and b
     spread over (row, inner, column) axes, summed over the inner one."""
-    a = [np.expand_dims(x, x.ndim - k) for k, x in enumerate(a)]
-    b = [np.expand_dims(x, x.ndim - k - 2) for k, x in enumerate(b)]
+    a = [_new_axis(x, x.ndim - k) for k, x in enumerate(a)]
+    b = [_new_axis(x, x.ndim - k - 2) for k, x in enumerate(b)]
     return [x.sum(axis=x.ndim - k - 2)
             for k, x in enumerate(product(a, b, order))]
+
+
+def _new_axis(x, pos):
+    """``x`` with a new axis of length 1 at ``pos`` (a view, as
+    ``np.expand_dims`` gives, at a fraction of its call overhead)."""
+    return x.reshape(x.shape[:pos] + (1,) + x.shape[pos:])
 
 
 @dataclass
@@ -260,13 +282,53 @@ def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
 # derivatives of pack-derived quantities along the submanifold
 # --------------------------------------------------------------------------
 
+def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack):
+    """Exact partial derivatives d_k along Sigma at ``sub.q`` of the
+    frame-independent pack quantities, each with the derivative axis k
+    last: ``g`` (the ambient metric at phi), ``g_s``, ``gi_s``, ``Nab``,
+    ``II``, ``IIo`` and ``H``; and ``Gamma_s``, the intrinsic Christoffel
+    symbols [l, i, j] from d g_s.
+
+    The Leibniz and chain rules on the embedding 3-jet at ``sub.q`` and on
+    the ambient pack's dg and dGamma (whatever backend differentiated the
+    metric) give them with no metric evaluation: g_s = dphi^T g dphi,
+    Pi^i_a = g_s^-1 dphi^T g, N = 1 - dphi Pi and II = N (d2phi +
+    dphi^T Gamma dphi), each order-1 jet by ``jets.product``."""
+    pk, m = sub.pack, sub.m
+    ph = emb.phi.jets(sub.q, 3)
+    dphi, hess_phi = ph[1:3], ph[2:4]
+    g = compose([pk.g, pk.dg], ph, 1, slots=1)
+    Gamma = compose([pk.Gamma, pk.dGamma], ph, 1, slots=1)
+    g_s = _pullback_jets(g, dphi, 1)
+    dgi_s = -np.einsum("ij,jlk,lm->imk", sub.gi_s, g_s[1], sub.gi_s)
+    Pi = _matmul_jets([sub.gi_s, dgi_s],
+                      _matmul_jets(_transpose_jets(dphi), g, 1), 1)
+    dN = -_matmul_jets(dphi, Pi, 1)[1]
+    # the ambient Hessian of phi, [c, i, j]: d2phi + dphi^T Gamma^c dphi
+    hess = [a + b for a, b in zip(hess_phi, _pullback_jets(Gamma, dphi, 1))]
+    dII = (np.einsum("cbk,bij->ijck", dN, hess[0])
+           + np.einsum("cb,bijk->ijck", sub.Nab, hess[1]))
+    dH = (np.einsum("ijk,ijc->ck", dgi_s, sub.II)
+          + np.einsum("ij,ijck->ck", sub.gi_s, dII)) / m
+    dIIo = (dII - np.einsum("ijk,c->ijck", g_s[1], sub.H)
+            - np.einsum("ij,ck->ijck", sub.g_s, dH))
+    if m == 1:
+        dIIo = np.zeros_like(dII)
+    return {"g": g[1], "g_s": g_s[1], "gi_s": dgi_s, "Nab": dN, "II": dII,
+            "IIo": dIIo, "H": dH,
+            "Gamma_s": _christoffel(sub.gi_s, g_s[1])[0]}
+
+
 class SigmaField:
     """A quantity built from the pack, as a field over the parameter chart.
 
     ``builder(pack)`` maps a SubmanifoldPack to an array.  Derivatives use
     Richardson-extrapolated central differences (step 1e-2) with the
     normal-frame seeds frozen at the base point, so frame-dependent
-    quantities stay smooth.
+    quantities stay smooth.  ``partials_along`` differentiates the pack's
+    frame-independent quantities exactly; this stencil serves the readers
+    that need more than those (the induced Schouten tensor, S, L, the
+    normal forms) and is the test oracle of ``partials_along``.
     """
 
     def __init__(self, geo, emb, builder):
@@ -321,22 +383,31 @@ class SigmaConn:
 
 def covariant_along(geo, emb, q, builder, conn, indices):
     """Covariant derivative along Sigma of ``builder(pack)``, whose axes
-    carry ``indices``: [i, ...] with the derivative index first.
-
-    The partial derivative is the Richardson difference of ``SigmaField``;
-    ``conn.matrix(ix)`` adds the connection on each index."""
+    carry ``indices``: [i, ...] with the derivative index first, from the
+    Richardson difference of ``SigmaField`` (``covariant_partial``)."""
     v0, dv, _ = SigmaField(geo, emb, builder).jet1(q)
-    return np.moveaxis(tr.covariant_jet(conn, [v0, dv], indices)[0], -1, 0)
+    return covariant_partial(conn, v0, dv, indices)
+
+
+def covariant_partial(conn, value, partial, indices):
+    """Covariant derivative along Sigma, [i, ...] with the derivative index
+    first, of a quantity whose axes carry ``indices``, from its value and
+    its partial derivative along Sigma (the derivative axis last), by
+    ``SigmaField`` or ``partials_along``: ``conn.matrix(ix)`` adds the
+    connection on each index."""
+    return np.moveaxis(tr.covariant_jet(conn, [value, partial], indices)[0],
+                       -1, 0)
 
 
 def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q,
-                                  ipack=None):
+                                  ipack=None, partials=None):
     """Max-norm residuals of the Gauss, Codazzi and Ricci equations.
 
     All curvatures are computed independently: the intrinsic one from the
     pulled-back metric field (``ipack``, its order-2 curvature pack at q, if
     the caller holds one), the normal one from derivatives of the
-    orthonormal normal frame.
+    orthonormal normal frame.  D II takes the exact partial of II along
+    Sigma (``partials``, ``partials_along`` at q, if the caller holds it).
     """
     sub = submanifold_pack(geo, emb, q)
     m, n, d = sub.m, sub.n, sub.d
@@ -357,7 +428,9 @@ def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q,
     # Codazzi: Pi Pi Pi R_ab^c_e N^d_c = 2 D_[i II_j]k^d
     lhs_cod = np.einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
                         sub.dphi, sub.dphi, sub.Nab)
-    DII = _coupled_derivative_II(geo, emb, q, sub, ipack)  # [i, j, k, d]
+    if partials is None:
+        partials = partials_along(emb, sub)
+    DII = _coupled_derivative_II(sub, ipack, partials["II"])  # [i, j, k, d]
     rhs_cod = DII - DII.transpose(1, 0, 2, 3)
     res_codazzi = _maxabs(lhs_cod - rhs_cod)
 
@@ -376,14 +449,16 @@ def _maxabs(arr):
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _coupled_derivative_II(geo, emb, q, sub, ipack):
-    """D_i II_jk^d with intrinsic Levi-Civita (from the intrinsic curvature
-    pack ``ipack``) coupled to the normal connection on the ambient index."""
+def _coupled_derivative_II(sub, ipack, dII):
+    """D_i II_jk^d from the partial ``dII`` of II along Sigma, with
+    intrinsic Levi-Civita (from the intrinsic curvature pack ``ipack``)
+    coupled to the normal connection on the ambient index."""
     m = sub.m
     conn = SigmaConn(tr.ConnData.from_pack(sub.pack), sub.dphi,
                      lambda: tr.ConnData.from_pack(ipack))
-    DII = covariant_along(geo, emb, q, lambda pk: pk.II, conn,
-                          (tangent_down(m), tangent_down(m), tangent_up(sub.n)))
+    DII = covariant_partial(conn, sub.II, dII, (tangent_down(m),
+                                                tangent_down(m),
+                                                tangent_up(sub.n)))
     # project the ambient index back to the normal bundle
     return np.einsum("dc,ijkc->ijkd", sub.Nab, DII)
 

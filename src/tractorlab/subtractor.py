@@ -7,15 +7,20 @@ normal form, mean-curvature tractor predicates, and classification verdicts.
 
 A ``SubTractorContext`` is the unit of per-point work: each quantity is
 computed once per context (``_cached``), and callers read everything at a
-point from one context.  Derivatives along Sigma go through
-``SubTractorContext.along``, the one covariant derivative of
-``submanifold.covariant_along`` with the ambient connection on ambient
-indices and ``intrinsic_conn`` (intrinsic Levi-Civita and tractor
-connection, Schouten tensor replaced by the induced one p) on intrinsic
-indices; its builder receives the context of each stencil point, and
-callers add only the normal projection the formula needs.  The L-shaped
-slot fill is ``L_slots``.  The normal tractor curvature is
-``submanifold.normal_curvature`` of the tractor conormal frame.
+point from one context.  The derivatives along Sigma that mu and L are
+built from, nabla H and D^j IIo, and nabla N^A_B of the dual route to L
+are exact: ``SubTractorContext.along_exact`` adds the connection to the
+context's ``submanifold.partials_along`` (N^A_B's partial follows from
+those of N^a_b, H and g), with no stencil.  The other derivatives along
+Sigma go through ``SubTractorContext.along``, the covariant derivative of
+``submanifold.covariant_along`` (a Richardson stencil of whole packs) with
+the ambient connection on ambient indices and ``intrinsic_conn``
+(intrinsic Levi-Civita and tractor connection, Schouten tensor replaced
+by the induced one p) on intrinsic indices; its builder receives the
+context of each stencil point, and callers add only the normal projection
+the formula needs.  The L-shaped slot fill is ``L_slots``.  The normal
+tractor curvature is ``submanifold.normal_curvature`` of the tractor
+conormal frame.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J,
@@ -39,7 +44,8 @@ import numpy as np
 
 from .riemann import GeometrySpec, curvature_pack, metric_connection
 from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
-                          covariant_along, normal_curvature, normal_frame,
+                          covariant_along, covariant_partial,
+                          normal_curvature, normal_frame, partials_along,
                           submanifold_pack)
 from .tensors import (TensorValue, middle_block,
                       pairing_matrix, stage, tangent_down,
@@ -63,6 +69,19 @@ def normal_projector_array(sub: SubmanifoldPack):
     N[n + 1, 1:n + 1] = H_low
     N[n + 1, n + 1] = float(sub.H @ H_low)
     return N
+
+
+def _normal_projector_partial(sub: SubmanifoldPack, d):
+    """d_k N^A_B along Sigma, [A, B, k], from the partials ``d`` of N^a_b,
+    H and g (``submanifold.partials_along``) by the Leibniz rule."""
+    n = sub.n
+    dN = np.zeros((n + 2, n + 2, sub.m))
+    dH_low = np.einsum("abk,b->ak", d["g"], sub.H) + sub.pack.g @ d["H"]
+    dN[1:n + 1, 1:n + 1] = d["Nab"]
+    dN[1:n + 1, n + 1] = d["H"]
+    dN[n + 1, 1:n + 1] = dH_low
+    dN[n + 1, n + 1] = sub.H @ dH_low + (sub.pack.g @ sub.H) @ d["H"]
+    return dN
 
 
 def tractor_conormal_rows(conormals, H):
@@ -178,9 +197,28 @@ class SubTractorContext:
 
     # -- first-order ingredients ---------------------------------------------
     @_cached
+    def partials(self):
+        """``submanifold.partials_along`` at this point: the exact partial
+        derivatives along Sigma of g, g_s, g_s^-1, N^a_b, II, IIo and H,
+        and the intrinsic Christoffel symbols."""
+        return partials_along(self.emb, self.sub)
+
+    def along_exact(self, value, partial, indices):
+        """Covariant derivative along Sigma of a pack quantity from its
+        value and exact ``partial`` (axes carrying ``indices``, the
+        derivative axis last), coupling the ambient connection on ambient
+        indices with the intrinsic Levi-Civita one (the Christoffel symbols
+        of ``partials``) on tangent intrinsic indices: [i, ...]."""
+        sub, m, G = self.sub, self.m, self.partials()["Gamma_s"]
+        conn = SigmaConn(tr.ConnData.from_pack(self.pack), sub.dphi,
+                         lambda: tr.ConnData(m, sub.g_s, sub.gi_s, G))
+        return covariant_partial(conn, value, partial, indices)
+
+    @_cached
     def grad_H(self):
         """nabla_i H^a along Sigma (pullback ambient connection): [i, a]."""
-        return self.along(lambda c: c.sub.H, (tangent_up(self.n),))
+        return self.along_exact(self.sub.H, self.partials()["H"],
+                                (tangent_up(self.n),))
 
     @_cached
     def P_mixed(self):
@@ -198,14 +236,17 @@ class SubTractorContext:
     def DjIIo(self):
         """D^j IIo_ij^c, intrinsic Levi-Civita coupled to the normal
         connection."""
-        return self._normal_divergence(lambda c: c.sub.IIo)
+        return self._normal_divergence(self.along_exact(
+            self.sub.IIo, self.partials()["IIo"], self._normal_indices()))
 
-    def _normal_divergence(self, builder):
-        """g^{jk} N^c_b D_k A_ij^b for a normal-valued A_ij^c =
-        builder(context): [i, c]."""
-        m = self.m
-        D = self.along(builder, (tangent_down(m), tangent_down(m),
-                                 tangent_up(self.n)))     # [k, i, j, b]
+    def _normal_indices(self):
+        """The indices of a normal-valued A_ij^c."""
+        return (tangent_down(self.m), tangent_down(self.m),
+                tangent_up(self.n))
+
+    def _normal_divergence(self, D):
+        """g^{jk} N^c_b D_k A_ij^b from the covariant derivative D [k, i, j,
+        b] of a normal-valued A_ij^c: [i, c]."""
         D = np.einsum("cb,kijb->kijc", self.sub.Nab, D)
         return np.einsum("jk,kijc->ic", self.sub.gi_s, D)
 
@@ -247,19 +288,22 @@ class SubTractorContext:
 
     def along(self, builder, indices):
         """Covariant derivative along Sigma of ``builder(ctx)``, with ``ctx``
-        the context at each stencil point (axes carrying ``indices``),
-        coupling the ambient connection on ambient indices with
-        ``intrinsic_conn`` on intrinsic ones: [i, ...]."""
+        the context at each stencil point (this one at its own pack;
+        axes carrying ``indices``), coupling the ambient connection on
+        ambient indices with ``intrinsic_conn`` on intrinsic ones:
+        [i, ...]."""
         geo, emb = self.geo, self.emb
+
+        def context(pk):
+            return (self if pk is self.sub
+                    else SubTractorContext(geo, emb, pk.q, sub=pk))
         # built per call: a SigmaConn holds this context (through the bound
         # method), and the cache must not, or the embedding's pack memo
         # would wait for the cyclic garbage collector
         conn = SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
                          self.intrinsic_conn)
-        return covariant_along(
-            geo, emb, self.q,
-            lambda pk: builder(SubTractorContext(geo, emb, pk.q, sub=pk)),
-            conn, indices)
+        return covariant_along(geo, emb, self.q,
+                               lambda pk: builder(context(pk)), conn, indices)
 
     # -- Fialkow -------------------------------------------------------------
     @_cached
@@ -347,8 +391,10 @@ class SubTractorContext:
     @_cached
     def nabla_normal_projector(self):
         """nabla_i N^A_B along Sigma: [i, A up, B down]."""
-        return self.along(lambda c: c.normal_projector(),
-                          (tractor_up(self.n), tractor_down(self.n)))
+        return self.along_exact(
+            self.normal_projector(),
+            _normal_projector_partial(self.sub, self.partials()),
+            (tractor_up(self.n), tractor_down(self.n)))
 
     @_cached
     def Lbar(self):
@@ -438,7 +484,8 @@ def M_operator(ctx: SubTractorContext, omega_builder):
     if ctx.m < 2:
         raise ValueError("the 1/(m-1) factor is undefined for curves")
     om0 = np.asarray(omega_builder(ctx.sub), dtype=float)
-    Dj = ctx._normal_divergence(lambda c: omega_builder(c.sub))
+    Dj = ctx._normal_divergence(ctx.along(lambda c: omega_builder(c.sub),
+                                          ctx._normal_indices()))
     return ctx.L_slots(om0, -Dj / (ctx.m - 1))
 
 

@@ -324,6 +324,65 @@ def test_rotation_monitor_is_conserved_on_a_round_sphere():
         assert vals.max() - vals.min() <= 1e-10
 
 
+def _exact_residuals(row):
+    """The report residuals whose derivatives along Sigma are exact
+    partials: Codazzi (D II), the dual route to L (nabla N^A_B) and mu
+    (nabla H, D^j IIo); the Richardson stencil left them at 3e-10 to 9e-9
+    on the graphs below."""
+    return {"gcr[1]": row["gcr"][1],
+            "L_dual_route_residual": row["L_dual_route_residual"],
+            "mu_weyl_residual": row["mu_weyl_residual"]}
+
+
+def test_report_graph_residuals_at_round_off():
+    """The report's residuals on a flat graph, at its three default sample
+    points."""
+    rc, out, err = run_cli(
+        "report", "-s", 'geometry={"name":"euclidean","params":{"n":4}}',
+        "-s", 'embedding={"name":"graph"}')
+    assert rc == 0, err
+    rows = json.loads(out)["per_sample"]
+    assert len(rows) == 3
+    for row in rows:
+        for key, v in _exact_residuals(row).items():
+            assert v <= 1e-12, key
+
+
+def test_random_metric_graph_residuals_at_round_off():
+    """The same report residuals on a graph in a curved random metric,
+    where both the ambient Christoffel symbols and II are nonzero."""
+    from tractorlab import geolib
+    geo = geolib.random_metric(4, seed=3)
+    emb = geolib.random_graph_embedding(4, 2, seed=5)
+    for q in ([0.05, -0.08], [0.1, 0.2]):
+        row = {}
+        cli._report_row(row, subtractor.SubTractorContext(geo, emb,
+                                                          np.array(q)))
+        for key, v in _exact_residuals(row).items():
+            assert v <= 1e-12, key
+
+
+def test_rotation_scan_builds_no_stencil(monkeypatch):
+    """L on the locus of the n = 4 rotation scan differences no pack: its
+    nabla H is an exact partial (the stencil made 8 ``SigmaField.jet1``
+    calls)."""
+    from tractorlab import submanifold
+    calls = []
+    jet1 = submanifold.SigmaField.jet1
+
+    def counted(self, q):
+        calls.append(q)
+        return jet1(self, q)
+    monkeypatch.setattr(submanifold.SigmaField, "jet1", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["scan",
+                       "-s", 'geometry={"name":"euclidean","params":{"n":4}}',
+                       "-s", 'scan={"ky":{"name":"rotation"},"grid":21}'])
+    assert rc == 0
+    assert len(json.loads(out.getvalue())["L_residuals"]) == 8
+    assert calls == []
+
+
 def test_invariance_pack_count(monkeypatch):
     """Curvature packs of ``invariance`` on s2s2/factor1, pinned so that a
     change shows in review.  Each of the 3 rescalings reads the ambient
@@ -332,7 +391,16 @@ def test_invariance_pack_count(monkeypatch):
     were built again).  The 126 packs are rows (the points, a stack of p
     points counting p); a batched call on a stack counts once, and the
     stencil-point packs of each derivative along Sigma share one call, so
-    the calls are 42."""
+    the calls were 42.
+
+    The derivatives along Sigma of a classify row (nabla H, D^j IIo) are
+    now exact partials from the packs at the sample points, and D^j IIo
+    reads the intrinsic Christoffel symbols from them, so no row builds a
+    stencil or an intrinsic pack.  What is left are the 18 single-point
+    packs, one call each: the submanifold packs of the 3 sample points, and
+    per rescaling the rescaled pack of the Thomas operator, the rescaled
+    submanifold pack of ``conformal_transform_check`` and those of the 3
+    rescaled contexts."""
     packs = []
     pack = riemann.curvature_pack
 
@@ -347,8 +415,8 @@ def test_invariance_pack_count(monkeypatch):
         rc = cli.main(["invariance", "-s", 'geometry={"name":"s2s2"}',
                        "-s", 'embedding={"name":"factor1"}'])
     assert rc == 0
-    assert sum(packs) == 126
-    assert len(packs) == 42
+    assert sum(packs) == 18
+    assert len(packs) == 18
 
 
 def test_invariance_identity_and_random():

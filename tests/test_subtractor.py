@@ -8,6 +8,7 @@ from test_jets import _bitwise_equal
 from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.subtractor import (SubTractorContext,
+                                   _normal_projector_partial,
                                    checked_connection_residual, classify,
                                    intrinsic_tractor_curvature,
                                    mean_curvature_tractor,
@@ -537,10 +538,18 @@ def _jet1(ctx, builder):
     return v0, np.moveaxis(dv, -1, 0)
 
 
+def _exact_jet1(value, partial):
+    """A pack quantity and its exact partial along Sigma, derivative axis
+    first (the routes under test read the same partial, so the oracles
+    check the connection terms alone)."""
+    return value, np.moveaxis(partial, -1, 0)
+
+
 def test_along_nabla_normal_projector(along_ctx):
     """nabla_i N^A_B: ambient tractor connection on both indices."""
     ctx = along_ctx
-    N0, dN = _jet1(ctx, normal_projector_array)
+    N0, dN = _exact_jet1(normal_projector_array(ctx.sub),
+                         _normal_projector_partial(ctx.sub, ctx.partials()))
     Mu = _pulled_back(ctx, tractor_up(ctx.n))
     Md = _pulled_back(ctx, tractor_down(ctx.n))
     oracle = (dN + np.einsum("iAE,EB->iAB", Mu, N0)
@@ -553,7 +562,7 @@ def test_along_divergence_of_IIo(along_ctx):
     Levi-Civita on c, then the normal projection and the trace."""
     ctx = along_ctx
     sub = ctx.sub
-    IIo0, dIIo = _jet1(ctx, lambda pk: pk.IIo)
+    IIo0, dIIo = _exact_jet1(sub.IIo, ctx.partials()["IIo"])
     G = ctx.intrinsic_pack().Gamma
     D = (dIIo + np.einsum("cfe,fk,ije->kijc", ctx.pack.Gamma, sub.dphi, IIo0)
          - np.einsum("lki,ljc->kijc", G, IIo0)
@@ -568,14 +577,14 @@ def test_along_coupled_derivative_II(along_ctx):
     from tractorlab.submanifold import _coupled_derivative_II
     ctx = along_ctx
     sub = ctx.sub
-    II0, dII = _jet1(ctx, lambda pk: pk.II)
+    II0, dII = _exact_jet1(sub.II, ctx.partials()["II"])
     G = ctx.intrinsic_pack().Gamma
     D = (dII + np.einsum("dfe,fi,jke->ijkd", ctx.pack.Gamma, sub.dphi, II0)
          - np.einsum("lij,lkd->ijkd", G, II0)
          - np.einsum("lik,jld->ijkd", G, II0))
     oracle = np.einsum("dc,ijkc->ijkd", sub.Nab, D)
-    got = _coupled_derivative_II(ctx.geo, ctx.emb, ctx.q, sub,
-                                 ctx.intrinsic_pack())
+    got = _coupled_derivative_II(sub, ctx.intrinsic_pack(),
+                                 ctx.partials()["II"])
     assert np.abs(got - oracle).max() <= 1e-12
 
 
