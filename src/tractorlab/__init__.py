@@ -7,11 +7,10 @@ from .tractor import (TractorFormObject, TractorObject, hodge_star,
                       parallel_transport, scale_tractor, thomas_D,
                       tractor_connection_apply, tractor_curvature,
                       tractor_metric, tractor_volume_form)
-from .submanifold import (EmbeddingSpec, SubmanifoldPack,
-                          conformal_transform_check,
-                          gauss_codazzi_ricci_residuals, submanifold_pack)
+from .submanifold import EmbeddingSpec, SubmanifoldPack, submanifold_pack
 from .subtractor import (ClassificationReport, SubTractorContext, classify,
-                         mean_curvature_tractor)
+                         gauss_codazzi_ricci_residuals,
+                         mean_curvature_tractor, transformation_residuals)
 from .circles import (CircleTrajectory, CurveState, conformal_circle_rhs,
                       curve_tractors, integrate_circle)
 from .firstint import (SplitTractor, bgg_split, conserved_quantity,

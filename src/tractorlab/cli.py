@@ -28,10 +28,10 @@ import sys
 
 import numpy as np
 
-from . import circles, firstint, geolib, riemann, submanifold, subtractor
+from . import circles, firstint, geolib, riemann, subtractor
 from . import tractor as tr
-from .tensors import (FD, ArrayField, DiffBackend, FieldHandle,
-                      NumericalError, TensorValue, stage, tractor_down)
+from .tensors import (FD, ArrayField, DiffBackend, NumericalError,
+                      TensorValue, stage, tractor_down)
 
 SCHEMA = {
     "type": "object",
@@ -369,8 +369,8 @@ def _contexts(cfg, geo, emb, seed):
 
 def _gcr_row(ctx):
     """Riemannian and (m >= 3) tractor Gauss-Codazzi-Ricci residuals."""
-    row = {"gcr": list(map(float, submanifold.gauss_codazzi_ricci_residuals(
-        ctx.geo, ctx.emb, ctx.q, ctx.intrinsic_pack(), ctx.partials())))}
+    row = {"gcr": list(map(
+        float, subtractor.gauss_codazzi_ricci_residuals(ctx)))}
     if ctx.m >= 3:
         row["tractor_gcr"] = list(map(
             float, subtractor.tractor_gcr_residuals(ctx)))
@@ -537,14 +537,15 @@ def cmd_invariance(cfg, args=None):
     for k in range(count):
         om = geolib.random_conformal_factor(geo.n, seed=seed + 17 * k + 1,
                                             amplitude=amp)
-        row = {"rescaling": k}
-        with stage(f"rescaling {k}, sample 0", q=ctxs[0].q):
-            row.update(_transformation_residuals(geo, om, ctxs[0].q, emb))
-        geo2, _ = riemann.rescale(geo, om)
+        geo2, upsilon = riemann.rescale(geo, om)
         ctxs2 = []
         for i, c in enumerate(ctxs):
             with stage(f"rescaling {k}, sample {i}", q=c.q):
                 ctxs2.append(subtractor.SubTractorContext(geo2, emb, c.q))
+        row = {"rescaling": k}
+        with stage(f"rescaling {k}, sample 0", q=ctxs[0].q):
+            row.update(subtractor.transformation_residuals(
+                ctxs[0], ctxs2[0], om, upsilon))
         rep2 = subtractor.classify(ctxs2)
         row["verdicts_match"] = rep2.verdicts == base.verdicts
         verdicts_stable = verdicts_stable and row["verdicts_match"]
@@ -553,35 +554,6 @@ def cmd_invariance(cfg, args=None):
            "verdicts_stable": verdicts_stable}
     dump_json(doc, cfg.get("output", {}).get("path"))
     return 0
-
-
-def _transformation_residuals(geo, omega, q, emb):
-    sub = submanifold.submanifold_pack(geo, emb, q)
-    x = sub.x
-    geoh, upsilon = riemann.rescale(geo, omega)
-    pk = sub.pack
-    pkh = riemann.curvature_pack(geoh, x, order=2)
-    ups = upsilon(x)
-    oj = omega.jets(x, 2)
-    dU = oj[2] / oj[0] - np.multiply.outer(oj[1], oj[1]) / oj[0] ** 2
-    covU = dU - np.einsum("eab,e->ab", pk.Gamma, ups)
-    ups_up = pk.gi @ ups
-    pred = (pk.P - covU + np.multiply.outer(ups, ups)
-            - 0.5 * float(ups @ ups_up) * pk.g)
-    r_schouten = float(np.abs(pkh.P - pred).max())
-    ff = submanifold.conformal_transform_check(geo, emb, omega, q)
-    # 3-trans on the scale tractor of a fixed density (components sigma = 1)
-    I_g = tr.make_tractor(geo.n, sigma=1.0, rho=-pk.J / geo.n)
-    I_h = tr.thomas_D(geoh, FieldHandle(omega, (), 1), 1, x,
-                      pack=pkh).data / geo.n
-    M = tr.rescale_triple_matrix(pk, ups, variance="down")
-    w0 = float(omega.value(x))
-    predI = tr.rescale_component_weights(
-        w0, tr.slot_weights(geo.n, "down")) * (M @ I_g)
-    r_triple = float(np.abs(I_h - predI).max())
-    return {"schouten_trans": r_schouten, "II_transformation": ff["II"],
-            "H_transformation": ff["H"], "IIo_invariance": ff["IIo_invariance"],
-            "tractor_triple_trans": r_triple}
 
 
 def cmd_scan(cfg, args=None):

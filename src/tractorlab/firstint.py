@@ -159,12 +159,12 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
     n = geo.n
     d = kspec.degree
     x = np.asarray(x, dtype=float)
-    K = _split_components(geo, kspec, x)
+    pack = curvature_pack(geo, x, order=2)
+    K = _split_components(geo, kspec, x, pack)
 
     # normality: tractor derivative of the K field
     dK = central_diff(lambda Y: np.stack([
         _split_components(geo, kspec, y) for y in Y]), x, 1e-3)
-    pack = curvature_pack(geo, x, order=2)
     conn = tr.ConnData.from_pack(pack)
     nab = tr.covariant_jet(conn, [K, dK], (tractor_down(n),) * K.ndim)[0]
     normality = float(np.abs(nab).max())

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import product
-from .tensors import (ArrayField, FieldHandle, NumericalError, TensorValue,
-                      _perm_sign, tangent_down)
+from .tensors import ArrayField, NumericalError, _perm_sign
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
-           "metric_connection", "levi_civita_derivative", "rescale",
+           "metric_connection", "rescale",
            "levi_civita_symbol"]
 
 
@@ -252,32 +251,6 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
         pack.Cotton = Cotton
         pack.has_third = True
     return pack
-
-
-def levi_civita_derivative(geo: GeometrySpec, handle: FieldHandle, x) -> TensorValue:
-    """Covariant derivative of a tangent-tensor field (one extra down index).
-
-    In the trivialised scale the connection acts as a plain partial on the
-    weight tag, so only the Christoffel corrections appear.
-    """
-    x = np.asarray(x, dtype=float)
-    pack = curvature_pack(geo, x, order=2)
-    arrs = handle.field.jets(x, 1)
-    val, d1 = arrs[0], arrs[1]
-    out = np.array(d1)  # [... , a]
-    for k, ix in enumerate(handle.indices):
-        if ix.kind != "tangent":
-            raise ValueError("levi_civita_derivative handles tangent indices; "
-                             "use the tractor connection for tractor fields")
-        moved = np.moveaxis(val, k, -1)  # [..., e]
-        if ix.variance == "up":
-            corr = np.einsum("cae,...e->...ca", pack.Gamma, moved)
-        else:
-            corr = -np.einsum("eac,...e->...ca", pack.Gamma, moved)
-        corr = np.moveaxis(corr, -2, k)  # put value index back in place
-        out += corr
-    n = geo.n
-    return TensorValue(out, handle.indices + (tangent_down(n),), handle.weight)
 
 
 def _scaled_jets(F, gj, order):

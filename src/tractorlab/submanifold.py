@@ -12,12 +12,13 @@ A covariant derivative along the submanifold is a partial derivative
 along Sigma plus, on each index, the connection ``SigmaConn`` picks (the
 ambient one pulled back by the embedding, or the intrinsic one):
 ``covariant_partial``.  The partial derivatives of the frame-independent
-pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo, H) are exact:
+pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo and H) are exact:
 ``partials_along`` takes them by the chain rule from the embedding 3-jet
-and the metric 2-jet the pack holds, and D II in the Codazzi residual
-reads them.  Any other pack-derived quantity is differenced:
-``covariant_along`` takes the Richardson difference of whole packs
-(``SigmaField``), which is also the exact route's test oracle.
+and the metric 2-jet the pack holds.  Any other pack-derived quantity is
+differenced: ``SigmaField`` takes the Richardson difference of whole
+packs, which is also the exact route's test oracle.  The residuals that
+read these derivatives (Gauss-Codazzi-Ricci, the transformation laws)
+take a ``subtractor.SubTractorContext`` per point.
 
 The normal frame is ``normal_frame``, on a stack of points: called by the
 pack and, with only the jets it needs, on the stencils of
@@ -41,16 +42,14 @@ import numpy as np
 
 from .jets import compose, product
 from .riemann import (CurvaturePack, GeometrySpec, _christoffel,
-                      curvature_pack, metric_connection, rescale)
+                      curvature_pack)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
-                      central_diff, tangent_down, tangent_up)
+                      central_diff)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
-           "gauss_codazzi_ricci_residuals", "conformal_transform_check",
            "PullbackMetricField", "normal_frame", "partials_along",
-           "SigmaField", "SigmaConn", "covariant_along", "covariant_partial",
-           "normal_curvature"]
+           "SigmaField", "SigmaConn", "covariant_partial", "normal_curvature"]
 
 
 class RankDeficientError(NumericalError, RuntimeError):
@@ -381,14 +380,6 @@ class SigmaConn:
         return self.intrinsic().matrix(ix)
 
 
-def covariant_along(geo, emb, q, builder, conn, indices):
-    """Covariant derivative along Sigma of ``builder(pack)``, whose axes
-    carry ``indices``: [i, ...] with the derivative index first, from the
-    Richardson difference of ``SigmaField`` (``covariant_partial``)."""
-    v0, dv, _ = SigmaField(geo, emb, builder).jet1(q)
-    return covariant_partial(conn, v0, dv, indices)
-
-
 def covariant_partial(conn, value, partial, indices):
     """Covariant derivative along Sigma, [i, ...] with the derivative index
     first, of a quantity whose axes carry ``indices``, from its value and
@@ -397,70 +388,6 @@ def covariant_partial(conn, value, partial, indices):
     connection on each index."""
     return np.moveaxis(tr.covariant_jet(conn, [value, partial], indices)[0],
                        -1, 0)
-
-
-def gauss_codazzi_ricci_residuals(geo: GeometrySpec, emb: EmbeddingSpec, q,
-                                  ipack=None, partials=None):
-    """Max-norm residuals of the Gauss, Codazzi and Ricci equations.
-
-    All curvatures are computed independently: the intrinsic one from the
-    pulled-back metric field (``ipack``, its order-2 curvature pack at q, if
-    the caller holds one), the normal one from derivatives of the
-    orthonormal normal frame.  D II takes the exact partial of II along
-    Sigma (``partials``, ``partials_along`` at q, if the caller holds it).
-    """
-    sub = submanifold_pack(geo, emb, q)
-    m, n, d = sub.m, sub.n, sub.d
-    pack = sub.pack
-    g = pack.g
-
-    # ambient curvature restricted to Sigma
-    R_tttt = np.einsum("abcd,ai,bj,ck,dl->ijkl", pack.R4, sub.dphi, sub.dphi,
-                       sub.dphi, sub.dphi)
-    if ipack is None:
-        ipack = curvature_pack(sub.intrinsic, q, order=2)
-    RS = ipack.R4 if m >= 2 else np.zeros((m, m, m, m))
-    # R_ijkl = R^S_ijkl + g_cd (II_li^c II_jk^d - II_lj^c II_ik^d)
-    gauss_rhs = RS + (np.einsum("cd,lic,jkd->ijkl", g, sub.II, sub.II)
-                      - np.einsum("cd,ljc,ikd->ijkl", g, sub.II, sub.II))
-    res_gauss = _maxabs(R_tttt - gauss_rhs)
-
-    # Codazzi: Pi Pi Pi R_ab^c_e N^d_c = 2 D_[i II_j]k^d
-    lhs_cod = np.einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
-                        sub.dphi, sub.dphi, sub.Nab)
-    if partials is None:
-        partials = partials_along(emb, sub)
-    DII = _coupled_derivative_II(sub, ipack, partials["II"])  # [i, j, k, d]
-    rhs_cod = DII - DII.transpose(1, 0, 2, 3)
-    res_codazzi = _maxabs(lhs_cod - rhs_cod)
-
-    # Ricci: Pi Pi R_ab^e_f N^c_e N^f_d = Rperp_ij^c_d - 2 g^kl II_k[i^c II_j]ld
-    lhs_ric = np.einsum("abef,ai,bj,ce,fd->ijcd", pack.Rud, sub.dphi,
-                        sub.dphi, sub.Nab, sub.Nab)
-    Rperp = _normal_curvature(geo, emb, sub)
-    IIdn = np.einsum("ijc,cd->ijd", sub.II, g)
-    cross = np.einsum("kl,kic,jld->ijcd", sub.gi_s, sub.II, IIdn)
-    rhs_ric = Rperp - (cross - cross.transpose(1, 0, 2, 3))
-    res_ricci = _maxabs(lhs_ric - rhs_ric)
-    return res_gauss, res_codazzi, res_ricci
-
-
-def _maxabs(arr):
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def _coupled_derivative_II(sub, ipack, dII):
-    """D_i II_jk^d from the partial ``dII`` of II along Sigma, with
-    intrinsic Levi-Civita (from the intrinsic curvature pack ``ipack``)
-    coupled to the normal connection on the ambient index."""
-    m = sub.m
-    conn = SigmaConn(tr.ConnData.from_pack(sub.pack), sub.dphi,
-                     lambda: tr.ConnData.from_pack(ipack))
-    DII = covariant_partial(conn, sub.II, dII, (tangent_down(m),
-                                                tangent_down(m),
-                                                tangent_up(sub.n)))
-    # project the ambient index back to the normal bundle
-    return np.einsum("dc,ijkc->ijkd", sub.Nab, DII)
 
 
 def normal_curvature(frame_at, q, index, base):
@@ -492,43 +419,3 @@ def normal_curvature(frame_at, q, index, base):
            + np.einsum("iae,jeb->ijab", om0, om0)
            - np.einsum("jae,ieb->ijab", om0, om0))
     return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
-
-
-def _normal_curvature(geo, emb, sub):
-    """Rperp_ij^c_d from the normal frame with the seeds of ``sub``, the
-    pack at q, frozen; at q the frame and connection are the pack's."""
-    orientation = geo.orientation * emb.orientation
-
-    def frame_at(Y, conn):
-        ph = emb.phi.jets(Y, 1)
-        g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
-        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds)
-        return fr["normals"], fr["conormals"], (
-            SigmaConn(tr.ConnData(emb.n, g, gi, Gamma), ph[1]) if conn
-            else None)
-
-    base = (sub.normals, sub.conormals,
-            SigmaConn(tr.ConnData.from_pack(sub.pack), sub.dphi))
-    return normal_curvature(frame_at, sub.q, tangent_up(emb.n), base)
-
-
-def conformal_transform_check(geo, emb, omega, q):
-    """Residuals of the second-fundamental-form transformation laws.
-
-    II has weight 0 so its trivialised components transform directly; the
-    weighted mean curvature has weight -2, so the hatted trivialisation
-    carries a factor Omega^-2.
-    """
-    sub = submanifold_pack(geo, emb, q)
-    geo2, upsilon = rescale(geo, omega)
-    sub2 = submanifold_pack(geo2, emb, q, seeds=sub.seeds)
-    w = float(omega.value(sub.x))
-    ups = upsilon(sub.x)
-    ups_up = sub.pack.gi @ ups
-    Nups = sub.Nab @ ups_up
-    II_pred = sub.II - np.einsum("ij,c->ijc", sub.g_s, Nups)
-    H_pred = w ** (-2) * (sub.H - Nups)
-    r_II = _maxabs(sub2.II - II_pred)
-    r_H = _maxabs(sub2.H - H_pred)
-    r_IIo = _maxabs(sub2.IIo - sub.IIo)
-    return {"II": r_II, "H": r_H, "IIo_invariance": r_IIo}

@@ -7,20 +7,24 @@ normal form, mean-curvature tractor predicates, and classification verdicts.
 
 A ``SubTractorContext`` is the unit of per-point work: each quantity is
 computed once per context (``_cached``), and callers read everything at a
-point from one context.  The derivatives along Sigma that mu and L are
-built from, nabla H and D^j IIo, and nabla N^A_B of the dual route to L
-are exact: ``SubTractorContext.along_exact`` adds the connection to the
-context's ``submanifold.partials_along`` (N^A_B's partial follows from
-those of N^a_b, H and g), with no stencil.  The other derivatives along
-Sigma go through ``SubTractorContext.along``, the covariant derivative of
-``submanifold.covariant_along`` (a Richardson stencil of whole packs) with
-the ambient connection on ambient indices and ``intrinsic_conn``
-(intrinsic Levi-Civita and tractor connection, Schouten tensor replaced
-by the induced one p) on intrinsic indices; its builder receives the
-context of each stencil point, and callers add only the normal projection
-the formula needs.  The L-shaped slot fill is ``L_slots``.  The normal
-tractor curvature is ``submanifold.normal_curvature`` of the tractor
-conormal frame.
+point from one context; every per-point residual takes contexts, among
+them the Riemannian ``gauss_codazzi_ricci_residuals``, the tractor
+``tractor_gcr_residuals`` and the conformal ``transformation_residuals``
+(of a context and its context in the rescaled geometry).  The derivatives
+along Sigma that mu, L and the Codazzi residual are built from, nabla H,
+D^j IIo, D II and nabla N^A_B of the dual route to L, are exact:
+``SubTractorContext.along_exact`` adds the connection to the context's
+``submanifold.partials_along`` (N^A_B's partial follows from those of
+N^a_b, H and g), with no stencil.  The other derivatives along Sigma go
+through ``SubTractorContext.along``, the covariant derivative of a
+``submanifold.SigmaField`` (a Richardson stencil of whole packs) with the
+ambient connection on ambient indices and ``intrinsic_conn`` (intrinsic
+Levi-Civita and tractor connection, Schouten tensor replaced by the
+induced one p) on intrinsic indices; its builder receives the context of
+each stencil point, and callers add only the normal projection the
+formula needs.  The L-shaped slot fill is ``L_slots``.  Both normal
+curvatures, of the Riemannian and of the tractor conormal frame, are
+``submanifold.normal_curvature``.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J,
@@ -43,11 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riemann import GeometrySpec, curvature_pack, metric_connection
-from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
-                          covariant_along, covariant_partial,
+from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
+                          SubmanifoldPack, covariant_partial,
                           normal_curvature, normal_frame, partials_along,
                           submanifold_pack)
-from .tensors import (TensorValue, middle_block,
+from .tensors import (FieldHandle, TensorValue, middle_block,
                       pairing_matrix, stage, tangent_down,
                       tangent_up, tractor_down, tractor_metric_matrix,
                       tractor_up)
@@ -55,8 +59,9 @@ from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
            "mean_curvature_tractor", "reconstruct_L",
-           "M_operator", "tractor_gcr_residuals", "checked_connection_residual",
-           "normal_projector_array"]
+           "M_operator", "gauss_codazzi_ricci_residuals",
+           "tractor_gcr_residuals", "transformation_residuals",
+           "checked_connection_residual", "normal_projector_array"]
 
 
 def normal_projector_array(sub: SubmanifoldPack):
@@ -289,9 +294,9 @@ class SubTractorContext:
     def along(self, builder, indices):
         """Covariant derivative along Sigma of ``builder(ctx)``, with ``ctx``
         the context at each stencil point (this one at its own pack;
-        axes carrying ``indices``), coupling the ambient connection on
-        ambient indices with ``intrinsic_conn`` on intrinsic ones:
-        [i, ...]."""
+        axes carrying ``indices``), from the Richardson difference of
+        ``SigmaField``, coupling the ambient connection on ambient indices
+        with ``intrinsic_conn`` on intrinsic ones: [i, ...]."""
         geo, emb = self.geo, self.emb
 
         def context(pk):
@@ -302,8 +307,9 @@ class SubTractorContext:
         # would wait for the cyclic garbage collector
         conn = SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
                          self.intrinsic_conn)
-        return covariant_along(geo, emb, self.q,
-                               lambda pk: builder(context(pk)), conn, indices)
+        v0, dv, _ = SigmaField(geo, emb,
+                               lambda pk: builder(context(pk))).jet1(self.q)
+        return covariant_partial(conn, v0, dv, indices)
 
     # -- Fialkow -------------------------------------------------------------
     @_cached
@@ -603,6 +609,76 @@ def classify(contexts, tol=None) -> ClassificationReport:
                                 scale=scale)
 
 
+def _maxabs(arr):
+    return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+# --------------------------------------------------------------------------
+# Riemannian Gauss-Codazzi-Ricci residuals
+# --------------------------------------------------------------------------
+
+def gauss_codazzi_ricci_residuals(ctx: SubTractorContext):
+    """Max-norm residuals of the Gauss, Codazzi and Ricci equations.
+
+    All curvatures are computed independently: the intrinsic one from the
+    context's intrinsic pack (m >= 2; a curve has none), the normal one
+    from derivatives of the orthonormal normal frame.  D II is the exact
+    partial of II along Sigma with the coupled connection of
+    ``along_exact``, whose intrinsic Christoffel symbols are those of
+    ``partials``.
+    """
+    sub, m = ctx.sub, ctx.m
+    pack = ctx.pack
+    g = pack.g
+
+    # ambient curvature restricted to Sigma
+    R_tttt = np.einsum("abcd,ai,bj,ck,dl->ijkl", pack.R4, sub.dphi, sub.dphi,
+                       sub.dphi, sub.dphi)
+    RS = ctx.intrinsic_pack().R4 if m >= 2 else np.zeros((m, m, m, m))
+    # R_ijkl = R^S_ijkl + g_cd (II_li^c II_jk^d - II_lj^c II_ik^d)
+    gauss_rhs = RS + (np.einsum("cd,lic,jkd->ijkl", g, sub.II, sub.II)
+                      - np.einsum("cd,ljc,ikd->ijkl", g, sub.II, sub.II))
+    res_gauss = _maxabs(R_tttt - gauss_rhs)
+
+    # Codazzi: Pi Pi Pi R_ab^c_e N^d_c = 2 D_[i II_j]k^d, with the ambient
+    # index of D II projected back to the normal bundle
+    lhs_cod = np.einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
+                        sub.dphi, sub.dphi, sub.Nab)
+    DII = np.einsum("dc,ijkc->ijkd", sub.Nab, ctx.along_exact(
+        sub.II, ctx.partials()["II"], ctx._normal_indices()))
+    rhs_cod = DII - DII.transpose(1, 0, 2, 3)
+    res_codazzi = _maxabs(lhs_cod - rhs_cod)
+
+    # Ricci: Pi Pi R_ab^e_f N^c_e N^f_d = Rperp_ij^c_d - 2 g^kl II_k[i^c II_j]ld
+    lhs_ric = np.einsum("abef,ai,bj,ce,fd->ijcd", pack.Rud, sub.dphi,
+                        sub.dphi, sub.Nab, sub.Nab)
+    Rperp = _normal_curvature(ctx)
+    IIdn = np.einsum("ijc,cd->ijd", sub.II, g)
+    cross = np.einsum("kl,kic,jld->ijcd", sub.gi_s, sub.II, IIdn)
+    rhs_ric = Rperp - (cross - cross.transpose(1, 0, 2, 3))
+    res_ricci = _maxabs(lhs_ric - rhs_ric)
+    return res_gauss, res_codazzi, res_ricci
+
+
+def _normal_curvature(ctx: SubTractorContext):
+    """Rperp_ij^c_d from the normal frame with the context's seeds frozen;
+    at q the frame and the connection are those of the context's pack."""
+    geo, emb, sub = ctx.geo, ctx.emb, ctx.sub
+    orientation = geo.orientation * emb.orientation
+
+    def frame_at(Y, conn):
+        ph = emb.phi.jets(Y, 1)
+        g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
+        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds)
+        return fr["normals"], fr["conormals"], (
+            SigmaConn(tr.ConnData(ctx.n, g, gi, Gamma), ph[1]) if conn
+            else None)
+
+    base = (sub.normals, sub.conormals,
+            SigmaConn(tr.ConnData.from_pack(ctx.pack), sub.dphi))
+    return normal_curvature(frame_at, ctx.q, tangent_up(ctx.n), base)
+
+
 # --------------------------------------------------------------------------
 # tractor Gauss-Codazzi-Ricci residuals (m >= 3)
 # --------------------------------------------------------------------------
@@ -716,3 +792,51 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
     rhs_ric = OmN - (LLn - LLn.transpose(1, 0, 2, 3))
     res_ric = float(np.abs(lhs_ric - rhs_ric).max())
     return res_gauss, res_cod, res_ric
+
+
+# --------------------------------------------------------------------------
+# conformal transformation laws
+# --------------------------------------------------------------------------
+
+def transformation_residuals(ctx: SubTractorContext, ctx2: SubTractorContext,
+                             omega, upsilon):
+    """Max-norm residuals of the transformation laws of the Schouten
+    tensor, II, H and IIo and of the tractor triple, between ``ctx`` and
+    ``ctx2``, the context at the same point in the geometry rescaled by
+    ``omega`` (metric Omega^2 g; ``upsilon`` is Upsilon_a = Omega^-1 d_a
+    Omega, as ``riemann.rescale`` returns them).
+
+    II has weight 0 so its trivialised components transform directly; the
+    weighted mean curvature has weight -2, so the hatted trivialisation
+    carries a factor Omega^-2.  The tractor triple is checked on the scale
+    tractor of a fixed density (components sigma = 1), whose rescaled form
+    is the Thomas operator on Omega in the rescaled geometry.
+    """
+    sub, sub2 = ctx.sub, ctx2.sub
+    pk, pkh, x, n = ctx.pack, ctx2.pack, sub.x, ctx.n
+    ups = upsilon(x)
+    ups_up = pk.gi @ ups
+    oj = omega.jets(x, 2)
+    w = float(omega.value(x))
+
+    # P^ = P - nabla Upsilon + Upsilon Upsilon - |Upsilon|^2 g / 2
+    dU = oj[2] / oj[0] - np.multiply.outer(oj[1], oj[1]) / oj[0] ** 2
+    covU = dU - np.einsum("eab,e->ab", pk.Gamma, ups)
+    pred = (pk.P - covU + np.multiply.outer(ups, ups)
+            - 0.5 * float(ups @ ups_up) * pk.g)
+
+    Nups = sub.Nab @ ups_up
+    II_pred = sub.II - np.einsum("ij,c->ijc", sub.g_s, Nups)
+    H_pred = w ** (-2) * (sub.H - Nups)
+
+    I_g = tr.make_tractor(n, sigma=1.0, rho=-pk.J / n)
+    I_h = tr.thomas_D(ctx2.geo, FieldHandle(omega, (), 1), 1, x,
+                      pack=pkh).data / n
+    M = tr.rescale_triple_matrix(pk, ups, variance="down")
+    predI = tr.rescale_component_weights(
+        w, tr.slot_weights(n, "down")) * (M @ I_g)
+    return {"schouten_trans": _maxabs(pkh.P - pred),
+            "II_transformation": _maxabs(sub2.II - II_pred),
+            "H_transformation": _maxabs(sub2.H - H_pred),
+            "IIo_invariance": _maxabs(sub2.IIo - sub.IIo),
+            "tractor_triple_trans": _maxabs(I_h - predI)}

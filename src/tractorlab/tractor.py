@@ -472,14 +472,11 @@ def parallel_transport(geo: GeometrySpec, curve, T0: TractorObject,
     def rhs(t, T):
         x = np.asarray(curve(t), dtype=float)
         pack = curvature_pack(geo, x, order=2)
-        conn = ConnData.from_pack(pack)
-        u = velocity(t)
-        dT = np.zeros_like(T)
-        for k, ix in enumerate(idxs):
-            M = np.einsum("a,ane->ne", u, conn.matrix(ix))
-            dT -= np.moveaxis(
-                np.einsum("ne,...e->...n", M, np.moveaxis(T, k, -1)), -1, k)
-        return dT
+        # dT/dt = -u^a (connection terms of nabla_a T): the covariant
+        # derivative of T with a vanishing partial
+        nab = covariant_jet(ConnData.from_pack(pack),
+                            [T, np.zeros(T.shape + (geo.n,))], idxs)[0]
+        return -(nab @ velocity(t))
 
     t = t0
     for _ in range(steps):

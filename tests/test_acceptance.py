@@ -337,7 +337,7 @@ def test_criterion_10_conformal_invariance():
 
 
 def _law_residuals(geo, emb, om, q):
-    from tractorlab.submanifold import conformal_transform_check
+    from tractorlab.subtractor import transformation_residuals
     from tractorlab.tensors import FieldHandle, ArrayField, DiffBackend
     sub = submanifold_pack(geo, emb, q)
     x = sub.x
@@ -352,8 +352,10 @@ def _law_residuals(geo, emb, om, q):
     pred = (pk.P - covU + np.multiply.outer(ups, ups)
             - 0.5 * float(ups @ ups_up) * pk.g)
     out = {"schouten": float(np.abs(pkh.P - pred).max())}
-    ff = conformal_transform_check(geo, emb, om, q)
-    out["second_fundamental_form"] = max(ff["II"], ff["H"],
+    ff = transformation_residuals(SubTractorContext(geo, emb, q),
+                                  SubTractorContext(geoh, emb, q), om, upsilon)
+    out["second_fundamental_form"] = max(ff["II_transformation"],
+                                         ff["H_transformation"],
                                          ff["IIo_invariance"])
     I_g = tr.make_tractor(geo.n, sigma=1.0, rho=-pk.J / geo.n)
 

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tractorlab import circles, cli, riemann, subtractor
+from tractorlab import circles, cli, riemann, submanifold, subtractor
 from tractorlab.riemann import SingularMetricError
 
 
@@ -400,7 +400,15 @@ def test_invariance_pack_count(monkeypatch):
     packs, one call each: the submanifold packs of the 3 sample points, and
     per rescaling the rescaled pack of the Thomas operator, the rescaled
     submanifold pack of ``conformal_transform_check`` and those of the 3
-    rescaled contexts."""
+    rescaled contexts.
+
+    Each rescaling now builds one rescaled geometry, and its transformation
+    laws read the rescaled context at sample 0: II, H and IIo from its
+    submanifold pack, and the Thomas operator from that pack's ambient
+    pack.  So per rescaling the Thomas operator's pack and the second
+    rescaled submanifold pack are gone: 12 packs, one call each, the
+    submanifold packs of the 3 sample points in the geometry and in each
+    of its 3 rescalings."""
     packs = []
     pack = riemann.curvature_pack
 
@@ -415,8 +423,98 @@ def test_invariance_pack_count(monkeypatch):
         rc = cli.main(["invariance", "-s", 'geometry={"name":"s2s2"}',
                        "-s", 'embedding={"name":"factor1"}'])
     assert rc == 0
-    assert sum(packs) == 18
-    assert len(packs) == 18
+    assert sum(packs) == 12
+    assert len(packs) == 12
+
+
+def test_invariance_rescales_once_per_rescaling(monkeypatch):
+    """``invariance`` on s2s2/factor1 builds one rescaled geometry per
+    rescaling (9 ``rescale`` calls for 3 rescalings when the Schouten law
+    and the second-fundamental-form laws each built their own), and the
+    laws read the rescaled context at sample 0: every submanifold pack of
+    the run is one of the 3 sample-point packs of the geometry or of one of
+    its rescalings, with default seeds, and the laws get the rescaled
+    context whose submanifold pack is the memo's
+    (``test_invariance_pack_count`` counts the curvature packs)."""
+    rescale = riemann.rescale
+    build_embedding = cli.build_embedding
+    laws = subtractor.transformation_residuals
+    rescaled, embs, law_ctxs = [], [], []
+
+    def counted_rescale(geo, omega):
+        out = rescale(geo, omega)
+        rescaled.append(out[0])
+        return out
+
+    def kept_embedding(*args):
+        embs.append(build_embedding(*args))
+        return embs[-1]
+
+    def kept_laws(ctx, ctx2, omega, upsilon):
+        law_ctxs.append(ctx2)
+        return laws(ctx, ctx2, omega, upsilon)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tractorlab") and \
+                getattr(mod, "rescale", None) is rescale:
+            monkeypatch.setattr(mod, "rescale", counted_rescale)
+    monkeypatch.setattr(cli, "build_embedding", kept_embedding)
+    monkeypatch.setattr(subtractor, "transformation_residuals", kept_laws)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["invariance", "-s", 'geometry={"name":"s2s2"}',
+                       "-s", 'embedding={"name":"factor1"}'])
+    assert rc == 0
+    assert len(rescaled) == 3
+    (emb,) = embs
+    per_geometry = Counter(geo for geo, _, _ in emb.packs)
+    assert len(per_geometry) == 4
+    assert set(per_geometry.values()) == {3}
+    assert set(rescaled) < set(per_geometry)
+    assert all(seeds is None for _, _, seeds in emb.packs)
+    assert [c.geo for c in law_ctxs] == rescaled
+    assert all(c.sub is emb.packs[(c.geo, c.q.tobytes(), None)]
+               for c in law_ctxs)
+
+
+CURVE_REPORTS = [
+    ('{"name":"euclidean","params":{"n":3}}', '{"name":"helix"}', None),
+    ('{"name":"sphere"}', '{"name":"great","params":{"m":1}}', None),
+    ('{"name":"hyperbolic","params":{"n":3}}',
+     '{"name":"slice","params":{"n":3,"m":1}}', '{"mode":"fd"}'),
+]
+
+
+@pytest.mark.parametrize("geometry,embedding,backend", CURVE_REPORTS,
+                         ids=["helix", "sphere-great", "hyperbolic-slice-fd"])
+def test_curve_report_builds_no_intrinsic_pack(monkeypatch, geometry,
+                                               embedding, backend):
+    """A report on a curve builds no curvature pack of its induced metric:
+    the Codazzi residual reads the intrinsic Christoffel symbol from the
+    exact partials along the curve, and the Gauss residual of a curve has
+    no intrinsic curvature."""
+    geos = []
+    pack = riemann.curvature_pack
+
+    def counted(geo, x, order=None):
+        geos.append(geo)
+        return pack(geo, x, order)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tractorlab") and \
+                getattr(mod, "curvature_pack", None) is pack:
+            monkeypatch.setattr(mod, "curvature_pack", counted)
+    argv = ["report", "-s", f"geometry={geometry}",
+            "-s", f"embedding={embedding}"]
+    if backend is not None:
+        argv += ["-s", f"backend={backend}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    assert rc == 0
+    assert all(len(r["gcr"]) == 3
+               for r in json.loads(out.getvalue())["per_sample"])
+    assert geos
+    assert not any(isinstance(g.metric, submanifold.PullbackMetricField)
+                   for g in geos)
 
 
 def test_invariance_identity_and_random():

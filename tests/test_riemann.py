@@ -9,7 +9,7 @@ from tractorlab import cli, geolib
 from tractorlab.riemann import (CurvaturePack, GeometrySpec,
                                 SingularMetricError, curvature_pack, rescale)
 from tractorlab.submanifold import PullbackMetricField
-from tractorlab.riemann import levi_civita_derivative
+from tractorlab.tractor import tractor_connection_apply
 from tractorlab.tensors import (ArrayField, DiffBackend, FieldHandle,
                                 JetOrderError, tangent_up)
 
@@ -267,11 +267,13 @@ def test_holonomy_commutator_oracle(seed):
 
 
 def test_levi_civita_derivative_metricity():
+    """The coupled connection acts on tangent indices as Levi-Civita
+    (``tractor_connection_apply``), which preserves the metric."""
     geo = geolib.random_metric(3, seed=11)
     x = np.array([0.04, -0.02, 0.06])
     from tractorlab.tensors import tangent_down
     gh = FieldHandle(geo.metric, (tangent_down(3), tangent_down(3)), 2)
-    out = levi_civita_derivative(geo, gh, x)
+    out = tractor_connection_apply(geo, gh, x)
     assert np.abs(out.data).max() < 1e-8
 
 
@@ -285,7 +287,7 @@ def test_levi_civita_derivative_volume_form():
     from tractorlab.tensors import tangent_down
     h = FieldHandle(ArrayField(eps_at, backend=DiffBackend(step=1e-4)),
                     tuple(tangent_down(3) for _ in range(3)), 3)
-    out = levi_civita_derivative(geo, h, x)
+    out = tractor_connection_apply(geo, h, x)
     assert np.abs(out.data).max() < 1e-7
 
 
@@ -294,7 +296,7 @@ def test_levi_civita_derivative_flat_vector():
     fld = ArrayField(lambda x: np.array([0.0, x[0], 0.0]),
                      backend=DiffBackend())
     h = FieldHandle(fld, (tangent_up(3),), 0)
-    out = levi_civita_derivative(geo, h, np.array([0.3, 0.1, -0.2]))
+    out = tractor_connection_apply(geo, h, np.array([0.3, 0.1, -0.2]))
     expected = np.zeros((3, 3))
     expected[1, 0] = 1.0
     assert np.abs(out.data - expected).max() < 1e-10

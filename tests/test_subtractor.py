@@ -573,8 +573,9 @@ def test_along_divergence_of_IIo(along_ctx):
 
 
 def test_along_coupled_derivative_II(along_ctx):
-    """D_i II_jk^d as the Codazzi residual uses it."""
-    from tractorlab.submanifold import _coupled_derivative_II
+    """D_i II_jk^d as the Codazzi residual uses it: ``along_exact`` of II
+    (intrinsic Christoffel symbols from ``partials``), projected by N^a_b;
+    the oracle reads those of the intrinsic pack."""
     ctx = along_ctx
     sub = ctx.sub
     II0, dII = _exact_jet1(sub.II, ctx.partials()["II"])
@@ -583,8 +584,8 @@ def test_along_coupled_derivative_II(along_ctx):
          - np.einsum("lij,lkd->ijkd", G, II0)
          - np.einsum("lik,jld->ijkd", G, II0))
     oracle = np.einsum("dc,ijkc->ijkd", sub.Nab, D)
-    got = _coupled_derivative_II(sub, ctx.intrinsic_pack(),
-                                 ctx.partials()["II"])
+    got = np.einsum("dc,ijkc->ijkd", sub.Nab, ctx.along_exact(
+        sub.II, ctx.partials()["II"], ctx._normal_indices()))
     assert np.abs(got - oracle).max() <= 1e-12
 
 
