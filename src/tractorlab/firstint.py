@@ -16,6 +16,7 @@ normality check of ``bgg_split`` is the one finite difference;
 ``SubTractorContext.along``, a Richardson stencil of whole packs."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -210,7 +211,7 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
         raise ValueError(f"form degree {kspec.degree} != codimension {d}")
 
     def value_at(c):
-        K = _split_components(geo, kspec, c.sub.x)
+        K = _split_components(geo, kspec, c.sub.x, c.pack)
         return _full_pair(K, c.normal_form(),
                           tractor_metric_matrix(c.pack.gi))
 
@@ -220,10 +221,10 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
 
     # explicit slot evaluation
     sub = ctx.sub
-    pack, jets, covs = _cov_jets(geo, kspec, sub.x, 1)
+    pack, jets, covs = _cov_jets(geo, kspec, sub.x, 1, ctx.pack)
     k0 = jets[0]
     gi = pack.gi
-    Nup = on_axes(gi, sub.Nform, range(sub.Nform.ndim))
+    Nup = on_axes(gi, functools.reduce(tr.wedge, sub.conormals), range(d))
     H_low = pack.g @ sub.H
     if d == 1:
         explicit = float(k0) * float(Nup @ H_low) \

@@ -3,7 +3,7 @@
 An embedding is a chart map from an m-dimensional parameter chart into the
 ambient chart, with derivative access to any order its field has.  The pack
 collects induced metric, projectors, second fundamental form, mean
-curvature, the oriented normal frame and normal form, and an intrinsic
+curvature, the oriented normal frame, and an intrinsic
 geometry built from the pulled-back metric field, whose jets of every order
 are exact (so intrinsic curvature is computed independently rather than
 through the Gauss equation).
@@ -21,9 +21,12 @@ read these derivatives (Gauss-Codazzi-Ricci, the transformation laws)
 take a ``subtractor.SubTractorContext`` per point.
 
 The normal frame is ``normal_frame``, on a stack of points: called by the
-pack and, with only the jets it needs, on the stencils of
-``normal_curvature``: the curvature of a normal bundle from its frame, for
-both Ricci residuals.
+pack and, with only the jets it needs, on the inner stencil of
+``normal_curvature``, the curvature of a normal bundle from its frame.
+Both Ricci residuals call it with a map from the normal frame to their
+frame rows and the jet order that map reads; its outer stencil reads the
+submanifold packs a ``SigmaField`` at the same point differences, and a
+curve's normal curvature is zero with no stencil.
 
 Every stencil along Sigma is evaluated as a whole: ``central_diff`` hands
 its stencil to one call, and ``submanifold_pack`` on a stack of points
@@ -35,14 +38,13 @@ bitwise what an evaluation at that point alone gives.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jets import compose, product
 from .riemann import (CurvaturePack, GeometrySpec, _christoffel,
-                      curvature_pack)
+                      curvature_pack, metric_connection)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
                       central_diff)
 from . import tractor as tr
@@ -147,7 +149,6 @@ class SubmanifoldPack:
     H: np.ndarray
     conormals: np.ndarray       # [alpha, a] orthonormal, oriented
     normals: np.ndarray         # raised conormals
-    Nform: np.ndarray           # Riemannian normal form, d down indices
     seeds: tuple
     intrinsic: GeometrySpec
 
@@ -207,9 +208,8 @@ def _build_pack(geo, emb, q, ph, pack, frame):
     intrinsic = GeometrySpec(n=emb.m, metric=PullbackMetricField(geo, emb),
                              orientation=emb.orientation)
     sub = SubmanifoldPack(q=q, x=ph[0], m=emb.m, n=emb.n, d=emb.n - emb.m,
-                          dphi=ph[1], pack=pack,
-                          Nform=functools.reduce(tr.wedge, frame["conormals"]),
-                          intrinsic=intrinsic, **frame)
+                          dphi=ph[1], pack=pack, intrinsic=intrinsic,
+                          **frame)
     for obj in (sub, pack):
         for arr in vars(obj).values():
             if isinstance(arr, np.ndarray):
@@ -390,31 +390,57 @@ def covariant_partial(conn, value, partial, indices):
                        -1, 0)
 
 
-def normal_curvature(frame_at, q, index, base):
-    """Curvature of a normal bundle, [i, j, C, E] acting on up components.
+def normal_curvature(geo, emb, sub, frames, index, order):
+    """Curvature of a normal bundle of ``emb`` in ``geo`` at the point of
+    its pack ``sub``, [i, j, C, E] acting on up components.
 
-    ``frame_at(Y, conn)`` gives, at each row of a stack of points Y, the
-    frame rows [alpha, C] (C is ``index``) and the dual coframe rows
-    [alpha, E], stacked on a leading axis, and, if ``conn``, the
-    ``SigmaConn`` on the stack; ``base`` is that triple at q itself, without
-    the point axis (the caller's pack holds it).  omega_i = coframe (d_i +
-    conn_i) frame takes d_i from a plain central difference (step 1e-4),
-    its curvature from a Richardson one (step 1e-2); each level of the
-    nested stencil is one ``frame_at`` call."""
-    q = np.asarray(q, dtype=float)
+    ``frames(conormals, normals, H, gi)`` maps the normal frame and g^-1,
+    at a point or stacked, to the frame rows [alpha, C] (C is ``index``)
+    and the dual coframe rows [alpha, E]; it reads the embedding's
+    ``order``-jet (1 for the normals, 2 for H).  omega_i = coframe (d_i +
+    conn_i) frame takes d_i from a plain central difference (step 1e-4):
+    one ``normal_frame`` call at that order, seeds frozen at ``sub``'s.
+    Its curvature takes a Richardson one (step 1e-2) of the submanifold
+    packs a ``SigmaField`` at ``sub.q`` differences, their fields stacked
+    once; at ``sub.q`` it reads ``sub``.  R_ij is antisymmetric in i, j,
+    so a curve's is zero, with no stencil."""
+    if sub.m == 1:
+        return np.zeros((1, 1, index.dim, index.dim))
+    orientation = geo.orientation * emb.orientation
 
-    def omega(Y, frame, coframe, conn):
+    def frame(Z):
+        ph = emb.phi.jets(Z, order)
+        g, gi, Gamma, _ = metric_connection(geo, ph[0], order - 1)
+        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds, Gamma,
+                          *ph[2:])
+        return frames(fr["conormals"], fr["normals"], fr.get("H"), gi)[0]
+
+    def read(field, ambient):
+        """Frame, coframe and ``SigmaConn`` from ``field(name)`` and
+        ``ambient(name)``, the fields of a pack and of its ambient pack."""
+        fr, cofr = frames(field("conormals"), field("normals"), field("H"),
+                          ambient("gi"))
+        conn = tr.ConnData(geo.n, *map(ambient, ("g", "gi", "Gamma", "P")))
+        return fr, cofr, SigmaConn(conn, field("dphi"))
+
+    def omega(Y, fr, cofr, conn):
         """omega at a point Y, or at each row of a stack Y."""
-        dV = central_diff(lambda Z: frame_at(Z, False)[0], Y, 1e-4)
+        dV = central_diff(frame, Y, 1e-4)
         nab = np.moveaxis(dV, -1, -3) + np.einsum(
-            "...ice,...be->...ibc", conn.matrix(index), frame)
-        return np.einsum("...ac,...ibc->...iab", coframe, nab)
+            "...ice,...be->...ibc", conn.matrix(index), fr)
+        return np.einsum("...ac,...ibc->...iab", cofr, nab)
 
-    om0 = omega(q, *base)
+    def omega_stacked(Y):
+        pks = submanifold_pack(geo, emb, Y, seeds=sub.seeds)
+        return omega(Y, *read(
+            lambda k: np.stack([getattr(pk, k) for pk in pks]),
+            lambda k: np.stack([getattr(pk.pack, k) for pk in pks])))
+
+    base = read(lambda k: getattr(sub, k), lambda k: getattr(sub.pack, k))
+    om0 = omega(sub.q, *base)
     # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
     dw = np.ascontiguousarray(np.moveaxis(central_diff(
-        lambda Y: omega(Y, *frame_at(Y, True)), q, 1e-2, richardson=True),
-        -1, 0))
+        omega_stacked, sub.q, 1e-2, richardson=True), -1, 0))
     Rfr = (dw - dw.transpose(1, 0, 2, 3)
            + np.einsum("iae,jeb->ijab", om0, om0)
            - np.einsum("jae,ieb->ijab", om0, om0))

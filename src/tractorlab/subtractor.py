@@ -24,7 +24,8 @@ induced one p) on intrinsic indices; its builder receives the context of
 each stencil point, and callers add only the normal projection the
 formula needs.  The L-shaped slot fill is ``L_slots``.  Both normal
 curvatures, of the Riemannian and of the tractor conormal frame, are
-``submanifold.normal_curvature``.
+``submanifold.normal_curvature`` of a frame map: the normals, or the
+tractor conormals (0, n_a, n.H), which read H.
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J,
@@ -46,11 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemann import GeometrySpec, curvature_pack, metric_connection
+from .riemann import GeometrySpec, curvature_pack
 from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
                           SubmanifoldPack, covariant_partial,
-                          normal_curvature, normal_frame, partials_along,
-                          submanifold_pack)
+                          normal_curvature, partials_along, submanifold_pack)
 from .tensors import (FieldHandle, TensorValue, middle_block,
                       pairing_matrix, stage, tangent_down,
                       tangent_up, tractor_down, tractor_metric_matrix,
@@ -519,7 +519,7 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
     NI2 = []
     pts = [ctx.q] if samples is None else samples
     for s in pts:
-        pk = submanifold_pack(geo, emb, s, seeds=ctx.sub.seeds)
+        pk = submanifold_pack(geo, emb, s)
         NI2.append(float(HA_at(pk) @ tractor_metric_matrix(pk.pack.g)
                          @ I_at(pk)))
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
@@ -661,22 +661,12 @@ def gauss_codazzi_ricci_residuals(ctx: SubTractorContext):
 
 
 def _normal_curvature(ctx: SubTractorContext):
-    """Rperp_ij^c_d from the normal frame with the context's seeds frozen;
-    at q the frame and the connection are those of the context's pack."""
-    geo, emb, sub = ctx.geo, ctx.emb, ctx.sub
-    orientation = geo.orientation * emb.orientation
-
-    def frame_at(Y, conn):
-        ph = emb.phi.jets(Y, 1)
-        g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
-        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds)
-        return fr["normals"], fr["conormals"], (
-            SigmaConn(tr.ConnData(ctx.n, g, gi, Gamma), ph[1]) if conn
-            else None)
-
-    base = (sub.normals, sub.conormals,
-            SigmaConn(tr.ConnData.from_pack(ctx.pack), sub.dphi))
-    return normal_curvature(frame_at, ctx.q, tangent_up(ctx.n), base)
+    """Rperp_ij^c_d from the Riemannian normal frame (the normals and
+    their conormals), seeds frozen at the context's."""
+    return normal_curvature(ctx.geo, ctx.emb, ctx.sub,
+                            lambda conormals, normals, H, gi:
+                            (normals, conormals),
+                            tangent_up(ctx.n), 1)
 
 
 # --------------------------------------------------------------------------
@@ -715,33 +705,15 @@ def _coupled_D_of_L(ctx: SubTractorContext):
 def _normal_tractor_curvature(ctx: SubTractorContext):
     """Curvature of the normal tractor connection as action matrices:
     [i, j, C, E] with (Om v)[C] = Om[i,j,C,E] v[E] for up components, from
-    the tractor conormal frame; only the connection needs a pack (for P).
-    At q the frame and the pack are the context's."""
-    geo, emb, n = ctx.geo, ctx.emb, ctx.n
-    orientation = geo.orientation * emb.orientation
-    Jamb = pairing_matrix(n)
+    the tractor conormal frame (0, n_a, n.H), which reads H."""
+    Jamb = pairing_matrix(ctx.n)
 
-    def frames(T, gi, conn):
-        """The raised tractor conormal rows T, their J-duals and ``conn``."""
-        return T @ middle_block(gi), T @ Jamb, conn
-
-    def frame_at(Y, conn):
-        ph = emb.phi.jets(Y, 2)
-        if conn:
-            pk = curvature_pack(geo, ph[0], order=2)
-            g, gi, Gamma = pk.g, pk.gi, pk.Gamma
-            conn = SigmaConn(tr.ConnData.from_pack(pk), ph[1])
-        else:
-            g, gi, Gamma = metric_connection(geo, ph[0])[:3]
-            conn = None
-        fr = normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds, Gamma,
-                          ph[2])
-        return frames(tractor_conormal_rows(fr["conormals"], fr["H"]), gi,
-                      conn)
-
-    base = frames(ctx.tractor_conormals(), ctx.pack.gi,
-                  SigmaConn(tr.ConnData.from_pack(ctx.pack), ctx.sub.dphi))
-    return normal_curvature(frame_at, ctx.q, tractor_up(n), base)
+    def frames(conormals, normals, H, gi):
+        """The raised tractor conormal rows and their J-duals."""
+        T = tractor_conormal_rows(conormals, H)
+        return T @ middle_block(gi), T @ Jamb
+    return normal_curvature(ctx.geo, ctx.emb, ctx.sub, frames,
+                            tractor_up(ctx.n), 2)
 
 
 def tractor_gcr_residuals(ctx: SubTractorContext):
@@ -832,7 +804,7 @@ def transformation_residuals(ctx: SubTractorContext, ctx2: SubTractorContext,
     I_g = tr.make_tractor(n, sigma=1.0, rho=-pk.J / n)
     I_h = tr.thomas_D(ctx2.geo, FieldHandle(omega, (), 1), 1, x,
                       pack=pkh).data / n
-    M = tr.rescale_triple_matrix(pk, ups, variance="down")
+    M = tr.rescale_triple_matrix(pk, ups)
     predI = tr.rescale_component_weights(
         w, tr.slot_weights(n, "down")) * (M @ I_g)
     return {"schouten_trans": _maxabs(pkh.P - pred),

@@ -495,11 +495,12 @@ def parallel_transport(geo: GeometrySpec, curve, T0: TractorObject,
 # conformal-change bookkeeping (for invariance tests)
 # --------------------------------------------------------------------------
 
-def rescale_triple_matrix(pack, upsilon, variance="down"):
+def rescale_triple_matrix(pack, upsilon):
     """Matrix relating scale-g tractor slots to scale-(Omega^2 g) slots.
 
-    Acts on trivialised components of an unweighted tractor; slot weights
-    (1, 1, -1) are included, so hatted components are M @ components.
+    Acts on trivialised components of an unweighted tractor with its index
+    down; slot weights (1, 1, -1) are included, so hatted components are
+    M @ components.
     """
     n = pack.n
     N = n + 2
@@ -512,12 +513,6 @@ def rescale_triple_matrix(pack, upsilon, variance="down"):
     M[n + 1, 0] = -0.5 * float(ups @ ups_up)
     M[n + 1, 1:n + 1] = -ups_up
     M[n + 1, n + 1] = 1.0
-    if variance == "up":
-        # raise middle index: mu^a transforms with Upsilon^a
-        Mu = np.array(M)
-        Mu[1:n + 1, 0] = ups_up
-        Mu[n + 1, 1:n + 1] = -ups
-        M = Mu
     return M
 
 

@@ -369,7 +369,7 @@ def _law_residuals(geo, emb, om, q):
             return om.jets(y, order)
 
     I_h = tr.thomas_D(geoh, FieldHandle(_Om(), (), 1), 1, x).data / geo.n
-    M = tr.rescale_triple_matrix(pk, ups, variance="down")
+    M = tr.rescale_triple_matrix(pk, ups)
     w0 = float(om.value(x))
     predI = tr.rescale_component_weights(
         w0, tr.slot_weights(geo.n, "down")) * (M @ I_g)

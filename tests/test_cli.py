@@ -159,20 +159,36 @@ def test_analytic_sample_point_on_a_pole_exits_2():
 
 
 def test_pole_on_a_stencil_row_exits_2():
-    """q = 0.99 is a regular point, but its Richardson point 0.99 + 0.01
-    lands on the pole (1, 0, 0): the batched stencil evaluates every row's
-    embedding before any metric, and still reports the pole the
-    point-by-point evaluation meets first."""
+    """q = (0.99, 0) is a regular point, but its Richardson point (0.99 +
+    0.01, 0) lands on the pole (1, 0, 0): the batched stencil evaluates
+    every row's embedding before any metric, and still reports the pole
+    the point-by-point evaluation meets first.  The surface, not the
+    curve: a curve's normal curvature is zero with no stencil, so a curve
+    report runs none (``test_curve_next_to_a_pole_exits_0``)."""
     rc, out, err = run_cli(
         "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":3}}',
-        "-s", 'embedding={"name":"slice","params":{"n":3,"m":1}}',
-        "-s", 'samples={"points":[[0.99]]}')
+        "-s", 'embedding={"name":"slice","params":{"n":3,"m":2}}',
+        "-s", 'samples={"points":[[0.99,0.0]]}')
     assert rc == 2
     lines = err.splitlines()
     assert lines[0] == ("numerical failure: JetOrderError: non-finite field "
                         "evaluation at [1. 0. 0.]")
-    assert lines[1] == "stage: sample 0, q = [0.99]"
+    assert lines[1] == "stage: sample 0, q = [0.99, 0.0]"
     assert "Traceback" not in err and out == ""
+
+
+def test_curve_next_to_a_pole_exits_0():
+    """A curve report evaluates no field off the curve's sample point: its
+    classify row is exact and its normal curvature zero with no stencil.
+    So q = 0.99, whose Richardson point 0.99 + 0.01 is the pole (1, 0, 0),
+    reports, with every Gauss-Codazzi-Ricci residual 0 (a curve's
+    curvatures R_ij are antisymmetric in i, j)."""
+    rc, out, err = run_cli(
+        "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":3}}',
+        "-s", 'embedding={"name":"slice","params":{"n":3,"m":1}}',
+        "-s", 'samples={"points":[[0.99]]}')
+    assert rc == 0 and err == ""
+    assert json.loads(out)["per_sample"][0]["gcr"] == [0.0, 0.0, 0.0]
 
 
 def test_embedding_dimension_mismatch_exit4(capsys):

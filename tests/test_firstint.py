@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from tractorlab import geolib
+from tractorlab import geolib, submanifold, subtractor
 from tractorlab import circles as ci
 from tractorlab import firstint as fi
 from tractorlab import tractor as tr
+from tractorlab.riemann import curvature_pack
 from tractorlab.submanifold import EmbeddingSpec
 from tractorlab.subtractor import SubTractorContext
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
@@ -91,6 +92,31 @@ def test_conserved_quantity_codim2_plane():
     rep = fi.conserved_quantity(geo, emb, k, np.array([0.3, 0.5]))
     assert rep["derivative_residual"] < 1e-8
     assert rep["value"] == pytest.approx(rep["explicit"], abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["line", "s2s2-diagonal"])
+def test_conserved_quantity_reads_the_context_packs(case, monkeypatch):
+    """The splitting at each stencil point and the slot evaluation read
+    the order-2 curvature packs of the contexts: one call builds the 4m
+    stencil packs under ``SubTractorContext.along``, one the pack at q.
+    Each used to build its own (13 calls at m = 2, 9 at m = 1)."""
+    if case == "line":
+        geo, emb = geolib.euclidean(3), geolib.coordinate_slice(
+            3, (2,), values=(1.3, 0.0, 0.0))
+        k, q = geolib.rotation_form(3, 0, 1), np.array([0.4])
+    else:
+        geo, emb = geolib.s2s2(), geolib.diagonal_s2s2()
+        k = geolib.s2s2_lifted_killing("t1", combo=(1.0, 0.4))
+        q = np.array([0.25, -0.15])
+    calls = []
+
+    def counted(geo, x, order=None):
+        calls.append(len(x) if np.ndim(x) == 2 else 1)
+        return curvature_pack(geo, x, order)
+    for mod in (fi, submanifold, subtractor):
+        monkeypatch.setattr(mod, "curvature_pack", counted)
+    fi.conserved_quantity(geo, emb, k, q)
+    assert sorted(calls) == [1, 4 * emb.m]
 
 
 def test_degree_codimension_mismatch():

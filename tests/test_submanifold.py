@@ -1,6 +1,7 @@
 """Riemannian submanifold calculus tests."""
 import contextlib
 import dataclasses
+import functools
 import gc
 import inspect
 import io
@@ -116,12 +117,17 @@ def test_conformal_transform_identity():
     assert max(rep.values()) < 1e-12
 
 
+def _normal_form(pk):
+    """The Riemannian normal form, the wedge of the pack's conormals."""
+    return functools.reduce(wedge, pk.conormals)
+
+
 def test_normal_form_identities():
     geo = geolib.random_metric(4, seed=1)
     emb = geolib.random_graph_embedding(4, 2, seed=2)
     pk = submanifold_pack(geo, emb, np.array([0.05, -0.1]))
     gi = pk.pack.gi
-    Nf = pk.Nform
+    Nf = _normal_form(pk)
     Nup = np.einsum("ac,bd,cd->ab", gi, gi, Nf)
     # N . N = d!
     assert np.tensordot(Nup, Nf, axes=2) == pytest.approx(
@@ -138,7 +144,7 @@ def test_orientation_wedge_identity():
     pk = submanifold_pack(geo, emb, q)
     ip = curvature_pack(pk.intrinsic, q, order=2)
     epsS = np.einsum("ij,ia,jb->ab", ip.eps, pk.Pi_ia, pk.Pi_ia)
-    assert np.abs(wedge(epsS, pk.Nform) - pk.pack.eps).max() < 1e-10
+    assert np.abs(wedge(epsS, _normal_form(pk)) - pk.pack.eps).max() < 1e-10
 
 
 def test_hypersurface_unit_conormal():
@@ -146,7 +152,7 @@ def test_hypersurface_unit_conormal():
     emb = geolib.random_graph_embedding(3, 2, seed=6)
     pk = submanifold_pack(geo, emb, np.array([0.02, 0.05]))
     assert pk.d == 1
-    n = pk.Nform
+    n = _normal_form(pk)
     assert float(n @ pk.pack.gi @ n) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -391,15 +397,15 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}',
       "-s", 'samples={"points":[[0.2,-0.1]]}'],
-     {0: 36, 1: 52, 2: 19, 3: 2}, {0: 2, 1: 4, 2: 5, 3: 2}),
+     {0: 36, 1: 36, 2: 19, 3: 2}, {0: 2, 1: 2, 2: 5, 3: 2}),
     (["invariance", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}'],
      {1: 3, 2: 39, 3: 12}, {1: 3, 2: 39, 3: 12}),
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {0: 78, 1: 180, 2: 141, 3: 28, 4: 1},
-     {0: 2, 1: 6, 2: 21, 3: 28, 4: 1}),
+     {0: 78, 1: 156, 2: 117, 3: 28, 4: 1},
+     {0: 2, 1: 4, 2: 19, 3: 28, 4: 1}),
 ]
 
 
@@ -482,7 +488,18 @@ def test_report_evaluation_count(monkeypatch):
     conformal factor's and the metric's 2-jets under it), the rescaled
     curvature pack of the Thomas operator (those two 2-jets again) and a
     second evaluation of Upsilon (the conformal factor's 1-jet): order-1
-    rows and calls 6 to 3, order-2 54 to 39."""
+    rows and calls 6 to 3, order-2 54 to 39.
+
+    Both normal curvatures read, at their 4m outer Richardson points, the
+    submanifold packs that ``SubTractorContext.along`` builds on the same
+    stencil with the same frozen seeds (for the Moebius Cotton tensor at
+    m = 2, for D S and D L at m = 3), where each evaluated its own jets
+    there.  On s2s2 the Riemannian one no longer evaluates the metric and
+    embedding 1-jets at 8 points (order-1 rows 52 to 36, calls 4 to 2).
+    On s2xs1xr it drops the same at 12 points (order-1 rows 180 to 156,
+    calls 6 to 4), and the tractor one the embedding and metric 2-jets of
+    its order-2 pack at those 12 points (order-2 rows 141 to 117, calls 21
+    to 19).  The ``invariance`` run computes no normal curvature."""
     calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
@@ -866,13 +883,19 @@ def test_stacked_pack_names_the_rank_deficient_row():
 
 
 def test_normal_curvature_builds_no_pack(monkeypatch):
-    """No stencil point of the Ricci or tractor Ricci residual builds a
-    submanifold pack or an order-3 curvature pack; only the tractor
-    connection takes an order-2 pack at each of the 4m outer stencil
-    points.  Rows count the points; a batched call on a stack counts once,
-    so the 4m points share one call.  The base point reads the frame and
-    the pack the context holds: its own order-2 pack (one more call and
-    row) went when both normal curvatures started reading it there."""
+    """Neither normal curvature builds a pack or a context of its own at a
+    stencil point: the outer Richardson stencil of both reads the
+    submanifold packs a derivative along Sigma at the same point builds
+    (same 4m points, same frozen seeds), and the inner stencil evaluates
+    the frame alone.  Rows count the points; a batched call on a stack
+    counts once.
+
+    With a cold memo, the Riemannian curvature builds the 4m = 12 stencil
+    packs in one ``submanifold_pack`` call, so one order-2 curvature pack
+    on 12 rows; the tractor curvature after it finds them in the memo and
+    builds none.  Before, the Riemannian one read the metric 1-jet at the
+    stencil points with no pack, and the tractor one built its own order-2
+    pack on the 12 rows, the pack ``along`` had already built there."""
     geo, emb = _frame_case("s2xs1xr", {}, "s2xs1")
     q = np.array([0.2, -0.1, 0.1])
     ctx = subtractor.SubTractorContext(geo, emb, q)
@@ -891,10 +914,28 @@ def test_normal_curvature_builds_no_pack(monkeypatch):
         monkeypatch.setattr(mod, "submanifold_pack", counted_subpack)
     monkeypatch.setattr(subtractor, "SubTractorContext", None)
     subtractor._normal_curvature(ctx)
-    assert not packs and not subpacks
+    assert dict(rows) == {2: 4 * 3} and dict(packs) == {2: 1}
+    assert dict(subpacks) == {"all": 1}
     subtractor._normal_tractor_curvature(ctx)
-    assert dict(rows) == {2: 4 * 3} and not subpacks
-    assert dict(packs) == {2: 1}
+    assert dict(rows) == {2: 4 * 3} and dict(packs) == {2: 1}
+    assert dict(subpacks) == {"all": 2}
+
+
+def test_curve_normal_curvature_evaluates_nothing(monkeypatch):
+    """R_ij of a normal bundle is antisymmetric in i, j, so a curve's is
+    zero: both normal curvatures return zeros of their index's shape and
+    evaluate no field, where the nested stencil subtracted equal floats."""
+    geo, emb = FRAME_CASES["helix"]()
+    ctx = subtractor.SubTractorContext(geo, emb, np.array([0.15]))
+
+    def no_jets(x, order):
+        raise AssertionError("a field was evaluated")
+    for field in (emb.phi, geo.metric):
+        monkeypatch.setattr(field, "jets", no_jets)
+    for curvature, dim in ((subtractor._normal_curvature, 3),
+                           (subtractor._normal_tractor_curvature, 5)):
+        R = curvature(ctx)
+        assert R.shape == (1, 1, dim, dim) and not R.any()
 
 
 # --------------------------------------------------------------------------

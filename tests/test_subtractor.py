@@ -319,6 +319,18 @@ def test_mean_curvature_predicates():
     assert rep["cmc"] and not rep["parallel_mean_curvature"]
 
 
+def test_mean_curvature_tractor_builds_one_pack_at_q():
+    """The CMC samples read only the frame-independent N^A_B and J, so
+    their packs take the default seeds: at q the sample reads the
+    context's own pack, where frozen seeds built a second one there."""
+    geo = geolib.euclidean(3)
+    emb = geolib.sphere_in_flat(3, 1.0)
+    q = np.array([0.2, -0.3])
+    rep = mean_curvature_tractor(geo, emb, q)
+    assert rep["cmc"]
+    assert sum(key[1] == q.tobytes() for key in emb.packs) == 1
+
+
 def test_zero_scale_tractor_rejected():
     geo = geolib.euclidean(3)
     emb = geolib.sphere_in_flat(3, 1.0)

@@ -312,7 +312,7 @@ def test_rescale_triple_relation():
 
     I_g = tr.thomas_D(geo, FieldHandle(sig, (), 1), 1, x).data / 4
     I_h = tr.thomas_D(geoh, FieldHandle(Prod(), (), 1), 1, x).data / 4
-    M = tr.rescale_triple_matrix(pk, upsilon(x), variance="down")
+    M = tr.rescale_triple_matrix(pk, upsilon(x))
     w0 = float(omega.value(x))
     pred = tr.rescale_component_weights(
         w0, tr.slot_weights(4, "down")) * (M @ I_g)
