@@ -83,6 +83,7 @@ class CurvaturePack:
     W4: np.ndarray | None = None
     K: float | None = None     # Gaussian curvature, n = 2 only
     dP: np.ndarray | None = None       # d_e P_ab -> [a, b, e]
+    dRud: np.ndarray | None = None     # d_e R_ab^c_d -> [a, b, c, d, e]
     Cotton: np.ndarray | None = None   # C_abc
     has_third: bool = False
 
@@ -156,11 +157,11 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     """Evaluate the full curvature package of ``geo`` at chart point ``x``.
 
     ``order`` requests the metric jet order (default: the backend maximum,
-    capped at 3).  The Cotton tensor and dP require order 3.  ``x`` may be
-    a stack of points of shape (p, n): one evaluation of the metric jets
-    then builds the packs of all p points, each array and scalar carrying
-    a leading point axis, and ``pack.at(i)`` is the pack at row i, bitwise
-    the pack a call at that point builds.
+    capped at 3).  The Cotton tensor, dP and dRud require order 3.  ``x``
+    may be a stack of points of shape (p, n): one evaluation of the metric
+    jets then builds the packs of all p points, each array and scalar
+    carrying a leading point axis, and ``pack.at(i)`` is the pack at row i,
+    bitwise the pack a call at that point builds.
     """
     x = np.asarray(x, dtype=float)
     n = geo.n
@@ -248,6 +249,7 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
             - np.einsum(f"{z}eac,{z}be->{z}abc", Gamma, P)
         Cotton = covdP - covdP.swapaxes(-3, -2)
         pack.dP = dP
+        pack.dRud = dRud
         pack.Cotton = Cotton
         pack.has_third = True
     return pack

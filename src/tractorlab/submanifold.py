@@ -13,28 +13,30 @@ along Sigma plus, on each index, the connection ``SigmaConn`` picks (the
 ambient one pulled back by the embedding, or the intrinsic one):
 ``covariant_partial``.  The partial derivatives of the frame-independent
 pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo and H) are exact:
-``partials_along`` takes them by the chain rule from the embedding 3-jet
-and the metric 2-jet the pack holds.  Any other pack-derived quantity is
-differenced: ``SigmaField`` takes the Richardson difference of whole
-packs, which is also the exact route's test oracle.  The residuals that
+``partials_along`` takes them (and dphi's, the embedding Hessian) by the
+chain rule from the embedding 3-jet and the metric 2-jet the pack holds.
+Any other pack-derived quantity is differenced: ``SigmaField`` takes the
+Richardson difference of whole packs, which is also the exact routes'
+test oracle.  The residuals that
 read these derivatives (Gauss-Codazzi-Ricci, the transformation laws)
 take a ``subtractor.SubTractorContext`` per point.
 
-The normal frame is ``normal_frame``, on a stack of points: called by the
-pack and, with only the jets it needs, on the inner stencil of
-``normal_curvature``, the curvature of a normal bundle from its frame.
-Both Ricci residuals call it with a map from the normal frame to their
-frame rows and the jet order that map reads; its outer stencil reads the
-submanifold packs a ``SigmaField`` at the same point differences, and a
-curve's normal curvature is zero with no stencil.
+The normal frame is ``normal_frame``, on a stack of points, and
+``normal_curvature`` the curvature of a normal bundle from its frame.
+Both Ricci residuals call it with a map from the first jets of the normal
+frame (the Gram-Schmidt of N^a_b's seed rows, differentiated with the
+exact partials) to those of their frame rows, and connection data whose
+``dmatrix`` reads the ambient dGamma (or dP): the frame's second partials
+cancel in R_ij, so no stencil is needed.  ``einsum_jet1`` is the Leibniz
+rule of one contraction on order-1 jets.
 
 Every stencil along Sigma is evaluated as a whole: ``central_diff`` hands
 its stencil to one call, and ``submanifold_pack`` on a stack of points
 builds the missing packs from one embedding 2-jet, one order-2 curvature
-pack, one rank check and one normal frame, so a nested stencil costs one
-evaluation per level.  Only assembling each row's pack and the readers of
-a pack (``SigmaField`` builders) run point by point, and each row is
-bitwise what an evaluation at that point alone gives.
+pack, one rank check and one normal frame.  Only assembling each row's
+pack and the readers of a pack (``SigmaField`` builders) run point by
+point, and each row is bitwise what an evaluation at that point alone
+gives.
 """
 from __future__ import annotations
 
@@ -44,14 +46,15 @@ import numpy as np
 
 from .jets import compose, product
 from .riemann import (CurvaturePack, GeometrySpec, _christoffel,
-                      curvature_pack, metric_connection)
+                      curvature_pack)
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
                       central_diff)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
            "PullbackMetricField", "normal_frame", "partials_along",
-           "SigmaField", "SigmaConn", "covariant_partial", "normal_curvature"]
+           "SigmaField", "SigmaConn", "covariant_partial", "einsum_jet1",
+           "normal_curvature"]
 
 
 class RankDeficientError(NumericalError, RuntimeError):
@@ -284,9 +287,9 @@ def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
 def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack):
     """Exact partial derivatives d_k along Sigma at ``sub.q`` of the
     frame-independent pack quantities, each with the derivative axis k
-    last: ``g`` (the ambient metric at phi), ``g_s``, ``gi_s``, ``Nab``,
-    ``II``, ``IIo`` and ``H``; and ``Gamma_s``, the intrinsic Christoffel
-    symbols [l, i, j] from d g_s.
+    last: ``dphi`` (the embedding Hessian), ``g`` (the ambient metric at
+    phi), ``g_s``, ``gi_s``, ``Nab``, ``II``, ``IIo`` and ``H``; and
+    ``Gamma_s``, the intrinsic Christoffel symbols [l, i, j] from d g_s.
 
     The Leibniz and chain rules on the embedding 3-jet at ``sub.q`` and on
     the ambient pack's dg and dGamma (whatever backend differentiated the
@@ -313,8 +316,8 @@ def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack):
             - np.einsum("ij,ck->ijck", sub.g_s, dH))
     if m == 1:
         dIIo = np.zeros_like(dII)
-    return {"g": g[1], "g_s": g_s[1], "gi_s": dgi_s, "Nab": dN, "II": dII,
-            "IIo": dIIo, "H": dH,
+    return {"dphi": ph[2], "g": g[1], "g_s": g_s[1], "gi_s": dgi_s,
+            "Nab": dN, "II": dII, "IIo": dIIo, "H": dH,
             "Gamma_s": _christoffel(sub.gi_s, g_s[1])[0]}
 
 
@@ -326,8 +329,8 @@ class SigmaField:
     normal-frame seeds frozen at the base point, so frame-dependent
     quantities stay smooth.  ``partials_along`` differentiates the pack's
     frame-independent quantities exactly; this stencil serves the readers
-    that need more than those (the induced Schouten tensor, S, L, the
-    normal forms) and is the test oracle of ``partials_along``.
+    that need more than those (S, L, the normal forms) and is the test
+    oracle of ``partials_along`` and of the exact curvatures.
     """
 
     def __init__(self, geo, emb, builder):
@@ -390,58 +393,78 @@ def covariant_partial(conn, value, partial, indices):
                        -1, 0)
 
 
-def normal_curvature(geo, emb, sub, frames, index, order):
-    """Curvature of a normal bundle of ``emb`` in ``geo`` at the point of
-    its pack ``sub``, [i, j, C, E] acting on up components.
+def einsum_jet1(spec, *jets):
+    """Order-1 jets [value, partial] of ``np.einsum(spec, *values)`` from
+    the order-1 jets of its operands (each partial with one derivative axis
+    last; None for a constant): the Leibniz rule, one einsum per operand
+    with its partial in its place.  ``spec`` is explicit ("...->...") and
+    does not use the letter Z."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    values = [j[0] for j in jets]
+    d = None
+    for k, j in enumerate(jets):
+        if j[1] is None:
+            continue
+        terms = ins[:k] + [ins[k] + "Z"] + ins[k + 1:]
+        t = np.einsum(",".join(terms) + "->" + out + "Z",
+                      *values[:k], j[1], *values[k + 1:])
+        d = t if d is None else d + t
+    return [np.einsum(spec, *values), d]
 
-    ``frames(conormals, normals, H, gi)`` maps the normal frame and g^-1,
-    at a point or stacked, to the frame rows [alpha, C] (C is ``index``)
-    and the dual coframe rows [alpha, E]; it reads the embedding's
-    ``order``-jet (1 for the normals, 2 for H).  omega_i = coframe (d_i +
-    conn_i) frame takes d_i from a plain central difference (step 1e-4):
-    one ``normal_frame`` call at that order, seeds frozen at ``sub``'s.
-    Its curvature takes a Richardson one (step 1e-2) of the submanifold
-    packs a ``SigmaField`` at ``sub.q`` differences, their fields stacked
-    once; at ``sub.q`` it reads ``sub``.  R_ij is antisymmetric in i, j,
-    so a curve's is zero, with no stencil."""
-    if sub.m == 1:
-        return np.zeros((1, 1, index.dim, index.dim))
-    orientation = geo.orientation * emb.orientation
 
-    def frame(Z):
-        ph = emb.phi.jets(Z, order)
-        g, gi, Gamma, _ = metric_connection(geo, ph[0], order - 1)
-        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds, Gamma,
-                          *ph[2:])
-        return frames(fr["conormals"], fr["normals"], fr.get("H"), gi)[0]
+def _conormal_jets(sub, d, gi):
+    """Order-1 jets along Sigma of the pack's conormal rows [alpha, a]: the
+    Gram-Schmidt of the seed rows of N^a_b in g^-1 (``gi``, its jets at
+    phi), differentiated by the Leibniz rule from the partials ``d`` of
+    ``partials_along``; the value is the pack's."""
+    rows = []
+    for s in sub.seeds:
+        w = [sub.Nab[s], d["Nab"][s]]
+        for c in rows:
+            t = einsum_jet1(",a->a", einsum_jet1("a,ab,b->", c, gi, w), c)
+            w = [w[0] - t[0], w[1] - t[1]]
+        s2 = einsum_jet1("a,ab,b->", w, gi, w)
+        nw = np.sqrt(s2[0])
+        rows.append(einsum_jet1(",a->a", [1 / nw, -0.5 * s2[1] / nw ** 3],
+                                w))
+    dco = np.stack([r[1] for r in rows])
+    # the orientation flips the last conormal
+    if rows[-1][0] @ sub.conormals[-1] < 0:
+        dco[-1] = -dco[-1]
+    return [sub.conormals, dco]
 
-    def read(field, ambient):
-        """Frame, coframe and ``SigmaConn`` from ``field(name)`` and
-        ``ambient(name)``, the fields of a pack and of its ambient pack."""
-        fr, cofr = frames(field("conormals"), field("normals"), field("H"),
-                          ambient("gi"))
-        conn = tr.ConnData(geo.n, *map(ambient, ("g", "gi", "Gamma", "P")))
-        return fr, cofr, SigmaConn(conn, field("dphi"))
 
-    def omega(Y, fr, cofr, conn):
-        """omega at a point Y, or at each row of a stack Y."""
-        dV = central_diff(frame, Y, 1e-4)
-        nab = np.moveaxis(dV, -1, -3) + np.einsum(
-            "...ice,...be->...ibc", conn.matrix(index), fr)
-        return np.einsum("...ac,...ibc->...iab", cofr, nab)
+def normal_curvature(sub, d, conn, frames, index):
+    """Curvature of a normal bundle at the point of the pack ``sub``,
+    [i, j, C, E] acting on up components.
 
-    def omega_stacked(Y):
-        pks = submanifold_pack(geo, emb, Y, seeds=sub.seeds)
-        return omega(Y, *read(
-            lambda k: np.stack([getattr(pk, k) for pk in pks]),
-            lambda k: np.stack([getattr(pk.pack, k) for pk in pks])))
-
-    base = read(lambda k: getattr(sub, k), lambda k: getattr(sub.pack, k))
-    om0 = omega(sub.q, *base)
-    # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
-    dw = np.ascontiguousarray(np.moveaxis(central_diff(
-        omega_stacked, sub.q, 1e-2, richardson=True), -1, 0))
+    ``frames(conormals, normals, H, gi)`` maps order-1 jets along Sigma
+    ([value, partial], the derivative axis last) of the normal frame, of H
+    and of g^-1 at phi to those of the frame rows [alpha, C] (C is
+    ``index``) and the dual coframe rows [alpha, E].  With omega_i =
+    coframe (d_i + A_i) frame and A_i the matrix of ``conn`` (connection
+    data at phi) on ``index`` pulled back by dphi, R_ij = d_i omega_j -
+    d_j omega_i + [omega_i, omega_j].  The frame's second partials and the
+    d2phi term of d_i A_j are symmetric in i, j and cancel, so R_ij reads
+    first jets only: the conormals' by the Gram-Schmidt rule from ``d``
+    (``partials_along``) and ``conn.dmatrix`` pulled back by dphi."""
+    gi = sub.pack.gi
+    gi = [gi, -np.einsum("ab,bck,cd->adk", gi, d["g"], gi)]
+    co = _conormal_jets(sub, d, gi)
+    normals = [sub.normals, einsum_jet1("ab,bc->ac", co, gi)[1]]
+    fr, cofr = frames(co, normals, [sub.H, d["H"]], gi)
+    A = np.einsum("ane,ai->ine", conn.matrix(index), sub.dphi)
+    # dA[j, i] = d_j A_i without its symmetric d2phi term
+    dA = np.einsum("aneb,ai,bj->jine", conn.dmatrix(index), sub.dphi,
+                   sub.dphi)
+    nab = np.moveaxis(fr[1], -1, 0) + np.einsum("ice,be->ibc", A, fr[0])
+    om = np.einsum("ac,ibc->iab", cofr[0], nab)
+    # dw[j, i] = d_j omega_i without its symmetric terms
+    dw = (np.einsum("acj,ibc->jiab", cofr[1], nab)
+          + np.einsum("ac,jice,be->jiab", cofr[0], dA, fr[0])
+          + np.einsum("ac,ice,bej->jiab", cofr[0], A, fr[1]))
     Rfr = (dw - dw.transpose(1, 0, 2, 3)
-           + np.einsum("iae,jeb->ijab", om0, om0)
-           - np.einsum("jae,ieb->ijab", om0, om0))
-    return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
+           + np.einsum("iae,jeb->ijab", om, om)
+           - np.einsum("jae,ieb->ijab", om, om))
+    return np.einsum("ec,ijef,fd->ijcd", fr[0], Rfr, cofr[0])

@@ -24,8 +24,13 @@ induced one p) on intrinsic indices; its builder receives the context of
 each stencil point, and callers add only the normal projection the
 formula needs.  The L-shaped slot fill is ``L_slots``.  Both normal
 curvatures, of the Riemannian and of the tractor conormal frame, are
-``submanifold.normal_curvature`` of a frame map: the normals, or the
-tractor conormals (0, n_a, n.H), which read H.
+``submanifold.normal_curvature`` of a frame map on first jets: the
+normals, or the tractor conormals (0, n_a, n.H), which read H.  The
+Moebius Cotton tensor differentiates the induced Schouten tensor p by
+the Leibniz rule on ``partials`` and the ambient dP and dRud.  The
+tractor normal curvature, the Moebius Cotton tensor and the ambient
+tractor curvature read the context's one order-3 ambient pack
+(``ambient_pack3``).
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J,
@@ -49,7 +54,7 @@ import numpy as np
 
 from .riemann import GeometrySpec, curvature_pack
 from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
-                          SubmanifoldPack, covariant_partial,
+                          SubmanifoldPack, covariant_partial, einsum_jet1,
                           normal_curvature, partials_along, submanifold_pack)
 from .tensors import (FieldHandle, TensorValue, middle_block,
                       pairing_matrix, stage, tangent_down,
@@ -279,6 +284,14 @@ class SubTractorContext:
         return -np.einsum("cd,id->ic", sub.Nab, A) / (self.m - 1)
 
     @_cached
+    def ambient_pack3(self):
+        """The order-3 curvature pack of the ambient geometry at phi(q):
+        dP, dRud and the Cotton tensor, which the Moebius Cotton tensor,
+        the tractor normal curvature and the ambient tractor curvature
+        read."""
+        return curvature_pack(self.geo, self.sub.x, order=3)
+
+    @_cached
     def intrinsic_pack(self, order=2):
         return curvature_pack(self.sub.intrinsic, self.q, order=order)
 
@@ -358,11 +371,37 @@ class SubTractorContext:
                 + IIo_sq - IIo_n2 / (2 * (m - 1)) * sub.g_s) / (m - 2)
 
     def mobius_cotton(self):
-        """c_ijk = 2 D_[i p_j]k for m = 2 (Moebius flatness diagnostic)."""
+        """c_ijk = 2 D_[i p_j]k for m = 2 (Moebius flatness diagnostic).
+
+        p = P_tt + H.IIo + (|H|^2/2 - (|IIo|^2 - tr^2 W)/4) g_s, so its
+        partial along Sigma is the Leibniz rule on ``partials`` and on the
+        partials of P and W at phi: dP and dW (from dRud) of the order-3
+        ambient pack, by the chain rule."""
         if self.m != 2:
             raise ValueError("the Moebius Cotton diagnostic is for m = 2")
-        covdp = self.along(lambda c: c.fialkow()[1],
-                           (tangent_down(self.m),) * 2)
+        sub, d, pk = self.sub, self.partials(), self.ambient_pack3()
+        e = einsum_jet1
+        dphi, g = [sub.dphi, d["dphi"]], [pk.g, d["g"]]
+        P = [pk.P, pk.dP @ sub.dphi]
+        # W = R - (g P - g P - g P + g P) at phi, as in the pack
+        gP = [e(spec, g, P)[1] for spec in ("ca,bd->abcd", "cb,ad->abcd",
+                                             "da,bc->abcd", "db,ac->abcd")]
+        W = [pk.W4, e("ce,abed->abcd", g, [pk.Rud, pk.dRud @ sub.dphi])[1]
+             - gP[0] + gP[1] + gP[2] - gP[3]]
+        H, IIo = [sub.H, d["H"]], [sub.IIo, d["IIo"]]
+        gi_s = [sub.gi_s, d["gi_s"]]
+        H_low = e("cb,b->c", g, H)
+        # tr^2 W = W_abcd T^ac T^bd with T = dphi g_s^-1 dphi^T
+        T = e("ai,ij,bj->ab", dphi, gi_s, dphi)
+        s = [0.5 * a - 0.25 * (b - c) for a, b, c in zip(
+            e("c,c->", H, H_low),
+            e("ik,jl,cd,ijc,kld->", gi_s, gi_s, g, IIo, IIo),
+            e("abcd,ac,bd->", W, T, T))]
+        dp = (e("ai,bj,ab->ij", dphi, dphi, P)[1]
+              + e("c,ijc->ij", H_low, IIo)[1]
+              + e(",ij->ij", s, [sub.g_s, d["g_s"]])[1])
+        covdp = self.along_exact(self.fialkow()[1], dp,
+                                 (tangent_down(self.m),) * 2)
         return covdp - covdp.transpose(1, 0, 2)
 
     # -- difference tractor ----------------------------------------------
@@ -660,13 +699,23 @@ def gauss_codazzi_ricci_residuals(ctx: SubTractorContext):
     return res_gauss, res_codazzi, res_ricci
 
 
+def _bundle_curvature(ctx: SubTractorContext, pack, frames, index):
+    """``submanifold.normal_curvature`` at the context of the frame map
+    ``frames`` on ``index``, with the connection of the ambient curvature
+    pack ``pack()``.  R_ij is antisymmetric in i, j, so a curve's is zero,
+    with no evaluation."""
+    if ctx.m == 1:
+        return np.zeros((1, 1, index.dim, index.dim))
+    return normal_curvature(ctx.sub, ctx.partials(),
+                            tr.ConnData.from_pack(pack()), frames, index)
+
+
 def _normal_curvature(ctx: SubTractorContext):
     """Rperp_ij^c_d from the Riemannian normal frame (the normals and
-    their conormals), seeds frozen at the context's."""
-    return normal_curvature(ctx.geo, ctx.emb, ctx.sub,
-                            lambda conormals, normals, H, gi:
-                            (normals, conormals),
-                            tangent_up(ctx.n), 1)
+    their conormals)."""
+    return _bundle_curvature(ctx, lambda: ctx.pack,
+                             lambda conormals, normals, H, gi:
+                             (normals, conormals), tangent_up(ctx.n))
 
 
 # --------------------------------------------------------------------------
@@ -705,15 +754,23 @@ def _coupled_D_of_L(ctx: SubTractorContext):
 def _normal_tractor_curvature(ctx: SubTractorContext):
     """Curvature of the normal tractor connection as action matrices:
     [i, j, C, E] with (Om v)[C] = Om[i,j,C,E] v[E] for up components, from
-    the tractor conormal frame (0, n_a, n.H), which reads H."""
-    Jamb = pairing_matrix(ctx.n)
+    the tractor conormal frame (0, n_a, n.H), which reads H, and the
+    tractor connection of the order-3 ambient pack (its dmatrix reads
+    dP)."""
+    n = ctx.n
+    Jamb = [pairing_matrix(n), None]
 
     def frames(conormals, normals, H, gi):
         """The raised tractor conormal rows and their J-duals."""
-        T = tractor_conormal_rows(conormals, H)
-        return T @ middle_block(gi), T @ Jamb
-    return normal_curvature(ctx.geo, ctx.emb, ctx.sub, frames,
-                            tractor_up(ctx.n), 2)
+        dT = np.zeros(conormals[1].shape[:1] + (n + 2, ctx.m))
+        dT[:, 1:n + 1] = conormals[1]
+        dT[:, n + 1] = einsum_jet1("ab,b->a", conormals, H)[1]
+        T = [tractor_conormal_rows(conormals[0], H[0]), dT]
+        dM = np.zeros((n + 2, n + 2, ctx.m))
+        dM[1:n + 1, 1:n + 1] = gi[1]
+        return (einsum_jet1("aC,CD->aD", T, [middle_block(gi[0]), dM]),
+                einsum_jet1("aC,CD->aD", T, Jamb))
+    return _bundle_curvature(ctx, ctx.ambient_pack3, frames, tractor_up(n))
 
 
 def tractor_gcr_residuals(ctx: SubTractorContext):
@@ -728,7 +785,8 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
     HupS = tractor_metric_matrix(sub.gi_s)
     Q = ctx.pull_down()
 
-    Om_amb = tr.tractor_curvature(ctx.geo, sub.x).data
+    Om_amb = tr.tractor_curvature(ctx.geo, sub.x,
+                                  pack=ctx.ambient_pack3()).data
     Om_tt = np.einsum("abCD,ai,bj->ijCD", Om_amb, sub.dphi, sub.dphi)
 
     # --- Gauss ---

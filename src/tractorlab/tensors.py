@@ -248,7 +248,8 @@ class DiffBackend:
 
     FD steps default to 1e-3 for first/second derivatives and 1e-2 for the
     outer level of third derivatives (third derivatives of a metric enter the
-    Cotton tensor; the wider step trades truncation against roundoff there).
+    Cotton tensor; the wider step trades truncation against roundoff there),
+    a Richardson difference of the steps step3 and step3/2.
     """
     mode: str = FD
     step: float = 1e-3
@@ -351,7 +352,8 @@ class ArrayField:
         Each row's stencil is the nested one, duplicates included: the row,
         the first derivative's 1 + 2n points, the second derivative's
         1 + 2n^2, and at order 3 a second-derivative stencil at each of
-        row +- step3 e_i, whose central difference is the third derivative.
+        row +- step3 e_i and row +- step3 e_i / 2, whose Richardson
+        difference (as ``central_diff`` takes it) is the third derivative.
         All rows' stencils go through one ``values`` call in row order, so
         a failure names the point a row-by-row evaluation meets first.
         """
@@ -364,7 +366,7 @@ class ArrayField:
         centres = [X]
         if order >= 3:
             for e in self.backend.step3 * np.eye(n):
-                centres += [X + e, X - e]
+                centres += [X + e, X - e, X + e / 2, X - e / 2]
         if order >= 2:
             for c in centres:
                 pts += _fd2_points(c, h)
@@ -383,10 +385,12 @@ class ArrayField:
                   for k in range(start, len(vals), size)]
             out.append(d2[0])
         if order >= 3:
+            h3 = self.backend.step3
             d3 = np.empty(v.shape + (n, n, n))
             for i in range(n):
-                d3[..., i] = (d2[1 + 2 * i] - d2[2 + 2 * i]) / (
-                    2 * self.backend.step3)
+                wide = (d2[1 + 4 * i] - d2[2 + 4 * i]) / (2 * h3)
+                small = (d2[3 + 4 * i] - d2[4 + 4 * i]) / h3
+                d3[..., i] = (4 * small - wide) / 3
             # symmetrise the mixed third derivatives
             d3 = (d3 + d3.transpose(*range(v.ndim), *(v.ndim + np.array([1, 2, 0]))) +
                   d3.transpose(*range(v.ndim), *(v.ndim + np.array([2, 0, 1]))) +

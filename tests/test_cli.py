@@ -159,21 +159,24 @@ def test_analytic_sample_point_on_a_pole_exits_2():
 
 
 def test_pole_on_a_stencil_row_exits_2():
-    """q = (0.99, 0) is a regular point, but its Richardson point (0.99 +
-    0.01, 0) lands on the pole (1, 0, 0): the batched stencil evaluates
-    every row's embedding before any metric, and still reports the pole
-    the point-by-point evaluation meets first.  The surface, not the
-    curve: a curve's normal curvature is zero with no stencil, so a curve
-    report runs none (``test_curve_next_to_a_pole_exits_0``)."""
+    """q = (0.99, 0, 0) is a regular point, but its Richardson point (0.99
+    + 0.01, 0, 0) lands on the pole (1, 0, 0, 0): the batched stencil
+    evaluates every row's embedding before any metric, and still reports
+    the pole the point-by-point evaluation meets first.  The 3-fold, not
+    the surface or the curve: their reports run no stencil (both normal
+    curvatures and the Moebius Cotton tensor read first jets at the
+    sample point), and the D S stencil of the tractor Gauss residual is
+    the one left (``test_surface_next_to_a_pole_exits_0``,
+    ``test_curve_next_to_a_pole_exits_0``)."""
     rc, out, err = run_cli(
-        "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":3}}',
-        "-s", 'embedding={"name":"slice","params":{"n":3,"m":2}}',
-        "-s", 'samples={"points":[[0.99,0.0]]}')
+        "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":4}}',
+        "-s", 'embedding={"name":"slice","params":{"n":4,"m":3}}',
+        "-s", 'samples={"points":[[0.99,0.0,0.0]]}')
     assert rc == 2
     lines = err.splitlines()
     assert lines[0] == ("numerical failure: JetOrderError: non-finite field "
-                        "evaluation at [1. 0. 0.]")
-    assert lines[1] == "stage: sample 0, q = [0.99, 0.0]"
+                        "evaluation at [1. 0. 0. 0.]")
+    assert lines[1] == "stage: sample 0, q = [0.99, 0.0, 0.0]"
     assert "Traceback" not in err and out == ""
 
 
@@ -189,6 +192,23 @@ def test_curve_next_to_a_pole_exits_0():
         "-s", 'samples={"points":[[0.99]]}')
     assert rc == 0 and err == ""
     assert json.loads(out)["per_sample"][0]["gcr"] == [0.0, 0.0, 0.0]
+
+
+def test_surface_next_to_a_pole_exits_0():
+    """A surface report evaluates no field off the sample point and its
+    image either: the normal curvature and the Moebius Cotton tensor read
+    first jets there.  So q = (0.99, 0), whose Richardson point (0.99 +
+    0.01, 0) is the pole (1, 0, 0), reports; the totally geodesic slice has
+    every Gauss-Codazzi-Ricci residual 0 and a Moebius Cotton tensor at
+    round-off of the metric's size there."""
+    rc, out, err = run_cli(
+        "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":3}}',
+        "-s", 'embedding={"name":"slice","params":{"n":3,"m":2}}',
+        "-s", 'samples={"points":[[0.99,0.0]]}')
+    assert rc == 0 and err == ""
+    row = json.loads(out)["per_sample"][0]
+    assert row["gcr"] == [0.0, 0.0, 0.0]
+    assert row["mobius_cotton_norm"] < 1e-8
 
 
 def test_embedding_dimension_mismatch_exit4(capsys):

@@ -22,7 +22,7 @@ def test_flat_space_all_zero():
 
 
 CATALOG = sorted(geolib.catalog().items())
-THIRD_ORDER_FIELDS = {"dP", "Cotton", "has_third"}
+THIRD_ORDER_FIELDS = {"dP", "dRud", "Cotton", "has_third"}
 
 
 @pytest.mark.parametrize("backend", ["analytic", "fd"])
@@ -31,7 +31,7 @@ def test_order2_pack_is_the_order3_pack_without_its_third_jet(name, entry,
                                                               backend):
     """The packs built at order 2 (submanifold, stencil-point, BGG-split and
     rescaling packs) hold every field of the order-3 pack bit for bit,
-    except dP and the Cotton tensor."""
+    except dP, dRud and the Cotton tensor."""
     geo = entry.make_geometry()
     if backend == "fd":
         geo = cli.as_fd_geometry(geo)

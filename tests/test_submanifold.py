@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import oracles
 from tractorlab import cli, geolib, submanifold, subtractor
 from tractorlab.riemann import CurvaturePack, curvature_pack, rescale
 from tractorlab.submanifold import (RankDeficientError, SigmaField,
@@ -397,15 +398,14 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}',
       "-s", 'samples={"points":[[0.2,-0.1]]}'],
-     {0: 36, 1: 36, 2: 19, 3: 2}, {0: 2, 1: 2, 2: 5, 3: 2}),
+     {2: 3, 3: 3}, {2: 3, 3: 3}),
     (["invariance", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}'],
      {1: 3, 2: 39, 3: 12}, {1: 3, 2: 39, 3: 12}),
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {0: 78, 1: 156, 2: 117, 3: 28, 4: 1},
-     {0: 2, 1: 4, 2: 19, 3: 28, 4: 1}),
+     {2: 39, 3: 28, 4: 1}, {2: 17, 3: 28, 4: 1}),
 ]
 
 
@@ -499,7 +499,26 @@ def test_report_evaluation_count(monkeypatch):
     On s2xs1xr it drops the same at 12 points (order-1 rows 180 to 156,
     calls 6 to 4), and the tractor one the embedding and metric 2-jets of
     its order-2 pack at those 12 points (order-2 rows 141 to 117, calls 21
-    to 19).  The ``invariance`` run computes no normal curvature."""
+    to 19).  The ``invariance`` run computes no normal curvature.
+
+    Both normal curvatures and the Moebius Cotton tensor then read first
+    jets at the sample point, with no stencil: the exact partials along
+    Sigma the context holds and, for the tractor curvature and the Moebius
+    Cotton tensor, the context's order-3 ambient pack (one metric 3-jet at
+    phi(q)), which the ambient tractor curvature of
+    ``tractor_gcr_residuals`` reads too, where it built its own.  On s2s2
+    the Riemannian curvature's inner stencil (the metric value and the
+    embedding 1-jet at 4 + 32 points, 2 calls each) and the Moebius Cotton
+    tensor's 8 stencil packs (an embedding and a metric 2-jet on 8 rows)
+    are gone, and the order-3 pack adds one metric 3-jet: order-0 and
+    order-1 rows 36 to 0 and calls 2 to 0, order-2 rows 19 to 3 and calls
+    5 to 3, order-3 rows and calls 2 to 3.  On s2xs1xr both inner stencils
+    are gone (6 + 72 points each: the Riemannian one's metric value and
+    embedding 1-jet, the tractor one's metric 1-jet and embedding 2-jet):
+    order-0 rows 78 to 0 and calls 2 to 0, order-1 rows 156 to 0 and calls
+    4 to 0, order-2 rows 117 to 39 and calls 19 to 17.  Its 12 stencil
+    packs stay, built by the D S stencil now, and its order-3 count is
+    unchanged (the order-3 ambient pack is built once, as before)."""
     calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
@@ -606,18 +625,18 @@ FRAME_RUNS = ([(case, "riemannian") for case in FRAME_CASES]
 @pytest.mark.parametrize("case,frame", FRAME_RUNS,
                          ids=[f"{c}-{f}" for c, f in FRAME_RUNS])
 def test_normal_curvature_equals_pack_reference(case, frame):
-    """The normal curvature of either Ricci residual, from the frame
-    function at each stencil point, equals to the bit the pack-based
-    formula."""
+    """The stencil normal curvature of either Ricci residual (the oracle
+    ``oracles.stencil_normal_curvature``), from the frame function at each
+    stencil point, equals to the bit the pack-based formula."""
     geo, emb = FRAME_CASES[case]()
     q = np.linspace(0.15, -0.1, emb.m)
     if frame == "riemannian":
-        new = subtractor._normal_curvature(
+        new = oracles.stencil_riemannian_curvature(
             subtractor.SubTractorContext(geo, emb, q))
         ref = _pack_frame_curvature(geo, emb, q, _riemannian_frame,
                                     tangent_up(emb.n))
     else:
-        new = subtractor._normal_tractor_curvature(
+        new = oracles.stencil_tractor_curvature(
             subtractor.SubTractorContext(geo, emb, q))
         ref = _pack_frame_curvature(geo, emb, q, _tractor_frame,
                                     tractor_up(emb.n))
@@ -627,7 +646,7 @@ def test_normal_curvature_equals_pack_reference(case, frame):
 def _loop_normal_curvature(frame_at, q, index):
     """The normal curvature from a frame function of one point, each
     stencil point its own call (the nested point-by-point loop), kept as
-    the oracle of the batched ``submanifold.normal_curvature``."""
+    the oracle of the batched ``oracles.stencil_normal_curvature``."""
     def omega_at(y, frame, coframe, conn):
         dV = _loop_central_diff(lambda z: frame_at(z, False)[0], y, 1e-4)
         nab = np.moveaxis(dV, -1, 0) + np.einsum(
@@ -722,23 +741,88 @@ def _point_tractor_frame(ctx):
 @pytest.mark.parametrize("case,frame", FRAME_RUNS,
                          ids=[f"{c}-{f}" for c, f in FRAME_RUNS])
 def test_normal_curvature_is_the_nested_loop(case, frame):
-    """Both normal curvatures, whose nested stencils evaluate the frame once
-    per level, equal to the bit the nested loop that evaluates it at each
-    stencil point alone."""
+    """Both stencil normal curvatures (``oracles``), whose nested stencils
+    evaluate the frame once per level, equal to the bit the nested loop
+    that evaluates it at each stencil point alone."""
     geo, emb = FRAME_CASES[case]()
     q = np.linspace(0.15, -0.1, emb.m)
     if frame == "riemannian":
         ctx = subtractor.SubTractorContext(geo, emb, q)
-        new = subtractor._normal_curvature(ctx)
+        new = oracles.stencil_riemannian_curvature(ctx)
         ref = _loop_normal_curvature(_point_riemannian_frame(geo, emb,
                                                              ctx.sub.seeds),
                                      q, tangent_up(emb.n))
     else:
         ctx = subtractor.SubTractorContext(geo, emb, q)
-        new = subtractor._normal_tractor_curvature(ctx)
+        new = oracles.stencil_tractor_curvature(ctx)
         ref = _loop_normal_curvature(_point_tractor_frame(ctx), q,
                                      tractor_up(emb.n))
     assert np.array_equal(new, ref)
+
+
+EXACT_CASES = ([c for c in PARTIALS_CASES if c[2].m >= 2]
+               + [(case, *FRAME_CASES[case]())
+                  for case in ("cp2-graph", "sphere5-graph")])
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)),
+                         ids=[c[0] for c in EXACT_CASES])
+def test_exact_curvatures_match_the_stencil_oracles(case, fd):
+    """Both normal curvatures (the tractor one at m >= 3) and the Moebius
+    Cotton tensor (m = 2) from first jets at the point, against the
+    stencil routes they replaced (``oracles``), over every catalog
+    embedding of dimension 2 or 3 and the random graphs in the charts of
+    CP2 and the round 5-sphere, at a seeded point; scaled by max(1,
+    |stencil|).  The walk gave at most 2.9e-8 under the analytic backend
+    (the Moebius Cotton tensor of special_einstein_s2h2/h2_factor), the
+    stencils' truncation error, and 4.2e-6 under fd (the Moebius Cotton
+    tensor of hyperbolic/slice), where both routes read the
+    central-difference metric jets (step 1e-3)."""
+    name, geo, emb = EXACT_CASES[case]
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    q = np.random.default_rng(case).uniform(-0.2, 0.2, emb.m)
+    ctx = subtractor.SubTractorContext(geo, emb, q)
+    routes = {"Rperp": (subtractor._normal_curvature,
+                        oracles.stencil_riemannian_curvature)}
+    if emb.m >= 3:
+        routes["Omega_perp"] = (subtractor._normal_tractor_curvature,
+                                oracles.stencil_tractor_curvature)
+    if emb.m == 2:
+        routes["mobius_cotton"] = (subtractor.SubTractorContext.mobius_cotton,
+                                   oracles.stencil_mobius_cotton)
+    bound = 1e-5 if fd else 1e-7
+    for key, (exact, stencil) in routes.items():
+        ref = stencil(ctx)
+        err = np.abs(exact(ctx) - ref).max() / max(1.0, np.abs(ref).max())
+        assert err <= bound, (name, key, err)
+
+
+def test_surface_report_evaluates_only_at_its_point(monkeypatch):
+    """An m = 2 report row on cp2/cp1 evaluates the embedding only at its
+    sample point q and the metric only at phi(q): both normal curvature
+    and the Moebius Cotton tensor read first jets there, where the
+    Riemannian curvature differenced the normal frame at 36 points around
+    q and the Moebius Cotton tensor 8 submanifold packs."""
+    geo, emb = _frame_case("cp2", {}, "cp1")
+    q = np.array([0.2, -0.3])
+    x = emb.phi.value(q)
+    seen = {"phi": set(), "metric": set()}
+
+    def recorded(key, jets):
+        def record(X, order):
+            X = np.asarray(X, dtype=float)
+            seen[key].update(r.tobytes() for r in X.reshape(-1, X.shape[-1]))
+            return jets(X, order)
+        return record
+    for key, field in (("phi", emb.phi), ("metric", geo.metric)):
+        monkeypatch.setattr(field, "jets", recorded(key, field.jets))
+    ctx = subtractor.SubTractorContext(geo, emb, q)
+    row = subtractor.classify([ctx]).per_sample[0]
+    cli._report_row(row, ctx)
+    assert max(row["gcr"]) < 1e-12 and row["mobius_cotton_norm"] < 1e-12
+    assert seen == {"phi": {q.tobytes()}, "metric": {x.tobytes()}}
 
 
 EMBEDDING_CASES = [(name, ename) for name, entry in CATALOG
@@ -883,28 +967,30 @@ def test_stacked_pack_names_the_rank_deficient_row():
 
 
 def test_normal_curvature_builds_no_pack(monkeypatch):
-    """Neither normal curvature builds a pack or a context of its own at a
-    stencil point: the outer Richardson stencil of both reads the
-    submanifold packs a derivative along Sigma at the same point builds
-    (same 4m points, same frozen seeds), and the inner stencil evaluates
-    the frame alone.  Rows count the points; a batched call on a stack
-    counts once.
+    """Neither normal curvature builds a submanifold pack or a context, or
+    differences anything: both read first jets at the context's point.
+    The Riemannian one builds no curvature pack (it reads the order-2 pack
+    of the context's submanifold pack); the tractor one builds the
+    context's order-3 ambient pack, one row at phi(q), and the ambient
+    tractor curvature of ``tractor_gcr_residuals`` reads that pack and
+    builds no order-3 pack of the ambient geometry.  Rows count the
+    points; a batched call on a stack counts once.
 
-    With a cold memo, the Riemannian curvature builds the 4m = 12 stencil
-    packs in one ``submanifold_pack`` call, so one order-2 curvature pack
-    on 12 rows; the tractor curvature after it finds them in the memo and
-    builds none.  Before, the Riemannian one read the metric 1-jet at the
-    stencil points with no pack, and the tractor one built its own order-2
-    pack on the 12 rows, the pack ``along`` had already built there."""
+    Before, with a cold memo, the Riemannian curvature built the 4m = 12
+    stencil packs of its outer Richardson stencil in one
+    ``submanifold_pack`` call (one order-2 curvature pack on 12 rows), the
+    tractor one read them from the memo, and ``tractor_gcr_residuals``
+    built an order-3 pack of its own at phi(q)."""
     geo, emb = _frame_case("s2xs1xr", {}, "s2xs1")
     q = np.array([0.2, -0.1, 0.1])
     ctx = subtractor.SubTractorContext(geo, emb, q)
     packs, rows, subpacks = Counter(), Counter(), Counter()
 
-    def counted_pack(geo, x, order=None):
-        packs[order] += 1
-        rows[order] += len(x) if np.ndim(x) == 2 else 1
-        return curvature_pack(geo, x, order)
+    def counted_pack(g, x, order=None):
+        if g is geo:
+            packs[order] += 1
+            rows[order] += len(x) if np.ndim(x) == 2 else 1
+        return curvature_pack(g, x, order)
 
     def counted_subpack(*args, **kwargs):
         subpacks["all"] += 1
@@ -912,13 +998,17 @@ def test_normal_curvature_builds_no_pack(monkeypatch):
     for mod in (submanifold, subtractor):
         monkeypatch.setattr(mod, "curvature_pack", counted_pack)
         monkeypatch.setattr(mod, "submanifold_pack", counted_subpack)
+    monkeypatch.setattr(subtractor.tr, "curvature_pack", counted_pack)
+    context = subtractor.SubTractorContext
     monkeypatch.setattr(subtractor, "SubTractorContext", None)
     subtractor._normal_curvature(ctx)
-    assert dict(rows) == {2: 4 * 3} and dict(packs) == {2: 1}
-    assert dict(subpacks) == {"all": 1}
+    assert not packs and not subpacks
     subtractor._normal_tractor_curvature(ctx)
-    assert dict(rows) == {2: 4 * 3} and dict(packs) == {2: 1}
-    assert dict(subpacks) == {"all": 2}
+    assert dict(rows) == {3: 1} and dict(packs) == {3: 1}
+    assert not subpacks
+    monkeypatch.setattr(subtractor, "SubTractorContext", context)
+    subtractor.tractor_gcr_residuals(ctx)
+    assert packs[3] == 1
 
 
 def test_curve_normal_curvature_evaluates_nothing(monkeypatch):

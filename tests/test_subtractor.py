@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from test_jets import _bitwise_equal
-from tractorlab import geolib
+from tractorlab import cli, geolib
 from tractorlab import tractor as tr
 from tractorlab.subtractor import (SubTractorContext,
                                    _normal_projector_partial,
@@ -468,6 +468,25 @@ def test_mobius_cotton_diagnostic():
     c = ctx.mobius_cotton()
     # constant-curvature induced Moebius structure is flat
     assert np.abs(c).max() < 1e-6
+
+
+@pytest.mark.parametrize("name,ename", [("s2s2", "factor1"), ("cp2", "cp1")])
+def test_fd_mobius_cotton_stays_at_the_stencil_error(name, ename):
+    """Both surfaces are Moebius flat (the analytic tensor is round-off).
+    Under the fd backend the Moebius Cotton tensor reads dP and dW of the
+    order-3 pack, so the third metric derivative: at 6 seeded points it was
+    off by at most 3.7e-6 (s2s2) and 2.3e-6 (cp2), where the stencil of
+    whole contexts it replaced is off by 2.8e-6 and 1.3e-6, both set by
+    the first-derivative step 1e-3.  With a plain outer difference for
+    the third derivative (step3 alone, no Richardson level) it was off by
+    1.9e-3."""
+    entry = geolib.catalog()[name]
+    geo = cli.as_fd_geometry(entry.make_geometry())
+    emb = entry.embeddings[ename]()
+    rng = np.random.default_rng(0)
+    for q in rng.uniform(-0.3, 0.3, (6, 2)):
+        c = SubTractorContext(geo, emb, q).mobius_cotton()
+        assert np.abs(c).max() < 5e-6, q
 
 
 def test_conformal_invariance_of_verdicts_and_weighted_norms():
