@@ -5,8 +5,7 @@ from .tensors import ArrayField, DiffBackend, FieldHandle, Index, TensorValue
 from .riemann import CurvaturePack, GeometrySpec, curvature_pack, rescale
 from .tractor import (TractorFormObject, TractorObject, hodge_star,
                       parallel_transport, scale_tractor, thomas_D,
-                      tractor_connection_apply, tractor_curvature,
-                      tractor_metric, tractor_volume_form)
+                      tractor_curvature, tractor_volume_form)
 from .submanifold import EmbeddingSpec, SubmanifoldPack, submanifold_pack
 from .subtractor import (ClassificationReport, SubTractorContext, classify,
                          gauss_codazzi_ricci_residuals,

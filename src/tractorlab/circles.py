@@ -17,7 +17,7 @@ from . import tractor as tr
 
 __all__ = ["CurveState", "CircleTrajectory", "conformal_circle_rhs",
            "covariant_acceleration_rate", "integrate_circle",
-           "curve_tractors", "unparametrised_residual", "phi_derivative",
+           "curve_tractors", "unparametrised_residual",
            "flat_circle_solution"]
 
 
@@ -223,19 +223,6 @@ def curve_tractors(geo: GeometrySpec, state: CurveState, cov_da=None,
     Phi = 6.0 * alt_array(np.multiply.outer(X / un,
                                             np.multiply.outer(U, A)))
     return U, A, Phi
-
-
-def phi_derivative(geo: GeometrySpec, state: CurveState, cov_da=None):
-    """u^d nabla_d Phi^{ABC} from the closed form
-    6 u (bu^d nabla_d bold-a^c - bu^d P_d^c) bu^b X^[A Z_b^B Z_c^C]."""
-    n = geo.n
-    pk = curvature_pack(geo, state.x, order=2)
-    core, bu, un = _bold_rate(geo, state, cov_da, pk)
-    X = tr.canonical_X(n)
-    embu = tr.make_tractor(n, mu=bu)
-    embc = tr.make_tractor(n, mu=core)
-    return 6.0 * un * alt_array(np.multiply.outer(
-        X, np.multiply.outer(embu, embc)))
 
 
 def flat_circle_solution(radius, t, n=2):

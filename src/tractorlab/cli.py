@@ -246,15 +246,16 @@ def build_geometry(cfg):
     geo = entries[name].make_geometry(**gspec.get("params", {}))
     backend = cfg.get("backend", {})
     if backend.get("mode") == "fd":
-        geo = as_fd_geometry(geo, backend.get("step", 1e-3),
-                             backend.get("step3", 1e-2))
+        geo = as_fd_geometry(geo, **{k: backend[k] for k in ("step", "step3")
+                                     if k in backend})
     return geo, entries[name]
 
 
-def as_fd_geometry(geo, step=1e-3, step3=1e-2):
+def as_fd_geometry(geo, **steps):
+    """``geo`` with its metric differenced by the FD backend; ``steps`` are
+    ``DiffBackend``'s ``step`` and ``step3``, its defaults where absent."""
     fd_metric = ArrayField(geo.metric.value,
-                           backend=DiffBackend(mode=FD, step=step,
-                                               step3=step3))
+                           backend=DiffBackend(mode=FD, **steps))
     # the whole stencil in one evaluation of the metric
     fd_metric.values = geo.metric.values
     return riemann.GeometrySpec(n=geo.n, metric=fd_metric,

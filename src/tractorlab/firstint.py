@@ -11,7 +11,8 @@ measured on the locus's cubic Taylor polynomial (a
 ``geolib.PolynomialField``), whose coefficients the implicit function
 theorem gives from the exact 3-jet of k, with no stencil: L reads the
 exact partial of H along the locus (``SubTractorContext.grad_H``).  The
-normality check of ``bgg_split`` is the one finite difference;
+normality check of ``bgg_split`` is the one finite difference, its
+stencil's curvature packs from one stacked build;
 ``conserved_quantity`` differentiates along the submanifold through
 ``SubTractorContext.along``, a Richardson stencil of whole packs."""
 from __future__ import annotations
@@ -32,6 +33,10 @@ from . import tractor as tr
 
 __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
            "zero_locus_scan", "ScanReport"]
+
+# a singular value counts towards a Jacobian's rank when it is at least the
+# largest one over RANK_GAP
+RANK_GAP = 1e3
 
 
 def _cov_jets(geo, kspec, x, order, pack=None):
@@ -155,7 +160,7 @@ def _full_pair(A, B, Hup):
     return float(np.tensordot(acc, B, axes=(range(A.ndim), range(A.ndim))))
 
 
-def bgg_split(geo, kspec, x, simplicity_tol=None):
+def bgg_split(geo, kspec, x):
     """BGG splitting with normality, causal type and simplicity report."""
     n = geo.n
     d = kspec.degree
@@ -163,9 +168,13 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
     pack = curvature_pack(geo, x, order=2)
     K = _split_components(geo, kspec, x, pack)
 
-    # normality: tractor derivative of the K field
-    dK = central_diff(lambda Y: np.stack([
-        _split_components(geo, kspec, y) for y in Y]), x, 1e-3)
+    # normality: tractor derivative of the K field, the stencil's packs
+    # from one stacked build
+    def K_at(Y):
+        pks = curvature_pack(geo, Y, order=2)
+        return np.stack([_split_components(geo, kspec, y, pks.at(i))
+                         for i, y in enumerate(Y)])
+    dK = central_diff(K_at, x, 1e-3)
     conn = tr.ConnData.from_pack(pack)
     nab = tr.covariant_jet(conn, [K, dK], (tractor_down(n),) * K.ndim)[0]
     normality = float(np.abs(nab).max())
@@ -189,10 +198,8 @@ def bgg_split(geo, kspec, x, simplicity_tol=None):
             contr = np.tensordot(v, K, axes=([0], [0]))
             w = tr.wedge(contr, K)
             simp = max(simp, float(np.abs(w).max()))
-    if simplicity_tol is None:
-        simplicity_tol = (1e-8 if geo.metric.backend.mode == "analytic"
-                          else 1e-4)
-    simple = bool(simp <= simplicity_tol * max(scale2, 1e-30))
+    tol = 1e-8 if geo.metric.backend.mode == "analytic" else 1e-4
+    simple = bool(simp <= tol * max(scale2, 1e-30))
     return SplitTractor(K=K, degree=d, normality_residual=normality, K2=K2,
                         causal=causal, simplicity_residual=simp,
                         simple=simple)
@@ -347,15 +354,15 @@ def _component_maps(geo, kspec, X):
     return out
 
 
-def _gauss_newton(geo, kspec, seeds, refine_tol, first=0, iters=60):
+def _gauss_newton(geo, kspec, seeds, refine_tol, first=0):
     """Damped Gauss-Newton on the stacked components from each row of
     ``seeds``, all seeds in lockstep: a round evaluates the trial point of
     every unfinished seed in one batched ``_component_maps`` call.  Each
-    seed keeps its own iteration count, step and damping; per seed this is
-    the sequential iteration to the bit (a step halves until the residual
-    norm drops, and fails below 1e-6).  Returns per seed (x, F, ok, error),
-    ``error`` the numerical exception raised at one of its points, with the
-    stage that names it."""
+    seed keeps its own iteration count (at most 60), step and damping; per
+    seed this is the sequential iteration to the bit (a step halves until
+    the residual norm drops, and fails below 1e-6).  Returns per seed (x, F,
+    ok, error), ``error`` the numerical exception raised at one of its
+    points, with the stage that names it."""
     x = [np.array(s, dtype=float) for s in seeds]
     F, Jm, err = map(list, zip(*_component_maps(geo, kspec, np.array(x))))
     for i, e in enumerate(err):
@@ -371,7 +378,7 @@ def _gauss_newton(geo, kspec, seeds, refine_tol, first=0, iters=60):
         trial = []
         for i in live:
             if lam[i] is None:
-                if it[i] == iters or np.linalg.norm(F[i]) < refine_tol:
+                if it[i] == 60 or np.linalg.norm(F[i]) < refine_tol:
                     continue
                 step[i] = np.linalg.lstsq(Jm[i], -F[i], rcond=None)[0]
                 lam[i] = 1.0
@@ -427,7 +434,7 @@ def _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
 
 
 def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
-                    rank_gap=1e3, max_points=40):
+                    max_points=40):
     """Grid scan for the zero locus of k, refined by damped Gauss-Newton.
 
     ``region`` is a list of (lo, hi) per coordinate.  Timelike split
@@ -469,28 +476,27 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
     sv = np.linalg.svd(Jm, compute_uv=False)
     rank = 1
     for k in range(1, len(sv)):
-        if sv[0] <= 0 or sv[k] < sv[0] / rank_gap:
+        if sv[0] <= 0 or sv[k] < sv[0] / RANK_GAP:
             break
         rank += 1
     codim = int(rank)
 
     L_res, notes = [], ""
     if 1 <= codim <= n - 1:
-        L_res, notes = _locus_L_residuals(geo, kspec, found[:8], codim,
-                                          rank_gap)
+        L_res, notes = _locus_L_residuals(geo, kspec, found[:8], codim)
     status = "locus" if codim < n else "isolated"
     return ScanReport(status=status, points=found, codim=codim,
                       L_residuals=L_res, causal=split.causal, K2=split.K2,
                       simple=split.simple, notes=notes)
 
 
-def _locus_L_residuals(geo, kspec, points, codim, rank_gap):
+def _locus_L_residuals(geo, kspec, points, codim):
     """|L| of the locus at each of ``points`` through its Taylor polynomial,
     and a note naming the points where the polynomial does not exist."""
     L_res = []
     for k, x0 in enumerate(points):
         with stage(f"scan locus point {k}", x=x0):
-            emb = _locus_embedding(geo, kspec, x0, codim, rank_gap)
+            emb = _locus_embedding(geo, kspec, x0, codim)
             if emb is not None:
                 ctx = SubTractorContext(geo, emb, np.zeros(geo.n - codim))
                 L_res.append(ctx.L_norm())
@@ -501,7 +507,7 @@ def _locus_L_residuals(geo, kspec, points, codim, rank_gap):
                    f"below the codimension {codim} there")
 
 
-def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
+def _locus_embedding(geo, kspec, x0, codim):
     """EmbeddingSpec of the zero locus near x0 as its cubic Taylor
     polynomial, or None where the form's components alone do not cut the
     locus out (rank of their Jacobian below ``codim``, by the scan's rank
@@ -539,7 +545,7 @@ def _locus_embedding(geo, kspec, x0, codim, rank_gap=1e3):
     jets = kspec.field.jets(x, 3)
     k1, k2, k3 = (np.reshape(jets[i], (-1,) + (n,) * i) for i in (1, 2, 3))
     U, S, _ = np.linalg.svd(k1)
-    if len(S) < codim or not S[codim - 1] > np.linalg.norm(Jm, 2) / rank_gap:
+    if len(S) < codim or not S[codim - 1] > np.linalg.norm(Jm, 2) / RANK_GAP:
         return None
     Uc = U[:, :codim].T
     G1, G2, G3 = Uc @ k1, np.tensordot(Uc, k2, 1), np.tensordot(Uc, k3, 1)

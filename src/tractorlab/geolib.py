@@ -7,12 +7,12 @@ which yields machine-exact analytic derivatives of any order.  A
 ``jets(x, k)`` on order-k variables, and ``values(X)`` and ``jets(X, k)``
 on variables with a point axis (all rows of X at once).  A jet function
 therefore builds its constants as plain numbers (or from a variable), never
-as ``jets.constant`` jets of a fixed order, so that they take on the
-variables' order.
+as constant ``Jet``s of a fixed order, so that they take on the variables'
+order.
 
-The polynomial entries (the random metrics, graphs and conformal factors,
-the Fubini-Study numerator and denominator) are ``PolynomialField``
-instances instead: arrays of symmetric coefficients whose exact jets, of
+The polynomial entries (the random graphs and conformal factors, the
+Fubini-Study numerator and denominator) are ``PolynomialField`` instances
+instead: arrays of symmetric coefficients whose exact jets, of
 any order, are a few matrix products on a point or a stack of points.  A
 scalar one may be composed with a univariate function of a ``Jet``.
 Entries are addressable by name from the CLI.
@@ -34,7 +34,7 @@ __all__ = ["CatalogEntry", "catalog", "euclidean", "sphere", "hyperbolic",
            "fubini_study", "product_metric", "doubly_twisted_product",
            "doubly_warped_example", "twisted_example",
            "special_einstein_s2h2", "s2s2", "s2xs1xr",
-           "random_metric", "random_conformal_factor", "PolynomialField",
+           "random_conformal_factor", "PolynomialField",
            "coordinate_slice", "sphere_in_flat",
            "circle_embedding", "helix_embedding", "diagonal_s2s2",
            "rotation_form", "constant_form", "dilation_form",
@@ -385,17 +385,7 @@ def fubini_study(N=2):
     return GeometrySpec(n=n, metric=_ScaledField(denominator, numerator))
 
 
-# random analytic data for oracle/property tests ----------------------------
-
-def random_metric(n, seed=0, amplitude=0.08):
-    """delta plus a small random polynomial perturbation (SPD near 0)."""
-    rng = np.random.default_rng(seed)
-    lin = amplitude * rng.standard_normal((n, n, n))
-    quad = amplitude * rng.standard_normal((n, n, n, n))
-    lin = (lin + lin.transpose(1, 0, 2)) / 2
-    quad = (quad + quad.transpose(1, 0, 2, 3)) / 2
-    return GeometrySpec(n=n, metric=PolynomialField([np.eye(n), lin, quad]))
-
+# random analytic data: the conformal factors of `invariance` --------------
 
 def random_conformal_factor(n, seed=0, amplitude=0.2):
     """Omega = exp(psi) with psi a small random quadratic."""
@@ -405,10 +395,6 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
     c2 = amplitude * rng.standard_normal((n, n))
     c2 = (c2 + c2.T) / 2
     return PolynomialField([c0, c1, c2], outer=Jet.exp)
-
-
-def constant_scalar(n, value=1.0):
-    return JetField(lambda v: value)
 
 
 # --------------------------------------------------------------------------

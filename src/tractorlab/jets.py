@@ -48,8 +48,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet", "product", "compose", "variables", "constant",
-           "pack_array"]
+__all__ = ["Jet", "product", "compose", "variables", "pack_array"]
 
 
 def _jet(n, d):
@@ -393,13 +392,6 @@ def variables(x, order):
             d += [e] + zeros
         out.append(_jet(n, d))
     return out
-
-
-def constant(n, value, order):
-    """Constant jet: ``value`` with zero derivatives up to ``order``."""
-    _check_order(order)
-    return _jet(n, [float(value)] + [np.zeros((n,) * k)
-                                     for k in range(1, order + 1)])
 
 
 def pack_array(jets, order, n=None, points=None):

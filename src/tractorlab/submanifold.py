@@ -329,8 +329,10 @@ class SigmaField:
     normal-frame seeds frozen at the base point, so frame-dependent
     quantities stay smooth.  ``partials_along`` differentiates the pack's
     frame-independent quantities exactly; this stencil serves the readers
-    that need more than those (S, L, the normal forms) and is the test
-    oracle of ``partials_along`` and of the exact curvatures.
+    that need more than those (D S and D L in the tractor Gauss and
+    Codazzi residuals, the mean-curvature tractor, the conserved quantity)
+    and is the test oracle of ``partials_along`` and of the exact
+    curvatures.
     """
 
     def __init__(self, geo, emb, builder):

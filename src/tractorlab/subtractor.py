@@ -4,6 +4,10 @@ Builds the normal tractor bundle, the tractor second fundamental form (two
 independent evaluations), the Fialkow tensor with its low-dimensional
 conventions, the mixed Schouten-Weyl invariant, difference tractor, tractor
 normal form, mean-curvature tractor predicates, and classification verdicts.
+The paper's equivalent characterisations that only tests read (the
+difference-tractor identity, L from (IIo, mu), the M operator, and the
+derivatives of the normal form and of its Hodge dual) are functions of a
+context in ``tests/oracles.py``.
 
 A ``SubTractorContext`` is the unit of per-point work: each quantity is
 computed once per context (``_cached``), and callers read everything at a
@@ -39,7 +43,7 @@ the sigma/rho swap (``tractor.pair_flip`` along an axis,
 the inverse tractor metric uses ``tensors.tractor_metric_matrix(g^-1)``.
 (1,1)-tensors are often turned into action matrices on up-components via
 ``arr @ J``.  The bundle maps between intrinsic and ambient slots are the
-context's ``push_up`` (Pi^A_I), ``pull_up`` and ``pull_down``, and the
+context's ``push_up`` (Pi^A_I) and ``pull_down``, and the
 intrinsic tractor curvature is ``tractor.tractor_curvature`` of the
 intrinsic geometry on the context's order-3 intrinsic pack.
 """
@@ -56,17 +60,15 @@ from .riemann import GeometrySpec, curvature_pack
 from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
                           SubmanifoldPack, covariant_partial, einsum_jet1,
                           normal_curvature, partials_along, submanifold_pack)
-from .tensors import (FieldHandle, TensorValue, middle_block,
-                      pairing_matrix, stage, tangent_down,
-                      tangent_up, tractor_down, tractor_metric_matrix,
-                      tractor_up)
+from .tensors import (FieldHandle, middle_block, pairing_matrix, stage,
+                      tangent_down, tangent_up, tractor_down,
+                      tractor_metric_matrix, tractor_up)
 from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
-           "mean_curvature_tractor", "reconstruct_L",
-           "M_operator", "gauss_codazzi_ricci_residuals",
+           "mean_curvature_tractor", "gauss_codazzi_ricci_residuals",
            "tractor_gcr_residuals", "transformation_residuals",
-           "checked_connection_residual", "normal_projector_array"]
+           "normal_projector_array"]
 
 
 def normal_projector_array(sub: SubmanifoldPack):
@@ -165,18 +167,6 @@ class SubTractorContext:
         return M
 
     @_cached
-    def pull_up(self):
-        """Ambient up slots -> intrinsic up slots (projection then iso)."""
-        sub, m, n = self.sub, self.m, self.n
-        Q = np.zeros((m + 2, n + 2))
-        Q[0, 0] = 1.0
-        Q[1:m + 1, 1:n + 1] = sub.Pi_ia
-        Q[m + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
-        Q[m + 1, 1:n + 1] = -(sub.pack.g @ sub.H)
-        Q[m + 1, n + 1] = 1.0
-        return Q
-
-    @_cached
     def pull_down(self):
         """Contraction matrix for a down ambient tractor index against
         Pi^B_J: the transpose of Pi^B_J between the two pairings."""
@@ -197,13 +187,6 @@ class SubTractorContext:
     @_cached
     def normal_form(self):
         return functools.reduce(tr.wedge, self.tractor_conormals())
-
-    @_cached
-    def star_normal_form(self):
-        ixs = tuple(tractor_down(self.n) for _ in range(self.d))
-        F = tr.TractorFormObject(TensorValue(self.normal_form(), ixs, 0),
-                                 self.geo)
-        return tr.hodge_star(F, self.sub.x).data
 
     # -- first-order ingredients ---------------------------------------------
     @_cached
@@ -453,17 +436,6 @@ class SubTractorContext:
         """L via -Pi^B_J N^C_A nabla_i N^A_B: [i, J, C up]."""
         return np.einsum("JB,iBC->iJC", self.pull_down(), self.Lbar())
 
-    @_cached
-    def nabla_normal_form(self):
-        """nabla_i N_{A1..Ad} along Sigma (pullback tractor connection)."""
-        return self.along(lambda c: c.normal_form(),
-                          (tractor_down(self.n),) * self.d)
-
-    @_cached
-    def nabla_star_normal_form(self):
-        return self.along(lambda c: c.star_normal_form(),
-                          (tractor_down(self.n),) * (self.m + 2))
-
     # -- norms and scales ------------------------------------------------
     def scale(self):
         pk = self.pack
@@ -476,62 +448,11 @@ class SubTractorContext:
             self.sub.II, self.sub.II))))
         return max(1.0, nP, nII)
 
-    def L_norm(self, L=None):
-        L = self.L_explicit() if L is None else L
+    def L_norm(self):
+        L = self.L_explicit()
         return math.sqrt(max(0.0, float(np.einsum(
             "ij,JK,CD,iJC,jKD->", self.sub.gi_s, middle_block(self.sub.gi_s),
             middle_block(self.pack.g), L, L))))
-
-
-# --------------------------------------------------------------------------
-# derived operators and oracles
-# --------------------------------------------------------------------------
-
-def checked_connection_residual(geo, emb, q, seed=0):
-    """Oracle for the difference tractor on a random intrinsic field.
-
-    Builds V^J(y), compares Pi^J_B nabla_i (Pi^B_K V^K) - D_i V^J with
-    S_i^J_K V^K.
-    """
-    ctx = SubTractorContext(geo, emb, q)
-    m = ctx.m
-    rng = np.random.default_rng(seed)
-    c0 = rng.standard_normal(m + 2)
-    c1 = rng.standard_normal((m + 2, m))
-
-    def V_at(y):
-        return c0 + c1 @ (np.asarray(y) - ctx.q)
-
-    nabW = ctx.along(lambda c: c.push_up() @ V_at(c.q),
-                     (tractor_up(ctx.n),))
-    lhs = np.einsum("JB,iB->iJ", ctx.pull_up(), nabW)
-    DV = tr.covariant_jet(ctx.intrinsic_conn(), [c0, c1],
-                          (tractor_up(m),))[0].T
-
-    S = ctx.difference_tractor()
-    Sact = np.einsum("JK,iKL->iJL", middle_block(ctx.sub.gi_s),
-                     S) @ pairing_matrix(m)
-    SV = np.einsum("iJL,L->iJ", Sact, V_at(ctx.q))
-    res = lhs - DV - SV
-    return float(np.abs(res).max()), float(np.abs(lhs).max())
-
-
-def reconstruct_L(ctx: SubTractorContext):
-    """L from (IIo, mu); the m = 1 branch falls back to the slot formula."""
-    if ctx.m == 1:
-        return ctx.L_explicit()
-    return ctx.L_slots(ctx.sub.IIo, ctx.mu() - ctx.DjIIo() / (ctx.m - 1))
-
-
-def M_operator(ctx: SubTractorContext, omega_builder):
-    """Invariant map taking a trace-free symmetric normal-valued field to an
-    L-shaped tractor."""
-    if ctx.m < 2:
-        raise ValueError("the 1/(m-1) factor is undefined for curves")
-    om0 = np.asarray(omega_builder(ctx.sub), dtype=float)
-    Dj = ctx._normal_divergence(ctx.along(lambda c: omega_builder(c.sub),
-                                          ctx._normal_indices()))
-    return ctx.L_slots(om0, -Dj / (ctx.m - 1))
 
 
 def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,

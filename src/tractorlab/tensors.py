@@ -136,32 +136,14 @@ class TensorValue:
     def __neg__(self):
         return TensorValue(-self.data, self.indices, self.weight)
 
-    def is_symmetric(self, axes, rtol=1e-12):
-        return _symmetry_residual(self.data, axes, +1.0) <= rtol * max(
-            1.0, float(np.abs(self.data).max()))
-
-    def is_antisymmetric(self, axes=None, rtol=1e-12):
-        axes = tuple(range(self.rank)) if axes is None else tuple(axes)
-        return _symmetry_residual(self.data, axes, -1.0) <= rtol * max(
-            1.0, float(np.abs(self.data).max()))
-
-
-def _symmetry_residual(data, axes, sign):
-    worst = 0.0
-    for perm, s in _signed_transpositions(axes):
-        swapped = np.moveaxis(data, axes, perm)
-        target = data if (sign > 0 or s > 0) else -data
-        worst = max(worst, float(np.abs(swapped - target).max()))
-    return worst
-
-
-def _signed_transpositions(axes):
-    out = []
-    for i in range(len(axes) - 1):
-        perm = list(axes)
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        out.append((tuple(perm), -1))
-    return out
+    def is_antisymmetric(self):
+        """Antisymmetric under each swap of adjacent indices, to 1e-12 of
+        the largest component (or of 1)."""
+        worst = 0.0
+        for i in range(self.rank - 1):
+            worst = max(worst, float(np.abs(
+                np.swapaxes(self.data, i, i + 1) + self.data).max()))
+        return worst <= 1e-12 * max(1.0, float(np.abs(self.data).max()))
 
 
 def pairing_matrix(n):

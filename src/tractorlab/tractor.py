@@ -5,6 +5,12 @@ variances.  Raising/lowering acts blockwise (identity on sigma/rho, metric on
 the middle block: tensors.middle_block); contraction of an up/down pair
 inserts the invariant pairing J that swaps sigma and rho (``pair_flip``;
 ``tensors.pairing_matrix`` is its matrix).
+
+``covariant_jet`` applies the connection (Levi-Civita on tangent indices,
+the tractor connection on tractor ones) to a field's jets; the Thomas
+operator and parallel transport read it.  The connection applied to a
+field from its 1-jet, and the volume form as a field with an analytic
+first derivative, serve only tests and live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -16,13 +22,12 @@ import numpy as np
 from . import tensors
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       levi_civita_symbol)
-from .tensors import (ArrayField, FieldHandle, Index, TensorValue,
-                      alt_array, middle_block, on_axes, tractor_down,
-                      tractor_metric_matrix, tractor_up, tangent_down)
+from .tensors import (FieldHandle, Index, TensorValue, alt_array,
+                      middle_block, on_axes, tractor_down, tractor_up,
+                      tangent_down)
 
 __all__ = [
-    "TractorObject", "TractorFormObject", "tractor_metric",
-    "tractor_connection_apply", "thomas_D", "scale_tractor",
+    "TractorObject", "TractorFormObject", "thomas_D", "scale_tractor",
     "tractor_curvature", "tractor_volume_form", "hodge_star",
     "parallel_transport", "rescale_triple_matrix",
 ]
@@ -58,7 +63,7 @@ class TractorFormObject:
     geo: GeometrySpec
 
     def __post_init__(self):
-        if self.value.rank and not self.value.is_antisymmetric(rtol=1e-12):
+        if self.value.rank and not self.value.is_antisymmetric():
             raise tensors.TensorError("tractor form is not antisymmetric")
 
     @property
@@ -94,17 +99,6 @@ def make_tractor(n, sigma=0.0, mu=None, rho=0.0):
 def canonical_X(n):
     """X^A: components (0, 0, 1)."""
     return make_tractor(n, rho=1.0)
-
-
-def tractor_metric(geo: GeometrySpec, x):
-    """(h_AB, h^AB) as TractorObjects at x."""
-    pack = curvature_pack(geo, x, order=2)
-    n = geo.n
-    lo = TractorObject(TensorValue(tractor_metric_matrix(pack.g),
-                                   (tractor_down(n), tractor_down(n))), geo)
-    hi = TractorObject(TensorValue(tractor_metric_matrix(pack.gi),
-                                   (tractor_up(n), tractor_up(n))), geo)
-    return lo, hi
 
 
 # --------------------------------------------------------------------------
@@ -150,11 +144,7 @@ class ConnData:
 
     @classmethod
     def from_pack(cls, pack: CurvaturePack):
-        if pack.n == 2 and pack.P is None:
-            P = None
-        else:
-            P = pack.P
-        return cls(pack.n, pack.g, pack.gi, pack.Gamma, P=P, dg=pack.dg,
+        return cls(pack.n, pack.g, pack.gi, pack.Gamma, P=pack.P, dg=pack.dg,
                    dGamma=pack.dGamma, dP=pack.dP)
 
     def _require_P(self):
@@ -260,32 +250,6 @@ def covariant_jet(conn: ConnData, jets, indices, order=1):
     return out
 
 
-def _field_pack(geo, x, indices, order_needed):
-    has_tractor = any(ix.kind == tensors.TRACTOR for ix in indices)
-    pack_order = 3 if (has_tractor and order_needed >= 2) else 2
-    pack = curvature_pack(geo, x, order=pack_order)
-    return pack
-
-
-def tractor_connection_apply(geo: GeometrySpec, handle: FieldHandle, x,
-                             direction=None):
-    """Coupled tractor-Levi-Civita derivative of a tractor tensor field.
-
-    Returns a TractorObject with one extra trailing down tangent index, or
-    its contraction with ``direction`` when given.
-    """
-    x = np.asarray(x, dtype=float)
-    pack = _field_pack(geo, x, handle.indices, 1)
-    conn = ConnData.from_pack(pack)
-    jets = handle.field.jets(x, 1)
-    nab = covariant_jet(conn, jets, handle.indices, order=1)[0]
-    ixs = handle.indices + (tangent_down(geo.n),)
-    if direction is not None:
-        nab = np.tensordot(nab, np.asarray(direction, float), axes=([-1], [0]))
-        ixs = handle.indices
-    return TractorObject(TensorValue(nab, ixs, handle.weight), geo)
-
-
 def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x, pack=None):
     """Thomas operator on a weight-w (tractor) field, in the working scale.
 
@@ -296,8 +260,10 @@ def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x, pack=None):
     """
     x = np.asarray(x, dtype=float)
     n = geo.n
-    pack = (pack if pack is not None
-            else _field_pack(geo, x, handle.indices, 2))
+    if pack is None:
+        # a tractor field's second derivative reads dP
+        tractor = any(ix.kind == tensors.TRACTOR for ix in handle.indices)
+        pack = curvature_pack(geo, x, order=3 if tractor else 2)
     if pack.J is None:
         raise MobiusStructureError("Thomas operator needs a Schouten tensor")
     conn = ConnData.from_pack(pack)
@@ -388,38 +354,6 @@ def tractor_volume_form(geo: GeometrySpec, x, pack=None):
     data = lam * levi_civita_symbol(n + 2)
     ixs = tuple(tractor_down(n) for _ in range(n + 2))
     return TractorFormObject(TensorValue(data, ixs, 0), geo)
-
-
-class _VolumeFormField(ArrayField):
-    """The tractor volume form as a field, with the analytic first
-    derivative d_a sqrt(det g) = 1/2 sqrt(det g) g^{bc} d_a g_bc."""
-
-    def __init__(self, geo: GeometrySpec):
-        self.geo = geo
-        self.sym = levi_civita_symbol(geo.n + 2)
-        super().__init__(lambda x: self.jets(x, 0)[0],
-                         backend=tensors.DiffBackend(mode=tensors.ANALYTIC,
-                                                     max_order=1))
-
-    def jets(self, x, order):
-        if order > self.backend.max_order:
-            raise tensors.JetOrderError(
-                "the volume-form field has first derivatives only")
-        n = self.geo.n
-        pack = curvature_pack(self.geo, x, order=2)
-        lam = (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
-        out = [lam * self.sym]
-        if order == 1:
-            dsqrt = 0.5 * np.einsum("bc,bca->a", pack.gi, pack.dg)
-            out.append(np.multiply.outer(self.sym, lam * dsqrt))
-        return out
-
-
-def tractor_volume_form_field(geo: GeometrySpec) -> FieldHandle:
-    """Volume-form field with an analytic first derivative."""
-    n = geo.n
-    return FieldHandle(_VolumeFormField(geo),
-                       tuple(tractor_down(n) for _ in range(n + 2)), 0)
 
 
 def hodge_star(F: TractorFormObject, x, pack=None):

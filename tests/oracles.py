@@ -1,20 +1,48 @@
-"""The finite-difference routes along Sigma that exact first jets replaced,
-kept as the oracles of the exact routes.
+"""Second routes to what the program computes, and test fixtures, kept
+beside the tests that read them.
 
+The finite-difference routes along Sigma that exact first jets replaced:
 ``stencil_normal_curvature`` is the nested stencil the normal curvatures of
 both Ricci residuals took: a Richardson stencil (step 1e-2) of submanifold
 packs around a plain stencil (step 1e-4) of ``normal_frame``.
 ``stencil_mobius_cotton`` is the Moebius Cotton tensor from the Richardson
 difference of whole contexts (``SubTractorContext.along``).
+
+Equivalent characterisations the source paper proves, each a function of a
+``SubTractorContext``: the difference-tractor identity
+(``checked_connection_residual``, which projects with ``pull_up``, a left
+inverse of the context's ``push_up``), L rebuilt from (IIo, mu)
+(``reconstruct_L``), the M operator (``M_operator``), and the derivatives
+along Sigma of the normal tractor form and of its Hodge dual
+(``nabla_normal_form``, ``nabla_star_normal_form``): Sigma is distinguished
+iff the normal form is parallel.
+
+The tractor connection applied to a field from its 1-jet
+(``tractor_connection_apply``), the tractor volume form as a field with an
+analytic first derivative (``tractor_volume_form_field``), on which the
+1e-8 bound of ``test_volume_form_parallel`` rests, and the closed form of
+u^d nabla_d Phi along a curve (``phi_derivative``).
+
+Fixtures: ``random_metric``, a flat metric plus a small random polynomial
+perturbation, ``constant_scalar`` and the constant jet ``constant``.
 """
+import math
+
 import numpy as np
 
 from tractorlab import tractor as tr
-from tractorlab.riemann import metric_connection
+from tractorlab.circles import _bold_rate
+from tractorlab.geolib import JetField, PolynomialField
+from tractorlab.jets import Jet
+from tractorlab.riemann import (GeometrySpec, curvature_pack,
+                                levi_civita_symbol, metric_connection)
 from tractorlab.submanifold import SigmaConn, normal_frame, submanifold_pack
-from tractorlab.subtractor import tractor_conormal_rows
-from tractorlab.tensors import (central_diff, middle_block, pairing_matrix,
-                                tangent_down, tangent_up, tractor_up)
+from tractorlab.subtractor import SubTractorContext, tractor_conormal_rows
+from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
+                                FieldHandle, JetOrderError, TensorValue,
+                                alt_array, central_diff, middle_block,
+                                pairing_matrix, tangent_down, tangent_up,
+                                tractor_down, tractor_up)
 
 
 def stencil_normal_curvature(geo, emb, sub, frames, index, order):
@@ -101,3 +129,172 @@ def stencil_mobius_cotton(ctx):
     induced Schouten tensor p over whole contexts."""
     covdp = ctx.along(lambda c: c.fialkow()[1], (tangent_down(ctx.m),) * 2)
     return covdp - covdp.transpose(1, 0, 2)
+
+
+# --------------------------------------------------------------------------
+# the paper's characterisations, as functions of a context
+# --------------------------------------------------------------------------
+
+def pull_up(ctx):
+    """Ambient up slots -> intrinsic up slots (projection then iso)."""
+    sub, m, n = ctx.sub, ctx.m, ctx.n
+    Q = np.zeros((m + 2, n + 2))
+    Q[0, 0] = 1.0
+    Q[1:m + 1, 1:n + 1] = sub.Pi_ia
+    Q[m + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
+    Q[m + 1, 1:n + 1] = -(sub.pack.g @ sub.H)
+    Q[m + 1, n + 1] = 1.0
+    return Q
+
+
+def checked_connection_residual(geo, emb, q, seed=0):
+    """Oracle for the difference tractor on a random intrinsic field.
+
+    Builds V^J(y), compares Pi^J_B nabla_i (Pi^B_K V^K) - D_i V^J with
+    S_i^J_K V^K.
+    """
+    ctx = SubTractorContext(geo, emb, q)
+    m = ctx.m
+    rng = np.random.default_rng(seed)
+    c0 = rng.standard_normal(m + 2)
+    c1 = rng.standard_normal((m + 2, m))
+
+    def V_at(y):
+        return c0 + c1 @ (np.asarray(y) - ctx.q)
+
+    nabW = ctx.along(lambda c: c.push_up() @ V_at(c.q),
+                     (tractor_up(ctx.n),))
+    lhs = np.einsum("JB,iB->iJ", pull_up(ctx), nabW)
+    DV = tr.covariant_jet(ctx.intrinsic_conn(), [c0, c1],
+                          (tractor_up(m),))[0].T
+
+    S = ctx.difference_tractor()
+    Sact = np.einsum("JK,iKL->iJL", middle_block(ctx.sub.gi_s),
+                     S) @ pairing_matrix(m)
+    SV = np.einsum("iJL,L->iJ", Sact, V_at(ctx.q))
+    res = lhs - DV - SV
+    return float(np.abs(res).max()), float(np.abs(lhs).max())
+
+
+def reconstruct_L(ctx):
+    """L from (IIo, mu); the m = 1 branch falls back to the slot formula."""
+    if ctx.m == 1:
+        return ctx.L_explicit()
+    return ctx.L_slots(ctx.sub.IIo, ctx.mu() - ctx.DjIIo() / (ctx.m - 1))
+
+
+def M_operator(ctx, omega_builder):
+    """Invariant map taking a trace-free symmetric normal-valued field to an
+    L-shaped tractor."""
+    if ctx.m < 2:
+        raise ValueError("the 1/(m-1) factor is undefined for curves")
+    om0 = np.asarray(omega_builder(ctx.sub), dtype=float)
+    Dj = ctx._normal_divergence(ctx.along(lambda c: omega_builder(c.sub),
+                                          ctx._normal_indices()))
+    return ctx.L_slots(om0, -Dj / (ctx.m - 1))
+
+
+def star_normal_form(ctx):
+    """The tractor Hodge dual of the context's normal form."""
+    ixs = tuple(tractor_down(ctx.n) for _ in range(ctx.d))
+    F = tr.TractorFormObject(TensorValue(ctx.normal_form(), ixs, 0),
+                             ctx.geo)
+    return tr.hodge_star(F, ctx.sub.x).data
+
+
+def nabla_normal_form(ctx):
+    """nabla_i N_{A1..Ad} along Sigma (pullback tractor connection)."""
+    return ctx.along(lambda c: c.normal_form(),
+                     (tractor_down(ctx.n),) * ctx.d)
+
+
+def nabla_star_normal_form(ctx):
+    return ctx.along(star_normal_form, (tractor_down(ctx.n),) * (ctx.m + 2))
+
+
+# --------------------------------------------------------------------------
+# tractor fields and curve tractors
+# --------------------------------------------------------------------------
+
+def tractor_connection_apply(geo, handle, x):
+    """Coupled tractor-Levi-Civita derivative of a tractor tensor field.
+
+    Returns a TractorObject with one extra trailing down tangent index.
+    """
+    x = np.asarray(x, dtype=float)
+    pack = curvature_pack(geo, x, order=2)
+    conn = tr.ConnData.from_pack(pack)
+    jets = handle.field.jets(x, 1)
+    nab = tr.covariant_jet(conn, jets, handle.indices, order=1)[0]
+    ixs = handle.indices + (tangent_down(geo.n),)
+    return tr.TractorObject(TensorValue(nab, ixs, handle.weight), geo)
+
+
+class _VolumeFormField(ArrayField):
+    """The tractor volume form as a field, with the analytic first
+    derivative d_a sqrt(det g) = 1/2 sqrt(det g) g^{bc} d_a g_bc."""
+
+    def __init__(self, geo):
+        self.geo = geo
+        self.sym = levi_civita_symbol(geo.n + 2)
+        super().__init__(lambda x: self.jets(x, 0)[0],
+                         backend=DiffBackend(mode=ANALYTIC, max_order=1))
+
+    def jets(self, x, order):
+        if order > self.backend.max_order:
+            raise JetOrderError(
+                "the volume-form field has first derivatives only")
+        n = self.geo.n
+        pack = curvature_pack(self.geo, x, order=2)
+        lam = (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
+        out = [lam * self.sym]
+        if order == 1:
+            dsqrt = 0.5 * np.einsum("bc,bca->a", pack.gi, pack.dg)
+            out.append(np.multiply.outer(self.sym, lam * dsqrt))
+        return out
+
+
+def tractor_volume_form_field(geo):
+    """Volume-form field with an analytic first derivative."""
+    n = geo.n
+    return FieldHandle(_VolumeFormField(geo),
+                       tuple(tractor_down(n) for _ in range(n + 2)), 0)
+
+
+def phi_derivative(geo, state, cov_da=None):
+    """u^d nabla_d Phi^{ABC} from the closed form
+    6 u (bu^d nabla_d bold-a^c - bu^d P_d^c) bu^b X^[A Z_b^B Z_c^C]."""
+    n = geo.n
+    pk = curvature_pack(geo, state.x, order=2)
+    core, bu, un = _bold_rate(geo, state, cov_da, pk)
+    X = tr.canonical_X(n)
+    embu = tr.make_tractor(n, mu=bu)
+    embc = tr.make_tractor(n, mu=core)
+    return 6.0 * un * alt_array(np.multiply.outer(
+        X, np.multiply.outer(embu, embc)))
+
+
+# --------------------------------------------------------------------------
+# fixtures
+# --------------------------------------------------------------------------
+
+def random_metric(n, seed=0, amplitude=0.08):
+    """delta plus a small random polynomial perturbation (SPD near 0)."""
+    rng = np.random.default_rng(seed)
+    lin = amplitude * rng.standard_normal((n, n, n))
+    quad = amplitude * rng.standard_normal((n, n, n, n))
+    lin = (lin + lin.transpose(1, 0, 2)) / 2
+    quad = (quad + quad.transpose(1, 0, 2, 3)) / 2
+    return GeometrySpec(n=n, metric=PolynomialField([np.eye(n), lin, quad]))
+
+
+def constant_scalar(n, value=1.0):
+    return JetField(lambda v: value)
+
+
+def constant(n, value, order):
+    """Constant jet: ``value`` with zero derivatives up to ``order``."""
+    if order < 0:
+        raise ValueError(f"negative jet order {order}")
+    return Jet(n, [float(value)] + [np.zeros((n,) * k)
+                                    for k in range(1, order + 1)])

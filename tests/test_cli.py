@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import random_metric
 from tractorlab import circles, cli, riemann, submanifold, subtractor
 from tractorlab.riemann import SingularMetricError
 
@@ -59,6 +60,27 @@ def test_report_tractor_gauss_residual_at_round_off():
     assert len(rows) == 2
     for row in rows:
         assert max(row["tractor_gcr"]) <= 3e-8
+
+
+def test_report_tractor_ricci_on_a_curved_normal_bundle():
+    """The m = 3 graph in flat 5-space of the corpus's ``REPORTS``: its
+    normal tractor bundle is curved, so the tractor Ricci residual compares
+    two curvatures that are not zero, and still vanishes to round-off."""
+    cfg = {"geometry": {"name": "euclidean", "params": {"n": 5}},
+           "embedding": {"name": "graph",
+                         "params": {"n": 5, "m": 3, "seed": 0}},
+           "samples": {"points": [[0.1, -0.2, 0.15]]}}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["report"] + [a for k, v in cfg.items()
+                                    for a in ("-s", f"{k}={json.dumps(v)}")])
+    assert rc == 0
+    row = json.loads(out.getvalue())["per_sample"][0]
+    assert row["tractor_gcr"][2] < 1e-12
+    geo, entry = cli.build_geometry(cfg)
+    ctx = subtractor.SubTractorContext(geo, cli.build_embedding(cfg, entry,
+                                                                geo),
+                                       cfg["samples"]["points"][0])
+    assert np.abs(subtractor._normal_tractor_curvature(ctx)).max() > 0.1
 
 
 def test_report_twisted_slice_verdicts():
@@ -388,7 +410,7 @@ def test_random_metric_graph_residuals_at_round_off():
     """The same report residuals on a graph in a curved random metric,
     where both the ambient Christoffel symbols and II are nonzero."""
     from tractorlab import geolib
-    geo = geolib.random_metric(4, seed=3)
+    geo = random_metric(4, seed=3)
     emb = geolib.random_graph_embedding(4, 2, seed=5)
     for q in ([0.05, -0.08], [0.1, 0.2]):
         row = {}

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from oracles import random_metric
 from tractorlab import geolib, submanifold, subtractor
 from tractorlab import circles as ci
 from tractorlab import firstint as fi
@@ -202,7 +203,7 @@ def test_scan_timelike_certificate():
     geo = geolib.euclidean(4)
 
     def fn(v):
-        from tractorlab.jets import constant
+        from oracles import constant
         s = v[0] * v[0]
         for a in range(1, 4):
             s = s + v[a] * v[a]
@@ -311,7 +312,7 @@ def _fd_div_middle_part(geo, kspec, x, pack):
 
 ORACLE_GEOMETRIES = {"euclidean": lambda: geolib.euclidean(3),
                      "sphere": lambda: geolib.sphere(3),
-                     "random_metric": lambda: geolib.random_metric(3)}
+                     "random_metric": lambda: random_metric(3)}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
@@ -355,6 +356,18 @@ def test_split_components_makes_no_ky_decompose_call(monkeypatch):
     assert calls == []
 
 
+def test_bgg_split_stencil_reads_one_stacked_pack(monkeypatch):
+    """The normality check's 2n stencil rows take their curvature packs
+    from one stacked build, next to the pack at the point itself."""
+    shapes = []
+    pack = fi.curvature_pack
+    monkeypatch.setattr(fi, "curvature_pack", lambda geo, x, order=None:
+                        shapes.append(np.shape(x)) or pack(geo, x, order))
+    fi.bgg_split(geolib.euclidean(4), geolib.rotation_form(4, 0, 1),
+                 np.array([0.3, -0.2, 0.1, 0.4]))
+    assert shapes == [(4,), (8, 4)]
+
+
 @pytest.mark.parametrize("case", ["rotation", "special_conformal",
                                   "non_solution", "non_solution_2form",
                                   "hyperbolic_scale"])
@@ -363,7 +376,7 @@ def test_component_map_jacobian_matches_central_differences(case):
         "rotation": (geolib.euclidean(3), geolib.rotation_form(3, 0, 1)),
         "special_conformal": (geolib.euclidean(3),
                               geolib.special_conformal_form(3)),
-        "non_solution": (geolib.random_metric(3), _non_solution_1form()),
+        "non_solution": (random_metric(3), _non_solution_1form()),
         "non_solution_2form": (geolib.sphere(3), _non_solution_2form()),
         "hyperbolic_scale": (geolib.euclidean(3),
                              geolib.almost_einstein_hyperbolic(3)),
@@ -409,7 +422,7 @@ def test_component_map_connection_matches_pack_route(case, monkeypatch):
         "rotation": (geolib.euclidean(3), geolib.rotation_form(3, 0, 1)),
         "special_conformal": (geolib.euclidean(3),
                               geolib.special_conformal_form(3)),
-        "non_solution": (geolib.random_metric(3), _non_solution_1form()),
+        "non_solution": (random_metric(3), _non_solution_1form()),
         "non_solution_2form": (geolib.sphere(3), _non_solution_2form()),
         "hyperbolic_scale": (geolib.euclidean(3),
                              geolib.almost_einstein_hyperbolic(3)),
@@ -511,7 +524,7 @@ def test_flat_rotation_locus_L_is_zero():
         spec = geolib.rotation_form(n, 0, 1)
         pts = [np.array([0.0, 0.0] + [0.3, -0.2][:n - 2]),
                np.array([1e-3, -2e-3] + [-0.5, 0.1][:n - 2])]
-        L_res, notes = fi._locus_L_residuals(geo, spec, pts, 2, 1e3)
+        L_res, notes = fi._locus_L_residuals(geo, spec, pts, 2)
         assert L_res == [0.0, 0.0] and notes == ""
 
 
@@ -536,7 +549,7 @@ def test_degenerate_zero_records_no_L():
     points = [np.zeros(3), np.array([-1.2e-20, 0.0, 0.0])]
     for x in points:
         assert fi._locus_embedding(geo, spec, x, 1) is None
-    L_res, notes = fi._locus_L_residuals(geo, spec, points, 1, 1e3)
+    L_res, notes = fi._locus_L_residuals(geo, spec, points, 1)
     assert L_res == []
     assert notes.startswith("no L residual at 2 of 2 locus points")
 
@@ -549,7 +562,7 @@ COMPONENT_CASES = {
     "rotation": lambda: (geolib.euclidean(3), geolib.rotation_form(3, 0, 1)),
     "special_conformal": lambda: (geolib.euclidean(3),
                                   geolib.special_conformal_form(3)),
-    "non_solution": lambda: (geolib.random_metric(3), _non_solution_1form()),
+    "non_solution": lambda: (random_metric(3), _non_solution_1form()),
     "non_solution_2form": lambda: (geolib.sphere(3), _non_solution_2form()),
     "hyperbolic_scale": lambda: (geolib.euclidean(3),
                                  geolib.almost_einstein_hyperbolic(3)),

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from tractorlab import geolib
-from tractorlab.jets import Jet, compose, constant, pack_array, variables
+from oracles import constant, random_metric
+from tractorlab.jets import Jet, compose, pack_array, variables
 from tractorlab.tensors import central_diff
 
 
@@ -466,7 +467,7 @@ def _reference_jets(field, X, order):
 # the polynomial fields the catalog builds on but does not name
 POLYNOMIAL_FIELDS = [
     ("random_conformal_factor", 4, geolib.random_conformal_factor(4, 3)),
-    ("random_metric", 3, geolib.random_metric(3, 2).metric)]
+    ("random_metric", 3, random_metric(3, 2).metric)]
 REFERENCE_FIELDS = [f for f in FIELDS + POLYNOMIAL_FIELDS
                     if not (type(f[2]) is geolib.PolynomialField
                             and f[2].outer is None)]

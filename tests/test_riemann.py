@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from test_jets import _bitwise_equal
+from oracles import (constant_scalar, random_metric,
+                     tractor_connection_apply)
 from tractorlab import cli, geolib
 from tractorlab.riemann import (CurvaturePack, GeometrySpec,
                                 SingularMetricError, curvature_pack, rescale)
 from tractorlab.submanifold import PullbackMetricField
-from tractorlab.tractor import tractor_connection_apply
 from tractorlab.tensors import (ArrayField, DiffBackend, FieldHandle,
                                 JetOrderError, tangent_up)
 
@@ -166,7 +167,7 @@ def test_twisted_ric13():
 
 
 def test_schouten_identity():
-    geo = geolib.random_metric(4, seed=5)
+    geo = random_metric(4, seed=5)
     pk = curvature_pack(geo, np.array([0.1, -0.05, 0.2, 0.0]))
     res = pk.Ric - ((geo.n - 2) * pk.P + pk.J * pk.g)
     assert np.abs(res).max() < 1e-8
@@ -181,13 +182,13 @@ def test_constant_curvature_oracle():
 
 
 def test_dimension_three_weyl_vanishes():
-    geo = geolib.random_metric(3, seed=7)
+    geo = random_metric(3, seed=7)
     pk = curvature_pack(geo, np.array([0.1, 0.05, -0.1]))
     assert np.abs(pk.W4).max() < 1e-9
 
 
 def test_weyl_totally_tracefree_and_bianchi():
-    geo = geolib.random_metric(4, seed=8)
+    geo = random_metric(4, seed=8)
     pk = curvature_pack(geo, np.array([0.07, -0.03, 0.11, 0.02]))
     scale = np.abs(pk.R4).max()
     tr1 = np.einsum("ac,abcd->bd", pk.gi, pk.W4)
@@ -199,7 +200,7 @@ def test_weyl_totally_tracefree_and_bianchi():
 
 
 def test_cotton_from_schouten_derivative():
-    geo = geolib.random_metric(3, seed=9)
+    geo = random_metric(3, seed=9)
     x = np.array([0.02, -0.06, 0.1])
     pk = curvature_pack(geo, x, order=3)
     h = 1e-5
@@ -240,7 +241,7 @@ def _transport_tangent(geo, path_pts, v):
 def test_holonomy_commutator_oracle(seed):
     """R from parallel transport around a small coordinate square."""
     n = 3
-    geo = geolib.random_metric(n, seed=seed)
+    geo = random_metric(n, seed=seed)
     x0 = np.array([0.05, -0.02, 0.08])
     pk = curvature_pack(geo, x0)
     h = 1e-3
@@ -269,7 +270,7 @@ def test_holonomy_commutator_oracle(seed):
 def test_levi_civita_derivative_metricity():
     """The coupled connection acts on tangent indices as Levi-Civita
     (``tractor_connection_apply``), which preserves the metric."""
-    geo = geolib.random_metric(3, seed=11)
+    geo = random_metric(3, seed=11)
     x = np.array([0.04, -0.02, 0.06])
     from tractorlab.tensors import tangent_down
     gh = FieldHandle(geo.metric, (tangent_down(3), tangent_down(3)), 2)
@@ -278,7 +279,7 @@ def test_levi_civita_derivative_metricity():
 
 
 def test_levi_civita_derivative_volume_form():
-    geo = geolib.random_metric(3, seed=12)
+    geo = random_metric(3, seed=12)
     x = np.array([0.04, -0.02, 0.06])
 
     def eps_at(y):
@@ -304,7 +305,7 @@ def test_levi_civita_derivative_flat_vector():
 
 def test_rescale_identity():
     geo = geolib.sphere(3)
-    one = geolib.constant_scalar(3, 1.0)
+    one = constant_scalar(3, 1.0)
     geo2, ups = rescale(geo, one)
     x = np.array([0.1, -0.2, 0.3])
     p1 = curvature_pack(geo, x, order=3)
@@ -316,7 +317,7 @@ def test_rescale_identity():
 @pytest.mark.parametrize("seed", [(3, 4), (5, 6)])
 def test_schouten_transformation_law(seed):
     gseed, oseed = seed
-    geo = geolib.random_metric(4, seed=gseed)
+    geo = random_metric(4, seed=gseed)
     omega = geolib.random_conformal_factor(4, seed=oseed)
     x = np.array([0.1, -0.2, 0.15, 0.05])
     geoh, upsilon = rescale(geo, omega)
@@ -333,7 +334,7 @@ def test_schouten_transformation_law(seed):
 
 
 def test_weyl_conformal_invariance():
-    geo = geolib.random_metric(4, seed=13)
+    geo = random_metric(4, seed=13)
     omega = geolib.random_conformal_factor(4, seed=14)
     x = np.array([0.05, 0.1, -0.05, 0.12])
     geoh, _ = rescale(geo, omega)
@@ -355,8 +356,8 @@ def test_singular_metric_rejected():
     from tractorlab.riemann import SingularMetricError
 
     def fn(v):
-        import tractorlab.jets as J
-        z = J.constant(2, 0.0, 3)
+        from oracles import constant
+        z = constant(2, 0.0, 3)
         return [[v[0] * 0.0 + 1.0, z], [z, v[0] * 0.0]]
 
     geo = geolib.jet_metric(2, fn)
@@ -367,7 +368,7 @@ def test_singular_metric_rejected():
 def test_cotton_requires_third_jet():
     from tractorlab.tensors import JetOrderError
     from tractorlab import tractor as tr
-    geo = geolib.random_metric(3, seed=1)
+    geo = random_metric(3, seed=1)
     fd2 = ArrayField(geo.metric.value, backend=DiffBackend(max_order=2))
     geo2 = GeometrySpec(n=3, metric=fd2)
     pk = curvature_pack(geo2, np.array([0.1, 0.0, -0.1]))

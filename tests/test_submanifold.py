@@ -84,7 +84,7 @@ def test_gauss_codazzi_ricci_graph_surface():
 
 
 def test_gauss_codazzi_ricci_curved_ambient():
-    geo = geolib.random_metric(4, seed=1)
+    geo = oracles.random_metric(4, seed=1)
     emb = geolib.random_graph_embedding(4, 2, seed=2)
     res = gauss_codazzi_ricci_residuals(
         subtractor.SubTractorContext(geo, emb, np.array([0.05, -0.1])))
@@ -113,7 +113,7 @@ def test_conformal_transform_laws():
 def test_conformal_transform_identity():
     geo = geolib.euclidean(3)
     emb = geolib.sphere_in_flat(3, 1.0)
-    one = geolib.constant_scalar(3, 1.0)
+    one = oracles.constant_scalar(3, 1.0)
     rep = _transformation_residuals(geo, emb, one, np.array([0.2, -0.3]))
     assert max(rep.values()) < 1e-12
 
@@ -124,7 +124,7 @@ def _normal_form(pk):
 
 
 def test_normal_form_identities():
-    geo = geolib.random_metric(4, seed=1)
+    geo = oracles.random_metric(4, seed=1)
     emb = geolib.random_graph_embedding(4, 2, seed=2)
     pk = submanifold_pack(geo, emb, np.array([0.05, -0.1]))
     gi = pk.pack.gi
@@ -139,7 +139,7 @@ def test_normal_form_identities():
 
 
 def test_orientation_wedge_identity():
-    geo = geolib.random_metric(4, seed=1)
+    geo = oracles.random_metric(4, seed=1)
     emb = geolib.random_graph_embedding(4, 2, seed=2)
     q = np.array([0.05, -0.1])
     pk = submanifold_pack(geo, emb, q)
@@ -149,7 +149,7 @@ def test_orientation_wedge_identity():
 
 
 def test_hypersurface_unit_conormal():
-    geo = geolib.random_metric(3, seed=5)
+    geo = oracles.random_metric(3, seed=5)
     emb = geolib.random_graph_embedding(3, 2, seed=6)
     pk = submanifold_pack(geo, emb, np.array([0.02, 0.05]))
     assert pk.d == 1
@@ -175,8 +175,7 @@ def test_minimal_scale_existence():
     x0 = pk.x
 
     def fn(v):
-        from tractorlab.jets import constant
-        psi = constant(3, 0.0, 3)
+        psi = oracles.constant(3, 0.0, 3)
         for a in range(3):
             psi = psi + H_low[a] * (v[a] - float(x0[a]))
         return [psi.exp()]
@@ -223,7 +222,7 @@ def _partials_cases():
                    else entry.make_geometry())
             if geo.n == emb.n:
                 out.append((f"{gname}/{ename}", geo, emb))
-    out.append(("random/graph", geolib.random_metric(4, seed=3),
+    out.append(("random/graph", oracles.random_metric(4, seed=3),
                 geolib.random_graph_embedding(4, 2, seed=5)))
     return out
 

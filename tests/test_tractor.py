@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 from test_jets import _bitwise_equal
+from oracles import (constant_scalar, random_metric, tractor_connection_apply,
+                     tractor_volume_form_field)
 from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
                                 FieldHandle, NumericalError, TensorValue,
                                 alt_array, middle_block, tangent_down,
-                                tangent_up, tractor_down, tractor_up)
+                                tangent_up, tractor_down,
+                                tractor_metric_matrix, tractor_up)
 
 
 def _hpair(geo, x):
-    lo, hi = tr.tractor_metric(geo, x)
+    pack = curvature_pack(geo, x, order=2)
+    lo, hi = tractor_metric_matrix(pack.g), tractor_metric_matrix(pack.gi)
     def dot(u, v):
         # each up index pairs with a down one through the sigma/rho swap
-        return float(np.einsum("AB,A,B->", lo.data, tr.pair_flip(u, 0),
+        return float(np.einsum("AB,A,B->", lo, tr.pair_flip(u, 0),
                                tr.pair_flip(v, 0)))
     return dot, lo, hi
 
@@ -30,12 +34,12 @@ def test_tractor_metric_blocks():
     dot, lo, hi = _hpair(geo, x)
     X = tr.canonical_X(3)
     assert dot(X, X) == 0.0
-    ev = np.linalg.eigvalsh(lo.data)
+    ev = np.linalg.eigvalsh(lo)
     assert (ev > 0).sum() == 4 and (ev < 0).sum() == 1
     # h h^-1 acts as the identity
     v = np.array([0.3, -0.2, 0.7, 1.1, 0.05])
-    lowered = np.einsum("AB,A->B", lo.data, tr.pair_flip(v, 0))
-    raised = np.einsum("AB,A->B", hi.data, tr.pair_flip(lowered, 0))
+    lowered = np.einsum("AB,A->B", lo, tr.pair_flip(v, 0))
+    raised = np.einsum("AB,A->B", hi, tr.pair_flip(lowered, 0))
     assert np.abs(raised - v).max() < 1e-12
 
 
@@ -44,7 +48,7 @@ def test_connection_flat_slot_identities():
     x = np.array([0.1, 0.2, -0.1])
     Xf = FieldHandle(ArrayField(lambda y: tr.canonical_X(3),
                                 backend=DiffBackend()), (tractor_up(3),), 0)
-    nab = tr.tractor_connection_apply(geo, Xf, x)
+    nab = tractor_connection_apply(geo, Xf, x)
     expected = np.zeros((5, 3))
     expected[1:4] = np.eye(3)   # nabla_a X = Z_a
     assert np.abs(nab.data - expected).max() < 1e-10
@@ -52,7 +56,7 @@ def test_connection_flat_slot_identities():
     # slot only through the g rho-coupling, which vanishes when rho = 0
     Yf = FieldHandle(ArrayField(lambda y: tr.make_tractor(3, sigma=1.0),
                                 backend=DiffBackend()), (tractor_up(3),), 0)
-    nab = tr.tractor_connection_apply(geo, Yf, x)
+    nab = tractor_connection_apply(geo, Yf, x)
     assert np.abs(nab.data).max() < 1e-10
 
 
@@ -73,8 +77,8 @@ def test_connection_metric_preservation():
 
     T = FieldHandle(ArrayField(tf, backend=DiffBackend()), (tractor_up(3),), 0)
     S = FieldHandle(ArrayField(sf, backend=DiffBackend()), (tractor_up(3),), 0)
-    nT = tr.tractor_connection_apply(geo, T, x).data
-    nS = tr.tractor_connection_apply(geo, S, x).data
+    nT = tractor_connection_apply(geo, T, x).data
+    nS = tractor_connection_apply(geo, S, x).data
     h = 1e-6
     worst = 0.0
     for a in range(3):
@@ -94,7 +98,7 @@ def test_scale_tractor_parallel_on_sphere():
     If = FieldHandle(ArrayField(lambda y: tr.scale_tractor(geo, y).data,
                                 backend=DiffBackend()), (tractor_up(4),), 0)
     for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
-        nab = tr.tractor_connection_apply(geo, If, x)
+        nab = tractor_connection_apply(geo, If, x)
         assert np.abs(nab.data).max() < 1e-6
 
 
@@ -114,7 +118,7 @@ def test_scale_tractor_squared_constant():
 
 def test_thomas_d_flat_unit_density():
     geo = geolib.euclidean(4)
-    one = FieldHandle(geolib.constant_scalar(4, 1.0), (), 1)
+    one = FieldHandle(constant_scalar(4, 1.0), (), 1)
     D = tr.thomas_D(geo, one, 1, np.array([0.1, 0.2, 0.3, -0.1]))
     assert np.abs(D.data / 4 - tr.make_tractor(4, sigma=1.0)).max() < 1e-12
 
@@ -123,7 +127,7 @@ def test_thomas_d_sphere_unit_density():
     geo = geolib.sphere(4)
     x = np.zeros(4)
     pk = curvature_pack(geo, x)
-    one = FieldHandle(geolib.constant_scalar(4, 1.0), (), 1)
+    one = FieldHandle(constant_scalar(4, 1.0), (), 1)
     D = tr.thomas_D(geo, one, 1, x).data / 4
     assert D[0] == pytest.approx(1.0)
     assert np.abs(D[1:5]).max() < 1e-9
@@ -138,7 +142,7 @@ def test_tractor_curvature_conformally_flat():
 
 
 def test_tractor_curvature_commutator_oracle():
-    geo = geolib.random_metric(4, seed=3)
+    geo = random_metric(4, seed=3)
     x = np.array([0.1, -0.05, 0.2, 0.15])
     rng = np.random.default_rng(5)
     e1 = rng.standard_normal(6)
@@ -216,8 +220,8 @@ def test_volume_form_normalisation():
 def test_volume_form_parallel():
     geo = geolib.sphere(3)
     x = np.array([0.2, -0.1, 0.3])
-    Ef = tr.tractor_volume_form_field(geo)
-    nab = tr.tractor_connection_apply(geo, Ef, x)
+    Ef = tractor_volume_form_field(geo)
+    nab = tractor_connection_apply(geo, Ef, x)
     assert np.abs(nab.data).max() < 1e-8
 
 
@@ -243,9 +247,9 @@ def test_wedge_leibniz():
                     (tractor_down(3), tractor_down(3)), 0)
     G = FieldHandle(ArrayField(Gf, backend=DiffBackend()),
                     (tractor_down(3),), 0)
-    nFG = tr.tractor_connection_apply(geo, FG, x).data
-    nF = tr.tractor_connection_apply(geo, F, x).data
-    nG = tr.tractor_connection_apply(geo, G, x).data
+    nFG = tractor_connection_apply(geo, FG, x).data
+    nF = tractor_connection_apply(geo, F, x).data
+    nG = tractor_connection_apply(geo, G, x).data
     for a in range(3):
         rhs = tr.wedge(nF[..., a], Gf(x)) + tr.wedge(Ff(x), nG[..., a])
         assert np.abs(nFG[..., a] - rhs).max() < 1e-8
@@ -286,12 +290,12 @@ def test_parallel_transport_norm_and_holonomy():
         M[:, i] = tr.parallel_transport(
             geo, loop, tr.TractorObject(TensorValue(e, (tractor_up(3),)),
                                         geo), 0.0, 1.0, steps=800).data
-    H = lo.data
+    H = lo
     assert np.abs(M.T @ H @ M - H).max() < 1e-7
 
 
 def test_rescale_triple_relation():
-    geo = geolib.random_metric(4, seed=11)
+    geo = random_metric(4, seed=11)
     omega = geolib.random_conformal_factor(4, seed=12)
     sig = geolib.random_conformal_factor(4, seed=13)
     x = np.array([0.1, -0.2, 0.15, 0.05])
@@ -353,7 +357,7 @@ def test_point_axis_covariant_jet_is_the_stacked_per_point_jets(indices):
     row, the covariant derivatives of that point alone, bit for bit, for
     tractor and tangent indices at first and second order."""
     from test_jets import _bitwise_equal
-    geo = geolib.random_metric(3, seed=4)
+    geo = random_metric(3, seed=4)
     rng = np.random.default_rng(29)
     X = rng.uniform(-0.3, 0.3, (4, 3))
     packs = [curvature_pack(geo, x, 3) for x in X]

@@ -12,7 +12,8 @@ writes, for each, its argv, exit code, stdout verbatim and, for a command
 that writes a CSV, the CSV's row count and SHA-256, to
 ``tests/golden/corpus.json``.  The commands are rounds 0 and 1 of the three
 benchmark workloads at seeds 1 and 2 (their argv as
-``perfbench/workloads.py`` generates them) and the scans in ``SCANS``.
+``perfbench/workloads.py`` generates them), the scans in ``SCANS`` and the
+reports in ``REPORTS``.
 A CSV path is stored as ``{out}/<name>`` and written under a temporary
 directory when the command runs.
 
@@ -64,6 +65,13 @@ SCANS = [
     ("euclidean", {"n": 3}, "dilation", {"n": 3}, 11),
 ]
 
+# Reports beyond the workloads': an m = 3 graph in flat 5-space, whose normal
+# tractor bundle is curved (the workloads' m = 3 reports have flat ones).
+REPORTS = [
+    ("euclidean", {"n": 5}, "graph", {"n": 5, "m": 3, "seed": 0},
+     [0.1, -0.2, 0.15]),
+]
+
 
 def _spec(name, params):
     return {"name": name, "params": params} if params else {"name": name}
@@ -84,6 +92,11 @@ def commands():
                     "-s", "geometry=" + json.dumps(_spec(geo, gparams)),
                     "-s", "scan=" + json.dumps({"ky": _spec(ky, kparams),
                                                 "grid": grid})])
+    for geo, gparams, emb, eparams, point in REPORTS:
+        out.append(["report",
+                    "-s", "geometry=" + json.dumps(_spec(geo, gparams)),
+                    "-s", "embedding=" + json.dumps(_spec(emb, eparams)),
+                    "-s", "samples=" + json.dumps({"points": [point]})])
     return out
 
 
