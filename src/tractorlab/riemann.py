@@ -84,6 +84,8 @@ class CurvaturePack:
     K: float | None = None     # Gaussian curvature, n = 2 only
     dP: np.ndarray | None = None       # d_e P_ab -> [a, b, e]
     dRud: np.ndarray | None = None     # d_e R_ab^c_d -> [a, b, c, d, e]
+    d2g: np.ndarray | None = None      # d_e d_f g_ab -> [a, b, e, f]
+    d2Gamma: np.ndarray | None = None  # d_e d_f Gamma^c_ab -> [c, a, b, e, f]
     Cotton: np.ndarray | None = None   # C_abc
     has_third: bool = False
 
@@ -157,7 +159,9 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     """Evaluate the full curvature package of ``geo`` at chart point ``x``.
 
     ``order`` requests the metric jet order (default: the backend maximum,
-    capped at 3).  The Cotton tensor, dP and dRud require order 3.  ``x``
+    capped at 3).  The Cotton tensor, dP and dRud require order 3, and an
+    order-3 pack keeps the second derivatives d2g and d2Gamma it builds
+    them from.  ``x``
     may be a stack of points of shape (p, n): one evaluation of the metric
     jets then builds the packs of all p points, each array and scalar
     carrying a leading point axis, and ``pack.at(i)`` is the pack at row i,
@@ -250,6 +254,8 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
         Cotton = covdP - covdP.swapaxes(-3, -2)
         pack.dP = dP
         pack.dRud = dRud
+        pack.d2g = d2g
+        pack.d2Gamma = d2Gamma
         pack.Cotton = Cotton
         pack.has_third = True
     return pack

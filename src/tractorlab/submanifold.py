@@ -12,14 +12,14 @@ A covariant derivative along the submanifold is a partial derivative
 along Sigma plus, on each index, the connection ``SigmaConn`` picks (the
 ambient one pulled back by the embedding, or the intrinsic one):
 ``covariant_partial``.  The partial derivatives of the frame-independent
-pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo and H) are exact:
-``partials_along`` takes them (and dphi's, the embedding Hessian) by the
-chain rule from the embedding 3-jet and the metric 2-jet the pack holds.
-Any other pack-derived quantity is differenced: ``SigmaField`` takes the
-Richardson difference of whole packs, which is also the exact routes'
-test oracle.  The residuals that
-read these derivatives (Gauss-Codazzi-Ricci, the transformation laws)
-take a ``subtractor.SubTractorContext`` per point.
+pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo and H) are exact, at
+any order: ``partials_along`` takes them (and dphi's) by the chain rule
+from the embedding's jet and the metric jets an ambient pack holds (order
+1 from the pack's own 2-jet, order 2 from an order-3 pack).  The
+quantities the commands differentiate are built from these by the Leibniz
+rule (``einsum_jet1``), in ``subtractor.SubTractorContext``.
+``SigmaField`` takes the Richardson difference of whole packs; it serves
+the readers no command reaches and is the exact routes' test oracle.
 
 The normal frame is ``normal_frame``, on a stack of points, and
 ``normal_curvature`` the curvature of a normal bundle from its frame.
@@ -28,18 +28,20 @@ frame (the Gram-Schmidt of N^a_b's seed rows, differentiated with the
 exact partials) to those of their frame rows, and connection data whose
 ``dmatrix`` reads the ambient dGamma (or dP): the frame's second partials
 cancel in R_ij, so no stencil is needed.  ``einsum_jet1`` is the Leibniz
-rule of one contraction on order-1 jets.
+rule of one contraction on order-1 jets, the first order of
+``_leibniz``.
 
-Every stencil along Sigma is evaluated as a whole: ``central_diff`` hands
-its stencil to one call, and ``submanifold_pack`` on a stack of points
-builds the missing packs from one embedding 2-jet, one order-2 curvature
-pack, one rank check and one normal frame.  Only assembling each row's
-pack and the readers of a pack (``SigmaField`` builders) run point by
-point, and each row is bitwise what an evaluation at that point alone
-gives.
+``submanifold_pack`` on a stack of points builds the missing packs from
+one embedding 2-jet, one order-2 curvature pack, one rank check and one
+normal frame; a ``SigmaField`` stencil hands its points to one such call
+(``central_diff``).  Only assembling each row's pack and the readers of a
+pack (``SigmaField`` builders) run point by point, and each row is bitwise
+what an evaluation at that point alone gives.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,7 +147,6 @@ class SubmanifoldPack:
     pack: CurvaturePack         # ambient curvature at x (metric 2-jet)
     g_s: np.ndarray             # induced metric
     gi_s: np.ndarray
-    Pi_ia: np.ndarray           # Pi^i_a (orthogonal projection onto T Sigma)
     Nab: np.ndarray             # N^a_b
     II: np.ndarray              # II_ij^c -> [i, j, c]
     IIo: np.ndarray
@@ -222,7 +223,7 @@ def _build_pack(geo, emb, q, ph, pack, frame):
 
 def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
                  d2phi=None):
-    """The ``SubmanifoldPack`` fields g_s, gi_s, Pi_ia, Nab, conormals,
+    """The ``SubmanifoldPack`` fields g_s, gi_s, Nab, conormals,
     normals and seeds as a dict, from g, g^-1 and dphi on a stack of points
     (a leading point axis on each array and field, ``seeds`` a list of
     tuples); with Gamma and d2phi also II, IIo and H.  ``seeds`` default,
@@ -233,9 +234,10 @@ def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
     dphiT = np.swapaxes(dphi, 1, 2)
     g_s = dphiT @ g @ dphi
     gi_s = np.linalg.inv(g_s)
+    # Pi^i_a, the orthogonal projection onto T Sigma
     Pi_ia = gi_s @ dphiT @ g
     Nab = np.eye(n) - dphi @ Pi_ia
-    out = dict(g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab)
+    out = dict(g_s=g_s, gi_s=gi_s, Nab=Nab)
 
     if Gamma is not None:
         # second fundamental form: normal part of the ambient Hessian of phi
@@ -284,41 +286,63 @@ def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
 # derivatives of pack-derived quantities along the submanifold
 # --------------------------------------------------------------------------
 
-def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack):
-    """Exact partial derivatives d_k along Sigma at ``sub.q`` of the
-    frame-independent pack quantities, each with the derivative axis k
-    last: ``dphi`` (the embedding Hessian), ``g`` (the ambient metric at
-    phi), ``g_s``, ``gi_s``, ``Nab``, ``II``, ``IIo`` and ``H``; and
-    ``Gamma_s``, the intrinsic Christoffel symbols [l, i, j] from d g_s.
+def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack, order=1,
+                   pack=None):
+    """Exact partial derivatives along Sigma at ``sub.q``, to ``order``, of
+    the frame-independent pack quantities: a list whose entry k - 1 holds
+    those of order k, each with its k derivative axes last: ``dphi`` (the
+    embedding's derivatives), ``g`` (the ambient metric at phi), ``g_s``,
+    ``gi_s``, ``Nab``, ``II``, ``IIo`` and ``H``.  The first entry also
+    holds ``Gamma_s``, the intrinsic Christoffel symbols [l, i, j] from d
+    g_s.
 
-    The Leibniz and chain rules on the embedding 3-jet at ``sub.q`` and on
-    the ambient pack's dg and dGamma (whatever backend differentiated the
-    metric) give them with no metric evaluation: g_s = dphi^T g dphi,
-    Pi^i_a = g_s^-1 dphi^T g, N = 1 - dphi Pi and II = N (d2phi +
-    dphi^T Gamma dphi), each order-1 jet by ``jets.product``."""
-    pk, m = sub.pack, sub.m
-    ph = emb.phi.jets(sub.q, 3)
-    dphi, hess_phi = ph[1:3], ph[2:4]
-    g = compose([pk.g, pk.dg], ph, 1, slots=1)
-    Gamma = compose([pk.Gamma, pk.dGamma], ph, 1, slots=1)
-    g_s = _pullback_jets(g, dphi, 1)
-    dgi_s = -np.einsum("ij,jlk,lm->imk", sub.gi_s, g_s[1], sub.gi_s)
-    Pi = _matmul_jets([sub.gi_s, dgi_s],
-                      _matmul_jets(_transpose_jets(dphi), g, 1), 1)
-    dN = -_matmul_jets(dphi, Pi, 1)[1]
+    The Leibniz and chain rules (``jets.product`` and ``jets.compose``, of
+    any order) on the embedding (order + 2)-jet at ``sub.q`` and on the
+    metric jets of the ambient pack ``pack`` (``sub.pack`` by default:
+    dg and dGamma, whatever backend differentiated the metric; an order-3
+    pack adds d2g and d2Gamma for order 2) give them with no metric
+    evaluation: g_s = dphi^T g dphi, g_s^-1 order by order from g_s g_s^-1
+    = 1, Pi^i_a = g_s^-1 dphi^T g, N = 1 - dphi Pi and II = N (d2phi +
+    dphi^T Gamma dphi).  The values are the pack's."""
+    pk, m = (sub.pack if pack is None else pack), sub.m
+    ph = emb.phi.jets(sub.q, order + 2)
+    dphi, hess_phi = ph[1:order + 2], ph[2:order + 3]
+    g = compose([pk.g, pk.dg, pk.d2g][:order + 1], ph, order, slots=1)
+    Gamma = compose([pk.Gamma, pk.dGamma, pk.d2Gamma][:order + 1], ph,
+                    order, slots=1)
+    g_s = [sub.g_s] + _pullback_jets(g, dphi, order)[1:]
+    gi_s = _inverse_jets(sub.gi_s, g_s, order)
+    Pi = _matmul_jets(gi_s, _matmul_jets(_transpose_jets(dphi), g, order),
+                      order)
+    N = [sub.Nab] + [-x for x in _matmul_jets(dphi, Pi, order)[1:]]
     # the ambient Hessian of phi, [c, i, j]: d2phi + dphi^T Gamma^c dphi
-    hess = [a + b for a, b in zip(hess_phi, _pullback_jets(Gamma, dphi, 1))]
-    dII = (np.einsum("cbk,bij->ijck", dN, hess[0])
-           + np.einsum("cb,bijk->ijck", sub.Nab, hess[1]))
-    dH = (np.einsum("ijk,ijc->ck", dgi_s, sub.II)
-          + np.einsum("ij,ijck->ck", sub.gi_s, dII)) / m
-    dIIo = (dII - np.einsum("ijk,c->ijck", g_s[1], sub.H)
-            - np.einsum("ij,ck->ijck", sub.g_s, dH))
-    if m == 1:
-        dIIo = np.zeros_like(dII)
-    return {"dphi": ph[2], "g": g[1], "g_s": g_s[1], "gi_s": dgi_s,
-            "Nab": dN, "II": dII, "IIo": dIIo, "H": dH,
-            "Gamma_s": _christoffel(sub.gi_s, g_s[1])[0]}
+    hess = [a + b for a, b in zip(hess_phi, _pullback_jets(Gamma, dphi,
+                                                           order))]
+    II, H, out = [sub.II], [sub.H], []
+    for k in range(1, order + 1):
+        II.append(_leibniz("cb,bij->ijc", [N, hess], k))
+        H.append(_leibniz("ij,ijc->c", [gi_s, II], k) / m)
+        IIo = II[k]
+        for t in _leibniz_terms("ij,c->ijc", [g_s, H], k):
+            IIo = IIo - t
+        out.append({"dphi": ph[k + 1], "g": g[k], "g_s": g_s[k],
+                    "gi_s": gi_s[k], "Nab": N[k], "II": II[k],
+                    "IIo": np.zeros_like(IIo) if m == 1 else IIo,
+                    "H": H[k]})
+    out[0]["Gamma_s"] = _christoffel(sub.gi_s, g_s[1])[0]
+    return out
+
+
+def _inverse_jets(B0, A, order):
+    """Jets of the inverse of a matrix from its value B0 and the jets A of
+    the matrix, order by order from A B = 1: d B = -B0 dA B0, and D^k B =
+    -B0 times the terms of D^k(A B) in which B has order below k."""
+    B = [B0, -np.einsum("ij,jlk,lm->imk", B0, A[1], B0)]
+    for k in range(2, order + 1):
+        top = np.zeros(B[-1].shape + A[1].shape[-1:])
+        AB = _matmul_jets(A[:k + 1], B + [top], k)[k]
+        B.append(-np.einsum("ij,jl...->il...", B0, AB))
+    return B[:order + 1]
 
 
 class SigmaField:
@@ -327,12 +351,11 @@ class SigmaField:
     ``builder(pack)`` maps a SubmanifoldPack to an array.  Derivatives use
     Richardson-extrapolated central differences (step 1e-2) with the
     normal-frame seeds frozen at the base point, so frame-dependent
-    quantities stay smooth.  ``partials_along`` differentiates the pack's
-    frame-independent quantities exactly; this stencil serves the readers
-    that need more than those (D S and D L in the tractor Gauss and
-    Codazzi residuals, the mean-curvature tractor, the conserved quantity)
-    and is the test oracle of ``partials_along`` and of the exact
-    curvatures.
+    quantities stay smooth.  Every derivative along Sigma a command reads
+    is exact (``partials_along`` and the Leibniz rule on it); this stencil
+    serves the readers no command reaches (the mean-curvature tractor, the
+    conserved quantity) and is the test oracle of ``partials_along``, of
+    the exact curvatures and of the exact D S and D L.
     """
 
     def __init__(self, geo, emb, builder):
@@ -395,24 +418,56 @@ def covariant_partial(conn, value, partial, indices):
                        -1, 0)
 
 
+_DERIVATIVE_LETTERS = "ZYXW"
+
+
+def _leibniz_terms(spec, jets, k):
+    """The terms of the k-th partial of ``np.einsum(spec, *values)`` (k <=
+    4) by the Leibniz rule, from the operands' jets [value, partial, ...],
+    each partial with its derivative axes last: one einsum per assignment
+    of the k derivative positions to the operands (``_leibniz_specs``).  An
+    operand with no partial of the order it is assigned (None, or a jet
+    that ends before it) gives no term.  ``spec`` is explicit
+    ("...->...") and does not use the letters Z, Y, X, W."""
+    for term, orders in _leibniz_specs(spec, len(jets), k):
+        ops = [jet[o] if o < len(jet) else None
+               for jet, o in zip(jets, orders)]
+        if all(op is not None for op in ops):
+            yield np.einsum(term, *ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _leibniz_specs(spec, count, k):
+    """(einsum spec, derivative order of each operand) of each term of
+    ``_leibniz_terms``, in the order of the assignments: each operand
+    takes the derivative letters of its positions, in position order."""
+    ins, out = spec.split("->")
+    letters = _DERIVATIVE_LETTERS[:k]
+    terms = []
+    for assign in itertools.product(range(count), repeat=k):
+        mine = ["".join(c for c, a in zip(letters, assign) if a == j)
+                for j in range(count)]
+        terms.append((",".join(s + d for s, d in zip(ins.split(","), mine))
+                      + "->" + out + letters, tuple(map(len, mine))))
+    return terms
+
+
+def _leibniz(spec, jets, k):
+    """The k-th partial of ``np.einsum(spec, *values)``: the sum of its
+    ``_leibniz_terms`` in turn, None if it has none."""
+    d = None
+    for t in _leibniz_terms(spec, jets, k):
+        d = t if d is None else d + t
+    return d
+
+
 def einsum_jet1(spec, *jets):
     """Order-1 jets [value, partial] of ``np.einsum(spec, *values)`` from
     the order-1 jets of its operands (each partial with one derivative axis
     last; None for a constant): the Leibniz rule, one einsum per operand
-    with its partial in its place.  ``spec`` is explicit ("...->...") and
-    does not use the letter Z."""
-    ins, out = spec.split("->")
-    ins = ins.split(",")
-    values = [j[0] for j in jets]
-    d = None
-    for k, j in enumerate(jets):
-        if j[1] is None:
-            continue
-        terms = ins[:k] + [ins[k] + "Z"] + ins[k + 1:]
-        t = np.einsum(",".join(terms) + "->" + out + "Z",
-                      *values[:k], j[1], *values[k + 1:])
-        d = t if d is None else d + t
-    return [np.einsum(spec, *values), d]
+    with its partial in its place (``_leibniz``).  ``spec`` is explicit
+    ("...->...") and does not use the letter Z."""
+    return [np.einsum(spec, *(j[0] for j in jets)), _leibniz(spec, jets, 1)]
 
 
 def _conormal_jets(sub, d, gi):

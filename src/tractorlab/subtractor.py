@@ -14,27 +14,26 @@ computed once per context (``_cached``), and callers read everything at a
 point from one context; every per-point residual takes contexts, among
 them the Riemannian ``gauss_codazzi_ricci_residuals``, the tractor
 ``tractor_gcr_residuals`` and the conformal ``transformation_residuals``
-(of a context and its context in the rescaled geometry).  The derivatives
-along Sigma that mu, L and the Codazzi residual are built from, nabla H,
-D^j IIo, D II and nabla N^A_B of the dual route to L, are exact:
-``SubTractorContext.along_exact`` adds the connection to the context's
-``submanifold.partials_along`` (N^A_B's partial follows from those of
-N^a_b, H and g), with no stencil.  The other derivatives along Sigma go
-through ``SubTractorContext.along``, the covariant derivative of a
-``submanifold.SigmaField`` (a Richardson stencil of whole packs) with the
-ambient connection on ambient indices and ``intrinsic_conn`` (intrinsic
-Levi-Civita and tractor connection, Schouten tensor replaced by the
-induced one p) on intrinsic indices; its builder receives the context of
-each stencil point, and callers add only the normal projection the
-formula needs.  The L-shaped slot fill is ``L_slots``.  Both normal
+(of a context and its context in the rescaled geometry).  Every
+derivative along Sigma a command reads is exact, from jets at the
+context's point: ``along_exact`` adds the connection to the context's
+``submanifold.partials_along`` (nabla H, D^j IIo, D II and nabla N^A_B),
+and ``jets_along`` holds the order-1 jets that the Moebius Cotton tensor
+(with the ambient dRud) and D S and D L of the tractor Gauss and Codazzi
+residuals differentiate by the Leibniz rule; D L also reads the second
+partial of H (``partials_along`` at order 2), and both go through
+``sigma_conn``: the ambient connection on ambient indices,
+``intrinsic_conn`` (Schouten tensor replaced by the induced one p) on
+intrinsic ones.  ``along``, the covariant derivative of a Richardson
+stencil of whole contexts (``submanifold.SigmaField``) with
+``sigma_conn``, serves only readers no command reaches and the tests'
+stencil oracles.  The L-shaped slot fill is ``L_slots``.  Both normal
 curvatures, of the Riemannian and of the tractor conormal frame, are
-``submanifold.normal_curvature`` of a frame map on first jets: the
-normals, or the tractor conormals (0, n_a, n.H), which read H.  The
-Moebius Cotton tensor differentiates the induced Schouten tensor p by
-the Leibniz rule on ``partials`` and the ambient dP and dRud.  The
-tractor normal curvature, the Moebius Cotton tensor and the ambient
-tractor curvature read the context's one order-3 ambient pack
-(``ambient_pack3``).
+``submanifold.normal_curvature`` of a frame map on first jets.  The
+tractor normal curvature, the Moebius Cotton tensor, D S, D L and the
+ambient tractor curvature read the context's one order-3 ambient pack
+(``ambient_pack3``).  The curvature tensors pulled back to Sigma are
+contracted one operand at a step (``_chain_einsum``).
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J,
@@ -107,6 +106,57 @@ def tractor_conormal_rows(conormals, H):
     out[..., n + 1] = (conormals[..., None, :]
                        @ H[..., None, :, None])[..., 0, 0]
     return out
+
+
+def _chain_einsum(spec, *operands):
+    """``np.einsum(spec, *operands)`` as two-operand einsums, one operand at
+    a step from the left (``_chain_steps``): numpy's single einsum loops
+    over every label of every operand at once."""
+    steps, final = _chain_steps(spec)
+    acc = operands[0]
+    for step, operand in zip(steps, operands[1:]):
+        acc = np.einsum(step, acc, operand)
+    return acc if final is None else np.einsum(final, acc)
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_steps(spec):
+    """The two-operand specs of ``_chain_einsum``, each step keeping the
+    labels the output or a later operand reads (output labels first, in
+    output order), and the spec of a last transpose (None if none)."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    labels, steps = ins[0], []
+    for k in range(1, len(ins)):
+        later = out + "".join(ins[k + 1:])
+        keep = "".join(sorted({c for c in labels + ins[k] if c in later},
+                              key=later.index))
+        steps.append(f"{labels},{ins[k]}->{keep}")
+        labels = keep
+    return steps, (None if labels == out else f"{labels}->{out}")
+
+
+def _S_fill(F):
+    """S_iJK = 2 F_ij Z^j_[J X_K] from F [i, j, ...] (any trailing axes
+    carried along): [i, J, K, ...]."""
+    m = F.shape[0]
+    S = np.zeros((m, m + 2, m + 2) + F.shape[2:])
+    S[:, 1:m + 1, m + 1] += F
+    S[:, m + 1, 1:m + 1] -= F
+    return S
+
+
+def _L_fill(A, xz, HA, Hxz):
+    """The L-shaped tractor [i, J, C, ...] from its tangent-normal part
+    A_ij^c, its X-Z part xz_i^c and their contractions with H_low, HA_ij
+    and Hxz_i (all four with the same trailing axes)."""
+    m, n = A.shape[0], A.shape[2]
+    L = np.zeros((m, m + 2, n + 2) + A.shape[3:])
+    L[:, 1:m + 1, 1:n + 1] = A
+    L[:, m + 1, 1:n + 1] = xz
+    L[:, 1:m + 1, n + 1] = HA
+    L[:, m + 1, n + 1] = Hxz
+    return L
 
 
 def _cached(method):
@@ -194,7 +244,32 @@ class SubTractorContext:
         """``submanifold.partials_along`` at this point: the exact partial
         derivatives along Sigma of g, g_s, g_s^-1, N^a_b, II, IIo and H,
         and the intrinsic Christoffel symbols."""
-        return partials_along(self.emb, self.sub)
+        return partials_along(self.emb, self.sub)[0]
+
+    @_cached
+    def jets_along(self):
+        """Order-1 jets [value, partial] along Sigma, from ``partials`` and
+        the order-3 ambient pack (its dP pulled back by dphi for P): dphi,
+        and at phi g, g^-1 and P; H, H_low = g H, IIo, g_s and g_s^-1."""
+        sub, d, pk = self.sub, self.partials(), self.ambient_pack3()
+        g, H = [pk.g, d["g"]], [sub.H, d["H"]]
+        return {"dphi": [sub.dphi, d["dphi"]], "g": g,
+                "gi": [pk.gi, -np.einsum("ab,bck,cd->adk", pk.gi, d["g"],
+                                         pk.gi)],
+                "P": [pk.P, pk.dP @ sub.dphi], "H": H,
+                "H_low": einsum_jet1("cb,b->c", g, H),
+                "IIo": [sub.IIo, d["IIo"]], "g_s": [sub.g_s, d["g_s"]],
+                "gi_s": [sub.gi_s, d["gi_s"]]}
+
+    def _candidate_partial(self, s):
+        """d_k (P_tt + H.IIo + s g_s) along Sigma, [i, j, k], from the
+        order-1 jet of the scalar ``s``, by the Leibniz rule on
+        ``jets_along``: the partial of p (m = 2) and, less d p, of F (m >=
+        3, s = |H|^2 / 2)."""
+        J, e = self.jets_along(), einsum_jet1
+        return (e("ai,bj,ab->ij", J["dphi"], J["dphi"], J["P"])[1]
+                + e("c,ijc->ij", J["H_low"], J["IIo"])[1]
+                + e(",ij->ij", s, J["g_s"])[1])
 
     def along_exact(self, value, partial, indices):
         """Covariant derivative along Sigma of a pack quantity from its
@@ -287,25 +362,28 @@ class SubTractorContext:
         return tr.ConnData(self.m, self.sub.g_s, self.sub.gi_s, ip.Gamma,
                            P=p, dg=ip.dg, dGamma=ip.dGamma, dP=None)
 
+    def sigma_conn(self):
+        """The connection along Sigma of D S, D L and ``along``: the
+        ambient one on ambient indices, ``intrinsic_conn`` on intrinsic
+        ones.  Built per call: it holds this context (through the bound
+        method), and the cache must not, or the embedding's pack memo
+        would wait for the cyclic garbage collector."""
+        return SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
+                         self.intrinsic_conn)
+
     def along(self, builder, indices):
         """Covariant derivative along Sigma of ``builder(ctx)``, with ``ctx``
         the context at each stencil point (this one at its own pack;
         axes carrying ``indices``), from the Richardson difference of
-        ``SigmaField``, coupling the ambient connection on ambient indices
-        with ``intrinsic_conn`` on intrinsic ones: [i, ...]."""
+        ``SigmaField``, with ``sigma_conn``: [i, ...]."""
         geo, emb = self.geo, self.emb
 
         def context(pk):
             return (self if pk is self.sub
                     else SubTractorContext(geo, emb, pk.q, sub=pk))
-        # built per call: a SigmaConn holds this context (through the bound
-        # method), and the cache must not, or the embedding's pack memo
-        # would wait for the cyclic garbage collector
-        conn = SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
-                         self.intrinsic_conn)
         v0, dv, _ = SigmaField(geo, emb,
                                lambda pk: builder(context(pk))).jet1(self.q)
-        return covariant_partial(conn, v0, dv, indices)
+        return covariant_partial(self.sigma_conn(), v0, dv, indices)
 
     # -- Fialkow -------------------------------------------------------------
     @_cached
@@ -325,8 +403,8 @@ class SubTractorContext:
             IIo2 = float(np.einsum("ik,jl,cd,ijc,kld->", sub.gi_s,
                                    sub.gi_s, self.pack.g, sub.IIo,
                                    sub.IIo))
-            W_tt = np.einsum("abcd,ai,bj,ck,dl->ijkl", self.pack.W4,
-                             sub.dphi, sub.dphi, sub.dphi, sub.dphi)
+            W_tt = _chain_einsum("abcd,ai,bj,ck,dl->ijkl", self.pack.W4,
+                                 sub.dphi, sub.dphi, sub.dphi, sub.dphi)
             tr2W = float(np.einsum("ik,jl,ijkl->", sub.gi_s, sub.gi_s,
                                    W_tt))
             F = 0.25 * (IIo2 - tr2W) * sub.g_s
@@ -357,32 +435,28 @@ class SubTractorContext:
         """c_ijk = 2 D_[i p_j]k for m = 2 (Moebius flatness diagnostic).
 
         p = P_tt + H.IIo + (|H|^2/2 - (|IIo|^2 - tr^2 W)/4) g_s, so its
-        partial along Sigma is the Leibniz rule on ``partials`` and on the
-        partials of P and W at phi: dP and dW (from dRud) of the order-3
-        ambient pack, by the chain rule."""
+        partial along Sigma is ``_candidate_partial`` of the partial of the
+        scalar, the Leibniz rule on ``jets_along`` and on the partial of W
+        at phi: dW (from dRud) of the order-3 ambient pack, by the chain
+        rule."""
         if self.m != 2:
             raise ValueError("the Moebius Cotton diagnostic is for m = 2")
-        sub, d, pk = self.sub, self.partials(), self.ambient_pack3()
+        sub, J, pk = self.sub, self.jets_along(), self.ambient_pack3()
         e = einsum_jet1
-        dphi, g = [sub.dphi, d["dphi"]], [pk.g, d["g"]]
-        P = [pk.P, pk.dP @ sub.dphi]
+        dphi, g, P = J["dphi"], J["g"], J["P"]
         # W = R - (g P - g P - g P + g P) at phi, as in the pack
         gP = [e(spec, g, P)[1] for spec in ("ca,bd->abcd", "cb,ad->abcd",
                                              "da,bc->abcd", "db,ac->abcd")]
         W = [pk.W4, e("ce,abed->abcd", g, [pk.Rud, pk.dRud @ sub.dphi])[1]
              - gP[0] + gP[1] + gP[2] - gP[3]]
-        H, IIo = [sub.H, d["H"]], [sub.IIo, d["IIo"]]
-        gi_s = [sub.gi_s, d["gi_s"]]
-        H_low = e("cb,b->c", g, H)
+        IIo, gi_s = J["IIo"], J["gi_s"]
         # tr^2 W = W_abcd T^ac T^bd with T = dphi g_s^-1 dphi^T
         T = e("ai,ij,bj->ab", dphi, gi_s, dphi)
         s = [0.5 * a - 0.25 * (b - c) for a, b, c in zip(
-            e("c,c->", H, H_low),
+            e("c,c->", J["H"], J["H_low"]),
             e("ik,jl,cd,ijc,kld->", gi_s, gi_s, g, IIo, IIo),
             e("abcd,ac,bd->", W, T, T))]
-        dp = (e("ai,bj,ab->ij", dphi, dphi, P)[1]
-              + e("c,ijc->ij", H_low, IIo)[1]
-              + e(",ij->ij", s, [sub.g_s, d["g_s"]])[1])
+        dp = self._candidate_partial(s)
         covdp = self.along_exact(self.fialkow()[1], dp,
                                  (tangent_down(self.m),) * 2)
         return covdp - covdp.transpose(1, 0, 2)
@@ -391,12 +465,7 @@ class SubTractorContext:
     @_cached
     def difference_tractor(self):
         """S_iJK = 2 F_ij Z^j_[J X_K] (intrinsic tractor indices, down)."""
-        F, _, _ = self.fialkow()
-        m = self.m
-        S = np.zeros((m, m + 2, m + 2))
-        S[:, 1:m + 1, m + 1] += F
-        S[:, m + 1, 1:m + 1] -= F
-        return S
+        return _S_fill(self.fialkow()[0])
 
     # -- tractor second fundamental form -----------------------------------
     @_cached
@@ -407,14 +476,9 @@ class SubTractorContext:
     def L_slots(self, A, xz):
         """The L-shaped tractor with tangent-normal part A_ij^c and X-Z part
         xz_i^c (both normal-valued): [i, J intrinsic down, C ambient up]."""
-        m, n = self.m, self.n
         H_low = self.pack.g @ self.sub.H
-        L = np.zeros((m, m + 2, n + 2))
-        L[:, 1:m + 1, 1:n + 1] = A
-        L[:, m + 1, 1:n + 1] = xz
-        L[:, 1:m + 1, n + 1] = np.einsum("c,ijc->ij", H_low, A)
-        L[:, m + 1, n + 1] = np.einsum("c,ic->i", H_low, xz)
-        return L
+        return _L_fill(A, xz, np.einsum("c,ijc->ij", H_low, A),
+                       np.einsum("c,ic->i", H_low, xz))
 
     @_cached
     def nabla_normal_projector(self):
@@ -592,8 +656,8 @@ def gauss_codazzi_ricci_residuals(ctx: SubTractorContext):
     g = pack.g
 
     # ambient curvature restricted to Sigma
-    R_tttt = np.einsum("abcd,ai,bj,ck,dl->ijkl", pack.R4, sub.dphi, sub.dphi,
-                       sub.dphi, sub.dphi)
+    R_tttt = _chain_einsum("abcd,ai,bj,ck,dl->ijkl", pack.R4, sub.dphi,
+                           sub.dphi, sub.dphi, sub.dphi)
     RS = ctx.intrinsic_pack().R4 if m >= 2 else np.zeros((m, m, m, m))
     # R_ijkl = R^S_ijkl + g_cd (II_li^c II_jk^d - II_lj^c II_ik^d)
     gauss_rhs = RS + (np.einsum("cd,lic,jkd->ijkl", g, sub.II, sub.II)
@@ -602,16 +666,16 @@ def gauss_codazzi_ricci_residuals(ctx: SubTractorContext):
 
     # Codazzi: Pi Pi Pi R_ab^c_e N^d_c = 2 D_[i II_j]k^d, with the ambient
     # index of D II projected back to the normal bundle
-    lhs_cod = np.einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
-                        sub.dphi, sub.dphi, sub.Nab)
+    lhs_cod = _chain_einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
+                            sub.dphi, sub.dphi, sub.Nab)
     DII = np.einsum("dc,ijkc->ijkd", sub.Nab, ctx.along_exact(
         sub.II, ctx.partials()["II"], ctx._normal_indices()))
     rhs_cod = DII - DII.transpose(1, 0, 2, 3)
     res_codazzi = _maxabs(lhs_cod - rhs_cod)
 
     # Ricci: Pi Pi R_ab^e_f N^c_e N^f_d = Rperp_ij^c_d - 2 g^kl II_k[i^c II_j]ld
-    lhs_ric = np.einsum("abef,ai,bj,ce,fd->ijcd", pack.Rud, sub.dphi,
-                        sub.dphi, sub.Nab, sub.Nab)
+    lhs_ric = _chain_einsum("abef,ai,bj,ce,fd->ijcd", pack.Rud, sub.dphi,
+                            sub.dphi, sub.Nab, sub.Nab)
     Rperp = _normal_curvature(ctx)
     IIdn = np.einsum("ijc,cd->ijd", sub.II, g)
     cross = np.einsum("kl,kic,jld->ijcd", sub.gi_s, sub.II, IIdn)
@@ -653,18 +717,48 @@ def intrinsic_tractor_curvature(ctx: SubTractorContext):
 
 
 def _intrinsic_D_of_S(ctx: SubTractorContext):
-    """D_i S_jKL: [i, j, K, L]."""
+    """D_i S_jKL: [i, j, K, L].  S is linear in F = P_tt + H.IIo + |H|^2
+    g_s / 2 - p, so its partial along Sigma is the slot fill of d F: the
+    ``_candidate_partial`` of |H|^2 / 2 less d p, the dP of the order-3
+    intrinsic pack (the intrinsic tractor curvature's)."""
     m = ctx.m
-    return ctx.along(lambda c: c.difference_tractor(),
-                     (tangent_down(m), tractor_down(m), tractor_down(m)))
+    J = ctx.jets_along()
+    s = [0.5 * a for a in einsum_jet1("c,c->", J["H"], J["H_low"])]
+    dF = ctx._candidate_partial(s) - ctx.intrinsic_pack(order=3).dP
+    return covariant_partial(ctx.sigma_conn(), ctx.difference_tractor(),
+                             _S_fill(dF), (tangent_down(m), tractor_down(m),
+                                           tractor_down(m)))
+
+
+def _L_xz_partial(ctx: SubTractorContext):
+    """d_k L_xz along Sigma, [i, c, k]: d_k N (P_mixed - nabla H) + N
+    (d_k P_mixed - d_k nabla H).  nabla_i H^a = d_i H^a + A_i^a_b H^b, with
+    A_i the ambient Levi-Civita connection pulled back by dphi, so d_k
+    nabla_i H reads the second partial of H (``partials_along`` at order 2
+    on the order-3 ambient pack) and dGamma."""
+    sub, J, e = ctx.sub, ctx.jets_along(), einsum_jet1
+    d2H = partials_along(ctx.emb, sub, 2, ctx.ambient_pack3())[1]["H"]
+    conn, ix = tr.ConnData.from_pack(ctx.pack), tangent_up(ctx.n)
+    A = e("ane,ai->ine", [conn.matrix(ix), np.einsum(
+        "aneb,bk->anek", conn.dmatrix(ix), sub.dphi)], J["dphi"])
+    dgrad_H = d2H.transpose(1, 0, 2) + e("ine,e->in", A, J["H"])[1]
+    dP_mixed = e("bi,bc,ca->ia", J["dphi"], J["P"], J["gi"])[1]
+    return e("cb,ib->ic", [sub.Nab, ctx.partials()["Nab"]],
+             [ctx.P_mixed() - ctx.grad_H(), dP_mixed - dgrad_H])[1]
 
 
 def _coupled_D_of_L(ctx: SubTractorContext):
     """D_i L_jL^C with the normal tractor connection on the ambient index:
-    [i, j, L, C]."""
-    m = ctx.m
-    DL = ctx.along(lambda c: c.L_explicit(),
-                   (tangent_down(m), tractor_down(m), tractor_up(ctx.n)))
+    [i, j, L, C].  L is the slot fill of IIo and L_xz with their H_low
+    contractions, so its partial along Sigma is the slot fill of theirs
+    (``jets_along``, ``_L_xz_partial``)."""
+    m, J, e = ctx.m, ctx.jets_along(), einsum_jet1
+    xz = [ctx.L_xz(), _L_xz_partial(ctx)]
+    dL = _L_fill(J["IIo"][1], xz[1], e("c,ijc->ij", J["H_low"], J["IIo"])[1],
+                 e("c,ic->i", J["H_low"], xz)[1])
+    DL = covariant_partial(ctx.sigma_conn(), ctx.L_explicit(), dL,
+                           (tangent_down(m), tractor_down(m),
+                            tractor_up(ctx.n)))
     # normal tractor connection on the ambient index: project the whole
     # derivative, since the bundle rotates (the intrinsic terms are
     # normal-valued already, as L is)
@@ -708,14 +802,14 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
 
     Om_amb = tr.tractor_curvature(ctx.geo, sub.x,
                                   pack=ctx.ambient_pack3()).data
-    Om_tt = np.einsum("abCD,ai,bj->ijCD", Om_amb, sub.dphi, sub.dphi)
+    Om_tt = _chain_einsum("abCD,ai,bj->ijCD", Om_amb, sub.dphi, sub.dphi)
 
     # --- Gauss ---
-    Om_KL = np.einsum("ijCD,KC,LD->ijKL", Om_tt, Q, Q)
+    Om_KL = _chain_einsum("ijCD,KC,LD->ijKL", Om_tt, Q, Q)
     Om_S = intrinsic_tractor_curvature(ctx)
     S = ctx.difference_tractor()
     DS = _intrinsic_D_of_S(ctx)
-    SS = np.einsum("MN,iKM,jNL->ijKL", HupS, S, S)
+    SS = _chain_einsum("MN,iKM,jNL->ijKL", HupS, S, S)
     L = ctx.L_explicit()
     L_low = np.einsum("CD,iJD->iJC", Lamb, L)
     LL = np.einsum("iLC,jKC->ijKL", L, np.einsum("CD,jKD->jKC", Jamb, L_low))
@@ -726,8 +820,8 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
 
     # --- Codazzi ---
     Nact = ctx.normal_projector() @ Jamb
-    Om_act = np.einsum("CE,ijEF,FD->ijCD", Ramb, Om_tt, Jamb)
-    lhs_act = np.einsum("CA,ijAD,DK->ijKC", Nact, Om_act, ctx.push_up())
+    Om_act = _chain_einsum("CE,ijEF,FD->ijCD", Ramb, Om_tt, Jamb)
+    lhs_act = _chain_einsum("CA,ijAD,DK->ijKC", Nact, Om_act, ctx.push_up())
     lhs_cod = np.einsum("ijKC,KL->ijLC", lhs_act, Jint)
     DL = _coupled_D_of_L(ctx)
     LS = np.einsum("iKC,jKL->ijLC", L, np.einsum("KM,jML->jKL", HupS, S))
@@ -736,10 +830,10 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
     res_cod = float(np.abs(lhs_cod - rhs_cod).max())
 
     # --- Ricci ---
-    lhs_ric = np.einsum("CA,ijAB,BD->ijCD", Nact, Om_act, Nact)
+    lhs_ric = _chain_einsum("CA,ijAB,BD->ijCD", Nact, Om_act, Nact)
     OmN = _normal_tractor_curvature(ctx)
-    LLn = np.einsum("KL,iKC,jLE->ijCE", HupS, L,
-                    np.einsum("CD,jLD->jLC", Jamb, L_low))
+    LLn = _chain_einsum("KL,iKC,jLE->ijCE", HupS, L,
+                        np.einsum("CD,jLD->jLC", Jamb, L_low))
     rhs_ric = OmN - (LLn - LLn.transpose(1, 0, 2, 3))
     res_ric = float(np.abs(lhs_ric - rhs_ric).max())
     return res_gauss, res_cod, res_ric

@@ -5,8 +5,10 @@ The finite-difference routes along Sigma that exact first jets replaced:
 ``stencil_normal_curvature`` is the nested stencil the normal curvatures of
 both Ricci residuals took: a Richardson stencil (step 1e-2) of submanifold
 packs around a plain stencil (step 1e-4) of ``normal_frame``.
-``stencil_mobius_cotton`` is the Moebius Cotton tensor from the Richardson
-difference of whole contexts (``SubTractorContext.along``).
+``stencil_mobius_cotton`` is the Moebius Cotton tensor, and
+``stencil_D_of_S`` and ``stencil_coupled_D_of_L`` are D S and D L of the
+tractor Gauss and Codazzi residuals, from the Richardson difference of
+whole contexts (``SubTractorContext.along``).
 
 Equivalent characterisations the source paper proves, each a function of a
 ``SubTractorContext``: the difference-tractor identity
@@ -131,6 +133,26 @@ def stencil_mobius_cotton(ctx):
     return covdp - covdp.transpose(1, 0, 2)
 
 
+def stencil_D_of_S(ctx):
+    """D_i S_jKL [i, j, K, L] from the Richardson difference of the
+    difference tractor over whole contexts."""
+    m = ctx.m
+    return ctx.along(lambda c: c.difference_tractor(),
+                     (tangent_down(m), tractor_down(m), tractor_down(m)))
+
+
+def stencil_coupled_D_of_L(ctx):
+    """D_i L_jL^C [i, j, L, C] from the Richardson difference of L over
+    whole contexts, with the normal tractor connection on the ambient
+    index: the whole derivative projected by N^C_A, since the bundle
+    rotates (the intrinsic terms are normal-valued already, as L is)."""
+    m = ctx.m
+    DL = ctx.along(lambda c: c.L_explicit(),
+                   (tangent_down(m), tractor_down(m), tractor_up(ctx.n)))
+    Nact = ctx.normal_projector() @ pairing_matrix(ctx.n)
+    return np.einsum("CA,ijLA->ijLC", Nact, DL)
+
+
 # --------------------------------------------------------------------------
 # the paper's characterisations, as functions of a context
 # --------------------------------------------------------------------------
@@ -140,7 +162,8 @@ def pull_up(ctx):
     sub, m, n = ctx.sub, ctx.m, ctx.n
     Q = np.zeros((m + 2, n + 2))
     Q[0, 0] = 1.0
-    Q[1:m + 1, 1:n + 1] = sub.Pi_ia
+    # Pi^i_a, the orthogonal projection onto T Sigma
+    Q[1:m + 1, 1:n + 1] = sub.gi_s @ sub.dphi.T @ sub.pack.g
     Q[m + 1, 0] = -0.5 * float(sub.H @ sub.pack.g @ sub.H)
     Q[m + 1, 1:n + 1] = -(sub.pack.g @ sub.H)
     Q[m + 1, n + 1] = 1.0

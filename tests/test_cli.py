@@ -65,7 +65,9 @@ def test_report_tractor_gauss_residual_at_round_off():
 def test_report_tractor_ricci_on_a_curved_normal_bundle():
     """The m = 3 graph in flat 5-space of the corpus's ``REPORTS``: its
     normal tractor bundle is curved, so the tractor Ricci residual compares
-    two curvatures that are not zero, and still vanishes to round-off."""
+    two curvatures that are not zero, and still vanishes to round-off; so
+    do the tractor Gauss and Codazzi residuals, whose D S and D L read
+    exact jets (the stencils left them at 3.2e-9 and 3.5e-9)."""
     cfg = {"geometry": {"name": "euclidean", "params": {"n": 5}},
            "embedding": {"name": "graph",
                          "params": {"n": 5, "m": 3, "seed": 0}},
@@ -75,7 +77,7 @@ def test_report_tractor_ricci_on_a_curved_normal_bundle():
                                     for a in ("-s", f"{k}={json.dumps(v)}")])
     assert rc == 0
     row = json.loads(out.getvalue())["per_sample"][0]
-    assert row["tractor_gcr"][2] < 1e-12
+    assert max(row["tractor_gcr"]) < 1e-12
     geo, entry = cli.build_geometry(cfg)
     ctx = subtractor.SubTractorContext(geo, cli.build_embedding(cfg, entry,
                                                                 geo),
@@ -180,26 +182,24 @@ def test_analytic_sample_point_on_a_pole_exits_2():
     assert "Traceback" not in err and out == ""
 
 
-def test_pole_on_a_stencil_row_exits_2():
-    """q = (0.99, 0, 0) is a regular point, but its Richardson point (0.99
-    + 0.01, 0, 0) lands on the pole (1, 0, 0, 0): the batched stencil
-    evaluates every row's embedding before any metric, and still reports
-    the pole the point-by-point evaluation meets first.  The 3-fold, not
-    the surface or the curve: their reports run no stencil (both normal
-    curvatures and the Moebius Cotton tensor read first jets at the
-    sample point), and the D S stencil of the tractor Gauss residual is
-    the one left (``test_surface_next_to_a_pole_exits_0``,
-    ``test_curve_next_to_a_pole_exits_0``)."""
+def test_threefold_next_to_a_pole_exits_0():
+    """A 3-fold report evaluates no field off the sample point and its
+    image either: D S and D L of the tractor Gauss and Codazzi residuals
+    read exact jets there, as both normal curvatures do.  So q = (0.99, 0,
+    0), whose Richardson point (0.99 + 0.01, 0, 0) is the pole (1, 0, 0, 0)
+    the D S stencil met (a test in ``test_subtractor.py`` keeps that
+    route's failure), reports: the totally geodesic slice has
+    every Gauss-Codazzi-Ricci residual 0, and its tractor ones read 8.0e-9,
+    0, 0, round-off of the metric's size there (g = 4 / (1 - |x|^2)^2 is
+    1.0e4 and its Schouten tensor's derivative about 1e6)."""
     rc, out, err = run_cli(
         "report", "-s", 'geometry={"name":"hyperbolic","params":{"n":4}}',
         "-s", 'embedding={"name":"slice","params":{"n":4,"m":3}}',
         "-s", 'samples={"points":[[0.99,0.0,0.0]]}')
-    assert rc == 2
-    lines = err.splitlines()
-    assert lines[0] == ("numerical failure: JetOrderError: non-finite field "
-                        "evaluation at [1. 0. 0. 0.]")
-    assert lines[1] == "stage: sample 0, q = [0.99, 0.0, 0.0]"
-    assert "Traceback" not in err and out == ""
+    assert rc == 0 and err == ""
+    row = json.loads(out)["per_sample"][0]
+    assert row["gcr"] == [0.0, 0.0, 0.0]
+    assert max(row["tractor_gcr"]) < 2e-8
 
 
 def test_curve_next_to_a_pole_exits_0():

@@ -23,7 +23,7 @@ def test_flat_space_all_zero():
 
 
 CATALOG = sorted(geolib.catalog().items())
-THIRD_ORDER_FIELDS = {"dP", "dRud", "Cotton", "has_third"}
+THIRD_ORDER_FIELDS = {"dP", "dRud", "Cotton", "d2g", "d2Gamma", "has_third"}
 
 
 @pytest.mark.parametrize("backend", ["analytic", "fd"])
@@ -32,7 +32,8 @@ def test_order2_pack_is_the_order3_pack_without_its_third_jet(name, entry,
                                                               backend):
     """The packs built at order 2 (submanifold, stencil-point, BGG-split and
     rescaling packs) hold every field of the order-3 pack bit for bit,
-    except dP, dRud and the Cotton tensor."""
+    except dP, dRud, the Cotton tensor and the second derivatives d2g and
+    d2Gamma that only the order-3 pack keeps."""
     geo = entry.make_geometry()
     if backend == "fd":
         geo = cli.as_fd_geometry(geo)

@@ -36,7 +36,8 @@ def test_hyperplane_totally_geodesic():
     assert np.abs(pk.II).max() == 0.0
     assert np.abs(pk.H).max() == 0.0
     assert np.abs(pk.Nab @ pk.Nab - pk.Nab).max() < 1e-10
-    assert np.abs(pk.dphi @ pk.Pi_ia + pk.Nab - np.eye(4)).max() < 1e-10
+    Pi_ia = pk.gi_s @ pk.dphi.T @ pk.pack.g
+    assert np.abs(pk.dphi @ Pi_ia + pk.Nab - np.eye(4)).max() < 1e-10
 
 
 def test_round_sphere_umbilic_inward_mean_curvature():
@@ -144,7 +145,8 @@ def test_orientation_wedge_identity():
     q = np.array([0.05, -0.1])
     pk = submanifold_pack(geo, emb, q)
     ip = curvature_pack(pk.intrinsic, q, order=2)
-    epsS = np.einsum("ij,ia,jb->ab", ip.eps, pk.Pi_ia, pk.Pi_ia)
+    Pi_ia = pk.gi_s @ pk.dphi.T @ pk.pack.g
+    epsS = np.einsum("ij,ia,jb->ab", ip.eps, Pi_ia, Pi_ia)
     assert np.abs(wedge(epsS, _normal_form(pk)) - pk.pack.eps).max() < 1e-10
 
 
@@ -247,7 +249,7 @@ def test_partials_along_match_the_richardson_stencil(case, fd):
         geo = cli.as_fd_geometry(geo)
     q = np.random.default_rng(case).uniform(-0.2, 0.2, emb.m)
     sub = submanifold_pack(geo, emb, q)
-    d = partials_along(emb, sub)
+    d = partials_along(emb, sub)[0]
     exact = {"H": d["H"], "II": d["II"], "IIo": d["IIo"],
              "N^A_B": subtractor._normal_projector_partial(sub, d)}
     builders = {"H": lambda pk: pk.H, "II": lambda pk: pk.II,
@@ -404,7 +406,7 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {2: 39, 3: 28, 4: 1}, {2: 17, 3: 28, 4: 1}),
+     {2: 3, 3: 4, 4: 2}, {2: 3, 3: 4, 4: 2}),
 ]
 
 
@@ -517,7 +519,20 @@ def test_report_evaluation_count(monkeypatch):
     order-0 rows 78 to 0 and calls 2 to 0, order-1 rows 156 to 0 and calls
     4 to 0, order-2 rows 117 to 39 and calls 19 to 17.  Its 12 stencil
     packs stay, built by the D S stencil now, and its order-3 count is
-    unchanged (the order-3 ambient pack is built once, as before)."""
+    unchanged (the order-3 ambient pack is built once, as before).
+
+    D S and D L of the s2xs1xr report then read exact jets at the sample
+    point too: D S the first jets the context holds and the dP of its
+    order-3 intrinsic pack, D L the second partial of H from one
+    ``partials_along`` of order 2 (one embedding 4-jet at q, on the
+    order-3 ambient pack).  Their 12 stencil packs (an embedding 2-jet and
+    a metric 2-jet on 12 rows in 2 calls) and the 12 one-row embedding
+    3-jets the stencil contexts of D L took for their exact nabla H are
+    gone, and nothing else of the report evaluated a stencil point:
+    order-2 rows 39 to 3 and calls 17 to 3, order-3 rows and calls 28 to
+    4 (the partials, the order-2 intrinsic pack's embedding 3-jet and the
+    two order-3 metric jets, of the ambient pack and under the order-3
+    intrinsic pack), order-4 rows and calls 1 to 2."""
     calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
@@ -672,7 +687,7 @@ def _point_normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
     gi_s = np.linalg.inv(g_s)
     Pi_ia = gi_s @ dphi.T @ g
     Nab = np.eye(n) - dphi @ Pi_ia
-    out = dict(g_s=g_s, gi_s=gi_s, Pi_ia=Pi_ia, Nab=Nab)
+    out = dict(g_s=g_s, gi_s=gi_s, Nab=Nab)
 
     if Gamma is not None:
         hess = d2phi + np.einsum("cde,di,ej->cij", Gamma, dphi, dphi)
@@ -798,14 +813,9 @@ def test_exact_curvatures_match_the_stencil_oracles(case, fd):
         assert err <= bound, (name, key, err)
 
 
-def test_surface_report_evaluates_only_at_its_point(monkeypatch):
-    """An m = 2 report row on cp2/cp1 evaluates the embedding only at its
-    sample point q and the metric only at phi(q): both normal curvature
-    and the Moebius Cotton tensor read first jets there, where the
-    Riemannian curvature differenced the normal frame at 36 points around
-    q and the Moebius Cotton tensor 8 submanifold packs."""
-    geo, emb = _frame_case("cp2", {}, "cp1")
-    q = np.array([0.2, -0.3])
+def _report_row_at_its_point(monkeypatch, geo, emb, q):
+    """The report row of ``emb`` in ``geo`` at q, and the points at which it
+    evaluated the embedding and the metric, each its own set of bytes."""
     x = emb.phi.value(q)
     seen = {"phi": set(), "metric": set()}
 
@@ -820,8 +830,106 @@ def test_surface_report_evaluates_only_at_its_point(monkeypatch):
     ctx = subtractor.SubTractorContext(geo, emb, q)
     row = subtractor.classify([ctx]).per_sample[0]
     cli._report_row(row, ctx)
-    assert max(row["gcr"]) < 1e-12 and row["mobius_cotton_norm"] < 1e-12
     assert seen == {"phi": {q.tobytes()}, "metric": {x.tobytes()}}
+    return row
+
+
+def test_surface_report_evaluates_only_at_its_point(monkeypatch):
+    """An m = 2 report row on cp2/cp1 evaluates the embedding only at its
+    sample point q and the metric only at phi(q): both normal curvature
+    and the Moebius Cotton tensor read first jets there, where the
+    Riemannian curvature differenced the normal frame at 36 points around
+    q and the Moebius Cotton tensor 8 submanifold packs."""
+    row = _report_row_at_its_point(monkeypatch,
+                                   *_frame_case("cp2", {}, "cp1"),
+                                   np.array([0.2, -0.3]))
+    assert max(row["gcr"]) < 1e-12 and row["mobius_cotton_norm"] < 1e-12
+
+
+def test_threefold_report_evaluates_only_at_its_point(monkeypatch):
+    """An m = 3 report row on s2xs1xr/s2xs1, its tractor Gauss-Codazzi-
+    Ricci residuals included, evaluates the embedding only at its sample
+    point q and the metric only at phi(q): D S and D L read exact jets
+    there, where their Richardson stencils built 12 submanifold packs
+    around q."""
+    row = _report_row_at_its_point(monkeypatch,
+                                   *_frame_case("s2xs1xr", {}, "s2xs1"),
+                                   np.array([0.2, -0.1, 0.1]))
+    assert max(row["gcr"]) < 1e-12 and max(row["tractor_gcr"]) < 1e-12
+
+
+def _threefold_graph_case(name, params, n, seed):
+    return (geolib.catalog()[name].make_geometry(**params),
+            geolib.random_graph_embedding(n, 3, seed=seed))
+
+
+# the m = 3 walk of D S and D L: the catalog's 3-fold, and random 3-fold
+# graphs in the charts of the round 5-sphere, flat 5-space and CP2
+DSDL_CASES = {
+    "s2xs1xr-s2xs1": FRAME_CASES["s2xs1xr-s2xs1"],
+    "sphere5-graph": FRAME_CASES["sphere5-graph"],
+    **{f"{name}-graph-seed{seed}": functools.partial(
+        _threefold_graph_case, name, params, n, seed)
+       for name, params, n in (("euclidean", {"n": 5}, 5), ("cp2", {}, 4))
+       for seed in (0, 3)},
+}
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("case", sorted(DSDL_CASES))
+def test_exact_D_S_and_D_L_match_the_stencil_oracles(case, fd):
+    """D S and D L of the tractor Gauss and Codazzi residuals from exact
+    jets at the point, against the Richardson stencils of whole contexts
+    they replaced (``oracles.stencil_D_of_S``,
+    ``oracles.stencil_coupled_D_of_L``), over the m = 3 walk at two seeded
+    points each; scaled by max(1, |stencil|).  The walk gave at most
+    3.0e-8 under the analytic backend (D L on the CP2 graph of seed 0),
+    the stencils' truncation error, and 1.8e-6 under fd (the same), where
+    both routes read the central-difference metric jets.  The tractor
+    Gauss-Codazzi-Ricci residuals on the exact route are at round-off on
+    both backends: at most 1.4e-14 on the walk (the sphere5 graph under
+    fd)."""
+    geo, emb = DSDL_CASES[case]()
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    bound = 1e-5 if fd else 1e-7
+    for q in np.random.default_rng(len(case)).uniform(-0.2, 0.2, (2, 3)):
+        ctx = subtractor.SubTractorContext(geo, emb, q)
+        for key, exact, stencil in (
+                ("D S", subtractor._intrinsic_D_of_S, oracles.stencil_D_of_S),
+                ("D L", subtractor._coupled_D_of_L,
+                 oracles.stencil_coupled_D_of_L)):
+            ref = stencil(ctx)
+            err = np.abs(exact(ctx) - ref).max() / max(1.0, np.abs(ref).max())
+            assert err <= bound, (case, q, key, err)
+        assert max(subtractor.tractor_gcr_residuals(ctx)) <= 1e-13
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("case", sorted(DSDL_CASES))
+def test_order_2_partials_match_a_stencil_of_the_order_1_partials(case, fd):
+    """The second partials along Sigma of ``partials_along`` at order 2 (on
+    the order-3 ambient pack) against the Richardson difference (step
+    1e-2) of its first partials over the submanifold packs of a stencil,
+    at a seeded point; scaled by max(1, |stencil|).  The walk gave at most
+    2.2e-8 under the analytic backend (IIo on the sphere5 graph), the
+    stencil's truncation error, and 2.9e-6 under fd (IIo on the CP2 graph
+    of seed 0), where the order-3 pack's d2g and d2Gamma are central
+    differences."""
+    geo, emb = DSDL_CASES[case]()
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    q = np.random.default_rng(len(case)).uniform(-0.2, 0.2, 3)
+    sub = submanifold_pack(geo, emb, q)
+    d2 = partials_along(emb, sub, 2, curvature_pack(geo, sub.x, order=3))[1]
+    bound = 1e-5 if fd else 1e-7
+    for key in ("dphi", "g", "g_s", "gi_s", "Nab", "II", "IIo", "H"):
+        ref = central_diff(lambda Q: np.stack([
+            partials_along(emb, pk)[0][key]
+            for pk in submanifold_pack(geo, emb, Q)]), q, 1e-2,
+            richardson=True)
+        err = np.abs(d2[key] - ref).max() / max(1.0, np.abs(ref).max())
+        assert err <= bound, (case, key, err)
 
 
 EMBEDDING_CASES = [(name, ename) for name, entry in CATALOG

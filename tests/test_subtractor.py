@@ -9,15 +9,16 @@ from tractorlab import cli, geolib
 from tractorlab import tractor as tr
 from oracles import (M_operator, checked_connection_residual,
                      nabla_normal_form, nabla_star_normal_form, pull_up,
-                     random_metric, reconstruct_L)
+                     random_metric, reconstruct_L, stencil_coupled_D_of_L,
+                     stencil_D_of_S)
 from tractorlab.subtractor import (SubTractorContext,
                                    _normal_projector_partial, classify,
                                    intrinsic_tractor_curvature,
                                    mean_curvature_tractor,
                                    normal_projector_array,
                                    tractor_gcr_residuals)
-from tractorlab.tensors import (alt_array, middle_block, pairing_matrix,
-                                tangent_down, tractor_down,
+from tractorlab.tensors import (JetOrderError, alt_array, middle_block,
+                                pairing_matrix, tangent_down, tractor_down,
                                 tractor_metric_matrix, tractor_up)
 
 
@@ -623,10 +624,10 @@ def test_along_coupled_derivative_II(along_ctx):
 
 
 def test_along_coupled_derivative_L(along_ctx):
-    """D_i L_jL^C: normal tractor connection on C (the projected ambient
-    one), intrinsic Levi-Civita on j and intrinsic tractor connection on
-    L."""
-    from tractorlab.subtractor import _coupled_D_of_L
+    """D_i L_jL^C of the stencil route (``oracles.stencil_coupled_D_of_L``,
+    the exact route's oracle): normal tractor connection on C (the
+    projected ambient one), intrinsic Levi-Civita on j and intrinsic
+    tractor connection on L."""
     ctx = along_ctx
     m, n = ctx.m, ctx.n
     geo, emb = ctx.geo, ctx.emb
@@ -639,4 +640,20 @@ def test_along_coupled_derivative_L(along_ctx):
     oracle = (np.einsum("CA,ijLA->ijLC", Nact, raw)
               + np.einsum("ije,eLC->ijLC", conn.matrix(tangent_down(m)), L0)
               + np.einsum("iLE,jEC->ijLC", conn.matrix(tractor_down(m)), L0))
-    assert np.abs(_coupled_D_of_L(ctx) - oracle).max() <= 1e-12
+    assert np.abs(stencil_coupled_D_of_L(ctx) - oracle).max() <= 1e-12
+
+
+def test_stencil_D_of_S_on_a_pole_is_a_jet_order_error():
+    """q = (0.99, 0, 0) is a regular point of the 3-fold slice of the
+    Poincare ball, but the Richardson point (0.99 + 0.01, 0, 0) of the
+    stencil route to D S (``oracles.stencil_D_of_S``) lands on the pole (1,
+    0, 0, 0): the batched stencil evaluates every row's embedding before
+    any metric, and still names the pole the point-by-point evaluation
+    meets first.  No command reaches a stencil along Sigma any more
+    (``test_cli.py::test_threefold_next_to_a_pole_exits_0``)."""
+    geo = geolib.hyperbolic(4)
+    ctx = SubTractorContext(geo, geolib.coordinate_slice(4, (0, 1, 2)),
+                            np.array([0.99, 0.0, 0.0]))
+    with pytest.raises(JetOrderError) as err:
+        stencil_D_of_S(ctx)
+    assert str(err.value) == "non-finite field evaluation at [1. 0. 0. 0.]"
