@@ -37,6 +37,10 @@ __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
 # a singular value counts towards a Jacobian's rank when it is at least the
 # largest one over RANK_GAP
 RANK_GAP = 1e3
+# a locus seed's Gauss-Newton refinement stops below this residual norm,
+# and a scan reports at most MAX_POINTS locus points
+REFINE_TOL = 1e-10
+MAX_POINTS = 40
 
 
 def _cov_jets(geo, kspec, x, order, pack=None):
@@ -209,7 +213,7 @@ def bgg_split(geo, kspec, x):
 # conserved quantities
 # --------------------------------------------------------------------------
 
-def conserved_quantity(geo, emb, kspec, q, obstruction=True):
+def conserved_quantity(geo, emb, kspec, q):
     """K . N along the submanifold: value, tangential-derivative residual,
     the explicit slot evaluation, and the Weyl obstruction prediction."""
     ctx = SubTractorContext(geo, emb, q)
@@ -246,7 +250,7 @@ def conserved_quantity(geo, emb, kspec, q, obstruction=True):
                                             axes=(range(d), range(d)))) / d
 
     pred = None
-    if obstruction and d >= 2:
+    if d >= 2:
         W = pack.W4
         Wue = np.einsum("abcf,fe->abce", W, gi)
         if d == 2:
@@ -433,14 +437,13 @@ def _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
     return found
 
 
-def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
-                    max_points=40):
+def zero_locus_scan(geo, kspec, region, grid=21):
     """Grid scan for the zero locus of k, refined by damped Gauss-Newton.
 
     ``region`` is a list of (lo, hi) per coordinate.  Timelike split
     tractors short-circuit to an empty locus with certificate K.K < 0.
     The sampled seeds are refined in lockstep and walked in order
-    (``_refine_seeds``).
+    (``_refine_seeds``), up to ``MAX_POINTS`` locus points.
     """
     n = geo.n
     center = np.array([(lo + hi) / 2 for lo, hi in region])
@@ -463,9 +466,9 @@ def zero_locus_scan(geo, kspec, region, grid=21, refine_tol=1e-10,
                           simple=split.simple)
 
     seeds = [X[tuple(idx)].astype(float) for idx in
-             cand_idx[:: max(1, len(cand_idx) // (4 * max_points))]]
-    found = _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
-                          max_points)
+             cand_idx[:: max(1, len(cand_idx) // (4 * MAX_POINTS))]]
+    found = _refine_seeds(geo, kspec, seeds, region, spacing, REFINE_TOL,
+                          MAX_POINTS)
     if not found:
         return ScanReport(status="empty", causal=split.causal, K2=split.K2,
                           simple=split.simple)

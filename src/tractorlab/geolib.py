@@ -167,14 +167,12 @@ class _ScaledField(JetField):
                             self.base._eval(x, order), order)
 
 
-def jet_metric(n, fn, orientation=1):
-    return GeometrySpec(n=n, metric=JetField(fn),
-                        orientation=orientation)
+def jet_metric(n, fn):
+    return GeometrySpec(n=n, metric=JetField(fn))
 
 
-def jet_embedding(m, n, fn, orientation=1):
-    return EmbeddingSpec(m=m, n=n, phi=JetField(fn),
-                         orientation=orientation)
+def jet_embedding(m, n, fn):
+    return EmbeddingSpec(m=m, n=n, phi=JetField(fn))
 
 
 @dataclass
@@ -242,10 +240,9 @@ def _conformal_block(n, factor_fn):
     return fn
 
 
-def conformally_flat(n, factor_fn, orientation=1):
+def conformally_flat(n, factor_fn):
     """g = F(x) delta with F a positive jet scalar."""
-    return attach_mobius(jet_metric(n, _conformal_block(n, factor_fn),
-                                    orientation))
+    return attach_mobius(jet_metric(n, _conformal_block(n, factor_fn)))
 
 
 def euclidean(n):
@@ -401,7 +398,7 @@ def random_conformal_factor(n, seed=0, amplitude=0.2):
 # embedding factories
 # --------------------------------------------------------------------------
 
-def coordinate_slice(n, axes, values=None, orientation=1):
+def coordinate_slice(n, axes, values=None):
     """Embed the coordinate plane spanned by ``axes``; the rest are fixed."""
     axes = tuple(axes)
     m = len(axes)
@@ -412,17 +409,18 @@ def coordinate_slice(n, axes, values=None, orientation=1):
         for i, a in enumerate(axes):
             out[a] = v[i] + vals[a]
         return out
-    return jet_embedding(m, n, fn, orientation)
+    return jet_embedding(m, n, fn)
 
 
-def random_graph_embedding(n, m, seed=0, amplitude=0.15):
+def random_graph_embedding(n, m, seed=0):
     """phi(y) = (y, f(y)) with f a small random cubic without constant
-    term, f: R^m -> R^(n-m)."""
+    term, f: R^m -> R^(n-m), its coefficients 0.15 times standard
+    normal draws."""
     rng = np.random.default_rng(seed)
     d = n - m
-    lin = amplitude * rng.standard_normal((d, m))
-    quad = amplitude * rng.standard_normal((d, m, m))
-    cub = amplitude * rng.standard_normal((d, m, m, m))
+    lin = 0.15 * rng.standard_normal((d, m))
+    quad = 0.15 * rng.standard_normal((d, m, m))
+    cub = 0.15 * rng.standard_normal((d, m, m, m))
     coeffs = [np.zeros(n), np.vstack([np.eye(m), lin])]
     coeffs += [np.concatenate([np.zeros((m,) + c.shape[1:]), c])
                for c in (quad, cub)]
@@ -531,11 +529,10 @@ def dilation_form(n):
     return _form_field(n, 2, fn, batch_norm2=batch_norm2, name="dilation")
 
 
-def special_conformal_form(n, direction=None):
+def special_conformal_form(n):
+    """The special conformal field of direction e_0."""
     c = np.zeros(n)
     c[0] = 1.0
-    if direction is not None:
-        c = np.asarray(direction, dtype=float)
 
     def fn(v):
         s = _norm2(v, n)

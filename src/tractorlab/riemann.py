@@ -1,4 +1,7 @@
-"""Curvature pipeline from a metric field.
+"""Curvature pipeline from a metric field: ``curvature_pack`` evaluates the
+metric's jets at a point and ``pack_from_jets`` does the arithmetic on
+them, so a pack can also be built from jets computed another way (the
+induced metric's, pulled back from jets a submanifold context holds).
 
 Conventions: R_ab^c_d v^d = [nabla_a, nabla_b] v^c, Ric_bd = R_cb^c_d,
 Ric = (n-2)P + J g with J = g^ab P_ab, C_abc = 2 nabla_[a P_b]c.  All stored
@@ -18,7 +21,7 @@ from .jets import product
 from .tensors import ArrayField, NumericalError, _perm_sign
 
 __all__ = ["GeometrySpec", "CurvaturePack", "curvature_pack",
-           "metric_connection", "rescale",
+           "pack_from_jets", "metric_connection", "rescale",
            "levi_civita_symbol"]
 
 
@@ -69,6 +72,7 @@ class CurvaturePack:
     g: np.ndarray
     gi: np.ndarray
     dg: np.ndarray
+    d2g: np.ndarray            # d_e d_f g_ab -> [a, b, e, f]
     Gamma: np.ndarray          # Gamma^c_ab -> [c, a, b]
     dGamma: np.ndarray         # d_e Gamma^c_ab -> [c, a, b, e]
     Rud: np.ndarray            # R_ab^c_d -> [a, b, c, d]
@@ -84,7 +88,7 @@ class CurvaturePack:
     K: float | None = None     # Gaussian curvature, n = 2 only
     dP: np.ndarray | None = None       # d_e P_ab -> [a, b, e]
     dRud: np.ndarray | None = None     # d_e R_ab^c_d -> [a, b, c, d, e]
-    d2g: np.ndarray | None = None      # d_e d_f g_ab -> [a, b, e, f]
+    d3g: np.ndarray | None = None      # d_e d_f d_h g_ab -> [a, b, e, f, h]
     d2Gamma: np.ndarray | None = None  # d_e d_f Gamma^c_ab -> [c, a, b, e, f]
     Cotton: np.ndarray | None = None   # C_abc
     has_third: bool = False
@@ -156,28 +160,29 @@ def metric_connection(geo: GeometrySpec, x, order=1):
 
 
 def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
-    """Evaluate the full curvature package of ``geo`` at chart point ``x``.
+    """Evaluate the full curvature package of ``geo`` at chart point ``x``:
+    ``pack_from_jets`` of the metric's jets there.
 
     ``order`` requests the metric jet order (default: the backend maximum,
-    capped at 3).  The Cotton tensor, dP and dRud require order 3, and an
-    order-3 pack keeps the second derivatives d2g and d2Gamma it builds
-    them from.  ``x``
+    capped at 3).  The Cotton tensor, dP and dRud require order 3.  ``x``
     may be a stack of points of shape (p, n): one evaluation of the metric
     jets then builds the packs of all p points, each array and scalar
     carrying a leading point axis, and ``pack.at(i)`` is the pack at row i,
     bitwise the pack a call at that point builds.
     """
     x = np.asarray(x, dtype=float)
-    n = geo.n
     if order is None:
         order = min(3, geo.backend.max_order)
-    order = max(order, 2)
-    jets = geo.metric.jets(x, order)
+    return pack_from_jets(geo, x, geo.metric.jets(x, max(order, 2)))
+
+
+def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
+    """The curvature pack of ``geo`` at ``x`` from the metric's jets there,
+    [g, dg, d2g] or, for an order-3 pack, with d3g.  Every pack keeps the
+    jets it was built from, and an order-3 pack also d2Gamma."""
+    n = geo.n
     z = "z" * (x.ndim - 1)  # the point axis, if any
-    g = jets[0]
-    dg = jets[1]
-    d2g = jets[2]
-    d3g = jets[3] if order >= 3 else None
+    g, dg, d2g, d3g = (list(jets) + [None])[:4]
 
     gi, detg = _invert(g, x)
     Gamma, dGamma, half, dgi, dhalf = _christoffel(gi, dg, d2g)
@@ -198,9 +203,10 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
         lam = math.sqrt(detg) * geo.orientation
     eps = lam * levi_civita_symbol(n)
 
-    pack = CurvaturePack(n=n, point=x, g=g, gi=gi, dg=dg, Gamma=Gamma,
-                         dGamma=dGamma, Rud=Rud, R4=R4, Ric=Ric, Scal=Scal,
-                         eps=eps, detg=detg, orientation=geo.orientation)
+    pack = CurvaturePack(n=n, point=x, g=g, gi=gi, dg=dg, d2g=d2g,
+                         Gamma=Gamma, dGamma=dGamma, Rud=Rud, R4=R4, Ric=Ric,
+                         Scal=Scal, eps=eps, detg=detg,
+                         orientation=geo.orientation, d3g=d3g)
 
     if n == 1:
         pack.K = 0.0
@@ -223,7 +229,7 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     pack.P = P
     pack.W4 = W4
 
-    if order >= 3:
+    if d3g is not None:
         d2gi = (-np.einsum(f"{z}cea,{z}efb,{z}fd->{z}cdab", dgi, dg, gi)
                 - np.einsum(f"{z}ce,{z}efab,{z}fd->{z}cdab", gi, d2g, gi)
                 - np.einsum(f"{z}ce,{z}efb,{z}fda->{z}cdab", gi, dg, dgi))
@@ -254,7 +260,6 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
         Cotton = covdP - covdP.swapaxes(-3, -2)
         pack.dP = dP
         pack.dRud = dRud
-        pack.d2g = d2g
         pack.d2Gamma = d2Gamma
         pack.Cotton = Cotton
         pack.has_third = True

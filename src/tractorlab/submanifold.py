@@ -1,42 +1,31 @@
 """Riemannian and conformal submanifold calculus.
 
 An embedding is a chart map from an m-dimensional parameter chart into the
-ambient chart, with derivative access to any order its field has.  The pack
-collects induced metric, projectors, second fundamental form, mean
-curvature, the oriented normal frame, and an intrinsic
-geometry built from the pulled-back metric field, whose jets of every order
-are exact (so intrinsic curvature is computed independently rather than
-through the Gauss equation).
+ambient chart, with derivative access to any order its field has.
+``submanifold_pack`` collects the induced metric, projectors, second
+fundamental form, mean curvature and oriented normal frame at a point, or
+at each row of a stack: the rows not in the embedding's memo share one
+embedding 2-jet, one order-2 curvature pack and one ``normal_frame`` call,
+and each is bitwise what an evaluation at its point alone gives.
 
-A covariant derivative along the submanifold is a partial derivative
-along Sigma plus, on each index, the connection ``SigmaConn`` picks (the
-ambient one pulled back by the embedding, or the intrinsic one):
-``covariant_partial``.  The partial derivatives of the frame-independent
-pack quantities (g o phi, g_s, g_s^-1, N^a_b, II, IIo and H) are exact, at
-any order: ``partials_along`` takes them (and dphi's) by the chain rule
-from the embedding's jet and the metric jets an ambient pack holds (order
-1 from the pack's own 2-jet, order 2 from an order-3 pack).  The
-quantities the commands differentiate are built from these by the Leibniz
-rule (``einsum_jet1``), in ``subtractor.SubTractorContext``.
-``SigmaField`` takes the Richardson difference of whole packs; it serves
-the readers no command reaches and is the exact routes' test oracle.
+The induced metric's jets are exact at every order: ``pullback_metric``
+takes dphi^T (g o phi) dphi from the embedding's jet and the metric's jets
+by the chain and Leibniz rules.  So the intrinsic curvature is computed
+independently rather than through the Gauss equation, from the jets a
+``subtractor.SubTractorContext`` holds; ``PullbackMetricField`` gives the
+same jets as a field.
 
-The normal frame is ``normal_frame``, on a stack of points, and
-``normal_curvature`` the curvature of a normal bundle from its frame.
-Both Ricci residuals call it with a map from the first jets of the normal
-frame (the Gram-Schmidt of N^a_b's seed rows, differentiated with the
-exact partials) to those of their frame rows, and connection data whose
-``dmatrix`` reads the ambient dGamma (or dP): the frame's second partials
-cancel in R_ij, so no stencil is needed.  ``einsum_jet1`` is the Leibniz
-rule of one contraction on order-1 jets, the first order of
-``_leibniz``.
-
-``submanifold_pack`` on a stack of points builds the missing packs from
-one embedding 2-jet, one order-2 curvature pack, one rank check and one
-normal frame; a ``SigmaField`` stencil hands its points to one such call
-(``central_diff``).  Only assembling each row's pack and the readers of a
-pack (``SigmaField`` builders) run point by point, and each row is bitwise
-what an evaluation at that point alone gives.
+Derivatives along Sigma are exact too: ``partials_along`` gives the jets
+of the frame-independent pack quantities (dphi, g o phi, g_s, g_s^-1,
+N^a_b, II, IIo and H) to any order from the same jets and the metric jets
+of an ambient pack, and ``einsum_jet1`` is the Leibniz rule of one
+contraction on order-1 jets.  ``covariant_partial`` adds, on each index,
+the connection ``SigmaConn`` picks (the ambient one pulled back by the
+embedding, or the intrinsic one).  ``normal_curvature`` is the curvature
+of a normal bundle from the first jets of its frame, the Gram-Schmidt of
+N^a_b's seed rows: the frame's second partials cancel in R_ij.
+``SigmaField``, the Richardson difference of whole packs, serves the
+readers no command reaches and is the exact routes' test oracle.
 """
 from __future__ import annotations
 
@@ -47,14 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import compose, product
-from .riemann import (CurvaturePack, GeometrySpec, _christoffel,
-                      curvature_pack)
+from .riemann import CurvaturePack, GeometrySpec, curvature_pack
 from .tensors import (TRACTOR, ArrayField, DiffBackend, NumericalError,
                       central_diff)
 from . import tractor as tr
 
 __all__ = ["EmbeddingSpec", "SubmanifoldPack", "submanifold_pack",
-           "PullbackMetricField", "normal_frame", "partials_along",
+           "PullbackMetricField", "pullback_metric", "normal_frame",
+           "partials_along",
            "SigmaField", "SigmaConn", "covariant_partial", "einsum_jet1",
            "normal_curvature"]
 
@@ -79,13 +68,13 @@ class EmbeddingSpec:
 
 
 class PullbackMetricField(ArrayField):
-    """Induced metric on the parameter chart of an embedding.
-
-    Its jets of every order are those of dphi^T (g o phi) dphi: the ambient
-    metric composed with the embedding by Faa di Bruno's formula
-    (``jets.compose``), then two matrix products by the Leibniz rule
-    (``jets.product``), from the embedding's (k+1)-jet and the metric's
-    k-jet at one point or a stack of points.
+    """Induced metric on the parameter chart of an embedding, as a field:
+    its k-jet is ``pullback_metric`` of the embedding's (k+1)-jet and the
+    metric's k-jet, at one point or a stack of points.  No command
+    evaluates it (a ``subtractor.SubTractorContext`` pulls the same jets
+    back from those it holds); it stays as the tests' reference for those
+    jets and packs, and as the field whose jets the benchmark's tracer
+    wraps.
 
     The field keeps the embedding's chart map, not the embedding: a pack in
     the embedding's memo holds this field, and a reference back would make
@@ -103,8 +92,19 @@ class PullbackMetricField(ArrayField):
 
     def jets(self, y, order):
         ph = self.phi.jets(np.asarray(y, dtype=float), order + 1)
-        g = compose(self.geo.metric.jets(ph[0], order), ph, order, slots=1)
-        return _pullback_jets(g, ph[1:], order)
+        return pullback_metric(self.geo.metric.jets(ph[0], order), ph,
+                               order)[1]
+
+
+def pullback_metric(gj, ph, order):
+    """Jets to ``order`` of g o phi and of the induced metric dphi^T (g o
+    phi) dphi, from the metric's jets ``gj`` at phi and the embedding's
+    jet ``ph`` (of order ``order`` + 1 or more): the metric composed with
+    the embedding by Faa di Bruno's formula (``jets.compose``), then two
+    matrix products by the Leibniz rule (``jets.product``)."""
+    ph = ph[:order + 2]
+    g = compose(gj[:order + 1], ph, order, slots=1)
+    return g, _pullback_jets(g, ph[1:], order)
 
 
 def _transpose_jets(a):
@@ -286,31 +286,27 @@ def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
 # derivatives of pack-derived quantities along the submanifold
 # --------------------------------------------------------------------------
 
-def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack, order=1,
-                   pack=None):
+def partials_along(sub: SubmanifoldPack, ph, order=1, pack=None):
     """Exact partial derivatives along Sigma at ``sub.q``, to ``order``, of
-    the frame-independent pack quantities: a list whose entry k - 1 holds
-    those of order k, each with its k derivative axes last: ``dphi`` (the
-    embedding's derivatives), ``g`` (the ambient metric at phi), ``g_s``,
-    ``gi_s``, ``Nab``, ``II``, ``IIo`` and ``H``.  The first entry also
-    holds ``Gamma_s``, the intrinsic Christoffel symbols [l, i, j] from d
-    g_s.
+    the frame-independent pack quantities, as jets [value, first partial,
+    ...] with the derivative axes last: ``dphi`` (the embedding's
+    derivatives), ``g`` (the ambient metric at phi), ``g_s``, ``gi_s``,
+    ``Nab``, ``II``, ``IIo`` and ``H``.  The values are the pack's.
 
     The Leibniz and chain rules (``jets.product`` and ``jets.compose``, of
-    any order) on the embedding (order + 2)-jet at ``sub.q`` and on the
-    metric jets of the ambient pack ``pack`` (``sub.pack`` by default:
-    dg and dGamma, whatever backend differentiated the metric; an order-3
-    pack adds d2g and d2Gamma for order 2) give them with no metric
-    evaluation: g_s = dphi^T g dphi, g_s^-1 order by order from g_s g_s^-1
-    = 1, Pi^i_a = g_s^-1 dphi^T g, N = 1 - dphi Pi and II = N (d2phi +
-    dphi^T Gamma dphi).  The values are the pack's."""
+    any order) on the embedding's jet ``ph`` at ``sub.q`` (of order
+    ``order`` + 2 or more) and on the metric jets of the ambient pack
+    ``pack`` (``sub.pack`` by default: an order-3 pack's d2g and d2Gamma
+    give order 2, whatever backend differentiated the metric) give them
+    with no evaluation: g_s = dphi^T g dphi (``pullback_metric``), g_s^-1
+    order by order from g_s g_s^-1 = 1, Pi^i_a = g_s^-1 dphi^T g, N = 1 -
+    dphi Pi and II = N (d2phi + dphi^T Gamma dphi)."""
     pk, m = (sub.pack if pack is None else pack), sub.m
-    ph = emb.phi.jets(sub.q, order + 2)
     dphi, hess_phi = ph[1:order + 2], ph[2:order + 3]
-    g = compose([pk.g, pk.dg, pk.d2g][:order + 1], ph, order, slots=1)
+    g, g_s = pullback_metric([pk.g, pk.dg, pk.d2g], ph, order)
     Gamma = compose([pk.Gamma, pk.dGamma, pk.d2Gamma][:order + 1], ph,
                     order, slots=1)
-    g_s = [sub.g_s] + _pullback_jets(g, dphi, order)[1:]
+    g_s = [sub.g_s] + g_s[1:]
     gi_s = _inverse_jets(sub.gi_s, g_s, order)
     Pi = _matmul_jets(gi_s, _matmul_jets(_transpose_jets(dphi), g, order),
                       order)
@@ -318,19 +314,17 @@ def partials_along(emb: EmbeddingSpec, sub: SubmanifoldPack, order=1,
     # the ambient Hessian of phi, [c, i, j]: d2phi + dphi^T Gamma^c dphi
     hess = [a + b for a, b in zip(hess_phi, _pullback_jets(Gamma, dphi,
                                                            order))]
-    II, H, out = [sub.II], [sub.H], []
+    II, H, IIo = [sub.II], [sub.H], [sub.IIo]
     for k in range(1, order + 1):
         II.append(_leibniz("cb,bij->ijc", [N, hess], k))
         H.append(_leibniz("ij,ijc->c", [gi_s, II], k) / m)
-        IIo = II[k]
+        IIo.append(II[k])
         for t in _leibniz_terms("ij,c->ijc", [g_s, H], k):
-            IIo = IIo - t
-        out.append({"dphi": ph[k + 1], "g": g[k], "g_s": g_s[k],
-                    "gi_s": gi_s[k], "Nab": N[k], "II": II[k],
-                    "IIo": np.zeros_like(IIo) if m == 1 else IIo,
-                    "H": H[k]})
-    out[0]["Gamma_s"] = _christoffel(sub.gi_s, g_s[1])[0]
-    return out
+            IIo[k] = IIo[k] - t
+        if m == 1:
+            IIo[k] = np.zeros_like(IIo[k])
+    return {"dphi": [sub.dphi] + ph[2:order + 2], "g": g, "g_s": g_s,
+            "gi_s": gi_s, "Nab": N, "II": II, "IIo": IIo, "H": H}
 
 
 def _inverse_jets(B0, A, order):
@@ -470,14 +464,14 @@ def einsum_jet1(spec, *jets):
     return [np.einsum(spec, *(j[0] for j in jets)), _leibniz(spec, jets, 1)]
 
 
-def _conormal_jets(sub, d, gi):
+def _conormal_jets(sub, J):
     """Order-1 jets along Sigma of the pack's conormal rows [alpha, a]: the
-    Gram-Schmidt of the seed rows of N^a_b in g^-1 (``gi``, its jets at
-    phi), differentiated by the Leibniz rule from the partials ``d`` of
-    ``partials_along``; the value is the pack's."""
-    rows = []
+    Gram-Schmidt of the seed rows of N^a_b in g^-1 (at phi),
+    differentiated by the Leibniz rule from their jets in ``J``; the value
+    is the pack's."""
+    gi, rows = J["gi"], []
     for s in sub.seeds:
-        w = [sub.Nab[s], d["Nab"][s]]
+        w = [x[s] for x in J["Nab"][:2]]
         for c in rows:
             t = einsum_jet1(",a->a", einsum_jet1("a,ab,b->", c, gi, w), c)
             w = [w[0] - t[0], w[1] - t[1]]
@@ -492,7 +486,7 @@ def _conormal_jets(sub, d, gi):
     return [sub.conormals, dco]
 
 
-def normal_curvature(sub, d, conn, frames, index):
+def normal_curvature(sub, J, conn, frames, index):
     """Curvature of a normal bundle at the point of the pack ``sub``,
     [i, j, C, E] acting on up components.
 
@@ -504,13 +498,13 @@ def normal_curvature(sub, d, conn, frames, index):
     data at phi) on ``index`` pulled back by dphi, R_ij = d_i omega_j -
     d_j omega_i + [omega_i, omega_j].  The frame's second partials and the
     d2phi term of d_i A_j are symmetric in i, j and cancel, so R_ij reads
-    first jets only: the conormals' by the Gram-Schmidt rule from ``d``
-    (``partials_along``) and ``conn.dmatrix`` pulled back by dphi."""
-    gi = sub.pack.gi
-    gi = [gi, -np.einsum("ab,bck,cd->adk", gi, d["g"], gi)]
-    co = _conormal_jets(sub, d, gi)
+    first jets only: the conormals' by the Gram-Schmidt rule from the jets
+    ``J`` along Sigma (``partials_along``'s N^a_b and H, and g^-1 at phi)
+    and ``conn.dmatrix`` pulled back by dphi."""
+    gi = J["gi"]
+    co = _conormal_jets(sub, J)
     normals = [sub.normals, einsum_jet1("ab,bc->ac", co, gi)[1]]
-    fr, cofr = frames(co, normals, [sub.H, d["H"]], gi)
+    fr, cofr = frames(co, normals, J["H"], gi)
     A = np.einsum("ane,ai->ine", conn.matrix(index), sub.dphi)
     # dA[j, i] = d_j A_i without its symmetric d2phi term
     dA = np.einsum("aneb,ai,bj->jine", conn.dmatrix(index), sub.dphi,

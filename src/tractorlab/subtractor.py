@@ -10,30 +10,25 @@ derivatives of the normal form and of its Hodge dual) are functions of a
 context in ``tests/oracles.py``.
 
 A ``SubTractorContext`` is the unit of per-point work: each quantity is
-computed once per context (``_cached``), and callers read everything at a
-point from one context; every per-point residual takes contexts, among
-them the Riemannian ``gauss_codazzi_ricci_residuals``, the tractor
-``tractor_gcr_residuals`` and the conformal ``transformation_residuals``
-(of a context and its context in the rescaled geometry).  Every
-derivative along Sigma a command reads is exact, from jets at the
-context's point: ``along_exact`` adds the connection to the context's
-``submanifold.partials_along`` (nabla H, D^j IIo, D II and nabla N^A_B),
-and ``jets_along`` holds the order-1 jets that the Moebius Cotton tensor
-(with the ambient dRud) and D S and D L of the tractor Gauss and Codazzi
-residuals differentiate by the Leibniz rule; D L also reads the second
-partial of H (``partials_along`` at order 2), and both go through
-``sigma_conn``: the ambient connection on ambient indices,
-``intrinsic_conn`` (Schouten tensor replaced by the induced one p) on
-intrinsic ones.  ``along``, the covariant derivative of a Richardson
-stencil of whole contexts (``submanifold.SigmaField``) with
-``sigma_conn``, serves only readers no command reaches and the tests'
-stencil oracles.  The L-shaped slot fill is ``L_slots``.  Both normal
-curvatures, of the Riemannian and of the tractor conormal frame, are
-``submanifold.normal_curvature`` of a frame map on first jets.  The
-tractor normal curvature, the Moebius Cotton tensor, D S, D L and the
-ambient tractor curvature read the context's one order-3 ambient pack
-(``ambient_pack3``).  The curvature tensors pulled back to Sigma are
-contracted one operand at a step (``_chain_einsum``).
+computed once per context (``_cached``), and every per-point residual
+takes contexts: the Riemannian ``gauss_codazzi_ricci_residuals``, the
+tractor ``tractor_gcr_residuals`` and the conformal
+``transformation_residuals``.  A context evaluates each jet at its point
+once: the embedding jet at q (``phi_jets``), the metric 2-jet of its
+submanifold pack and the metric 3-jet of its order-3 ambient pack
+(``ambient_pack3``, built when first read).  The rest comes from these:
+``jets_along``, the one ``submanifold.partials_along`` call, which the
+Moebius Cotton tensor, both normal curvatures, D S and D L differentiate
+by the Leibniz rule; the intrinsic packs (``intrinsic_pack``); and the one
+connection along Sigma, ``along_exact``: the ambient connection on ambient
+indices, ``intrinsic_conn`` (Christoffel symbols from the partials of g_s,
+Schouten tensor replaced by the induced one p) on intrinsic ones.
+``along``, the covariant derivative of a Richardson stencil of whole
+contexts (``submanifold.SigmaField``), serves only readers no command
+reaches and the tests' stencil oracles.  The slot fills of N^A_B, S and L
+are ``_N_fill``, ``_S_fill`` and ``_L_fill``.  The curvature tensors
+pulled back to Sigma are contracted one operand at a step
+(``_chain_einsum``).
 
 Index bookkeeping: tractor tensors are stored in natural slot order for both
 variances.  Contracting an up/down pair goes through the constant pairing J,
@@ -55,10 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemann import GeometrySpec, curvature_pack
+from .riemann import GeometrySpec, _christoffel, curvature_pack, pack_from_jets
 from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
                           SubmanifoldPack, covariant_partial, einsum_jet1,
-                          normal_curvature, partials_along, submanifold_pack)
+                          normal_curvature, partials_along, pullback_metric,
+                          submanifold_pack)
 from .tensors import (FieldHandle, middle_block, pairing_matrix, stage,
                       tangent_down, tangent_up, tractor_down,
                       tractor_metric_matrix, tractor_up)
@@ -70,29 +66,30 @@ __all__ = ["SubTractorContext", "ClassificationReport", "classify",
            "normal_projector_array"]
 
 
-def normal_projector_array(sub: SubmanifoldPack):
-    """N^A_B slots: [up A, down B]."""
-    n = sub.n
-    N = np.zeros((n + 2, n + 2))
-    H_low = sub.pack.g @ sub.H
-    N[1:n + 1, 1:n + 1] = sub.Nab
-    N[1:n + 1, n + 1] = sub.H
+def _N_fill(Nab, H, H_low, HH):
+    """N^A_B slots [up A, down B, ...] from N^a_b, H^a, H_a and H.H (all
+    four with the same trailing axes)."""
+    n = Nab.shape[0]
+    N = np.zeros((n + 2, n + 2) + Nab.shape[2:])
+    N[1:n + 1, 1:n + 1] = Nab
+    N[1:n + 1, n + 1] = H
     N[n + 1, 1:n + 1] = H_low
-    N[n + 1, n + 1] = float(sub.H @ H_low)
+    N[n + 1, n + 1] = HH
     return N
 
 
-def _normal_projector_partial(sub: SubmanifoldPack, d):
-    """d_k N^A_B along Sigma, [A, B, k], from the partials ``d`` of N^a_b,
-    H and g (``submanifold.partials_along``) by the Leibniz rule."""
-    n = sub.n
-    dN = np.zeros((n + 2, n + 2, sub.m))
-    dH_low = np.einsum("abk,b->ak", d["g"], sub.H) + sub.pack.g @ d["H"]
-    dN[1:n + 1, 1:n + 1] = d["Nab"]
-    dN[1:n + 1, n + 1] = d["H"]
-    dN[n + 1, 1:n + 1] = dH_low
-    dN[n + 1, n + 1] = sub.H @ dH_low + (sub.pack.g @ sub.H) @ d["H"]
-    return dN
+def normal_projector_array(sub: SubmanifoldPack):
+    """N^A_B slots: [up A, down B]."""
+    H_low = sub.pack.g @ sub.H
+    return _N_fill(sub.Nab, sub.H, H_low, float(sub.H @ H_low))
+
+
+def _normal_projector_partial(J):
+    """d_k N^A_B along Sigma, [A, B, k], the slot fill of the partials of
+    N^a_b, H and H_low in the jets ``J`` along Sigma."""
+    H, H_low = J["H"], J["H_low"]
+    return _N_fill(J["Nab"][1], H[1], H_low[1],
+                   H[0] @ H_low[1] + H_low[0] @ H[1])
 
 
 def tractor_conormal_rows(conormals, H):
@@ -238,28 +235,32 @@ class SubTractorContext:
     def normal_form(self):
         return functools.reduce(tr.wedge, self.tractor_conormals())
 
-    # -- first-order ingredients ---------------------------------------------
+    # -- jets along Sigma ---------------------------------------------------
     @_cached
-    def partials(self):
-        """``submanifold.partials_along`` at this point: the exact partial
-        derivatives along Sigma of g, g_s, g_s^-1, N^a_b, II, IIo and H,
-        and the intrinsic Christoffel symbols."""
-        return partials_along(self.emb, self.sub)[0]
+    def phi_jets(self):
+        """The embedding's jet at q that the context evaluates: order 4 at m
+        >= 3, for the order-2 partials and intrinsic pack, else order 3."""
+        return self.emb.phi.jets(self.q, 4 if self.m >= 3 else 3)
 
     @_cached
     def jets_along(self):
-        """Order-1 jets [value, partial] along Sigma, from ``partials`` and
-        the order-3 ambient pack (its dP pulled back by dphi for P): dphi,
-        and at phi g, g^-1 and P; H, H_low = g H, IIo, g_s and g_s^-1."""
-        sub, d, pk = self.sub, self.partials(), self.ambient_pack3()
-        g, H = [pk.g, d["g"]], [sub.H, d["H"]]
-        return {"dphi": [sub.dphi, d["dphi"]], "g": g,
-                "gi": [pk.gi, -np.einsum("ab,bck,cd->adk", pk.gi, d["g"],
-                                         pk.gi)],
-                "P": [pk.P, pk.dP @ sub.dphi], "H": H,
-                "H_low": einsum_jet1("cb,b->c", g, H),
-                "IIo": [sub.IIo, d["IIo"]], "g_s": [sub.g_s, d["g_s"]],
-                "gi_s": [sub.gi_s, d["gi_s"]]}
+        """Jets [value, partial, ...] along Sigma at this point: those of
+        ``submanifold.partials_along``, to order 2 on the order-3 ambient
+        pack at m >= 3 (D L reads d2 H), else to order 1 on the submanifold
+        pack's; and g^-1 at phi and H_low = g H to order 1."""
+        sub = self.sub
+        J = partials_along(sub, self.phi_jets(), *(
+            (2, self.ambient_pack3()) if self.m >= 3 else (1, sub.pack)))
+        gi = sub.pack.gi
+        J["gi"] = [gi, -np.einsum("ab,bck,cd->adk", gi, J["g"][1], gi)]
+        J["H_low"] = einsum_jet1("cb,b->c", J["g"], J["H"])
+        return J
+
+    def _P_jet(self):
+        """P at phi and its partial along Sigma: the order-3 ambient pack's
+        P and its dP pulled back by dphi."""
+        pk = self.ambient_pack3()
+        return [pk.P, pk.dP @ self.sub.dphi]
 
     def _candidate_partial(self, s):
         """d_k (P_tt + H.IIo + s g_s) along Sigma, [i, j, k], from the
@@ -267,25 +268,24 @@ class SubTractorContext:
         ``jets_along``: the partial of p (m = 2) and, less d p, of F (m >=
         3, s = |H|^2 / 2)."""
         J, e = self.jets_along(), einsum_jet1
-        return (e("ai,bj,ab->ij", J["dphi"], J["dphi"], J["P"])[1]
+        return (e("ai,bj,ab->ij", J["dphi"], J["dphi"], self._P_jet())[1]
                 + e("c,ijc->ij", J["H_low"], J["IIo"])[1]
                 + e(",ij->ij", s, J["g_s"])[1])
 
     def along_exact(self, value, partial, indices):
-        """Covariant derivative along Sigma of a pack quantity from its
-        value and exact ``partial`` (axes carrying ``indices``, the
-        derivative axis last), coupling the ambient connection on ambient
-        indices with the intrinsic Levi-Civita one (the Christoffel symbols
-        of ``partials``) on tangent intrinsic indices: [i, ...]."""
-        sub, m, G = self.sub, self.m, self.partials()["Gamma_s"]
-        conn = SigmaConn(tr.ConnData.from_pack(self.pack), sub.dphi,
-                         lambda: tr.ConnData(m, sub.g_s, sub.gi_s, G))
+        """Covariant derivative along Sigma, [i, ...], of a quantity from
+        its value and ``partial`` (axes carrying ``indices``, the
+        derivative axis last): the ambient connection on ambient indices,
+        ``intrinsic_conn`` on intrinsic ones.  Built per call, as it holds
+        this context and no cached value may (see ``_cached``)."""
+        conn = SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
+                         self.intrinsic_conn)
         return covariant_partial(conn, value, partial, indices)
 
     @_cached
     def grad_H(self):
         """nabla_i H^a along Sigma (pullback ambient connection): [i, a]."""
-        return self.along_exact(self.sub.H, self.partials()["H"],
+        return self.along_exact(self.sub.H, self.jets_along()["H"][1],
                                 (tangent_up(self.n),))
 
     @_cached
@@ -305,7 +305,8 @@ class SubTractorContext:
         """D^j IIo_ij^c, intrinsic Levi-Civita coupled to the normal
         connection."""
         return self._normal_divergence(self.along_exact(
-            self.sub.IIo, self.partials()["IIo"], self._normal_indices()))
+            self.sub.IIo, self.jets_along()["IIo"][1],
+            self._normal_indices()))
 
     def _normal_indices(self):
         """The indices of a normal-valued A_ij^c."""
@@ -351,31 +352,31 @@ class SubTractorContext:
 
     @_cached
     def intrinsic_pack(self, order=2):
-        return curvature_pack(self.sub.intrinsic, self.q, order=order)
+        """The order-2 or order-3 curvature pack of the induced metric at
+        q, pulled back from ``phi_jets`` and the metric jets of the ambient
+        pack of that order; bitwise ``curvature_pack`` of ``sub.intrinsic``.
+        An order-3 pack at m < 3 (no command reads one) reads its own
+        embedding 4-jet."""
+        pk = self.pack if order == 2 else self.ambient_pack3()
+        ph = (self.phi_jets() if order == 2 or self.m >= 3
+              else self.emb.phi.jets(self.q, 4))
+        g_s = pullback_metric([pk.g, pk.dg, pk.d2g, pk.d3g], ph, order)[1]
+        return pack_from_jets(self.sub.intrinsic, self.q, g_s)
 
     @_cached
     def intrinsic_conn(self):
-        """Intrinsic connection data: Levi-Civita of the induced metric and
-        the tractor connection with the induced Schouten tensor p."""
-        ip = self.intrinsic_pack()
-        _, p, _ = self.fialkow()
-        return tr.ConnData(self.m, self.sub.g_s, self.sub.gi_s, ip.Gamma,
-                           P=p, dg=ip.dg, dGamma=ip.dGamma, dP=None)
-
-    def sigma_conn(self):
-        """The connection along Sigma of D S, D L and ``along``: the
-        ambient one on ambient indices, ``intrinsic_conn`` on intrinsic
-        ones.  Built per call: it holds this context (through the bound
-        method), and the cache must not, or the embedding's pack memo
-        would wait for the cyclic garbage collector."""
-        return SigmaConn(tr.ConnData.from_pack(self.pack), self.sub.dphi,
-                         self.intrinsic_conn)
+        """Intrinsic connection data: the Levi-Civita connection of the
+        induced metric, its Christoffel symbols from the partials of g_s,
+        and the tractor connection with the induced Schouten tensor p."""
+        sub = self.sub
+        Gamma = _christoffel(sub.gi_s, self.jets_along()["g_s"][1])[0]
+        return tr.ConnData(self.m, sub.g_s, sub.gi_s, Gamma,
+                           P=self.fialkow()[1])
 
     def along(self, builder, indices):
-        """Covariant derivative along Sigma of ``builder(ctx)``, with ``ctx``
-        the context at each stencil point (this one at its own pack;
-        axes carrying ``indices``), from the Richardson difference of
-        ``SigmaField``, with ``sigma_conn``: [i, ...]."""
+        """``along_exact`` of ``builder(ctx)`` (axes carrying ``indices``)
+        and its Richardson difference (``SigmaField``), ``ctx`` the context
+        at each stencil point (this one at its own pack): [i, ...]."""
         geo, emb = self.geo, self.emb
 
         def context(pk):
@@ -383,7 +384,7 @@ class SubTractorContext:
                     else SubTractorContext(geo, emb, pk.q, sub=pk))
         v0, dv, _ = SigmaField(geo, emb,
                                lambda pk: builder(context(pk))).jet1(self.q)
-        return covariant_partial(self.sigma_conn(), v0, dv, indices)
+        return self.along_exact(v0, dv, indices)
 
     # -- Fialkow -------------------------------------------------------------
     @_cached
@@ -443,7 +444,7 @@ class SubTractorContext:
             raise ValueError("the Moebius Cotton diagnostic is for m = 2")
         sub, J, pk = self.sub, self.jets_along(), self.ambient_pack3()
         e = einsum_jet1
-        dphi, g, P = J["dphi"], J["g"], J["P"]
+        dphi, g, P = J["dphi"], J["g"], self._P_jet()
         # W = R - (g P - g P - g P + g P) at phi, as in the pack
         gP = [e(spec, g, P)[1] for spec in ("ca,bd->abcd", "cb,ad->abcd",
                                              "da,bc->abcd", "db,ac->abcd")]
@@ -483,10 +484,9 @@ class SubTractorContext:
     @_cached
     def nabla_normal_projector(self):
         """nabla_i N^A_B along Sigma: [i, A up, B down]."""
-        return self.along_exact(
-            self.normal_projector(),
-            _normal_projector_partial(self.sub, self.partials()),
-            (tractor_up(self.n), tractor_down(self.n)))
+        return self.along_exact(self.normal_projector(),
+                                _normal_projector_partial(self.jets_along()),
+                                (tractor_up(self.n), tractor_down(self.n)))
 
     @_cached
     def Lbar(self):
@@ -520,8 +520,9 @@ class SubTractorContext:
 
 
 def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
-                           samples=None, tol=1e-6):
+                           samples=None):
     """H^A = N^A_B I^B plus minimal / CMC / parallel-H predicates."""
+    tol = 1e-6
     ctx = SubTractorContext(geo, emb, q)
     n = ctx.n
 
@@ -669,7 +670,7 @@ def gauss_codazzi_ricci_residuals(ctx: SubTractorContext):
     lhs_cod = _chain_einsum("abce,ai,bj,ek,dc->ijkd", pack.Rud, sub.dphi,
                             sub.dphi, sub.dphi, sub.Nab)
     DII = np.einsum("dc,ijkc->ijkd", sub.Nab, ctx.along_exact(
-        sub.II, ctx.partials()["II"], ctx._normal_indices()))
+        sub.II, ctx.jets_along()["II"][1], ctx._normal_indices()))
     rhs_cod = DII - DII.transpose(1, 0, 2, 3)
     res_codazzi = _maxabs(lhs_cod - rhs_cod)
 
@@ -691,7 +692,7 @@ def _bundle_curvature(ctx: SubTractorContext, pack, frames, index):
     with no evaluation."""
     if ctx.m == 1:
         return np.zeros((1, 1, index.dim, index.dim))
-    return normal_curvature(ctx.sub, ctx.partials(),
+    return normal_curvature(ctx.sub, ctx.jets_along(),
                             tr.ConnData.from_pack(pack()), frames, index)
 
 
@@ -725,25 +726,24 @@ def _intrinsic_D_of_S(ctx: SubTractorContext):
     J = ctx.jets_along()
     s = [0.5 * a for a in einsum_jet1("c,c->", J["H"], J["H_low"])]
     dF = ctx._candidate_partial(s) - ctx.intrinsic_pack(order=3).dP
-    return covariant_partial(ctx.sigma_conn(), ctx.difference_tractor(),
-                             _S_fill(dF), (tangent_down(m), tractor_down(m),
-                                           tractor_down(m)))
+    return ctx.along_exact(ctx.difference_tractor(), _S_fill(dF),
+                           (tangent_down(m), tractor_down(m),
+                            tractor_down(m)))
 
 
 def _L_xz_partial(ctx: SubTractorContext):
     """d_k L_xz along Sigma, [i, c, k]: d_k N (P_mixed - nabla H) + N
     (d_k P_mixed - d_k nabla H).  nabla_i H^a = d_i H^a + A_i^a_b H^b, with
     A_i the ambient Levi-Civita connection pulled back by dphi, so d_k
-    nabla_i H reads the second partial of H (``partials_along`` at order 2
-    on the order-3 ambient pack) and dGamma."""
+    nabla_i H reads the second partial of H (``jets_along``, of order 2 at
+    m >= 3) and dGamma."""
     sub, J, e = ctx.sub, ctx.jets_along(), einsum_jet1
-    d2H = partials_along(ctx.emb, sub, 2, ctx.ambient_pack3())[1]["H"]
     conn, ix = tr.ConnData.from_pack(ctx.pack), tangent_up(ctx.n)
     A = e("ane,ai->ine", [conn.matrix(ix), np.einsum(
         "aneb,bk->anek", conn.dmatrix(ix), sub.dphi)], J["dphi"])
-    dgrad_H = d2H.transpose(1, 0, 2) + e("ine,e->in", A, J["H"])[1]
-    dP_mixed = e("bi,bc,ca->ia", J["dphi"], J["P"], J["gi"])[1]
-    return e("cb,ib->ic", [sub.Nab, ctx.partials()["Nab"]],
+    dgrad_H = J["H"][2].transpose(1, 0, 2) + e("ine,e->in", A, J["H"])[1]
+    dP_mixed = e("bi,bc,ca->ia", J["dphi"], ctx._P_jet(), J["gi"])[1]
+    return e("cb,ib->ic", J["Nab"],
              [ctx.P_mixed() - ctx.grad_H(), dP_mixed - dgrad_H])[1]
 
 
@@ -756,9 +756,9 @@ def _coupled_D_of_L(ctx: SubTractorContext):
     xz = [ctx.L_xz(), _L_xz_partial(ctx)]
     dL = _L_fill(J["IIo"][1], xz[1], e("c,ijc->ij", J["H_low"], J["IIo"])[1],
                  e("c,ic->i", J["H_low"], xz)[1])
-    DL = covariant_partial(ctx.sigma_conn(), ctx.L_explicit(), dL,
-                           (tangent_down(m), tractor_down(m),
-                            tractor_up(ctx.n)))
+    DL = ctx.along_exact(ctx.L_explicit(), dL, (tangent_down(m),
+                                                tractor_down(m),
+                                                tractor_up(ctx.n)))
     # normal tractor connection on the ambient index: project the whole
     # derivative, since the bundle rotates (the intrinsic terms are
     # normal-valued already, as L is)

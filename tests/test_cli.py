@@ -549,17 +549,21 @@ def test_curve_report_builds_no_intrinsic_pack(monkeypatch, geometry,
     """A report on a curve builds no curvature pack of its induced metric:
     the Codazzi residual reads the intrinsic Christoffel symbol from the
     exact partials along the curve, and the Gauss residual of a curve has
-    no intrinsic curvature."""
+    no intrinsic curvature.  A pack of the induced metric is one whose
+    geometry's metric is a ``PullbackMetricField``, built by either route:
+    ``curvature_pack``, which evaluates that field, or ``pack_from_jets``
+    on the jets a context pulls back itself."""
     geos = []
-    pack = riemann.curvature_pack
+    for fname in ("curvature_pack", "pack_from_jets"):
+        fn = getattr(riemann, fname)
 
-    def counted(geo, x, order=None):
-        geos.append(geo)
-        return pack(geo, x, order)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("tractorlab") and \
-                getattr(mod, "curvature_pack", None) is pack:
-            monkeypatch.setattr(mod, "curvature_pack", counted)
+        def counted(geo, *args, fn=fn, **kwargs):
+            geos.append(geo)
+            return fn(geo, *args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("tractorlab") and \
+                    getattr(mod, fname, None) is fn:
+                monkeypatch.setattr(mod, fname, counted)
     argv = ["report", "-s", f"geometry={geometry}",
             "-s", f"embedding={embedding}"]
     if backend is not None:
@@ -573,6 +577,39 @@ def test_curve_report_builds_no_intrinsic_pack(monkeypatch, geometry,
     assert geos
     assert not any(isinstance(g.metric, submanifold.PullbackMetricField)
                    for g in geos)
+
+
+PULLBACK_FREE_COMMANDS = [
+    ["report", "-s", 'geometry={"name":"s2s2"}',
+     "-s", 'embedding={"name":"factor1"}'],
+    ["report", "-s", 'geometry={"name":"s2xs1xr"}',
+     "-s", 'embedding={"name":"s2xs1"}'],
+    ["residuals", "-s", 'geometry={"name":"s2xs1xr"}',
+     "-s", 'embedding={"name":"s2xs1"}'],
+    ["invariance", "-s", 'geometry={"name":"s2s2"}',
+     "-s", 'embedding={"name":"factor1"}'],
+]
+
+
+@pytest.mark.parametrize("argv", PULLBACK_FREE_COMMANDS,
+                         ids=["report-m2", "report-m3", "residuals",
+                              "invariance"])
+def test_commands_evaluate_no_pulled_back_metric(monkeypatch, argv):
+    """No command evaluates the induced metric's field: each context pulls
+    the induced metric's jets back from the embedding jet and the ambient
+    metric jets it holds (``SubTractorContext.intrinsic_pack``), so
+    ``PullbackMetricField.jets`` is never called."""
+    calls = []
+    jets = submanifold.PullbackMetricField.jets
+
+    def counted(field, y, order):
+        calls.append(order)
+        return jets(field, y, order)
+    monkeypatch.setattr(submanifold.PullbackMetricField, "jets", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    assert rc == 0
+    assert calls == []
 
 
 def test_invariance_identity_and_random():

@@ -21,6 +21,7 @@ from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     partials_along, submanifold_pack)
 from tractorlab.subtractor import (gauss_codazzi_ricci_residuals,
                                    transformation_residuals)
+from test_jets import _bitwise_equal
 from test_tensors import _loop_central_diff
 from tractorlab.tensors import central_diff
 from tractorlab.riemann import metric_connection
@@ -242,16 +243,16 @@ def test_partials_along_match_the_richardson_stencil(case, fd):
     most 1.2e-8 under the analytic backend (euclidean/sphere), the
     stencil's truncation error, and 6.7e-7 under fd (doubly_warped_r4),
     where the exact route reads the central-difference metric Hessian of
-    the pack.  The intrinsic Christoffel symbols from d g_s are the
-    intrinsic pack's."""
+    the pack.  The intrinsic Christoffel symbols of the context's
+    connection, from d g_s, are the intrinsic pack's."""
     name, geo, emb = PARTIALS_CASES[case]
     if fd:
         geo = cli.as_fd_geometry(geo)
     q = np.random.default_rng(case).uniform(-0.2, 0.2, emb.m)
-    sub = submanifold_pack(geo, emb, q)
-    d = partials_along(emb, sub)[0]
-    exact = {"H": d["H"], "II": d["II"], "IIo": d["IIo"],
-             "N^A_B": subtractor._normal_projector_partial(sub, d)}
+    ctx = subtractor.SubTractorContext(geo, emb, q)
+    sub, J = ctx.sub, ctx.jets_along()
+    exact = {"H": J["H"][1], "II": J["II"][1], "IIo": J["IIo"][1],
+             "N^A_B": subtractor._normal_projector_partial(J)}
     builders = {"H": lambda pk: pk.H, "II": lambda pk: pk.II,
                 "IIo": lambda pk: pk.IIo,
                 "N^A_B": subtractor.normal_projector_array}
@@ -261,7 +262,7 @@ def test_partials_along_match_the_richardson_stencil(case, fd):
         err = np.abs(exact[key] - ref).max() / max(1.0, np.abs(ref).max())
         assert err <= bound, (name, key, err)
     Gamma = curvature_pack(sub.intrinsic, q, order=2).Gamma
-    assert np.abs(d["Gamma_s"] - Gamma).max() <= 1e-14 * max(
+    assert np.abs(ctx.intrinsic_conn().Gamma - Gamma).max() <= 1e-14 * max(
         1.0, np.abs(Gamma).max())
 
 
@@ -399,14 +400,14 @@ EVALUATION_CASES = [
     (["report", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}',
       "-s", 'samples={"points":[[0.2,-0.1]]}'],
-     {2: 3, 3: 3}, {2: 3, 3: 3}),
+     {2: 2, 3: 2}, {2: 2, 3: 2}),
     (["invariance", "-s", 'geometry={"name":"s2s2"}',
       "-s", 'embedding={"name":"factor1"}'],
      {1: 3, 2: 39, 3: 12}, {1: 3, 2: 39, 3: 12}),
     (["report", "-s", 'geometry={"name":"s2xs1xr"}',
       "-s", 'embedding={"name":"s2xs1"}',
       "-s", 'samples={"points":[[0.2,-0.1,0.1]]}'],
-     {2: 3, 3: 4, 4: 2}, {2: 3, 3: 4, 4: 2}),
+     {2: 2, 3: 1, 4: 1}, {2: 2, 3: 1, 4: 1}),
 ]
 
 
@@ -532,7 +533,19 @@ def test_report_evaluation_count(monkeypatch):
     order-2 rows 39 to 3 and calls 17 to 3, order-3 rows and calls 28 to
     4 (the partials, the order-2 intrinsic pack's embedding 3-jet and the
     two order-3 metric jets, of the ambient pack and under the order-3
-    intrinsic pack), order-4 rows and calls 1 to 2."""
+    intrinsic pack), order-4 rows and calls 1 to 2.
+
+    The context then evaluates each jet at its point once: the embedding
+    jet at q (order 4 at m = 3, order 3 at m = 2) for its one
+    ``partials_along`` call and both intrinsic packs, which pull the
+    induced metric's jets back from it and from the metric jets of the
+    ambient packs the context holds.  The s2s2 report drops the embedding
+    3-jet and the metric 2-jet under the intrinsic pack's pulled-back
+    metric: order-2 and order-3 rows and calls 3 to 2.  The s2xs1xr report
+    drops the order-2 intrinsic pack's embedding 3-jet and metric 2-jet,
+    the order-3 one's embedding 4-jet and metric 3-jet and the order-1
+    partials' embedding 3-jet: order-2 rows and calls 3 to 2, order-3 4
+    to 1 (the ambient pack's metric 3-jet), order-4 2 to 1."""
     calls, rows = Counter(), Counter()
     jets = geolib.JetField.jets
 
@@ -921,14 +934,15 @@ def test_order_2_partials_match_a_stencil_of_the_order_1_partials(case, fd):
         geo = cli.as_fd_geometry(geo)
     q = np.random.default_rng(len(case)).uniform(-0.2, 0.2, 3)
     sub = submanifold_pack(geo, emb, q)
-    d2 = partials_along(emb, sub, 2, curvature_pack(geo, sub.x, order=3))[1]
+    J = partials_along(sub, emb.phi.jets(q, 4), 2,
+                       curvature_pack(geo, sub.x, order=3))
     bound = 1e-5 if fd else 1e-7
     for key in ("dphi", "g", "g_s", "gi_s", "Nab", "II", "IIo", "H"):
         ref = central_diff(lambda Q: np.stack([
-            partials_along(emb, pk)[0][key]
+            partials_along(pk, emb.phi.jets(pk.q, 3))[key][1]
             for pk in submanifold_pack(geo, emb, Q)]), q, 1e-2,
             richardson=True)
-        err = np.abs(d2[key] - ref).max() / max(1.0, np.abs(ref).max())
+        err = np.abs(J[key][2] - ref).max() / max(1.0, np.abs(ref).max())
         assert err <= bound, (case, key, err)
 
 
@@ -965,6 +979,48 @@ def test_stacked_packs_are_the_per_point_packs(name, ename, fd):
             assert submanifold_pack(geo, emb, q.copy(), seeds=seeds) is sub
             _assert_same_fields(sub, submanifold_pack(geo, make(), q,
                                                       seeds=seeds))
+
+
+INTRINSIC_CASES = [c for c in EMBEDDING_CASES
+                   if geolib.catalog()[c[0]].embeddings[c[1]]().m >= 2]
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name,ename", INTRINSIC_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in INTRINSIC_CASES])
+def test_context_jets_are_the_evaluated_ones(name, ename, fd):
+    """A context evaluates each jet at its point once and derives the rest
+    from it, bitwise what the separate evaluations give: its order-2 and
+    order-3 intrinsic packs, pulled back from its embedding jet and its
+    ambient packs' metric jets, are every field of the packs that
+    ``curvature_pack`` builds from the induced metric's field; at m >= 3
+    the first partials of its one order-2 ``partials_along`` (on the
+    order-3 ambient pack) are those of the order-1 call on the submanifold
+    pack, on the embedding 3-jet."""
+    entry = geolib.catalog()[name]
+    emb = entry.embeddings[ename]()
+    geo = entry.make_geometry()
+    if geo.n != emb.n:
+        geo = entry.make_geometry(n=emb.n)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    q = np.random.default_rng(37).uniform(-0.2, 0.2, emb.m)
+    ctx = subtractor.SubTractorContext(geo, emb, q)
+    sub = ctx.sub
+    for k in (2, 3):
+        got, want = ctx.intrinsic_pack(k), curvature_pack(sub.intrinsic, q, k)
+        for f in dataclasses.fields(CurvaturePack):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert _bitwise_equal(a, b), (k, f.name)
+            else:
+                assert type(a) is type(b) and a == b, (k, f.name)
+    if emb.m >= 3:
+        J = ctx.jets_along()
+        ref = partials_along(sub, emb.phi.jets(q, 3))
+        for key, jet in ref.items():
+            for a, b in zip(J[key][:2], jet):
+                assert _bitwise_equal(a, b), key
 
 
 def _assert_rows_are_point_frames(stacked, rows):
@@ -1076,18 +1132,23 @@ def test_stacked_pack_names_the_rank_deficient_row():
 def test_normal_curvature_builds_no_pack(monkeypatch):
     """Neither normal curvature builds a submanifold pack or a context, or
     differences anything: both read first jets at the context's point.
-    The Riemannian one builds no curvature pack (it reads the order-2 pack
-    of the context's submanifold pack); the tractor one builds the
-    context's order-3 ambient pack, one row at phi(q), and the ambient
-    tractor curvature of ``tractor_gcr_residuals`` reads that pack and
-    builds no order-3 pack of the ambient geometry.  Rows count the
-    points; a batched call on a stack counts once.
+    At m = 3 the context's jets along Sigma are one ``partials_along`` of
+    order 2 on its order-3 ambient pack, so the first reader of those jets
+    (here the Riemannian curvature) builds that pack, one row at phi(q),
+    and nothing after it builds another: the tractor curvature reads the
+    same pack, and so does the ambient tractor curvature of
+    ``tractor_gcr_residuals``.  One order-3 pack per context, across both
+    normal curvatures.  Rows count the points; a batched call on a stack
+    counts once.
 
     Before, with a cold memo, the Riemannian curvature built the 4m = 12
     stencil packs of its outer Richardson stencil in one
     ``submanifold_pack`` call (one order-2 curvature pack on 12 rows), the
     tractor one read them from the memo, and ``tractor_gcr_residuals``
-    built an order-3 pack of its own at phi(q)."""
+    built an order-3 pack of its own at phi(q).  Until the jets along Sigma
+    became one order-2 call, the Riemannian curvature read the order-1
+    partials on the submanifold pack's order-2 pack and built no curvature
+    pack, and the tractor curvature built the order-3 one."""
     geo, emb = _frame_case("s2xs1xr", {}, "s2xs1")
     q = np.array([0.2, -0.1, 0.1])
     ctx = subtractor.SubTractorContext(geo, emb, q)
@@ -1109,7 +1170,8 @@ def test_normal_curvature_builds_no_pack(monkeypatch):
     context = subtractor.SubTractorContext
     monkeypatch.setattr(subtractor, "SubTractorContext", None)
     subtractor._normal_curvature(ctx)
-    assert not packs and not subpacks
+    assert dict(rows) == {3: 1} and dict(packs) == {3: 1}
+    assert not subpacks
     subtractor._normal_tractor_curvature(ctx)
     assert dict(rows) == {3: 1} and dict(packs) == {3: 1}
     assert not subpacks

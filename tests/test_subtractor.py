@@ -583,7 +583,7 @@ def test_along_nabla_normal_projector(along_ctx):
     """nabla_i N^A_B: ambient tractor connection on both indices."""
     ctx = along_ctx
     N0, dN = _exact_jet1(normal_projector_array(ctx.sub),
-                         _normal_projector_partial(ctx.sub, ctx.partials()))
+                         _normal_projector_partial(ctx.jets_along()))
     Mu = _pulled_back(ctx, tractor_up(ctx.n))
     Md = _pulled_back(ctx, tractor_down(ctx.n))
     oracle = (dN + np.einsum("iAE,EB->iAB", Mu, N0)
@@ -596,7 +596,7 @@ def test_along_divergence_of_IIo(along_ctx):
     Levi-Civita on c, then the normal projection and the trace."""
     ctx = along_ctx
     sub = ctx.sub
-    IIo0, dIIo = _exact_jet1(sub.IIo, ctx.partials()["IIo"])
+    IIo0, dIIo = _exact_jet1(sub.IIo, ctx.jets_along()["IIo"][1])
     G = ctx.intrinsic_pack().Gamma
     D = (dIIo + np.einsum("cfe,fk,ije->kijc", ctx.pack.Gamma, sub.dphi, IIo0)
          - np.einsum("lki,ljc->kijc", G, IIo0)
@@ -608,18 +608,19 @@ def test_along_divergence_of_IIo(along_ctx):
 
 def test_along_coupled_derivative_II(along_ctx):
     """D_i II_jk^d as the Codazzi residual uses it: ``along_exact`` of II
-    (intrinsic Christoffel symbols from ``partials``), projected by N^a_b;
+    (intrinsic Christoffel symbols from the partials of g_s), projected by
+    N^a_b;
     the oracle reads those of the intrinsic pack."""
     ctx = along_ctx
     sub = ctx.sub
-    II0, dII = _exact_jet1(sub.II, ctx.partials()["II"])
+    II0, dII = _exact_jet1(sub.II, ctx.jets_along()["II"][1])
     G = ctx.intrinsic_pack().Gamma
     D = (dII + np.einsum("dfe,fi,jke->ijkd", ctx.pack.Gamma, sub.dphi, II0)
          - np.einsum("lij,lkd->ijkd", G, II0)
          - np.einsum("lik,jld->ijkd", G, II0))
     oracle = np.einsum("dc,ijkc->ijkd", sub.Nab, D)
     got = np.einsum("dc,ijkc->ijkd", sub.Nab, ctx.along_exact(
-        sub.II, ctx.partials()["II"], ctx._normal_indices()))
+        sub.II, ctx.jets_along()["II"][1], ctx._normal_indices()))
     assert np.abs(got - oracle).max() <= 1e-12
 
 
