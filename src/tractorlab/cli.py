@@ -15,8 +15,8 @@ A config is JSON without NaN or ±Infinity, checked against ``SCHEMA`` by a
 small validator that gives jsonschema's Draft 7 messages, except that an
 integer is a JSON number without a fraction or exponent: ``2.0`` is not
 one.  An override ``-s a.b=value`` whose ``a`` is not an object is a config
-error.  Only ``circle`` loads scipy, when it integrates; the argument parser
-is built once per process.
+error.  No command loads scipy: ``circle`` steps DOP853 itself.  The
+argument parser is built once per process.
 """
 from __future__ import annotations
 
@@ -491,6 +491,8 @@ def cmd_circle(cfg, args=None):
         span = tuple(circ.get("t_span", (0.0, 1.0)))
         monitors = {}
         summarise = lambda traj: {}
+    if span[0] == span[1]:
+        raise ConfigError(f"circle.t_span {list(span)} has equal endpoints")
     tols = cfg.get("tolerances", {})
     traj = circles.integrate_circle(geo, st, span,
                                     rtol=tols.get("rtol", 1e-10),

@@ -19,6 +19,9 @@ along Sigma of the normal tractor form and of its Hodge dual
 (``nabla_normal_form``, ``nabla_star_normal_form``): Sigma is distinguished
 iff the normal form is parallel.
 
+The circle integrator's DOP853 steps by scipy's ``solve_ivp``
+(``solve_ivp_dop853``), the route it took before it stepped itself.
+
 The tractor connection applied to a field from its 1-jet
 (``tractor_connection_apply``), the tractor volume form as a field with an
 analytic first derivative (``tractor_volume_form_field``), on which the
@@ -31,6 +34,7 @@ perturbation, ``constant_scalar`` and the constant jet ``constant``.
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from tractorlab import tractor as tr
 from tractorlab.circles import _bold_rate
@@ -295,6 +299,20 @@ def phi_derivative(geo, state, cov_da=None):
     embc = tr.make_tractor(n, mu=core)
     return 6.0 * un * alt_array(np.multiply.outer(
         X, np.multiply.outer(embu, embc)))
+
+
+def solve_ivp_dop853(fun, t_span, y0, t_eval, rtol, atol, event=None):
+    """``circles._dop853`` by ``solve_ivp``: (t, y, status, message) with
+    ``event``, if any, terminal."""
+    events = None
+    if event is not None:
+        def terminal(t, y):
+            return event(t, y)
+        terminal.terminal = True
+        events = [terminal]
+    sol = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=t_eval,
+                    rtol=rtol, atol=atol, events=events)
+    return sol.t, sol.y, sol.status, sol.message
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import phi_derivative, random_metric, star_normal_form
-from tractorlab import geolib
+from oracles import (phi_derivative, random_metric, solve_ivp_dop853,
+                     star_normal_form)
+from tractorlab import cli, geolib
 from tractorlab import tractor as tr
 from tractorlab import circles as ci
 from tractorlab.riemann import curvature_pack
@@ -213,3 +214,96 @@ def test_aa_drift_and_diagnostics_on_sphere():
                                atol=1e-12, chart_bound=100.0)
     assert np.abs(traj.AdotA).max() < 1e-9
     assert traj.unparam_residual.max() < 1e-8
+
+
+# --------------------------------------------------------------------------
+# DOP853 stepping against solve_ivp
+# --------------------------------------------------------------------------
+
+def _walk_cases():
+    """(label, geo, state, span, monitors, chart_bound): every catalog
+    geometry at its defaults and the 2-sphere, whose circle equation reads
+    its Moebius structure, from a seeded state near 0, then both presets;
+    each on a forward, a backward and a long span.  The catalog circles
+    and the flat one run with and without a chart bound that a long span
+    crosses; the great circle passes the projection point going forward,
+    where the chart's metric is singular, so it runs with its own bound
+    and a tighter one."""
+    rng = np.random.default_rng(7)
+    geos = [(name, e.make_geometry())
+            for name, e in geolib.catalog().items()]
+    geos.append(("sphere n=2", geolib.sphere(2)))
+    for name, geo in geos:
+        n = geo.n
+        x = rng.uniform(-0.1, 0.1, n)
+        u = rng.standard_normal(n)
+        u *= 0.5 / np.linalg.norm(u)
+        st = ci.CurveState(x, u, 0.3 * rng.standard_normal(n))
+        for span in ((0.0, 0.5), (0.0, -0.5), (0.0, 1.5)):
+            for bound in (None, float(np.abs(x).max()) + 0.3):
+                yield f"{name} {span} {bound}", geo, st, span, {}, bound
+    for preset, bounds in (("flat-circle", (None, 1.5)),
+                           ("sphere-great-circle", (100.0, 10.0))):
+        geo, st, span, monitors, _, _ = cli._circle_preset(
+            {"circle": {"preset": preset}})
+        t1 = span[1]
+        for span in ((0.0, t1), (0.0, -t1), (0.0, 2 * t1)):
+            for bound in bounds:
+                yield f"{preset} {span} {bound}", geo, st, span, monitors, bound
+
+
+def test_dop853_is_bitwise_solve_ivp(monkeypatch):
+    """Every field of the trajectory, or the failure, is the one the
+    solve_ivp route gives; the walk rejects a step, exits the chart and
+    integrates backward."""
+    error_norm = ci._error_norm
+    rejected = 0
+
+    def counted(K, h, scale):
+        nonlocal rejected
+        e = error_norm(K, h, scale)
+        rejected += not e < 1
+        return e
+
+    def run(geo, st, span, monitors, bound):
+        try:
+            return ci.integrate_circle(geo, st, span, num=10,
+                                       monitors=monitors, chart_bound=bound)
+        except ci.CircleIntegrationError as e:
+            return str(e)
+
+    exits = backward = 0
+    for label, geo, st, span, monitors, bound in _walk_cases():
+        monkeypatch.setattr(ci, "_error_norm", counted)
+        ours = run(geo, st, span, monitors, bound)
+        monkeypatch.setattr(ci, "_dop853", solve_ivp_dop853)
+        ref = run(geo, st, span, monitors, bound)
+        monkeypatch.undo()
+        if isinstance(ref, str):
+            assert ours == ref, label
+            continue
+        for field in ("ts", "xs", "us", "accs", "AdotA", "unparam_residual"):
+            assert np.array_equal(getattr(ours, field), getattr(ref, field)), \
+                (label, field)
+        assert ours.monitored.keys() == ref.monitored.keys(), label
+        for k in ref.monitored:
+            assert np.array_equal(ours.monitored[k], ref.monitored[k]), \
+                (label, k)
+        assert ours.status == ref.status, label
+        exits += ours.status == "chart_exit"
+        backward += span[1] < span[0]
+    assert rejected > 0 and exits > 0 and backward > 0
+
+
+def test_nan_right_hand_side_fails_as_solve_ivp_does():
+    """A right-hand side that turns NaN past t = 0.3 rejects every step
+    across it until the step falls below ten spacings of floats: the
+    status and message are solve_ivp's."""
+    def fun(t, y):
+        return np.full(2, np.nan) if t > 0.3 else np.array([y[1], -y[0]])
+
+    args = (fun, (0.0, 1.0), np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 11),
+            1e-10, 1e-12)
+    ours, ref = ci._dop853(*args), solve_ivp_dop853(*args)
+    assert ours[2:] == ref[2:] == (
+        -1, "Required step size is less than spacing between numbers.")

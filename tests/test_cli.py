@@ -4,7 +4,6 @@ import io
 import json
 import subprocess
 import sys
-import types
 from collections import Counter
 
 import numpy as np
@@ -130,6 +129,21 @@ def test_circle_preset_sphere():
     assert doc["off_axis_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("circle", [
+    '{"initial":{"x":[0,0,0],"u":[1,0,0]},"t_span":[0.5,0.5]}',
+    '{"preset":"flat-circle","t_span":[0,0]}',
+    '{"preset":"sphere-great-circle","t_span":[2,2]}'])
+def test_circle_zero_length_span_exit4(capsys, circle):
+    """A span with equal endpoints is a config error, custom or preset,
+    not a traceback."""
+    argv = ["circle", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+            "-s", f"circle={circle}"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has equal endpoints" in captured.err
+
+
 def test_circle_zero_velocity_exit2():
     rc, out, err = run_cli(
         "circle", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
@@ -160,9 +174,9 @@ def test_numerical_failure_exit2_other_errors_propagate(monkeypatch, capsys):
 
 
 def test_circle_integration_failure_exit2(monkeypatch, capsys):
-    failed = types.SimpleNamespace(success=False, status=-1,
-                                   message="required step size is too small")
-    monkeypatch.setattr(circles, "solve_ivp", lambda *a, **k: failed)
+    monkeypatch.setattr(
+        circles, "_dop853",
+        lambda *a, **k: (None, None, -1, "required step size is too small"))
     assert cli.main(["circle", "-s", 'circle={"preset":"flat-circle"}']) == 2
     err = capsys.readouterr().err
     assert "numerical failure: CircleIntegrationError" in err
@@ -879,25 +893,45 @@ def test_parser_is_reentrant(monkeypatch):
 
 
 def test_cold_start_loads_neither_scipy_nor_jsonschema():
-    """A report loads neither scipy nor jsonschema; a circle integration
-    loads scipy."""
+    """No command loads scipy, a circle integration included, and a
+    report does not load jsonschema."""
     code = """if True:
         import contextlib, io, sys
         from tractorlab import cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["report", "-s", 'geometry={"name":"cp2"}',
-                           "-s", 'embedding={"name":"cp1"}',
-                           "-s", 'samples={"points":[[0.2,-0.3],[0.1,0.15]]}'])
-        print(rc, "scipy" in sys.modules, "jsonschema" in sys.modules)
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["circle", "-s", 'circle={"preset":"flat-circle",'
-                                            '"num":5,"t_span":[0,1]}'])
-        print(rc, "scipy" in sys.modules)
+        runs = [
+            ["report", "-s", 'geometry={"name":"cp2"}',
+             "-s", 'embedding={"name":"cp1"}',
+             "-s", 'samples={"points":[[0.2,-0.3],[0.1,0.15]]}'],
+            ["residuals", "-s", 'geometry={"name":"s2s2"}',
+             "-s", 'embedding={"name":"factor1"}',
+             "-s", 'samples={"points":[[0.1,0.2]]}'],
+            ["invariance", "-s", 'geometry={"name":"s2s2"}',
+             "-s", 'embedding={"name":"factor1"}',
+             "-s", 'invariance={"count":1}'],
+            ["scan", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+             "-s", 'scan={"ky":{"name":"rotation","params":{"n":3}},'
+                   '"grid":5}'],
+            ["circle", "-s", 'geometry={"name":"sphere","params":{"n":3}}',
+             "-s", 'circle={"initial":{"x":[0.1,0,0],"u":[1,0,0]},'
+                   '"num":3,"t_span":[0,0.2]}'],
+            ["circle", "-s", 'circle={"preset":"flat-circle","num":5,'
+                             '"t_span":[0,1]}'],
+            ["circle", "-s", 'circle={"preset":"sphere-great-circle",'
+                             '"num":5}']]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+            print(argv[0], rc, any(m.split(".")[0] == "scipy"
+                                   for m in sys.modules),
+                  "jsonschema" in sys.modules)
     """
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n") == ["0 False False", "0 True", ""]
+    assert r.stdout.split("\n") == [
+        f"{cmd} 0 False False" for cmd in
+        ("report", "residuals", "invariance", "scan", "circle", "circle",
+         "circle")] + [""]
 
 
 def test_fd_backend_mode():
