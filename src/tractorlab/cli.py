@@ -72,7 +72,7 @@ SCHEMA = {
             "type": "object", "additionalProperties": False,
             "properties": {"classify": {"type": ["number", "null"]},
                            "rtol": {"type": "number"},
-                           "atol": {"type": "number"}}},
+                           "atol": {"type": "number", "minimum": 0}}},
         "circle": {
             "type": "object", "additionalProperties": False,
             "properties": {

@@ -292,18 +292,20 @@ class ScanReport:
 
 
 def _k_norm2_grid(geo, kspec, grid_axes):
-    mesh = np.meshgrid(*grid_axes, indexing="ij")
-    X = np.stack(mesh, axis=-1)
-    if kspec.batch_norm2 is not None:
-        return X, kspec.batch_norm2(X)
-    # one batched evaluation per slab of the first grid axis bounds the
-    # memory the point axis takes
-    vals = np.empty(X.shape[:-1])
-    for i, slab in enumerate(X):
-        v = kspec.field.values(slab.reshape(-1, X.shape[-1]))
-        vals[i] = np.sum(v.reshape(len(v), -1) ** 2, axis=1).reshape(
-            slab.shape[:-1])
-    return X, vals
+    """|k|^2 on the grid of ``grid_axes`` (``ij`` indexing), one ``values``
+    call per slab of the first axis.  The slab's points are one reused
+    (grid^(n-1), n) buffer whose column 0 takes each value of the first
+    axis in turn, so the grid holds no coordinates: |k|^2 and one slab."""
+    norm2 = np.empty(tuple(len(a) for a in grid_axes))
+    slab = np.empty((norm2[0].size, len(grid_axes)))
+    for d, m in enumerate(np.meshgrid(*grid_axes[1:], indexing="ij"), 1):
+        slab[:, d] = m.ravel()
+    for i, x0 in enumerate(grid_axes[0]):
+        slab[:, 0] = x0
+        v = kspec.field.values(slab)
+        norm2[i] = np.sum(v.reshape(len(v), -1) ** 2, axis=1).reshape(
+            norm2.shape[1:])
+    return norm2
 
 
 def _component_map(geo, kspec, x, jac=False):
@@ -457,7 +459,7 @@ def zero_locus_scan(geo, kspec, region, grid=21):
 
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
     with stage("scan grid"):
-        X, norm2 = _k_norm2_grid(geo, kspec, axes)
+        norm2 = _k_norm2_grid(geo, kspec, axes)
     spacing = max((hi - lo) / (grid - 1) for lo, hi in region)
     thresh = (2.0 * spacing) ** 2
     cand_idx = np.argwhere(norm2 < thresh * max(1.0, np.median(norm2)))
@@ -465,7 +467,7 @@ def zero_locus_scan(geo, kspec, region, grid=21):
         return ScanReport(status="empty", causal=split.causal, K2=split.K2,
                           simple=split.simple)
 
-    seeds = [X[tuple(idx)].astype(float) for idx in
+    seeds = [np.array([ax[i] for ax, i in zip(axes, idx)]) for idx in
              cand_idx[:: max(1, len(cand_idx) // (4 * MAX_POINTS))]]
     found = _refine_seeds(geo, kspec, seeds, region, spacing, REFINE_TOL,
                           MAX_POINTS)

@@ -179,14 +179,12 @@ def jet_embedding(m, n, fn):
 class KYFormSpec:
     """A candidate conformal Killing-Yano form: degree d-1, weight d.
 
-    ``field`` evaluates the trivialised components; ``batch_norm2``
-    optionally evaluates the squared pointwise norm on an array of points
-    (used by the grid scanner).
+    ``field`` evaluates the trivialised components, at a point or on a
+    stack of points (the scan grid reads |k|^2 from its ``values``).
     """
     n: int
     degree: int
     field: ArrayField
-    batch_norm2: object = None
     name: str = ""
 
 
@@ -481,9 +479,8 @@ def rp2_slice():
 # Killing-Yano form factories
 # --------------------------------------------------------------------------
 
-def _form_field(n, degree, fn, batch_norm2=None, name=""):
-    return KYFormSpec(n=n, degree=degree, field=JetField(fn),
-                      batch_norm2=batch_norm2, name=name)
+def _form_field(n, degree, fn, name=""):
+    return KYFormSpec(n=n, degree=degree, field=JetField(fn), name=name)
 
 
 def constant_form(n, comps):
@@ -501,10 +498,7 @@ def rotation_form(n, i=0, j=1):
         out[j] = v[i]
         out[i] = -1.0 * v[j]
         return out
-
-    def batch_norm2(X):
-        return X[..., i] ** 2 + X[..., j] ** 2
-    return _form_field(n, 2, fn, batch_norm2=batch_norm2, name=f"rotation{i}{j}")
+    return _form_field(n, 2, fn, name=f"rotation{i}{j}")
 
 
 def round_rotation_form(n, i=0, j=1, radius=1.0):
@@ -523,10 +517,7 @@ def round_rotation_form(n, i=0, j=1, radius=1.0):
 def dilation_form(n):
     def fn(v):
         return list(v)
-
-    def batch_norm2(X):
-        return np.sum(X ** 2, axis=-1)
-    return _form_field(n, 2, fn, batch_norm2=batch_norm2, name="dilation")
+    return _form_field(n, 2, fn, name="dilation")
 
 
 def special_conformal_form(n):
@@ -548,11 +539,7 @@ def almost_einstein_hyperbolic(n):
     def fn(v):
         s = _norm2(v, n)
         return (1.0 - s) * 0.5
-
-    def batch_norm2(X):
-        return ((1.0 - np.sum(X ** 2, axis=-1)) / 2.0) ** 2
-    return _form_field(n, 1, fn, batch_norm2=batch_norm2,
-                       name="hyperbolic_scale")
+    return _form_field(n, 1, fn, name="hyperbolic_scale")
 
 
 def _s2_killing_components(w, gen):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,6 @@ class CurvaturePack:
     R4: np.ndarray             # R_abcd
     Ric: np.ndarray
     Scal: float
-    eps: np.ndarray            # oriented volume form
     detg: float
     orientation: int
     J: float | None = None
@@ -197,15 +195,9 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
     Ric = np.einsum(f"{z}cbcd->{z}bd", Rud)
     Scal = _scalar(np.einsum(f"{z}bd,{z}bd->{z}", gi, Ric))
 
-    if z:
-        lam = (np.sqrt(detg) * geo.orientation)[(...,) + (None,) * n]
-    else:
-        lam = math.sqrt(detg) * geo.orientation
-    eps = lam * levi_civita_symbol(n)
-
     pack = CurvaturePack(n=n, point=x, g=g, gi=gi, dg=dg, d2g=d2g,
                          Gamma=Gamma, dGamma=dGamma, Rud=Rud, R4=R4, Ric=Ric,
-                         Scal=Scal, eps=eps, detg=detg,
+                         Scal=Scal, detg=detg,
                          orientation=geo.orientation, d3g=d3g)
 
     if n == 1:

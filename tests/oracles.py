@@ -22,7 +22,8 @@ iff the normal form is parallel.
 The circle integrator's DOP853 steps by scipy's ``solve_ivp``
 (``solve_ivp_dop853``), the route it took before it stepped itself.
 
-The tractor connection applied to a field from its 1-jet
+The oriented volume form of a curvature pack (``volume_form``), the
+tractor connection applied to a field from its 1-jet
 (``tractor_connection_apply``), the tractor volume form as a field with an
 analytic first derivative (``tractor_volume_form_field``), on which the
 1e-8 bound of ``test_volume_form_parallel`` rests, and the closed form of
@@ -279,6 +280,13 @@ class _VolumeFormField(ArrayField):
             dsqrt = 0.5 * np.einsum("bc,bca->a", pack.gi, pack.dg)
             out.append(np.multiply.outer(self.sym, lam * dsqrt))
         return out
+
+
+def volume_form(pack):
+    """The oriented volume form sqrt(det g) eps_{a..} of a curvature pack
+    at one point."""
+    lam = math.sqrt(pack.detg) * pack.orientation
+    return lam * levi_civita_symbol(pack.n)
 
 
 def tractor_volume_form_field(geo):

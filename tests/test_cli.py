@@ -780,6 +780,7 @@ VALIDATOR_TABLE = [
     _cfg(tolerances={"classify": None, "rtol": 1e-8, "atol": 0}),
     _cfg(tolerances={"classify": 1e-6}),
     _cfg(tolerances={"classify": "x", "rtol": None, "atol": [1]}),
+    _cfg(tolerances={"atol": -1e-12}),
     # circle: enum with null, the nested object initial, arrays
     _cfg(circle={"preset": "flat-circle", "t_span": [0, 10], "num": 5}),
     _cfg(circle={"preset": None,
@@ -848,6 +849,17 @@ def test_integral_float_for_an_integer_key_exit4(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not of type 'integer'" in captured.err
+
+
+def test_negative_atol_exit4(capsys):
+    """An absolute tolerance below 0 is a config error, not a traceback
+    from the integrator; 0 stays valid."""
+    assert cli.main(["circle", "-s", 'circle={"preset":"flat-circle"}',
+                     "-s", 'tolerances={"atol":-1}']) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-1 is less than the minimum of 0" in captured.err
+    assert cli._schema_messages(_cfg(tolerances={"atol": 0})) == []
 
 
 @pytest.mark.parametrize("text", [

@@ -6,7 +6,7 @@ import pytest
 
 from test_jets import _bitwise_equal
 from oracles import (constant_scalar, random_metric,
-                     tractor_connection_apply)
+                     tractor_connection_apply, volume_form)
 from tractorlab import cli, geolib
 from tractorlab.riemann import (CurvaturePack, GeometrySpec,
                                 SingularMetricError, curvature_pack, rescale)
@@ -286,7 +286,7 @@ def test_levi_civita_derivative_volume_form():
     x = np.array([0.04, -0.02, 0.06])
 
     def eps_at(y):
-        return curvature_pack(geo, y).eps
+        return volume_form(curvature_pack(geo, y))
 
     from tractorlab.tensors import tangent_down
     h = FieldHandle(ArrayField(eps_at, backend=DiffBackend(step=1e-4)),

@@ -147,8 +147,9 @@ def test_orientation_wedge_identity():
     pk = submanifold_pack(geo, emb, q)
     ip = curvature_pack(pk.intrinsic, q, order=2)
     Pi_ia = pk.gi_s @ pk.dphi.T @ pk.pack.g
-    epsS = np.einsum("ij,ia,jb->ab", ip.eps, Pi_ia, Pi_ia)
-    assert np.abs(wedge(epsS, _normal_form(pk)) - pk.pack.eps).max() < 1e-10
+    epsS = np.einsum("ij,ia,jb->ab", oracles.volume_form(ip), Pi_ia, Pi_ia)
+    assert np.abs(wedge(epsS, _normal_form(pk))
+                  - oracles.volume_form(pk.pack)).max() < 1e-10
 
 
 def test_hypersurface_unit_conormal():
