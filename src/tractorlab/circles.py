@@ -114,13 +114,16 @@ def conformal_circle_rhs(geo: GeometrySpec, state: CurveState):
     return dx, du, da
 
 
-def A_dot_A(geo: GeometrySpec, state: CurveState, pack=None):
+def A_dot_A(geo: GeometrySpec, state: CurveState, cov_da=None, pack=None):
+    """A.A of the acceleration tractor; cov_da defaults to the circle
+    equation's right-hand side."""
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
     s, ua, aa = _inner_products(pk, state)
     u = state.u
-    cov = covariant_acceleration_rate(geo, state, pack=pk)
+    if cov_da is None:
+        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
     Puu = float(u @ pk.P @ u)
-    return (3.0 * aa / s + 2.0 * float(u @ pk.g @ cov) / s
+    return (3.0 * aa / s + 2.0 * float(u @ pk.g @ cov_da) / s
             - 6.0 * ua ** 2 / s ** 2 + 2.0 * Puu)
 
 
@@ -180,8 +183,9 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
         with stage("circle output point", t=ts[k]):
             st = CurveState(xs[k], us[k], accs[k], t=float(ts[k]))
             pk = curvature_pack(geo, st.x, order=2)
-            ada[k] = A_dot_A(geo, st, pack=pk)
-            res[k] = unparametrised_residual(geo, st, pack=pk)
+            cov = covariant_acceleration_rate(geo, st, pack=pk)
+            ada[k] = A_dot_A(geo, st, cov, pk)
+            res[k] = unparametrised_residual(geo, st, cov, pk)
             for name, fn in monitors.items():
                 mon[name][k] = fn(geo, st, pk)
     return CircleTrajectory(ts=ts, xs=xs, us=us, accs=accs, AdotA=ada,
@@ -282,6 +286,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_NO_INITIAL_STEP = ("Initial step size is not finite: a zero error scale "
+                    "(atol = 0 at a zero state component) or a non-finite "
+                    "derivative.")
 
 # the 12 stages of a step, the step's own 13th stage f(t + h, y_new) and
 # the 3 extra stages of the dense output; row s of _A_ROWS is row s + 1
@@ -399,13 +406,18 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """select_initial_step (II.4) of an order-7 error estimator."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    # a zero scale (atol = 0 on a zero component) gives NaN, returned
+    # before f is evaluated there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
+    if not np.isfinite(h0):
+        return h0
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1)
     d2 = _rms((f1 - f0) / scale) / h0
@@ -495,7 +507,8 @@ def _dop853(fun, t_span, y0, t_eval, rtol, atol, event=None):
 
     Returns (t, y, status, message): y holds the states at the times t
     as columns; status is 0 at the end of the span, 1 at the event and -1
-    when a step fell below ten spacings of floats at its start, which
+    when a step fell below ten spacings of floats at its start or the
+    initial step is not finite (where solve_ivp does not end), which
     ``message`` says.  The event's zero only decides which output times
     come before it."""
     t0, tf = map(float, t_span)
@@ -521,6 +534,8 @@ def _dop853(fun, t_span, y0, t_eval, rtol, atol, event=None):
     t = t0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, tf, f, direction, rtol, atol)
+    if not np.isfinite(h_abs):
+        return None, None, -1, _NO_INITIAL_STEP
     g = None if event is None else event(t0, y0)
     ts, ys = [], []
     status = None

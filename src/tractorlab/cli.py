@@ -71,7 +71,8 @@ SCHEMA = {
         "tolerances": {
             "type": "object", "additionalProperties": False,
             "properties": {"classify": {"type": ["number", "null"]},
-                           "rtol": {"type": "number"},
+                           "rtol": {"type": "number",
+                                    "exclusiveMinimum": 0},
                            "atol": {"type": "number", "minimum": 0}}},
         "circle": {
             "type": "object", "additionalProperties": False,

@@ -422,6 +422,8 @@ def _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
     of a seed whose refinement failed numerically when it reaches it."""
     chunk = 4 * max_points
     found = []
+    # the found points as rows, for one distance test per seed
+    rows = np.empty((max_points, len(region)))
     for c0 in range(0, len(seeds), chunk):
         refined = _gauss_newton(geo, kspec, seeds[c0:c0 + chunk],
                                 refine_tol, first=c0)
@@ -431,8 +433,9 @@ def _refine_seeds(geo, kspec, seeds, region, spacing, refine_tol,
             if ok and np.linalg.norm(F) < 1e-8 and \
                     all(lo - 0.5 <= xi <= hi + 0.5
                         for xi, (lo, hi) in zip(x, region)):
-                if not any(np.linalg.norm(x - p) < 0.3 * spacing
-                           for p in found):
+                near = np.linalg.norm(rows[:len(found)] - x, axis=1)
+                if not (near < 0.3 * spacing).any():
+                    rows[len(found)] = x
                     found.append(x)
             if len(found) >= max_points:
                 return found

@@ -11,6 +11,7 @@ only drives the rescaling tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,7 +66,13 @@ def levi_civita_symbol(n):
 
 @dataclass
 class CurvaturePack:
-    """All curvature data of a metric at one point."""
+    """All curvature data of a metric at one point, or at each row of a
+    stack of points (every array and scalar with a leading point axis).
+
+    R_abcd (``R4``) and the Weyl tensor (``W4``, None for n <= 2) are
+    computed when first read, from the pack's own g, Rud and P, and are
+    read-only; ``at(i)`` computes them from its row slices, bitwise the
+    pack a call at that point builds."""
     n: int
     point: np.ndarray
     g: np.ndarray
@@ -75,14 +82,12 @@ class CurvaturePack:
     Gamma: np.ndarray          # Gamma^c_ab -> [c, a, b]
     dGamma: np.ndarray         # d_e Gamma^c_ab -> [c, a, b, e]
     Rud: np.ndarray            # R_ab^c_d -> [a, b, c, d]
-    R4: np.ndarray             # R_abcd
     Ric: np.ndarray
     Scal: float
     detg: float
     orientation: int
     J: float | None = None
     P: np.ndarray | None = None
-    W4: np.ndarray | None = None
     K: float | None = None     # Gaussian curvature, n = 2 only
     dP: np.ndarray | None = None       # d_e P_ab -> [a, b, e]
     dRud: np.ndarray | None = None     # d_e R_ab^c_d -> [a, b, c, d, e]
@@ -96,6 +101,32 @@ class CurvaturePack:
         return dataclasses.replace(self, **{
             f.name: _scalar(v[i]) for f in dataclasses.fields(self)
             if isinstance(v := getattr(self, f.name), np.ndarray)})
+
+    @functools.cached_property
+    def R4(self):
+        """R_abcd = g_ce R_ab^e_d."""
+        z = "z" * (self.point.ndim - 1)
+        return _read_only(np.einsum(f"{z}ce,{z}abed->{z}abcd", self.g,
+                                    self.Rud))
+
+    @functools.cached_property
+    def W4(self):
+        """W_abcd = R_abcd - (g_ca P_bd - g_cb P_ad - g_da P_bc + g_db P_ac),
+        None for n <= 2."""
+        if self.n <= 2:
+            return None
+        z = "z" * (self.point.ndim - 1)
+        g, P = self.g, self.P
+        return _read_only(
+            self.R4 - (np.einsum(f"{z}ca,{z}bd->{z}abcd", g, P)
+                       - np.einsum(f"{z}cb,{z}ad->{z}abcd", g, P)
+                       - np.einsum(f"{z}da,{z}bc->{z}abcd", g, P)
+                       + np.einsum(f"{z}db,{z}ac->{z}abcd", g, P)))
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def _scalar(v):
@@ -191,12 +222,11 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
            - np.einsum(f"{z}cadb->{z}abcd", dGamma)
            + np.einsum(f"{z}cae,{z}ebd->{z}abcd", Gamma, Gamma)
            - np.einsum(f"{z}cbe,{z}ead->{z}abcd", Gamma, Gamma))
-    R4 = np.einsum(f"{z}ce,{z}abed->{z}abcd", g, Rud)
     Ric = np.einsum(f"{z}cbcd->{z}bd", Rud)
     Scal = _scalar(np.einsum(f"{z}bd,{z}bd->{z}", gi, Ric))
 
     pack = CurvaturePack(n=n, point=x, g=g, gi=gi, dg=dg, d2g=d2g,
-                         Gamma=Gamma, dGamma=dGamma, Rud=Rud, R4=R4, Ric=Ric,
+                         Gamma=Gamma, dGamma=dGamma, Rud=Rud, Ric=Ric,
                          Scal=Scal, detg=detg,
                          orientation=geo.orientation, d3g=d3g)
 
@@ -213,13 +243,8 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
 
     J = Scal / (2.0 * (n - 1))
     P = (Ric - (J[:, None, None] if z else J) * g) / (n - 2)
-    W4 = R4 - (np.einsum(f"{z}ca,{z}bd->{z}abcd", g, P)
-               - np.einsum(f"{z}cb,{z}ad->{z}abcd", g, P)
-               - np.einsum(f"{z}da,{z}bc->{z}abcd", g, P)
-               + np.einsum(f"{z}db,{z}ac->{z}abcd", g, P))
     pack.J = J
     pack.P = P
-    pack.W4 = W4
 
     if d3g is not None:
         d2gi = (-np.einsum(f"{z}cea,{z}efb,{z}fd->{z}cdab", dgi, dg, gi)

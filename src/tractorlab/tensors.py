@@ -17,8 +17,8 @@ field's ``values`` calls ``value`` point by point).
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,23 +193,41 @@ def _perm_sign(perm):
     return sign
 
 
+@functools.lru_cache(maxsize=None)
+def _perm_plan(ndim, axes):
+    """(sign, transpose axes) of each permutation of ``axes`` (None: all
+    ``ndim`` axes) in ``itertools.permutations`` order: ``data.transpose(
+    order)`` is ``np.moveaxis(data, axes, permuted axes)``."""
+    dims = range(ndim)
+    axes = tuple(dims) if axes is None else tuple(dims[a] for a in axes)
+    plan = []
+    for perm in itertools.permutations(range(len(axes))):
+        dest = [axes[p] for p in perm]
+        order = [a for a in dims if a not in axes]
+        for d, src in sorted(zip(dest, axes)):
+            order.insert(d, src)
+        plan.append((_perm_sign(perm), tuple(order)))
+    return tuple(plan)
+
+
 def alt_array(data, axes=None):
-    axes = tuple(range(data.ndim)) if axes is None else tuple(axes)
+    plan = _perm_plan(data.ndim, None if axes is None else tuple(axes))
     out = np.zeros_like(data)
-    k = len(axes)
-    for perm in itertools.permutations(range(k)):
-        out += _perm_sign(perm) * np.moveaxis(data, axes,
-                                              tuple(axes[p] for p in perm))
-    return out / math.factorial(k)
+    # subtracting is adding the negated term, to the bit
+    for sign, order in plan:
+        if sign > 0:
+            out += data.transpose(order)
+        else:
+            out -= data.transpose(order)
+    return out / len(plan)
 
 
 def sym_array(data, axes=None):
-    axes = tuple(range(data.ndim)) if axes is None else tuple(axes)
+    plan = _perm_plan(data.ndim, None if axes is None else tuple(axes))
     out = np.zeros_like(data)
-    k = len(axes)
-    for perm in itertools.permutations(range(k)):
-        out += np.moveaxis(data, axes, tuple(axes[p] for p in perm))
-    return out / math.factorial(k)
+    for _, order in plan:
+        out += data.transpose(order)
+    return out / len(plan)
 
 
 # --------------------------------------------------------------------------

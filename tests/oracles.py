@@ -22,6 +22,11 @@ iff the normal form is parallel.
 The circle integrator's DOP853 steps by scipy's ``solve_ivp``
 (``solve_ivp_dop853``), the route it took before it stepped itself.
 
+The (anti)symmetrisers as the loop of ``np.moveaxis`` over
+``itertools.permutations`` that ``tensors.alt_array`` and
+``tensors.sym_array`` replaced with cached transposes
+(``moveaxis_alt_array``, ``moveaxis_sym_array``).
+
 The oriented volume form of a curvature pack (``volume_form``), the
 tractor connection applied to a field from its 1-jet
 (``tractor_connection_apply``), the tractor volume form as a field with an
@@ -30,8 +35,13 @@ analytic first derivative (``tractor_volume_form_field``), on which the
 u^d nabla_d Phi along a curve (``phi_derivative``).
 
 Fixtures: ``random_metric``, a flat metric plus a small random polynomial
-perturbation, ``constant_scalar`` and the constant jet ``constant``.
+perturbation, ``constant_scalar``, the constant jet ``constant`` and
+``pack_fields``, the names of every field a curvature pack holds or
+computes when read.
 """
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -41,13 +51,14 @@ from tractorlab import tractor as tr
 from tractorlab.circles import _bold_rate
 from tractorlab.geolib import JetField, PolynomialField
 from tractorlab.jets import Jet
-from tractorlab.riemann import (GeometrySpec, curvature_pack,
+from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                                 levi_civita_symbol, metric_connection)
 from tractorlab.submanifold import SigmaConn, normal_frame, submanifold_pack
 from tractorlab.subtractor import SubTractorContext, tractor_conormal_rows
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
                                 FieldHandle, JetOrderError, TensorValue,
-                                alt_array, central_diff, middle_block,
+                                _perm_sign, alt_array, central_diff,
+                                middle_block,
                                 pairing_matrix, tangent_down, tangent_up,
                                 tractor_down, tractor_up)
 
@@ -323,9 +334,36 @@ def solve_ivp_dop853(fun, t_span, y0, t_eval, rtol, atol, event=None):
     return sol.t, sol.y, sol.status, sol.message
 
 
+def moveaxis_alt_array(data, axes=None):
+    axes = tuple(range(data.ndim)) if axes is None else tuple(axes)
+    out = np.zeros_like(data)
+    k = len(axes)
+    for perm in itertools.permutations(range(k)):
+        out += _perm_sign(perm) * np.moveaxis(data, axes,
+                                              tuple(axes[p] for p in perm))
+    return out / math.factorial(k)
+
+
+def moveaxis_sym_array(data, axes=None):
+    axes = tuple(range(data.ndim)) if axes is None else tuple(axes)
+    out = np.zeros_like(data)
+    k = len(axes)
+    for perm in itertools.permutations(range(k)):
+        out += np.moveaxis(data, axes, tuple(axes[p] for p in perm))
+    return out / math.factorial(k)
+
+
 # --------------------------------------------------------------------------
 # fixtures
 # --------------------------------------------------------------------------
+
+def pack_fields():
+    """The names of a ``CurvaturePack``'s dataclass fields, then of the
+    arrays it computes when first read (its cached properties)."""
+    return [f.name for f in dataclasses.fields(CurvaturePack)] + [
+        name for name, v in vars(CurvaturePack).items()
+        if isinstance(v, functools.cached_property)]
+
 
 def random_metric(n, seed=0, amplitude=0.08):
     """delta plus a small random polynomial perturbation (SPD near 0)."""

@@ -307,3 +307,48 @@ def test_nan_right_hand_side_fails_as_solve_ivp_does():
     ours, ref = ci._dop853(*args), solve_ivp_dop853(*args)
     assert ours[2:] == ref[2:] == (
         -1, "Required step size is less than spacing between numbers.")
+
+
+def test_nonfinite_initial_step_fails_instead_of_stepping_forever():
+    """atol = 0 on a state with a zero component gives a zero error scale,
+    so the initial step is NaN; solve_ivp does not end there.  The step
+    loop is not entered: status -1 with a message, no RuntimeWarning, and
+    the state of a finite step is never evaluated."""
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return np.array([y[1], -y[0]])
+
+    ours = ci._dop853(fun, (0.0, 1.0), np.array([1.0, 0.0]),
+                      np.linspace(0.0, 1.0, 5), 1e-10, 0.0)
+    assert ours[:3] == (None, None, -1)
+    assert ours[3] == ci._NO_INITIAL_STEP
+    assert calls == [0.0]
+    # a zero atol with no zero component steps as solve_ivp does
+    args = (fun, (0.0, 1.0), np.array([1.0, 0.5]), np.linspace(0.0, 1.0, 5),
+            1e-10, 0.0)
+    ours, ref = ci._dop853(*args), solve_ivp_dop853(*args)
+    assert ours[2] == ref[2] == 0
+    assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
+
+
+def test_circle_right_hand_side_computes_no_r4_or_weyl(monkeypatch):
+    """R_abcd and the Weyl tensor are computed when read, and neither the
+    circle equation nor the output points of an integration read them."""
+    packs = []
+    pack = ci.curvature_pack
+
+    def kept(*args, **kwargs):
+        packs.append(pack(*args, **kwargs))
+        return packs[-1]
+
+    monkeypatch.setattr(ci, "curvature_pack", kept)
+    geo = geolib.sphere(3)
+    st = ci.CurveState([0.1, 0.2, -0.1], [0.5, 0.2, 0.1], [0.1, -0.3, 0.2])
+    ci.conformal_circle_rhs(geo, st)
+    ci.integrate_circle(geo, st, (0.0, 0.5), num=5, chart_bound=100.0)
+    assert len(packs) > 1 + 5
+    for pk in packs:
+        assert pk.P is not None
+        assert "R4" not in vars(pk) and "W4" not in vars(pk)

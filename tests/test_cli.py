@@ -781,6 +781,7 @@ VALIDATOR_TABLE = [
     _cfg(tolerances={"classify": 1e-6}),
     _cfg(tolerances={"classify": "x", "rtol": None, "atol": [1]}),
     _cfg(tolerances={"atol": -1e-12}),
+    _cfg(tolerances={"rtol": 0}), _cfg(tolerances={"rtol": -1e-8}),
     # circle: enum with null, the nested object initial, arrays
     _cfg(circle={"preset": "flat-circle", "t_span": [0, 10], "num": 5}),
     _cfg(circle={"preset": None,
@@ -860,6 +861,32 @@ def test_negative_atol_exit4(capsys):
     assert captured.out == ""
     assert "-1 is less than the minimum of 0" in captured.err
     assert cli._schema_messages(_cfg(tolerances={"atol": 0})) == []
+
+
+@pytest.mark.parametrize("rtol", [0, -1])
+def test_nonpositive_rtol_exit4(capsys, rtol):
+    """A relative tolerance at or below 0 is a config error, not a warning
+    and a clamped run."""
+    assert cli.main(["circle", "-s", 'circle={"preset":"flat-circle"}',
+                     "-s", f'tolerances={{"rtol":{rtol}}}']) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{rtol} is less than or equal to the minimum of 0"
+            in captured.err)
+
+
+def test_zero_atol_on_a_zero_state_component_exit2(capsys):
+    """atol = 0 on the flat circle, whose state has zero components, has
+    no finite initial step: a numerical failure (exit 2) that names the
+    stage, not a run that never ends."""
+    assert cli.main(["circle", "-s",
+                     'circle={"preset":"flat-circle","num":5}',
+                     "-s", 'tolerances={"atol":0}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CircleIntegrationError" in captured.err
+    assert "Initial step size is not finite" in captured.err
+    assert "stage: circle integration" in captured.err
 
 
 @pytest.mark.parametrize("text", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from test_jets import _bitwise_equal
-from oracles import (constant_scalar, random_metric,
+from oracles import (constant_scalar, pack_fields, random_metric,
                      tractor_connection_apply, volume_form)
 from tractorlab import cli, geolib
 from tractorlab.riemann import (CurvaturePack, GeometrySpec,
@@ -43,14 +43,14 @@ def test_order2_pack_is_the_order3_pack_without_its_third_jet(name, entry,
     for _ in range(2):
         x = rng.uniform(-0.3, 0.3, geo.n)
         p2, p3 = curvature_pack(geo, x, 2), curvature_pack(geo, x, 3)
-        for f in dataclasses.fields(CurvaturePack):
-            a, b = getattr(p2, f.name), getattr(p3, f.name)
-            if f.name in THIRD_ORDER_FIELDS:
+        for name in pack_fields():
+            a, b = getattr(p2, name), getattr(p3, name)
+            if name in THIRD_ORDER_FIELDS:
                 assert a is None or a is False
             elif b is None:
                 assert a is None
             else:
-                assert _bitwise_equal(a, b), f.name
+                assert _bitwise_equal(a, b), name
         assert p3.has_third == (geo.n >= 3)
 
 
@@ -58,6 +58,30 @@ def _same_field(a, b):
     if isinstance(b, np.ndarray):
         return _bitwise_equal(np.ascontiguousarray(a), b)
     return type(a) is type(b) and a == b
+
+
+# the arrays a pack computes when first read
+ON_READ = pack_fields()[len(dataclasses.fields(CurvaturePack)):]
+
+
+def _assert_row_is_pack(stacked, i, single, label=None):
+    """Row i of a pack on a stack of points is the pack ``single`` at
+    that point, every field bit for bit: through ``stacked.at(i)``, and
+    each array computed when read also as row i of the stacked array."""
+    at = stacked.at(i)
+    assert not any(name in vars(at) for name in ON_READ)
+    for name in pack_fields():
+        a, b = getattr(at, name), getattr(single, name)
+        assert (a is None and b is None) or _same_field(a, b), (label, name)
+    for name in ON_READ:
+        a, b = getattr(stacked, name), getattr(single, name)
+        assert (a is None and b is None) or _same_field(a[i], b), (label,
+                                                                   name)
+
+
+def test_on_read_fields_are_r4_and_w4():
+    """The field-walking tests see the arrays a pack computes when read."""
+    assert ON_READ == ["R4", "W4"]
 
 
 @pytest.mark.parametrize("backend", ["analytic", "fd"])
@@ -78,13 +102,10 @@ def test_point_axis_pack_is_the_stacked_per_point_packs(name, entry,
         stacked = curvature_pack(geo, X, order)
         assert stacked.g.shape == (6, geo.n, geo.n)
         for i, x in enumerate(X):
-            at, single = stacked.at(i), curvature_pack(geo, x, order)
-            assert at.has_third == single.has_third == (order == 3
-                                                        and geo.n >= 3)
-            for f in dataclasses.fields(CurvaturePack):
-                a, b = getattr(at, f.name), getattr(single, f.name)
-                assert (a is None and b is None) or _same_field(a, b), (
-                    order, f.name)
+            single = curvature_pack(geo, x, order)
+            assert stacked.at(i).has_third == single.has_third == (
+                order == 3 and geo.n >= 3)
+            _assert_row_is_pack(stacked, i, single, order)
 
 
 def test_point_axis_pack_of_a_field_whose_jets_take_one_point():
@@ -104,10 +125,7 @@ def test_point_axis_pack_of_a_field_whose_jets_take_one_point():
                 assert _bitwise_equal(a[i].copy(), b), k
     stacked = curvature_pack(geo, X, 2)
     for i, x in enumerate(X):
-        single = curvature_pack(geo, x, 2)
-        for f in dataclasses.fields(CurvaturePack):
-            a, b = getattr(stacked.at(i), f.name), getattr(single, f.name)
-            assert (a is None and b is None) or _same_field(a, b), f.name
+        _assert_row_is_pack(stacked, i, curvature_pack(geo, x, 2))
 
 
 @pytest.mark.parametrize("name,entry", CATALOG, ids=[c[0] for c in CATALOG])
@@ -128,10 +146,7 @@ def test_rescaled_metric_jets_are_its_rows(name, entry):
                     assert _bitwise_equal(a[i].copy(), b), (seed, k)
         pack = curvature_pack(geo, X, 2)
         for i, x in enumerate(X):
-            single = curvature_pack(geo, x, 2)
-            for f in dataclasses.fields(CurvaturePack):
-                a, b = getattr(pack.at(i), f.name), getattr(single, f.name)
-                assert (a is None and b is None) or _same_field(a, b), f.name
+            _assert_row_is_pack(pack, i, curvature_pack(geo, x, 2), seed)
 
 
 def test_rescaled_metric_nonpositive_factor_on_any_row():

@@ -286,17 +286,21 @@ def test_sigma_field_richardson_derivative():
 # --------------------------------------------------------------------------
 
 def _assert_same_fields(a, b):
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
+    """Every field of two submanifold packs, and of their curvature packs
+    (with the arrays those compute when read), equal."""
+    names = (oracles.pack_fields() if isinstance(a, CurvaturePack)
+             else [f.name for f in dataclasses.fields(a)])
+    for name in names:
+        va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, np.ndarray):
-            assert np.array_equal(va, vb), f.name
+            assert np.array_equal(va, vb), name
         elif isinstance(va, CurvaturePack):
             _assert_same_fields(va, vb)
-        elif f.name == "intrinsic":
+        elif name == "intrinsic":
             assert (va.n, va.orientation) == (vb.n, vb.orientation)
             assert np.array_equal(va.metric.value(a.q), vb.metric.value(b.q))
         else:
-            assert va == vb, f.name
+            assert va == vb, name
 
 
 # (geometry, its params, embedding, FD backend): m = 1, 2, 3 and one FD case
@@ -338,6 +342,20 @@ def test_memoised_pack_arrays_are_read_only():
         pk.pack.Gamma[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         pk.q[0] = 0.0
+
+
+def test_on_read_arrays_of_a_memoised_pack_are_read_only():
+    """R_abcd and the Weyl tensor, computed when first read, are read-only
+    like the rest of a memoised pack, and read again are the same array."""
+    geo = geolib.s2s2()
+    emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
+    pk = submanifold_pack(geo, emb, np.array([0.1, 0.2])).pack
+    assert "R4" not in vars(pk) and "W4" not in vars(pk)
+    for name in ("W4", "R4"):
+        arr = getattr(pk, name)
+        assert getattr(pk, name) is arr
+        with pytest.raises(ValueError):
+            arr[0, 1, 0, 1] = 1.0
 
 
 def test_memo_is_freed_with_the_embedding():
@@ -1010,12 +1028,12 @@ def test_context_jets_are_the_evaluated_ones(name, ename, fd):
     sub = ctx.sub
     for k in (2, 3):
         got, want = ctx.intrinsic_pack(k), curvature_pack(sub.intrinsic, q, k)
-        for f in dataclasses.fields(CurvaturePack):
-            a, b = getattr(got, f.name), getattr(want, f.name)
+        for name in oracles.pack_fields():
+            a, b = getattr(got, name), getattr(want, name)
             if isinstance(b, np.ndarray):
-                assert _bitwise_equal(a, b), (k, f.name)
+                assert _bitwise_equal(a, b), (k, name)
             else:
-                assert type(a) is type(b) and a == b, (k, f.name)
+                assert type(a) is type(b) and a == b, (k, name)
     if emb.m >= 3:
         J = ctx.jets_along()
         ref = partials_along(sub, emb.phi.jets(q, 3))

@@ -1,10 +1,13 @@
 """Tensor values, (anti)symmetrisers, slot pairing and differentiation
 backend tests."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oracles import moveaxis_alt_array, moveaxis_sym_array
+from test_jets import _bitwise_equal
 from tractorlab import tractor as tr
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
                                 TensorValue, alt_array, central_diff,
@@ -103,6 +106,23 @@ def test_alt_after_sym_vanishes():
     T = rng.standard_normal((3, 3, 3))
     out = alt_array(sym_array(T, (0, 1)), (0, 1))
     assert np.abs(out).max() < 1e-14
+
+
+def test_alt_and_sym_are_the_moveaxis_loops():
+    """alt_array and sym_array, from cached transposes, are bitwise the
+    loop of np.moveaxis over the permutations, for ranks 1-5 and every
+    ordered subset of axes (unsorted and negative ones too)."""
+    rng = np.random.default_rng(5)
+    for rank in range(1, 6):
+        T = rng.standard_normal((3,) * rank)
+        subsets = [None] + [
+            axes for k in range(1, rank + 1)
+            for axes in itertools.permutations(range(rank), k)]
+        for axes in subsets + [tuple(a - rank for a in range(rank))]:
+            assert _bitwise_equal(alt_array(T, axes),
+                                  moveaxis_alt_array(T, axes)), axes
+            assert _bitwise_equal(sym_array(T, axes),
+                                  moveaxis_sym_array(T, axes)), axes
 
 
 def test_tractor_pairing_swaps_sigma_rho():
