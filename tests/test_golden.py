@@ -28,7 +28,7 @@ def _mutated(entry, edit):
 
 def test_corpus_is_the_generated_command_list():
     assert [c["argv"] for c in CORPUS["commands"]] == golden.commands()
-    assert len(CORPUS["commands"]) == 142
+    assert len(CORPUS["commands"]) == 144
     assert 0 <= CORPUS["rtol"] < 1e-6
 
 

@@ -13,7 +13,7 @@ that writes a CSV, the CSV's row count and SHA-256, to
 ``tests/golden/corpus.json``.  The commands are rounds 0 and 1 of the three
 benchmark workloads at seeds 1 and 2 (their argv as
 ``perfbench/workloads.py`` generates them), the scans in ``SCANS`` and the
-reports in ``REPORTS``.
+reports and residuals in ``CONTEXTS``.
 A CSV path is stored as ``{out}/<name>`` and written under a temporary
 directory when the command runs.
 
@@ -65,11 +65,17 @@ SCANS = [
     ("euclidean", {"n": 3}, "dilation", {"n": 3}, 11),
 ]
 
-# Reports beyond the workloads': an m = 3 graph in flat 5-space, whose normal
-# tractor bundle is curved (the workloads' m = 3 reports have flat ones).
-REPORTS = [
-    ("euclidean", {"n": 5}, "graph", {"n": 5, "m": 3, "seed": 0},
-     [0.1, -0.2, 0.15]),
+# Context commands beyond the workloads': a report on an m = 3 graph in flat
+# 5-space, whose normal tractor bundle is curved (the workloads' m = 3
+# reports have flat ones); a report that draws its sample points; and the
+# residuals of s2xs1 in s2xs1xr at the point CI bounds, whose tractor
+# Gauss-Codazzi-Ricci residuals read the tractor curvature.
+CONTEXTS = [
+    ("report", "euclidean", {"n": 5}, "graph", {"n": 5, "m": 3, "seed": 0},
+     {"points": [[0.1, -0.2, 0.15]]}),
+    ("report", "cp2", None, "cp1", None, {"count": 4}),
+    ("residuals", "s2xs1xr", None, "s2xs1", None,
+     {"points": [[0.2, -0.3, 0.1]]}),
 ]
 
 
@@ -92,11 +98,11 @@ def commands():
                     "-s", "geometry=" + json.dumps(_spec(geo, gparams)),
                     "-s", "scan=" + json.dumps({"ky": _spec(ky, kparams),
                                                 "grid": grid})])
-    for geo, gparams, emb, eparams, point in REPORTS:
-        out.append(["report",
+    for command, geo, gparams, emb, eparams, samples in CONTEXTS:
+        out.append([command,
                     "-s", "geometry=" + json.dumps(_spec(geo, gparams)),
                     "-s", "embedding=" + json.dumps(_spec(emb, eparams)),
-                    "-s", "samples=" + json.dumps({"points": [point]})])
+                    "-s", "samples=" + json.dumps(samples)])
     return out
 
 
