@@ -1,11 +1,10 @@
 """Numerical conformal geometry: tractor calculus for embedded submanifolds,
 conformal circles and first integrals, at desk scale."""
 
-from .tensors import ArrayField, DiffBackend, FieldHandle, Index, TensorValue
+from .tensors import ArrayField, DiffBackend, Index
 from .riemann import CurvaturePack, GeometrySpec, curvature_pack, rescale
-from .tractor import (TractorFormObject, TractorObject, hodge_star,
-                      parallel_transport, scale_tractor, thomas_D,
-                      tractor_curvature, tractor_volume_form)
+from .tractor import (hodge_star, parallel_transport, scale_tractor,
+                      thomas_D, tractor_curvature, tractor_volume_form)
 from .submanifold import EmbeddingSpec, SubmanifoldPack, submanifold_pack
 from .subtractor import (ClassificationReport, SubTractorContext, classify,
                          gauss_codazzi_ricci_residuals,

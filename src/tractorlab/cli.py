@@ -30,8 +30,7 @@ import numpy as np
 
 from . import circles, firstint, geolib, riemann, subtractor
 from . import tractor as tr
-from .tensors import (FD, ArrayField, DiffBackend, NumericalError,
-                      TensorValue, stage, tractor_down)
+from .tensors import FD, ArrayField, DiffBackend, NumericalError, stage
 
 SCHEMA = {
     "type": "object",
@@ -420,6 +419,12 @@ def _report_row(row, ctx):
 def _circle_preset(cfg):
     circ = cfg.get("circle", {})
     preset = circ.get("preset")
+    for key, given in (("circle.initial", "initial" in circ),
+                       ("geometry", "geometry" in cfg)):
+        if preset is not None and given:
+            raise ConfigError(f"circle.preset {preset!r} sets its own "
+                              f"geometry and initial state: {key} cannot "
+                              "be given with it")
     if preset == "flat-circle":
         geo = geolib.euclidean(3)
         st = circles.CurveState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
@@ -449,9 +454,7 @@ def _rotation_monitor(kspec):
     sigma/rho flip, on each of Phi's three axes, whatever the metric."""
     def monitor(geo, state, pack):
         K = firstint._split_components(geo, kspec, state.x, pack)
-        ixs = tuple(tractor_down(geo.n) for _ in range(kspec.degree))
-        F = tr.TractorFormObject(TensorValue(K, ixs, 0), geo)
-        starK = tr.hodge_star(F, state.x, pack=pack).data
+        starK = tr.hodge_star(geo, K, state.x, pack=pack)
         _, _, acc = circles.curve_tractors(geo, state, pack=pack)
         for ax in range(3):
             acc = tr.pair_flip(acc, ax)

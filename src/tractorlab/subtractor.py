@@ -55,9 +55,9 @@ from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
                           SubmanifoldPack, covariant_partial, einsum_jet1,
                           normal_curvature, partials_along, pullback_metric,
                           submanifold_pack)
-from .tensors import (FieldHandle, middle_block, pairing_matrix, stage,
-                      tangent_down, tangent_up, tractor_down,
-                      tractor_metric_matrix, tractor_up)
+from .tensors import (middle_block, pairing_matrix, stage, tangent_down,
+                      tangent_up, tractor_down, tractor_metric_matrix,
+                      tractor_up)
 from . import tractor as tr
 
 __all__ = ["SubTractorContext", "ClassificationReport", "classify",
@@ -714,7 +714,7 @@ def intrinsic_tractor_curvature(ctx: SubTractorContext):
     if m < 3:
         raise ValueError("intrinsic tractor curvature needs m >= 3")
     return tr.tractor_curvature(ctx.sub.intrinsic, ctx.q,
-                                pack=ctx.intrinsic_pack(order=3)).data
+                                pack=ctx.intrinsic_pack(order=3))
 
 
 def _intrinsic_D_of_S(ctx: SubTractorContext):
@@ -800,8 +800,7 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
     HupS = tractor_metric_matrix(sub.gi_s)
     Q = ctx.pull_down()
 
-    Om_amb = tr.tractor_curvature(ctx.geo, sub.x,
-                                  pack=ctx.ambient_pack3()).data
+    Om_amb = tr.tractor_curvature(ctx.geo, sub.x, pack=ctx.ambient_pack3())
     Om_tt = _chain_einsum("abCD,ai,bj->ijCD", Om_amb, sub.dphi, sub.dphi)
 
     # --- Gauss ---
@@ -875,8 +874,7 @@ def transformation_residuals(ctx: SubTractorContext, ctx2: SubTractorContext,
     H_pred = w ** (-2) * (sub.H - Nups)
 
     I_g = tr.make_tractor(n, sigma=1.0, rho=-pk.J / n)
-    I_h = tr.thomas_D(ctx2.geo, FieldHandle(omega, (), 1), 1, x,
-                      pack=pkh).data / n
+    I_h = tr.thomas_D(ctx2.geo, omega, (), 1, x, pack=pkh) / n
     M = tr.rescale_triple_matrix(pk, ups)
     predI = tr.rescale_component_weights(
         w, tr.slot_weights(n, "down")) * (M @ I_g)

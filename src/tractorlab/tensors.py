@@ -1,13 +1,16 @@
-"""Chart-based tensor values, slot matrices, (anti)symmetrisers and
-differentiation backends.
+"""Index kinds, the checks on tensor components, slot matrices,
+(anti)symmetrisers and differentiation backends.
 
-Tensors are dense numpy arrays tagged with per-axis index metadata (kind,
-variance, dimension) and an integer conformal weight; index work is done
-with ``np.einsum`` on the arrays.  Tractor indices use the slot order
-(sigma, mu_1..mu_n, rho) for both variances; contracting an up tractor
-index with a down one therefore goes through the constant pairing matrix
-that swaps the sigma and rho slots (implemented as an axis flip,
-``tractor.pair_flip``).
+Tensors are dense numpy arrays of components in a chart, one axis per
+index; a function that needs the kind of each axis takes a tuple of
+``Index`` (kind, variance, dimension) beside the array.  ``check_shape``,
+``check_finite`` and ``check_form`` raise a ``TensorError`` on components
+that do not fit their indices, are not finite or do not make an
+antisymmetric form.  Index work is done with ``np.einsum`` on the arrays.
+Tractor indices use the slot order (sigma, mu_1..mu_n, rho) for both
+variances; contracting an up tractor index with a down one therefore goes
+through the constant pairing matrix that swaps the sigma and rho slots
+(implemented as an axis flip, ``tractor.pair_flip``).
 
 Every field's ``jets(x, order)`` takes a point or a stack of points of
 shape (p, n), whose jets carry a leading point axis.  ``ArrayField``
@@ -29,10 +32,10 @@ UP = "up"
 DOWN = "down"
 
 __all__ = [
-    "NumericalError", "set_stage", "stage", "Index", "TensorValue",
-    "DiffBackend", "ArrayField", "FieldHandle", "tangent_up", "tangent_down",
-    "tractor_up", "tractor_down", "pairing_matrix", "tractor_metric_matrix",
-    "middle_block", "on_axes", "central_diff",
+    "NumericalError", "set_stage", "stage", "Index", "check_shape",
+    "check_finite", "check_form", "DiffBackend", "ArrayField", "tangent_up",
+    "tangent_down", "tractor_up", "tractor_down", "pairing_matrix",
+    "tractor_metric_matrix", "middle_block", "on_axes", "central_diff",
 ]
 
 
@@ -97,53 +100,35 @@ def tractor_down(n):
     return Index(TRACTOR, DOWN, n + 2)
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    data: np.ndarray
-    indices: tuple = ()
-    weight: int = 0
+def check_shape(data, indices):
+    """Raise a ``TensorError`` unless the shape of ``data`` is the
+    dimensions of ``indices``."""
+    dims = tuple(ix.dim for ix in indices)
+    if np.shape(data) != dims:
+        raise TensorError(
+            f"shape {np.shape(data)} does not match indices {dims}")
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if data.shape != tuple(ix.dim for ix in self.indices):
-            raise TensorError(
-                f"shape {data.shape} does not match indices "
-                f"{tuple(ix.dim for ix in self.indices)}")
-        if not np.all(np.isfinite(data)):
-            raise TensorError("non-finite tensor components")
 
-    @property
-    def rank(self):
-        return len(self.indices)
+def check_finite(data):
+    """``data``, once every component is checked finite (a ``TensorError``
+    otherwise)."""
+    if not np.all(np.isfinite(data)):
+        raise TensorError("non-finite tensor components")
+    return data
 
-    def __add__(self, other):
-        if self.indices != other.indices or self.weight != other.weight:
-            raise TensorError("incompatible tensors in addition")
-        return TensorValue(self.data + other.data, self.indices, self.weight)
 
-    def __sub__(self, other):
-        if self.indices != other.indices or self.weight != other.weight:
-            raise TensorError("incompatible tensors in subtraction")
-        return TensorValue(self.data - other.data, self.indices, self.weight)
-
-    def __mul__(self, scalar):
-        return TensorValue(self.data * float(scalar), self.indices, self.weight)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TensorValue(-self.data, self.indices, self.weight)
-
-    def is_antisymmetric(self):
-        """Antisymmetric under each swap of adjacent indices, to 1e-12 of
-        the largest component (or of 1)."""
-        worst = 0.0
-        for i in range(self.rank - 1):
-            worst = max(worst, float(np.abs(
-                np.swapaxes(self.data, i, i + 1) + self.data).max()))
-        return worst <= 1e-12 * max(1.0, float(np.abs(self.data).max()))
+def check_form(data):
+    """``data``, once checked finite and antisymmetric under each swap of
+    adjacent axes to 1e-12 of its largest component (or of 1); a
+    ``TensorError`` otherwise."""
+    check_finite(data)
+    worst = 0.0
+    for i in range(data.ndim - 1):
+        worst = max(worst, float(np.abs(
+            np.swapaxes(data, i, i + 1) + data).max()))
+    if worst > 1e-12 * max(1.0, float(np.abs(data).max())):
+        raise TensorError("tractor form is not antisymmetric")
+    return data
 
 
 def pairing_matrix(n):
@@ -444,14 +429,3 @@ def _fd2(vals, n, h):
             d2[..., b, a] = mixed
             k += 4
     return d2
-
-
-@dataclass
-class FieldHandle:
-    """A tensor-valued field: evaluation plus derivative access."""
-    field: ArrayField
-    indices: tuple = ()
-    weight: int = 0
-
-    def __call__(self, x) -> TensorValue:
-        return TensorValue(self.field.value(x), self.indices, self.weight)

@@ -1,9 +1,12 @@
 """Standard tractor bundle in a chosen scale.
 
-A rank n+2 tractor index uses slots (sigma, mu_1..mu_n, rho) for both
-variances.  Raising/lowering acts blockwise (identity on sigma/rho, metric on
-the middle block: tensors.middle_block); contraction of an up/down pair
-inserts the invariant pairing J that swaps sigma and rho (``pair_flip``;
+Tractors are numpy arrays of their components in the splitting of the
+working scale, one axis per index; where the kind of each axis matters it
+comes in as a tuple of ``tensors.Index``.  A rank n+2 tractor index uses
+slots (sigma, mu_1..mu_n, rho) for both variances.  Raising/lowering acts
+blockwise (identity on sigma/rho, metric on the middle block:
+tensors.middle_block); contraction of an up/down pair inserts the
+invariant pairing J that swaps sigma and rho (``pair_flip``;
 ``tensors.pairing_matrix`` is its matrix).
 
 ``covariant_jet`` applies the connection (Levi-Civita on tangent indices,
@@ -15,21 +18,18 @@ first derivative, serve only tests and live in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensors
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       levi_civita_symbol)
-from .tensors import (FieldHandle, Index, TensorValue, alt_array,
-                      middle_block, on_axes, tractor_down, tractor_up,
-                      tangent_down)
+from .tensors import (Index, alt_array, check_finite, check_form,
+                      check_shape, middle_block, on_axes, tractor_down)
 
 __all__ = [
-    "TractorObject", "TractorFormObject", "thomas_D", "scale_tractor",
-    "tractor_curvature", "tractor_volume_form", "hodge_star",
-    "parallel_transport", "rescale_triple_matrix",
+    "thomas_D", "scale_tractor", "tractor_curvature", "tractor_volume_form",
+    "hodge_star", "parallel_transport", "rescale_triple_matrix",
 ]
 
 
@@ -40,39 +40,6 @@ class MobiusStructureError(tensors.NumericalError, RuntimeError):
 
 class TransportDivergedError(tensors.NumericalError, RuntimeError):
     """Parallel transport produced non-finite components."""
-
-
-@dataclass(frozen=True)
-class TractorObject:
-    """Tractor tensor components in the splitting of a recorded scale."""
-    value: TensorValue
-    geo: GeometrySpec
-
-    @property
-    def data(self):
-        return self.value.data
-
-    @property
-    def indices(self):
-        return self.value.indices
-
-
-@dataclass(frozen=True)
-class TractorFormObject:
-    value: TensorValue
-    geo: GeometrySpec
-
-    def __post_init__(self):
-        if self.value.rank and not self.value.is_antisymmetric():
-            raise tensors.TensorError("tractor form is not antisymmetric")
-
-    @property
-    def data(self):
-        return self.value.data
-
-    @property
-    def degree(self):
-        return self.value.rank
 
 
 # --------------------------------------------------------------------------
@@ -250,8 +217,9 @@ def covariant_jet(conn: ConnData, jets, indices, order=1):
     return out
 
 
-def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x, pack=None):
-    """Thomas operator on a weight-w (tractor) field, in the working scale.
+def thomas_D(geo: GeometrySpec, field, indices, w, x, pack=None):
+    """Thomas operator on a weight-w (tractor) field with value axes
+    ``indices``, in the working scale.
 
     Slots: ((n+2w-2) w V, (n+2w-2) nabla_a V, -(Laplacian V + w J V)) with the
     new down tractor index leading.  ``pack`` is the curvature pack of
@@ -262,13 +230,13 @@ def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x, pack=None):
     n = geo.n
     if pack is None:
         # a tractor field's second derivative reads dP
-        tractor = any(ix.kind == tensors.TRACTOR for ix in handle.indices)
+        tractor = any(ix.kind == tensors.TRACTOR for ix in indices)
         pack = curvature_pack(geo, x, order=3 if tractor else 2)
     if pack.J is None:
         raise MobiusStructureError("Thomas operator needs a Schouten tensor")
     conn = ConnData.from_pack(pack)
-    jets = handle.field.jets(x, 2)
-    nab, nab2 = covariant_jet(conn, jets, handle.indices, order=2)
+    jets = field.jets(x, 2)
+    nab, nab2 = covariant_jet(conn, jets, indices, order=2)
     lap = np.einsum("ba,...ba->...", pack.gi, nab2)
     V = jets[0]
     c = n + 2 * w - 2
@@ -277,8 +245,8 @@ def thomas_D(geo: GeometrySpec, handle: FieldHandle, w, x, pack=None):
     out[0] = c * w * V
     out[1:n + 1] = c * np.moveaxis(nab, -1, 0)
     out[n + 1] = -(lap + w * pack.J * V)
-    ixs = (tractor_down(n),) + handle.indices
-    return TractorObject(TensorValue(out, ixs, handle.weight - 1), geo)
+    check_shape(out, (tractor_down(n),) + tuple(indices))
+    return check_finite(out)
 
 
 def scale_tractor(geo: GeometrySpec, x):
@@ -286,9 +254,7 @@ def scale_tractor(geo: GeometrySpec, x):
     pack = curvature_pack(geo, x, order=2)
     if pack.J is None:
         raise MobiusStructureError("scale tractor needs a Schouten tensor")
-    n = geo.n
-    comp = make_tractor(n, sigma=1.0, rho=-pack.J / n)
-    return TractorObject(TensorValue(comp, (tractor_up(n),), 0), geo)
+    return make_tractor(geo.n, sigma=1.0, rho=-pack.J / geo.n)
 
 
 def tractor_curvature(geo: GeometrySpec, x, pack=None):
@@ -312,8 +278,7 @@ def tractor_curvature(geo: GeometrySpec, x, pack=None):
     C = pack.Cotton
     Om[:, :, n + 1, 1:n + 1] -= C
     Om[:, :, 1:n + 1, n + 1] += C
-    ixs = (tangent_down(n), tangent_down(n), tractor_down(n), tractor_down(n))
-    return TractorObject(TensorValue(Om, ixs, 0), geo)
+    return check_finite(Om)
 
 
 # --------------------------------------------------------------------------
@@ -351,30 +316,27 @@ def tractor_volume_form(geo: GeometrySpec, x, pack=None):
     pack = pack if pack is not None else curvature_pack(geo, x, order=2)
     n = geo.n
     lam = (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
-    data = lam * levi_civita_symbol(n + 2)
-    ixs = tuple(tractor_down(n) for _ in range(n + 2))
-    return TractorFormObject(TensorValue(data, ixs, 0), geo)
+    return check_form(lam * levi_civita_symbol(n + 2))
 
 
-def hodge_star(F: TractorFormObject, x, pack=None):
-    """Tractor Hodge star at chart point x: degree k -> degree n+2-k.
+def hodge_star(geo: GeometrySpec, F, x, pack=None):
+    """Tractor Hodge star at chart point x of a tractor form F with every
+    index down: degree k = F.ndim -> degree n+2-k, indices down.
 
-    ``pack`` is an order-2 curvature pack of ``F.geo`` at x, built when
+    ``pack`` is an order-2 curvature pack of ``geo`` at x, built when
     None."""
-    geo = F.geo
+    check_form(F)
     x = np.asarray(x, dtype=float)
     pack = pack if pack is not None else curvature_pack(geo, x, order=2)
-    n = geo.n
-    k = F.degree
-    eps = tractor_volume_form(geo, x, pack=pack).data
+    k = F.ndim
+    eps = tractor_volume_form(geo, x, pack=pack)
     eps = on_axes(middle_block(pack.gi), eps, range(k))
-    Fd = F.data
+    Fd = F
     for ax in range(k):
         Fd = pair_flip(Fd, ax)
     out = np.tensordot(Fd, eps, axes=(list(range(k)), list(range(k))))
     out /= math.factorial(k)
-    ixs = tuple(tractor_down(n) for _ in range(n + 2 - k))
-    return TractorFormObject(TensorValue(out, ixs, F.value.weight), geo)
+    return check_form(out)
 
 
 def wedge(a, b):
@@ -388,15 +350,16 @@ def wedge(a, b):
 # parallel transport
 # --------------------------------------------------------------------------
 
-def parallel_transport(geo: GeometrySpec, curve, T0: TractorObject,
+def parallel_transport(geo: GeometrySpec, curve, T0, indices,
                        t0=0.0, t1=1.0, steps=200):
-    """Transport T0 along ``curve(t)`` by solving nabla_u T = 0 with RK4.
+    """Transport the components T0, with index axes ``indices``, along
+    ``curve(t)`` by solving nabla_u T = 0 with RK4.
 
     ``curve`` must be callable; velocities are obtained by central
     differences of the curve at the RK stage times.
     """
-    comp = np.array(T0.data, dtype=float)
-    idxs = T0.indices
+    check_shape(T0, indices)
+    comp = np.array(T0, dtype=float)
     h = (t1 - t0) / steps
     dt = 1e-6 * max(1.0, abs(t1 - t0))
 
@@ -409,7 +372,7 @@ def parallel_transport(geo: GeometrySpec, curve, T0: TractorObject,
         # dT/dt = -u^a (connection terms of nabla_a T): the covariant
         # derivative of T with a vanishing partial
         nab = covariant_jet(ConnData.from_pack(pack),
-                            [T, np.zeros(T.shape + (geo.n,))], idxs)[0]
+                            [T, np.zeros(T.shape + (geo.n,))], indices)[0]
         return -(nab @ velocity(t))
 
     t = t0
@@ -422,7 +385,7 @@ def parallel_transport(geo: GeometrySpec, curve, T0: TractorObject,
         t += h
         if not np.all(np.isfinite(comp)):
             raise TransportDivergedError("parallel transport diverged")
-    return TractorObject(TensorValue(comp, idxs, T0.value.weight), geo)
+    return comp
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ The (anti)symmetrisers as the loop of ``np.moveaxis`` over
 The oriented volume form of a curvature pack (``volume_form``), the
 tractor connection applied to a field from its 1-jet
 (``tractor_connection_apply``), the tractor volume form as a field with an
-analytic first derivative (``tractor_volume_form_field``), on which the
+analytic first derivative (``TractorVolumeFormField``), on which the
 1e-8 bound of ``test_volume_form_parallel`` rests, and the closed form of
 u^d nabla_d Phi along a curve (``phi_derivative``).
 
@@ -56,11 +56,10 @@ from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
 from tractorlab.submanifold import SigmaConn, normal_frame, submanifold_pack
 from tractorlab.subtractor import SubTractorContext, tractor_conormal_rows
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
-                                FieldHandle, JetOrderError, TensorValue,
-                                _perm_sign, alt_array, central_diff,
-                                middle_block,
-                                pairing_matrix, tangent_down, tangent_up,
-                                tractor_down, tractor_up)
+                                JetOrderError, _perm_sign, alt_array,
+                                central_diff, middle_block, pairing_matrix,
+                                tangent_down, tangent_up, tractor_down,
+                                tractor_up)
 
 
 def stencil_normal_curvature(geo, emb, sub, frames, index, order):
@@ -235,10 +234,7 @@ def M_operator(ctx, omega_builder):
 
 def star_normal_form(ctx):
     """The tractor Hodge dual of the context's normal form."""
-    ixs = tuple(tractor_down(ctx.n) for _ in range(ctx.d))
-    F = tr.TractorFormObject(TensorValue(ctx.normal_form(), ixs, 0),
-                             ctx.geo)
-    return tr.hodge_star(F, ctx.sub.x).data
+    return tr.hodge_star(ctx.geo, ctx.normal_form(), ctx.sub.x)
 
 
 def nabla_normal_form(ctx):
@@ -255,23 +251,20 @@ def nabla_star_normal_form(ctx):
 # tractor fields and curve tractors
 # --------------------------------------------------------------------------
 
-def tractor_connection_apply(geo, handle, x):
-    """Coupled tractor-Levi-Civita derivative of a tractor tensor field.
-
-    Returns a TractorObject with one extra trailing down tangent index.
-    """
+def tractor_connection_apply(geo, field, indices, x):
+    """Coupled tractor-Levi-Civita derivative of a tractor tensor field
+    whose value axes are ``indices``: the components with one extra
+    trailing down tangent index."""
     x = np.asarray(x, dtype=float)
     pack = curvature_pack(geo, x, order=2)
     conn = tr.ConnData.from_pack(pack)
-    jets = handle.field.jets(x, 1)
-    nab = tr.covariant_jet(conn, jets, handle.indices, order=1)[0]
-    ixs = handle.indices + (tangent_down(geo.n),)
-    return tr.TractorObject(TensorValue(nab, ixs, handle.weight), geo)
+    return tr.covariant_jet(conn, field.jets(x, 1), indices, order=1)[0]
 
 
-class _VolumeFormField(ArrayField):
-    """The tractor volume form as a field, with the analytic first
-    derivative d_a sqrt(det g) = 1/2 sqrt(det g) g^{bc} d_a g_bc."""
+class TractorVolumeFormField(ArrayField):
+    """The tractor volume form as a field, every index down, with the
+    analytic first derivative d_a sqrt(det g) = 1/2 sqrt(det g) g^{bc} d_a
+    g_bc."""
 
     def __init__(self, geo):
         self.geo = geo
@@ -298,13 +291,6 @@ def volume_form(pack):
     at one point."""
     lam = math.sqrt(pack.detg) * pack.orientation
     return lam * levi_civita_symbol(pack.n)
-
-
-def tractor_volume_form_field(geo):
-    """Volume-form field with an analytic first derivative."""
-    n = geo.n
-    return FieldHandle(_VolumeFormField(geo),
-                       tuple(tractor_down(n) for _ in range(n + 2)), 0)
 
 
 def phi_derivative(geo, state, cov_da=None):

@@ -205,16 +205,11 @@ def test_criterion_7_flat_circle():
             phi_derivative(geo3, traj3.state(k))).max()))
 
     # rotation-generated first integrals along the length-10 circle
-    from tractorlab.tensors import TensorValue, tractor_down
-
     def monitor(i, j):
         def f(geo_, state, _pack):
             K = fi._split_components(geo_, geolib.rotation_form(3, i, j),
                                      state.x)
-            ixs = tuple(tractor_down(3) for _ in range(2))
-            starK = tr.hodge_star(
-                tr.TractorFormObject(TensorValue(K, ixs, 0), geo_),
-                state.x).data
+            starK = tr.hodge_star(geo_, K, state.x)
             # star K carries down tractor indices and Phi up ones: they
             # pair through J, the sigma/rho flip, on each of Phi's axes
             _, _, acc = ci.curve_tractors(geo_, state)
@@ -340,7 +335,7 @@ def test_criterion_10_conformal_invariance():
 
 def _law_residuals(geo, emb, om, q):
     from tractorlab.subtractor import transformation_residuals
-    from tractorlab.tensors import FieldHandle, ArrayField, DiffBackend
+    from tractorlab.tensors import ArrayField, DiffBackend
     sub = submanifold_pack(geo, emb, q)
     x = sub.x
     geoh, upsilon = rescale(geo, om)
@@ -370,7 +365,7 @@ def _law_residuals(geo, emb, om, q):
         def jets(self, y, order):
             return om.jets(y, order)
 
-    I_h = tr.thomas_D(geoh, FieldHandle(_Om(), (), 1), 1, x).data / geo.n
+    I_h = tr.thomas_D(geoh, _Om(), (), 1, x) / geo.n
     M = tr.rescale_triple_matrix(pk, ups)
     w0 = float(om.value(x))
     predI = tr.rescale_component_weights(

@@ -135,9 +135,10 @@ def test_circle_preset_sphere():
     '{"preset":"sphere-great-circle","t_span":[2,2]}'])
 def test_circle_zero_length_span_exit4(capsys, circle):
     """A span with equal endpoints is a config error, custom or preset,
-    not a traceback."""
-    argv = ["circle", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
-            "-s", f"circle={circle}"]
+    not a traceback.  A preset brings its own geometry."""
+    geometry = ([] if "preset" in circle else
+                ["-s", 'geometry={"name":"euclidean","params":{"n":3}}'])
+    argv = ["circle"] + geometry + ["-s", f"circle={circle}"]
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -850,6 +851,23 @@ def test_integral_float_for_an_integer_key_exit4(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not of type 'integer'" in captured.err
+
+
+@pytest.mark.parametrize("key,extra", [
+    ("circle.initial", ["-s", 'circle={"preset":"flat-circle","num":3,'
+                        '"initial":{"x":[0.1,0.2],"u":[1,0.5],'
+                        '"a":[0.2,0.3]}}']),
+    ("geometry", ["-s", 'circle={"preset":"flat-circle","num":3}',
+                  "-s", 'geometry={"name":"sphere","params":{"n":4}}']),
+], ids=["initial", "geometry"])
+def test_circle_preset_with_initial_or_geometry_exit4(capsys, key, extra):
+    """A preset fixes the geometry and the initial state, so giving either
+    as well is a config error, not a run of the preset that ignores it."""
+    assert cli.main(["circle"] + extra) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"circle.preset 'flat-circle' sets its own geometry and "
+            f"initial state: {key} cannot be given with it") in captured.err
 
 
 def test_negative_atol_exit4(capsys):

@@ -13,8 +13,7 @@ from tractorlab.riemann import curvature_pack
 from tractorlab.submanifold import EmbeddingSpec
 from tractorlab.subtractor import SubTractorContext
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
-                                TensorValue, middle_block, pairing_matrix,
-                                tangent_down, tractor_down)
+                                middle_block, pairing_matrix, tangent_down)
 from test_jets import _bitwise_equal
 
 
@@ -165,9 +164,7 @@ def test_conservation_along_flat_circles():
         def f(geo_, state, _pack):
             spec = geolib.rotation_form(3, i, j)
             split = fi.bgg_split(geo_, spec, state.x)
-            ixs = tuple(tractor_down(3) for _ in range(2))
-            F = tr.TractorFormObject(TensorValue(split.K, ixs, 0), geo_)
-            starK = tr.hodge_star(F, state.x).data
+            starK = tr.hodge_star(geo_, split.K, state.x)
             # star K carries down tractor indices and Phi up ones: they
             # pair through J, the sigma/rho flip, on each of Phi's axes
             _, _, acc = ci.curve_tractors(geo_, state)

@@ -1,17 +1,19 @@
-"""Tensor values, (anti)symmetrisers, slot pairing and differentiation
+"""Component checks, (anti)symmetrisers, slot pairing and differentiation
 backend tests."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oracles import moveaxis_alt_array, moveaxis_sym_array
 from test_jets import _bitwise_equal
+from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
-                                TensorValue, alt_array, central_diff,
-                                sym_array, tangent_down)
+                                TensorError, alt_array, central_diff,
+                                sym_array)
 
 
 def test_jet_constant_field():
@@ -133,11 +135,33 @@ def test_tractor_pairing_swaps_sigma_rho():
     assert out == pytest.approx(5.0)
 
 
-def test_symmetry_flags():
-    anti = np.zeros((3, 3))
-    anti[0, 1], anti[1, 0] = 1.0, -1.0
-    t = TensorValue(anti, (tangent_down(3), tangent_down(3)))
-    assert t.is_antisymmetric()
+def _star(F):
+    return tr.hodge_star(geolib.sphere(3), F, np.array([0.2, -0.1, 0.3]))
+
+
+def _infinite_form():
+    F = np.zeros((5, 5))
+    F[0, 1], F[1, 0] = np.inf, -np.inf
+    return F
+
+
+def _thomas_of_a_vector_as_a_scalar():
+    field = ArrayField(lambda y: np.ones(3))
+    return tr.thomas_D(geolib.euclidean(3), field, (), 1, np.zeros(3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _star(_infinite_form()), "non-finite tensor components"),
+    (lambda: _star(np.triu(np.ones((5, 5)))),
+     "tractor form is not antisymmetric"),
+    (_thomas_of_a_vector_as_a_scalar,
+     "shape (5, 3) does not match indices (5,)"),
+], ids=["nonfinite-form", "nonantisymmetric-form", "shape-against-indices"])
+def test_component_checks_raise_tensor_error(call, message):
+    """The Hodge star takes finite antisymmetric forms only, and the Thomas
+    operator's components must fit the field's indices."""
+    with pytest.raises(TensorError, match=re.escape(message)):
+        call()
 
 
 def _batched(f):

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from test_jets import _bitwise_equal
-from oracles import (constant_scalar, random_metric, tractor_connection_apply,
-                     tractor_volume_form_field)
+from oracles import (TractorVolumeFormField, constant_scalar, random_metric,
+                     tractor_connection_apply)
 from tractorlab import geolib
 from tractorlab import tractor as tr
 from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
-                                FieldHandle, NumericalError, TensorValue,
-                                alt_array, middle_block, tangent_down,
-                                tangent_up, tractor_down,
+                                NumericalError, alt_array, middle_block,
+                                tangent_down, tangent_up, tractor_down,
                                 tractor_metric_matrix, tractor_up)
 
 
@@ -46,18 +45,17 @@ def test_tractor_metric_blocks():
 def test_connection_flat_slot_identities():
     geo = geolib.euclidean(3)
     x = np.array([0.1, 0.2, -0.1])
-    Xf = FieldHandle(ArrayField(lambda y: tr.canonical_X(3),
-                                backend=DiffBackend()), (tractor_up(3),), 0)
-    nab = tractor_connection_apply(geo, Xf, x)
+    Xf = ArrayField(lambda y: tr.canonical_X(3), backend=DiffBackend())
+    nab = tractor_connection_apply(geo, Xf, (tractor_up(3),), x)
     expected = np.zeros((5, 3))
     expected[1:4] = np.eye(3)   # nabla_a X = Z_a
-    assert np.abs(nab.data - expected).max() < 1e-10
+    assert np.abs(nab - expected).max() < 1e-10
     # the constant sigma-slot tractor has flat derivative in the middle
     # slot only through the g rho-coupling, which vanishes when rho = 0
-    Yf = FieldHandle(ArrayField(lambda y: tr.make_tractor(3, sigma=1.0),
-                                backend=DiffBackend()), (tractor_up(3),), 0)
-    nab = tractor_connection_apply(geo, Yf, x)
-    assert np.abs(nab.data).max() < 1e-10
+    Yf = ArrayField(lambda y: tr.make_tractor(3, sigma=1.0),
+                    backend=DiffBackend())
+    nab = tractor_connection_apply(geo, Yf, (tractor_up(3),), x)
+    assert np.abs(nab).max() < 1e-10
 
 
 def test_connection_metric_preservation():
@@ -75,10 +73,9 @@ def test_connection_metric_preservation():
     def sf(y):
         return d1 + d2 @ y
 
-    T = FieldHandle(ArrayField(tf, backend=DiffBackend()), (tractor_up(3),), 0)
-    S = FieldHandle(ArrayField(sf, backend=DiffBackend()), (tractor_up(3),), 0)
-    nT = tractor_connection_apply(geo, T, x).data
-    nS = tractor_connection_apply(geo, S, x).data
+    up = (tractor_up(3),)
+    nT = tractor_connection_apply(geo, ArrayField(tf), up, x)
+    nS = tractor_connection_apply(geo, ArrayField(sf), up, x)
     h = 1e-6
     worst = 0.0
     for a in range(3):
@@ -95,11 +92,10 @@ def test_connection_metric_preservation():
 
 def test_scale_tractor_parallel_on_sphere():
     geo = geolib.sphere(4)
-    If = FieldHandle(ArrayField(lambda y: tr.scale_tractor(geo, y).data,
-                                backend=DiffBackend()), (tractor_up(4),), 0)
+    If = ArrayField(lambda y: tr.scale_tractor(geo, y), backend=DiffBackend())
     for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
-        nab = tractor_connection_apply(geo, If, x)
-        assert np.abs(nab.data).max() < 1e-6
+        nab = tractor_connection_apply(geo, If, (tractor_up(4),), x)
+        assert np.abs(nab).max() < 1e-6
 
 
 def test_scale_tractor_squared_constant():
@@ -111,24 +107,23 @@ def test_scale_tractor_squared_constant():
         x = rng.uniform(-0.5, 0.5, size=4)
         I = tr.scale_tractor(geo, x)
         dot, _, _ = _hpair(geo, x)
-        vals.append(dot(I.data, I.data))
+        vals.append(dot(I, I))
     assert max(vals) - min(vals) < 1e-6
     assert vals[0] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_thomas_d_flat_unit_density():
     geo = geolib.euclidean(4)
-    one = FieldHandle(constant_scalar(4, 1.0), (), 1)
-    D = tr.thomas_D(geo, one, 1, np.array([0.1, 0.2, 0.3, -0.1]))
-    assert np.abs(D.data / 4 - tr.make_tractor(4, sigma=1.0)).max() < 1e-12
+    D = tr.thomas_D(geo, constant_scalar(4, 1.0), (), 1,
+                    np.array([0.1, 0.2, 0.3, -0.1]))
+    assert np.abs(D / 4 - tr.make_tractor(4, sigma=1.0)).max() < 1e-12
 
 
 def test_thomas_d_sphere_unit_density():
     geo = geolib.sphere(4)
     x = np.zeros(4)
     pk = curvature_pack(geo, x)
-    one = FieldHandle(constant_scalar(4, 1.0), (), 1)
-    D = tr.thomas_D(geo, one, 1, x).data / 4
+    D = tr.thomas_D(geo, constant_scalar(4, 1.0), (), 1, x) / 4
     assert D[0] == pytest.approx(1.0)
     assert np.abs(D[1:5]).max() < 1e-9
     assert D[5] == pytest.approx(-pk.J / 4, abs=1e-9)
@@ -138,7 +133,7 @@ def test_thomas_d_sphere_unit_density():
 def test_tractor_curvature_conformally_flat():
     geo = geolib.sphere(4)
     Om = tr.tractor_curvature(geo, np.array([0.2, -0.1, 0.4, 0.25]))
-    assert np.abs(Om.data).max() < 1e-5
+    assert np.abs(Om).max() < 1e-5
 
 
 def test_tractor_curvature_commutator_oracle():
@@ -153,14 +148,12 @@ def test_tractor_curvature_commutator_oracle():
     def phif(y):
         return e1 + e2 @ y + 0.5 * np.einsum("iab,a,b->i", e3, y, y)
 
-    Phi = FieldHandle(ArrayField(phif, backend=DiffBackend()),
-                      (tractor_up(4),), 0)
     pk = curvature_pack(geo, x, order=3)
     conn = tr.ConnData.from_pack(pk)
-    jets = Phi.field.jets(x, 2)
-    _, nab2 = tr.covariant_jet(conn, jets, Phi.indices, order=2)
+    jets = ArrayField(phif).jets(x, 2)
+    _, nab2 = tr.covariant_jet(conn, jets, (tractor_up(4),), order=2)
     lhs = np.einsum("Cba->abC", nab2) - np.einsum("Cab->abC", nab2)
-    Om = tr.tractor_curvature(geo, x).data
+    Om = tr.tractor_curvature(geo, x)
     R = middle_block(pk.gi)
     Om_up = np.einsum("CE,abED->abCD", R, Om)
     rhs = np.einsum("abCD,D->abC", Om_up, tr.pair_flip(phif(x), 0))
@@ -172,7 +165,7 @@ def test_tractor_curvature_s2s2_weyl_block():
     geo = geolib.s2s2()
     x = np.array([0.15, -0.2, 0.3, 0.1])
     pk = curvature_pack(geo, x, order=3)
-    Om = tr.tractor_curvature(geo, x).data
+    Om = tr.tractor_curvature(geo, x)
     g1 = np.zeros((4, 4))
     g1[:2, :2] = pk.g[:2, :2]
     g2 = np.zeros((4, 4))
@@ -194,18 +187,16 @@ def test_hodge_star_double(k):
     x = np.array([0.2, -0.1, 0.3])
     rng = np.random.default_rng(k)
     F = alt_array(rng.standard_normal((n + 2,) * k))
-    Fo = tr.TractorFormObject(
-        TensorValue(F, tuple(tractor_down(n) for _ in range(k))), geo)
-    ss = tr.hodge_star(tr.hodge_star(Fo, x), x)
+    ss = tr.hodge_star(geo, tr.hodge_star(geo, F, x), x)
     sign = -(-1) ** (k * (n - k))
-    assert np.abs(ss.data - sign * F).max() < 1e-12
+    assert np.abs(ss - sign * F).max() < 1e-12
 
 
 def test_volume_form_normalisation():
     geo = geolib.sphere(3)
     x = np.array([0.2, -0.1, 0.3])
     pk = curvature_pack(geo, x)
-    eps = tr.tractor_volume_form(geo, x).data
+    eps = tr.tractor_volume_form(geo, x)
     R = middle_block(pk.gi)
     up = eps
     for ax in range(5):
@@ -220,9 +211,9 @@ def test_volume_form_normalisation():
 def test_volume_form_parallel():
     geo = geolib.sphere(3)
     x = np.array([0.2, -0.1, 0.3])
-    Ef = tractor_volume_form_field(geo)
-    nab = tractor_connection_apply(geo, Ef, x)
-    assert np.abs(nab.data).max() < 1e-8
+    nab = tractor_connection_apply(geo, TractorVolumeFormField(geo),
+                                   (tractor_down(3),) * 5, x)
+    assert np.abs(nab).max() < 1e-8
 
 
 def test_wedge_leibniz():
@@ -240,16 +231,11 @@ def test_wedge_leibniz():
     def Gf(y):
         return B1 + B2 @ (y - x)
 
-    FG = FieldHandle(ArrayField(
-        lambda y: tr.wedge(Ff(y), Gf(y)), backend=DiffBackend()),
-        tuple(tractor_down(3) for _ in range(3)), 0)
-    F = FieldHandle(ArrayField(Ff, backend=DiffBackend()),
-                    (tractor_down(3), tractor_down(3)), 0)
-    G = FieldHandle(ArrayField(Gf, backend=DiffBackend()),
-                    (tractor_down(3),), 0)
-    nFG = tractor_connection_apply(geo, FG, x).data
-    nF = tractor_connection_apply(geo, F, x).data
-    nG = tractor_connection_apply(geo, G, x).data
+    down = (tractor_down(3),)
+    nFG = tractor_connection_apply(
+        geo, ArrayField(lambda y: tr.wedge(Ff(y), Gf(y))), down * 3, x)
+    nF = tractor_connection_apply(geo, ArrayField(Ff), down * 2, x)
+    nG = tractor_connection_apply(geo, ArrayField(Gf), down, x)
     for a in range(3):
         rhs = tr.wedge(nF[..., a], Gf(x)) + tr.wedge(Ff(x), nG[..., a])
         assert np.abs(nFG[..., a] - rhs).max() < 1e-8
@@ -263,10 +249,10 @@ def test_parallel_transport_flat_closed_loop():
         return 0.5 * np.array([np.cos(s) - 1, np.sin(s), 0.0])
 
     rng = np.random.default_rng(3)
-    T0 = tr.TractorObject(TensorValue(rng.standard_normal(5),
-                                      (tractor_up(3),)), geo)
-    T1 = tr.parallel_transport(geo, loop, T0, 0.0, 1.0, steps=300)
-    assert np.abs(T1.data - T0.data).max() < 1e-8
+    T0 = rng.standard_normal(5)
+    T1 = tr.parallel_transport(geo, loop, T0, (tractor_up(3),), 0.0, 1.0,
+                               steps=300)
+    assert np.abs(T1 - T0).max() < 1e-8
 
 
 def test_parallel_transport_norm_and_holonomy():
@@ -279,17 +265,15 @@ def test_parallel_transport_norm_and_holonomy():
     rng = np.random.default_rng(4)
     dot0, lo, _ = _hpair(geo, loop(0.0))
     v = rng.standard_normal(5)
-    T1 = tr.parallel_transport(
-        geo, loop, tr.TractorObject(TensorValue(v, (tractor_up(3),)), geo),
-        0.0, 1.0, steps=800)
-    assert abs(dot0(T1.data, T1.data) - dot0(v, v)) < 1e-8
+    T1 = tr.parallel_transport(geo, loop, v, (tractor_up(3),), 0.0, 1.0,
+                               steps=800)
+    assert abs(dot0(T1, T1) - dot0(v, v)) < 1e-8
     M = np.zeros((5, 5))
     for i in range(5):
         e = np.zeros(5)
         e[i] = 1.0
-        M[:, i] = tr.parallel_transport(
-            geo, loop, tr.TractorObject(TensorValue(e, (tractor_up(3),)),
-                                        geo), 0.0, 1.0, steps=800).data
+        M[:, i] = tr.parallel_transport(geo, loop, e, (tractor_up(3),),
+                                        0.0, 1.0, steps=800)
     H = lo
     assert np.abs(M.T @ H @ M - H).max() < 1e-7
 
@@ -314,8 +298,8 @@ def test_rescale_triple_relation():
             Q = Jet(4, sig.jets(y, order)) * Jet(4, omega.jets(y, order))
             return [np.asarray(c) for c in Q.d]
 
-    I_g = tr.thomas_D(geo, FieldHandle(sig, (), 1), 1, x).data / 4
-    I_h = tr.thomas_D(geoh, FieldHandle(Prod(), (), 1), 1, x).data / 4
+    I_g = tr.thomas_D(geo, sig, (), 1, x) / 4
+    I_h = tr.thomas_D(geoh, Prod(), (), 1, x) / 4
     M = tr.rescale_triple_matrix(pk, upsilon(x))
     w0 = float(omega.value(x))
     pred = tr.rescale_component_weights(
@@ -340,11 +324,10 @@ def test_mobius_error_without_schouten():
 
 def test_parallel_transport_divergence_is_numerical_error():
     geo = geolib.euclidean(3)
-    T0 = tr.TractorObject(TensorValue(np.ones(5), (tractor_up(3),)), geo)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(tr.TransportDivergedError) as info:
             tr.parallel_transport(geo, lambda t: np.array([1e300 * t, 0, 0]),
-                                  T0, steps=4)
+                                  np.ones(5), (tractor_up(3),), steps=4)
     assert isinstance(info.value, NumericalError)
     assert isinstance(info.value, RuntimeError)
 
@@ -465,4 +448,4 @@ def test_tractor_curvature_reads_a_given_pack(name, entry):
     geo = entry.make_geometry()
     x = np.random.default_rng(43).uniform(-0.3, 0.3, geo.n)
     given = tr.tractor_curvature(geo, x, pack=curvature_pack(geo, x, 3))
-    assert _bitwise_equal(given.data, tr.tractor_curvature(geo, x).data)
+    assert _bitwise_equal(given, tr.tractor_curvature(geo, x))
