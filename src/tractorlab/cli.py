@@ -419,12 +419,6 @@ def _report_row(row, ctx):
 def _circle_preset(cfg):
     circ = cfg.get("circle", {})
     preset = circ.get("preset")
-    for key, given in (("circle.initial", "initial" in circ),
-                       ("geometry", "geometry" in cfg)):
-        if preset is not None and given:
-            raise ConfigError(f"circle.preset {preset!r} sets its own "
-                              f"geometry and initial state: {key} cannot "
-                              "be given with it")
     if preset == "flat-circle":
         geo = geolib.euclidean(3)
         st = circles.CurveState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
@@ -497,6 +491,12 @@ def cmd_circle(cfg, args=None):
         summarise = lambda traj: {}
     if span[0] == span[1]:
         raise ConfigError(f"circle.t_span {list(span)} has equal endpoints")
+    for key, given in (("circle.initial", "initial" in circ),
+                       ("geometry", "geometry" in cfg)):
+        if preset is not None and given:
+            raise ConfigError(f"circle.preset {circ['preset']!r} sets its own "
+                              f"geometry and initial state: {key} cannot "
+                              "be given with it")
     tols = cfg.get("tolerances", {})
     traj = circles.integrate_circle(geo, st, span,
                                     rtol=tols.get("rtol", 1e-10),

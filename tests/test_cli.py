@@ -135,10 +135,9 @@ def test_circle_preset_sphere():
     '{"preset":"sphere-great-circle","t_span":[2,2]}'])
 def test_circle_zero_length_span_exit4(capsys, circle):
     """A span with equal endpoints is a config error, custom or preset,
-    not a traceback.  A preset brings its own geometry."""
-    geometry = ([] if "preset" in circle else
-                ["-s", 'geometry={"name":"euclidean","params":{"n":3}}'])
-    argv = ["circle"] + geometry + ["-s", f"circle={circle}"]
+    not a traceback."""
+    argv = ["circle", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+            "-s", f"circle={circle}"]
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
