@@ -331,10 +331,9 @@ def hodge_star(geo: GeometrySpec, F, x, pack=None):
     k = F.ndim
     eps = tractor_volume_form(geo, x, pack=pack)
     eps = on_axes(middle_block(pack.gi), eps, range(k))
-    Fd = F
     for ax in range(k):
-        Fd = pair_flip(Fd, ax)
-    out = np.tensordot(Fd, eps, axes=(list(range(k)), list(range(k))))
+        F = pair_flip(F, ax)
+    out = np.tensordot(F, eps, axes=(list(range(k)), list(range(k))))
     out /= math.factorial(k)
     return check_form(out)
 
