@@ -61,14 +61,13 @@ class CircleTrajectory:
                           t=float(self.ts[k]))
 
 
-def _inner_products(pk, state):
+def _inner_products(pk, u, a):
     """(u.u, u.a, a.a) in the metric of ``pk``; the circle equation needs
     a Schouten tensor and a nonzero velocity."""
     if pk.P is None:
         raise tr.MobiusStructureError(
             "the circle equation needs a Schouten tensor")
     g = pk.g
-    u, a = state.u, state.a
     s = float(u @ g @ u)
     if s <= 0:
         raise ZeroVelocityError("curve state has zero velocity")
@@ -79,10 +78,10 @@ def _bold_rate(geo, state, cov_da, pk):
     """(bold u . nabla bold a - bold u^d P_d^b, bold u, |u|), the vector
     of the unparametrised circle equation; cov_da defaults to the circle
     equation's right-hand side."""
-    s, ua, aa = _inner_products(pk, state)
     u, a = state.u, state.a
+    s, ua, aa = _inner_products(pk, u, a)
     if cov_da is None:
-        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
+        cov_da = _acceleration_rate(pk, u, a)
     u_covda = float(u @ pk.g @ cov_da)
     nab_ba = (cov_da / s - 3.0 * ua / s ** 2 * a
               - (-4.0 * ua ** 2 / s ** 3 + (aa + u_covda) / s ** 2) * u)
@@ -95,21 +94,32 @@ def covariant_acceleration_rate(geo: GeometrySpec, state: CurveState,
                                 pack=None):
     """u^c nabla_c a^b from the projectively parametrised circle equation."""
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    s, ua, aa = _inner_products(pk, state)
-    u, a = state.u, state.a
+    return _acceleration_rate(pk, state.u, state.a)
+
+
+def _acceleration_rate(pk, u, a):
+    """``covariant_acceleration_rate`` at velocity u and acceleration a
+    from the pack ``pk`` at x."""
+    s, ua, aa = _inner_products(pk, u, a)
     Pu_up = pk.gi @ (pk.P @ u)
     Puu = float(u @ pk.P @ u)
     return (s * Pu_up + 3.0 * ua / s * a - 1.5 * aa / s * u - 2.0 * Puu * u)
 
 
-def conformal_circle_rhs(geo: GeometrySpec, state: CurveState):
-    """Coordinate time derivative of the (x, u, a) system."""
-    pk = curvature_pack(geo, state.x, order=2)
+def conformal_circle_rhs(geo: GeometrySpec, state):
+    """Coordinate time derivative (dx, du, da) of the (x, u, a) system at
+    ``state``: a ``CurveState``, or the array (x, u, a) of length 3n that
+    ``integrate_circle`` steps, read as its three slices."""
+    if isinstance(state, CurveState):
+        x, u, a = state.x, state.u, state.a
+    else:
+        n = geo.n
+        x, u, a = state[:n], state[n:2 * n], state[2 * n:]
+    pk = curvature_pack(geo, x, order=2)
     Gam = pk.Gamma
-    u, a = state.u, state.a
     dx = u
     du = a - np.einsum("bcd,c,d->b", Gam, u, u)
-    cov = covariant_acceleration_rate(geo, state, pack=pk)
+    cov = _acceleration_rate(pk, u, a)
     da = cov - np.einsum("bcd,c,d->b", Gam, u, a)
     return dx, du, da
 
@@ -118,10 +128,10 @@ def A_dot_A(geo: GeometrySpec, state: CurveState, cov_da=None, pack=None):
     """A.A of the acceleration tractor; cov_da defaults to the circle
     equation's right-hand side."""
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    s, ua, aa = _inner_products(pk, state)
-    u = state.u
+    u, a = state.u, state.a
+    s, ua, aa = _inner_products(pk, u, a)
     if cov_da is None:
-        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
+        cov_da = _acceleration_rate(pk, u, a)
     Puu = float(u @ pk.P @ u)
     return (3.0 * aa / s + 2.0 * float(u @ pk.g @ cov_da) / s
             - 6.0 * ua ** 2 / s ** 2 + 2.0 * Puu)
@@ -155,8 +165,7 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
 
     def rhs(t, y):
         with stage("circle integration", t=t):
-            st = CurveState(y[:n], y[n:2 * n], y[2 * n:], t=t)
-            dx, du, da = conformal_circle_rhs(geo, st)
+            dx, du, da = conformal_circle_rhs(geo, y)
         return np.concatenate([dx, du, da])
 
     exit_event = None
@@ -204,11 +213,11 @@ def curve_tractors(geo: GeometrySpec, state: CurveState, cov_da=None,
     state.x."""
     n = geo.n
     pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    s, ua, aa = _inner_products(pk, state)
     u, a = state.u, state.a
+    s, ua, aa = _inner_products(pk, u, a)
     un = math.sqrt(s)
     if cov_da is None:
-        cov_da = covariant_acceleration_rate(geo, state, pack=pk)
+        cov_da = _acceleration_rate(pk, u, a)
     u_covda = float(u @ pk.g @ cov_da)
     Puu = float(u @ pk.P @ u)
     U = tr.make_tractor(n, sigma=0.0, mu=u / un, rho=-ua / un ** 3)

@@ -492,7 +492,8 @@ def cmd_circle(cfg, args=None):
     if span[0] == span[1]:
         raise ConfigError(f"circle.t_span {list(span)} has equal endpoints")
     for key, given in (("circle.initial", "initial" in circ),
-                       ("geometry", "geometry" in cfg)):
+                       ("geometry", "geometry" in cfg),
+                       ("backend", "backend" in cfg)):
         if preset is not None and given:
             raise ConfigError(f"circle.preset {circ['preset']!r} sets its own "
                               f"geometry and initial state: {key} cannot "

@@ -27,6 +27,11 @@ Derivatives*, ch. 13): ``product``, the Leibniz rule over the subsets of
 the derivative axes, and ``compose``, Faa di Bruno's formula over their set
 partitions, for a univariate outer function (the jet's exp, log, ...) or a
 map (a metric composed with an embedding).  ``Jet`` is the scalar case.
+At one point and order 2 or less, the product of two scalars and the
+composition of one take the same terms written out, added in the same
+order, which saves the general routines' per-call work where single
+points are evaluated many times (a circle's right-hand side); the general
+routines stay their reference.
 
 Arithmetic between two jets truncates to the lower of their orders.  A plain
 number acts on the coefficients directly: it scales every one, or shifts the
@@ -144,7 +149,36 @@ def product(a, b, order):
     ``a[k]`` with k trailing derivative axes, the leading axes of a and b
     broadcast against each other): D^k(ab) is the sum over the subsets S of
     the k derivative positions of D^|S| a (x) D^(k-|S|) b with a's axes at
-    S, one outer product per |S| and its placements as transposed views."""
+    S, one outer product per |S| and its placements as transposed views.
+    Two scalars at one point to order 2 take the same terms written out
+    (``_point_product``)."""
+    if _at_one_point(a, order) and _at_one_point(b, order):
+        return _point_product(a, b, order)
+    return _generic_product(a, b, order)
+
+
+def _at_one_point(u, order):
+    """Whether ``u`` are the jets of a scalar at one point to an order of
+    at most 2: a float value and, from order 1, a gradient of shape
+    (n,)."""
+    return order <= 2 and isinstance(u[0], float) and (
+        order == 0 or u[1].ndim == 1)
+
+
+def _point_product(a, b, order):
+    """``_generic_product`` of two scalars at one point to order 2 or less,
+    its terms written out in its order of summation."""
+    out = [a[0] * b[0]]
+    if order >= 1:
+        out.append(a[1] * b[0] + a[0] * b[1])
+    if order == 2:
+        P = a[1][:, None] * b[1]
+        out.append(a[2] * b[0] + a[0] * b[2] + P + P.T)
+    return out
+
+
+def _generic_product(a, b, order):
+    """``product`` at any order, on any leading axes."""
     out = [a[0] * b[0]]
     for k in range(1, order + 1):
         total = None
@@ -167,8 +201,28 @@ def compose(outer, inner, order, slots=0):
     products.  With ``slots`` 1, u is a map whose arrays carry one value
     axis before their derivative axes, and the trailing m axes of
     ``outer[m]`` (the derivative tensor of h) are contracted with the value
-    axes of the m blocks.
+    axes of the m blocks.  A scalar u at one point to order 2 takes the
+    same terms written out (``_point_compose``).
     """
+    if not slots and _at_one_point(inner, order):
+        return _point_compose(outer, inner, order)
+    return _generic_compose(outer, inner, order, slots)
+
+
+def _point_compose(outer, inner, order):
+    """``_generic_compose`` of a scalar at one point to order 2 or less,
+    its terms written out in its order of summation."""
+    out = [outer[0]]
+    if order >= 1:
+        out.append(inner[1] * outer[1])
+    if order == 2:
+        u1 = inner[1]
+        out.append(u1[:, None] * u1 * outer[2] + inner[2] * outer[1])
+    return out
+
+
+def _generic_compose(outer, inner, order, slots=0):
+    """``compose`` at any order, on any leading axes."""
     out = [outer[0]]
     for k in range(1, order + 1):
         total = None
@@ -376,22 +430,36 @@ def variables(x, order):
     row of a stack of points ``x`` of shape (p, n): then the values are the
     columns of ``x`` and the derivative arrays carry a point axis of length
     1 in front, as a coordinate's derivatives are the same at every
-    point."""
+    point.  At one point the derivative arrays are shared read-only
+    arrays (``_unit_jets``)."""
     _check_order(order)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    lead = (1,) if x.ndim == 2 else ()
-    values = np.ascontiguousarray(x.T) if x.ndim == 2 else x.tolist()
-    zeros = [np.zeros(lead + (n,) * k) for k in range(2, order + 1)]
+    if x.ndim == 1:
+        return [_jet(n, [v, *d])
+                for v, d in zip(x.tolist(), _unit_jets(n, order))]
+    values = np.ascontiguousarray(x.T)
+    zeros = [np.zeros((1,) + (n,) * k) for k in range(2, order + 1)]
     out = []
     for a in range(n):
         d = [values[a]]
         if order >= 1:
-            e = np.zeros(lead + (n,))
+            e = np.zeros((1, n))
             e[..., a] = 1.0
             d += [e] + zeros
         out.append(_jet(n, d))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_jets(n, order):
+    """The derivative arrays of the n coordinate jets at one point, one
+    tuple per coordinate: the unit gradient e_a, then zeros up to
+    ``order``; read-only, as every call shares them."""
+    arrays = [np.eye(n)] + [np.zeros((n,) * k) for k in range(2, order + 1)]
+    for c in arrays:
+        c.setflags(write=False)
+    return tuple((e, *arrays[1:]) if order else () for e in arrays[0])
 
 
 def pack_array(jets, order, n=None, points=None):
@@ -408,20 +476,24 @@ def pack_array(jets, order, n=None, points=None):
     arr = np.asarray(jets, dtype=object)
     flat = arr.reshape(-1)
     lead = () if points is None else (points,)
-    jets = [e for e in flat if type(e) is Jet]
-    for e in jets:
+    at = [(i, e) for i, e in enumerate(flat) if type(e) is Jet]
+    for _, e in at:
         if e.order < order:
             raise ValueError(f"order-{e.order} jet in an order-{order} pack")
     if order and n is None:
-        if not jets:
+        if not at:
             raise ValueError("no jets in array")
-        n = jets[0].n
+        n = at[0][1].n
+    rows = (slice(None),) * len(lead)
     out = []
     for k in range(order + 1):
-        comp = np.zeros(lead + (flat.size,) + (n,) * k)
-        for i, e in enumerate(flat):
-            if type(e) is Jet or k == 0:
-                comp[(slice(None),) * len(lead) + (i,)] = (
-                    e.d[k] if type(e) is Jet else float(e))
+        if k == 0 and not lead:
+            # the values at one point in one array, constants as floats
+            comp = np.array([e.d[0] if type(e) is Jet else float(e)
+                             for e in flat])
+        else:
+            comp = np.zeros(lead + (flat.size,) + (n,) * k)
+            for i, e in (enumerate(flat) if k == 0 else at):
+                comp[rows + (i,)] = e.d[k] if type(e) is Jet else float(e)
         out.append(comp.reshape(lead + arr.shape + (n,) * k))
     return tuple(out)

@@ -218,8 +218,10 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
 
     # R_ab^c_d = d_a Gamma^c_bd - d_b Gamma^c_ad
     #            + Gamma^c_ae Gamma^e_bd - Gamma^c_be Gamma^e_ad
-    Rud = (np.einsum(f"{z}cbda->{z}abcd", dGamma)
-           - np.einsum(f"{z}cadb->{z}abcd", dGamma)
+    # the first two terms permute dGamma [c, a, b, e]: transposed views
+    L = x.ndim - 1
+    Rud = (dGamma.transpose(*range(L), L + 3, L + 1, L, L + 2)
+           - dGamma.transpose(*range(L), L + 1, L + 3, L, L + 2)
            + np.einsum(f"{z}cae,{z}ebd->{z}abcd", Gamma, Gamma)
            - np.einsum(f"{z}cbe,{z}ead->{z}abcd", Gamma, Gamma))
     Ric = np.einsum(f"{z}cbcd->{z}bd", Rud)

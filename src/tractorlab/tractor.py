@@ -25,7 +25,7 @@ from . import tensors
 from .riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                       levi_civita_symbol)
 from .tensors import (Index, alt_array, check_finite, check_form,
-                      check_shape, middle_block, on_axes, tractor_down)
+                      check_shape, middle_block, on_axes)
 
 __all__ = [
     "thomas_D", "scale_tractor", "tractor_curvature", "tractor_volume_form",
@@ -236,6 +236,7 @@ def thomas_D(geo: GeometrySpec, field, indices, w, x, pack=None):
         raise MobiusStructureError("Thomas operator needs a Schouten tensor")
     conn = ConnData.from_pack(pack)
     jets = field.jets(x, 2)
+    check_shape(jets[0], indices)
     nab, nab2 = covariant_jet(conn, jets, indices, order=2)
     lap = np.einsum("ba,...ba->...", pack.gi, nab2)
     V = jets[0]
@@ -245,7 +246,6 @@ def thomas_D(geo: GeometrySpec, field, indices, w, x, pack=None):
     out[0] = c * w * V
     out[1:n + 1] = c * np.moveaxis(nab, -1, 0)
     out[n + 1] = -(lap + w * pack.J * V)
-    check_shape(out, (tractor_down(n),) + tuple(indices))
     return check_finite(out)
 
 

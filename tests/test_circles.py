@@ -52,6 +52,20 @@ def test_zero_velocity_rejected():
         ci.CurveState([0, 0], [0, 0], [1, 0])
 
 
+def test_rhs_on_the_stepped_array_is_the_rhs_on_a_state():
+    """The integrator passes its array (x, u, a) itself: the same
+    derivatives, bit for bit, and a zero velocity is still rejected."""
+    geo = geolib.sphere(3)
+    y = np.array([0.1, 0.2, -0.1, 0.5, 0.2, 0.1, 0.1, -0.3, 0.2])
+    st = ci.CurveState(y[:3], y[3:6], y[6:])
+    for a, b in zip(ci.conformal_circle_rhs(geo, y),
+                    ci.conformal_circle_rhs(geo, st)):
+        assert a.tobytes() == b.tobytes()
+    y[3:6] = 0.0
+    with pytest.raises(ci.ZeroVelocityError):
+        ci.conformal_circle_rhs(geo, y)
+
+
 def test_curve_tractor_normalisation():
     geo = geolib.sphere(3)
     st = ci.CurveState([0.1, 0.2, -0.1], [0.5, 0.2, 0.1], [0.1, -0.3, 0.2])

@@ -858,10 +858,13 @@ def test_integral_float_for_an_integer_key_exit4(capsys, argv):
                         '"a":[0.2,0.3]}}']),
     ("geometry", ["-s", 'circle={"preset":"flat-circle","num":3}',
                   "-s", 'geometry={"name":"sphere","params":{"n":4}}']),
-], ids=["initial", "geometry"])
+    ("backend", ["-s", 'circle={"preset":"flat-circle","num":3}',
+                 "-s", 'backend={"mode":"fd","step":0.5}']),
+], ids=["initial", "geometry", "backend"])
 def test_circle_preset_with_initial_or_geometry_exit4(capsys, key, extra):
-    """A preset fixes the geometry and the initial state, so giving either
-    as well is a config error, not a run of the preset that ignores it."""
+    """A preset fixes the geometry, its differentiation backend and the
+    initial state, so giving any of them as well is a config error, not a
+    run of the preset that ignores it."""
     assert cli.main(["circle"] + extra) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,12 +4,14 @@ orders 0-3 every catalog field equals the jets of the former hand-written
 order-3 formulas, kept here as the reference (``_Jet3``), and its order-4
 jet is the derivative of its order-3 jet."""
 import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from tractorlab import geolib
+from tractorlab import jets as jetmod
 from oracles import constant, random_metric
 from tractorlab.jets import Jet, compose, pack_array, variables
 from tractorlab.tensors import central_diff
@@ -543,3 +545,101 @@ def test_compose_of_a_map_is_the_chain_rule():
     want = (v.sin() * v.sin()) * (v * v)
     for a, b in zip(got, want.d):
         assert np.allclose(a, b, rtol=1e-14, atol=1e-15)
+
+
+# --------------------------------------------------------------------------
+# the written-out order-2 terms at one point against the generic routines
+# --------------------------------------------------------------------------
+
+def _scalar_operands(rng, n, order):
+    """Jets of scalars at one point to ``order``: random ones, constants
+    (+1.5, -1.5, +0 and -0, whose zero derivatives meet the other
+    operand's signs) and each coordinate."""
+    out = []
+    for _ in range(3):
+        d = [float(rng.standard_normal())]
+        for k in range(1, order + 1):
+            c = rng.standard_normal((n,) * k)
+            # a symmetric tensor, and some components exactly 0
+            d.append(np.where(rng.random(c.shape) < 0.2, 0.0,
+                              sum(c.transpose(p) for p in
+                                  itertools.permutations(range(k)))))
+        out.append(d)
+    out += [constant(n, c, order).d for c in (1.5, -1.5, 0.0, -0.0)]
+    out += [v.d for v in variables(rng.uniform(-1, 1, n), order)]
+    return out
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert _bitwise_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_point_product_is_the_generic_product_bitwise(n, order):
+    rng = np.random.default_rng(100 * n + order)
+    ops = _scalar_operands(rng, n, order)
+    for a in ops:
+        for b in ops:
+            assert jetmod._at_one_point(a, order)
+            _same_bits(jetmod._point_product(a, b, order),
+                       jetmod._generic_product(a, b, order))
+            _same_bits(jetmod.product(a, b, order),
+                       jetmod._generic_product(a, b, order))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_point_compose_is_the_generic_compose_bitwise(n, order):
+    rng = np.random.default_rng(200 + 100 * n + order)
+    for inner in _scalar_operands(rng, n, order):
+        for outer in ([float(v) for v in rng.standard_normal(order + 1)],
+                      [math.exp(inner[0])] * (order + 1),
+                      [0.0, -2.0, -0.0][:order + 1]):
+            _same_bits(jetmod._point_compose(outer, inner, order),
+                       jetmod._generic_compose(outer, inner, order))
+            _same_bits(jetmod.compose(outer, inner, order),
+                       jetmod._generic_compose(outer, inner, order))
+
+
+def test_stacks_value_axes_and_order3_take_the_generic_routines(monkeypatch):
+    """Only scalars at one point to order 2 take the written-out terms."""
+    calls = []
+    for name in ("_point_product", "_point_compose"):
+        def counted(*args, name=name, fn=getattr(jetmod, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(jetmod, name, counted)
+    x = np.array([0.3, -0.2])
+    # a point axis, and order 3, in the arithmetic of jets
+    for v in (variables(np.stack([x, 2 * x]), 2), variables(x, 3)):
+        u, w = v
+        (u * w).exp()
+    # a value axis: the jets of a 2-vector at one point
+    vec = [np.array([0.5, -1.0]), np.ones((2, 2)), np.ones((2, 2, 2))]
+    jetmod.product(vec, vec, 2)
+    jetmod.compose([1.0, 2.0, 3.0], vec, 2)
+    assert calls == []
+    u, w = variables(x, 2)
+    (u * w).exp()
+    assert calls == ["_point_product", "_point_compose"]
+
+
+def test_point_variables_share_read_only_derivative_arrays():
+    x = np.array([0.3, -0.2, 0.1])
+    u, v, w = variables(x, 2)
+    again = variables(2 * x, 2)
+    assert again[0].d[1] is u.d[1] and again[2].d[2] is w.d[2]
+    for j in (u, v, w):
+        for arr in j.d[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+    # the arithmetic makes new arrays, which may be written
+    prod = u * v
+    prod.d[1][0] = 5.0
+    assert u.d[1].tolist() == [1.0, 0.0, 0.0]

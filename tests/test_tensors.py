@@ -145,8 +145,8 @@ def _infinite_form():
     return F
 
 
-def _thomas_of_a_vector_as_a_scalar():
-    field = ArrayField(lambda y: np.ones(3))
+def _thomas_of_a_vector_as_a_scalar(dim=3):
+    field = ArrayField(lambda y: np.ones(dim))
     return tr.thomas_D(geolib.euclidean(3), field, (), 1, np.zeros(3))
 
 
@@ -155,11 +155,15 @@ def _thomas_of_a_vector_as_a_scalar():
     (lambda: _star(np.triu(np.ones((5, 5)))),
      "tractor form is not antisymmetric"),
     (_thomas_of_a_vector_as_a_scalar,
-     "shape (5, 3) does not match indices (5,)"),
-], ids=["nonfinite-form", "nonantisymmetric-form", "shape-against-indices"])
+     "shape (3,) does not match indices ()"),
+    # a length that does not broadcast against the chart's dimension
+    (lambda: _thomas_of_a_vector_as_a_scalar(2),
+     "shape (2,) does not match indices ()"),
+], ids=["nonfinite-form", "nonantisymmetric-form", "shape-against-indices",
+        "unbroadcastable-shape-against-indices"])
 def test_component_checks_raise_tensor_error(call, message):
     """The Hodge star takes finite antisymmetric forms only, and the Thomas
-    operator's components must fit the field's indices."""
+    operator's field values must fit the field's indices."""
     with pytest.raises(TensorError, match=re.escape(message)):
         call()
 

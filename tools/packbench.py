@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Per-call cost of order-2 curvature packs, at one point and on a stack.
+
+    python3 tools/packbench.py [--repeat R]
+
+Run from the root of a checkout; the program is imported from ``src/``.
+
+For each chart (sphere(3), hyperbolic(4), s2s2, cp2 and s2xs1xr, at
+x = 0.11 (1, ..., 1)) it prints one row of a Markdown table, in
+microseconds: an order-2 ``curvature_pack``, its metric 2-jet and
+``pack_from_jets`` on those jets, first at one point, then per row of a
+stack of 16 points (x plus small offsets).  Each figure is the least
+``timeit`` time per call over R (default 3) runs of 7 repeats of 200 calls.
+The figures only print: they gate nothing, and they move with the load of
+the machine, so compare two trees on the same machine, one after the other.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import timeit
+from pathlib import Path
+
+# one BLAS thread, as in the benchmark, before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from tractorlab import geolib  # noqa: E402
+from tractorlab.riemann import curvature_pack, pack_from_jets  # noqa: E402
+
+CHARTS = [
+    ("sphere(3)", lambda: geolib.sphere(3)),
+    ("hyperbolic(4)", lambda: geolib.hyperbolic(4)),
+    ("s2s2", geolib.s2s2),
+    ("cp2", lambda: geolib.fubini_study(2)),
+    ("s2xs1xr", geolib.s2xs1xr),
+]
+ROWS = 16
+REPEATS, NUMBER = 7, 200
+
+
+def _per_call_us(fn, runs):
+    """Least time per call of ``fn`` in microseconds."""
+    best = min(min(timeit.repeat(fn, repeat=REPEATS, number=NUMBER))
+               for _ in range(runs))
+    return 1e6 * best / NUMBER
+
+
+def measure(geo, runs):
+    """The six figures of one chart: pack, 2-jet and ``pack_from_jets``
+    at one point, then each per row of the stack."""
+    x = np.full(geo.n, 0.11)
+    X = x + 0.01 * np.arange(ROWS)[:, None] / ROWS
+    out = []
+    for pts, rows in ((x, 1), (X, ROWS)):
+        jets = geo.metric.jets(pts, 2)
+        for fn in (lambda: curvature_pack(geo, pts, order=2),
+                   lambda: geo.metric.jets(pts, 2),
+                   lambda: pack_from_jets(geo, pts, jets)):
+            out.append(_per_call_us(fn, runs) / rows)
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="timeit runs of 7 x 200 calls per figure")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    print("| chart | pack, one point | its metric 2-jet | `pack_from_jets` "
+          "| pack per stacked row | 2-jet per stacked row "
+          "| `pack_from_jets` per stacked row |")
+    print("| --- |" + " ---: |" * 6)
+    for name, make in CHARTS:
+        cells = " | ".join(f"{v:.0f}" for v in measure(make(), args.repeat))
+        print(f"| {name} | {cells} |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
