@@ -150,11 +150,12 @@ def unparametrised_residual(geo: GeometrySpec, state: CurveState,
 
 def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
                      rtol=1e-10, atol=1e-12, num=200, monitors=None,
-                     chart_bound=None) -> CircleTrajectory:
+                     chart_bound=None, chart_radius=None) -> CircleTrajectory:
     """Integrate the projectively parametrised circle equation with DOP853
     (``_dop853``), output at ``num`` equally spaced times of ``t_span``,
     whose endpoints differ.  With ``chart_bound`` the integration stops,
-    status "chart_exit", where a coordinate of x first reaches it.
+    status "chart_exit", where a coordinate of x first reaches it, or,
+    with ``chart_radius`` instead, where |x| first reaches it.
 
     ``monitors`` maps names to ``fn(geo, state, pack)``, evaluated at each
     output point with the order-2 curvature pack built there."""
@@ -172,6 +173,9 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
     if chart_bound is not None:
         def exit_event(t, y):
             return chart_bound - float(np.max(np.abs(y[:n])))
+    elif chart_radius is not None:
+        def exit_event(t, y):
+            return chart_radius - float(np.linalg.norm(y[:n]))
 
     y0 = np.concatenate([initial.x, initial.u, initial.a])
     ts = np.linspace(t_span[0], t_span[1], num)

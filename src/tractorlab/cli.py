@@ -416,6 +416,12 @@ def _report_row(row, ctx):
         row["mobius_cotton_norm"] = float(np.abs(ctx.mobius_cotton()).max())
 
 
+# A custom circle on a chart with a boundary stops at this fraction of the
+# chart's radius from it: each tenfold approach costs some 430 right-hand
+# sides on the Poincare ball, so 1e-6 takes about 2 500 in all.
+CHART_MARGIN = 1e-6
+
+
 def _circle_preset(cfg):
     circ = cfg.get("circle", {})
     preset = circ.get("preset")
@@ -424,10 +430,9 @@ def _circle_preset(cfg):
         st = circles.CurveState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0])
         span = tuple(circ.get("t_span", (0.0, 10.0)))
-        monitors = {}
-        for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-            monitors[f"rotation{i}{j}"] = _rotation_monitor(
-                geolib.rotation_form(3, i, j))
+        forms = {f"rotation{i}{j}": geolib.rotation_form(3, i, j)
+                 for i, j in [(0, 1), (0, 2), (1, 2)]}
+        monitors = dict(zip(forms, _rotation_monitors(list(forms.values()))))
         return geo, st, span, monitors, _flat_circle_summary, None
     if preset == "sphere-great-circle":
         geo = geolib.sphere(4)
@@ -441,19 +446,39 @@ def _circle_preset(cfg):
 
 
 def _rotation_monitor(kspec):
-    """First integral <star K, Phi>/3! of a Killing 2-form ``kspec``; the
-    splitting, the Hodge star and the curve tractors read the curvature
-    pack the integrator built at the output point.  Star K carries down
-    tractor indices and Phi up ones, so they pair through J, the
-    sigma/rho flip, on each of Phi's three axes, whatever the metric."""
-    def monitor(geo, state, pack):
-        K = firstint._split_components(geo, kspec, state.x, pack)
-        starK = tr.hodge_star(geo, K, state.x, pack=pack)
-        _, _, acc = circles.curve_tractors(geo, state, pack=pack)
-        for ax in range(3):
-            acc = tr.pair_flip(acc, ax)
-        return float(np.tensordot(starK, acc, axes=(range(3), range(3)))) / 6.0
-    return monitor
+    """The first integral of one Killing 2-form: ``_rotation_monitors``."""
+    return _rotation_monitors([kspec])[0]
+
+
+def _rotation_monitors(kspecs):
+    """First integrals <star K, Phi>/3! of Killing 2-forms ``kspecs``, one
+    monitor each; the splitting, the Hodge star and the curve tractors read
+    the curvature pack the integrator built at the output point.  Star K
+    carries down tractor indices and Phi up ones, so they pair through J,
+    the sigma/rho flip, on each of Phi's three axes, whatever the metric.
+    The raised volume form and the flipped Phi depend on the output point
+    alone: the monitors compute them once per (state, pack) they are
+    called with."""
+    last = [None, None, None]   # state, pack, (eps, flipped Phi)
+
+    def shared(geo, state, pack):
+        if last[0] is not state or last[1] is not pack:
+            eps = tr.raised_volume_form(geo, state.x, 2, pack)
+            _, _, acc = circles.curve_tractors(geo, state, pack=pack)
+            for ax in range(3):
+                acc = tr.pair_flip(acc, ax)
+            last[:] = state, pack, (eps, acc)
+        return last[2]
+
+    def monitor(kspec):
+        def fn(geo, state, pack):
+            eps, acc = shared(geo, state, pack)
+            K = firstint._split_components(geo, kspec, state.x, pack)
+            starK = tr.hodge_star(geo, K, state.x, pack=pack, eps=eps)
+            return float(np.tensordot(starK, acc,
+                                      axes=(range(3), range(3)))) / 6.0
+        return fn
+    return [monitor(k) for k in kspecs]
 
 
 def _flat_circle_summary(traj):
@@ -472,11 +497,17 @@ def _sphere_summary(traj):
 def cmd_circle(cfg, args=None):
     circ = cfg.get("circle", {})
     preset = _circle_preset(cfg)
+    chart_radius = None
     if preset is not None:
         geo, st, span, monitors, summarise, chart_bound = preset
     else:
         chart_bound = None
         geo, entry = build_geometry(cfg)
+        if entry.chart_radius is not None:
+            # the metric, and with it the state's acceleration, blows up
+            # at the chart's boundary: the steps shrink toward it without
+            # end, so the circle stops just inside
+            chart_radius = (1.0 - CHART_MARGIN) * entry.chart_radius
         init = circ.get("initial")
         if init is None:
             raise ConfigError("circle needs an initial state or a preset")
@@ -504,7 +535,8 @@ def cmd_circle(cfg, args=None):
                                     atol=tols.get("atol", 1e-12),
                                     num=circ.get("num", 200),
                                     monitors=monitors,
-                                    chart_bound=chart_bound)
+                                    chart_bound=chart_bound,
+                                    chart_radius=chart_radius)
     header = (["t"] + [f"x{i+1}" for i in range(geo.n)]
               + [f"u{i+1}" for i in range(geo.n)]
               + [f"a{i+1}" for i in range(geo.n)]

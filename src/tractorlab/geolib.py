@@ -594,11 +594,17 @@ def s2s2_lifted_killing(gen="rot", factor=1, combo=None):
 
 @dataclass
 class CatalogEntry:
+    """A named geometry with its embeddings and Killing-Yano forms.
+
+    ``chart_radius`` is the domain of the geometry's chart, the open ball
+    |x| < chart_radius, at whose boundary the metric blows up; None where
+    the chart is all of R^n."""
     name: str
     make_geometry: object
     embeddings: dict = dc_field(default_factory=dict)
     ky_forms: dict = dc_field(default_factory=dict)
     notes: str = ""
+    chart_radius: float | None = None
 
 
 def catalog():
@@ -642,7 +648,7 @@ def catalog():
         embeddings={
             "slice": lambda n=4, m=2: coordinate_slice(int(n), tuple(range(int(m)))),
         },
-        notes="Poincare ball chart"))
+        notes="Poincare ball chart", chart_radius=1.0))
 
     add(CatalogEntry(
         "doubly_warped_r4", lambda: doubly_warped_example(),

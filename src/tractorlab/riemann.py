@@ -10,6 +10,7 @@ only drives the rescaling tests.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -39,12 +40,17 @@ class GeometrySpec:
     an explicit Schouten field; tractor operations refuse to run without it.
 
     Specs compare and hash by identity, so a spec can key a cache of values
-    computed from it (see ``submanifold.submanifold_pack``).
+    computed from it (see ``submanifold.submanifold_pack``).  A spec also
+    holds the key of ``curvature_pack``'s last single-point call and the
+    pack it stored for that key, if any.
     """
     n: int
     metric: ArrayField
     orientation: int = 1
     mobius_schouten: ArrayField | None = None
+    # curvature_pack's (key of the last call, pack stored for it or None)
+    _last_pack: tuple = dataclasses.field(
+        default=(None, None), init=False, repr=False)
 
     @property
     def backend(self):
@@ -198,11 +204,40 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     jets then builds the packs of all p points, each array and scalar
     carrying a leading point axis, and ``pack.at(i)`` is the pack at row i,
     bitwise the pack a call at that point builds.
+
+    At one point the jets are evaluated on every call, and ``geo`` keeps
+    the key of the last call: the jets' order and bytes and the
+    orientation.  A call with another key replaces it and builds a pack
+    that stays the caller's, so a curved chart, whose jets differ from
+    point to point, pays for the key alone.  The first call that repeats
+    the key (a flat chart anywhere, a curved one at the same point again)
+    builds a pack and stores it, its arrays read-only (``point``, the
+    caller's array, is left as it is); later calls with that key return a
+    pack that shares the stored arrays, bitwise ``pack_from_jets`` of their
+    jets, with ``point`` the caller's x.  A stack, and a geometry with a
+    Moebius Schouten field, whose P is read at x, always build.
     """
     x = np.asarray(x, dtype=float)
     if order is None:
         order = min(3, geo.backend.max_order)
-    return pack_from_jets(geo, x, geo.metric.jets(x, max(order, 2)))
+    jets = geo.metric.jets(x, max(order, 2))
+    if x.ndim != 1 or geo.mobius_schouten is not None:
+        return pack_from_jets(geo, x, jets)
+    key = (geo.orientation, *map(np.ndarray.tobytes, jets))
+    last_key, stored = geo._last_pack
+    if key != last_key:
+        geo._last_pack = (key, None)
+        return pack_from_jets(geo, x, jets)
+    if stored is None:
+        stored = pack_from_jets(geo, x, jets)
+        for name, v in vars(stored).items():
+            if name != "point" and isinstance(v, np.ndarray):
+                v.setflags(write=False)
+        geo._last_pack = (key, stored)
+        return stored
+    pack = copy.copy(stored)
+    pack.point = x
+    return pack
 
 
 def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:

@@ -29,7 +29,8 @@ from .tensors import (Index, alt_array, check_finite, check_form,
 
 __all__ = [
     "thomas_D", "scale_tractor", "tractor_curvature", "tractor_volume_form",
-    "hodge_star", "parallel_transport", "rescale_triple_matrix",
+    "raised_volume_form", "hodge_star", "parallel_transport",
+    "rescale_triple_matrix",
 ]
 
 
@@ -319,18 +320,27 @@ def tractor_volume_form(geo: GeometrySpec, x, pack=None):
     return check_form(lam * levi_civita_symbol(n + 2))
 
 
-def hodge_star(geo: GeometrySpec, F, x, pack=None):
+def raised_volume_form(geo: GeometrySpec, x, k, pack):
+    """The tractor volume form with its first k axes raised by the
+    middle block of g^-1: the array the Hodge star of a k-form contracts.
+    ``pack`` is an order-2 curvature pack of ``geo`` at x."""
+    eps = tractor_volume_form(geo, x, pack=pack)
+    return on_axes(middle_block(pack.gi), eps, range(k))
+
+
+def hodge_star(geo: GeometrySpec, F, x, pack=None, eps=None):
     """Tractor Hodge star at chart point x of a tractor form F with every
     index down: degree k = F.ndim -> degree n+2-k, indices down.
 
     ``pack`` is an order-2 curvature pack of ``geo`` at x, built when
-    None."""
+    None; ``eps`` is ``raised_volume_form(geo, x, k, pack)``, which the
+    stars of several k-forms at one point can share, computed when None."""
     check_form(F)
     x = np.asarray(x, dtype=float)
     pack = pack if pack is not None else curvature_pack(geo, x, order=2)
     k = F.ndim
-    eps = tractor_volume_form(geo, x, pack=pack)
-    eps = on_axes(middle_block(pack.gi), eps, range(k))
+    if eps is None:
+        eps = raised_volume_form(geo, x, k, pack)
     for ax in range(k):
         F = pair_flip(F, ax)
     out = np.tensordot(F, eps, axes=(list(range(k)), list(range(k))))

@@ -34,6 +34,10 @@ analytic first derivative (``TractorVolumeFormField``), on which the
 1e-8 bound of ``test_volume_form_parallel`` rests, and the closed form of
 u^d nabla_d Phi along a curve (``phi_derivative``).
 
+The rotation monitor of one Killing 2-form that computes its own volume
+form and curve tractors at each output point (``rotation_monitor``), the
+route the flat-circle preset's monitors took before they shared them.
+
 Fixtures: ``random_metric``, a flat metric plus a small random polynomial
 perturbation, ``constant_scalar``, the constant jet ``constant`` and
 ``pack_fields``, the names of every field a curvature pack holds or
@@ -47,8 +51,10 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from tractorlab import circles
 from tractorlab import tractor as tr
 from tractorlab.circles import _bold_rate
+from tractorlab.firstint import _split_components
 from tractorlab.geolib import JetField, PolynomialField
 from tractorlab.jets import Jet
 from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
@@ -304,6 +310,19 @@ def phi_derivative(geo, state, cov_da=None):
     embc = tr.make_tractor(n, mu=core)
     return 6.0 * un * alt_array(np.multiply.outer(
         X, np.multiply.outer(embu, embc)))
+
+
+def rotation_monitor(kspec):
+    """<star K, Phi>/3! of the Killing 2-form ``kspec`` as a monitor
+    ``fn(geo, state, pack)``, every array computed by the monitor itself."""
+    def monitor(geo, state, pack):
+        K = _split_components(geo, kspec, state.x, pack)
+        starK = tr.hodge_star(geo, K, state.x, pack=pack)
+        _, _, acc = circles.curve_tractors(geo, state, pack=pack)
+        for ax in range(3):
+            acc = tr.pair_flip(acc, ax)
+        return float(np.tensordot(starK, acc, axes=(range(3), range(3)))) / 6.0
+    return monitor
 
 
 def solve_ivp_dop853(fun, t_span, y0, t_eval, rtol, atol, event=None):

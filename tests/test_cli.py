@@ -9,8 +9,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import random_metric
-from tractorlab import circles, cli, riemann, submanifold, subtractor
+from oracles import random_metric, rotation_monitor
+from tractorlab import (circles, cli, geolib, riemann, submanifold,
+                        subtractor)
+from tractorlab import tractor as tr
 from tractorlab.riemann import SingularMetricError
 
 
@@ -127,6 +129,35 @@ def test_circle_preset_sphere():
     assert rc == 0, err
     doc = json.loads(out)
     assert doc["off_axis_residual"] < 1e-6
+
+
+def test_circle_toward_the_ball_boundary_exits_the_chart(monkeypatch):
+    """A custom circle on the Poincare ball heading for |x| = 1, where the
+    metric and the state's acceleration blow up, ends as "chart_exit"
+    (exit 0) just inside the catalog's chart radius, within a few
+    thousand right-hand sides; without the exit its steps shrink toward
+    the boundary for some 87 s before the integration fails (exit 2)."""
+    calls = 0
+    rhs = circles.conformal_circle_rhs
+
+    def capped(geo, state):
+        nonlocal calls
+        calls += 1
+        assert calls <= 4000, "the circle does not stop at the boundary"
+        return rhs(geo, state)
+
+    monkeypatch.setattr(circles, "conformal_circle_rhs", capped)
+    assert geolib.catalog()["hyperbolic"].chart_radius == 1.0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main([
+            "circle", "-s", 'geometry={"name":"hyperbolic","params":{"n":4}}',
+            "-s", 'circle={"initial":{"x":[0.05,0,0,0],"u":[0.6,0.8,0,0]},'
+                  '"t_span":[0,1.5],"num":7}'])
+    assert rc == 0
+    doc = json.loads(out.getvalue())
+    assert doc["status"] == "chart_exit"
+    assert 1 < doc["csv_rows"] < 7
 
 
 @pytest.mark.parametrize("circle", [
@@ -382,7 +413,6 @@ def test_rotation_monitor_is_conserved_on_a_round_sphere():
     a first integral where g is not delta: on sphere(3) with the round
     rotation form, along two random conformal circles.  (Lowering Phi's
     middle slots by g as well drifted by 0.44 and 0.53.)"""
-    from tractorlab import geolib
     geo = geolib.sphere(3)
     monitor = cli._rotation_monitor(geolib.round_rotation_form(3, 0, 1))
     rng = np.random.default_rng(5)
@@ -394,6 +424,36 @@ def test_rotation_monitor_is_conserved_on_a_round_sphere():
         vals = traj.monitored["k"]
         assert np.abs(vals).max() > 1e-2
         assert vals.max() - vals.min() <= 1e-10
+
+
+def test_shared_rotation_monitors_are_the_per_monitor_route(monkeypatch):
+    """At every output row of the flat-circle preset, its three rotation
+    monitors, which share the raised volume form and the flipped Phi of
+    the output point, are bitwise the route on which each monitor computes
+    its own; the shared route computes the volume form once per row."""
+    geo, st, span, monitors, _, _ = cli._circle_preset(
+        {"circle": {"preset": "flat-circle"}})
+    volume_forms = 0
+    volume_form = tr.tractor_volume_form
+
+    def counted(*args, **kwargs):
+        nonlocal volume_forms
+        volume_forms += 1
+        return volume_form(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "tractor_volume_form", counted)
+    num = 9
+    circles.integrate_circle(geo, st, span, num=num, monitors=monitors)
+    assert volume_forms == num
+    assert len(monitors) == 3
+    oracles = {f"oracle {name}": rotation_monitor(geolib.rotation_form(
+        3, int(name[-2]), int(name[-1]))) for name in monitors}
+    traj = circles.integrate_circle(geo, st, span, num=num,
+                                    monitors={**monitors, **oracles})
+    assert np.abs(traj.monitored["rotation12"]).max() > 0.1
+    for name in monitors:
+        assert np.array_equal(traj.monitored[name],
+                              traj.monitored[f"oracle {name}"]), name
 
 
 def _exact_residuals(row):
@@ -423,7 +483,6 @@ def test_report_graph_residuals_at_round_off():
 def test_random_metric_graph_residuals_at_round_off():
     """The same report residuals on a graph in a curved random metric,
     where both the ambient Christoffel symbols and II are nonzero."""
-    from tractorlab import geolib
     geo = random_metric(4, seed=3)
     emb = geolib.random_graph_embedding(4, 2, seed=5)
     for q in ([0.05, -0.08], [0.1, 0.2]):

@@ -9,7 +9,8 @@ from oracles import (constant_scalar, pack_fields, random_metric,
                      tractor_connection_apply, volume_form)
 from tractorlab import cli, geolib
 from tractorlab.riemann import (CurvaturePack, GeometrySpec,
-                                SingularMetricError, curvature_pack, rescale)
+                                SingularMetricError, curvature_pack,
+                                pack_from_jets, rescale)
 from tractorlab.submanifold import PullbackMetricField
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
                                 tangent_up)
@@ -106,6 +107,92 @@ def test_point_axis_pack_is_the_stacked_per_point_packs(name, entry,
             assert stacked.at(i).has_third == single.has_third == (
                 order == 3 and geo.n >= 3)
             _assert_row_is_pack(stacked, i, single, order)
+
+
+def _arrays(pack):
+    """The pack's arrays other than ``point``, the caller's x, those
+    computed when read included."""
+    return {name: v for name in pack_fields()
+            if name != "point" and isinstance(v := getattr(pack, name),
+                                              np.ndarray)}
+
+
+def _assert_is_fresh_pack(pack, geo, x, order):
+    """``pack`` is at x, read-only, and bitwise ``pack_from_jets`` on
+    jets evaluated anew, in every field."""
+    assert pack.point is x
+    fresh = pack_from_jets(geo, x, geo.metric.jets(x, order))
+    for name in pack_fields():
+        a, b = getattr(pack, name), getattr(fresh, name)
+        assert (a is None and b is None) or _same_field(a, b), (order, name)
+    assert not any(v.flags.writeable for v in _arrays(pack).values())
+
+
+@pytest.mark.parametrize("backend", ["analytic", "fd"])
+@pytest.mark.parametrize("name,entry", CATALOG, ids=[c[0] for c in CATALOG])
+def test_reused_pack_is_pack_from_jets(name, entry, backend):
+    """The first call whose metric jets repeat the last call's (here at
+    the same point again, through copies of x) stores its pack; a later
+    call with those jets is served the stored arrays, with ``point`` the
+    caller's x: bitwise ``pack_from_jets`` on fresh jets in every field,
+    R4 and W4 included (read before the reuse at order 3, so shared, and
+    after it at order 2), and read-only.  The first call's pack shares
+    nothing, and its fields stay writable (R4 and W4 are read-only on
+    every pack)."""
+    geo = entry.make_geometry()
+    if backend == "fd":
+        geo = cli.as_fd_geometry(geo)
+    x = np.random.default_rng(23).uniform(-0.3, 0.3, geo.n)
+    for order in (2, 3):
+        first = curvature_pack(geo, x, order)
+        stored = curvature_pack(geo, x.copy(), order)
+        if order == 3:
+            stored.R4, stored.W4
+        y = x.copy()
+        again = curvature_pack(geo, y, order)
+        assert again is not stored and again.g is stored.g
+        _assert_is_fresh_pack(again, geo, y, order)
+        assert all(v.flags.writeable for k, v in _arrays(first).items()
+                   if k not in ON_READ)
+        assert not any(np.shares_memory(v, w)
+                       for v in _arrays(first).values()
+                       for w in _arrays(stored).values())
+
+
+@pytest.mark.parametrize("name,entry", CATALOG, ids=[c[0] for c in CATALOG])
+def test_only_a_flat_chart_shares_arrays_between_points(name, entry):
+    """Packs at three points share arrays on the flat chart alone, whose
+    metric jets are the same everywhere: the third is served the arrays
+    the second stored, and is still the pack of its own point."""
+    geo = entry.make_geometry()
+    X = list(np.random.default_rng(29).uniform(-0.3, 0.3, (3, geo.n)))
+    for order in (2, 3):
+        packs = [curvature_pack(geo, x, order) for x in X]
+        shared = [(i, j) for i in range(3) for j in range(i + 1, 3)
+                  if any(np.shares_memory(v, w)
+                         for v in _arrays(packs[i]).values()
+                         for w in _arrays(packs[j]).values())]
+        if name == "euclidean":
+            assert shared == [(1, 2)]
+            _assert_is_fresh_pack(packs[2], geo, X[2], order)
+        else:
+            assert shared == []
+
+
+@pytest.mark.parametrize("make", [lambda: geolib.euclidean(2),
+                                  lambda: geolib.sphere(2)],
+                         ids=["euclidean2", "sphere2"])
+def test_mobius_geometry_always_builds(make):
+    """A 2-dimensional geometry with a Moebius Schouten field, read at x,
+    is never served a stored pack: three calls at one point share nothing,
+    and nothing is stored."""
+    geo = make()
+    x = np.array([0.2, -0.1])
+    p, q, r = (curvature_pack(geo, x.copy(), 2) for _ in range(3))
+    assert not any(np.shares_memory(v, w)
+                   for a, b in ((p, q), (p, r), (q, r))
+                   for v in _arrays(a).values() for w in _arrays(b).values())
+    assert geo._last_pack == (None, None)
 
 
 def test_point_axis_pack_of_a_field_whose_jets_take_one_point():

@@ -5,18 +5,23 @@
 
 Run from the root of a checkout; the program is imported from ``src/``.
 
-For each chart (sphere(3), hyperbolic(4), s2s2, cp2 and s2xs1xr, at
-x = 0.11 (1, ..., 1)) it prints one row of a Markdown table, in
-microseconds: an order-2 ``curvature_pack``, its metric 2-jet and
-``pack_from_jets`` on those jets, first at one point, then per row of a
-stack of 16 points (x plus small offsets).  Each figure is the least
-``timeit`` time per call over R (default 3) runs of 7 repeats of 200 calls.
+For each chart (euclidean(3), sphere(3), hyperbolic(4), s2s2, cp2 and
+s2xs1xr, near x = 0.11 (1, ..., 1)) it prints one row of a Markdown table,
+in microseconds: an order-2 ``curvature_pack`` built at one point (at 16
+distinct points in turn, the key of the last call dropped before each, so
+that the flat chart, whose jets are the same everywhere, builds too), the
+pack again at one point with the same jets (served from the stored pack),
+its metric 2-jet and ``pack_from_jets`` on those jets, then the pack, the
+2-jet and ``pack_from_jets`` per row of a stack of 16 points (x plus small
+offsets).  Each figure is the least ``timeit`` time per call over R
+(default 3) runs of 7 repeats of 200 calls.
 The figures only print: they gate nothing, and they move with the load of
 the machine, so compare two trees on the same machine, one after the other.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import timeit
@@ -35,6 +40,7 @@ from tractorlab import geolib  # noqa: E402
 from tractorlab.riemann import curvature_pack, pack_from_jets  # noqa: E402
 
 CHARTS = [
+    ("euclidean(3)", lambda: geolib.euclidean(3)),
     ("sphere(3)", lambda: geolib.sphere(3)),
     ("hyperbolic(4)", lambda: geolib.hyperbolic(4)),
     ("s2s2", geolib.s2s2),
@@ -53,17 +59,27 @@ def _per_call_us(fn, runs):
 
 
 def measure(geo, runs):
-    """The six figures of one chart: pack, 2-jet and ``pack_from_jets``
-    at one point, then each per row of the stack."""
+    """The seven figures of one chart: a pack built at one point, a pack
+    with the same jets again, the 2-jet and ``pack_from_jets`` at one
+    point, then the pack, the 2-jet and ``pack_from_jets`` per row of the
+    stack."""
     x = np.full(geo.n, 0.11)
     X = x + 0.01 * np.arange(ROWS)[:, None] / ROWS
-    out = []
+    points = itertools.cycle(X)
+
+    def build():
+        geo._last_pack = (None, None)
+        return curvature_pack(geo, next(points), order=2)
+
+    out = [_per_call_us(build, runs),
+           _per_call_us(lambda: curvature_pack(geo, x, order=2), runs)]
     for pts, rows in ((x, 1), (X, ROWS)):
         jets = geo.metric.jets(pts, 2)
-        for fn in (lambda: curvature_pack(geo, pts, order=2),
-                   lambda: geo.metric.jets(pts, 2),
-                   lambda: pack_from_jets(geo, pts, jets)):
-            out.append(_per_call_us(fn, runs) / rows)
+        fns = [lambda: geo.metric.jets(pts, 2),
+               lambda: pack_from_jets(geo, pts, jets)]
+        if rows > 1:
+            fns.insert(0, lambda: curvature_pack(geo, pts, order=2))
+        out += [_per_call_us(fn, runs) / rows for fn in fns]
     return out
 
 
@@ -74,10 +90,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    print("| chart | pack, one point | its metric 2-jet | `pack_from_jets` "
-          "| pack per stacked row | 2-jet per stacked row "
-          "| `pack_from_jets` per stacked row |")
-    print("| --- |" + " ---: |" * 6)
+    print("| chart | pack, one point | same jets again | its metric 2-jet "
+          "| `pack_from_jets` | pack per stacked row "
+          "| 2-jet per stacked row | `pack_from_jets` per stacked row |")
+    print("| --- |" + " ---: |" * 7)
     for name, make in CHARTS:
         cells = " | ".join(f"{v:.0f}" for v in measure(make(), args.repeat))
         print(f"| {name} | {cells} |", flush=True)
