@@ -420,6 +420,10 @@ def _report_row(row, ctx):
 # chart's radius from it: each tenfold approach costs some 430 right-hand
 # sides on the Poincare ball, so 1e-6 takes about 2 500 in all.
 CHART_MARGIN = 1e-6
+# A circle on a chart that is all of R^n stops where a coordinate reaches
+# this bound: through the point a stereographic chart leaves out, it runs
+# off to infinity.
+CHART_BOUND = 100.0
 
 
 def _circle_preset(cfg):
@@ -439,15 +443,8 @@ def _circle_preset(cfg):
         st = circles.CurveState([0.2, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                                 [0.3, 0.0, 0.0, 0.0])
         span = tuple(circ.get("t_span", (0.0, 5.0)))
-        # the chart coordinate leaves any bounded region when the circle
-        # passes the projection point; truncate there
-        return geo, st, span, {}, _sphere_summary, 100.0
+        return geo, st, span, {}, _sphere_summary, CHART_BOUND
     return None
-
-
-def _rotation_monitor(kspec):
-    """The first integral of one Killing 2-form: ``_rotation_monitors``."""
-    return _rotation_monitors([kspec])[0]
 
 
 def _rotation_monitors(kspecs):
@@ -501,13 +498,15 @@ def cmd_circle(cfg, args=None):
     if preset is not None:
         geo, st, span, monitors, summarise, chart_bound = preset
     else:
-        chart_bound = None
         geo, entry = build_geometry(cfg)
         if entry.chart_radius is not None:
             # the metric, and with it the state's acceleration, blows up
             # at the chart's boundary: the steps shrink toward it without
             # end, so the circle stops just inside
+            chart_bound = None
             chart_radius = (1.0 - CHART_MARGIN) * entry.chart_radius
+        else:
+            chart_bound = CHART_BOUND
         init = circ.get("initial")
         if init is None:
             raise ConfigError("circle needs an initial state or a preset")

@@ -1,34 +1,36 @@
 """Conformal Killing-Yano forms, their tractor splitting, conserved
 quantities along distinguished submanifolds, and zero-locus scanning.
 
-The BGG splitting takes every derivative of the form from the covariant
-jets of one ``_cov_jets`` call, the divergence of the middle part from
-nabla nabla k.  The scan's Gauss-Newton reads the chart Jacobian of
-(k, div k) from the order-2 jets under the metric's Levi-Civita
-connection alone, with no curvature pack, and refines its seeds in
-lockstep, one batched evaluation of all their trial points per round.  L on the found locus is
-measured on the locus's cubic Taylor polynomial (a
-``geolib.PolynomialField``), whose coefficients the implicit function
-theorem gives from the exact 3-jet of k, with no stencil: L reads the
-exact partial of H along the locus (``SubTractorContext.grad_H``).  The
-normality check of ``bgg_split`` is the one finite difference, its
-stencil's curvature packs from one stacked build;
-``conserved_quantity`` differentiates along the submanifold through
-``SubTractorContext.along``, a Richardson stencil of whole packs."""
+Every derivative here is exact, with no stencil.  The BGG splitting takes
+the form's derivatives from the covariant jets of one ``_cov_jets`` call,
+the divergence of the middle part from nabla nabla k; its first jet
+[K, dK] (``_split_components`` at order 1) is the Leibniz rule over those
+inputs, from k's covariant jets one order higher and an order-3 pack.
+``bgg_split``'s normality is the tractor derivative of that jet, and
+``conserved_quantity`` differentiates K . N along the submanifold from it
+and the tractor conormals' jets.  The scan's Gauss-Newton reads the chart
+Jacobian of (k, div k) from the order-2 jets under the metric's
+Levi-Civita connection alone, with no curvature pack, and refines its
+seeds in lockstep, one batched evaluation of all their trial points per
+round.  L on the found locus is measured on the locus's cubic Taylor
+polynomial (a ``geolib.PolynomialField``), whose coefficients the
+implicit function theorem gives from the exact 3-jet of k: L reads the
+exact partial of H along the locus (``SubTractorContext.grad_H``)."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .geolib import PolynomialField
 from .riemann import curvature_pack, metric_connection
-from .submanifold import EmbeddingSpec
-from .subtractor import SubTractorContext
-from .tensors import (NumericalError, alt_array, central_diff, on_axes,
-                      pairing_matrix, set_stage, stage, sym_array,
-                      tangent_down, tractor_down, tractor_metric_matrix)
+from .submanifold import EmbeddingSpec, _conormal_jets, einsum_jet1
+from .subtractor import SubTractorContext, tractor_conormal_jets
+from .tensors import (NumericalError, alt_array, on_axes, pairing_matrix,
+                      set_stage, stage, sym_array, tangent_down, tractor_down,
+                      tractor_metric_matrix)
 from . import tractor as tr
 
 __all__ = ["SplitTractor", "ky_residual", "bgg_split", "conserved_quantity",
@@ -44,9 +46,10 @@ MAX_POINTS = 40
 
 
 def _cov_jets(geo, kspec, x, order, pack=None):
-    """Order-2 curvature pack (``pack`` if given), partial-derivative jets
-    and covariant derivative arrays of the (trivialised) form components."""
-    pack = pack if pack is not None else curvature_pack(geo, x, order=2)
+    """Curvature pack (``pack`` if given, else of order 2, or 3 for a third
+    covariant derivative), partial-derivative jets and covariant derivative
+    arrays of the (trivialised) form components."""
+    pack = pack if pack is not None else curvature_pack(geo, x, max(order, 2))
     return (pack,) + _form_jets(kspec, tr.ConnData.from_pack(pack), x, order)
 
 
@@ -116,75 +119,107 @@ class SplitTractor:
     simple: bool
 
 
-def _split_components(geo, kspec, x, pack=None):
-    """Tractor components of the BGG splitting at x; ``pack`` is an order-2
-    curvature pack at x if the caller holds one."""
+def _split_components(geo, kspec, x, pack=None, order=0):
+    """Tractor components K of the BGG splitting at x, or with ``order`` 1
+    their exact first jet [K, dK], the partial axis last; ``pack`` is a
+    curvature pack at x of order 2 + ``order`` if the caller holds one.
+
+    K is a slot fill of k's covariant jets to order 2 and of g^-1, P and J,
+    so dK is the order-1 Leibniz rule over those inputs (``einsum_jet1``,
+    ``_linear_jet``): the partial of a covariant jet is the next one less
+    its connection terms (``_partial``), and the pack's dg, dP and dJ give
+    the rest.  At order 0 every partial is None."""
     n = geo.n
     d = kspec.degree
-    pack, jets, covs = _cov_jets(geo, kspec, x, 2, pack)
-    k0 = jets[0]
+    pack, jets, covs = _cov_jets(geo, kspec, x, 2 + order, pack)
+    e = einsum_jet1
+
+    def jet(j):
+        """[covs[j], its partial]."""
+        return [covs[j], _partial(pack, covs[j + 1], covs[j]) if order
+                else None]
+    k = [jets[0], jets[1] if order else None]
+    gi = [pack.gi, -np.einsum("ce,efa,fd->cda", pack.gi, pack.dg, pack.gi)
+          if order else None]
     if d == 1:
-        lap = float(np.einsum("ba,ab->", pack.gi, covs[1]))
-        return tr.make_tractor(n, sigma=float(k0), mu=covs[0],
-                               rho=-(lap + pack.J * float(k0)) / n)
-    grad = np.moveaxis(covs[0], -1, 0)            # [a1, a2..ad]
-    div = np.einsum("ab,ab...->...", pack.gi, grad)   # nabla^c k_{c a3..}
-    K = tr.form_Y(k0, n)
-    K = K + tr.embed_middle(alt_array(grad), n) / d
-    if d >= 2:
-        K = K + (d - 1) / (n - d + 2) * tr.form_W(div, n)
+        rho = _linear_jet(lambda lap, Jk: -(lap + Jk) / n,
+                          e("ba,ab->", gi, jet(1)),
+                          e(",->", [pack.J, pack.dJ], k))
+        K = _linear_jet(lambda s, mu, r: tr.make_tractor(
+            n, sigma=float(s), mu=mu, rho=float(r)), k, jet(0), rho)
+        return K if order else K[0]
+    grad = _linear_jet(lambda c: np.moveaxis(c, -1, 0), jet(0))  # [a1, a2..]
+    div = e("ab,ab...->...", gi, grad)   # nabla^c k_{c a3..}
+    Pmix = [pack.P @ pack.gi, e("ab,bc->ac", [pack.P, pack.dP], gi)[1]
+            if order else None]
     # X-slot: (1/(n(d-1))) nabla^b M_{b a2..} - (1/(n-d+2)) nabla_[a2 div_{a3..]}
-    #         - P_[a2^b k_{b a3..]}
-    divM = _div_middle_part(pack, covs)
-    # covs[1] axes: [form a2'..ad', inner c, outer b];
-    # nabla_b nabla^c k_{c a3..} contracts the inner index with the first
-    # form index
-    gdiv = np.einsum("ce,e...cb->b...", pack.gi, covs[1])
-    beta = (divM / (n * (d - 1))
-            - alt_array(gdiv) / (n - d + 2)
-            - alt_array(np.einsum("ab,b...->a...",
-                                  pack.P @ pack.gi, k0)))
-    K = K - tr.form_X(beta, n)
-    return K
+    #         - P_[a2^b k_{b a3..]}; covs[1] axes: [form a2'..ad', inner c,
+    # outer b], so nabla_b nabla^c k_{c a3..} contracts the inner index
+    # with the first form index.  The middle projection is g-linear and g
+    # is parallel, so nabla of the divergence of the middle part M is the
+    # divergence of the middle part of nabla nabla nabla k (covs[2]).
+    divM = _div_middle_part(pack, covs[1])
+    beta = _linear_jet(
+        lambda divM, gdiv, Pk: (divM / (n * (d - 1)) - alt_array(gdiv)
+                                / (n - d + 2) - alt_array(Pk)),
+        [divM, _partial(pack, np.stack([_div_middle_part(
+            pack, covs[2][..., c]) for c in range(n)], -1), divM)
+         if order else None],
+        e("ce,e...cb->b...", gi, jet(1)), e("ab,b...->a...", Pmix, k))
+    K = _linear_jet(
+        lambda k0, grad, div, beta: (
+            tr.form_Y(k0, n) + tr.embed_middle(alt_array(grad), n) / d
+            + (d - 1) / (n - d + 2) * tr.form_W(div, n) - tr.form_X(beta, n)),
+        k, grad, div, beta)
+    return K if order else K[0]
 
 
-def _div_middle_part(pack, covs):
+def _linear_jet(f, *jets):
+    """Order-1 jet of ``f(*values)``, ``f`` linear in all its arguments (a
+    sum or a slot fill): ``f`` of the values, and of the partials one
+    derivative slice at a time (None where the first argument's is)."""
+    value = f(*(j[0] for j in jets))
+    if jets[0][1] is None:
+        return [value, None]
+    return [value, np.stack([f(*(j[1][..., i] for j in jets)) for i in
+                             range(jets[0][1].shape[-1])], axis=-1)]
+
+
+def _partial(pack, nab, T):
+    """The partial of T, every index tangent-down, from its covariant
+    derivative ``nab`` (derivative axis last) less the Levi-Civita terms."""
+    M = tr.ConnData.from_pack(pack).matrix(tangent_down(pack.n))
+    for ax in range(T.ndim):
+        nab = nab - tr._apply_axis(M, T, ax)
+    return nab
+
+
+def _div_middle_part(pack, nab2):
     """nabla^b M_{b a2..} for the middle part M of nabla k (vanishes on
     solutions; kept for generality).  The middle projection is g-linear and
     g is parallel, so nabla_c M is the projection of nabla_c nabla k, read
-    from covs[1] (axes [form a2'..ad', inner b, outer c])."""
-    dM = np.array([_ky_parts(np.moveaxis(covs[1][..., c], -1, 0),
+    from ``nab2`` (axes [form a2'..ad', inner b, outer c])."""
+    dM = np.array([_ky_parts(np.moveaxis(nab2[..., c], -1, 0),
                              pack.g, pack.gi)[1] for c in range(pack.n)])
     return np.einsum("cb,cb...->...", pack.gi, dM)
 
 
-def _full_pair(A, B, Hup):
-    """A and B contracted on every index, each pair through ``Hup``."""
-    acc = on_axes(Hup, A, range(A.ndim))
-    return float(np.tensordot(acc, B, axes=(range(A.ndim), range(A.ndim))))
-
-
 def bgg_split(geo, kspec, x):
-    """BGG splitting with normality, causal type and simplicity report."""
+    """BGG splitting with normality, causal type and simplicity report.
+    The normality is the tractor covariant derivative of K from its exact
+    first jet, on one order-3 curvature pack at x."""
     n = geo.n
     d = kspec.degree
     x = np.asarray(x, dtype=float)
-    pack = curvature_pack(geo, x, order=2)
-    K = _split_components(geo, kspec, x, pack)
-
-    # normality: tractor derivative of the K field, the stencil's packs
-    # from one stacked build
-    def K_at(Y):
-        pks = curvature_pack(geo, Y, order=2)
-        return np.stack([_split_components(geo, kspec, y, pks.at(i))
-                         for i, y in enumerate(Y)])
-    dK = central_diff(K_at, x, 1e-3)
-    conn = tr.ConnData.from_pack(pack)
-    nab = tr.covariant_jet(conn, [K, dK], (tractor_down(n),) * K.ndim)[0]
+    pack = curvature_pack(geo, x, order=3)
+    K, dK = _split_components(geo, kspec, x, pack, order=1)
+    nab = tr.covariant_jet(tr.ConnData.from_pack(pack), [K, dK],
+                           (tractor_down(n),) * K.ndim)[0]
     normality = float(np.abs(nab).max())
 
-    # causal type
-    K2 = _full_pair(K, K, tractor_metric_matrix(pack.gi))
+    # causal type: K . K through the inverse tractor metric
+    K2 = float(np.tensordot(on_axes(tractor_metric_matrix(pack.gi), K,
+                                    range(d)), K, d))
     scale2 = float(np.abs(K).max()) ** 2
     if K2 < -1e-10 * max(scale2, 1e-30):
         causal = "timelike"
@@ -215,23 +250,27 @@ def bgg_split(geo, kspec, x):
 
 def conserved_quantity(geo, emb, kspec, q):
     """K . N along the submanifold: value, tangential-derivative residual,
-    the explicit slot evaluation, and the Weyl obstruction prediction."""
+    the explicit slot evaluation, and the Weyl obstruction prediction.
+
+    K . N = d! K(n_1, .., n_d) on the tractor conormals n raised by the
+    inverse tractor metric; its partial along Sigma is the Leibniz rule on
+    K's first jet (on the context's order-3 ambient pack, pulled back by
+    dphi) and the conormals' jets along Sigma."""
     ctx = SubTractorContext(geo, emb, q)
     d = ctx.d
     if kspec.degree != d:
         raise ValueError(f"form degree {kspec.degree} != codimension {d}")
-
-    def value_at(c):
-        K = _split_components(geo, kspec, c.sub.x, c.pack)
-        return _full_pair(K, c.normal_form(),
-                          tractor_metric_matrix(c.pack.gi))
-
-    value = value_at(ctx)
-    dv = ctx.along(value_at, ())
+    sub, J = ctx.sub, ctx.jets_along()
+    K, dK = _split_components(geo, kspec, sub.x, ctx.ambient_pack3(), order=1)
+    T, dH = tractor_conormal_jets(_conormal_jets(sub, J), J["H"], J["gi"])
+    up = einsum_jet1("aC,CD->aD", T, [tractor_metric_matrix(sub.pack.gi), dH])
+    ix = "ABCDEFGH"[:d]
+    KN = einsum_jet1(f"{ix},{','.join(ix)}->", [K, dK @ sub.dphi],
+                     *([up[0][a], up[1][a]] for a in range(d)))
+    value, dv = (math.factorial(d) * v for v in KN)
     resid = float(np.abs(dv).max())
 
     # explicit slot evaluation
-    sub = ctx.sub
     pack, jets, covs = _cov_jets(geo, kspec, sub.x, 1, ctx.pack)
     k0 = jets[0]
     gi = pack.gi
@@ -253,10 +292,7 @@ def conserved_quantity(geo, emb, kspec, q):
     if d >= 2:
         W = pack.W4
         Wue = np.einsum("abcf,fe->abce", W, gi)
-        if d == 2:
-            Wk = np.einsum("abce,e->abc", Wue, k0)
-        else:
-            Wk = np.einsum("abce,e...->abc...", Wue, k0)
+        Wk = np.einsum("abce,e...->abc...", Wue, k0)
         Wk_t = np.einsum("abc...,ci->abi...", Wk, sub.dphi)
         pred = -0.5 * np.einsum("abi...,ab...->i", Wk_t, Nup)
     return {"value": value, "derivative_residual": resid,
@@ -278,6 +314,7 @@ class ScanReport:
     causal: str = ""
     K2: float = 0.0
     simple: bool = True
+    normality: float = 0.0
     notes: str = ""
 
     def to_dict(self):
@@ -288,6 +325,7 @@ class ScanReport:
                 "causal_type": self.causal,
                 "K_norm2": float(self.K2),
                 "simple": bool(self.simple),
+                "normality_residual": float(self.normality),
                 "notes": self.notes}
 
 
@@ -454,9 +492,11 @@ def zero_locus_scan(geo, kspec, region, grid=21):
     center = np.array([(lo + hi) / 2 for lo, hi in region])
     with stage("scan splitting tractor", x=center):
         split = bgg_split(geo, kspec, center)
+    # the splitting tractor's report, common to every outcome
+    tractor = dict(causal=split.causal, K2=split.K2, simple=split.simple,
+                   normality=split.normality_residual)
     if split.causal == "timelike":
-        return ScanReport(status="empty", causal=split.causal, K2=split.K2,
-                          simple=split.simple,
+        return ScanReport(status="empty", **tractor,
                           notes="timelike splitting tractor certifies an "
                                 "empty zero locus")
 
@@ -467,16 +507,14 @@ def zero_locus_scan(geo, kspec, region, grid=21):
     thresh = (2.0 * spacing) ** 2
     cand_idx = np.argwhere(norm2 < thresh * max(1.0, np.median(norm2)))
     if len(cand_idx) == 0:
-        return ScanReport(status="empty", causal=split.causal, K2=split.K2,
-                          simple=split.simple)
+        return ScanReport(status="empty", **tractor)
 
     seeds = [np.array([ax[i] for ax, i in zip(axes, idx)]) for idx in
              cand_idx[:: max(1, len(cand_idx) // (4 * MAX_POINTS))]]
     found = _refine_seeds(geo, kspec, seeds, region, spacing, REFINE_TOL,
                           MAX_POINTS)
     if not found:
-        return ScanReport(status="empty", causal=split.causal, K2=split.K2,
-                          simple=split.simple)
+        return ScanReport(status="empty", **tractor)
 
     # codimension from the rank of the component-map Jacobian
     with stage("scan locus point 0", x=found[0]):
@@ -494,8 +532,7 @@ def zero_locus_scan(geo, kspec, region, grid=21):
         L_res, notes = _locus_L_residuals(geo, kspec, found[:8], codim)
     status = "locus" if codim < n else "isolated"
     return ScanReport(status=status, points=found, codim=codim,
-                      L_residuals=L_res, causal=split.causal, K2=split.K2,
-                      simple=split.simple, notes=notes)
+                      L_residuals=L_res, notes=notes, **tractor)
 
 
 def _locus_L_residuals(geo, kspec, points, codim):

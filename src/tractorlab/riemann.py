@@ -96,6 +96,7 @@ class CurvaturePack:
     P: np.ndarray | None = None
     K: float | None = None     # Gaussian curvature, n = 2 only
     dP: np.ndarray | None = None       # d_e P_ab -> [a, b, e]
+    dJ: np.ndarray | None = None       # d_e J -> [e]
     dRud: np.ndarray | None = None     # d_e R_ab^c_d -> [a, b, c, d, e]
     d3g: np.ndarray | None = None      # d_e d_f d_h g_ab -> [a, b, e, f, h]
     d2Gamma: np.ndarray | None = None  # d_e d_f Gamma^c_ab -> [c, a, b, e, f]
@@ -199,7 +200,7 @@ def curvature_pack(geo: GeometrySpec, x, order=None) -> CurvaturePack:
     ``pack_from_jets`` of the metric's jets there.
 
     ``order`` requests the metric jet order (default: the backend maximum,
-    capped at 3).  The Cotton tensor, dP and dRud require order 3.  ``x``
+    capped at 3).  The Cotton tensor, dP, dJ and dRud require order 3.  ``x``
     may be a stack of points of shape (p, n): one evaluation of the metric
     jets then builds the packs of all p points, each array and scalar
     carrying a leading point axis, and ``pack.at(i)`` is the pack at row i,
@@ -313,6 +314,7 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
             - np.einsum(f"{z}eac,{z}be->{z}abc", Gamma, P)
         Cotton = covdP - covdP.swapaxes(-3, -2)
         pack.dP = dP
+        pack.dJ = dJ
         pack.dRud = dRud
         pack.d2Gamma = d2Gamma
         pack.Cotton = Cotton

@@ -12,8 +12,9 @@ The induced metric's jets are exact at every order: ``pullback_metric``
 takes dphi^T (g o phi) dphi from the embedding's jet and the metric's jets
 by the chain and Leibniz rules.  So the intrinsic curvature is computed
 independently rather than through the Gauss equation, from the jets a
-``subtractor.SubTractorContext`` holds; ``PullbackMetricField`` gives the
-same jets as a field.
+``subtractor.SubTractorContext`` holds.  A pack's ``intrinsic`` geometry
+names the induced metric's dimension and orientation and holds no field;
+``PullbackMetricField`` gives the same jets as a field, for the tests.
 
 Derivatives along Sigma are exact too: ``partials_along`` gives the jets
 of the frame-independent pack quantities (dphi, g o phi, g_s, g_s^-1,
@@ -24,8 +25,9 @@ the connection ``SigmaConn`` picks (the ambient one pulled back by the
 embedding, or the intrinsic one).  ``normal_curvature`` is the curvature
 of a normal bundle from the first jets of its frame, the Gram-Schmidt of
 N^a_b's seed rows: the frame's second partials cancel in R_ij.
-``SigmaField``, the Richardson difference of whole packs, serves the
-readers no command reaches and is the exact routes' test oracle.
+``SigmaField``, the Richardson difference of whole packs, is the one
+stencil here and nothing in the program reads it: it is the exact routes'
+test oracle.
 """
 from __future__ import annotations
 
@@ -70,15 +72,11 @@ class EmbeddingSpec:
 class PullbackMetricField(ArrayField):
     """Induced metric on the parameter chart of an embedding, as a field:
     its k-jet is ``pullback_metric`` of the embedding's (k+1)-jet and the
-    metric's k-jet, at one point or a stack of points.  No command
-    evaluates it (a ``subtractor.SubTractorContext`` pulls the same jets
-    back from those it holds); it stays as the tests' reference for those
-    jets and packs, and as the field whose jets the benchmark's tracer
-    wraps.
-
-    The field keeps the embedding's chart map, not the embedding: a pack in
-    the embedding's memo holds this field, and a reference back would make
-    every memo wait for the cyclic garbage collector.
+    metric's k-jet, at one point or a stack of points.  Nothing in the
+    program builds it (a ``subtractor.SubTractorContext`` pulls the same
+    jets back from those it holds); it stays as the tests' reference for
+    those jets and packs, and as the field whose jets the benchmark's
+    tracer wraps.
     """
 
     def __init__(self, geo: GeometrySpec, emb: EmbeddingSpec):
@@ -154,7 +152,7 @@ class SubmanifoldPack:
     conormals: np.ndarray       # [alpha, a] orthonormal, oriented
     normals: np.ndarray         # raised conormals
     seeds: tuple
-    intrinsic: GeometrySpec
+    intrinsic: GeometrySpec     # dimension and orientation, no metric
 
 
 def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
@@ -200,16 +198,18 @@ def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
                              packs.Gamma, ph[2])
         for i, key in enumerate(todo):
             emb.packs[key] = _build_pack(
-                geo, emb, Q[i], [c[i] for c in ph], packs.at(i),
+                emb, Q[i], [c[i] for c in ph], packs.at(i),
                 {k: v[i] for k, v in frame.items()})
     out = [emb.packs[key] for key in keys]
     return out if q.ndim == 2 else out[0]
 
 
-def _build_pack(geo, emb, q, ph, pack, frame):
+def _build_pack(emb, q, ph, pack, frame):
     """The read-only pack at ``q`` from its rows of the embedding 2-jet
-    ``ph``, the ambient curvature pack and the normal frame."""
-    intrinsic = GeometrySpec(n=emb.m, metric=PullbackMetricField(geo, emb),
+    ``ph``, the ambient curvature pack and the normal frame.  Its intrinsic
+    geometry holds no metric field: a context builds its packs from the
+    jets it pulls back (``pack_from_jets``)."""
+    intrinsic = GeometrySpec(n=emb.m, metric=None,
                              orientation=emb.orientation)
     sub = SubmanifoldPack(q=q, x=ph[0], m=emb.m, n=emb.n, d=emb.n - emb.m,
                           dphi=ph[1], pack=pack, intrinsic=intrinsic,
@@ -345,11 +345,10 @@ class SigmaField:
     ``builder(pack)`` maps a SubmanifoldPack to an array.  Derivatives use
     Richardson-extrapolated central differences (step 1e-2) with the
     normal-frame seeds frozen at the base point, so frame-dependent
-    quantities stay smooth.  Every derivative along Sigma a command reads
-    is exact (``partials_along`` and the Leibniz rule on it); this stencil
-    serves the readers no command reaches (the mean-curvature tractor, the
-    conserved quantity) and is the test oracle of ``partials_along``, of
-    the exact curvatures and of the exact D S and D L.
+    quantities stay smooth.  Every derivative along Sigma is exact
+    (``partials_along`` and the Leibniz rule on it); this stencil is their
+    test oracle (``tests/oracles.py``), and the one caller of
+    ``tensors.central_diff`` in the program.
     """
 
     def __init__(self, geo, emb, builder):

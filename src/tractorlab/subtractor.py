@@ -2,12 +2,12 @@
 
 Builds the normal tractor bundle, the tractor second fundamental form (two
 independent evaluations), the Fialkow tensor with its low-dimensional
-conventions, the mixed Schouten-Weyl invariant, difference tractor, tractor
-normal form, mean-curvature tractor predicates, and classification verdicts.
-The paper's equivalent characterisations that only tests read (the
-difference-tractor identity, L from (IIo, mu), the M operator, and the
-derivatives of the normal form and of its Hodge dual) are functions of a
-context in ``tests/oracles.py``.
+conventions, the mixed Schouten-Weyl invariant, difference tractor,
+mean-curvature tractor predicates, and classification verdicts.  The
+paper's equivalent characterisations that only tests read (the
+difference-tractor identity, L from (IIo, mu), the M operator, the tractor
+normal form and the derivatives of it and of its Hodge dual) are
+functions of a context in ``tests/oracles.py``.
 
 A ``SubTractorContext`` is the unit of per-point work: each quantity is
 computed once per context (``_cached``), and every per-point residual
@@ -18,14 +18,14 @@ once: the embedding jet at q (``phi_jets``), the metric 2-jet of its
 submanifold pack and the metric 3-jet of its order-3 ambient pack
 (``ambient_pack3``, built when first read).  The rest comes from these:
 ``jets_along``, the one ``submanifold.partials_along`` call, which the
-Moebius Cotton tensor, both normal curvatures, D S and D L differentiate
-by the Leibniz rule; the intrinsic packs (``intrinsic_pack``); and the one
-connection along Sigma, ``along_exact``: the ambient connection on ambient
-indices, ``intrinsic_conn`` (Christoffel symbols from the partials of g_s,
-Schouten tensor replaced by the induced one p) on intrinsic ones.
-``along``, the covariant derivative of a Richardson stencil of whole
-contexts (``submanifold.SigmaField``), serves only readers no command
-reaches and the tests' stencil oracles.  The slot fills of N^A_B, S and L
+Moebius Cotton tensor, both normal curvatures, D S, D L, the
+mean-curvature tractor's nabla H^A and the conserved quantity's tractor
+conormals (``tractor_conormal_jets``) differentiate by the Leibniz rule;
+the intrinsic packs (``intrinsic_pack``); and the one connection along
+Sigma, ``along_exact``: the ambient connection on ambient indices,
+``intrinsic_conn`` (Christoffel symbols from the partials of g_s,
+Schouten tensor replaced by the induced one p) on intrinsic ones.  No
+derivative is a stencil.  The slot fills of N^A_B, S and L
 are ``_N_fill``, ``_S_fill`` and ``_L_fill``.  The curvature tensors
 pulled back to Sigma are contracted one operand at a step
 (``_chain_einsum``).
@@ -51,10 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riemann import GeometrySpec, _christoffel, curvature_pack, pack_from_jets
-from .submanifold import (EmbeddingSpec, SigmaConn, SigmaField,
-                          SubmanifoldPack, covariant_partial, einsum_jet1,
-                          normal_curvature, partials_along, pullback_metric,
-                          submanifold_pack)
+from .submanifold import (EmbeddingSpec, SigmaConn, SubmanifoldPack,
+                          covariant_partial, einsum_jet1, normal_curvature,
+                          partials_along, pullback_metric, submanifold_pack)
 from .tensors import (middle_block, pairing_matrix, stage, tangent_down,
                       tangent_up, tractor_down, tractor_metric_matrix,
                       tractor_up)
@@ -103,6 +102,19 @@ def tractor_conormal_rows(conormals, H):
     out[..., n + 1] = (conormals[..., None, :]
                        @ H[..., None, :, None])[..., 0, 0]
     return out
+
+
+def tractor_conormal_jets(conormals, H, gi):
+    """Order-1 jets along Sigma of the tractor conormal rows (0, n_a, n.H)
+    from those of the conormal rows, H and g^-1 at phi; and the partial
+    [C, D, i] of a slot matrix whose middle block is g^-1."""
+    n, m = conormals[1].shape[1:]
+    dT = np.zeros((len(conormals[1]), n + 2, m))
+    dT[:, 1:n + 1] = conormals[1]
+    dT[:, n + 1] = einsum_jet1("ab,b->a", conormals, H)[1]
+    dM = np.zeros((n + 2, n + 2, m))
+    dM[1:n + 1, 1:n + 1] = gi[1]
+    return [tractor_conormal_rows(conormals[0], H[0]), dT], dM
 
 
 def _chain_einsum(spec, *operands):
@@ -224,17 +236,6 @@ class SubTractorContext:
     def normal_projector(self):
         return normal_projector_array(self.sub)
 
-    # -- normal tractor frame and forms --------------------------------------
-    @_cached
-    def tractor_conormals(self):
-        """Orthonormal tractor conormal frame; rows are down slot vectors
-        (0, n_a, n.H)."""
-        return tractor_conormal_rows(self.sub.conormals, self.sub.H)
-
-    @_cached
-    def normal_form(self):
-        return functools.reduce(tr.wedge, self.tractor_conormals())
-
     # -- jets along Sigma ---------------------------------------------------
     @_cached
     def phi_jets(self):
@@ -354,9 +355,9 @@ class SubTractorContext:
     def intrinsic_pack(self, order=2):
         """The order-2 or order-3 curvature pack of the induced metric at
         q, pulled back from ``phi_jets`` and the metric jets of the ambient
-        pack of that order; bitwise ``curvature_pack`` of ``sub.intrinsic``.
-        An order-3 pack at m < 3 (no command reads one) reads its own
-        embedding 4-jet."""
+        pack of that order; bitwise ``curvature_pack`` of the induced metric
+        as a field.  An order-3 pack at m < 3 (no command reads one) reads
+        its own embedding 4-jet."""
         pk = self.pack if order == 2 else self.ambient_pack3()
         ph = (self.phi_jets() if order == 2 or self.m >= 3
               else self.emb.phi.jets(self.q, 4))
@@ -372,19 +373,6 @@ class SubTractorContext:
         Gamma = _christoffel(sub.gi_s, self.jets_along()["g_s"][1])[0]
         return tr.ConnData(self.m, sub.g_s, sub.gi_s, Gamma,
                            P=self.fialkow()[1])
-
-    def along(self, builder, indices):
-        """``along_exact`` of ``builder(ctx)`` (axes carrying ``indices``)
-        and its Richardson difference (``SigmaField``), ``ctx`` the context
-        at each stencil point (this one at its own pack): [i, ...]."""
-        geo, emb = self.geo, self.emb
-
-        def context(pk):
-            return (self if pk is self.sub
-                    else SubTractorContext(geo, emb, pk.q, sub=pk))
-        v0, dv, _ = SigmaField(geo, emb,
-                               lambda pk: builder(context(pk))).jet1(self.q)
-        return self.along_exact(v0, dv, indices)
 
     # -- Fialkow -------------------------------------------------------------
     @_cached
@@ -519,24 +507,22 @@ class SubTractorContext:
             middle_block(self.pack.g), L, L))))
 
 
-def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
-                           samples=None):
-    """H^A = N^A_B I^B plus minimal / CMC / parallel-H predicates."""
+def mean_curvature_tractor(geo, emb, q, samples=None):
+    """H^A = N^A_B I^B of the scale tractor I = (1, 0, -J/n), plus minimal /
+    CMC / parallel-H predicates; nabla_i H^A = (nabla_i N) I + N nabla_i I,
+    I's partial -dJ/n in its rho slot (the order-3 ambient pack's dJ)."""
     tol = 1e-6
     ctx = SubTractorContext(geo, emb, q)
     n = ctx.n
+    Jp = pairing_matrix(n)
 
     def I_at(pk):
-        if scale_tractor_comp is not None:
-            return np.asarray(scale_tractor_comp(pk.x), dtype=float)
         return tr.make_tractor(n, sigma=1.0, rho=-pk.pack.J / n)
 
     def HA_at(pk):
-        return normal_projector_array(pk) @ (pairing_matrix(n) @ I_at(pk))
+        return normal_projector_array(pk) @ (Jp @ I_at(pk))
 
     I0 = I_at(ctx.sub)
-    if np.abs(I0).max() < 1e-14:
-        raise ValueError("supplied scale tractor vanishes")
     HA = HA_at(ctx.sub)
     scale = ctx.scale()
     minimal = bool(np.abs(HA).max() < tol * scale)
@@ -549,8 +535,12 @@ def mean_curvature_tractor(geo, emb, q, scale_tractor_comp=None,
                          @ I_at(pk)))
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
 
-    nabH = ctx.along(lambda c: HA_at(c.sub), (tractor_up(n),))
-    Nact = ctx.normal_projector() @ pairing_matrix(n)
+    dI = np.zeros((n + 2, ctx.m))
+    dI[n + 1] = -(ctx.ambient_pack3().dJ @ ctx.sub.dphi) / n
+    nabI = ctx.along_exact(I0, dI, (tractor_up(n),))
+    Nact = ctx.normal_projector() @ Jp
+    nabH = (np.einsum("iAB,B->iA", ctx.nabla_normal_projector(), Jp @ I0)
+            + np.einsum("AB,iB->iA", Nact, nabI))
     NnabH = np.einsum("AB,iB->iA", Nact, nabH)
     parallel = bool(np.abs(NnabH).max() < tol * scale)
     return {"H_tractor": HA, "minimal": minimal, "cmc": cmc,
@@ -777,12 +767,7 @@ def _normal_tractor_curvature(ctx: SubTractorContext):
 
     def frames(conormals, normals, H, gi):
         """The raised tractor conormal rows and their J-duals."""
-        dT = np.zeros(conormals[1].shape[:1] + (n + 2, ctx.m))
-        dT[:, 1:n + 1] = conormals[1]
-        dT[:, n + 1] = einsum_jet1("ab,b->a", conormals, H)[1]
-        T = [tractor_conormal_rows(conormals[0], H[0]), dT]
-        dM = np.zeros((n + 2, n + 2, ctx.m))
-        dM[1:n + 1, 1:n + 1] = gi[1]
+        T, dM = tractor_conormal_jets(conormals, H, gi)
         return (einsum_jet1("aC,CD->aD", T, [middle_block(gi[0]), dM]),
                 einsum_jet1("aC,CD->aD", T, Jamb))
     return _bundle_curvature(ctx, ctx.ambient_pack3, frames, tractor_up(n))

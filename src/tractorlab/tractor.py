@@ -94,12 +94,14 @@ class ConnData:
     """Connection data at a point, for tangent and tractor indices.
 
     ``P`` is the Schouten tensor entering the tractor connection; ``dP``/
-    ``dGamma`` enable second covariant derivatives.  The arrays may carry a
-    leading point axis (``g`` of shape (p, n, n)); the matrices then carry
-    it too, and ``covariant_jet`` reads the jets of p points at once.
+    ``dGamma`` enable second covariant derivatives, ``d2Gamma`` third ones
+    on tangent indices.  The arrays may carry a leading point axis (``g`` of
+    shape (p, n, n)); the matrices then carry it too, and
+    ``covariant_jet`` reads the jets of p points at once.
     """
 
-    def __init__(self, n, g, gi, Gamma, P=None, dg=None, dGamma=None, dP=None):
+    def __init__(self, n, g, gi, Gamma, P=None, dg=None, dGamma=None, dP=None,
+                 d2Gamma=None):
         self.n = n
         self.g = g
         self.gi = gi
@@ -108,12 +110,13 @@ class ConnData:
         self.dg = dg
         self.dGamma = dGamma
         self.dP = dP
+        self.d2Gamma = d2Gamma
         self.lead = np.shape(g)[:-2]
 
     @classmethod
     def from_pack(cls, pack: CurvaturePack):
         return cls(pack.n, pack.g, pack.gi, pack.Gamma, P=pack.P, dg=pack.dg,
-                   dGamma=pack.dGamma, dP=pack.dP)
+                   dGamma=pack.dGamma, dP=pack.dP, d2Gamma=pack.d2Gamma)
 
     def _require_P(self):
         if self.P is None:
@@ -181,10 +184,13 @@ def _apply_axis(M_a, arr, axis):
 def covariant_jet(conn: ConnData, jets, indices, order=1):
     """Covariant derivatives of a field from its partial-derivative jets.
 
-    Returns [nabla T] or [nabla T, nabla nabla T]; each covariant derivative
-    appends one trailing down-tangent axis (innermost derivative first).
-    With a point axis on ``conn``, the jets carry it first and so does the
-    result.
+    Returns [nabla T, ...] to ``order`` (at most 3); each covariant
+    derivative appends one trailing down-tangent axis (innermost derivative
+    first) and is the first covariant derivative of the one before, from
+    its partials: those of the connection terms read the matrices'
+    partials, and the third order's second partials read d2Gamma, so T's
+    indices must be tangent ones there.  With a point axis on ``conn``, the
+    jets carry it first and so does the result.
     """
     T, dT = jets[0], jets[1]
     z = "z" * (np.ndim(T) - len(indices))
@@ -192,30 +198,32 @@ def covariant_jet(conn: ConnData, jets, indices, order=1):
     nab = np.array(dT)
     for k, M in enumerate(mats):
         nab += _apply_axis(M, T, k)
-    out = [nab]
-    if order >= 2:
-        d2T = jets[2]
-        dmats = [conn.dmatrix(ix) for ix in indices]
-        # d_a (nabla_b T): partial derivative of the first covariant deriv
-        dnab = np.array(d2T)  # axes [..., b, a]
-        for k, (M, dM) in enumerate(zip(mats, dmats)):
-            ax = len(z) + k
-            t1 = np.einsum(f"{z}bnea,{z}...e->{z}...nba", dM,
-                           np.moveaxis(T, ax, -1))
-            dnab += np.moveaxis(t1, -3, ax)
-            # moveaxis puts the original value axis after the derivative axis
-            t2 = np.einsum(f"{z}bne,{z}...ae->{z}...nba", M,
-                           np.moveaxis(dT, ax, -1))
-            dnab += np.moveaxis(t2, -3, ax)
-        # correction terms on nabla T (original indices + the b axis)
-        nab2 = dnab
-        for k, M in enumerate(mats):
-            nab2 = nab2 + _apply_axis(M, nab, k)
-        # the derivative index b is tangent-down
-        Mb = conn.matrix(tensors.Index(tensors.TANGENT, tensors.DOWN, conn.n))
-        nab2 = nab2 + _apply_axis(Mb, nab, nab.ndim - 1 - len(z))
-        out.append(nab2)
-    return out
+    if order == 1:
+        return [nab]
+    # d_a (nabla_b T), axes [..., b, a], and at order 3 d_c d_a (nabla_b
+    # T), axes [..., b, a, c]
+    dnab = np.array(jets[2])
+    d2nab = np.array(jets[3]) if order >= 3 else None
+    for k, (M, dM) in enumerate(zip(mats, [conn.dmatrix(ix)
+                                           for ix in indices])):
+        ax = len(z) + k
+        # moveaxis puts the original value axis after the derivative axes
+        Tk = [np.moveaxis(t, ax, -1) for t in jets[:order]]
+        for spec, A, B in ((f"{z}bnea,{z}...e->{z}...nba", dM, Tk[0]),
+                           (f"{z}bne,{z}...ae->{z}...nba", M, Tk[1])):
+            dnab += np.moveaxis(np.einsum(spec, A, B), -3, ax)
+        if order >= 3:
+            for spec, A, B in (
+                    (f"{z}bneac,{z}...e->{z}...nbac", _lc_block(
+                        indices[k].variance, conn.d2Gamma, 2), Tk[0]),
+                    (f"{z}bnea,{z}...ce->{z}...nbac", dM, Tk[1]),
+                    (f"{z}bnec,{z}...ae->{z}...nbac", dM, Tk[1]),
+                    (f"{z}bne,{z}...ace->{z}...nbac", M, Tk[2])):
+                d2nab += np.moveaxis(np.einsum(spec, A, B), -4, ax)
+    # the derivative index b is tangent-down
+    return [nab] + covariant_jet(conn, [nab, dnab, d2nab][:order],
+                                 (*indices, tensors.tangent_down(conn.n)),
+                                 order - 1)
 
 
 def thomas_D(geo: GeometrySpec, field, indices, w, x, pack=None):
@@ -361,28 +369,25 @@ def wedge(a, b):
 
 def parallel_transport(geo: GeometrySpec, curve, T0, indices,
                        t0=0.0, t1=1.0, steps=200):
-    """Transport the components T0, with index axes ``indices``, along
-    ``curve(t)`` by solving nabla_u T = 0 with RK4.
+    """Transport the components T0, with index axes ``indices``, along the
+    curve t -> x(t) by solving nabla_u T = 0 with RK4.
 
-    ``curve`` must be callable; velocities are obtained by central
-    differences of the curve at the RK stage times.
+    ``curve`` is a field of the one parameter t (an ``ArrayField`` on a
+    1-dimensional chart, such as the ``phi`` of ``geolib.jet_embedding(1,
+    n, fn)``): its 1-jet at each RK stage time gives x and the velocity.
     """
     check_shape(T0, indices)
     comp = np.array(T0, dtype=float)
     h = (t1 - t0) / steps
-    dt = 1e-6 * max(1.0, abs(t1 - t0))
-
-    def velocity(t):
-        return (np.asarray(curve(t + dt)) - np.asarray(curve(t - dt))) / (2 * dt)
 
     def rhs(t, T):
-        x = np.asarray(curve(t), dtype=float)
+        x, u = curve.jets(np.array([t]), 1)
         pack = curvature_pack(geo, x, order=2)
         # dT/dt = -u^a (connection terms of nabla_a T): the covariant
         # derivative of T with a vanishing partial
         nab = covariant_jet(ConnData.from_pack(pack),
                             [T, np.zeros(T.shape + (geo.n,))], indices)[0]
-        return -(nab @ velocity(t))
+        return -(nab @ u[:, 0])
 
     t = t0
     for _ in range(steps):

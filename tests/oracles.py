@@ -1,14 +1,20 @@
 """Second routes to what the program computes, and test fixtures, kept
 beside the tests that read them.
 
-The finite-difference routes along Sigma that exact first jets replaced:
-``stencil_normal_curvature`` is the nested stencil the normal curvatures of
-both Ricci residuals took: a Richardson stencil (step 1e-2) of submanifold
-packs around a plain stencil (step 1e-4) of ``normal_frame``.
-``stencil_mobius_cotton`` is the Moebius Cotton tensor, and
-``stencil_D_of_S`` and ``stencil_coupled_D_of_L`` are D S and D L of the
-tractor Gauss and Codazzi residuals, from the Richardson difference of
-whole contexts (``SubTractorContext.along``).
+The finite-difference routes that exact first jets replaced: ``along``
+is the covariant derivative along Sigma of a quantity built at each point
+of a Richardson stencil (step 1e-2) of whole contexts
+(``submanifold.SigmaField``); ``stencil_normal_curvature`` is the nested
+stencil the normal curvatures of both Ricci residuals took: a Richardson
+stencil of submanifold packs around a plain stencil (step 1e-4) of
+``normal_frame``.  ``stencil_mobius_cotton`` is the Moebius Cotton tensor,
+and ``stencil_D_of_S`` and ``stencil_coupled_D_of_L`` are D S and D L of
+the tractor Gauss and Codazzi residuals, by ``along``.
+``stencil_normality`` is the tractor derivative of the BGG splitting
+tractor from its central difference (step 1e-3), and
+``conserved_quantity_value`` the builder of K . N that ``along``
+differentiated for the conserved quantity.  ``intrinsic_geometry`` is the
+induced metric as a field, the reference for a context's intrinsic packs.
 
 Equivalent characterisations the source paper proves, each a function of a
 ``SubTractorContext``: the difference-tractor identity
@@ -59,13 +65,67 @@ from tractorlab.geolib import JetField, PolynomialField
 from tractorlab.jets import Jet
 from tractorlab.riemann import (CurvaturePack, GeometrySpec, curvature_pack,
                                 levi_civita_symbol, metric_connection)
-from tractorlab.submanifold import SigmaConn, normal_frame, submanifold_pack
+from tractorlab.submanifold import (PullbackMetricField, SigmaConn,
+                                    SigmaField, normal_frame,
+                                    submanifold_pack)
 from tractorlab.subtractor import SubTractorContext, tractor_conormal_rows
 from tractorlab.tensors import (ANALYTIC, ArrayField, DiffBackend,
                                 JetOrderError, _perm_sign, alt_array,
-                                central_diff, middle_block, pairing_matrix,
-                                tangent_down, tangent_up, tractor_down,
+                                central_diff, middle_block, on_axes,
+                                pairing_matrix, tangent_down, tangent_up,
+                                tractor_down, tractor_metric_matrix,
                                 tractor_up)
+
+
+def along(ctx, builder, indices):
+    """``ctx.along_exact`` of ``builder(c)`` (axes carrying ``indices``)
+    and its Richardson difference (``SigmaField``), ``c`` the context at
+    each stencil point (``ctx`` at its own pack): [i, ...]."""
+    geo, emb = ctx.geo, ctx.emb
+
+    def context(pk):
+        return (ctx if pk is ctx.sub
+                else SubTractorContext(geo, emb, pk.q, sub=pk))
+    v0, dv, _ = SigmaField(geo, emb,
+                           lambda pk: builder(context(pk))).jet1(ctx.q)
+    return ctx.along_exact(v0, dv, indices)
+
+
+def stencil_normality(geo, kspec, x):
+    """The tractor covariant derivative of the BGG splitting tractor K at
+    x from its central difference (step 1e-3), the stencil's curvature
+    packs from one stacked build: [A.., a]."""
+    x = np.asarray(x, dtype=float)
+    pack = curvature_pack(geo, x, order=2)
+    K = _split_components(geo, kspec, x, pack)
+
+    def K_at(Y):
+        pks = curvature_pack(geo, Y, order=2)
+        return np.stack([_split_components(geo, kspec, y, pks.at(i))
+                         for i, y in enumerate(Y)])
+    dK = central_diff(K_at, x, 1e-3)
+    return tr.covariant_jet(tr.ConnData.from_pack(pack), [K, dK],
+                            (tractor_down(geo.n),) * K.ndim)[0]
+
+
+def conserved_quantity_value(geo, kspec):
+    """K . N at a context, the conserved quantity's value as the pairing
+    of K and the normal form through the inverse tractor metric, with K on
+    the context's order-2 pack: a builder for ``along``."""
+    def value(c):
+        K = _split_components(geo, kspec, c.sub.x, c.pack)
+        H = tractor_metric_matrix(c.pack.gi)
+        return float(np.tensordot(on_axes(H, K, range(K.ndim)),
+                                  normal_form(c), K.ndim))
+    return value
+
+
+def intrinsic_geometry(geo, emb):
+    """The induced metric of ``emb`` in ``geo`` as a geometry whose metric
+    is a field (``PullbackMetricField``): the reference that
+    ``curvature_pack`` of a context's intrinsic pack is checked against."""
+    return GeometrySpec(n=emb.m, metric=PullbackMetricField(geo, emb),
+                        orientation=emb.orientation)
 
 
 def stencil_normal_curvature(geo, emb, sub, frames, index, order):
@@ -150,7 +210,7 @@ def stencil_tractor_curvature(ctx):
 def stencil_mobius_cotton(ctx):
     """c_ijk = 2 D_[i p_j]k (m = 2) from the Richardson difference of the
     induced Schouten tensor p over whole contexts."""
-    covdp = ctx.along(lambda c: c.fialkow()[1], (tangent_down(ctx.m),) * 2)
+    covdp = along(ctx, lambda c: c.fialkow()[1], (tangent_down(ctx.m),) * 2)
     return covdp - covdp.transpose(1, 0, 2)
 
 
@@ -158,8 +218,8 @@ def stencil_D_of_S(ctx):
     """D_i S_jKL [i, j, K, L] from the Richardson difference of the
     difference tractor over whole contexts."""
     m = ctx.m
-    return ctx.along(lambda c: c.difference_tractor(),
-                     (tangent_down(m), tractor_down(m), tractor_down(m)))
+    return along(ctx, lambda c: c.difference_tractor(),
+                 (tangent_down(m), tractor_down(m), tractor_down(m)))
 
 
 def stencil_coupled_D_of_L(ctx):
@@ -168,8 +228,8 @@ def stencil_coupled_D_of_L(ctx):
     index: the whole derivative projected by N^C_A, since the bundle
     rotates (the intrinsic terms are normal-valued already, as L is)."""
     m = ctx.m
-    DL = ctx.along(lambda c: c.L_explicit(),
-                   (tangent_down(m), tractor_down(m), tractor_up(ctx.n)))
+    DL = along(ctx, lambda c: c.L_explicit(),
+               (tangent_down(m), tractor_down(m), tractor_up(ctx.n)))
     Nact = ctx.normal_projector() @ pairing_matrix(ctx.n)
     return np.einsum("CA,ijLA->ijLC", Nact, DL)
 
@@ -206,8 +266,8 @@ def checked_connection_residual(geo, emb, q, seed=0):
     def V_at(y):
         return c0 + c1 @ (np.asarray(y) - ctx.q)
 
-    nabW = ctx.along(lambda c: c.push_up() @ V_at(c.q),
-                     (tractor_up(ctx.n),))
+    nabW = along(ctx, lambda c: c.push_up() @ V_at(c.q),
+                 (tractor_up(ctx.n),))
     lhs = np.einsum("JB,iB->iJ", pull_up(ctx), nabW)
     DV = tr.covariant_jet(ctx.intrinsic_conn(), [c0, c1],
                           (tractor_up(m),))[0].T
@@ -233,24 +293,30 @@ def M_operator(ctx, omega_builder):
     if ctx.m < 2:
         raise ValueError("the 1/(m-1) factor is undefined for curves")
     om0 = np.asarray(omega_builder(ctx.sub), dtype=float)
-    Dj = ctx._normal_divergence(ctx.along(lambda c: omega_builder(c.sub),
-                                          ctx._normal_indices()))
+    Dj = ctx._normal_divergence(along(ctx, lambda c: omega_builder(c.sub),
+                                      ctx._normal_indices()))
     return ctx.L_slots(om0, -Dj / (ctx.m - 1))
+
+
+def normal_form(ctx):
+    """The tractor normal form of a context: the wedge of its orthonormal
+    tractor conormals (0, n_a, n.H), every index down."""
+    return functools.reduce(tr.wedge, tractor_conormal_rows(ctx.sub.conormals,
+                                                           ctx.sub.H))
 
 
 def star_normal_form(ctx):
     """The tractor Hodge dual of the context's normal form."""
-    return tr.hodge_star(ctx.geo, ctx.normal_form(), ctx.sub.x)
+    return tr.hodge_star(ctx.geo, normal_form(ctx), ctx.sub.x)
 
 
 def nabla_normal_form(ctx):
     """nabla_i N_{A1..Ad} along Sigma (pullback tractor connection)."""
-    return ctx.along(lambda c: c.normal_form(),
-                     (tractor_down(ctx.n),) * ctx.d)
+    return along(ctx, normal_form, (tractor_down(ctx.n),) * ctx.d)
 
 
 def nabla_star_normal_form(ctx):
-    return ctx.along(star_normal_form, (tractor_down(ctx.n),) * (ctx.m + 2))
+    return along(ctx, star_normal_form, (tractor_down(ctx.n),) * (ctx.m + 2))
 
 
 # --------------------------------------------------------------------------

@@ -160,6 +160,33 @@ def test_circle_toward_the_ball_boundary_exits_the_chart(monkeypatch):
     assert 1 < doc["csv_rows"] < 7
 
 
+def test_circle_through_the_projection_point_exits_the_chart(monkeypatch):
+    """A custom circle on the stereographic sphere chart, which is all of
+    R^n, that runs off toward the point the chart leaves out ends as
+    "chart_exit" (exit 0) where a coordinate reaches ``cli.CHART_BOUND``,
+    the bound the sphere-great-circle preset stops at, in 512 right-hand
+    sides; without the bound it does not end."""
+    calls = 0
+    rhs = circles.conformal_circle_rhs
+
+    def capped(geo, state):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2000, "the circle does not stop at the chart bound"
+        return rhs(geo, state)
+
+    monkeypatch.setattr(circles, "conformal_circle_rhs", capped)
+    assert geolib.catalog()["sphere"].chart_radius is None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main([
+            "circle", "-s", 'geometry={"name":"sphere","params":{"n":3}}',
+            "-s", 'circle={"initial":{"x":[0.5,0,0],"u":[1,0,0]},'
+                  '"t_span":[0,20],"num":5}'])
+    assert rc == 0
+    assert json.loads(out.getvalue())["status"] == "chart_exit"
+
+
 @pytest.mark.parametrize("circle", [
     '{"initial":{"x":[0,0,0],"u":[1,0,0]},"t_span":[0.5,0.5]}',
     '{"preset":"flat-circle","t_span":[0,0]}',
@@ -414,7 +441,7 @@ def test_rotation_monitor_is_conserved_on_a_round_sphere():
     rotation form, along two random conformal circles.  (Lowering Phi's
     middle slots by g as well drifted by 0.44 and 0.53.)"""
     geo = geolib.sphere(3)
-    monitor = cli._rotation_monitor(geolib.round_rotation_form(3, 0, 1))
+    monitor = cli._rotation_monitors([geolib.round_rotation_form(3, 0, 1)])[0]
     rng = np.random.default_rng(5)
     for _ in range(2):
         x, u, a = rng.uniform(-0.3, 0.3, (3, 3))
@@ -623,9 +650,9 @@ def test_curve_report_builds_no_intrinsic_pack(monkeypatch, geometry,
     the Codazzi residual reads the intrinsic Christoffel symbol from the
     exact partials along the curve, and the Gauss residual of a curve has
     no intrinsic curvature.  A pack of the induced metric is one whose
-    geometry's metric is a ``PullbackMetricField``, built by either route:
-    ``curvature_pack``, which evaluates that field, or ``pack_from_jets``
-    on the jets a context pulls back itself."""
+    geometry has the curve's dimension 1, built by either route:
+    ``curvature_pack`` of a geometry with a metric field, or
+    ``pack_from_jets`` on the jets a context pulls back itself."""
     geos = []
     for fname in ("curvature_pack", "pack_from_jets"):
         fn = getattr(riemann, fname)
@@ -648,8 +675,7 @@ def test_curve_report_builds_no_intrinsic_pack(monkeypatch, geometry,
     assert all(len(r["gcr"]) == 3
                for r in json.loads(out.getvalue())["per_sample"])
     assert geos
-    assert not any(isinstance(g.metric, submanifold.PullbackMetricField)
-                   for g in geos)
+    assert not any(g.n == 1 for g in geos)
 
 
 PULLBACK_FREE_COMMANDS = [

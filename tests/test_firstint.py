@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import random_metric
-from tractorlab import geolib, submanifold, subtractor
+from tractorlab import cli, geolib, submanifold, subtractor
 from tractorlab import circles as ci
 from tractorlab import firstint as fi
 from tractorlab import tractor as tr
@@ -13,7 +14,8 @@ from tractorlab.riemann import curvature_pack
 from tractorlab.submanifold import EmbeddingSpec
 from tractorlab.subtractor import SubTractorContext
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
-                                middle_block, pairing_matrix, tangent_down)
+                                middle_block, pairing_matrix, tangent_down,
+                                tractor_down)
 from test_jets import _bitwise_equal
 
 
@@ -76,6 +78,87 @@ def test_s2s2_killing_fields_not_normal():
         assert fi.bgg_split(geo, spec, p).normality_residual > 0.01
 
 
+# normal solutions, whose splitting tractor is parallel: the round sphere's
+# rotations and the flat chart's hyperbolic scale
+NORMAL_SOLUTIONS = {
+    "sphere3-rotation": (lambda: geolib.sphere(3),
+                         lambda: geolib.round_rotation_form(3, 0, 1)),
+    "sphere4-rotation": (lambda: geolib.sphere(4),
+                         lambda: geolib.round_rotation_form(4, 0, 1)),
+    "euclidean3-hyperbolic_scale": (
+        lambda: geolib.euclidean(3),
+        lambda: geolib.almost_einstein_hyperbolic(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_SOLUTIONS))
+def test_normal_solutions_are_parallel_to_round_off(name):
+    """The normality of a normal solution is round-off: the tractor
+    derivative of K's exact first jet.  The central-difference stencil
+    left 7.0e-6 on both round rotations and 1.7e-14 on the hyperbolic
+    scale; round-off reads at most 8e-16 at these and five seeded
+    points."""
+    make_geo, make_k = NORMAL_SOLUTIONS[name]
+    geo = make_geo()
+    x = np.array([0.1, 0.2, -0.3, 0.05])[:geo.n]
+    assert fi.bgg_split(geo, make_k(), x).normality_residual <= 4e-15
+
+
+def _catalog_ky_forms():
+    """(label, geometry maker, form maker) of every Killing-Yano form of
+    ``geolib.catalog()`` at its default parameters, and the lifted s2s2
+    Killing forms of each generator in each combination the tests use."""
+    for name, entry in sorted(geolib.catalog().items()):
+        for fname, make in sorted(entry.ky_forms.items()):
+            yield f"{name}/{fname}", entry.make_geometry, make
+    for gen in ("rot", "t1", "t2"):
+        for combo in ((1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (1.0, 0.4),
+                      (0.7, 0.5)):
+            yield (f"s2s2/{gen}{combo}", geolib.s2s2,
+                   lambda gen=gen, combo=combo: geolib.s2s2_lifted_killing(
+                       gen, combo=combo))
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+def test_exact_normality_matches_the_stencil(fd):
+    """Over every catalog Killing-Yano form (degrees 1 and 2), the tractor
+    derivative of K's exact first jet, whose largest component is
+    ``bgg_split``'s normality, against the central difference of K
+    (``oracles.stencil_normality``).  The walk's largest relative
+    difference is 1.0e-5, the stencil's truncation on s2s2, on both
+    backends; the s2s2 forms are not normal (> 0.5)."""
+    degrees = set()
+    for label, make_geo, make_k in _catalog_ky_forms():
+        geo, k = make_geo(), make_k()
+        if fd:
+            geo = cli.as_fd_geometry(geo)
+        degrees.add(k.degree)
+        x = np.random.default_rng(11).uniform(-0.3, 0.3, geo.n)
+        pack = curvature_pack(geo, x, order=3)
+        K, dK = fi._split_components(geo, k, x, pack, order=1)
+        nab = tr.covariant_jet(tr.ConnData.from_pack(pack), [K, dK],
+                               (tractor_down(geo.n),) * K.ndim)[0]
+        assert fi.bgg_split(geo, k, x).normality_residual == \
+            np.abs(nab).max(), label
+        ref = oracles.stencil_normality(geo, k, x)
+        err = np.abs(nab - ref).max() / max(1.0, np.abs(ref).max())
+        assert err <= 3e-5, (label, err)
+        if label.startswith("s2s2"):
+            assert np.abs(nab).max() > 0.5, label
+    assert degrees == {1, 2}
+
+
+def test_order0_split_is_the_value_of_the_jet():
+    """K at order 0, the monitors' route on an order-2 pack, is bitwise
+    the value of the first jet on an order-3 pack."""
+    for label, make_geo, make_k in _catalog_ky_forms():
+        geo, k = make_geo(), make_k()
+        x = np.random.default_rng(12).uniform(-0.3, 0.3, geo.n)
+        K = fi._split_components(geo, k, x)
+        assert _bitwise_equal(K, fi._split_components(geo, k, x,
+                                                      order=1)[0]), label
+
+
 def test_conserved_quantity_flat_line():
     geo = geolib.euclidean(3)
     k = geolib.rotation_form(3, 0, 1)
@@ -98,10 +181,10 @@ def test_conserved_quantity_codim2_plane():
 
 @pytest.mark.parametrize("case", ["line", "s2s2-diagonal"])
 def test_conserved_quantity_reads_the_context_packs(case, monkeypatch):
-    """The splitting at each stencil point and the slot evaluation read
-    the order-2 curvature packs of the contexts: one call builds the 4m
-    stencil packs under ``SubTractorContext.along``, one the pack at q.
-    Each used to build its own (13 calls at m = 2, 9 at m = 1)."""
+    """The splitting's first jet and the slot evaluation read the
+    context's packs: its order-2 pack at q, a stack of one, and its
+    order-3 ambient pack at x, with no stencil.  The Richardson stencil
+    under ``SubTractorContext.along`` built a stacked pack of 4m rows."""
     if case == "line":
         geo, emb = geolib.euclidean(3), geolib.coordinate_slice(
             3, (2,), values=(1.3, 0.0, 0.0))
@@ -113,12 +196,73 @@ def test_conserved_quantity_reads_the_context_packs(case, monkeypatch):
     calls = []
 
     def counted(geo, x, order=None):
-        calls.append(len(x) if np.ndim(x) == 2 else 1)
+        calls.append((np.shape(x), order))
         return curvature_pack(geo, x, order)
     for mod in (fi, submanifold, subtractor):
         monkeypatch.setattr(mod, "curvature_pack", counted)
     fi.conserved_quantity(geo, emb, k, q)
-    assert sorted(calls) == [1, 4 * emb.m]
+    assert sorted(calls) == [((1, geo.n), 2), ((geo.n,), 3)]
+
+
+CONSERVED_CASES = {
+    "euclidean3-line": (lambda: geolib.euclidean(3),
+                        lambda: geolib.coordinate_slice(
+                            3, (2,), values=(1.3, 0.0, 0.0)),
+                        lambda: geolib.rotation_form(3, 0, 1), [0.4]),
+    "euclidean4-plane": (lambda: geolib.euclidean(4),
+                         lambda: geolib.coordinate_slice(
+                             4, (2, 3), values=(0.7, -0.2, 0, 0)),
+                         lambda: geolib.rotation_form(4, 0, 1), [0.3, 0.5]),
+    "s2s2-diagonal-antidiagonal": (
+        geolib.s2s2, geolib.diagonal_s2s2,
+        lambda: geolib.s2s2_lifted_killing("t1", combo=(1.0, -1.0)),
+        [0.25, -0.15]),
+    "s2s2-diagonal-generic": (
+        geolib.s2s2, geolib.diagonal_s2s2,
+        lambda: geolib.s2s2_lifted_killing("t1", combo=(1.0, 0.4)),
+        [0.25, -0.15]),
+    **{f"s2s2-factor-{gen}": (
+        geolib.s2s2,
+        lambda: geolib.coordinate_slice(4, (0, 1), values=(0, 0, 0.2, -0.4)),
+        lambda gen=gen: geolib.s2s2_lifted_killing(gen, 1, combo=(0.7, 0.5)),
+        [0.1, 0.3]) for gen in ("rot", "t1", "t2")},
+}
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(CONSERVED_CASES))
+def test_conserved_quantity_derivative_matches_the_stencil(name, fd):
+    """The exact partial of K . N along Sigma against the Richardson
+    difference of whole contexts (``oracles.along``) at every conserved
+    quantity the tests read.  The walk's largest difference is the
+    stencil's, 1.8e-9 on the generic diagonal form; with the metric
+    differenced, 4.2e-7 there (the exact route reads the central-difference
+    3-jet); 0 on the others."""
+    make_geo, make_emb, make_k, q = CONSERVED_CASES[name]
+    geo, k, q = make_geo(), make_k(), np.array(q)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    rep = fi.conserved_quantity(geo, make_emb(), k, q)
+    ctx = SubTractorContext(geo, make_emb(), q)
+    value = oracles.conserved_quantity_value(geo, k)
+    assert rep["value"] == pytest.approx(value(ctx), abs=1e-14)
+    ref = oracles.along(ctx, value, ())
+    assert np.abs(rep["derivative"] - ref).max() <= (1e-6 if fd else 5e-9)
+
+
+def test_generic_diagonal_derivative_is_the_obstruction_to_round_off():
+    """Along the diagonal of s2s2 the generic combination's derivative is
+    the Weyl obstruction to round-off (4.4e-16; the stencil's derivative
+    was 1.8e-9 away): every lifted generator, at seven points."""
+    geo, emb = geolib.s2s2(), geolib.diagonal_s2s2()
+    rng = np.random.default_rng(3)
+    for q in [np.array([0.25, -0.15])] + list(rng.uniform(-0.5, 0.5, (6, 2))):
+        for gen in ("rot", "t1", "t2"):
+            k = geolib.s2s2_lifted_killing(gen, combo=(1.0, 0.4))
+            rep = fi.conserved_quantity(geo, emb, k, q)
+            assert rep["derivative_residual"] > 0.2
+            assert np.abs(rep["derivative"]
+                          - rep["obstruction"]).max() <= 4e-15, (gen, q)
 
 
 def test_degree_codimension_mismatch():
@@ -257,7 +401,8 @@ def test_hyperbolic_scale_zero_locus_is_normal_tractor():
         ctx = SubTractorContext(geo, emb, q)
         I = fi._split_components(geo, sig, ctx.sub.x)
         assert abs(float(sig.field.value(ctx.sub.x))) < 1e-12
-        Ntr = ctx.tractor_conormals()[0]
+        Ntr = subtractor.tractor_conormal_rows(ctx.sub.conormals,
+                                               ctx.sub.H)[0]
         # raise the conormal to compare with the (up-slot) scale tractor
         Nup = middle_block(ctx.pack.gi) @ Ntr
         sign = np.sign(float(I @ Nup)) or 1.0
@@ -336,7 +481,7 @@ def test_exact_split_matches_fd_route(name, monkeypatch):
     x = np.array([0.3, -0.2, 0.1])
     for spec in (_non_solution_1form(), _non_solution_2form()):
         pack, _, covs = fi._cov_jets(geo, spec, x, 2)
-        assert np.abs(fi._div_middle_part(pack, covs)).max() > 0.1
+        assert np.abs(fi._div_middle_part(pack, covs[1])).max() > 0.1
         K = fi._split_components(geo, spec, x)
         with monkeypatch.context() as mp:
             mp.setattr(fi, "_div_middle_part",
@@ -355,7 +500,7 @@ def test_div_middle_part_vanishes_on_solutions():
              (geolib.s2s2(), geolib.s2s2_lifted_killing("t1", 1), x4)]
     for geo, spec, x in cases:
         pack, _, covs = fi._cov_jets(geo, spec, x, 2)
-        assert np.abs(fi._div_middle_part(pack, covs)).max() <= 1e-14, \
+        assert np.abs(fi._div_middle_part(pack, covs[1])).max() <= 1e-14, \
             spec.name
 
 
@@ -371,16 +516,18 @@ def test_split_components_makes_no_ky_decompose_call(monkeypatch):
     assert calls == []
 
 
-def test_bgg_split_stencil_reads_one_stacked_pack(monkeypatch):
-    """The normality check's 2n stencil rows take their curvature packs
-    from one stacked build, next to the pack at the point itself."""
-    shapes = []
+def test_bgg_split_reads_one_order3_pack(monkeypatch):
+    """The normality is the tractor derivative of K's exact first jet: one
+    order-3 curvature pack at the point and no stacked pack (the former
+    2n-row stencil took a stacked one)."""
+    calls = []
     pack = fi.curvature_pack
     monkeypatch.setattr(fi, "curvature_pack", lambda geo, x, order=None:
-                        shapes.append(np.shape(x)) or pack(geo, x, order))
+                        calls.append((np.shape(x), order))
+                        or pack(geo, x, order))
     fi.bgg_split(geolib.euclidean(4), geolib.rotation_form(4, 0, 1),
                  np.array([0.3, -0.2, 0.1, 0.4]))
-    assert shapes == [(4,), (8, 4)]
+    assert calls == [((4,), 3)]
 
 
 @pytest.mark.parametrize("case", ["rotation", "special_conformal",

@@ -24,7 +24,8 @@ def test_flat_space_all_zero():
 
 
 CATALOG = sorted(geolib.catalog().items())
-THIRD_ORDER_FIELDS = {"dP", "dRud", "Cotton", "d3g", "d2Gamma", "has_third"}
+THIRD_ORDER_FIELDS = {"dP", "dJ", "dRud", "Cotton", "d3g", "d2Gamma",
+                      "has_third"}
 
 
 @pytest.mark.parametrize("backend", ["analytic", "fd"])
@@ -33,7 +34,7 @@ def test_order2_pack_is_the_order3_pack_without_its_third_jet(name, entry,
                                                               backend):
     """The packs built at order 2 (submanifold, stencil-point, BGG-split and
     rescaling packs) hold every field of the order-3 pack bit for bit,
-    except dP, dRud, the Cotton tensor, d2Gamma and the metric's third
+    except dP, dJ, dRud, the Cotton tensor, d2Gamma and the metric's third
     derivative d3g that only the order-3 pack keeps.  Both keep the metric
     Hessian d2g, which is checked bitwise between the orders with the
     other shared fields."""

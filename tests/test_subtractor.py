@@ -7,10 +7,10 @@ import pytest
 from test_jets import _bitwise_equal
 from tractorlab import cli, geolib
 from tractorlab import tractor as tr
-from oracles import (M_operator, checked_connection_residual,
-                     nabla_normal_form, nabla_star_normal_form, pull_up,
-                     random_metric, reconstruct_L, stencil_coupled_D_of_L,
-                     stencil_D_of_S)
+from oracles import (M_operator, along, checked_connection_residual,
+                     nabla_normal_form, nabla_star_normal_form, normal_form,
+                     pull_up, random_metric, reconstruct_L,
+                     stencil_coupled_D_of_L, stencil_D_of_S)
 from tractorlab.subtractor import (SubTractorContext,
                                    _normal_projector_partial, classify,
                                    intrinsic_tractor_curvature,
@@ -59,7 +59,7 @@ def test_normal_projector_flat_hyperplane_block():
 def test_normal_projector_from_normal_form(graph_ctx):
     ctx = graph_ctx
     J = pairing_matrix(ctx.n)
-    Nf = ctx.normal_form()
+    Nf = normal_form(ctx)
     R = middle_block(ctx.pack.gi)
     Nup = np.einsum("AC,BD,CD->AB", R, R, Nf)
     NN = np.einsum("AB,AB->", Nup, J @ Nf @ J.T)
@@ -219,7 +219,7 @@ def test_normal_form_derivative_identity(graph_ctx):
     nabN = nabla_normal_form(ctx)
     Lb = ctx.Lbar()
     LC = np.einsum("iBC,CE->iBE", Lb, J)
-    T = np.einsum("iBE,AE->iAB", LC, ctx.normal_form())
+    T = np.einsum("iBE,AE->iAB", LC, normal_form(ctx))
     pred = -d * alt_array(T, axes=(1, 2))
     assert np.abs(nabN - pred).max() < 1e-8
 
@@ -228,7 +228,7 @@ def test_normal_form_inversion_identity(graph_ctx):
     ctx = graph_ctx
     J = pairing_matrix(ctx.n)
     R = middle_block(ctx.pack.gi)
-    Nf = ctx.normal_form()
+    Nf = normal_form(ctx)
     Nup = np.einsum("AC,BD,CD->AB", R, R, Nf)
     inv = np.einsum("CA,iBA->iBC", Nup @ J.T, nabla_normal_form(ctx))
     assert np.abs(inv + math.factorial(ctx.d - 1) * ctx.Lbar()).max() < 1e-8
@@ -334,12 +334,55 @@ def test_mean_curvature_tractor_builds_one_pack_at_q():
     assert sum(key[1] == q.tobytes() for key in emb.packs) == 1
 
 
-def test_zero_scale_tractor_rejected():
-    geo = geolib.euclidean(3)
-    emb = geolib.sphere_in_flat(3, 1.0)
-    with pytest.raises(ValueError):
-        mean_curvature_tractor(geo, emb, np.array([0.1, 0.2]),
-                               scale_tractor_comp=lambda x: np.zeros(5))
+def test_parallel_mean_curvature_to_round_off():
+    """The round sphere of radius 2 in flat space has parallel mean
+    curvature: N nabla H^A from ``nabla_normal_projector`` and dJ reads
+    round-off (2.2e-16 at most at seven points; the Richardson stencil left
+    1.2e-9 at the first)."""
+    geo, emb = geolib.euclidean(3), geolib.sphere_in_flat(3, 2.0)
+    rng = np.random.default_rng(3)
+    for q in [np.array([0.2, -0.3])] + list(rng.uniform(-0.5, 0.5, (6, 2))):
+        rep = mean_curvature_tractor(geo, emb, q)
+        assert rep["parallel_residual"] <= 1e-15, q
+
+
+# every mean-curvature-tractor case the tests read
+MEAN_CURVATURE_CASES = {
+    "euclidean-sphere2": (lambda: geolib.euclidean(3),
+                          lambda: geolib.sphere_in_flat(3, 2.0), [0.2, -0.3]),
+    "euclidean-sphere2-b": (lambda: geolib.euclidean(3),
+                            lambda: geolib.sphere_in_flat(3, 2.0), [0.4, 0.2]),
+    "euclidean-sphere1": (lambda: geolib.euclidean(3),
+                          lambda: geolib.sphere_in_flat(3, 1.0), [0.2, -0.3]),
+    "sphere-great": (lambda: geolib.sphere(4),
+                     lambda: geolib.coordinate_slice(4, (0, 1)), [0.2, -0.1]),
+    "euclidean-helix": (lambda: geolib.euclidean(3),
+                        lambda: geolib.helix_embedding(0.5, 1.0), [0.1]),
+    "s2s2-factor": (geolib.s2s2, lambda: geolib.coordinate_slice(
+        4, (0, 1), values=(0, 0, 0.2, -0.4)), [0.1, 0.3]),
+}
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MEAN_CURVATURE_CASES))
+def test_parallel_residual_matches_the_stencil(name, fd):
+    """N nabla H^A from the exact route against the Richardson difference
+    of H^A over whole contexts (``oracles.along``).  The walk's largest
+    difference is the stencil's, 3.1e-9 on the unit sphere, on both
+    backends."""
+    make_geo, make_emb, q = MEAN_CURVATURE_CASES[name]
+    geo, q = make_geo(), np.array(q)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    rep = mean_curvature_tractor(geo, make_emb(), q)
+    ctx = SubTractorContext(geo, make_emb(), q)
+    n, Jp = ctx.n, pairing_matrix(ctx.n)
+    nabH = along(ctx, lambda c: normal_projector_array(c.sub) @ (
+        Jp @ tr.make_tractor(n, sigma=1.0, rho=-c.pack.J / n)),
+        (tractor_up(n),))
+    ref = np.abs(np.einsum("AB,iB->iA", ctx.normal_projector() @ Jp,
+                           nabH)).max()
+    assert abs(rep["parallel_residual"] - ref) <= 1e-8
 
 
 def test_classification_verdicts():

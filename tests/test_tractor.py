@@ -244,9 +244,10 @@ def test_wedge_leibniz():
 def test_parallel_transport_flat_closed_loop():
     geo = geolib.euclidean(3)
 
-    def loop(t):
-        s = 2 * np.pi * t
-        return 0.5 * np.array([np.cos(s) - 1, np.sin(s), 0.0])
+    def fn(v):
+        s = (2 * np.pi) * v[0]
+        return [0.5 * (s.cos() - 1.0), 0.5 * s.sin(), 0.0]
+    loop = geolib.jet_embedding(1, 3, fn).phi
 
     rng = np.random.default_rng(3)
     T0 = rng.standard_normal(5)
@@ -258,12 +259,13 @@ def test_parallel_transport_flat_closed_loop():
 def test_parallel_transport_norm_and_holonomy():
     geo = geolib.sphere(3)
 
-    def loop(t):
-        s = 2 * np.pi * t
-        return 0.4 * np.array([np.cos(s) - 1.0, np.sin(s), 0.3 * np.sin(2 * s)])
+    def fn(v):
+        s = (2 * np.pi) * v[0]
+        return [0.4 * (s.cos() - 1.0), 0.4 * s.sin(), 0.12 * (2.0 * s).sin()]
+    loop = geolib.jet_embedding(1, 3, fn).phi
 
     rng = np.random.default_rng(4)
-    dot0, lo, _ = _hpair(geo, loop(0.0))
+    dot0, lo, _ = _hpair(geo, loop.value(np.zeros(1)))
     v = rng.standard_normal(5)
     T1 = tr.parallel_transport(geo, loop, v, (tractor_up(3),), 0.0, 1.0,
                                steps=800)
@@ -326,8 +328,10 @@ def test_parallel_transport_divergence_is_numerical_error():
     geo = geolib.euclidean(3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(tr.TransportDivergedError) as info:
-            tr.parallel_transport(geo, lambda t: np.array([1e300 * t, 0, 0]),
-                                  np.ones(5), (tractor_up(3),), steps=4)
+            tr.parallel_transport(
+                geo, geolib.jet_embedding(
+                    1, 3, lambda v: [1e300 * v[0], 0.0, 0.0]).phi,
+                np.ones(5), (tractor_up(3),), steps=4)
     assert isinstance(info.value, NumericalError)
     assert isinstance(info.value, RuntimeError)
 
