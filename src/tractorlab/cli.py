@@ -499,14 +499,12 @@ def cmd_circle(cfg, args=None):
         geo, st, span, monitors, summarise, chart_bound = preset
     else:
         geo, entry = build_geometry(cfg)
+        chart_bound = CHART_BOUND if entry.chart_radius is None else None
         if entry.chart_radius is not None:
             # the metric, and with it the state's acceleration, blows up
             # at the chart's boundary: the steps shrink toward it without
             # end, so the circle stops just inside
-            chart_bound = None
             chart_radius = (1.0 - CHART_MARGIN) * entry.chart_radius
-        else:
-            chart_bound = CHART_BOUND
         init = circ.get("initial")
         if init is None:
             raise ConfigError("circle needs an initial state or a preset")

@@ -271,19 +271,6 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
     if n == 1:
         pack.K = 0.0
         return pack
-    if n == 2:
-        pack.K = Scal / 2.0
-        if geo.mobius_schouten is not None:
-            pack.P = (geo.mobius_schouten.value(x) if x.ndim == 1
-                      else geo.mobius_schouten.values(x))
-            pack.J = _scalar(np.einsum(f"{z}ab,{z}ab->{z}", gi, pack.P))
-        return pack
-
-    J = Scal / (2.0 * (n - 1))
-    P = (Ric - (J[:, None, None] if z else J) * g) / (n - 2)
-    pack.J = J
-    pack.P = P
-
     if d3g is not None:
         d2gi = (-np.einsum(f"{z}cea,{z}efb,{z}fd->{z}cdab", dgi, dg, gi)
                 - np.einsum(f"{z}ce,{z}efab,{z}fd->{z}cdab", gi, d2g, gi)
@@ -292,10 +279,29 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
         # swapaxes transpose (0 2 1 3 4) and (2 0 1 3 4) behind a point axis
         d2half = 0.5 * (d3g.swapaxes(-4, -3) + d3g
                         - d3g.swapaxes(-4, -3).swapaxes(-5, -4))
-        d2Gamma = (np.einsum(f"{z}cdef,{z}dab->{z}cabef", d2gi, half)
-                   + np.einsum(f"{z}cde,{z}dabf->{z}cabef", dgi, dhalf)
-                   + np.einsum(f"{z}cdf,{z}dabe->{z}cabef", dgi, dhalf)
-                   + np.einsum(f"{z}cd,{z}dabef->{z}cabef", gi, d2half))
+        pack.d2Gamma = d2Gamma = (
+            np.einsum(f"{z}cdef,{z}dab->{z}cabef", d2gi, half)
+            + np.einsum(f"{z}cde,{z}dabf->{z}cabef", dgi, dhalf)
+            + np.einsum(f"{z}cdf,{z}dabe->{z}cabef", dgi, dhalf)
+            + np.einsum(f"{z}cd,{z}dabef->{z}cabef", gi, d2half))
+    if n == 2:
+        pack.K = Scal / 2.0
+        mob = geo.mobius_schouten
+        if mob is not None:
+            pack.P = mob.value(x) if x.ndim == 1 else mob.values(x)
+            pack.J = _scalar(np.einsum(f"{z}ab,{z}ab->{z}", gi, pack.P))
+            if d3g is not None:
+                pack.dP = mob.jets(x, 1)[1]
+                pack.dJ = (np.einsum(f"{z}abe,{z}ab->{z}e", dgi, pack.P)
+                           + np.einsum(f"{z}ab,{z}abe->{z}e", gi, pack.dP))
+        return pack
+
+    J = Scal / (2.0 * (n - 1))
+    P = (Ric - (J[:, None, None] if z else J) * g) / (n - 2)
+    pack.J = J
+    pack.P = P
+
+    if d3g is not None:
         dRud = (np.einsum(f"{z}cbdae->{z}abcde", d2Gamma)
                 - np.einsum(f"{z}cadbe->{z}abcde", d2Gamma)
                 + np.einsum(f"{z}cafe,{z}fbd->{z}abcde", dGamma, Gamma)
@@ -316,7 +322,6 @@ def pack_from_jets(geo: GeometrySpec, x, jets) -> CurvaturePack:
         pack.dP = dP
         pack.dJ = dJ
         pack.dRud = dRud
-        pack.d2Gamma = d2Gamma
         pack.Cotton = Cotton
         pack.has_third = True
     return pack

@@ -1,4 +1,7 @@
 """Killing-Yano forms, splitting, conserved quantities and zero loci."""
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -146,6 +149,28 @@ def test_exact_normality_matches_the_stencil(fd):
         if label.startswith("s2s2"):
             assert np.abs(nab).max() > 0.5, label
     assert degrees == {1, 2}
+
+
+def test_two_dimensional_normality_reads_the_moebius_field():
+    """On a 2-dimensional chart the tractor connection's Schouten tensor is
+    the Moebius structure's, so K's first jet reads that field's first jet
+    (dP of the order-3 pack): the euclidean(2) and sphere(2) rotations
+    against the stencil (at most 8.0e-6 apart, the stencil's truncation
+    and the Moebius field's central difference), and a scan on
+    euclidean(2) exits 0."""
+    x = np.array([0.2, -0.3])
+    for geo, k in ((geolib.euclidean(2), geolib.rotation_form(2)),
+                   (geolib.sphere(2), geolib.round_rotation_form(2))):
+        ref = oracles.stencil_normality(geo, k, x)
+        assert abs(fi.bgg_split(geo, k, x).normality_residual
+                   - np.abs(ref).max()) <= 2e-5
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["scan", "-s",
+                       'geometry={"name":"euclidean","params":{"n":2}}',
+                       "-s", 'scan={"ky":{"name":"rotation",'
+                             '"params":{"n":2}},"grid":5}'])
+    assert rc == 0
+    assert json.loads(out.getvalue())["normality_residual"] == 0.0
 
 
 def test_order0_split_is_the_value_of_the_jet():
