@@ -69,7 +69,8 @@ SCHEMA = {
                                   "minItems": 2, "maxItems": 2}}}},
         "tolerances": {
             "type": "object", "additionalProperties": False,
-            "properties": {"classify": {"type": ["number", "null"]},
+            "properties": {"classify": {"type": ["number", "null"],
+                                        "exclusiveMinimum": 0},
                            "rtol": {"type": "number",
                                     "exclusiveMinimum": 0},
                            "atol": {"type": "number", "minimum": 0}}},
@@ -296,6 +297,10 @@ def build_ky(cfg, entry, geo):
 def sample_points(cfg, m, seed):
     sc = cfg.get("samples", {})
     if "points" in sc:
+        for key in ("count", "box"):
+            if key in sc:
+                raise ConfigError(f"samples.points cannot be given with "
+                                  f"samples.{key}")
         pts = [np.asarray(p, dtype=float) for p in sc["points"]]
         if any(p.shape != (m,) for p in pts):
             raise ConfigError(f"every sample point needs {m} coordinates")

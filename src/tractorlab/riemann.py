@@ -39,10 +39,9 @@ class GeometrySpec:
     For a 2-dimensional ambient chart a Moebius structure may be supplied as
     an explicit Schouten field; tractor operations refuse to run without it.
 
-    Specs compare and hash by identity, so a spec can key a cache of values
-    computed from it (see ``submanifold.submanifold_pack``).  A spec also
-    holds the key of ``curvature_pack``'s last single-point call and the
-    pack it stored for that key, if any.
+    Specs compare and hash by identity.  The one cache keyed to a spec is
+    the one it holds: the key of ``curvature_pack``'s last single-point
+    call and the pack it stored for that key, if any.
     """
     n: int
     metric: ArrayField

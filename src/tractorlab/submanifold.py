@@ -3,10 +3,9 @@
 An embedding is a chart map from an m-dimensional parameter chart into the
 ambient chart, with derivative access to any order its field has.
 ``submanifold_pack`` collects the induced metric, projectors, second
-fundamental form, mean curvature and oriented normal frame at a point, or
-at each row of a stack: the rows not in the embedding's memo share one
-embedding 2-jet, one order-2 curvature pack and one ``normal_frame`` call,
-and each is bitwise what an evaluation at its point alone gives.
+fundamental form, mean curvature and oriented normal frame at a point,
+from one embedding 2-jet, one order-2 curvature pack and one
+``normal_frame`` call there; each call builds a fresh pack.
 
 The induced metric's jets are exact at every order: ``pullback_metric``
 takes dphi^T (g o phi) dphi from the embedding's jet and the metric's jets
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,17 +55,11 @@ class RankDeficientError(NumericalError, RuntimeError):
 
 @dataclass
 class EmbeddingSpec:
-    """Chart map of an m-dimensional submanifold into the ambient chart.
-
-    ``packs`` is the memo of ``submanifold_pack``; it lives and dies with
-    the spec.
-    """
+    """Chart map of an m-dimensional submanifold into the ambient chart."""
     m: int
     n: int
     phi: ArrayField
     orientation: int = 1
-    packs: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
 
 class PullbackMetricField(ArrayField):
@@ -157,128 +150,81 @@ class SubmanifoldPack:
 
 def submanifold_pack(geo: GeometrySpec, emb: EmbeddingSpec, q,
                      seeds=None):
-    """Submanifold data of ``emb`` in ``geo`` at parameter point ``q``; for
-    a stack of points ``q`` of shape (p, m) the list of the packs at its
-    rows.
+    """Submanifold data of ``emb`` in ``geo`` at parameter point ``q``: one
+    embedding 2-jet at q, one order-2 curvature pack at phi(q), one rank
+    check and one ``normal_frame``.
 
     ``seeds`` names the ambient coordinate conormals the normal frame is
     built from; by default the ones least aligned with the tangent space.
-
-    Each distinct pack is computed once per embedding: packs are memoised in
-    ``emb.packs`` under the key (``geo``, the bytes of ``q``, ``tuple(seeds)``
-    or None).  Geometry specs hash by identity, so a geometry that was
-    dropped cannot alias a new one, and the memo lives exactly as long as
-    ``emb`` (the CLI builds one per call).  Packs are shared between callers,
-    so their arrays, and those of the ambient curvature pack, are read-only.
-    Concurrent callers may compute a pack twice; both results are equal.
-
-    A single point is a stack of one.  The rows not in the memo yet share
-    one evaluation of the embedding 2-jet, one order-2 curvature pack, one
-    rank check and one ``normal_frame`` call; each pack is bitwise the one
-    a call at its row builds.
+    The pack's intrinsic geometry holds no metric field: a context builds
+    its packs from the jets it pulls back (``pack_from_jets``).
     """
     q = np.array(q, dtype=float)
-    seeds = None if seeds is None else tuple(seeds)
-    rows = q.reshape(-1, q.shape[-1])
-    keys = [(geo, r.tobytes(), seeds) for r in rows]
-    todo = {}
-    for key, r in zip(keys, rows):
-        if key not in emb.packs:
-            todo.setdefault(key, r)
-    if todo:
-        Q = np.array(list(todo.values()))
-        ph = emb.phi.jets(Q, 2)
-        packs = curvature_pack(geo, ph[0], order=2)
-        deficient = np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m
-        if deficient.any():
-            raise RankDeficientError("embedding differential rank-deficient "
-                                     f"at {Q[np.argmax(deficient)]}")
-        frame = normal_frame(packs.g, packs.gi, ph[1],
-                             geo.orientation * emb.orientation, seeds,
-                             packs.Gamma, ph[2])
-        for i, key in enumerate(todo):
-            emb.packs[key] = _build_pack(
-                emb, Q[i], [c[i] for c in ph], packs.at(i),
-                {k: v[i] for k, v in frame.items()})
-    out = [emb.packs[key] for key in keys]
-    return out if q.ndim == 2 else out[0]
-
-
-def _build_pack(emb, q, ph, pack, frame):
-    """The read-only pack at ``q`` from its rows of the embedding 2-jet
-    ``ph``, the ambient curvature pack and the normal frame.  Its intrinsic
-    geometry holds no metric field: a context builds its packs from the
-    jets it pulls back (``pack_from_jets``)."""
+    ph = emb.phi.jets(q, 2)
+    pack = curvature_pack(geo, ph[0], order=2)
+    if np.linalg.matrix_rank(ph[1], tol=1e-10) < emb.m:
+        raise RankDeficientError(
+            f"embedding differential rank-deficient at {q}")
+    frame = normal_frame(pack.g, pack.gi, ph[1],
+                         geo.orientation * emb.orientation, seeds,
+                         pack.Gamma, ph[2])
     intrinsic = GeometrySpec(n=emb.m, metric=None,
                              orientation=emb.orientation)
-    sub = SubmanifoldPack(q=q, x=ph[0], m=emb.m, n=emb.n, d=emb.n - emb.m,
-                          dphi=ph[1], pack=pack, intrinsic=intrinsic,
-                          **frame)
-    for obj in (sub, pack):
-        for arr in vars(obj).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-    return sub
+    return SubmanifoldPack(q=q, x=ph[0], m=emb.m, n=emb.n, d=emb.n - emb.m,
+                           dphi=ph[1], pack=pack, intrinsic=intrinsic,
+                           **frame)
 
 
 def normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
                  d2phi=None):
-    """The ``SubmanifoldPack`` fields g_s, gi_s, Nab, conormals,
-    normals and seeds as a dict, from g, g^-1 and dphi on a stack of points
-    (a leading point axis on each array and field, ``seeds`` a list of
-    tuples); with Gamma and d2phi also II, IIo and H.  ``seeds`` default,
-    row by row, to the coordinate conormals least aligned with the tangent
-    space (ties to the lower index); ``orientation`` is the ambient one
-    times the submanifold's.  Degenerate seeds on any row raise."""
-    p, n, m = dphi.shape
-    dphiT = np.swapaxes(dphi, 1, 2)
-    g_s = dphiT @ g @ dphi
+    """The ``SubmanifoldPack`` fields g_s, gi_s, Nab, conormals, normals
+    and seeds as a dict, from g, g^-1 and dphi at a point; with Gamma and
+    d2phi also II, IIo and H.  ``seeds`` default to the coordinate
+    conormals least aligned with the tangent space (ties to the lower
+    index); ``orientation`` is the ambient one times the submanifold's.
+    Degenerate seeds raise."""
+    n, m = dphi.shape
+    g_s = dphi.T @ g @ dphi
     gi_s = np.linalg.inv(g_s)
     # Pi^i_a, the orthogonal projection onto T Sigma
-    Pi_ia = gi_s @ dphiT @ g
+    Pi_ia = gi_s @ dphi.T @ g
     Nab = np.eye(n) - dphi @ Pi_ia
     out = dict(g_s=g_s, gi_s=gi_s, Nab=Nab)
 
     if Gamma is not None:
         # second fundamental form: normal part of the ambient Hessian of phi
-        hess = d2phi + np.einsum("pcde,pdi,pej->pcij", Gamma, dphi, dphi)
-        II = np.einsum("pcb,pbij->pijc", Nab, hess)
-        H = np.einsum("pij,pijc->pc", gi_s, II) / m
-        IIo = II - np.einsum("pij,pc->pijc", g_s, H)
+        hess = d2phi + np.einsum("cde,di,ej->cij", Gamma, dphi, dphi)
+        II = np.einsum("cb,bij->ijc", Nab, hess)
+        H = np.einsum("ij,ijc->c", gi_s, II) / m
+        IIo = II - np.einsum("ij,c->ijc", g_s, H)
         if m == 1:
             IIo = np.zeros_like(II)
         out.update(II=II, IIo=IIo, H=H)
 
-    def gi_pair(u, v):
-        """u . g^-1 . v at each row, as (1 x n)(n x n)(n x 1) products,
-        which round as a point's ``u @ gi @ v`` does."""
-        return (u[..., None, :] @ gi[:, None] @ v[..., None])[..., 0, 0]
-
     if seeds is None:
         # residual of dx^a (row a of N^a_b) after tangential projection,
-        # measured with g^-1; a stable sort of -score keeps ties in order
-        S = np.argsort(-gi_pair(Nab, Nab), axis=1, kind="stable")[:, :n - m]
-    else:
-        S = np.tile(np.array(seeds, dtype=int), (p, 1))
-    conormals = np.empty(S.shape + (n,))
-    for k in range(S.shape[1]):
-        w = Nab[np.arange(p), S[:, k]]
-        for prev in np.swapaxes(conormals[:, :k], 0, 1):
-            w = w - gi_pair(prev[:, None], w[:, None]) * prev
-        nw = np.sqrt(np.maximum(gi_pair(w[:, None], w[:, None])[:, 0], 0.0))
-        if (nw < 1e-12).any():
+        # measured with g^-1
+        scores = sorted((-float(w @ gi @ w), a) for a, w in enumerate(Nab))
+        seeds = [a for _, a in scores[:n - m]]
+    conormals = []
+    for a in seeds:
+        w = Nab[a]
+        for prev in conormals:
+            w = w - (prev @ gi @ w) * prev
+        nw = np.sqrt(max(w @ gi @ w, 0.0))
+        if nw < 1e-12:
             raise RankDeficientError("degenerate conormal seeds")
-        conormals[:, k] = w / nw[:, None]
+        conormals.append(w / nw)
+    conormals = np.array(conormals)
     normals = conormals @ gi
 
     # orientation: the ambient chart's orientation of an oriented tangent
     # frame followed by the normals must be ``orientation``
-    B = np.concatenate([dphi, np.swapaxes(normals, 1, 2)], axis=2)
-    flip = np.sign(np.linalg.det(B)) * orientation < 0
-    conormals[flip, -1] = -conormals[flip, -1]
-    normals[flip, -1] = -normals[flip, -1]
+    if np.sign(np.linalg.det(np.hstack([dphi, normals.T]))) * orientation < 0:
+        conormals[-1] = -conormals[-1]
+        normals[-1] = -normals[-1]
     out.update(conormals=conormals, normals=normals,
-               seeds=[tuple(int(a) for a in s) for s in S])
+               seeds=tuple(int(a) for a in seeds))
     return out
 
 
@@ -362,10 +308,8 @@ class SigmaField:
         return np.asarray(self.builder(pk), dtype=float)
 
     def values(self, Q):
-        """``builder`` of the pack at each row of ``Q``, stacked."""
-        return np.stack([np.asarray(self.builder(pk), dtype=float) for pk in
-                         submanifold_pack(self.geo, self.emb, Q,
-                                          seeds=self._seeds)])
+        """``value`` at each row of ``Q``, stacked."""
+        return np.stack([self.value(q) for q in Q])
 
     def jet1(self, q):
         q = np.asarray(q, dtype=float)

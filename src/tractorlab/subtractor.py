@@ -173,8 +173,8 @@ def _cached(method):
 
     The value is kept in the context's ``_cache`` under the method name and
     its arguments, defaults filled in.  No cached value may hold the
-    context: the embedding's pack memo would then wait for the cyclic
-    garbage collector.
+    context: the context and its packs would then sit in a reference cycle
+    and wait for the cyclic garbage collector.
     """
     sig = inspect.signature(method)
     name = method.__name__
@@ -527,12 +527,10 @@ def mean_curvature_tractor(geo, emb, q, samples=None):
     scale = ctx.scale()
     minimal = bool(np.abs(HA).max() < tol * scale)
 
-    NI2 = []
-    pts = [ctx.q] if samples is None else samples
-    for s in pts:
-        pk = submanifold_pack(geo, emb, s)
-        NI2.append(float(HA_at(pk) @ tractor_metric_matrix(pk.pack.g)
-                         @ I_at(pk)))
+    packs = ([ctx.sub] if samples is None
+             else [submanifold_pack(geo, emb, s) for s in samples])
+    NI2 = [float(HA_at(pk) @ tractor_metric_matrix(pk.pack.g) @ I_at(pk))
+           for pk in packs]
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
 
     dI = np.zeros((n + 2, ctx.m))

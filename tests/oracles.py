@@ -132,57 +132,51 @@ def stencil_normal_curvature(geo, emb, sub, frames, index, order):
     """Curvature of a normal bundle of ``emb`` in ``geo`` at the point of
     its pack ``sub``, [i, j, C, E] acting on up components.
 
-    ``frames(conormals, normals, H, gi)`` maps the normal frame and g^-1,
-    at a point or stacked, to the frame rows [alpha, C] (C is ``index``)
-    and the dual coframe rows [alpha, E]; it reads the embedding's
-    ``order``-jet (1 for the normals, 2 for H).  omega_i = coframe (d_i +
-    conn_i) frame takes d_i from a plain central difference (step 1e-4):
-    one ``normal_frame`` call at that order, seeds frozen at ``sub``'s.
-    Its curvature takes a Richardson one (step 1e-2) of the submanifold
-    packs a ``SigmaField`` at ``sub.q`` differences, their fields stacked
-    once; at ``sub.q`` it reads ``sub``.  R_ij is antisymmetric in i, j,
-    so a curve's is zero, with no stencil."""
+    ``frames(conormals, normals, H, gi)`` maps the normal frame and g^-1
+    at a point to the frame rows [alpha, C] (C is ``index``) and the dual
+    coframe rows [alpha, E]; it reads the embedding's ``order``-jet (1 for
+    the normals, 2 for H).  omega_i = coframe (d_i + conn_i) frame takes
+    d_i from a plain central difference (step 1e-4) of ``normal_frame`` at
+    each stencil point, seeds frozen at ``sub``'s.  Its curvature takes a
+    Richardson one (step 1e-2) of omega over the submanifold packs at the
+    points of that stencil; at ``sub.q`` it reads ``sub``.  R_ij is
+    antisymmetric in i, j, so a curve's is zero, with no stencil."""
     if sub.m == 1:
         return np.zeros((1, 1, index.dim, index.dim))
     orientation = geo.orientation * emb.orientation
 
     def frame(Z):
-        ph = emb.phi.jets(Z, order)
-        g, gi, Gamma, _ = metric_connection(geo, ph[0], order - 1)
-        fr = normal_frame(g, gi, ph[1], orientation, sub.seeds, Gamma,
-                          *ph[2:])
-        return frames(fr["conormals"], fr["normals"], fr.get("H"), gi)[0]
+        """The frame rows at each point of the stack Z."""
+        rows = []
+        for z in Z:
+            ph = emb.phi.jets(z, order)
+            g, gi, Gamma, _ = metric_connection(geo, ph[0], order - 1)
+            fr = normal_frame(g, gi, ph[1], orientation, sub.seeds, Gamma,
+                              *ph[2:])
+            rows.append(frames(fr["conormals"], fr["normals"], fr.get("H"),
+                               gi)[0])
+        return np.stack(rows)
 
-    def read(field, ambient):
-        """Frame, coframe and ``SigmaConn`` from ``field(name)`` and
-        ``ambient(name)``, the fields of a pack and of its ambient pack."""
-        fr, cofr = frames(field("conormals"), field("normals"), field("H"),
-                          ambient("gi"))
-        conn = tr.ConnData(geo.n, *map(ambient, ("g", "gi", "Gamma", "P")))
-        return fr, cofr, SigmaConn(conn, field("dphi"))
+    def omega(pk):
+        """omega at the point of the submanifold pack ``pk``."""
+        fr, cofr = frames(pk.conormals, pk.normals, pk.H, pk.pack.gi)
+        conn = SigmaConn(tr.ConnData.from_pack(pk.pack), pk.dphi)
+        dV = central_diff(frame, pk.q, 1e-4)
+        nab = np.moveaxis(dV, -1, 0) + np.einsum(
+            "ice,be->ibc", conn.matrix(index), fr)
+        return np.einsum("ac,ibc->iab", cofr, nab), fr, cofr
 
-    def omega(Y, fr, cofr, conn):
-        """omega at a point Y, or at each row of a stack Y."""
-        dV = central_diff(frame, Y, 1e-4)
-        nab = np.moveaxis(dV, -1, -3) + np.einsum(
-            "...ice,...be->...ibc", conn.matrix(index), fr)
-        return np.einsum("...ac,...ibc->...iab", cofr, nab)
-
-    def omega_stacked(Y):
-        pks = submanifold_pack(geo, emb, Y, seeds=sub.seeds)
-        return omega(Y, *read(
-            lambda k: np.stack([getattr(pk, k) for pk in pks]),
-            lambda k: np.stack([getattr(pk.pack, k) for pk in pks])))
-
-    base = read(lambda k: getattr(sub, k), lambda k: getattr(sub.pack, k))
-    om0 = omega(sub.q, *base)
+    om0, fr0, cofr0 = omega(sub)
     # dw[p, q] = partial_p omega_q, C-contiguous like the einsum terms
     dw = np.ascontiguousarray(np.moveaxis(central_diff(
-        omega_stacked, sub.q, 1e-2, richardson=True), -1, 0))
+        lambda Y: np.stack([omega(submanifold_pack(geo, emb, y,
+                                                   seeds=sub.seeds))[0]
+                            for y in Y]),
+        sub.q, 1e-2, richardson=True), -1, 0))
     Rfr = (dw - dw.transpose(1, 0, 2, 3)
            + np.einsum("iae,jeb->ijab", om0, om0)
            - np.einsum("jae,ieb->ijab", om0, om0))
-    return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
+    return np.einsum("ec,ijef,fd->ijcd", fr0, Rfr, cofr0)
 
 
 def stencil_riemannian_curvature(ctx):

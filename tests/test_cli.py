@@ -589,48 +589,49 @@ def test_invariance_rescales_once_per_rescaling(monkeypatch):
     """``invariance`` on s2s2/factor1 builds one rescaled geometry per
     rescaling (9 ``rescale`` calls for 3 rescalings when the Schouten law
     and the second-fundamental-form laws each built their own), and the
-    laws read the rescaled context at sample 0: every submanifold pack of
-    the run is one of the 3 sample-point packs of the geometry or of one of
+    laws read the rescaled context at sample 0: the run builds 12
+    submanifold packs, 3 sample-point packs of the geometry and of each of
     its rescalings, with default seeds, and the laws get the rescaled
-    context whose submanifold pack is the memo's
+    context whose submanifold pack is the one built for it
     (``test_invariance_pack_count`` counts the curvature packs)."""
     rescale = riemann.rescale
-    build_embedding = cli.build_embedding
+    build_subpack = submanifold.submanifold_pack
     laws = subtractor.transformation_residuals
-    rescaled, embs, law_ctxs = [], [], []
+    rescaled, subpacks, law_ctxs = [], [], []
 
     def counted_rescale(geo, omega):
         out = rescale(geo, omega)
         rescaled.append(out[0])
         return out
 
-    def kept_embedding(*args):
-        embs.append(build_embedding(*args))
-        return embs[-1]
+    def counted_subpack(geo, emb, q, seeds=None):
+        subpacks.append((geo, seeds, build_subpack(geo, emb, q, seeds)))
+        return subpacks[-1][2]
 
     def kept_laws(ctx, ctx2, omega, upsilon):
         law_ctxs.append(ctx2)
         return laws(ctx, ctx2, omega, upsilon)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("tractorlab") and \
-                getattr(mod, "rescale", None) is rescale:
+        if not name.startswith("tractorlab"):
+            continue
+        if getattr(mod, "rescale", None) is rescale:
             monkeypatch.setattr(mod, "rescale", counted_rescale)
-    monkeypatch.setattr(cli, "build_embedding", kept_embedding)
+        if getattr(mod, "submanifold_pack", None) is build_subpack:
+            monkeypatch.setattr(mod, "submanifold_pack", counted_subpack)
     monkeypatch.setattr(subtractor, "transformation_residuals", kept_laws)
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["invariance", "-s", 'geometry={"name":"s2s2"}',
                        "-s", 'embedding={"name":"factor1"}'])
     assert rc == 0
     assert len(rescaled) == 3
-    (emb,) = embs
-    per_geometry = Counter(geo for geo, _, _ in emb.packs)
+    per_geometry = Counter(geo for geo, _, _ in subpacks)
     assert len(per_geometry) == 4
     assert set(per_geometry.values()) == {3}
     assert set(rescaled) < set(per_geometry)
-    assert all(seeds is None for _, _, seeds in emb.packs)
+    assert all(seeds is None for _, seeds, _ in subpacks)
     assert [c.geo for c in law_ctxs] == rescaled
-    assert all(c.sub is emb.packs[(c.geo, c.q.tobytes(), None)]
+    assert all(any(c.sub is pk for geo, _, pk in subpacks if geo is c.geo)
                for c in law_ctxs)
 
 
@@ -867,6 +868,7 @@ VALIDATOR_TABLE = [
     _cfg(tolerances={"classify": "x", "rtol": None, "atol": [1]}),
     _cfg(tolerances={"atol": -1e-12}),
     _cfg(tolerances={"rtol": 0}), _cfg(tolerances={"rtol": -1e-8}),
+    _cfg(tolerances={"classify": 0}), _cfg(tolerances={"classify": -1}),
     # circle: enum with null, the nested object initial, arrays
     _cfg(circle={"preset": "flat-circle", "t_span": [0, 10], "num": 5}),
     _cfg(circle={"preset": None,
@@ -977,6 +979,38 @@ def test_nonpositive_rtol_exit4(capsys, rtol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert (f"{rtol} is less than or equal to the minimum of 0"
+            in captured.err)
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_nonpositive_classify_tolerance_exit4(capsys, tol):
+    """A classification tolerance at or below 0 is a config error, not a
+    report whose every verdict is false; null stays valid."""
+    assert cli.main(["report", "-s",
+                     'geometry={"name":"sphere","params":{"n":3}}',
+                     "-s", 'embedding={"name":"great","params":{"n":3}}',
+                     "-s", f'tolerances={{"classify":{tol}}}']) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{tol} is less than or equal to the minimum of 0"
+            in captured.err)
+    assert cli._schema_messages(_cfg(tolerances={"classify": None})) == []
+
+
+@pytest.mark.parametrize("extra,key", [
+    ({"count": 5, "box": [[0, 1], [0, 1]]}, "count"),
+    ({"count": 5}, "count"), ({"box": [[0, 1], [0, 1]]}, "box")],
+    ids=["count-and-box", "count", "box"])
+def test_sample_points_with_count_or_box_exit4(capsys, extra, key):
+    """Given sample points fix the samples, so a sample count or box given
+    as well is a config error, not a run that ignores it."""
+    samples = json.dumps({"points": [[0.1, 0.2]], **extra})
+    assert cli.main(["report", "-s", 'geometry={"name":"cp2"}',
+                     "-s", 'embedding={"name":"cp1"}',
+                     "-s", f"samples={samples}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"samples.points cannot be given with samples.{key}"
             in captured.err)
 
 

@@ -86,6 +86,9 @@ UNREACHED = {
         "perfbench/tracer.py rebinds it",
     "submanifold.SigmaField.jet1":
         "perfbench/tracer.py rebinds it; the tests' stencil oracle",
+    "riemann.CurvaturePack.at":
+        "ROADMAP items 6 and 8: the row of a stacked pack, for batched "
+        "circles",
     "jets.Jet.log":
         "one of the jet algebra's elementary functions (exp, log, sqrt, "
         "sin, cos) that a JetField's function composes",

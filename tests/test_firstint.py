@@ -207,9 +207,10 @@ def test_conserved_quantity_codim2_plane():
 @pytest.mark.parametrize("case", ["line", "s2s2-diagonal"])
 def test_conserved_quantity_reads_the_context_packs(case, monkeypatch):
     """The splitting's first jet and the slot evaluation read the
-    context's packs: its order-2 pack at q, a stack of one, and its
-    order-3 ambient pack at x, with no stencil.  The Richardson stencil
-    under ``SubTractorContext.along`` built a stacked pack of 4m rows."""
+    context's packs: its order-2 pack at x (a stack of one until the
+    submanifold pack was built at its point) and its order-3 ambient pack
+    at x, with no stencil.  The Richardson stencil under
+    ``SubTractorContext.along`` built a stacked pack of 4m rows."""
     if case == "line":
         geo, emb = geolib.euclidean(3), geolib.coordinate_slice(
             3, (2,), values=(1.3, 0.0, 0.0))
@@ -226,7 +227,7 @@ def test_conserved_quantity_reads_the_context_packs(case, monkeypatch):
     for mod in (fi, submanifold, subtractor):
         monkeypatch.setattr(mod, "curvature_pack", counted)
     fi.conserved_quantity(geo, emb, k, q)
-    assert sorted(calls) == [((1, geo.n), 2), ((geo.n,), 3)]
+    assert sorted(calls) == [((geo.n,), 2), ((geo.n,), 3)]
 
 
 CONSERVED_CASES = {

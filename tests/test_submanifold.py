@@ -1,22 +1,18 @@
 """Riemannian submanifold calculus tests."""
 import contextlib
-import dataclasses
 import functools
-import gc
 import inspect
 import io
 import math
 import sys
-import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import oracles
 from tractorlab import cli, geolib, submanifold, subtractor
-from tractorlab.riemann import CurvaturePack, curvature_pack, rescale
+from tractorlab.riemann import curvature_pack, rescale
 from tractorlab.submanifold import (RankDeficientError, SigmaField,
                                     partials_along, submanifold_pack)
 from tractorlab.subtractor import (gauss_codazzi_ricci_residuals,
@@ -282,72 +278,10 @@ def test_sigma_field_richardson_derivative():
         assert np.abs(dH[..., i] - fd).max() < 1e-7
 
 
-# --------------------------------------------------------------------------
-# the per-embedding pack memo
-# --------------------------------------------------------------------------
-
-def _assert_same_fields(a, b):
-    """Every field of two submanifold packs, and of their curvature packs
-    (with the arrays those compute when read), equal."""
-    names = (oracles.pack_fields() if isinstance(a, CurvaturePack)
-             else [f.name for f in dataclasses.fields(a)])
-    for name in names:
-        va, vb = getattr(a, name), getattr(b, name)
-        if isinstance(va, np.ndarray):
-            assert np.array_equal(va, vb), name
-        elif isinstance(va, CurvaturePack):
-            _assert_same_fields(va, vb)
-        elif name == "intrinsic":
-            assert (va.n, va.orientation, va.metric) == (
-                vb.n, vb.orientation, None)
-        else:
-            assert va == vb, name
-
-
-# (geometry, its params, embedding, FD backend): m = 1, 2, 3 and one FD case
-MEMO_CASES = [("euclidean", {"n": 3}, "helix", False),
-              ("s2s2", {}, "diagonal", False),
-              ("s2xs1xr", {}, "s2xs1", False),
-              ("s2s2", {}, "factor1", True)]
-
-
-@pytest.mark.parametrize("name,params,ename,fd", MEMO_CASES,
-                         ids=[f"{c[0]}-{c[2]}{'-fd' if c[3] else ''}"
-                              for c in MEMO_CASES])
-def test_memoised_packs_equal_fresh_packs(name, params, ename, fd):
-    entry = geolib.catalog()[name]
-    geo = entry.make_geometry(**params)
-    if fd:
-        geo = cli.as_fd_geometry(geo)
-    emb = entry.embeddings[ename]()
-    q = np.linspace(0.1, -0.2, emb.m)
-    ctx = subtractor.SubTractorContext(geo, emb, q)
-    # fills the memo with a seeded Richardson stencil
-    oracles.along(ctx, lambda c: c.sub.H, (tangent_up(emb.n),))
-    assert submanifold_pack(geo, emb, q.copy()) is ctx.sub
-    assert len(emb.packs) == 4 * emb.m + 1
-    for (key_geo, qbytes, seeds), cached in emb.packs.items():
-        assert key_geo is geo
-        fresh = submanifold_pack(geo, entry.embeddings[ename](),
-                                 np.frombuffer(qbytes), seeds=seeds)
-        _assert_same_fields(cached, fresh)
-
-
-def test_memoised_pack_arrays_are_read_only():
-    geo = geolib.s2s2()
-    emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
-    pk = submanifold_pack(geo, emb, np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        pk.II[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        pk.pack.Gamma[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        pk.q[0] = 0.0
-
-
-def test_on_read_arrays_of_a_memoised_pack_are_read_only():
-    """R_abcd and the Weyl tensor, computed when first read, are read-only
-    like the rest of a memoised pack, and read again are the same array."""
+def test_on_read_arrays_of_a_submanifold_pack_are_read_only():
+    """R_abcd and the Weyl tensor of a submanifold pack's ambient pack,
+    computed when first read, are read-only, and read again are the same
+    array."""
     geo = geolib.s2s2()
     emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
     pk = submanifold_pack(geo, emb, np.array([0.1, 0.2])).pack
@@ -357,63 +291,6 @@ def test_on_read_arrays_of_a_memoised_pack_are_read_only():
         assert getattr(pk, name) is arr
         with pytest.raises(ValueError):
             arr[0, 1, 0, 1] = 1.0
-
-
-def test_memo_is_freed_with_the_embedding():
-    """No reference cycle runs from a memoised pack back to its embedding,
-    so reference counting alone frees the memo: after a classification,
-    after the dual route to L, after the Weyl cross-check of mu, and after
-    the Moebius Cotton tensor, whose builder runs on the context of each
-    stencil point."""
-    geo = geolib.s2s2()
-    q = np.array([0.1, 0.2])
-    STC = subtractor.SubTractorContext
-
-    def mu_cross_check(emb):
-        ctx = STC(geo, emb, q)
-        return ctx.mu() - ctx.mu_weyl()
-
-    runs = [lambda emb: subtractor.classify([STC(geo, emb, q)]),
-            lambda emb: STC(geo, emb, q).L_dual(),
-            mu_cross_check,
-            lambda emb: STC(geo, emb, q).mobius_cotton()]
-    for run in runs:
-        emb = geolib.catalog()["s2s2"].embeddings["factor1"]()
-        ref = weakref.ref(emb)
-        gc.disable()
-        try:
-            run(emb)
-            assert emb.packs
-            del emb
-            assert ref() is None
-        finally:
-            gc.enable()
-
-
-def test_memo_shared_between_threads():
-    """Threads of a library caller sharing one embedding get the bits one
-    thread gets, with a short switch interval so that the memo's reads and
-    writes interleave."""
-    geo = geolib.s2s2()
-    make = geolib.catalog()["s2s2"].embeddings["factor1"]
-    pts = [np.array([0.1, 0.2]), np.array([-0.2, 0.1])] * 3
-
-    def both_routes(emb, q):
-        ctx = subtractor.SubTractorContext(geo, emb, q)
-        return ctx.L_explicit(), ctx.L_dual()
-    serial = [both_routes(make(), q) for q in pts]
-    emb = make()
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=len(pts)) as ex:
-            futs = [ex.submit(both_routes, emb, q) for q in pts]
-            threaded = [f.result(timeout=120) for f in futs]
-    finally:
-        sys.setswitchinterval(old)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
 
 
 EVALUATION_CASES = [
@@ -584,6 +461,33 @@ def test_report_evaluation_count(monkeypatch):
         assert dict(calls) == pinned_calls, argv[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "-s", 'geometry={"name":"cp2"}',
+     "-s", 'embedding={"name":"cp1"}'],
+    ["report", "-s", 'geometry={"name":"s2xs1xr"}',
+     "-s", 'embedding={"name":"s2xs1"}'],
+    ["invariance", "-s", 'geometry={"name":"s2s2"}',
+     "-s", 'embedding={"name":"factor1"}']],
+    ids=["report-cp2-cp1", "report-s2xs1xr-s2xs1", "invariance-s2s2"])
+def test_commands_build_no_stacked_curvature_pack(monkeypatch, argv):
+    """Every submanifold pack is built at its point: a command hands
+    ``curvature_pack`` one point at a time, where each submanifold pack
+    built its ambient pack on a stack of one."""
+    pack = curvature_pack
+    ndims = Counter()
+
+    def counted(geo, x, order=None):
+        ndims[np.ndim(x)] += 1
+        return pack(geo, x, order)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tractorlab") and \
+                getattr(mod, "curvature_pack", None) is pack:
+            monkeypatch.setattr(mod, "curvature_pack", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert ndims[1] > 0 and set(ndims) == {1}
+
+
 # --------------------------------------------------------------------------
 # the normal frame of the Ricci residuals
 # --------------------------------------------------------------------------
@@ -711,56 +615,13 @@ def _loop_normal_curvature(frame_at, q, index):
     return np.einsum("ec,ijef,fd->ijcd", base[0], Rfr, base[1])
 
 
-def _point_normal_frame(g, gi, dphi, orientation, seeds=None, Gamma=None,
-                        d2phi=None):
-    """The normal frame at one point, computed row by row as before
-    ``normal_frame`` took a stack: the oracle of its rows."""
-    n, m = dphi.shape
-    g_s = dphi.T @ g @ dphi
-    gi_s = np.linalg.inv(g_s)
-    Pi_ia = gi_s @ dphi.T @ g
-    Nab = np.eye(n) - dphi @ Pi_ia
-    out = dict(g_s=g_s, gi_s=gi_s, Nab=Nab)
-
-    if Gamma is not None:
-        hess = d2phi + np.einsum("cde,di,ej->cij", Gamma, dphi, dphi)
-        II = np.einsum("cb,bij->ijc", Nab, hess)
-        H = np.einsum("ij,ijc->c", gi_s, II) / m
-        IIo = II - np.einsum("ij,c->ijc", g_s, H)
-        if m == 1:
-            IIo = np.zeros_like(II)
-        out.update(II=II, IIo=IIo, H=H)
-
-    if seeds is None:
-        scores = sorted((-float(w @ gi @ w), a) for a, w in enumerate(Nab))
-        seeds = tuple(a for _, a in scores[:n - m])
-    conormals = []
-    for a in seeds:
-        w = Nab[a, :]
-        for prev in conormals:
-            w = w - (prev @ gi @ w) * prev
-        nw = math.sqrt(max(w @ gi @ w, 0.0))
-        if nw < 1e-12:
-            raise RankDeficientError("degenerate conormal seeds")
-        conormals.append(w / nw)
-    conormals = np.array(conormals)
-    normals = conormals @ gi
-
-    B = np.hstack([dphi, normals.T])
-    if np.sign(np.linalg.det(B)) * orientation < 0:
-        conormals[-1] = -conormals[-1]
-        normals[-1] = -normals[-1]
-    out.update(conormals=conormals, normals=normals, seeds=tuple(seeds))
-    return out
-
-
 def _point_riemannian_frame(geo, emb, seeds):
     orientation = geo.orientation * emb.orientation
 
     def frame_at(y, conn):
         ph = emb.phi.jets(y, 1)
         g, gi, Gamma, _ = metric_connection(geo, ph[0], 1 if conn else 0)
-        fr = _point_normal_frame(g, gi, ph[1], orientation, seeds)
+        fr = submanifold.normal_frame(g, gi, ph[1], orientation, seeds)
         return fr["normals"], fr["conormals"], (
             submanifold.SigmaConn(ConnData(emb.n, g, gi, Gamma), ph[1])
             if conn else None)
@@ -776,8 +637,8 @@ def _point_tractor_frame(ctx):
         pk = curvature_pack(geo, ph[0], order=2) if conn else None
         g, gi, Gamma = ((pk.g, pk.gi, pk.Gamma) if conn
                         else metric_connection(geo, ph[0])[:3])
-        fr = _point_normal_frame(g, gi, ph[1], orientation, ctx.sub.seeds,
-                                 Gamma, ph[2])
+        fr = submanifold.normal_frame(g, gi, ph[1], orientation,
+                                      ctx.sub.seeds, Gamma, ph[2])
         frame = _point_tractor_rows(fr["conormals"], fr["H"])
         return frame @ middle_block(gi), frame @ pairing_matrix(n), (
             submanifold.SigmaConn(ConnData.from_pack(pk), ph[1])
@@ -959,8 +820,8 @@ def test_order_2_partials_match_a_stencil_of_the_order_1_partials(case, fd):
     bound = 1e-5 if fd else 1e-7
     for key in ("dphi", "g", "g_s", "gi_s", "Nab", "II", "IIo", "H"):
         ref = central_diff(lambda Q: np.stack([
-            partials_along(pk, emb.phi.jets(pk.q, 3))[key][1]
-            for pk in submanifold_pack(geo, emb, Q)]), q, 1e-2,
+            partials_along(submanifold_pack(geo, emb, y),
+                           emb.phi.jets(y, 3))[key][1] for y in Q]), q, 1e-2,
             richardson=True)
         err = np.abs(J[key][2] - ref).max() / max(1.0, np.abs(ref).max())
         assert err <= bound, (case, key, err)
@@ -968,37 +829,6 @@ def test_order_2_partials_match_a_stencil_of_the_order_1_partials(case, fd):
 
 EMBEDDING_CASES = [(name, ename) for name, entry in CATALOG
                    for ename in sorted(entry.embeddings)]
-
-
-@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
-@pytest.mark.parametrize("name,ename", EMBEDDING_CASES,
-                         ids=[f"{c[0]}-{c[1]}" for c in EMBEDDING_CASES])
-def test_stacked_packs_are_the_per_point_packs(name, ename, fd):
-    """``submanifold_pack`` on a stack of points builds, at each row, every
-    field of the pack a call at that point alone builds, bit for bit, with
-    default and with frozen seeds; a row already in the memo is returned
-    from it, and a repeated row is built once."""
-    entry = geolib.catalog()[name]
-    make = entry.embeddings[ename]
-    n, m = make().n, make().m
-    geo = entry.make_geometry()
-    if geo.n != n:
-        geo = entry.make_geometry(n=n)
-    if fd:
-        geo = cli.as_fd_geometry(geo)
-    Q = np.random.default_rng(29).uniform(-0.2, 0.2, (4, m))
-    base = submanifold_pack(geo, make(), Q[0])
-    for seeds in (None, base.seeds):
-        emb = make()
-        first = submanifold_pack(geo, emb, Q[1], seeds=seeds)
-        stacked = submanifold_pack(geo, emb, np.vstack([Q, Q[2]]),
-                                   seeds=seeds)
-        assert len(stacked) == 5 and len(emb.packs) == 4
-        assert stacked[1] is first and stacked[4] is stacked[2]
-        for q, sub in zip(Q, stacked):
-            assert submanifold_pack(geo, emb, q.copy(), seeds=seeds) is sub
-            _assert_same_fields(sub, submanifold_pack(geo, make(), q,
-                                                      seeds=seeds))
 
 
 INTRINSIC_CASES = [c for c in EMBEDDING_CASES
@@ -1044,57 +874,6 @@ def test_context_jets_are_the_evaluated_ones(name, ename, fd):
                 assert _bitwise_equal(a, b), key
 
 
-def _assert_rows_are_point_frames(stacked, rows):
-    """Each row of a stacked ``normal_frame`` is the per-point frame, every
-    array bit for bit and the seeds the same tuple of Python ints."""
-    assert set(stacked) == set(rows[0])
-    assert len(stacked["seeds"]) == len(rows)
-    for r, ref in enumerate(rows):
-        seeds = stacked["seeds"][r]
-        assert type(seeds) is tuple and seeds == ref["seeds"]
-        assert all(type(a) is int for a in seeds)
-        for key, v in ref.items():
-            if key != "seeds":
-                assert np.array_equal(stacked[key][r], v), (r, key)
-
-
-@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
-@pytest.mark.parametrize("name,ename", EMBEDDING_CASES,
-                         ids=[f"{c[0]}-{c[1]}" for c in EMBEDDING_CASES])
-def test_stacked_normal_frame_is_the_point_frame(name, ename, fd):
-    """``normal_frame`` on a stack of points (with a repeated row, and a
-    stack of one) gives at each row what the per-point frame gives, with
-    seeds chosen and given, with and without Gamma."""
-    entry = geolib.catalog()[name]
-    emb = entry.embeddings[ename]()
-    geo = entry.make_geometry()
-    if geo.n != emb.n:
-        geo = entry.make_geometry(n=emb.n)
-    if fd:
-        geo = cli.as_fd_geometry(geo)
-    Q = np.random.default_rng(31).uniform(-0.2, 0.2, (3, emb.m))
-    Q = np.vstack([Q, Q[1]])
-    ph = emb.phi.jets(Q, 2)
-    pk = curvature_pack(geo, ph[0], order=2)
-    orientation = geo.orientation * emb.orientation
-    given = _point_normal_frame(pk.g[0], pk.gi[0], ph[1][0],
-                                orientation)["seeds"]
-    for seeds in (None, given):
-        for extra in ((), (pk.Gamma, ph[2])):
-            args = (pk.g, pk.gi, ph[1])
-            rows = [_point_normal_frame(*(a[r] for a in args), orientation,
-                                        seeds, *(e[r] for e in extra))
-                    for r in range(len(Q))]
-            _assert_rows_are_point_frames(
-                submanifold.normal_frame(*args, orientation, seeds, *extra),
-                rows)
-            _assert_rows_are_point_frames(
-                submanifold.normal_frame(*(a[2:3] for a in args),
-                                         orientation, seeds,
-                                         *(e[2:3] for e in extra)),
-                rows[2:3])
-
-
 def _tied_dphi():
     """The tangent plane of e_0 and (e_1 + e_2)/sqrt 2 in R^3: rows 1 and 2
     of N^a_b are equally far from it."""
@@ -1104,50 +883,25 @@ def _tied_dphi():
 
 def test_normal_frame_seed_tie_goes_to_the_lower_index():
     """Two coordinate conormals that score equally: the seed is the lower
-    index, alone and as one row of a stack."""
+    index, a tuple of Python ints; where they do not tie, the best one."""
     g = np.eye(3)
     tied = _tied_dphi()
     other = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    one = submanifold.normal_frame(g[None], g[None], tied[None], 1)
-    Nab = one["Nab"][0]
+    one = submanifold.normal_frame(g, g, tied, 1)
+    Nab = one["Nab"]
     assert Nab[1] @ g @ Nab[1] == Nab[2] @ g @ Nab[2] > Nab[0] @ g @ Nab[0]
-    assert one["seeds"] == [(1,)]
-    stack = submanifold.normal_frame(np.stack([g] * 3), np.stack([g] * 3),
-                                     np.stack([other, tied, tied]), 1)
-    assert stack["seeds"] == [(0,), (1,), (1,)]
-    assert _point_normal_frame(g, g, tied, 1)["seeds"] == (1,)
+    assert one["seeds"] == (1,) and type(one["seeds"][0]) is int
+    assert submanifold.normal_frame(g, g, other, 1)["seeds"] == (0,)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_normal_frame_degenerate_seeds_on_any_row(k):
-    """Given seeds that are degenerate on row k of a stack raise, whichever
-    row k is."""
+def test_normal_frame_degenerate_seeds_raise():
+    """Given seeds raise where they are degenerate, and only there."""
     g = np.eye(3)
-    dphi = np.stack([np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])] * 3)
-    submanifold.normal_frame(np.stack([g] * 3), np.stack([g] * 3), dphi, 1,
-                             seeds=(0,))
-    dphi[k] = _tied_dphi()   # e_0 is tangent there: its conormal is 0
+    submanifold.normal_frame(g, g, np.array([[0.0, 0.0], [1.0, 0.0],
+                                             [0.0, 1.0]]), 1, seeds=(0,))
+    # e_0 is tangent to the tied plane: its conormal is 0
     with pytest.raises(RankDeficientError, match="degenerate conormal"):
-        submanifold.normal_frame(np.stack([g] * 3), np.stack([g] * 3), dphi,
-                                 1, seeds=(0,))
-
-
-def test_stacked_pack_names_the_rank_deficient_row():
-    """``submanifold_pack`` on a stack raises at a rank-deficient row with
-    the message a call at that row alone gives, and stores no pack."""
-    geo = geolib.euclidean(3)
-
-    def fn(v):
-        y2 = v[0] * v[0]
-        return [y2, y2, y2]
-    emb = geolib.jet_embedding(1, 3, fn)
-    with pytest.raises(RankDeficientError) as alone:
-        submanifold_pack(geo, emb, np.array([0.0]))
-    with pytest.raises(RankDeficientError) as stacked:
-        submanifold_pack(geo, emb, np.array([[0.3], [0.0], [-0.2]]))
-    assert str(stacked.value) == str(alone.value)
-    assert "rank-deficient at [0.]" in str(alone.value)
-    assert not emb.packs
+        submanifold.normal_frame(g, g, _tied_dphi(), 1, seeds=(0,))
 
 
 def test_normal_curvature_builds_no_pack(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from test_jets import _bitwise_equal
-from tractorlab import cli, geolib
+from tractorlab import cli, geolib, subtractor
 from tractorlab import tractor as tr
 from oracles import (M_operator, along, checked_connection_residual,
                      nabla_normal_form, nabla_star_normal_form, normal_form,
@@ -322,16 +322,23 @@ def test_mean_curvature_predicates():
     assert rep["cmc"] and not rep["parallel_mean_curvature"]
 
 
-def test_mean_curvature_tractor_builds_one_pack_at_q():
-    """The CMC samples read only the frame-independent N^A_B and J, so
-    their packs take the default seeds: at q the sample reads the
-    context's own pack, where frozen seeds built a second one there."""
+def test_mean_curvature_tractor_builds_one_pack_at_q(monkeypatch):
+    """The CMC samples read only the frame-independent N^A_B and J: with
+    no samples given, the sample at q reads the context's own pack, where
+    frozen seeds built a second one there."""
     geo = geolib.euclidean(3)
     emb = geolib.sphere_in_flat(3, 1.0)
     q = np.array([0.2, -0.3])
+    build = subtractor.submanifold_pack
+    points = []
+
+    def counted(geo, emb, q, seeds=None):
+        points.append(np.asarray(q).tobytes())
+        return build(geo, emb, q, seeds)
+    monkeypatch.setattr(subtractor, "submanifold_pack", counted)
     rep = mean_curvature_tractor(geo, emb, q)
     assert rep["cmc"]
-    assert sum(key[1] == q.tobytes() for key in emb.packs) == 1
+    assert points == [q.tobytes()]
 
 
 def test_parallel_mean_curvature_to_round_off():
