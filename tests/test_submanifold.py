@@ -1,5 +1,6 @@
 """Riemannian submanifold calculus tests."""
 import contextlib
+import dataclasses
 import functools
 import inspect
 import io
@@ -874,6 +875,137 @@ def test_context_jets_are_the_evaluated_ones(name, ename, fd):
                 assert _bitwise_equal(a, b), key
 
 
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name,ename", EMBEDDING_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in EMBEDDING_CASES])
+def test_point_packs_are_the_rows_of_a_stacked_build(name, ename, fd):
+    """``submanifold_pack`` at each of several points builds, bit for bit,
+    the row of a stacked build: its ambient pack is that row of the stacked
+    order-2 ``curvature_pack`` at phi of the points (every field, and the
+    arrays it computes when read), and its frame fields are
+    ``normal_frame`` on that row, with default and with frozen seeds.
+    Each call builds a fresh pack, on the same embedding too."""
+    entry = geolib.catalog()[name]
+    make = entry.embeddings[ename]
+    emb = make()
+    geo = entry.make_geometry()
+    if geo.n != emb.n:
+        geo = entry.make_geometry(n=emb.n)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    orientation = geo.orientation * emb.orientation
+    Q = np.random.default_rng(29).uniform(-0.2, 0.2, (4, emb.m))
+    ph = emb.phi.jets(Q, 2)
+    stacked = curvature_pack(geo, ph[0], order=2)
+    for r, q in enumerate(Q):
+        row = stacked.at(r)
+        base = submanifold_pack(geo, emb, q)
+        for seeds in (None, base.seeds):
+            sub = submanifold_pack(geo, emb, q.copy(), seeds=seeds)
+            assert sub is not base and sub.pack is not base.pack
+            for f in oracles.pack_fields():
+                a, b = getattr(sub.pack, f), getattr(row, f)
+                if isinstance(b, np.ndarray):
+                    assert np.array_equal(a, b), (r, f)
+                else:
+                    assert a == b, (r, f)
+            frame = submanifold.normal_frame(row.g, row.gi, ph[1][r],
+                                             orientation, seeds, row.Gamma,
+                                             ph[2][r])
+            assert sub.seeds == frame["seeds"] == base.seeds
+            for f in dataclasses.fields(sub):
+                v = getattr(sub, f.name)
+                if f.name in frame and f.name != "seeds":
+                    assert np.array_equal(v, frame[f.name]), (r, f.name)
+                elif isinstance(v, np.ndarray):
+                    assert np.array_equal(v, getattr(base, f.name)), f.name
+            assert np.array_equal(sub.x, ph[0][r])
+            assert np.array_equal(sub.dphi, ph[1][r])
+            assert (sub.m, sub.n, sub.d) == (emb.m, emb.n, emb.n - emb.m)
+            assert (sub.intrinsic.n, sub.intrinsic.orientation,
+                    sub.intrinsic.metric) == (emb.m, emb.orientation, None)
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name,ename", EMBEDDING_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in EMBEDDING_CASES])
+def test_normal_frame_is_an_oriented_orthonormal_normal_frame(name, ename,
+                                                               fd):
+    """``normal_frame`` at a point, with seeds chosen and given, with and
+    without Gamma: g_s is the induced metric and gi_s its inverse; N^a_b
+    kills the tangent vectors, is idempotent and g-self-adjoint (the
+    g-orthogonal projection onto the normal space); the conormals are
+    g^-1-orthonormal and kill the tangent vectors, the normals are the
+    raised conormals, and the tangent frame followed by the normals has
+    the sign ``orientation``.  With Gamma, II is symmetric and normal, H
+    is its g_s-trace over m and IIo its trace-free part (0 at m = 1); the
+    frame fields are those built without Gamma."""
+    entry = geolib.catalog()[name]
+    emb = entry.embeddings[ename]()
+    geo = entry.make_geometry()
+    if geo.n != emb.n:
+        geo = entry.make_geometry(n=emb.n)
+    if fd:
+        geo = cli.as_fd_geometry(geo)
+    n, m = emb.n, emb.m
+    orientation = geo.orientation * emb.orientation
+    close = functools.partial(np.allclose, rtol=0, atol=1e-11)
+    for q in np.random.default_rng(31).uniform(-0.2, 0.2, (3, m)):
+        ph = emb.phi.jets(q, 2)
+        pk = curvature_pack(geo, ph[0], order=2)
+        g, gi, dphi = pk.g, pk.gi, ph[1]
+        chosen = submanifold.normal_frame(g, gi, dphi, orientation)
+        seeds = chosen["seeds"]
+        assert type(seeds) is tuple and len(set(seeds)) == n - m
+        assert all(type(a) is int and 0 <= a < n for a in seeds)
+        for given in (None, seeds):
+            plain = submanifold.normal_frame(g, gi, dphi, orientation, given)
+            fr = submanifold.normal_frame(g, gi, dphi, orientation, given,
+                                          pk.Gamma, ph[2])
+            assert set(fr) - set(plain) == {"II", "IIo", "H"}
+            for key, v in plain.items():
+                assert (v == fr[key] if key == "seeds"
+                        else np.array_equal(v, fr[key])), key
+                assert (v == chosen[key] if key == "seeds"
+                        else np.array_equal(v, chosen[key])), key
+            g_s, Nab, co = fr["g_s"], fr["Nab"], fr["conormals"]
+            assert close(g_s, dphi.T @ g @ dphi)
+            assert close(fr["gi_s"] @ g_s, np.eye(m))
+            assert close(Nab @ dphi, 0) and close(Nab @ Nab, Nab)
+            assert close(g @ Nab, (g @ Nab).T)
+            assert co.shape == (n - m, n)
+            assert close(co @ dphi, 0) and close(co @ gi @ co.T, np.eye(n - m))
+            assert np.array_equal(fr["normals"], co @ gi)
+            B = np.hstack([dphi, fr["normals"].T])
+            assert np.sign(np.linalg.det(B)) == orientation
+            II, H, IIo = fr["II"], fr["H"], fr["IIo"]
+            assert close(II, II.transpose(1, 0, 2))
+            assert close(np.einsum("cb,ijb->ijc", Nab, II), II)
+            assert close(H, np.einsum("ij,ijc->c", fr["gi_s"], II) / m)
+            if m == 1:
+                assert not IIo.any()
+            else:
+                assert close(IIo, II - np.einsum("ij,c->ijc", g_s, H))
+                assert close(np.einsum("ij,ijc->c", fr["gi_s"], IIo), 0)
+
+
+def test_rank_deficient_point_is_named():
+    """``submanifold_pack`` raises where the embedding's differential is
+    rank-deficient, naming the point, and builds packs at the points of
+    the same embedding where it is not."""
+    geo = geolib.euclidean(3)
+
+    def fn(v):
+        y2 = v[0] * v[0]
+        return [y2, y2, y2]
+    emb = geolib.jet_embedding(1, 3, fn)
+    with pytest.raises(RankDeficientError) as err:
+        submanifold_pack(geo, emb, np.array([0.0]))
+    assert "rank-deficient at [0.]" in str(err.value)
+    for y in (0.3, -0.2):
+        assert submanifold_pack(geo, emb, np.array([y])).d == 2
+
+
 def _tied_dphi():
     """The tangent plane of e_0 and (e_1 + e_2)/sqrt 2 in R^3: rows 1 and 2
     of N^a_b are equally far from it."""
@@ -894,14 +1026,24 @@ def test_normal_frame_seed_tie_goes_to_the_lower_index():
     assert submanifold.normal_frame(g, g, other, 1)["seeds"] == (0,)
 
 
-def test_normal_frame_degenerate_seeds_raise():
-    """Given seeds raise where they are degenerate, and only there."""
-    g = np.eye(3)
-    submanifold.normal_frame(g, g, np.array([[0.0, 0.0], [1.0, 0.0],
-                                             [0.0, 1.0]]), 1, seeds=(0,))
-    # e_0 is tangent to the tied plane: its conormal is 0
+@pytest.mark.parametrize("seeds,ok", [((0,), (1,)), ((0, 2), (2, 3)),
+                                      ((3, 3), (3, 2))],
+                         ids=["tangent", "tangent-first", "repeated"])
+def test_normal_frame_degenerate_seeds_raise(seeds, ok):
+    """Given seeds raise where they are degenerate, and only there: a
+    conormal seed of a tangent direction, alone or before a good one, and
+    a seed given twice (the second is 0 once the first is taken out)."""
+    if len(seeds) == 1:
+        # e_0 is tangent to the tied plane: its conormal is 0
+        g, dphi = np.eye(3), _tied_dphi()
+        submanifold.normal_frame(g, g, np.array([[0.0, 0.0], [1.0, 0.0],
+                                                 [0.0, 1.0]]), 1, seeds=seeds)
+    else:
+        # the plane of e_0 and e_1 in R^4
+        g, dphi = np.eye(4), np.eye(4)[:, :2]
+    assert submanifold.normal_frame(g, g, dphi, 1, seeds=ok)["seeds"] == ok
     with pytest.raises(RankDeficientError, match="degenerate conormal"):
-        submanifold.normal_frame(g, g, _tied_dphi(), 1, seeds=(0,))
+        submanifold.normal_frame(g, g, dphi, 1, seeds=seeds)
 
 
 def test_normal_curvature_builds_no_pack(monkeypatch):
