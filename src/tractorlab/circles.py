@@ -2,7 +2,11 @@
 
 The third-order projectively-parametrised equation is integrated as a
 first-order system in (x, u, a) of dimension 3n; the parametrisation drift is
-measured through A.A, never corrected.
+measured through A.A, never corrected.  The point functions (the covariant
+acceleration rate, A.A, the unparametrised residual and the curve
+tractors) take the curvature pack at the state's point, and all but the
+rate take the rate as well: ``integrate_circle`` computes both once per
+output point and hands them to its monitor.
 """
 from __future__ import annotations
 
@@ -62,8 +66,8 @@ class CircleTrajectory:
 
 
 def _inner_products(pk, u, a):
-    """(u.u, u.a, a.a) in the metric of ``pk``; the circle equation needs
-    a Schouten tensor and a nonzero velocity."""
+    """(u.u, u.a, a.a, P(u, u)) in the metric of ``pk``; the circle
+    equation needs a Schouten tensor and a nonzero velocity."""
     if pk.P is None:
         raise tr.MobiusStructureError(
             "the circle equation needs a Schouten tensor")
@@ -71,85 +75,69 @@ def _inner_products(pk, u, a):
     s = float(u @ g @ u)
     if s <= 0:
         raise ZeroVelocityError("curve state has zero velocity")
-    return s, float(u @ g @ a), float(a @ g @ a)
+    return s, float(u @ g @ a), float(a @ g @ a), float(u @ pk.P @ u)
 
 
-def _bold_rate(geo, state, cov_da, pk):
+def _products(pk, state, cov_da):
+    """(u.u, u.a, a.a, u.cov_da, P(u, u)) at ``state``, cov_da the
+    covariant acceleration rate u^c nabla_c a^b there."""
+    s, ua, aa, Puu = _inner_products(pk, state.u, state.a)
+    return s, ua, aa, float(state.u @ pk.g @ cov_da), Puu
+
+
+def covariant_acceleration_rate(pack, u, a):
+    """u^c nabla_c a^b from the projectively parametrised circle equation,
+    at velocity u and acceleration a at the point of ``pack``."""
+    s, ua, aa, Puu = _inner_products(pack, u, a)
+    Pu_up = pack.gi @ (pack.P @ u)
+    return (s * Pu_up + 3.0 * ua / s * a - 1.5 * aa / s * u - 2.0 * Puu * u)
+
+
+def _bold_rate(pack, state, cov_da):
     """(bold u . nabla bold a - bold u^d P_d^b, bold u, |u|), the vector
-    of the unparametrised circle equation; cov_da defaults to the circle
-    equation's right-hand side."""
+    of the unparametrised circle equation."""
     u, a = state.u, state.a
-    s, ua, aa = _inner_products(pk, u, a)
-    if cov_da is None:
-        cov_da = _acceleration_rate(pk, u, a)
-    u_covda = float(u @ pk.g @ cov_da)
+    s, ua, aa, u_covda, _ = _products(pack, state, cov_da)
     nab_ba = (cov_da / s - 3.0 * ua / s ** 2 * a
               - (-4.0 * ua ** 2 / s ** 3 + (aa + u_covda) / s ** 2) * u)
     un = math.sqrt(s)
     bu = u / un
-    return nab_ba / un - pk.gi @ (pk.P @ bu), bu, un
+    return nab_ba / un - pack.gi @ (pack.P @ bu), bu, un
 
 
-def covariant_acceleration_rate(geo: GeometrySpec, state: CurveState,
-                                pack=None):
-    """u^c nabla_c a^b from the projectively parametrised circle equation."""
-    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    return _acceleration_rate(pk, state.u, state.a)
-
-
-def _acceleration_rate(pk, u, a):
-    """``covariant_acceleration_rate`` at velocity u and acceleration a
-    from the pack ``pk`` at x."""
-    s, ua, aa = _inner_products(pk, u, a)
-    Pu_up = pk.gi @ (pk.P @ u)
-    Puu = float(u @ pk.P @ u)
-    return (s * Pu_up + 3.0 * ua / s * a - 1.5 * aa / s * u - 2.0 * Puu * u)
-
-
-def conformal_circle_rhs(geo: GeometrySpec, state):
+def conformal_circle_rhs(geo: GeometrySpec, y):
     """Coordinate time derivative (dx, du, da) of the (x, u, a) system at
-    ``state``: a ``CurveState``, or the array (x, u, a) of length 3n that
-    ``integrate_circle`` steps, read as its three slices."""
-    if isinstance(state, CurveState):
-        x, u, a = state.x, state.u, state.a
-    else:
-        n = geo.n
-        x, u, a = state[:n], state[n:2 * n], state[2 * n:]
+    the array (x, u, a) of length 3n that ``integrate_circle`` steps."""
+    n = geo.n
+    x, u, a = y[:n], y[n:2 * n], y[2 * n:]
     pk = curvature_pack(geo, x, order=2)
     Gam = pk.Gamma
     dx = u
     du = a - np.einsum("bcd,c,d->b", Gam, u, u)
-    cov = _acceleration_rate(pk, u, a)
+    cov = covariant_acceleration_rate(pk, u, a)
     da = cov - np.einsum("bcd,c,d->b", Gam, u, a)
     return dx, du, da
 
 
-def A_dot_A(geo: GeometrySpec, state: CurveState, cov_da=None, pack=None):
-    """A.A of the acceleration tractor; cov_da defaults to the circle
-    equation's right-hand side."""
-    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    u, a = state.u, state.a
-    s, ua, aa = _inner_products(pk, u, a)
-    if cov_da is None:
-        cov_da = _acceleration_rate(pk, u, a)
-    Puu = float(u @ pk.P @ u)
-    return (3.0 * aa / s + 2.0 * float(u @ pk.g @ cov_da) / s
+def A_dot_A(pack, state: CurveState, cov_da):
+    """A.A of the acceleration tractor at ``state``, the point of
+    ``pack``, with covariant acceleration rate cov_da."""
+    s, ua, aa, u_covda, Puu = _products(pack, state, cov_da)
+    return (3.0 * aa / s + 2.0 * u_covda / s
             - 6.0 * ua ** 2 / s ** 2 + 2.0 * Puu)
 
 
-def unparametrised_residual(geo: GeometrySpec, state: CurveState,
-                            cov_da=None, pack=None):
+def unparametrised_residual(pack, state: CurveState, cov_da):
     """Norm of (bold u . nabla bold a)^[b bold u^c] - bold u^d P_d^[b bold u^c]."""
-    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
-    core, bu, _ = _bold_rate(geo, state, cov_da, pk)
+    core, bu, _ = _bold_rate(pack, state, cov_da)
     diff = np.multiply.outer(core, bu)
     anti = 0.5 * (diff - diff.T)
     return math.sqrt(max(0.0, float(np.einsum(
-        "bc,de,bd,ce->", pk.g, pk.g, anti, anti))))
+        "bc,de,bd,ce->", pack.g, pack.g, anti, anti))))
 
 
 def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
-                     rtol=1e-10, atol=1e-12, num=200, monitors=None,
+                     rtol=1e-10, atol=1e-12, num=200, monitor=None,
                      chart_bound=None, chart_radius=None) -> CircleTrajectory:
     """Integrate the projectively parametrised circle equation with DOP853
     (``_dop853``), output at ``num`` equally spaced times of ``t_span``,
@@ -157,12 +145,13 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
     status "chart_exit", where a coordinate of x first reaches it, or,
     with ``chart_radius`` instead, where |x| first reaches it.
 
-    ``monitors`` maps names to ``fn(geo, state, pack)``, evaluated at each
-    output point with the order-2 curvature pack built there."""
+    At each output point the order-2 curvature pack and the covariant
+    acceleration rate built there give A.A and the unparametrised
+    residual, and ``monitor(geo, state, pack, cov_da)``, if given,
+    returns {name: value}: ``monitored`` holds each name's values."""
     if t_span[0] == t_span[1]:
         raise ValueError(f"t_span {list(t_span)} has equal endpoints")
     n = geo.n
-    monitors = monitors or {}
 
     def rhs(t, y):
         with stage("circle integration", t=t):
@@ -191,16 +180,17 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
     accs = ys[2 * n:].T
     ada = np.empty(len(ts))
     res = np.empty(len(ts))
-    mon = {k: np.empty(len(ts)) for k in monitors}
+    mon = {}
     for k in range(len(ts)):
         with stage("circle output point", t=ts[k]):
             st = CurveState(xs[k], us[k], accs[k], t=float(ts[k]))
             pk = curvature_pack(geo, st.x, order=2)
-            cov = covariant_acceleration_rate(geo, st, pack=pk)
-            ada[k] = A_dot_A(geo, st, cov, pk)
-            res[k] = unparametrised_residual(geo, st, cov, pk)
-            for name, fn in monitors.items():
-                mon[name][k] = fn(geo, st, pk)
+            cov = covariant_acceleration_rate(pk, st.u, st.a)
+            ada[k] = A_dot_A(pk, st, cov)
+            res[k] = unparametrised_residual(pk, st, cov)
+            if monitor is not None:
+                for name, v in monitor(geo, st, pk, cov).items():
+                    mon.setdefault(name, np.empty(len(ts)))[k] = v
     return CircleTrajectory(ts=ts, xs=xs, us=us, accs=accs, AdotA=ada,
                             unparam_residual=res, monitored=mon,
                             status=status)
@@ -210,20 +200,13 @@ def integrate_circle(geo: GeometrySpec, initial: CurveState, t_span,
 # curve tractors
 # --------------------------------------------------------------------------
 
-def curve_tractors(geo: GeometrySpec, state: CurveState, cov_da=None,
-                   pack=None):
-    """(U^B, A^B, Phi^{ABC}) at the state; cov_da defaults to the circle
-    equation's right-hand side, ``pack`` to an order-2 curvature pack at
-    state.x."""
-    n = geo.n
-    pk = pack if pack is not None else curvature_pack(geo, state.x, order=2)
+def curve_tractors(pack, state: CurveState, cov_da):
+    """(U^B, A^B, Phi^{ABC}) at ``state``, the point of ``pack``, with
+    covariant acceleration rate cov_da."""
+    n = pack.n
     u, a = state.u, state.a
-    s, ua, aa = _inner_products(pk, u, a)
+    s, ua, aa, u_covda, Puu = _products(pack, state, cov_da)
     un = math.sqrt(s)
-    if cov_da is None:
-        cov_da = _acceleration_rate(pk, u, a)
-    u_covda = float(u @ pk.g @ cov_da)
-    Puu = float(u @ pk.P @ u)
     U = tr.make_tractor(n, sigma=0.0, mu=u / un, rho=-ua / un ** 3)
     A = tr.make_tractor(
         n, sigma=-un,

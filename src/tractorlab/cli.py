@@ -2,8 +2,10 @@
 invariance tests and zero-locus scans with machine-readable output.
 
 Exit codes: 0 success, 2 numerical failure (a ``NumericalError`` or a
-``numpy.linalg.LinAlgError``), 3 unknown catalog name, 4 config error (a
-usage error, an unreadable config file or a schema error).
+``numpy.linalg.LinAlgError``), 3 unknown catalog name (a
+``geolib.CatalogError``), 4 config error (a usage error, an unreadable
+config file, a schema error, or a catalog parameter that its factory does
+not take or that raises ``geolib.ParameterError``).
 A numerical failure prints ``numerical failure: <type>: <message>`` on
 stderr and, where the command knows them, a second line ``stage: ...``
 naming the stage and point: the sample index and q of ``report``,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -38,7 +41,7 @@ SCHEMA = {
     "required": ["version"],
     "properties": {
         "version": {"const": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "geometry": {
             "type": "object", "additionalProperties": False,
             "required": ["name"],
@@ -81,9 +84,9 @@ SCHEMA = {
                                     None]},
                 "initial": {
                     "type": "object", "additionalProperties": False,
-                    "properties": {"x": {"type": "array"},
-                                   "u": {"type": "array"},
-                                   "a": {"type": "array"}}},
+                    "properties": {
+                        key: {"type": "array", "items": {"type": "number"}}
+                        for key in ("x", "u", "a")}},
                 "t_span": {"type": "array", "items": {"type": "number"},
                            "minItems": 2, "maxItems": 2},
                 "num": {"type": "integer", "minimum": 2}}},
@@ -112,10 +115,6 @@ SCHEMA = {
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class UnknownCatalogError(KeyError):
     pass
 
 
@@ -243,13 +242,28 @@ def build_geometry(cfg):
     gspec = cfg.get("geometry", {"name": "euclidean"})
     name = gspec["name"]
     if name not in entries:
-        raise UnknownCatalogError(f"unknown geometry {name!r}")
-    geo = entries[name].make_geometry(**gspec.get("params", {}))
+        raise geolib.CatalogError(f"unknown geometry {name!r}")
+    geo = _make(entries[name].make_geometry, gspec, f"geometry {name!r}")
     backend = cfg.get("backend", {})
     if backend.get("mode") == "fd":
         geo = as_fd_geometry(geo, **{k: backend[k] for k in ("step", "step3")
                                      if k in backend})
     return geo, entries[name]
+
+
+def _make(factory, spec, what):
+    """``factory(**params)`` of the catalog entry that the config entry
+    ``spec`` names, ``what`` in messages: a parameter the factory does not
+    take, or one out of its range, is a config error."""
+    params = spec.get("params", {})
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise ConfigError(f"{what} takes no parameter "
+                          f"{', '.join(map(repr, unknown))}")
+    try:
+        return factory(**params)
+    except geolib.ParameterError as e:
+        raise ConfigError(f"{what}: {e}") from e
 
 
 def as_fd_geometry(geo, **steps):
@@ -270,9 +284,9 @@ def build_embedding(cfg, entry, geo):
         raise ConfigError("this command needs an embedding")
     name = espec["name"]
     if name not in entry.embeddings:
-        raise UnknownCatalogError(
+        raise geolib.CatalogError(
             f"unknown embedding {name!r} for geometry {entry.name!r}")
-    emb = entry.embeddings[name](**espec.get("params", {}))
+    emb = _make(entry.embeddings[name], espec, f"embedding {name!r}")
     if emb.n != geo.n:
         raise ConfigError(f"embedding {name!r} has ambient dimension "
                           f"{emb.n}, the geometry has {geo.n}")
@@ -285,9 +299,9 @@ def build_ky(cfg, entry, geo):
         raise ConfigError("scan needs a ky form")
     name = kspec["name"]
     if name not in entry.ky_forms:
-        raise UnknownCatalogError(
+        raise geolib.CatalogError(
             f"unknown ky form {name!r} for geometry {entry.name!r}")
-    form = entry.ky_forms[name](**kspec.get("params", {}))
+    form = _make(entry.ky_forms[name], kspec, f"ky form {name!r}")
     if form.n != geo.n:
         raise ConfigError(f"ky form {name!r} has dimension {form.n}, "
                           f"the geometry has {geo.n}")
@@ -441,46 +455,38 @@ def _circle_preset(cfg):
         span = tuple(circ.get("t_span", (0.0, 10.0)))
         forms = {f"rotation{i}{j}": geolib.rotation_form(3, i, j)
                  for i, j in [(0, 1), (0, 2), (1, 2)]}
-        monitors = dict(zip(forms, _rotation_monitors(list(forms.values()))))
-        return geo, st, span, monitors, _flat_circle_summary, None
+        return (geo, st, span, _rotation_monitors(forms),
+                _flat_circle_summary, None)
     if preset == "sphere-great-circle":
         geo = geolib.sphere(4)
         st = circles.CurveState([0.2, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                                 [0.3, 0.0, 0.0, 0.0])
         span = tuple(circ.get("t_span", (0.0, 5.0)))
-        return geo, st, span, {}, _sphere_summary, CHART_BOUND
+        return geo, st, span, None, _sphere_summary, CHART_BOUND
     return None
 
 
-def _rotation_monitors(kspecs):
-    """First integrals <star K, Phi>/3! of Killing 2-forms ``kspecs``, one
-    monitor each; the splitting, the Hodge star and the curve tractors read
-    the curvature pack the integrator built at the output point.  Star K
-    carries down tractor indices and Phi up ones, so they pair through J,
-    the sigma/rho flip, on each of Phi's three axes, whatever the metric.
-    The raised volume form and the flipped Phi depend on the output point
-    alone: the monitors compute them once per (state, pack) they are
-    called with."""
-    last = [None, None, None]   # state, pack, (eps, flipped Phi)
-
-    def shared(geo, state, pack):
-        if last[0] is not state or last[1] is not pack:
-            eps = tr.raised_volume_form(geo, state.x, 2, pack)
-            _, _, acc = circles.curve_tractors(geo, state, pack=pack)
-            for ax in range(3):
-                acc = tr.pair_flip(acc, ax)
-            last[:] = state, pack, (eps, acc)
-        return last[2]
-
-    def monitor(kspec):
-        def fn(geo, state, pack):
-            eps, acc = shared(geo, state, pack)
-            K = firstint._split_components(geo, kspec, state.x, pack)
-            starK = tr.hodge_star(geo, K, state.x, pack=pack, eps=eps)
-            return float(np.tensordot(starK, acc,
-                                      axes=(range(3), range(3)))) / 6.0
-        return fn
-    return [monitor(k) for k in kspecs]
+def _rotation_monitors(forms):
+    """The ``integrate_circle`` monitor of the first integrals <star K,
+    Phi>/3! of the Killing 2-forms ``forms`` ({name: form}).  The
+    splittings, the Hodge stars and the curve tractors read the curvature
+    pack and the acceleration rate the integrator built at the output
+    point, and the raised volume form and the flipped Phi of the point are
+    computed once for all the forms.  Star K carries down tractor indices
+    and Phi up ones, so they pair through J, the sigma/rho flip, on each
+    of Phi's three axes, whatever the metric."""
+    def monitor(geo, state, pack, cov_da):
+        eps = tr.raised_volume_form(pack, 2)
+        _, _, acc = circles.curve_tractors(pack, state, cov_da)
+        for ax in range(3):
+            acc = tr.pair_flip(acc, ax)
+        out = {}
+        for name, kspec in forms.items():
+            starK = tr.hodge_star(firstint._split_components(kspec, pack), eps)
+            out[name] = float(np.tensordot(starK, acc,
+                                           axes=(range(3), range(3)))) / 6.0
+        return out
+    return monitor
 
 
 def _flat_circle_summary(traj):
@@ -501,7 +507,7 @@ def cmd_circle(cfg, args=None):
     preset = _circle_preset(cfg)
     chart_radius = None
     if preset is not None:
-        geo, st, span, monitors, summarise, chart_bound = preset
+        geo, st, span, monitor, summarise, chart_bound = preset
     else:
         geo, entry = build_geometry(cfg)
         chart_bound = CHART_BOUND if entry.chart_radius is None else None
@@ -520,7 +526,7 @@ def cmd_circle(cfg, args=None):
         with stage("circle initial state", x=init["x"]):
             st = circles.CurveState(init["x"], init["u"], init["a"])
         span = tuple(circ.get("t_span", (0.0, 1.0)))
-        monitors = {}
+        monitor = None
         summarise = lambda traj: {}
     if span[0] == span[1]:
         raise ConfigError(f"circle.t_span {list(span)} has equal endpoints")
@@ -536,7 +542,7 @@ def cmd_circle(cfg, args=None):
                                     rtol=tols.get("rtol", 1e-10),
                                     atol=tols.get("atol", 1e-12),
                                     num=circ.get("num", 200),
-                                    monitors=monitors,
+                                    monitor=monitor,
                                     chart_bound=chart_bound,
                                     chart_radius=chart_radius)
     header = (["t"] + [f"x{i+1}" for i in range(geo.n)]
@@ -605,6 +611,9 @@ def cmd_scan(cfg, args=None):
     region = sc.get("region", [[-1.0, 1.0]] * geo.n)
     if len(region) != geo.n:
         raise ConfigError(f"the scan region needs {geo.n} intervals")
+    for i, (lo, hi) in enumerate(region):
+        if not lo < hi:
+            raise ConfigError(f"scan.region[{i}] = [{lo}, {hi}] needs lo < hi")
     rep = firstint.zero_locus_scan(geo, kspec, region,
                                    grid=sc.get("grid", 21))
     dump_json(rep.to_dict(), cfg.get("output", {}).get("path"))
@@ -657,7 +666,7 @@ def main(argv=None):
         return 4
     try:
         return COMMANDS[args.command](cfg, args)
-    except UnknownCatalogError as e:
+    except geolib.CatalogError as e:
         print(f"catalog error: {e}", file=sys.stderr)
         return 3
     except ConfigError as e:

@@ -45,12 +45,12 @@ REFINE_TOL = 1e-10
 MAX_POINTS = 40
 
 
-def _cov_jets(geo, kspec, x, order, pack=None):
-    """Curvature pack (``pack`` if given, else of order 2, or 3 for a third
-    covariant derivative), partial-derivative jets and covariant derivative
-    arrays of the (trivialised) form components."""
-    pack = pack if pack is not None else curvature_pack(geo, x, max(order, 2))
-    return (pack,) + _form_jets(kspec, tr.ConnData.from_pack(pack), x, order)
+def _cov_jets(kspec, pack, order):
+    """Partial-derivative jets and covariant derivative arrays, to
+    ``order``, of the (trivialised) form components at the point of the
+    curvature pack ``pack`` (of order 3 for a third covariant
+    derivative)."""
+    return _form_jets(kspec, tr.ConnData.from_pack(pack), pack.point, order)
 
 
 def _lc_jets(geo, kspec, x, order):
@@ -93,7 +93,8 @@ def ky_decompose(geo, kspec, x):
     """(skew, middle, trace) parts of nabla k at x."""
     if kspec.degree == 1:
         # almost-Einstein operator: TF(nabla nabla sigma + P sigma)
-        pack, jets, covs = _cov_jets(geo, kspec, x, 2)
+        pack = curvature_pack(geo, x, 2)
+        jets, covs = _cov_jets(kspec, pack, 2)
         hess = covs[1]  # [b, a] second covariant derivative
         E = sym_array(hess) + pack.P * float(jets[0])
         TF = E - np.einsum("ab,cd,cd->ab", pack.g, pack.gi, E) / geo.n
@@ -119,19 +120,19 @@ class SplitTractor:
     simple: bool
 
 
-def _split_components(geo, kspec, x, pack=None, order=0):
-    """Tractor components K of the BGG splitting at x, or with ``order`` 1
-    their exact first jet [K, dK], the partial axis last; ``pack`` is a
-    curvature pack at x of order 2 + ``order`` if the caller holds one.
+def _split_components(kspec, pack, order=0):
+    """Tractor components K of the BGG splitting at the point of the
+    curvature pack ``pack`` (of order 2 + ``order``), or with ``order`` 1
+    their exact first jet [K, dK], the partial axis last.
 
     K is a slot fill of k's covariant jets to order 2 and of g^-1, P and J,
     so dK is the order-1 Leibniz rule over those inputs (``einsum_jet1``,
     ``_linear_jet``): the partial of a covariant jet is the next one less
     its connection terms (``_partial``), and the pack's dg, dP and dJ give
     the rest.  At order 0 every partial is None."""
-    n = geo.n
+    n = pack.n
     d = kspec.degree
-    pack, jets, covs = _cov_jets(geo, kspec, x, 2 + order, pack)
+    jets, covs = _cov_jets(kspec, pack, 2 + order)
     e = einsum_jet1
 
     def jet(j):
@@ -212,7 +213,7 @@ def bgg_split(geo, kspec, x):
     d = kspec.degree
     x = np.asarray(x, dtype=float)
     pack = curvature_pack(geo, x, order=3)
-    K, dK = _split_components(geo, kspec, x, pack, order=1)
+    K, dK = _split_components(kspec, pack, order=1)
     nab = tr.covariant_jet(tr.ConnData.from_pack(pack), [K, dK],
                            (tractor_down(n),) * K.ndim)[0]
     normality = float(np.abs(nab).max())
@@ -261,7 +262,7 @@ def conserved_quantity(geo, emb, kspec, q):
     if kspec.degree != d:
         raise ValueError(f"form degree {kspec.degree} != codimension {d}")
     sub, J = ctx.sub, ctx.jets_along()
-    K, dK = _split_components(geo, kspec, sub.x, ctx.ambient_pack3(), order=1)
+    K, dK = _split_components(kspec, ctx.ambient_pack3(), order=1)
     T, dH = tractor_conormal_jets(_conormal_jets(sub, J), J["H"], J["gi"])
     up = einsum_jet1("aC,CD->aD", T, [tractor_metric_matrix(sub.pack.gi), dH])
     ix = "ABCDEFGH"[:d]
@@ -271,7 +272,8 @@ def conserved_quantity(geo, emb, kspec, q):
     resid = float(np.abs(dv).max())
 
     # explicit slot evaluation
-    pack, jets, covs = _cov_jets(geo, kspec, sub.x, 1, ctx.pack)
+    pack = ctx.pack
+    jets, covs = _cov_jets(kspec, pack, 1)
     k0 = jets[0]
     gi = pack.gi
     Nup = on_axes(gi, functools.reduce(tr.wedge, sub.conormals), range(d))

@@ -42,7 +42,11 @@ __all__ = ["CatalogEntry", "catalog", "euclidean", "sphere", "hyperbolic",
 
 
 class CatalogError(KeyError):
-    pass
+    """An unknown catalog name: a geometry, embedding, form or generator."""
+
+
+class ParameterError(ValueError):
+    """A catalog factory's parameter is out of its range."""
 
 
 def _analytic_backend():
@@ -171,7 +175,14 @@ def jet_metric(n, fn):
     return GeometrySpec(n=n, metric=JetField(fn))
 
 
+def _check_dimensions(m, n):
+    if not 1 <= m <= n - 1:
+        raise ParameterError(f"an embedding needs 1 <= m <= n - 1, not m = "
+                             f"{m} in n = {n}")
+
+
 def jet_embedding(m, n, fn):
+    _check_dimensions(m, n)
     return EmbeddingSpec(m=m, n=n, phi=JetField(fn))
 
 
@@ -250,14 +261,14 @@ def euclidean(n):
 def sphere(n, radius=1.0):
     """Round sphere in the stereographic chart; sectional curvature 1/r^2."""
     if radius <= 0:
-        raise ValueError("sphere radius must be positive")
+        raise ParameterError("sphere radius must be positive")
     return conformally_flat(n, _stereo_factor(n, radius))
 
 
 def hyperbolic(n, radius=1.0):
     """Poincare ball chart; sectional curvature -1/r^2 on |x| < 1."""
     if radius <= 0:
-        raise ValueError("hyperbolic radius must be positive")
+        raise ParameterError("hyperbolic radius must be positive")
     return conformally_flat(n, _stereo_factor(n, radius, ball=True))
 
 
@@ -414,6 +425,7 @@ def random_graph_embedding(n, m, seed=0):
     """phi(y) = (y, f(y)) with f a small random cubic without constant
     term, f: R^m -> R^(n-m), its coefficients 0.15 times standard
     normal draws."""
+    _check_dimensions(m, n)
     rng = np.random.default_rng(seed)
     d = n - m
     lin = 0.15 * rng.standard_normal((d, m))
@@ -545,7 +557,8 @@ def almost_einstein_hyperbolic(n):
 def _s2_killing_components(w, gen):
     """Killing vector of the unit round S^2 in its stereographic chart.
 
-    su(2) generators act as zeta_dot = B + 2 i theta zeta + conj(B) zeta^2.
+    su(2) generators act as zeta_dot = B + 2 i theta zeta + conj(B) zeta^2;
+    ``gen`` is one of "rot", "t1" and "t2".
     """
     u1, u2 = w[0], w[1]
     if gen == "rot":
@@ -555,12 +568,10 @@ def _s2_killing_components(w, gen):
         re = 0.5 * (1.0 + (u1 * u1 - u2 * u2))
         im = u1 * u2
         return [re, im]
-    if gen == "t2":
-        # zeta_dot = i(1 - zeta^2)/2
-        re = u1 * u2
-        im = 0.5 * (1.0 - (u1 * u1 - u2 * u2))
-        return [re, im]
-    raise CatalogError(f"unknown S^2 Killing generator {gen!r}")
+    # t2: zeta_dot = i(1 - zeta^2)/2
+    re = u1 * u2
+    im = 0.5 * (1.0 - (u1 * u1 - u2 * u2))
+    return [re, im]
 
 
 def s2s2_lifted_killing(gen="rot", factor=1, combo=None):
@@ -569,6 +580,8 @@ def s2s2_lifted_killing(gen="rot", factor=1, combo=None):
     ``combo=(c1, c2)`` builds c1 K(u) on factor one plus c2 K(v) on factor
     two (the diagonal-orthogonal choice is (1, -1)).
     """
+    if gen not in ("rot", "t1", "t2"):
+        raise CatalogError(f"unknown S^2 Killing generator {gen!r}")
     n = 4
     round_factor = _stereo_factor(2)
 

@@ -516,20 +516,18 @@ def mean_curvature_tractor(geo, emb, q, samples=None):
     n = ctx.n
     Jp = pairing_matrix(n)
 
-    def I_at(pk):
-        return tr.make_tractor(n, sigma=1.0, rho=-pk.pack.J / n)
-
     def HA_at(pk):
-        return normal_projector_array(pk) @ (Jp @ I_at(pk))
+        return normal_projector_array(pk) @ (Jp @ tr.scale_tractor(pk.pack))
 
-    I0 = I_at(ctx.sub)
+    I0 = tr.scale_tractor(ctx.pack)
     HA = HA_at(ctx.sub)
     scale = ctx.scale()
     minimal = bool(np.abs(HA).max() < tol * scale)
 
     packs = ([ctx.sub] if samples is None
              else [submanifold_pack(geo, emb, s) for s in samples])
-    NI2 = [float(HA_at(pk) @ tractor_metric_matrix(pk.pack.g) @ I_at(pk))
+    NI2 = [float(HA_at(pk) @ tractor_metric_matrix(pk.pack.g)
+                 @ tr.scale_tractor(pk.pack))
            for pk in packs]
     cmc = bool(max(NI2) - min(NI2) < tol * max(1.0, abs(NI2[0])))
 
@@ -701,8 +699,7 @@ def intrinsic_tractor_curvature(ctx: SubTractorContext):
     m = ctx.m
     if m < 3:
         raise ValueError("intrinsic tractor curvature needs m >= 3")
-    return tr.tractor_curvature(ctx.sub.intrinsic, ctx.q,
-                                pack=ctx.intrinsic_pack(order=3))
+    return tr.tractor_curvature(ctx.intrinsic_pack(order=3))
 
 
 def _intrinsic_D_of_S(ctx: SubTractorContext):
@@ -783,7 +780,7 @@ def tractor_gcr_residuals(ctx: SubTractorContext):
     HupS = tractor_metric_matrix(sub.gi_s)
     Q = ctx.pull_down()
 
-    Om_amb = tr.tractor_curvature(ctx.geo, sub.x, pack=ctx.ambient_pack3())
+    Om_amb = tr.tractor_curvature(ctx.ambient_pack3())
     Om_tt = _chain_einsum("abCD,ai,bj->ijCD", Om_amb, sub.dphi, sub.dphi)
 
     # --- Gauss ---
@@ -856,8 +853,8 @@ def transformation_residuals(ctx: SubTractorContext, ctx2: SubTractorContext,
     II_pred = sub.II - np.einsum("ij,c->ijc", sub.g_s, Nups)
     H_pred = w ** (-2) * (sub.H - Nups)
 
-    I_g = tr.make_tractor(n, sigma=1.0, rho=-pk.J / n)
-    I_h = tr.thomas_D(ctx2.geo, omega, (), 1, x, pack=pkh) / n
+    I_g = tr.scale_tractor(pk)
+    I_h = tr.thomas_D(omega, (), 1, pkh) / n
     M = tr.rescale_triple_matrix(pk, ups)
     predI = tr.rescale_component_weights(
         w, tr.slot_weights(n, "down")) * (M @ I_g)

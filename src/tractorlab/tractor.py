@@ -11,7 +11,11 @@ invariant pairing J that swaps sigma and rho (``pair_flip``;
 
 ``covariant_jet`` applies the connection (Levi-Civita on tangent indices,
 the tractor connection on tractor ones) to a field's jets; the Thomas
-operator and parallel transport read it.  The connection applied to a
+operator and parallel transport read it.  The point functions (the Thomas
+operator, the scale tractor, the tractor curvature and the volume form)
+take the caller's curvature pack and read the point and the dimension
+from it; the Hodge star takes the raised volume form instead, which the
+stars of several forms at one point share.  The connection applied to a
 field from its 1-jet, and the volume form as a field with an analytic
 first derivative, serve only tests and live in ``tests/oracles.py``.
 """
@@ -226,25 +230,20 @@ def covariant_jet(conn: ConnData, jets, indices, order=1):
                                  order - 1)
 
 
-def thomas_D(geo: GeometrySpec, field, indices, w, x, pack=None):
+def thomas_D(field, indices, w, pack: CurvaturePack):
     """Thomas operator on a weight-w (tractor) field with value axes
-    ``indices``, in the working scale.
+    ``indices``, in the working scale, at the point of the curvature pack
+    ``pack``: order 2, or order 3 for a tractor field, whose second
+    derivative reads dP.
 
     Slots: ((n+2w-2) w V, (n+2w-2) nabla_a V, -(Laplacian V + w J V)) with the
-    new down tractor index leading.  ``pack`` is the curvature pack of
-    ``geo`` at x if the caller holds one (order 2, or order 3 for a tractor
-    field), built when None.
+    new down tractor index leading.
     """
-    x = np.asarray(x, dtype=float)
-    n = geo.n
-    if pack is None:
-        # a tractor field's second derivative reads dP
-        tractor = any(ix.kind == tensors.TRACTOR for ix in indices)
-        pack = curvature_pack(geo, x, order=3 if tractor else 2)
+    n = pack.n
     if pack.J is None:
         raise MobiusStructureError("Thomas operator needs a Schouten tensor")
     conn = ConnData.from_pack(pack)
-    jets = field.jets(x, 2)
+    jets = field.jets(pack.point, 2)
     check_shape(jets[0], indices)
     nab, nab2 = covariant_jet(conn, jets, indices, order=2)
     lap = np.einsum("ba,...ba->...", pack.gi, nab2)
@@ -258,25 +257,23 @@ def thomas_D(geo: GeometrySpec, field, indices, w, x, pack=None):
     return check_finite(out)
 
 
-def scale_tractor(geo: GeometrySpec, x):
-    """Scale tractor of the working scale: (1, 0, -J/n)."""
-    pack = curvature_pack(geo, x, order=2)
+def scale_tractor(pack: CurvaturePack):
+    """Scale tractor of the working scale at the point of the curvature
+    pack ``pack``: (1, 0, -J/n)."""
     if pack.J is None:
         raise MobiusStructureError("scale tractor needs a Schouten tensor")
-    return make_tractor(geo.n, sigma=1.0, rho=-pack.J / geo.n)
+    return make_tractor(pack.n, sigma=1.0, rho=-pack.J / pack.n)
 
 
-def tractor_curvature(geo: GeometrySpec, x, pack=None):
-    """Curvature of the tractor connection, slots W_abcd Z Z - 2 C_abc X|Z|.
+def tractor_curvature(pack: CurvaturePack):
+    """Curvature of the tractor connection, slots W_abcd Z Z - 2 C_abc X|Z|,
+    at the point of the order-3 curvature pack ``pack``.
 
     Returned with index order [a, b, C, D], both tractor indices down.
-    ``pack`` is an order-3 curvature pack of ``geo`` at x, built when None.
     """
-    x = np.asarray(x, dtype=float)
-    n = geo.n
+    n = pack.n
     if n < 3:
         raise MobiusStructureError("tractor curvature needs ambient dim >= 3")
-    pack = pack if pack is not None else curvature_pack(geo, x, order=3)
     if not pack.has_third:
         raise tensors.JetOrderError(
             "tractor curvature needs the metric 3-jet (Cotton term)")
@@ -318,37 +315,28 @@ def form_W(omega, n):
         make_tractor(n, sigma=1.0), embed_middle(omega, n))))
 
 
-def tractor_volume_form(geo: GeometrySpec, x, pack=None):
-    """Parallel top-degree tractor form, normalised to eps.eps = -(n+2)!.
-
-    ``pack`` is an order-2 curvature pack of ``geo`` at x, built when None."""
-    pack = pack if pack is not None else curvature_pack(geo, x, order=2)
-    n = geo.n
+def tractor_volume_form(pack: CurvaturePack):
+    """Parallel top-degree tractor form at the point of the order-2
+    curvature pack ``pack``, normalised to eps.eps = -(n+2)!."""
+    n = pack.n
     lam = (-1.0) ** (n + 1) * math.sqrt(pack.detg) * pack.orientation
     return check_form(lam * levi_civita_symbol(n + 2))
 
 
-def raised_volume_form(geo: GeometrySpec, x, k, pack):
-    """The tractor volume form with its first k axes raised by the
-    middle block of g^-1: the array the Hodge star of a k-form contracts.
-    ``pack`` is an order-2 curvature pack of ``geo`` at x."""
-    eps = tractor_volume_form(geo, x, pack=pack)
-    return on_axes(middle_block(pack.gi), eps, range(k))
+def raised_volume_form(pack: CurvaturePack, k):
+    """The tractor volume form at the point of the order-2 curvature pack
+    ``pack`` with its first k axes raised by the middle block of g^-1: the
+    array the Hodge star of a k-form contracts."""
+    return on_axes(middle_block(pack.gi), tractor_volume_form(pack), range(k))
 
 
-def hodge_star(geo: GeometrySpec, F, x, pack=None, eps=None):
-    """Tractor Hodge star at chart point x of a tractor form F with every
-    index down: degree k = F.ndim -> degree n+2-k, indices down.
-
-    ``pack`` is an order-2 curvature pack of ``geo`` at x, built when
-    None; ``eps`` is ``raised_volume_form(geo, x, k, pack)``, which the
-    stars of several k-forms at one point can share, computed when None."""
+def hodge_star(F, eps):
+    """Tractor Hodge star of a tractor form F with every index down: degree
+    k = F.ndim -> degree n+2-k, indices down.  ``eps`` is
+    ``raised_volume_form(pack, k)`` at the point, which the stars of
+    several k-forms there share."""
     check_form(F)
-    x = np.asarray(x, dtype=float)
-    pack = pack if pack is not None else curvature_pack(geo, x, order=2)
     k = F.ndim
-    if eps is None:
-        eps = raised_volume_form(geo, x, k, pack)
     for ax in range(k):
         F = pair_flip(F, ax)
     out = np.tensordot(F, eps, axes=(list(range(k)), list(range(k))))

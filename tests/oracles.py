@@ -40,9 +40,10 @@ analytic first derivative (``TractorVolumeFormField``), on which the
 1e-8 bound of ``test_volume_form_parallel`` rests, and the closed form of
 u^d nabla_d Phi along a curve (``phi_derivative``).
 
-The rotation monitor of one Killing 2-form that computes its own volume
-form and curve tractors at each output point (``rotation_monitor``), the
-route the flat-circle preset's monitors took before they shared them.
+The rotation monitor that computes, for each Killing 2-form by itself,
+its volume form, acceleration rate and curve tractors at each output point
+(``rotation_monitor``), the route the flat-circle preset's monitor took
+before it shared them.
 
 Fixtures: ``random_metric``, a flat metric plus a small random polynomial
 perturbation, ``constant_scalar``, the constant jet ``constant`` and
@@ -97,12 +98,12 @@ def stencil_normality(geo, kspec, x):
     packs from one stacked build: [A.., a]."""
     x = np.asarray(x, dtype=float)
     pack = curvature_pack(geo, x, order=2)
-    K = _split_components(geo, kspec, x, pack)
+    K = _split_components(kspec, pack)
 
     def K_at(Y):
         pks = curvature_pack(geo, Y, order=2)
-        return np.stack([_split_components(geo, kspec, y, pks.at(i))
-                         for i, y in enumerate(Y)])
+        return np.stack([_split_components(kspec, pks.at(i))
+                         for i in range(len(Y))])
     dK = central_diff(K_at, x, 1e-3)
     return tr.covariant_jet(tr.ConnData.from_pack(pack), [K, dK],
                             (tractor_down(geo.n),) * K.ndim)[0]
@@ -113,7 +114,7 @@ def conserved_quantity_value(geo, kspec):
     of K and the normal form through the inverse tractor metric, with K on
     the context's order-2 pack: a builder for ``along``."""
     def value(c):
-        K = _split_components(geo, kspec, c.sub.x, c.pack)
+        K = _split_components(kspec, c.pack)
         H = tractor_metric_matrix(c.pack.gi)
         return float(np.tensordot(on_axes(H, K, range(K.ndim)),
                                   normal_form(c), K.ndim))
@@ -301,7 +302,8 @@ def normal_form(ctx):
 
 def star_normal_form(ctx):
     """The tractor Hodge dual of the context's normal form."""
-    return tr.hodge_star(ctx.geo, normal_form(ctx), ctx.sub.x)
+    F = normal_form(ctx)
+    return tr.hodge_star(F, tr.raised_volume_form(ctx.pack, F.ndim))
 
 
 def nabla_normal_form(ctx):
@@ -364,7 +366,9 @@ def phi_derivative(geo, state, cov_da=None):
     6 u (bu^d nabla_d bold-a^c - bu^d P_d^c) bu^b X^[A Z_b^B Z_c^C]."""
     n = geo.n
     pk = curvature_pack(geo, state.x, order=2)
-    core, bu, un = _bold_rate(geo, state, cov_da, pk)
+    if cov_da is None:
+        cov_da = circles.covariant_acceleration_rate(pk, state.u, state.a)
+    core, bu, un = _bold_rate(pk, state, cov_da)
     X = tr.canonical_X(n)
     embu = tr.make_tractor(n, mu=bu)
     embc = tr.make_tractor(n, mu=core)
@@ -372,16 +376,24 @@ def phi_derivative(geo, state, cov_da=None):
         X, np.multiply.outer(embu, embc)))
 
 
-def rotation_monitor(kspec):
-    """<star K, Phi>/3! of the Killing 2-form ``kspec`` as a monitor
-    ``fn(geo, state, pack)``, every array computed by the monitor itself."""
-    def monitor(geo, state, pack):
-        K = _split_components(geo, kspec, state.x, pack)
-        starK = tr.hodge_star(geo, K, state.x, pack=pack)
-        _, _, acc = circles.curve_tractors(geo, state, pack=pack)
-        for ax in range(3):
-            acc = tr.pair_flip(acc, ax)
-        return float(np.tensordot(starK, acc, axes=(range(3), range(3)))) / 6.0
+def rotation_monitor(forms):
+    """{name: <star K, Phi>/3!} of the Killing 2-forms ``forms`` ({name:
+    form}) as an ``integrate_circle`` monitor, every array computed for
+    each form by itself: the raised volume form, and the curve tractors
+    from an acceleration rate of its own (the integrator's is not read)."""
+    def monitor(geo, state, pack, cov_da):
+        out = {}
+        for name, kspec in forms.items():
+            starK = tr.hodge_star(_split_components(kspec, pack),
+                                  tr.raised_volume_form(pack, 2))
+            _, _, acc = circles.curve_tractors(
+                pack, state,
+                circles.covariant_acceleration_rate(pack, state.u, state.a))
+            for ax in range(3):
+                acc = tr.pair_flip(acc, ax)
+            out[name] = float(np.tensordot(starK, acc,
+                                           axes=(range(3), range(3)))) / 6.0
+        return out
     return monitor
 
 

@@ -205,22 +205,25 @@ def test_criterion_7_flat_circle():
             phi_derivative(geo3, traj3.state(k))).max()))
 
     # rotation-generated first integrals along the length-10 circle
-    def monitor(i, j):
-        def f(geo_, state, _pack):
-            K = fi._split_components(geo_, geolib.rotation_form(3, i, j),
-                                     state.x)
-            starK = tr.hodge_star(geo_, K, state.x)
+    forms = {f"r{i}{j}": geolib.rotation_form(3, i, j)
+             for (i, j) in [(0, 1), (0, 2), (1, 2)]}
+
+    def monitor(geo_, state, pack, cov_da):
+        out = {}
+        for name, spec in forms.items():
+            K = fi._split_components(spec, pack)
+            starK = tr.hodge_star(K, tr.raised_volume_form(pack, 2))
             # star K carries down tractor indices and Phi up ones: they
             # pair through J, the sigma/rho flip, on each of Phi's axes
-            _, _, acc = ci.curve_tractors(geo_, state)
+            _, _, acc = ci.curve_tractors(pack, state, cov_da)
             for ax in range(3):
                 acc = tr.pair_flip(acc, ax)
-            return float(np.tensordot(starK, acc,
-                                      axes=(range(3), range(3)))) / 6.0
-        return f
+            out[name] = float(np.tensordot(starK, acc,
+                                           axes=(range(3), range(3)))) / 6.0
+        return out
 
-    mons = {f"r{i}{j}": monitor(i, j) for (i, j) in [(0, 1), (0, 2), (1, 2)]}
-    traj3 = ci.integrate_circle(geo3, st3, (0.0, 10.0), num=60, monitors=mons)
+    traj3 = ci.integrate_circle(geo3, st3, (0.0, 10.0), num=60,
+                                monitor=monitor)
     drift = max(float(v.max() - v.min()) for v in traj3.monitored.values())
     elapsed = time.time() - t0
     ok = (endpoint < 1e-7 and phi_res < 1e-6 and drift < 1e-7
@@ -365,7 +368,7 @@ def _law_residuals(geo, emb, om, q):
         def jets(self, y, order):
             return om.jets(y, order)
 
-    I_h = tr.thomas_D(geoh, _Om(), (), 1, x) / geo.n
+    I_h = tr.thomas_D(_Om(), (), 1, pkh) / geo.n
     M = tr.rescale_triple_matrix(pk, ups)
     w0 = float(om.value(x))
     predI = tr.rescale_component_weights(

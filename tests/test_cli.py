@@ -361,6 +361,76 @@ def test_scan_region_dimension_mismatch_exit4(capsys):
     assert "needs 3 intervals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("region", [
+    [[1, -1], [1, -1], [1, -1]], [[-1, 1], [0.5, 0.5], [-1, 1]]])
+def test_scan_region_interval_with_hi_not_above_lo_exit4(capsys, region):
+    """A reversed or empty interval is a config error, not an empty
+    locus: written forwards, the region [[-1, 1]] * 3 has a locus."""
+    rc = cli.main(["scan",
+                   "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+                   "-s", 'scan={"ky":{"name":"rotation","params":{"n":3}},'
+                         f'"grid":9,"region":{json.dumps(region)}}}'])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: scan.region[")
+    assert "needs lo < hi" in captured.err
+
+
+@pytest.mark.parametrize("entry", ['"a"', "null", "[0]", "true"])
+def test_circle_initial_entries_are_numbers_exit4(capsys, entry):
+    """Each entry of the initial x, u and a is a JSON number: a string,
+    null or an array is a config error, and true is not read as 1."""
+    rc = cli.main(["circle", "-s", 'geometry={"name":"euclidean",'
+                   '"params":{"n":4}}', "-s",
+                   f'circle={{"initial":{{"x":[{entry},0,0,0],'
+                   '"u":[1,0,0,0]},"num":3}'])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not of type 'number'" in captured.err
+
+
+@pytest.mark.parametrize("command,seed", [("report", -1), ("invariance", -5)])
+def test_negative_seed_exit4(capsys, command, seed):
+    rc = cli.main([command, "-s", 'geometry={"name":"cp2"}',
+                   "-s", 'embedding={"name":"cp1"}', "-s", f"seed={seed}"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{seed} is less than the minimum of 0" in captured.err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["report", "-s", 'geometry={"name":"euclidean","params":{"n":3}}',
+      "-s", f'embedding={{"name":"{name}","params":{{"n":3,"m":{m}}}}}'],
+     4, f"config error: embedding '{name}': an embedding needs 1 <= m <= "
+        f"n - 1, not m = {m} in n = 3")
+    for name, m in (("plane", 3), ("plane", 0), ("graph", 3), ("graph", 0),
+                    ("graph", 4))] + [
+    (["report", "-s", 'geometry={"name":"sphere","params":{"n":3,'
+      '"bogus":1}}', "-s", 'embedding={"name":"great","params":{"n":3}}'],
+     4, "config error: geometry 'sphere' takes no parameter 'bogus'"),
+    (["report", "-s", 'geometry={"name":"sphere","params":{"n":3,'
+      '"radius":-1}}', "-s", 'embedding={"name":"great","params":{"n":3}}'],
+     4, "config error: geometry 'sphere': sphere radius must be positive"),
+    (["scan", "-s", 'geometry={"name":"s2s2"}', "-s",
+      'scan={"ky":{"name":"factor_killing","params":{"gen":"bogus"}},'
+      '"grid":5}'],
+     3, "catalog error: \"unknown S^2 Killing generator 'bogus'\"")],
+    ids=["plane-m3", "plane-m0", "graph-m3", "graph-m0", "graph-m4",
+         "unknown-parameter", "negative-radius", "unknown-generator"])
+def test_catalog_parameter_errors_exit_with_one_line(capsys, argv, code,
+                                                     message):
+    """A parameter a catalog factory does not take or cannot use exits 4,
+    an unknown name among its choices exits 3, each with one line on
+    stderr and before any evaluation."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 @pytest.mark.parametrize("geometry,initial", [
     ('{"name":"s2s2"}', '{"x":[0.1,0.2],"u":[1,0,0,0]}'),
     ('{"name":"euclidean","params":{"n":3}}', '{"x":[0,0,0],"u":[1,0]}'),
@@ -435,30 +505,64 @@ def test_flat_circle_pack_count(monkeypatch):
     assert packs["other"] == num
 
 
+def test_flat_circle_computes_one_acceleration_rate_per_output_point(
+        monkeypatch):
+    """Outside the ODE right-hand side the flat-circle preset evaluates the
+    covariant acceleration rate once per output point: A.A, the
+    unparametrised residual and the rotation monitor's curve tractors all
+    read the integrator's (two per point when the curve tractors computed
+    their own)."""
+    rates = Counter()
+    rate = circles.covariant_acceleration_rate
+    in_rhs = []
+
+    def counted(*args):
+        rates["rhs" if in_rhs else "other"] += 1
+        return rate(*args)
+    monkeypatch.setattr(circles, "covariant_acceleration_rate", counted)
+    rhs = circles.conformal_circle_rhs
+
+    def rhs_counted(geo, y):
+        in_rhs.append(1)
+        try:
+            return rhs(geo, y)
+        finally:
+            in_rhs.pop()
+    monkeypatch.setattr(circles, "conformal_circle_rhs", rhs_counted)
+    num = 5
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["circle", "-s", 'circle={"preset":"flat-circle",'
+                       '"num":%d,"t_span":[0,1]}' % num])
+    assert rc == 0
+    assert rates["rhs"] > 0
+    assert rates["other"] == num
+
+
 def test_rotation_monitor_is_conserved_on_a_round_sphere():
     """The rotation monitor pairs star K with Phi through J alone, so it is
     a first integral where g is not delta: on sphere(3) with the round
     rotation form, along two random conformal circles.  (Lowering Phi's
     middle slots by g as well drifted by 0.44 and 0.53.)"""
     geo = geolib.sphere(3)
-    monitor = cli._rotation_monitors([geolib.round_rotation_form(3, 0, 1)])[0]
+    monitor = cli._rotation_monitors({"k": geolib.round_rotation_form(3, 0, 1)})
     rng = np.random.default_rng(5)
     for _ in range(2):
         x, u, a = rng.uniform(-0.3, 0.3, (3, 3))
         traj = circles.integrate_circle(
             geo, circles.CurveState(x, u / np.linalg.norm(u), a), (0.0, 0.5),
-            rtol=1e-12, atol=1e-12, num=11, monitors={"k": monitor})
+            rtol=1e-12, atol=1e-12, num=11, monitor=monitor)
         vals = traj.monitored["k"]
         assert np.abs(vals).max() > 1e-2
         assert vals.max() - vals.min() <= 1e-10
 
 
 def test_shared_rotation_monitors_are_the_per_monitor_route(monkeypatch):
-    """At every output row of the flat-circle preset, its three rotation
-    monitors, which share the raised volume form and the flipped Phi of
-    the output point, are bitwise the route on which each monitor computes
-    its own; the shared route computes the volume form once per row."""
-    geo, st, span, monitors, _, _ = cli._circle_preset(
+    """At every output row of the flat-circle preset, its monitor, whose
+    three rotation forms share the raised volume form and the flipped Phi
+    of the output point and the integrator's acceleration rate, is bitwise
+    the route on which each form computes its own; the shared route
+    computes the volume form once per row."""
+    geo, st, span, monitor, _, _ = cli._circle_preset(
         {"circle": {"preset": "flat-circle"}})
     volume_forms = 0
     volume_form = tr.tractor_volume_form
@@ -470,17 +574,16 @@ def test_shared_rotation_monitors_are_the_per_monitor_route(monkeypatch):
 
     monkeypatch.setattr(tr, "tractor_volume_form", counted)
     num = 9
-    circles.integrate_circle(geo, st, span, num=num, monitors=monitors)
+    traj = circles.integrate_circle(geo, st, span, num=num, monitor=monitor)
     assert volume_forms == num
-    assert len(monitors) == 3
-    oracles = {f"oracle {name}": rotation_monitor(geolib.rotation_form(
-        3, int(name[-2]), int(name[-1]))) for name in monitors}
-    traj = circles.integrate_circle(geo, st, span, num=num,
-                                    monitors={**monitors, **oracles})
+    names = sorted(traj.monitored)
+    assert names == ["rotation01", "rotation02", "rotation12"]
+    oracle = rotation_monitor({name: geolib.rotation_form(
+        3, int(name[-2]), int(name[-1])) for name in names})
+    ref = circles.integrate_circle(geo, st, span, num=num, monitor=oracle)
     assert np.abs(traj.monitored["rotation12"]).max() > 0.1
-    for name in monitors:
-        assert np.array_equal(traj.monitored[name],
-                              traj.monitored[f"oracle {name}"]), name
+    for name in names:
+        assert np.array_equal(traj.monitored[name], ref.monitored[name]), name
 
 
 def _exact_residuals(row):
@@ -837,7 +940,8 @@ VALIDATOR_TABLE = [
     {"version": 1.0}, {"version": "1"}, _cfg(bogus=1),
     {"zeta": 1, "alpha": 2},
     # integer and minimum
-    _cfg(seed=7), _cfg(seed=-3), _cfg(seed="7"), _cfg(seed=True),
+    _cfg(seed=7), _cfg(seed=0), _cfg(seed=-1), _cfg(seed=-3), _cfg(seed="7"),
+    _cfg(seed=True),
     _cfg(seed=1.5), _cfg(samples={"count": 1}),
     _cfg(samples={"count": -2.5}), _cfg(samples={"count": None}),
     # geometry and embedding: required, string, nested object params
@@ -875,6 +979,8 @@ VALIDATOR_TABLE = [
                  "initial": {"x": [0], "u": [1], "a": [0]}}),
     _cfg(circle={"preset": "round"}),
     _cfg(circle={"initial": {"x": 0, "v": [1]}}),
+    _cfg(circle={"initial": {"x": ["a", 0], "u": [True, None],
+                             "a": [[0], 1.5]}}),
     _cfg(circle={"initial": []}),
     _cfg(circle={"t_span": [0]}), _cfg(circle={"t_span": [0, 1, 2]}),
     _cfg(circle={"t_span": [0, "1"], "num": 1, "monitors": [1, "b"]}),

@@ -74,8 +74,6 @@ def test_no_unused_imports():
 UNREACHED = {
     "subtractor.mean_curvature_tractor":
         "ROADMAP item 14: `report` with a scale prints H^A and its verdicts",
-    "tractor.scale_tractor":
-        "ROADMAP item 14: the scale tractor of a catalog density",
     "tractor.parallel_transport":
         "ROADMAP item 12: the paper's characterisations as oracles",
     "firstint.conserved_quantity":
@@ -136,3 +134,35 @@ def test_every_public_function_is_reached():
                 unreached.add(f"{mod}.{qual}")
     assert sorted(unreached - set(UNREACHED)) == []
     assert sorted(set(UNREACHED) - defined) == []
+
+
+def _optional_point_data(node):
+    """Parameters of the function ``node`` that make a second calling
+    convention: a ``pack``, ``cov_da`` or ``eps`` that defaults to None,
+    and ``x`` beside ``pack``."""
+    args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    defaults = ([None] * (len(node.args.posonlyargs + node.args.args)
+                          - len(node.args.defaults))
+                + node.args.defaults + node.args.kw_defaults)
+    names = {a.arg for a in args}
+    out = [a.arg for a, d in zip(args, defaults)
+           if a.arg in ("pack", "cov_da", "eps")
+           and isinstance(d, ast.Constant) and d.value is None]
+    return out + (["x beside pack"] if {"x", "pack"} <= names else [])
+
+
+def test_point_functions_take_the_callers_pack():
+    """An AST scan of the tractor, circle and first-integral layers: no
+    function there takes its curvature pack, acceleration rate or raised
+    volume form as an option it builds when None, and none takes a point
+    beside the pack that holds it."""
+    src = Path(tractorlab.__file__).resolve().parent
+    found = {}
+    for mod in ("tractor", "circles", "firstint"):
+        tree = ast.parse((src / f"{mod}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                bad = _optional_point_data(node)
+                if bad:
+                    found[f"{mod}.{node.name}"] = bad
+    assert found == {}

@@ -138,7 +138,7 @@ def test_exact_normality_matches_the_stencil(fd):
         degrees.add(k.degree)
         x = np.random.default_rng(11).uniform(-0.3, 0.3, geo.n)
         pack = curvature_pack(geo, x, order=3)
-        K, dK = fi._split_components(geo, k, x, pack, order=1)
+        K, dK = fi._split_components(k, pack, order=1)
         nab = tr.covariant_jet(tr.ConnData.from_pack(pack), [K, dK],
                                (tractor_down(geo.n),) * K.ndim)[0]
         assert fi.bgg_split(geo, k, x).normality_residual == \
@@ -179,9 +179,9 @@ def test_order0_split_is_the_value_of_the_jet():
     for label, make_geo, make_k in _catalog_ky_forms():
         geo, k = make_geo(), make_k()
         x = np.random.default_rng(12).uniform(-0.3, 0.3, geo.n)
-        K = fi._split_components(geo, k, x)
-        assert _bitwise_equal(K, fi._split_components(geo, k, x,
-                                                      order=1)[0]), label
+        K = fi._split_components(k, curvature_pack(geo, x, 2))
+        assert _bitwise_equal(K, fi._split_components(
+            k, curvature_pack(geo, x, 3), order=1)[0]), label
 
 
 def test_conserved_quantity_flat_line():
@@ -330,22 +330,24 @@ def test_conservation_along_flat_circles():
     geo = geolib.euclidean(3)
     st = ci.CurveState([0, 0, 0], [1, 0, 0], [0, 1, 0])
 
-    def monitor(i, j):
-        def f(geo_, state, _pack):
-            spec = geolib.rotation_form(3, i, j)
+    forms = {f"r{i}{j}": geolib.rotation_form(3, i, j)
+             for (i, j) in [(0, 1), (0, 2), (1, 2)]}
+
+    def monitor(geo_, state, pack, cov_da):
+        out = {}
+        for name, spec in forms.items():
             split = fi.bgg_split(geo_, spec, state.x)
-            starK = tr.hodge_star(geo_, split.K, state.x)
+            starK = tr.hodge_star(split.K, tr.raised_volume_form(pack, 2))
             # star K carries down tractor indices and Phi up ones: they
             # pair through J, the sigma/rho flip, on each of Phi's axes
-            _, _, acc = ci.curve_tractors(geo_, state)
+            _, _, acc = ci.curve_tractors(pack, state, cov_da)
             for ax in range(3):
                 acc = tr.pair_flip(acc, ax)
-            return float(np.tensordot(starK, acc,
-                                      axes=(range(3), range(3)))) / 6.0
-        return f
+            out[name] = float(np.tensordot(starK, acc,
+                                           axes=(range(3), range(3)))) / 6.0
+        return out
 
-    mons = {f"r{i}{j}": monitor(i, j) for (i, j) in [(0, 1), (0, 2), (1, 2)]}
-    traj = ci.integrate_circle(geo, st, (0.0, 10.0), num=120, monitors=mons)
+    traj = ci.integrate_circle(geo, st, (0.0, 10.0), num=120, monitor=monitor)
     for name, vals in traj.monitored.items():
         assert vals.max() - vals.min() < 1e-7, name
 
@@ -425,7 +427,7 @@ def test_hyperbolic_scale_zero_locus_is_normal_tractor():
     emb = geolib.sphere_in_flat(n, 1.0)
     for q in (np.array([0.2, -0.3]), np.array([0.05, 0.4])):
         ctx = SubTractorContext(geo, emb, q)
-        I = fi._split_components(geo, sig, ctx.sub.x)
+        I = fi._split_components(sig, ctx.pack)
         assert abs(float(sig.field.value(ctx.sub.x))) < 1e-12
         Ntr = subtractor.tractor_conormal_rows(ctx.sub.conormals,
                                                ctx.sub.H)[0]
@@ -506,13 +508,14 @@ def test_exact_split_matches_fd_route(name, monkeypatch):
     geo = ORACLE_GEOMETRIES[name]()
     x = np.array([0.3, -0.2, 0.1])
     for spec in (_non_solution_1form(), _non_solution_2form()):
-        pack, _, covs = fi._cov_jets(geo, spec, x, 2)
+        pack = curvature_pack(geo, x, 2)
+        _, covs = fi._cov_jets(spec, pack, 2)
         assert np.abs(fi._div_middle_part(pack, covs[1])).max() > 0.1
-        K = fi._split_components(geo, spec, x)
+        K = fi._split_components(spec, pack)
         with monkeypatch.context() as mp:
             mp.setattr(fi, "_div_middle_part",
                        lambda pk, cv: _fd_div_middle_part(geo, spec, x, pk))
-            K_fd = fi._split_components(geo, spec, x)
+            K_fd = fi._split_components(spec, pack)
         assert np.abs(K - K_fd).max() <= 1e-8, spec.degree
 
 
@@ -525,7 +528,8 @@ def test_div_middle_part_vanishes_on_solutions():
              (geolib.sphere(4), geolib.round_rotation_form(4, 0, 1), x4),
              (geolib.s2s2(), geolib.s2s2_lifted_killing("t1", 1), x4)]
     for geo, spec, x in cases:
-        pack, _, covs = fi._cov_jets(geo, spec, x, 2)
+        pack = curvature_pack(geo, x, 2)
+        _, covs = fi._cov_jets(spec, pack, 2)
         assert np.abs(fi._div_middle_part(pack, covs[1])).max() <= 1e-14, \
             spec.name
 
@@ -538,7 +542,7 @@ def test_split_components_makes_no_ky_decompose_call(monkeypatch):
     x = np.array([0.3, -0.2, 0.1])
     for spec in (geolib.rotation_form(3, 0, 1), _non_solution_1form(),
                  _non_solution_2form()):
-        fi._split_components(geolib.euclidean(3), spec, x)
+        fi._split_components(spec, curvature_pack(geolib.euclidean(3), x, 2))
     assert calls == []
 
 
@@ -585,7 +589,8 @@ def _pack_component_map(geo, kspec, x, jac=False):
     """The former route of ``_component_map``, kept as the oracle: the
     connection read from an order-2 curvature pack."""
     n = geo.n
-    pack, jets, covs = fi._cov_jets(geo, kspec, x, 2 if jac else 1)
+    pack = curvature_pack(geo, x, 2)
+    jets, covs = fi._cov_jets(kspec, pack, 2 if jac else 1)
     comps = [np.atleast_1d(np.asarray(jets[0])).ravel()]
     rows = [np.reshape(jets[1], (-1, n))] if jac else []
     if kspec.degree >= 2:

@@ -478,4 +478,4 @@ def test_cotton_requires_third_jet():
     pk = curvature_pack(geo2, np.array([0.1, 0.0, -0.1]))
     assert pk.Cotton is None
     with pytest.raises(JetOrderError):
-        tr.tractor_curvature(geo2, np.array([0.1, 0.0, -0.1]))
+        tr.tractor_curvature(pk)

@@ -11,6 +11,7 @@ from oracles import moveaxis_alt_array, moveaxis_sym_array
 from test_jets import _bitwise_equal
 from tractorlab import geolib
 from tractorlab import tractor as tr
+from tractorlab.riemann import curvature_pack
 from tractorlab.tensors import (ArrayField, DiffBackend, JetOrderError,
                                 TensorError, alt_array, central_diff,
                                 sym_array)
@@ -136,7 +137,8 @@ def test_tractor_pairing_swaps_sigma_rho():
 
 
 def _star(F):
-    return tr.hodge_star(geolib.sphere(3), F, np.array([0.2, -0.1, 0.3]))
+    pack = curvature_pack(geolib.sphere(3), np.array([0.2, -0.1, 0.3]), 2)
+    return tr.hodge_star(F, tr.raised_volume_form(pack, F.ndim))
 
 
 def _infinite_form():
@@ -147,7 +149,8 @@ def _infinite_form():
 
 def _thomas_of_a_vector_as_a_scalar(dim=3):
     field = ArrayField(lambda y: np.ones(dim))
-    return tr.thomas_D(geolib.euclidean(3), field, (), 1, np.zeros(3))
+    return tr.thomas_D(field, (), 1,
+                       curvature_pack(geolib.euclidean(3), np.zeros(3), 2))
 
 
 @pytest.mark.parametrize("call,message", [

@@ -92,7 +92,8 @@ def test_connection_metric_preservation():
 
 def test_scale_tractor_parallel_on_sphere():
     geo = geolib.sphere(4)
-    If = ArrayField(lambda y: tr.scale_tractor(geo, y), backend=DiffBackend())
+    If = ArrayField(lambda y: tr.scale_tractor(curvature_pack(geo, y, 2)),
+                    backend=DiffBackend())
     for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
         nab = tractor_connection_apply(geo, If, (tractor_up(4),), x)
         assert np.abs(nab).max() < 1e-6
@@ -105,7 +106,7 @@ def test_scale_tractor_squared_constant():
     vals = []
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, size=4)
-        I = tr.scale_tractor(geo, x)
+        I = tr.scale_tractor(curvature_pack(geo, x, 2))
         dot, _, _ = _hpair(geo, x)
         vals.append(dot(I, I))
     assert max(vals) - min(vals) < 1e-6
@@ -114,8 +115,8 @@ def test_scale_tractor_squared_constant():
 
 def test_thomas_d_flat_unit_density():
     geo = geolib.euclidean(4)
-    D = tr.thomas_D(geo, constant_scalar(4, 1.0), (), 1,
-                    np.array([0.1, 0.2, 0.3, -0.1]))
+    D = tr.thomas_D(constant_scalar(4, 1.0), (), 1,
+                    curvature_pack(geo, np.array([0.1, 0.2, 0.3, -0.1]), 2))
     assert np.abs(D / 4 - tr.make_tractor(4, sigma=1.0)).max() < 1e-12
 
 
@@ -123,7 +124,7 @@ def test_thomas_d_sphere_unit_density():
     geo = geolib.sphere(4)
     x = np.zeros(4)
     pk = curvature_pack(geo, x)
-    D = tr.thomas_D(geo, constant_scalar(4, 1.0), (), 1, x) / 4
+    D = tr.thomas_D(constant_scalar(4, 1.0), (), 1, pk) / 4
     assert D[0] == pytest.approx(1.0)
     assert np.abs(D[1:5]).max() < 1e-9
     assert D[5] == pytest.approx(-pk.J / 4, abs=1e-9)
@@ -132,7 +133,8 @@ def test_thomas_d_sphere_unit_density():
 
 def test_tractor_curvature_conformally_flat():
     geo = geolib.sphere(4)
-    Om = tr.tractor_curvature(geo, np.array([0.2, -0.1, 0.4, 0.25]))
+    Om = tr.tractor_curvature(
+        curvature_pack(geo, np.array([0.2, -0.1, 0.4, 0.25]), 3))
     assert np.abs(Om).max() < 1e-5
 
 
@@ -153,7 +155,7 @@ def test_tractor_curvature_commutator_oracle():
     jets = ArrayField(phif).jets(x, 2)
     _, nab2 = tr.covariant_jet(conn, jets, (tractor_up(4),), order=2)
     lhs = np.einsum("Cba->abC", nab2) - np.einsum("Cab->abC", nab2)
-    Om = tr.tractor_curvature(geo, x)
+    Om = tr.tractor_curvature(pk)
     R = middle_block(pk.gi)
     Om_up = np.einsum("CE,abED->abCD", R, Om)
     rhs = np.einsum("abCD,D->abC", Om_up, tr.pair_flip(phif(x), 0))
@@ -165,7 +167,7 @@ def test_tractor_curvature_s2s2_weyl_block():
     geo = geolib.s2s2()
     x = np.array([0.15, -0.2, 0.3, 0.1])
     pk = curvature_pack(geo, x, order=3)
-    Om = tr.tractor_curvature(geo, x)
+    Om = tr.tractor_curvature(pk)
     g1 = np.zeros((4, 4))
     g1[:2, :2] = pk.g[:2, :2]
     g2 = np.zeros((4, 4))
@@ -187,7 +189,9 @@ def test_hodge_star_double(k):
     x = np.array([0.2, -0.1, 0.3])
     rng = np.random.default_rng(k)
     F = alt_array(rng.standard_normal((n + 2,) * k))
-    ss = tr.hodge_star(geo, tr.hodge_star(geo, F, x), x)
+    pk = curvature_pack(geo, x, 2)
+    ss = tr.hodge_star(tr.hodge_star(F, tr.raised_volume_form(pk, k)),
+                       tr.raised_volume_form(pk, n + 2 - k))
     sign = -(-1) ** (k * (n - k))
     assert np.abs(ss - sign * F).max() < 1e-12
 
@@ -196,7 +200,7 @@ def test_volume_form_normalisation():
     geo = geolib.sphere(3)
     x = np.array([0.2, -0.1, 0.3])
     pk = curvature_pack(geo, x)
-    eps = tr.tractor_volume_form(geo, x)
+    eps = tr.tractor_volume_form(pk)
     R = middle_block(pk.gi)
     up = eps
     for ax in range(5):
@@ -300,8 +304,8 @@ def test_rescale_triple_relation():
             Q = Jet(4, sig.jets(y, order)) * Jet(4, omega.jets(y, order))
             return [np.asarray(c) for c in Q.d]
 
-    I_g = tr.thomas_D(geo, sig, (), 1, x) / 4
-    I_h = tr.thomas_D(geoh, Prod(), (), 1, x) / 4
+    I_g = tr.thomas_D(sig, (), 1, curvature_pack(geo, x, 2)) / 4
+    I_h = tr.thomas_D(Prod(), (), 1, curvature_pack(geoh, x, 2)) / 4
     M = tr.rescale_triple_matrix(pk, upsilon(x))
     w0 = float(omega.value(x))
     pred = tr.rescale_component_weights(
@@ -321,7 +325,7 @@ def test_mobius_error_without_schouten():
     from tractorlab.riemann import GeometrySpec
     geo2 = GeometrySpec(n=2, metric=geolib.euclidean(2).metric)
     with pytest.raises(tr.MobiusStructureError):
-        tr.scale_tractor(geo2, np.zeros(2))
+        tr.scale_tractor(curvature_pack(geo2, np.zeros(2), 2))
 
 
 def test_parallel_transport_divergence_is_numerical_error():
@@ -444,12 +448,3 @@ def test_connection_matrices_are_the_block_fills(name, entry):
             assert _bitwise_equal(conn.matrix(ix), _reference_matrix(conn, ix))
             assert _bitwise_equal(conn.dmatrix(ix),
                                   _reference_dmatrix(conn, ix))
-
-
-@pytest.mark.parametrize("name,entry", CATALOG_N3,
-                         ids=[c[0] for c in CATALOG_N3])
-def test_tractor_curvature_reads_a_given_pack(name, entry):
-    geo = entry.make_geometry()
-    x = np.random.default_rng(43).uniform(-0.3, 0.3, geo.n)
-    given = tr.tractor_curvature(geo, x, pack=curvature_pack(geo, x, 3))
-    assert _bitwise_equal(given, tr.tractor_curvature(geo, x))
